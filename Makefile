@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race api-check staticcheck chaos chaos-smoke registry-smoke fuzz-smoke invoke-fuzz-smoke sse-fuzz-smoke verify-smoke bench bench-full serve-bench serve-bench-closed serve-bench-quick ci
+.PHONY: all build vet test race api-check staticcheck chaos chaos-smoke registry-smoke fuzz-smoke invoke-fuzz-smoke sse-fuzz-smoke verify-smoke bench bench-full benchmark-check ci
 
 all: build vet test
 
@@ -94,19 +94,10 @@ bench:
 bench-full:
 	$(GO) run ./cmd/nimble-bench
 
-# Serving sweeps. serve-bench regenerates the committed BENCH_serve.json:
-# the open-loop (Poisson-arrival) sweep, latency measured from the
-# scheduled arrival, with the pinned-stream A/B baseline for the decoder.
-# serve-bench-closed is the legacy saturating-clients sweep.
-serve-bench:
-	$(GO) run ./cmd/nimble-bench -serve -arrival poisson -qps 16,32,48,64,96 \
-		-pin-streams -serve-workers 8 -serve-duration 2s -json BENCH_serve.json
-serve-bench-closed:
-	$(GO) run ./cmd/nimble-bench -serve -serve-workers 8
-# Quick CI variant: short cells, enough to catch harness rot and produce an
-# uploadable artifact without paying for full measurement windows.
-serve-bench-quick:
-	$(GO) run ./cmd/nimble-bench -serve -arrival poisson -qps 16,48 \
-		-pin-streams -serve-workers 4 -serve-duration 300ms -json BENCH_serve.json
+# The benchmark is its own module (benchmark/go.mod), outside the root
+# `go vet ./...` / `go test ./...`: vet and test it against this tree.
+# Serving load itself is measured with `go run -C benchmark .`.
+benchmark-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-ci: all staticcheck race api-check chaos-smoke registry-smoke bench
+ci: all staticcheck race api-check chaos-smoke registry-smoke bench benchmark-check

@@ -1,14 +1,11 @@
 // Package bench re-exports Nimble's evaluation harness — one entry point
-// per table/figure of the paper's §6 plus the closed-loop serving load
-// generator — so cmd/nimble-bench (and any external harness) runs it
-// without reaching into internal packages.
+// per table/figure of the paper's §6 — so cmd/nimble-bench (and any
+// external harness) runs it without reaching into internal packages.
+// Serving load is measured by the separate benchmark module
+// (go run -C benchmark .).
 package bench
 
-import (
-	"time"
-
-	ibench "nimble/internal/bench"
-)
+import ibench "nimble/internal/bench"
 
 type (
 	// Config parameterizes the paper-table harness.
@@ -18,15 +15,6 @@ type (
 	Table4Result  = ibench.Table4Result
 	Figure3Result = ibench.Figure3Result
 	MemPlanResult = ibench.MemPlanResult
-	// ServeConfig / ServeResult drive the closed-loop serving load
-	// generator; OpenLoopConfig / OpenLoopResult the Poisson-arrival
-	// open-loop one.
-	ServeConfig    = ibench.ServeConfig
-	ServeResult    = ibench.ServeResult
-	ServeRow       = ibench.ServeRow
-	OpenLoopConfig = ibench.OpenLoopConfig
-	OpenLoopResult = ibench.OpenLoopResult
-	OpenLoopRow    = ibench.OpenLoopRow
 	// DecodeResult / CoreResult are the streaming-decode benchmark and the
 	// committed machine-readable perf snapshot.
 	DecodeResult = ibench.DecodeResult
@@ -60,15 +48,3 @@ func Decode(c Config) (*DecodeResult, error) { return ibench.Decode(c) }
 // Core produces the committed machine-readable perf snapshot
 // (BENCH_core.json): Nimble host per-token latency per model, quick config.
 func Core(c Config) (*CoreResult, error) { return ibench.Core(c) }
-
-// Serve runs the closed-loop concurrent-serving load generator.
-func Serve(c ServeConfig) (*ServeResult, error) { return ibench.Serve(c) }
-
-// OpenLoop runs the open-loop (Poisson-arrival) serving benchmark: fixed
-// offered QPS per cell, latency measured from the scheduled arrival so
-// queueing delay is counted (the honest latency-under-load instrument).
-func OpenLoop(c OpenLoopConfig) (*OpenLoopResult, error) { return ibench.OpenLoop(c) }
-
-// DefaultServeDuration is the measured window per serve cell when
-// ServeConfig.Duration is zero.
-const DefaultServeDuration = 400 * time.Millisecond

@@ -11,14 +11,14 @@ import (
 	"nimble/internal/models"
 )
 
-func mlpService(t *testing.T, cfg ServiceConfig) (*models.MLP, *Service) {
+func mlpService(t *testing.T, opts ...ServiceOption) (*models.MLP, *Service) {
 	t.Helper()
 	m := models.NewMLP(models.MLPConfig{In: 8, Hidden: 16, Out: 4, Layers: 1, Seed: 9})
 	p, err := Compile(m.Module)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := p.NewService(cfg)
+	svc, err := p.Serve(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func mlpService(t *testing.T, cfg ServiceConfig) (*models.MLP, *Service) {
 // promptly without consuming a session — the pool's free list and wait
 // counters are untouched.
 func TestCanceledBeforeAcquire(t *testing.T) {
-	m, svc := mlpService(t, ServiceConfig{Workers: 1, DisableBatching: true})
+	m, svc := mlpService(t, WithWorkers(1), WithoutBatching())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	in := TensorValue(m.RandomBatch(rand.New(rand.NewSource(1)), 2))
@@ -55,7 +55,7 @@ func TestCanceledBeforeAcquire(t *testing.T) {
 // abandoned when its deadline fires, surfaces context.DeadlineExceeded, and
 // does not leak or consume the session that is eventually released.
 func TestCancelWhileWaitingForSession(t *testing.T) {
-	m, svc := mlpService(t, ServiceConfig{Workers: 1, DisableBatching: true})
+	m, svc := mlpService(t, WithWorkers(1), WithoutBatching())
 	in := TensorValue(m.RandomBatch(rand.New(rand.NewSource(2)), 2))
 
 	// Hold the only session so the invoke below must queue.
@@ -84,11 +84,11 @@ func TestCancelWhileWaitingForSession(t *testing.T) {
 	}
 }
 
-// TestCancelWhileQueuedInBatch: a request canceled during the batcher's
-// collection window is withdrawn from the pending batch; the remaining
-// requests still dispatch and succeed.
+// TestCancelWhileQueuedInBatch: a request canceled while it waits in the
+// run queue is withdrawn from the batch that would have formed; the
+// remaining requests still dispatch, merged, and succeed.
 func TestCancelWhileQueuedInBatch(t *testing.T) {
-	m, svc := mlpService(t, ServiceConfig{Workers: 1, MaxBatch: 8, MaxDelay: 300 * time.Millisecond})
+	m, svc := mlpService(t, WithWorkers(1), WithMaxBatch(8))
 	rng := rand.New(rand.NewSource(3))
 	ctx := context.Background()
 
@@ -99,8 +99,12 @@ func TestCancelWhileQueuedInBatch(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = TensorValue(m.RandomBatch(rng, 1+i))
 	}
-	// Three concurrent requests land in one collection window (MaxDelay is
-	// huge); request 0 is canceled while queued.
+	// Hold the only session so all three requests queue behind it; request
+	// 0 is canceled while queued.
+	held, err := svc.pool.Acquire(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -112,8 +116,14 @@ func TestCancelWhileQueuedInBatch(t *testing.T) {
 			_, errs[i] = svc.Invoke(reqCtx, "main", inputs[i])
 		}(i)
 	}
-	time.Sleep(50 * time.Millisecond) // all three are queued in the window
+	for svc.Stats().Schedulers[0].Queued < 3 {
+		time.Sleep(time.Millisecond)
+	}
 	cancel()
+	for svc.Stats().Schedulers[0].Queued > 2 {
+		time.Sleep(time.Millisecond)
+	}
+	svc.pool.Release(held)
 	wg.Wait()
 
 	if !errors.Is(errs[0], ErrCanceled) || !errors.Is(errs[0], context.Canceled) {

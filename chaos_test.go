@@ -75,7 +75,7 @@ func runChaos(t *testing.T, seed uint64, iters int) {
 	ref.Close()
 
 	// The served program gets the faulty kernel table: injection must
-	// happen in the window between Compile and NewService (adoption
+	// happen in the window between Compile and Serve (adoption
 	// freezes the executable).
 	faulty, err := Compile(models.NewMLP(mcfg).Module)
 	if err != nil {
@@ -92,13 +92,8 @@ func runChaos(t *testing.T, seed uint64, iters int) {
 		t.Fatal(err)
 	}
 	const workers = 4
-	svc, err := faulty.NewService(ServiceConfig{
-		Workers:          workers,
-		MaxQueue:         8,
-		RequestTimeout:   2 * time.Second,
-		BreakerThreshold: 20,
-		BreakerCooldown:  10 * time.Millisecond,
-	})
+	svc, err := faulty.Serve(WithWorkers(workers), WithMaxQueue(8),
+		WithRequestTimeout(2*time.Second), WithBreaker(20, 10*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,10 +376,7 @@ func TestChaosBreakerDegradesHealth(t *testing.T) {
 	if err := inj.WrapExecutable(p.exe); err != nil {
 		t.Fatal(err)
 	}
-	svc, err := p.NewService(ServiceConfig{
-		Workers: 1, DisableBatching: true,
-		BreakerThreshold: 3, BreakerCooldown: 20 * time.Millisecond,
-	})
+	svc, err := p.Serve(WithWorkers(1), WithoutBatching(), WithBreaker(3, 20*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,16 +2,8 @@
 // DESIGN.md §4 for the experiment index). Host-CPU columns are measured;
 // ARM/GPU columns come from the platform cost model and print "(sim)".
 //
-// With -serve it instead runs the serving load generator. The default
-// arrival process is the closed loop (1..64 concurrent clients over a
-// shared session pool, reporting p50/p99 latency and requests/sec per
-// client count); -arrival poisson switches to the open loop — arrivals on
-// an exponential clock at each -qps rate, latency measured from the
-// scheduled arrival so queueing delay is counted. The shared -model flag
-// filters either sweep to one model.
-//
-//	nimble-bench -serve                                  # closed loop
-//	nimble-bench -serve -arrival poisson -qps 16,32,48   # open loop
+// Serving load (HTTP and in-process, open loop) is measured by the separate
+// benchmark module: go run -C benchmark .
 package main
 
 import (
@@ -21,69 +13,16 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
-	"time"
 
 	"nimble/bench"
-	"nimble/cmd/internal/cli"
 )
 
 func main() {
 	exp := flag.String("experiment", "all", "table1 | table2 | table3 | table4 | figure3 | memplan | decode | all")
 	quick := flag.Bool("quick", false, "reduced sample counts and model sizes")
 	seed := flag.Int64("seed", 7, "sampler seed")
-	model := cli.ModelFlag("")
-	serveMode := flag.Bool("serve", false, "run the concurrent-serving load generator instead of the paper tables")
-	serveWorkers := flag.Int("serve-workers", 8, "session pool size for -serve")
-	serveDur := flag.Duration("serve-duration", time.Second, "measured window per -serve cell")
-	serveBatch := flag.Bool("serve-batch", true, "enable micro-batching for the MLP rows in -serve")
-	arrival := flag.String("arrival", "closed", "with -serve: arrival process, closed (saturating clients) | poisson (open loop at fixed -qps)")
-	qpsList := flag.String("qps", "", "with -arrival poisson: comma-separated offered rates, e.g. 16,32,48")
-	pinStreams := flag.Bool("pin-streams", false, "with -arrival poisson: also run the decoder rows with the scheduler disabled (A/B baseline)")
-	jsonPath := flag.String("json", "", "with -serve: also write the sweep as machine-readable JSON to this path; otherwise: a directory to write the committed BENCH_core.json and BENCH_decode.json snapshots into")
+	jsonPath := flag.String("json", "", "directory to write the committed BENCH_core.json and BENCH_decode.json snapshots into")
 	flag.Parse()
-
-	if *serveMode {
-		var res interface{ Format() string }
-		var err error
-		switch *arrival {
-		case "poisson":
-			res, err = bench.OpenLoop(bench.OpenLoopConfig{
-				Workers:    *serveWorkers,
-				QPS:        parseQPS(*qpsList),
-				Duration:   *serveDur,
-				Seed:       *seed,
-				Model:      *model,
-				PinStreams: *pinStreams,
-			})
-		case "closed":
-			res, err = bench.Serve(bench.ServeConfig{
-				Workers:  *serveWorkers,
-				Duration: *serveDur,
-				Seed:     *seed,
-				Batch:    *serveBatch,
-				Model:    *model,
-			})
-		default:
-			log.Fatalf("serve: unknown -arrival %q (closed | poisson)", *arrival)
-		}
-		if err != nil {
-			log.Fatalf("serve: %v", err)
-		}
-		fmt.Println(res.Format())
-		if *jsonPath != "" {
-			blob, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				log.Fatalf("serve: marshal: %v", err)
-			}
-			if err := os.WriteFile(*jsonPath, append(blob, '\n'), 0o644); err != nil {
-				log.Fatalf("serve: %v", err)
-			}
-			log.Printf("serve: wrote %s", *jsonPath)
-		}
-		return
-	}
 
 	cfg := bench.Config{Quick: *quick, Seed: *seed}
 	run := func(name string, f func(bench.Config) (fmt.Stringer, error)) {
@@ -119,23 +58,6 @@ func main() {
 		}
 		writeSnapshot(filepath.Join(*jsonPath, "BENCH_decode.json"), dec)
 	}
-}
-
-// parseQPS parses the -qps flag ("16,32,48"). Empty returns nil so the
-// open-loop harness applies its default sweep.
-func parseQPS(s string) []float64 {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v <= 0 {
-			log.Fatalf("serve: bad -qps element %q (want positive numbers, e.g. 16,32,48)", part)
-		}
-		out = append(out, v)
-	}
-	return out
 }
 
 func writeSnapshot(path string, v any) {

@@ -1,7 +1,7 @@
 // Command nimble-serve exposes compiled models over HTTP through the
 // public nimble API: a multi-model Registry of versioned Programs (each
-// serving through a session pool with automatic micro-batching for
-// row-separable entries) and handlers built entirely on
+// serving through one run queue over a session pool, coalescing queued
+// requests to row-separable entries) and handlers built entirely on
 // Program.Entrypoints() — no per-model adapters. Any entry of any model is
 // invocable; argument decoding is driven by the entry's introspected
 // signature.
@@ -48,7 +48,7 @@
 //	              ADT constructors, row-separability)
 //	GET  /healthz -> {"ok":true,...}; 503 + "ok":false while any version of
 //	              any model has an open circuit breaker (degraded)
-//	GET  /stats   -> per model-version pool + batcher + admission-gate +
+//	GET  /stats   -> per model-version pool + coalescing + admission-gate +
 //	              scheduler counters, plus the shared storage tier
 //	GET  /metrics -> the same counters in Prometheus text exposition format,
 //	              labeled {model, version, entry}
@@ -355,9 +355,8 @@ func main() {
 	model := flag.String("model", "mlp", "comma-separated models to serve (each: "+cli.Names()+"); the first is the default target")
 	exe := cli.ExeFlag("")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "session pool size")
-	batch := flag.Bool("batch", true, "micro-batch row-separable entries")
-	maxBatch := flag.Int("max-batch", 16, "micro-batch size cap")
-	maxDelay := flag.Duration("max-delay", 200*time.Microsecond, "micro-batch collection window")
+	batch := flag.Bool("batch", true, "coalesce queued requests to row-separable entries")
+	maxBatch := flag.Int("max-batch", 16, "most requests one coalesced dispatch serves")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request deadline (0 = none)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "drain window for in-flight and queued requests on SIGINT/SIGTERM")
 	maxQueue := flag.Int("max-queue", 0, "per-entry admission queue bound (0 = 4×workers, negative = unbounded)")
@@ -365,7 +364,6 @@ func main() {
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long an open breaker sheds before probing (0 = default 1s)")
 	lanes := flag.Int("lanes", 1, "priority lanes requests may select with the \"priority\" body field (lane 0 served first)")
 	schedWindow := flag.Int("sched-window", 0, "streams one session interleaves under the continuous-batching scheduler (0 = default 8)")
-	pinStreams := flag.Bool("pin-streams", false, "disable the scheduler: each stream pins a pooled session for its whole run")
 	maxBody := flag.Int64("max-body", 32<<20, "request body size cap in bytes")
 	flag.Parse()
 
@@ -378,7 +376,7 @@ func main() {
 	}
 	opts := []nimble.ServiceOption{
 		nimble.WithWorkers(*workers),
-		nimble.WithBatchWindow(*maxBatch, *maxDelay),
+		nimble.WithMaxBatch(*maxBatch),
 		nimble.WithMaxQueue(*maxQueue),
 		nimble.WithRequestTimeout(*reqTimeout),
 		nimble.WithBreaker(*breakerThreshold, *breakerCooldown),
@@ -387,9 +385,6 @@ func main() {
 	}
 	if !*batch {
 		opts = append(opts, nimble.WithoutBatching())
-	}
-	if *pinStreams {
-		opts = append(opts, nimble.WithPinnedStreams())
 	}
 	reg := nimble.NewRegistry(
 		nimble.WithServeDefaults(opts...),
@@ -406,9 +401,9 @@ func main() {
 		}
 		log.Printf("serving %s@%s: %s", name, ver, m.Describe)
 		for _, sig := range m.Program.Entrypoints() {
-			mode := "pool"
+			mode := "per-request"
 			if sig.RowSeparable && *batch {
-				mode = "micro-batched"
+				mode = "coalesced"
 			}
 			log.Printf("  entry %s  [%s]", sig, mode)
 		}
@@ -428,7 +423,7 @@ func main() {
 	srv := &http.Server{Addr: *addr, Handler: mux}
 
 	// Graceful shutdown: stop accepting, give in-flight requests the drain
-	// window, then close the service (batcher drains, pool closes).
+	// window, then close the service (run queue drains, pool closes).
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)
@@ -446,7 +441,7 @@ func main() {
 	defer cancel()
 	// One drain window covers both layers: the HTTP server stops accepting
 	// and waits for handlers, then the Registry drains every live version
-	// (batcher queues + pool waiters + open streams), rejecting stragglers
+	// (queued and running requests, open streams), rejecting stragglers
 	// with ErrClosed when the window expires instead of hanging.
 	if err := srv.Shutdown(shCtx); err != nil {
 		log.Printf("nimble-serve: http shutdown: %v", err)

@@ -5,211 +5,164 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"nimble"
 )
+
+// scope says which rows a metric family has and how they are labeled.
+type scope int
+
+const (
+	perServer  scope = iota // one unlabeled sample
+	perShared               // one unlabeled sample, only with a shared storage tier
+	perVersion              // {model, version}
+	perGate                 // {model, version, entry}, from the admission gate
+	perSched                // {model, version, entry}, from the run queue
+	perBatch                // {model, version, entry}, row-separable entries only
+	perHealth               // {model, version, entry}, from the breaker
+	numScopes
+)
+
+// sample is one row of a scope: its rendered label set and the stats the
+// scope's families read (only the fields of that scope are set).
+type sample struct {
+	labels string
+	srv    serverSample
+	shared nimble.SharedStorageStats
+	v      nimble.VersionStatus
+	g      nimble.GateStats
+	sc     nimble.SchedulerStats
+	b      nimble.BatcherStats
+	h      nimble.EntryHealth
+}
+
+type serverSample struct {
+	up     bool
+	uptime time.Duration
+	models int
+}
+
+func flag01(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// families is the whole /metrics catalog (documented in
+// docs/operations.md), in exposition order: one line per family, and the
+// handler below is the only code that walks it. Durations are exported in
+// seconds (Prometheus base units) even though /stats reports microseconds.
+var families = []struct {
+	name, typ, help string
+	scope           scope
+	value           func(sample) float64
+}{
+	{"nimble_up", "gauge", "1 when no live version has an open circuit breaker.", perServer, func(s sample) float64 { return flag01(s.srv.up) }},
+	{"nimble_uptime_seconds", "gauge", "Seconds since the server started.", perServer, func(s sample) float64 { return s.srv.uptime.Seconds() }},
+	{"nimble_models", "gauge", "Models deployed in the registry.", perServer, func(s sample) float64 { return float64(s.srv.models) }},
+
+	{"nimble_version_canary", "gauge", "1 while this version is the canary of a rollout.", perVersion, func(s sample) float64 { return flag01(s.v.State == nimble.VersionCanary) }},
+	{"nimble_version_traffic_percent", "gauge", "Configured unpinned-traffic share (canary only).", perVersion, func(s sample) float64 { return float64(s.v.Percent) }},
+	{"nimble_version_requests_in_flight", "gauge", "Requests and open streams holding this version.", perVersion, func(s sample) float64 { return float64(s.v.InFlight) }},
+
+	{"nimble_pool_workers", "gauge", "Sessions in the pool.", perVersion, func(s sample) float64 { return float64(s.v.Stats.Pool.Workers) }},
+	{"nimble_pool_invocations_total", "counter", "Requests served on a session.", perVersion, func(s sample) float64 { return float64(s.v.Stats.Pool.Invocations) }},
+	{"nimble_pool_errors_total", "counter", "Served requests that returned an error.", perVersion, func(s sample) float64 { return float64(s.v.Stats.Pool.Errors) }},
+	{"nimble_pool_in_flight", "gauge", "Sessions checked out right now.", perVersion, func(s sample) float64 { return float64(s.v.Stats.Pool.InFlight) }},
+	{"nimble_pool_peak_in_use", "gauge", "Most sessions ever in use at once.", perVersion, func(s sample) float64 { return float64(s.v.Stats.Pool.PeakInUse) }},
+	{"nimble_pool_waits_total", "counter", "Acquisitions that had to queue for a session.", perVersion, func(s sample) float64 { return float64(s.v.Stats.Pool.Waits) }},
+	{"nimble_pool_wait_seconds_total", "counter", "Total time spent queued for sessions.", perVersion, func(s sample) float64 { return s.v.Stats.Pool.WaitTime.Seconds() }},
+	{"nimble_pool_quarantined_total", "counter", "Poisoned sessions replaced by fresh VMs.", perVersion, func(s sample) float64 { return float64(s.v.Stats.Pool.Quarantined) }},
+
+	{"nimble_gate_admitted_total", "counter", "Requests admitted past the gate.", perGate, func(s sample) float64 { return float64(s.g.Admitted) }},
+	{"nimble_gate_queued", "gauge", "Admitted requests not yet running.", perGate, func(s sample) float64 { return float64(s.g.Queued) }},
+	{"nimble_gate_expected_wait_seconds", "gauge", "Arrival-time wait estimate.", perGate, func(s sample) float64 { return s.g.ExpectedWaitUS / 1e6 }},
+	{"nimble_gate_service_ewma_seconds", "gauge", "Smoothed service time.", perGate, func(s sample) float64 { return s.g.ServiceEWMAUS / 1e6 }},
+	{"nimble_gate_service_p50_seconds", "gauge", "Service-time median (log2-bucket histogram).", perGate, func(s sample) float64 { return s.g.P50US / 1e6 }},
+	{"nimble_gate_service_p99_seconds", "gauge", "Service-time 99th percentile (log2-bucket histogram).", perGate, func(s sample) float64 { return s.g.P99US / 1e6 }},
+	{"nimble_gate_shed_queue_total", "counter", "Arrivals shed because the queue was full.", perGate, func(s sample) float64 { return float64(s.g.ShedQueue) }},
+	{"nimble_gate_shed_deadline_total", "counter", "Arrivals shed because their deadline was unmeetable.", perGate, func(s sample) float64 { return float64(s.g.ShedDeadline) }},
+	{"nimble_gate_shed_breaker_total", "counter", "Arrivals shed by an open circuit breaker.", perGate, func(s sample) float64 { return float64(s.g.ShedBreaker) }},
+	{"nimble_gate_breaker_open", "gauge", "1 while the entry's breaker is open.", perGate, func(s sample) float64 { return flag01(s.g.BreakerOpen) }},
+	{"nimble_gate_breaker_trips_total", "counter", "Times the breaker opened.", perGate, func(s sample) float64 { return float64(s.g.BreakerTrips) }},
+
+	{"nimble_sched_submitted_total", "counter", "Requests submitted to the run queue.", perSched, func(s sample) float64 { return float64(s.sc.Submitted) }},
+	{"nimble_sched_completed_total", "counter", "Requests that finished cleanly.", perSched, func(s sample) float64 { return float64(s.sc.Completed) }},
+	{"nimble_sched_canceled_total", "counter", "Requests canceled by their caller.", perSched, func(s sample) float64 { return float64(s.sc.Canceled) }},
+	{"nimble_sched_failed_total", "counter", "Requests that failed (faults, poisoning, close).", perSched, func(s sample) float64 { return float64(s.sc.Failed) }},
+	{"nimble_sched_queued", "gauge", "Requests waiting for a session.", perSched, func(s sample) float64 { return float64(s.sc.Queued) }},
+	{"nimble_sched_active", "gauge", "Requests adopted by workers right now.", perSched, func(s sample) float64 { return float64(s.sc.Active) }},
+	{"nimble_sched_sessions", "gauge", "Sessions the scheduler drives right now.", perSched, func(s sample) float64 { return float64(s.sc.Sessions) }},
+	{"nimble_sched_peak_occupancy", "gauge", "Most runs one session ever interleaved.", perSched, func(s sample) float64 { return float64(s.sc.PeakOccupancy) }},
+	{"nimble_sched_occupancy_ewma", "gauge", "Smoothed number of requests sharing a step.", perSched, func(s sample) float64 { return s.sc.OccupancyEWMA }},
+	{"nimble_sched_steps_total", "counter", "Steps (loop iterations) executed.", perSched, func(s sample) float64 { return float64(s.sc.Steps) }},
+	{"nimble_sched_steps_per_stream", "gauge", "Smoothed steps per completed request.", perSched, func(s sample) float64 { return s.sc.StepsPerStream }},
+	{"nimble_sched_step_ewma_seconds", "gauge", "Smoothed per-step latency.", perSched, func(s sample) float64 { return s.sc.StepEWMAUS / 1e6 }},
+	{"nimble_sched_step_p50_seconds", "gauge", "Per-step latency median (log2-bucket histogram).", perSched, func(s sample) float64 { return s.sc.StepP50US / 1e6 }},
+	{"nimble_sched_step_p99_seconds", "gauge", "Per-step latency 99th percentile (log2-bucket histogram).", perSched, func(s sample) float64 { return s.sc.StepP99US / 1e6 }},
+
+	{"nimble_batch_batches_total", "counter", "Coalesced dispatches executed.", perBatch, func(s sample) float64 { return float64(s.b.Batches) }},
+	{"nimble_batch_singles_total", "counter", "Coalescible requests dispatched alone.", perBatch, func(s sample) float64 { return float64(s.b.Singles) }},
+	{"nimble_batch_coalesced_total", "counter", "Requests that rode a shared dispatch.", perBatch, func(s sample) float64 { return float64(s.b.Coalesced) }},
+	{"nimble_batch_fallback_total", "counter", "Requests re-run alone after a coalesced dispatch failed.", perBatch, func(s sample) float64 { return float64(s.b.Fallbacks) }},
+	{"nimble_batch_largest_batch", "gauge", "Largest coalesced dispatch so far.", perBatch, func(s sample) float64 { return float64(s.b.LargestBatch) }},
+
+	{"nimble_entry_healthy", "gauge", "1 while the entry's circuit breaker is closed.", perHealth, func(s sample) float64 { return flag01(s.h.Healthy) }},
+
+	{"nimble_shared_storage_resident_bytes", "gauge", "Bytes parked in the cross-model storage tier.", perShared, func(s sample) float64 { return float64(s.shared.ResidentBytes) }},
+	{"nimble_shared_storage_hits_total", "counter", "Local-miss acquisitions served by the shared tier.", perShared, func(s sample) float64 { return float64(s.shared.Hits) }},
+	{"nimble_shared_storage_misses_total", "counter", "Shared-tier lookups that fell through to allocation.", perShared, func(s sample) float64 { return float64(s.shared.Misses) }},
+	{"nimble_shared_storage_donated_total", "counter", "Per-session overflow storages adopted by the shared tier.", perShared, func(s sample) float64 { return float64(s.shared.Donated) }},
+	{"nimble_shared_storage_dropped_total", "counter", "Donations refused at the per-class bound.", perShared, func(s sample) float64 { return float64(s.shared.Dropped) }},
+}
 
 // handleMetrics renders every live model-version's counters in the
 // Prometheus text exposition format, hand-rolled so the binary stays
-// dependency-free. The catalog (documented in docs/operations.md):
-//
-//   - nimble_pool_*       session pool, labeled {model, version}: size,
-//     checkouts, quarantines
-//   - nimble_gate_*       per-entry admission gate, labeled {model,
-//     version, entry}
-//   - nimble_sched_*      per-entry continuous-batching scheduler, labeled
-//     {model, version, entry}: queue depth, batch occupancy, step latency
-//     quantiles
-//   - nimble_batch_*      per-entry micro-batcher, labeled {model,
-//     version, entry}
-//   - nimble_version_*    routing: canary traffic percent and requests in
-//     flight per live version
-//   - nimble_shared_storage_*  the cross-model storage tier
-//   - nimble_entry_healthy / nimble_up  breaker-driven health
-//
-// Durations are exported in seconds (Prometheus base units) even though
-// /stats reports microseconds.
+// dependency-free: it gathers one sample per row of every scope, then
+// writes each family of the table above as one HELP/TYPE header and one
+// line per sample of its scope.
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	var b strings.Builder
 	models := s.reg.Models()
-
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	counter := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, v)
-	}
-	// Labeled series share one HELP/TYPE header per family, then one sample
-	// per (model, version[, entry]); family collects rows and flushes them
-	// under the header.
-	family := func(name, typ, help string, rows []string) {
-		if len(rows) == 0 {
-			return
-		}
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-		for _, r := range rows {
-			b.WriteString(r)
-		}
-	}
-
-	up := 1.0
+	var rows [numScopes][]sample
+	srv := serverSample{up: true, uptime: time.Since(s.start), models: len(models)}
 	for _, ms := range models {
 		for _, vs := range ms.Versions {
 			if vs.Health.Degraded {
-				up = 0
+				srv.up = false
 			}
-		}
-	}
-	gauge("nimble_up", "1 when no live version has an open circuit breaker.", up)
-	gauge("nimble_uptime_seconds", "Seconds since the server started.", time.Since(s.start).Seconds())
-	gauge("nimble_models", "Models deployed in the registry.", float64(len(models)))
-
-	// rows[familyName] accumulates labeled samples across every model
-	// version; families are emitted once, after the sweep.
-	rows := map[string][]string{}
-	add := func(familyName, labels string, v float64) {
-		rows[familyName] = append(rows[familyName], fmt.Sprintf("%s{%s} %g\n", familyName, labels, v))
-	}
-
-	for _, ms := range models {
-		for _, vs := range ms.Versions {
 			mv := fmt.Sprintf("model=%q,version=%q", ms.Name, vs.Version)
-			entryOf := func(entry string) string { return mv + fmt.Sprintf(",entry=%q", entry) }
-
-			canary := 0.0
-			if vs.State == "canary" {
-				canary = 1
-			}
-			add("nimble_version_canary", mv, canary)
-			add("nimble_version_traffic_percent", mv, float64(vs.Percent))
-			add("nimble_version_requests_in_flight", mv, float64(vs.InFlight))
-
-			p := vs.Stats.Pool
-			add("nimble_pool_workers", mv, float64(p.Workers))
-			add("nimble_pool_invocations_total", mv, float64(p.Invocations))
-			add("nimble_pool_errors_total", mv, float64(p.Errors))
-			add("nimble_pool_in_flight", mv, float64(p.InFlight))
-			add("nimble_pool_peak_in_use", mv, float64(p.PeakInUse))
-			add("nimble_pool_waits_total", mv, float64(p.Waits))
-			add("nimble_pool_wait_seconds_total", mv, p.WaitTime.Seconds())
-			add("nimble_pool_quarantined_total", mv, float64(p.Quarantined))
-
+			entry := func(name string) string { return fmt.Sprintf("{%s,entry=%q}", mv, name) }
+			rows[perVersion] = append(rows[perVersion], sample{labels: "{" + mv + "}", v: vs})
 			for _, g := range vs.Stats.Gates {
-				l := entryOf(g.Entry)
-				add("nimble_gate_admitted_total", l, float64(g.Admitted))
-				add("nimble_gate_queued", l, float64(g.Queued))
-				add("nimble_gate_expected_wait_seconds", l, g.ExpectedWaitUS/1e6)
-				add("nimble_gate_service_ewma_seconds", l, g.ServiceEWMAUS/1e6)
-				add("nimble_gate_service_p50_seconds", l, g.P50US/1e6)
-				add("nimble_gate_service_p99_seconds", l, g.P99US/1e6)
-				add("nimble_gate_shed_queue_total", l, float64(g.ShedQueue))
-				add("nimble_gate_shed_deadline_total", l, float64(g.ShedDeadline))
-				add("nimble_gate_shed_breaker_total", l, float64(g.ShedBreaker))
-				openV := 0.0
-				if g.BreakerOpen {
-					openV = 1
-				}
-				add("nimble_gate_breaker_open", l, openV)
-				add("nimble_gate_breaker_trips_total", l, float64(g.BreakerTrips))
+				rows[perGate] = append(rows[perGate], sample{labels: entry(g.Entry), g: g})
 			}
-
 			for _, sc := range vs.Stats.Schedulers {
-				l := entryOf(sc.Entry)
-				add("nimble_sched_submitted_total", l, float64(sc.Submitted))
-				add("nimble_sched_completed_total", l, float64(sc.Completed))
-				add("nimble_sched_canceled_total", l, float64(sc.Canceled))
-				add("nimble_sched_failed_total", l, float64(sc.Failed))
-				add("nimble_sched_shed_deadline_total", l, float64(sc.ShedDeadline))
-				add("nimble_sched_queued", l, float64(sc.Queued))
-				add("nimble_sched_active", l, float64(sc.Active))
-				add("nimble_sched_sessions", l, float64(sc.Sessions))
-				add("nimble_sched_peak_occupancy", l, float64(sc.PeakOccupancy))
-				add("nimble_sched_occupancy_ewma", l, sc.OccupancyEWMA)
-				add("nimble_sched_steps_total", l, float64(sc.Steps))
-				add("nimble_sched_steps_per_stream", l, sc.StepsPerStream)
-				add("nimble_sched_step_ewma_seconds", l, sc.StepEWMAUS/1e6)
-				add("nimble_sched_step_p50_seconds", l, sc.StepP50US/1e6)
-				add("nimble_sched_step_p99_seconds", l, sc.StepP99US/1e6)
-				add("nimble_sched_projected_wait_seconds", l, sc.ProjectedWaitUS/1e6)
+				rows[perSched] = append(rows[perSched], sample{labels: entry(sc.Entry), sc: sc})
 			}
-
-			for _, bt := range vs.Stats.Batchers {
-				l := entryOf(bt.Entry)
-				add("nimble_batch_batches_total", l, float64(bt.Batches))
-				add("nimble_batch_singles_total", l, float64(bt.Singles))
-				add("nimble_batch_coalesced_total", l, float64(bt.Coalesced))
-				add("nimble_batch_fallback_total", l, float64(bt.Fallbacks))
-				add("nimble_batch_overflow_total", l, float64(bt.Overflows))
-				add("nimble_batch_largest_batch", l, float64(bt.LargestBatch))
+			for _, b := range vs.Stats.Batchers {
+				rows[perBatch] = append(rows[perBatch], sample{labels: entry(b.Entry), b: b})
 			}
-
-			for _, e := range vs.Health.Entries {
-				v := 0.0
-				if e.Healthy {
-					v = 1
-				}
-				add("nimble_entry_healthy", entryOf(e.Entry), v)
+			for _, h := range vs.Health.Entries {
+				rows[perHealth] = append(rows[perHealth], sample{labels: entry(h.Entry), h: h})
 			}
 		}
 	}
-
-	family("nimble_version_canary", "gauge", "1 while this version is the canary of a rollout.", rows["nimble_version_canary"])
-	family("nimble_version_traffic_percent", "gauge", "Configured unpinned-traffic share (canary only).", rows["nimble_version_traffic_percent"])
-	family("nimble_version_requests_in_flight", "gauge", "Requests and open streams holding this version.", rows["nimble_version_requests_in_flight"])
-
-	family("nimble_pool_workers", "gauge", "Sessions in the pool.", rows["nimble_pool_workers"])
-	family("nimble_pool_invocations_total", "counter", "Entry invocations executed.", rows["nimble_pool_invocations_total"])
-	family("nimble_pool_errors_total", "counter", "Invocations that returned an error.", rows["nimble_pool_errors_total"])
-	family("nimble_pool_in_flight", "gauge", "Sessions checked out right now.", rows["nimble_pool_in_flight"])
-	family("nimble_pool_peak_in_use", "gauge", "Most sessions ever in use at once.", rows["nimble_pool_peak_in_use"])
-	family("nimble_pool_waits_total", "counter", "Acquisitions that had to queue for a session.", rows["nimble_pool_waits_total"])
-	family("nimble_pool_wait_seconds_total", "counter", "Total time spent queued for sessions.", rows["nimble_pool_wait_seconds_total"])
-	family("nimble_pool_quarantined_total", "counter", "Poisoned sessions replaced by fresh VMs.", rows["nimble_pool_quarantined_total"])
-
-	family("nimble_gate_admitted_total", "counter", "Requests admitted past the gate.", rows["nimble_gate_admitted_total"])
-	family("nimble_gate_queued", "gauge", "Admitted requests not yet running.", rows["nimble_gate_queued"])
-	family("nimble_gate_expected_wait_seconds", "gauge", "Arrival-time wait estimate.", rows["nimble_gate_expected_wait_seconds"])
-	family("nimble_gate_service_ewma_seconds", "gauge", "Smoothed service time.", rows["nimble_gate_service_ewma_seconds"])
-	family("nimble_gate_service_p50_seconds", "gauge", "Service-time median (log2-bucket histogram).", rows["nimble_gate_service_p50_seconds"])
-	family("nimble_gate_service_p99_seconds", "gauge", "Service-time 99th percentile (log2-bucket histogram).", rows["nimble_gate_service_p99_seconds"])
-	family("nimble_gate_shed_queue_total", "counter", "Arrivals shed because the queue was full.", rows["nimble_gate_shed_queue_total"])
-	family("nimble_gate_shed_deadline_total", "counter", "Arrivals shed because their deadline was unmeetable.", rows["nimble_gate_shed_deadline_total"])
-	family("nimble_gate_shed_breaker_total", "counter", "Arrivals shed by an open circuit breaker.", rows["nimble_gate_shed_breaker_total"])
-	family("nimble_gate_breaker_open", "gauge", "1 while the entry's breaker is open.", rows["nimble_gate_breaker_open"])
-	family("nimble_gate_breaker_trips_total", "counter", "Times the breaker opened.", rows["nimble_gate_breaker_trips_total"])
-
-	family("nimble_sched_submitted_total", "counter", "Streams submitted to the run queue.", rows["nimble_sched_submitted_total"])
-	family("nimble_sched_completed_total", "counter", "Streams that finished cleanly.", rows["nimble_sched_completed_total"])
-	family("nimble_sched_canceled_total", "counter", "Streams canceled by their caller.", rows["nimble_sched_canceled_total"])
-	family("nimble_sched_failed_total", "counter", "Streams that failed (faults, poisoning, close).", rows["nimble_sched_failed_total"])
-	family("nimble_sched_shed_deadline_total", "counter", "Stream arrivals shed on projected deadline overrun.", rows["nimble_sched_shed_deadline_total"])
-	family("nimble_sched_queued", "gauge", "Streams waiting for a session window.", rows["nimble_sched_queued"])
-	family("nimble_sched_active", "gauge", "Streams adopted by workers right now.", rows["nimble_sched_active"])
-	family("nimble_sched_sessions", "gauge", "Sessions the scheduler drives right now.", rows["nimble_sched_sessions"])
-	family("nimble_sched_peak_occupancy", "gauge", "Most streams one session ever interleaved.", rows["nimble_sched_peak_occupancy"])
-	family("nimble_sched_occupancy_ewma", "gauge", "Smoothed per-step batch size.", rows["nimble_sched_occupancy_ewma"])
-	family("nimble_sched_steps_total", "counter", "Decode iterations executed.", rows["nimble_sched_steps_total"])
-	family("nimble_sched_steps_per_stream", "gauge", "Smoothed iterations per completed stream.", rows["nimble_sched_steps_per_stream"])
-	family("nimble_sched_step_ewma_seconds", "gauge", "Smoothed per-iteration latency.", rows["nimble_sched_step_ewma_seconds"])
-	family("nimble_sched_step_p50_seconds", "gauge", "Per-iteration latency median (log2-bucket histogram).", rows["nimble_sched_step_p50_seconds"])
-	family("nimble_sched_step_p99_seconds", "gauge", "Per-iteration latency 99th percentile (log2-bucket histogram).", rows["nimble_sched_step_p99_seconds"])
-	family("nimble_sched_projected_wait_seconds", "gauge", "Current arrival-time completion estimate.", rows["nimble_sched_projected_wait_seconds"])
-
-	family("nimble_batch_batches_total", "counter", "Coalesced dispatches executed.", rows["nimble_batch_batches_total"])
-	family("nimble_batch_singles_total", "counter", "Requests dispatched alone.", rows["nimble_batch_singles_total"])
-	family("nimble_batch_coalesced_total", "counter", "Requests that rode a shared batch.", rows["nimble_batch_coalesced_total"])
-	family("nimble_batch_fallback_total", "counter", "Requests dispatched individually after a batch fault.", rows["nimble_batch_fallback_total"])
-	family("nimble_batch_overflow_total", "counter", "Requests past the batch cap, dispatched individually.", rows["nimble_batch_overflow_total"])
-	family("nimble_batch_largest_batch", "gauge", "Largest batch ever dispatched.", rows["nimble_batch_largest_batch"])
-
-	family("nimble_entry_healthy", "gauge", "1 while the entry's circuit breaker is closed.", rows["nimble_entry_healthy"])
-
+	rows[perServer] = []sample{{srv: srv}}
 	if st, ok := s.reg.SharedStorageStats(); ok {
-		gauge("nimble_shared_storage_resident_bytes", "Bytes parked in the cross-model storage tier.", float64(st.ResidentBytes))
-		counter("nimble_shared_storage_hits_total", "Local-miss acquisitions served by the shared tier.", float64(st.Hits))
-		counter("nimble_shared_storage_misses_total", "Shared-tier lookups that fell through to allocation.", float64(st.Misses))
-		counter("nimble_shared_storage_donated_total", "Per-session overflow storages adopted by the shared tier.", float64(st.Donated))
-		counter("nimble_shared_storage_dropped_total", "Donations refused at the per-class bound.", float64(st.Dropped))
+		rows[perShared] = []sample{{shared: st}}
 	}
 
+	var b strings.Builder
+	for _, f := range families {
+		if len(rows[f.scope]) == 0 {
+			continue
+		}
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+		for _, r := range rows[f.scope] {
+			fmt.Fprintf(&b, "%s%s %g\n", f.name, r.labels, f.value(r))
+		}
+	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write([]byte(b.String()))
 }

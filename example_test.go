@@ -68,10 +68,10 @@ func ExampleProgram_Entrypoints() {
 	// main(Tensor[(Any, 8), float32]) -> Tensor[(Any, 2), float32]  row-separable=true
 }
 
-// ExampleProgram_NewService serves a program to concurrent callers: the
-// service owns a session pool and routes this row-separable entry through
-// its micro-batcher automatically.
-func ExampleProgram_NewService() {
+// ExampleProgram_Serve serves a program to concurrent callers: the service
+// owns a session pool and coalesces queued requests to this row-separable
+// entry automatically.
+func ExampleProgram_Serve() {
 	x := ir.NewVar("x", ir.TT(tensor.Float32, ir.DimAny, 2))
 	w := ir.Const(tensor.FromF32([]float32{1, 2, 3, 4}, 2, 2))
 	b := ir.NewBuilder()
@@ -83,7 +83,7 @@ func ExampleProgram_NewService() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	svc, err := prog.NewService(nimble.ServiceConfig{Workers: 2})
+	svc, err := prog.Serve(nimble.WithWorkers(2))
 	if err != nil {
 		log.Fatal(err)
 	}

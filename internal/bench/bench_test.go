@@ -3,7 +3,6 @@ package bench
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func quickCfg() Config { return Config{Quick: true, Seed: 7} }
@@ -146,31 +145,5 @@ func TestMemPlanShapeHolds(t *testing.T) {
 		if f.Overhead() > 60 {
 			t.Errorf("%s: overhead %.1f%% far above the paper's band\n%s", f.Model, f.Overhead(), out)
 		}
-	}
-}
-
-// TestServeSweepSmoke exercises the closed-loop serving benchmark at a
-// tiny scale: both models, two client counts, real pool dispatch.
-func TestServeSweepSmoke(t *testing.T) {
-	res, err := Serve(ServeConfig{
-		Workers:  2,
-		Clients:  []int{1, 4},
-		Duration: 40 * time.Millisecond,
-		Seed:     7,
-		Batch:    true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("got %d rows, want 4", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		if row.Requests == 0 || row.Throughput <= 0 || row.P99 < row.P50 {
-			t.Errorf("degenerate row: %+v", row)
-		}
-	}
-	if s := res.Format(); !strings.Contains(s, "bert") || !strings.Contains(s, "mlp+batch") {
-		t.Errorf("format missing models:\n%s", s)
 	}
 }

@@ -26,7 +26,7 @@ func DefaultMLPConfig() MLPConfig {
 // Tensor[(Any, in)] and every operator in the body — dense, bias_add, relu
 // — is row-independent, so concatenating requests along the leading
 // dimension and slicing the output back apart is semantics-preserving.
-// This is the property the serving micro-batcher (internal/serve.Batcher)
+// This is the property the serving scheduler's coalescing (internal/serve)
 // relies on, and which the recurrent/attention models do NOT have: an LSTM
 // consumes an ADT list and BERT's attention mixes sequence positions, so
 // those entry points dispatch per request.

@@ -251,8 +251,8 @@ func TestMLPCompilesAndIsRowIndependent(t *testing.T) {
 	if !out.Shape().Equal(tensor.Shape{5, 4}) {
 		t.Fatalf("output shape = %v", out.Shape())
 	}
-	// Row independence is the property the serving micro-batcher relies
-	// on: each row of the batched output must equal the model applied to
+	// Row independence is the property the serving scheduler's coalescing
+	// relies on: each row of the batched output must equal the model applied to
 	// that row alone.
 	for r := 0; r < 5; r++ {
 		rowData := make([]float32, m.Config.In)

@@ -9,11 +9,11 @@ import (
 // row-independent along its leading dimension: row i of the result depends
 // only on row i of the input, so concatenating two inputs along dim 0 and
 // slicing the output back apart is a semantics-preserving rewrite. This is
-// the property the serving micro-batcher needs, and it is decided here from
-// the IR — not declared by callers — so the public nimble.Service can route
-// entries to the batcher automatically and a BERT-style entry (whose
-// attention mixes sequence positions even though its input and output both
-// lead with Any) is provably excluded.
+// the property coalescing requests in the serving scheduler needs, and it is
+// decided here from the IR — not declared by callers — so the public
+// nimble.Service can coalesce such entries automatically and a BERT-style
+// entry (whose attention mixes sequence positions even though its input and
+// output both lead with Any) is provably excluded.
 //
 // The analysis is a conservative abstract interpretation over the
 // let-chain with three facts per value:

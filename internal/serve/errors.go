@@ -10,7 +10,7 @@ import (
 	"nimble/internal/runtime"
 )
 
-// ErrClosed reports an operation on a closed pool, batcher, session, or
+// ErrClosed reports an operation on a closed pool, scheduler, session, or
 // service. The public nimble package re-exports this sentinel, so
 // errors.Is(err, ErrClosed) holds across every layer of the stack.
 var ErrClosed = errors.New("nimble: closed")

@@ -3,14 +3,15 @@
 // serve concurrent traffic: one frozen vm.Executable (weights, bytecode,
 // kernel table — all immutable) is shared by a pool of vm.VM sessions, each
 // owning the mutable per-execution state (storage pool, frames, scratch,
-// profiler). Requests check a session out, run, and return it; a
-// micro-batcher (Batcher) additionally coalesces compatible requests for
-// batchable entry points so one kernel dispatch serves many clients.
+// profiler). Every request takes one path: past its entry's admission Gate,
+// into the Scheduler's run queue, and onto a session one of the scheduler's
+// workers holds — alone, coalesced with compatible rows, or interleaved
+// with other decode streams.
 //
-// Every blocking path accepts a context.Context: Acquire abandons its wait
-// when the context is canceled (without consuming a session), and Batcher
-// requests can be withdrawn from a pending batch. Cancellation errors wrap
-// both ErrCanceled and the underlying context error.
+// Every blocking path accepts a context.Context: a queued request is
+// withdrawn when its context is canceled, a running one stops at its next
+// step. Cancellation errors wrap both ErrCanceled and the underlying
+// context error.
 package serve
 
 import (
@@ -29,14 +30,14 @@ import (
 // Session is one checked-out execution context over the pool's shared
 // executable. A session must be used by at most one goroutine between
 // Acquire and Release; its storage pool and frame recycler carry over
-// between invocations, so repeated requests on one session reuse memory
-// exactly like the single-VM hot path.
+// between runs, so repeated requests on one session reuse memory exactly
+// like the single-VM hot path.
 type Session struct {
 	machine *vm.VM
 	id      int
-	// invocations counts Invoke calls served by this session. Atomic:
-	// increments happen on the goroutine holding the session while Stats
-	// may read concurrently from another.
+	// invocations counts runs begun on this session. Atomic: increments
+	// happen on the goroutine holding the session while Stats may read
+	// concurrently from another.
 	invocations atomic.Int64
 	// poisoned marks a session whose VM panicked mid-execution. Its storage
 	// pool, frames, and scratch may be inconsistent (a kernel died halfway
@@ -46,49 +47,14 @@ type Session struct {
 	poisoned bool
 }
 
-// Invoke runs the named entry function on this session. The context is
-// checked at VM call boundaries, so a deep recursion (an LSTM stepping a
-// long sequence) notices cancellation mid-run. A VM or kernel panic is
-// recovered here — the isolation boundary between one request and the
-// process — converted into an *InternalError, and the session is poisoned
-// so the pool replaces it instead of reusing its state.
-func (s *Session) Invoke(ctx context.Context, name string, args ...vm.Object) (out vm.Object, err error) {
-	s.invocations.Add(1)
-	defer func() {
-		if rec := recover(); rec != nil {
-			s.poisoned = true
-			out, err = nil, Internal(name, rec, debug.Stack())
-		}
-	}()
-	out, err = s.machine.InvokeContext(ctx, name, args...)
-	return out, WrapCtxErr(err)
-}
-
-// InvokeStream runs the named entry on this session, delivering every
-// tensor the program passes through the IR's stream.emit operator to sink
-// while the run is still in flight. A sink error aborts the run. Panics are
-// recovered and poison the session exactly as in Invoke — including panics
-// raised while a partial token stream has already been delivered, which is
-// why streaming consumers must treat the stream's final error, not the
-// tokens, as the request's outcome.
-func (s *Session) InvokeStream(ctx context.Context, sink func(*tensor.Tensor) error, name string, args ...vm.Object) (out vm.Object, err error) {
-	s.invocations.Add(1)
-	defer func() {
-		if rec := recover(); rec != nil {
-			s.poisoned = true
-			out, err = nil, Internal(name, rec, debug.Stack())
-		}
-	}()
-	out, err = s.machine.InvokeStreamContext(ctx, sink, name, args...)
-	return out, WrapCtxErr(err)
-}
-
 // BeginStream prepares a step-resumable streaming run on this session: the
 // vm.StreamRun executes one compiled-loop iteration per StepStream call
 // instead of pinning the session for the whole decode. Many StreamRuns may
 // be parked on one session at once — that is the point — but their Begin
 // and Step calls must all happen on the goroutine that holds the session.
-// Panics poison the session exactly as in Invoke.
+// A VM or kernel panic is recovered here — the isolation boundary between
+// one request and the process — converted into an *InternalError, and the
+// session is poisoned so the pool replaces it instead of reusing its state.
 func (s *Session) BeginStream(sink func(*tensor.Tensor) error, name string, args ...vm.Object) (r *vm.StreamRun, err error) {
 	s.invocations.Add(1)
 	defer func() {
@@ -101,10 +67,14 @@ func (s *Session) BeginStream(sink func(*tensor.Tensor) error, name string, args
 }
 
 // StepStream advances a run begun with BeginStream by one compiled-loop
-// iteration (or to completion for loop-free entries). A panic poisons the
-// session and surfaces as *InternalError; the caller must then treat every
-// other run parked on this session as lost too, since they share the
-// poisoned VM's storage pool.
+// iteration (or to completion for loop-free entries). The context is
+// checked at VM call boundaries, so a deep recursion (an LSTM stepping a
+// long sequence) notices cancellation mid-step. A panic poisons the session
+// and surfaces as *InternalError — also after part of a token stream has
+// been delivered, which is why streaming consumers must treat the run's
+// final error, not the tokens, as the request's outcome. The caller must
+// then treat every other run parked on this session as lost too, since
+// they share the poisoned VM's storage pool.
 func (s *Session) StepStream(ctx context.Context, name string, r *vm.StreamRun) (done bool, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -120,19 +90,6 @@ func (s *Session) StepStream(ctx context.Context, name string, r *vm.StreamRun) 
 // on the goroutine holding the session.
 func (s *Session) Poisoned() bool { return s.poisoned }
 
-// InvokeTensors is the tensors-in, tensor-out convenience form.
-func (s *Session) InvokeTensors(ctx context.Context, name string, args ...*tensor.Tensor) (out *tensor.Tensor, err error) {
-	s.invocations.Add(1)
-	defer func() {
-		if rec := recover(); rec != nil {
-			s.poisoned = true
-			out, err = nil, Internal(name, rec, debug.Stack())
-		}
-	}()
-	out, err = s.machine.InvokeTensorsContext(ctx, name, args...)
-	return out, WrapCtxErr(err)
-}
-
 // ID returns the session's index within its pool.
 func (s *Session) ID() int { return s.id }
 
@@ -144,16 +101,14 @@ func (s *Session) ID() int { return s.id }
 type waiter struct {
 	ch chan *Session
 	id uint64
-	// lane orders the wait queue: lower lanes are handed sessions first,
-	// FIFO (by id) within a lane. Plain Acquire parks in lane 0.
-	lane int
 }
 
 // Pool shares one immutable executable across nWorkers VM sessions with
 // LIFO checkout: the most recently released session is handed out first,
 // so under light load a few hot sessions serve everything and their
 // storage pools and frame recyclers stay cache-resident; cold sessions
-// are only touched when concurrency actually demands them.
+// are only touched when concurrency actually demands them. The Scheduler's
+// workers are its only production callers.
 type Pool struct {
 	exe *vm.Executable
 	// shared is the cross-VM storage tier every session (including the
@@ -239,14 +194,6 @@ func (p *Pool) Size() int { return len(p.all) }
 // pre-canceled context never joins the wait queue at all. A closed pool
 // returns ErrClosed.
 func (p *Pool) Acquire(ctx context.Context) (*Session, error) {
-	return p.AcquireLane(ctx, 0)
-}
-
-// AcquireLane is Acquire with a priority lane: when the pool is contended,
-// parked lane-0 acquires are handed sessions before lane-1, and so on;
-// arrival order breaks ties within a lane. An uncontended checkout ignores
-// the lane entirely.
-func (p *Pool) AcquireLane(ctx context.Context, lane int) (*Session, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, Canceled(err)
 	}
@@ -262,12 +209,12 @@ func (p *Pool) AcquireLane(ctx context.Context, lane int) (*Session, error) {
 		p.mu.Unlock()
 		return s, nil
 	}
-	// No session free: park. Release hands a session straight to the best
-	// (lowest-lane, then oldest) live waiter; cancellation removes the
-	// waiter from the live set so the handoff skips it.
-	w := &waiter{ch: make(chan *Session, 1), id: p.nextWait, lane: lane}
+	// No session free: park. Release hands a session straight to the oldest
+	// live waiter; cancellation removes the waiter from the live set so the
+	// handoff skips it.
+	w := &waiter{ch: make(chan *Session, 1), id: p.nextWait}
 	p.nextWait++
-	p.insertWaiterLocked(w)
+	p.waiters = append(p.waiters, w)
 	p.waiterID[w.id] = w
 	p.waits++
 	start := time.Now()
@@ -358,21 +305,7 @@ func (p *Pool) Release(s *Session) {
 	p.mu.Unlock()
 }
 
-// insertWaiterLocked places w by (lane, arrival). Linear scan from the
-// back: arrivals are overwhelmingly same-or-higher lane than the tail, so
-// the common case is a plain append; queues are MaxQueue-scale anyway.
-func (p *Pool) insertWaiterLocked(w *waiter) {
-	i := len(p.waiters)
-	for i > 0 && p.waiters[i-1].lane > w.lane {
-		i--
-	}
-	p.waiters = append(p.waiters, nil)
-	copy(p.waiters[i+1:], p.waiters[i:])
-	p.waiters[i] = w
-}
-
-// popWaiterLocked dequeues the best live waiter (lowest lane, oldest
-// arrival — the queue is kept in that order), or nil.
+// popWaiterLocked dequeues the oldest live waiter, or nil.
 func (p *Pool) popWaiterLocked() *waiter {
 	for len(p.waiters) > 0 {
 		w := p.waiters[0]
@@ -385,40 +318,7 @@ func (p *Pool) popWaiterLocked() *waiter {
 	return nil
 }
 
-// Invoke checks out a session, runs the entry function, and returns the
-// session before reporting the result. Safe for any number of concurrent
-// callers; calls beyond the pool size queue on the checkout, and the queue
-// wait is abandoned when ctx is canceled.
-func (p *Pool) Invoke(ctx context.Context, name string, args ...vm.Object) (vm.Object, error) {
-	return p.InvokeLane(ctx, 0, name, args...)
-}
-
-// InvokeLane is Invoke through a priority lane (see AcquireLane).
-func (p *Pool) InvokeLane(ctx context.Context, lane int, name string, args ...vm.Object) (vm.Object, error) {
-	s, err := p.AcquireLane(ctx, lane)
-	if err != nil {
-		return nil, err
-	}
-	// Release via defer: a panicking kernel (shape violation surfaced at
-	// dispatch) must not leak the session out of the pool.
-	defer p.Release(s)
-	out, err := s.Invoke(ctx, name, args...)
-	p.Note(err)
-	return out, err
-}
-
-// InvokeTensors is the tensors-in, tensor-out form of Invoke.
-func (p *Pool) InvokeTensors(ctx context.Context, name string, args ...*tensor.Tensor) (*tensor.Tensor, error) {
-	s, err := p.Acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer p.Release(s)
-	out, err := s.InvokeTensors(ctx, name, args...)
-	p.Note(err)
-	return out, err
-}
-
+// Note counts one served request and, unless it was canceled, its failure.
 func (p *Pool) Note(err error) {
 	p.invocations.Add(1)
 	// Client-initiated cancellations are not execution failures; counting

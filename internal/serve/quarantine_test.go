@@ -68,7 +68,7 @@ func TestSessionPanicBecomesErrInternal(t *testing.T) {
 	in := m.RandomBatch(rand.New(rand.NewSource(1)), 2)
 
 	ctl.arm(true)
-	_, err = p.InvokeTensors(context.Background(), "main", in)
+	_, err = invokeTensors(context.Background(), p, "main", in)
 	if !errors.Is(err, ErrInternal) {
 		t.Fatalf("panicked invoke error = %v, want ErrInternal", err)
 	}
@@ -118,7 +118,7 @@ func TestPoolQuarantinesPoisonedSession(t *testing.T) {
 	p.Release(s0)
 
 	ctl.arm(true)
-	if _, err := p.InvokeTensors(context.Background(), "main", in); !errors.Is(err, ErrInternal) {
+	if _, err := invokeTensors(context.Background(), p, "main", in); !errors.Is(err, ErrInternal) {
 		t.Fatalf("want ErrInternal, got %v", err)
 	}
 	ctl.arm(false)
@@ -144,7 +144,7 @@ func TestPoolQuarantinesPoisonedSession(t *testing.T) {
 	p.Release(a)
 	p.Release(b)
 	for i := 0; i < 8; i++ {
-		got, err := p.InvokeTensors(context.Background(), "main", in)
+		got, err := invokeTensors(context.Background(), p, "main", in)
 		if err != nil {
 			t.Fatalf("post-quarantine invoke %d: %v", i, err)
 		}
@@ -171,7 +171,7 @@ func TestQuarantineUnderConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				ctl.arm(i%5 == g%5) // waves of faults interleaved with clean traffic
-				_, err := p.InvokeTensors(context.Background(), "main", in)
+				_, err := invokeTensors(context.Background(), p, "main", in)
 				if err != nil && !errors.Is(err, ErrInternal) {
 					t.Errorf("unexpected error class: %v", err)
 					return
@@ -188,7 +188,7 @@ func TestQuarantineUnderConcurrency(t *testing.T) {
 		t.Fatalf("InFlight = %d, want 0", st.InFlight)
 	}
 	// Pool still serves.
-	if _, err := p.InvokeTensors(context.Background(), "main", in); err != nil {
+	if _, err := invokeTensors(context.Background(), p, "main", in); err != nil {
 		t.Fatalf("pool unusable after concurrent quarantines: %v", err)
 	}
 }

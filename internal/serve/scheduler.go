@@ -4,98 +4,138 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"nimble/internal/kernels"
 	"nimble/internal/tensor"
 	"nimble/internal/vm"
 )
 
-// SchedConfig parameterizes one entry's continuous-batching scheduler.
+// SchedEntry describes one entry function the scheduler serves.
+type SchedEntry struct {
+	Name string
+	// RowSeparable marks an entry that is row-independent along its leading
+	// dimension (an MLP/classifier head over [batch, features], not a BERT
+	// sequence whose positions attend to each other). Only such entries are
+	// coalesced: concatenating requests along dim 0 and slicing the result
+	// back apart is a semantics-preserving rewrite only when rows do not
+	// interact. passes.RowSeparable decides this from the IR; the public
+	// nimble.Service wires it automatically.
+	RowSeparable bool
+}
+
+// SchedConfig parameterizes a Scheduler.
 type SchedConfig struct {
-	// Entry names the entry function this scheduler runs.
-	Entry string
-	// Window caps how many streams one session interleaves at once — the
-	// iteration-level batch size (default 8).
+	// Entries lists the entry functions served, in stats order.
+	Entries []SchedEntry
+	// Window caps how many multi-step runs (decode streams) one session
+	// interleaves at once — the iteration-level batch size (default 8).
 	Window int
 	// Lanes is the number of priority lanes (default 1). Lane 0 is served
 	// first; FIFO within a lane, earliest-deadline first among deadlined
 	// requests of the same lane.
 	Lanes int
-	// MaxSessions caps how many pool sessions the scheduler drives at once
-	// (default: the pool size).
-	MaxSessions int
+	// MaxBatch bounds how many single-tensor requests to a row-separable
+	// entry one dispatch may coalesce (default 16); 1 turns coalescing off.
+	MaxBatch int
 }
 
-func (c SchedConfig) withDefaults(pool *Pool) SchedConfig {
+func (c SchedConfig) withDefaults() SchedConfig {
 	if c.Window <= 0 {
 		c.Window = 8
 	}
 	if c.Lanes <= 0 {
 		c.Lanes = 1
 	}
-	if c.MaxSessions <= 0 || c.MaxSessions > pool.Size() {
-		c.MaxSessions = pool.Size()
+	if c.MaxBatch <= 0 {
+		c.MaxBatch = 16
 	}
 	return c
 }
 
-// Scheduler is one entry's iteration-level continuous-batching run queue —
-// the serving architecture production LLM systems converged on, applied to
-// the paper's VM: instead of a stream pinning a pooled session for its
-// whole decode loop, each loop is decomposed into steps (vm.StreamRun
-// parks at every compiled backward-Goto with its KV-cache state in
-// planner-owned buffers), and a worker goroutine holding one session
-// round-robins steps across up to Window streams. New arrivals join a
-// running session's active set at the next iteration boundary; finished
-// streams retire without draining their batch-mates. The submit queue is
-// ordered by (lane, deadline, arrival) and sheds on arrival when the
-// EWMA-projected completion already overshoots the request's deadline.
+// Scheduler is the serving stack's one dispatcher: every admitted request —
+// unary, coalescible row, or decode stream — waits in its run queue, and
+// its workers are the only code that takes a session from the pool.
+//
+// It is the iteration-level continuous-batching architecture production
+// LLM systems converged on, applied to the paper's VM: a request is a run
+// (vm.StreamRun) advanced one step at a time, where a step ends at the
+// next compiled backward-Goto with the loop-carried state (the KV-cache)
+// parked in planner-owned buffers. A loop-free entry finishes in its first
+// step, so a unary invoke is simply a run that retires at once; a decode
+// stream parks, and its worker round-robins steps across up to Window
+// parked runs, adopting arrivals at iteration boundaries and retiring
+// finished runs without draining their batch-mates.
+//
+// The queue is ordered by (lane, deadline, arrival). Micro-batching is the
+// pop policy, not a second queue: a worker that pops a single-tensor
+// request to a row-separable entry also takes every queued request it can
+// be concatenated with pad-free, up to MaxBatch. Nothing waits on a timer —
+// an idle session dispatches a lone arrival at once, and when every
+// session is busy the queue itself is where company accumulates.
 //
 // All methods are safe for concurrent use.
 type Scheduler struct {
-	pool *Pool
-	cfg  SchedConfig
+	pool    *Pool
+	cfg     SchedConfig
+	entries map[string]*schedEntry
+	order   []*schedEntry
 
 	mu      sync.Mutex
 	queue   []*schedStream
 	workers map[*schedWorker]struct{}
-	active  int // streams adopted by workers and not yet retired
-	nextSeq uint64
-	closed  bool
-
-	// stats, under mu.
-	submitted     int64
-	completed     int64
-	canceledN     int64
-	failed        int64
-	shedDeadline  int64
-	steps         int64
-	stepEWMA      time.Duration
-	streamSteps   float64 // EWMA of steps per completed stream
-	occupancyEWMA float64 // EWMA of active streams observed per step
-	peakOccupancy int
-	stepHist      histogram
+	// starting counts workers spawned for an idle session that have not
+	// taken their first look at the queue yet.
+	starting int
+	nextSeq  uint64
+	closed   bool
 }
 
-// NewScheduler builds a scheduler over the pool. The pool is shared: plain
-// Invokes and the scheduler's workers draw from the same sessions, so
-// MaxSessions bounds how much of it streaming may occupy.
+// schedEntry is one entry's state, all under Scheduler.mu. The counters
+// are kept in the snapshot structs themselves; Stats fills in the
+// instantaneous and derived fields.
+type schedEntry struct {
+	// coalesce is set for row-separable entries when MaxBatch allows company.
+	coalesce bool
+	sched    SchedStats
+	batch    BatchStats
+	stepEWMA time.Duration
+	stepHist histogram
+}
+
+// NewScheduler builds a scheduler over the pool. It may drive every
+// session the pool owns, and starts no goroutine until work arrives.
 func NewScheduler(pool *Pool, cfg SchedConfig) *Scheduler {
-	return &Scheduler{pool: pool, cfg: cfg.withDefaults(pool), workers: map[*schedWorker]struct{}{}}
+	cfg = cfg.withDefaults()
+	sc := &Scheduler{pool: pool, cfg: cfg, entries: map[string]*schedEntry{}, workers: map[*schedWorker]struct{}{}}
+	for _, e := range cfg.Entries {
+		se := &schedEntry{coalesce: e.RowSeparable && cfg.MaxBatch > 1}
+		se.sched.Entry, se.batch.Entry, se.batch.MaxBatch = e.Name, e.Name, cfg.MaxBatch
+		sc.entries[e.Name] = se
+		sc.order = append(sc.order, se)
+	}
+	return sc
 }
 
-// schedStream is one streaming request's life in the scheduler: queued,
-// then adopted by a worker that steps it to completion, one iteration at a
-// time, interleaved with its batch-mates.
+// schedStream is one request's life in the scheduler: queued, then adopted
+// by a worker that steps it to completion, one iteration at a time,
+// interleaved with its batch-mates. A unary request is a stream nobody
+// listens to (tokens is nil) that normally retires in its first step.
 type schedStream struct {
 	ctx      context.Context
-	entry    string
+	entry    *schedEntry
 	args     []vm.Object
 	lane     int
 	deadline time.Time // zero = none
 	seq      uint64
+
+	// row is the request's input when it may share a dispatch: a unary call
+	// with one rank>=1 tensor to a coalescing entry. Nil otherwise.
+	row *tensor.Tensor
 
 	// tokens hands each emitted tensor from the stepping worker to the
 	// consumer relay. Capacity 1: the worker only steps a stream whose
@@ -129,27 +169,43 @@ func (s *schedStream) killed() error {
 	return nil
 }
 
-// Stream runs one streaming request through the run queue: it blocks until
-// the run finishes (or ctx cancels it) and returns the entry's final
-// result, delivering each emitted tensor to sink along the way. Backpressure
-// is per-stream: an unconsumed token parks only its own stream at the next
-// iteration boundary while batch-mates keep stepping. The deadline, if ctx
-// carries one, both orders the queue and sheds on arrival when the
-// projected completion already overshoots it.
+// coalesces reports whether q can ride s's dispatch with zero padding:
+// same entry, same dtype, same rank, same trailing extents. Shapes that
+// differ only in the leading dimension concatenate as they are; anything
+// else stays a separate dispatch — the paper's dynamic workloads never pay
+// padding waste.
+func (s *schedStream) coalesces(q *schedStream) bool {
+	a, b := s.row, q.row
+	return b != nil && q.entry == s.entry && a.DType() == b.DType() &&
+		slices.Equal(a.Shape()[1:], b.Shape()[1:])
+}
+
+// Stream runs one request through the run queue: it blocks until the run
+// finishes (or ctx cancels it) and returns the entry's final result,
+// delivering each emitted tensor to sink along the way. A nil sink makes
+// it a unary invoke: emissions are dropped, and a single-tensor call to a
+// row-separable entry may be coalesced with its neighbours in the queue.
+// Backpressure is per-stream: an unconsumed token parks only its own
+// stream at the next iteration boundary while batch-mates keep stepping.
+// The lane and the deadline, if ctx carries one, order the queue.
 func (sc *Scheduler) Stream(ctx context.Context, lane int, sink func(*tensor.Tensor) error, entry string, args ...vm.Object) (vm.Object, error) {
-	if lane < 0 {
-		lane = 0
-	}
-	if lane >= sc.cfg.Lanes {
-		lane = sc.cfg.Lanes - 1
+	e := sc.entries[entry]
+	if e == nil {
+		return nil, fmt.Errorf("serve: scheduler: unknown entry %q", entry)
 	}
 	s := &schedStream{
-		ctx:    ctx,
-		entry:  entry,
-		args:   args,
-		lane:   lane,
-		tokens: make(chan *tensor.Tensor, 1),
-		done:   make(chan struct{}),
+		ctx:   ctx,
+		entry: e,
+		args:  args,
+		lane:  min(max(lane, 0), sc.cfg.Lanes-1),
+		done:  make(chan struct{}),
+	}
+	if sink != nil {
+		s.tokens = make(chan *tensor.Tensor, 1)
+	} else if e.coalesce && len(args) == 1 {
+		if t, ok := args[0].(*vm.TensorObj); ok && t.T != nil && t.T.Rank() >= 1 {
+			s.row = t.T
+		}
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		s.deadline = dl
@@ -168,11 +224,10 @@ func (sc *Scheduler) Stream(ctx context.Context, lane int, sink func(*tensor.Ten
 				return sc.awaitRetire(s)
 			}
 		case <-ctx.Done():
-			if sc.removeQueued(s) {
+			if sc.withdraw(s, Canceled(ctx.Err())) {
 				// Never adopted: the relay retires it directly — a worker
 				// blocked behind other traffic must not delay a client that
 				// already gave up.
-				sc.finishUnadopted(s, Canceled(ctx.Err()))
 				return nil, s.err
 			}
 			sc.wakeAll()
@@ -214,8 +269,7 @@ func (sc *Scheduler) drainRetired(s *schedStream, sink func(*tensor.Tensor) erro
 	}
 }
 
-// submit queues the stream, shedding on arrival when its deadline is
-// already unmeetable, and makes sure a worker will pick it up.
+// submit queues the stream and makes sure a worker will pick it up.
 func (sc *Scheduler) submit(s *schedStream) error {
 	if err := s.ctx.Err(); err != nil {
 		return Canceled(err)
@@ -225,72 +279,42 @@ func (sc *Scheduler) submit(s *schedStream) error {
 	if sc.closed {
 		return fmt.Errorf("serve: scheduler: %w", ErrClosed)
 	}
-	if !s.deadline.IsZero() {
-		if proj := sc.projectedWaitLocked(); proj > 0 {
-			if remaining := time.Until(s.deadline); proj > remaining {
-				sc.shedDeadline++
-				return &OverloadError{
-					Entry:      sc.cfg.Entry,
-					Reason:     "projected completion past deadline",
-					RetryAfter: proj - remaining,
-				}
-			}
-		}
-	}
 	s.seq = sc.nextSeq
 	sc.nextSeq++
 	sc.queue = append(sc.queue, s)
-	sc.submitted++
-	// Capacity check: spare window across live workers, counting the queue
-	// depth ahead of this stream. Spawn while the pool allows; always wake,
+	s.entry.sched.Submitted++
+	// Fewer workers than sessions means a session is idle: start a worker
+	// on it rather than let the arrival wait for a busy one. Always wake,
 	// so a sleeping worker with spare window adopts at its next boundary.
-	if spare := len(sc.workers)*sc.cfg.Window - sc.active; len(sc.queue) > spare && len(sc.workers) < sc.cfg.MaxSessions {
+	if len(sc.workers) < sc.pool.Size() {
 		sc.spawnLocked()
 	}
 	sc.wakeAllLocked()
 	return nil
 }
 
-// projectedWaitLocked estimates a new arrival's completion time from the
-// step-latency EWMA: a full solo stream costs streamSteps·stepEWMA;
-// interleaving multiplies that by the share of a session's window the
-// stream will contend with, and arrivals beyond a full complement
-// (MaxSessions·Window) wait in whole waves behind it. Deliberately rough —
-// it exists to shed hopeless deadlines at arrival, not to promise latency.
-func (sc *Scheduler) projectedWaitLocked() time.Duration {
-	if sc.stepEWMA <= 0 || sc.streamSteps <= 0 {
-		return 0
-	}
-	streamTime := time.Duration(sc.streamSteps * float64(sc.stepEWMA))
-	inFlight := sc.active + len(sc.queue) + 1
-	share := (inFlight + sc.cfg.MaxSessions - 1) / sc.cfg.MaxSessions
-	if share > sc.cfg.Window {
-		share = sc.cfg.Window
-	}
-	proj := time.Duration(share) * streamTime
-	if full := sc.cfg.MaxSessions * sc.cfg.Window; inFlight > full {
-		waves := (inFlight - full + full - 1) / full
-		proj += time.Duration(waves*sc.cfg.Window) * streamTime
-	}
-	return proj
-}
-
 // popLocked removes and returns the best queued stream: lowest lane, then
 // earliest deadline (deadline-less last), then arrival order. Linear scan;
 // the queue is admission-bounded upstream.
-func (sc *Scheduler) popLocked() *schedStream {
-	if len(sc.queue) == 0 {
-		return nil
-	}
-	best := 0
-	for i := 1; i < len(sc.queue); i++ {
-		if streamLess(sc.queue[i], sc.queue[best]) {
+func (sc *Scheduler) popLocked() *schedStream { return sc.popLikeLocked(nil) }
+
+// popLikeLocked is popLocked restricted to the streams that can share
+// like's dispatch (every stream when like is nil).
+func (sc *Scheduler) popLikeLocked(like *schedStream) *schedStream {
+	best := -1
+	for i, q := range sc.queue {
+		if like != nil && !like.coalesces(q) {
+			continue
+		}
+		if best < 0 || streamLess(q, sc.queue[best]) {
 			best = i
 		}
 	}
+	if best < 0 {
+		return nil
+	}
 	s := sc.queue[best]
-	sc.queue = append(sc.queue[:best], sc.queue[best+1:]...)
-	sc.active++
+	sc.queue = slices.Delete(sc.queue, best, best+1)
 	return s
 }
 
@@ -310,31 +334,30 @@ func streamLess(a, b *schedStream) bool {
 	return a.seq < b.seq
 }
 
-func (sc *Scheduler) removeQueued(s *schedStream) bool {
+// withdraw retires a stream with err if it is still queued — no worker has
+// adopted it — and reports whether it did.
+func (sc *Scheduler) withdraw(s *schedStream, err error) bool {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	for i, q := range sc.queue {
-		if q == s {
-			sc.queue = append(sc.queue[:i], sc.queue[i+1:]...)
-			return true
-		}
+	i := slices.Index(sc.queue, s)
+	if i < 0 {
+		return false
 	}
-	return false
-}
-
-// finishUnadopted retires a stream the relay pulled back out of the queue
-// before any worker adopted it.
-func (sc *Scheduler) finishUnadopted(s *schedStream, err error) {
+	sc.queue = slices.Delete(sc.queue, i, i+1)
+	s.entry.sched.Canceled++
+	if s.row != nil {
+		s.entry.batch.Canceled++
+	}
 	s.err = err
 	close(s.done)
-	sc.mu.Lock()
-	sc.canceledN++
-	sc.mu.Unlock()
+	return true
 }
 
 func (sc *Scheduler) spawnLocked() {
 	w := &schedWorker{sc: sc, wake: make(chan struct{}, 1)}
+	w.active, w.settled = w.buf[:0:2], w.buf[2:2]
 	sc.workers[w] = struct{}{}
+	sc.starting++
 	go w.run()
 }
 
@@ -354,22 +377,21 @@ func (sc *Scheduler) wakeAllLocked() {
 	}
 }
 
-// noteStep records one iteration's latency and the batch occupancy it ran
-// under.
-func (sc *Scheduler) noteStep(d time.Duration, occupancy int) {
+// noteStep records one iteration's latency and how many requests shared it.
+func (sc *Scheduler) noteStep(e *schedEntry, d time.Duration, occupancy int) {
 	sc.mu.Lock()
-	sc.steps++
-	sc.stepHist.observe(d)
-	if sc.stepEWMA == 0 {
-		sc.stepEWMA = d
+	e.sched.Steps++
+	e.stepHist.observe(d)
+	if e.stepEWMA == 0 {
+		e.stepEWMA = d
 	} else {
-		sc.stepEWMA += (d - sc.stepEWMA) / 8
+		e.stepEWMA += (d - e.stepEWMA) / 8
 	}
 	occ := float64(occupancy)
-	if sc.occupancyEWMA == 0 {
-		sc.occupancyEWMA = occ
+	if e.sched.OccupancyEWMA == 0 {
+		e.sched.OccupancyEWMA = occ
 	} else {
-		sc.occupancyEWMA += (occ - sc.occupancyEWMA) / 8
+		e.sched.OccupancyEWMA += (occ - e.sched.OccupancyEWMA) / 8
 	}
 	sc.mu.Unlock()
 }
@@ -387,7 +409,9 @@ func (sc *Scheduler) Close() {
 	sc.closed = true
 	q := sc.queue
 	sc.queue = nil
-	sc.failed += int64(len(q))
+	for _, s := range q {
+		s.entry.sched.Failed++
+	}
 	sc.wakeAllLocked()
 	sc.mu.Unlock()
 	for _, s := range q {
@@ -396,68 +420,81 @@ func (sc *Scheduler) Close() {
 	}
 }
 
-// SchedStats is a snapshot of one entry's scheduler counters.
+// SchedStats is a snapshot of one entry's run-queue counters.
 type SchedStats struct {
 	Entry     string `json:"entry"`
 	Submitted int64  `json:"submitted"`
 	Completed int64  `json:"completed"`
 	Canceled  int64  `json:"canceled"`
 	Failed    int64  `json:"failed"`
-	// ShedDeadline counts arrivals rejected because the EWMA-projected
-	// completion already overshot their deadline.
-	ShedDeadline int64 `json:"shed_deadline"`
-	// Queued/Active/Sessions are instantaneous: waiting streams, streams
-	// adopted by workers, and sessions currently driven.
+	// Queued/Active are instantaneous: this entry's waiting requests and
+	// those adopted by workers. Sessions counts the sessions the scheduler
+	// drives right now, across all entries.
 	Queued   int `json:"queued"`
 	Active   int `json:"active"`
 	Sessions int `json:"sessions"`
-	// PeakOccupancy is the most streams one session ever interleaved;
-	// OccupancyEWMA smooths the per-step batch size.
+	// PeakOccupancy is the most runs one session ever interleaved;
+	// OccupancyEWMA smooths how many requests shared a step.
 	PeakOccupancy int     `json:"peak_occupancy"`
 	OccupancyEWMA float64 `json:"occupancy_ewma"`
 	// Steps counts loop iterations executed; StepsPerStream smooths how
-	// many a completed stream needed.
+	// many a completed run needed.
 	Steps          int64   `json:"steps"`
 	StepsPerStream float64 `json:"steps_per_stream"`
 	StepEWMAUS     float64 `json:"step_ewma_us"`
 	StepP50US      float64 `json:"step_p50_us"`
 	StepP99US      float64 `json:"step_p99_us"`
-	// ProjectedWaitUS is the current arrival-time completion estimate.
-	ProjectedWaitUS float64 `json:"projected_wait_us"`
 }
 
-// Stats snapshots the scheduler.
-func (sc *Scheduler) Stats() SchedStats {
+// BatchStats is a snapshot of one row-separable entry's coalescing counters.
+type BatchStats struct {
+	Entry        string `json:"entry"`
+	MaxBatch     int    `json:"max_batch"`
+	Batches      int64  `json:"batches"`
+	Singles      int64  `json:"singles"`
+	Coalesced    int64  `json:"coalesced_requests"`
+	Fallbacks    int64  `json:"fallback_requests"`
+	Canceled     int64  `json:"canceled_requests"`
+	LargestBatch int    `json:"largest_batch"`
+}
+
+// Stats snapshots every entry's run-queue counters, in config order, and
+// the coalescing counters of the entries that coalesce.
+func (sc *Scheduler) Stats() (sched []SchedStats, batch []BatchStats) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	return SchedStats{
-		Entry:           sc.cfg.Entry,
-		Submitted:       sc.submitted,
-		Completed:       sc.completed,
-		Canceled:        sc.canceledN,
-		Failed:          sc.failed,
-		ShedDeadline:    sc.shedDeadline,
-		Queued:          len(sc.queue),
-		Active:          sc.active,
-		Sessions:        len(sc.workers),
-		PeakOccupancy:   sc.peakOccupancy,
-		OccupancyEWMA:   sc.occupancyEWMA,
-		Steps:           sc.steps,
-		StepsPerStream:  sc.streamSteps,
-		StepEWMAUS:      float64(sc.stepEWMA.Microseconds()),
-		StepP50US:       float64(sc.stepHist.quantile(0.50).Microseconds()),
-		StepP99US:       float64(sc.stepHist.quantile(0.99).Microseconds()),
-		ProjectedWaitUS: float64(sc.projectedWaitLocked().Microseconds()),
+	queued := map[*schedEntry]int{}
+	for _, s := range sc.queue {
+		queued[s.entry]++
 	}
+	for _, e := range sc.order {
+		st := e.sched
+		st.Queued, st.Sessions = queued[e], len(sc.workers)
+		st.StepEWMAUS = float64(e.stepEWMA.Microseconds())
+		st.StepP50US = float64(e.stepHist.quantile(0.50).Microseconds())
+		st.StepP99US = float64(e.stepHist.quantile(0.99).Microseconds())
+		sched = append(sched, st)
+		if e.coalesce {
+			batch = append(batch, e.batch)
+		}
+	}
+	return sched, batch
 }
 
-// schedWorker drives one pool session: it adopts queued streams up to the
-// window and round-robins one iteration step across them per pass.
+// schedWorker drives one pool session: each pass it adopts the next unit
+// of queued work, then advances every run it holds by one step.
 type schedWorker struct {
-	sc     *Scheduler
-	sess   *Session
-	wake   chan struct{}
+	sc   *Scheduler
+	sess *Session
+	wake chan struct{}
+	// active holds the runs parked on this session between steps, plus the
+	// one adopted this pass until its first step shows whether it parks.
 	active []*schedStream
+	// settled holds retired runs whose callers have not been told yet.
+	settled []*schedStream
+	// buf backs both slices until one outgrows it: a worker started for a
+	// lone unary request then costs one allocation, not three.
+	buf [4]*schedStream
 }
 
 func (w *schedWorker) run() {
@@ -468,42 +505,68 @@ func (w *schedWorker) run() {
 		// cancellations) settles whatever is queued.
 		sc.mu.Lock()
 		delete(sc.workers, w)
+		sc.starting--
 		sc.mu.Unlock()
 		return
 	}
 	w.sess = sess
+	starting := true
 	for {
 		sc.mu.Lock()
-		for len(w.active) < sc.cfg.Window {
-			s := sc.popLocked()
-			if s == nil {
-				break
-			}
-			w.active = append(w.active, s)
-			if len(w.active) > sc.peakOccupancy {
-				sc.peakOccupancy = len(w.active)
-			}
+		if starting {
+			sc.starting--
 		}
-		if len(w.active) == 0 {
-			// Nothing active and nothing queued: retire this worker. Check
-			// and deregistration are atomic under sc.mu, so a racing submit
-			// either still sees this worker (and its wake is consumed by
-			// nobody — but the spare-capacity math no longer counts us) or
-			// spawns afresh.
+		fresh := w.adoptLocked()
+		if starting && len(sc.queue) > 0 {
+			// Busy workers held back for this one; what it left is theirs.
+			sc.wakeAllLocked()
+		}
+		starting = false
+		idle := len(w.active) == 0
+		if idle {
+			// Nothing held and nothing queued: retire this worker. Check and
+			// deregistration are atomic under sc.mu, so a racing submit
+			// either queued before the check or spawns afresh.
 			delete(sc.workers, w)
-			sc.mu.Unlock()
-			sc.pool.Release(w.sess)
-			return
 		}
 		closed := sc.closed
 		sc.mu.Unlock()
+		if idle {
+			sc.pool.Release(w.sess)
+			w.notify()
+			return
+		}
+		w.notify()
 
 		progressed := false
-		n, i := 0, 0
-		for ; i < len(w.active); i++ {
-			s := w.active[i]
-			occupancy := len(w.active)
-			retired := true
+		if fresh != nil && fresh.row != nil {
+			// No timer sizes the dispatch: the worker yields the processor
+			// once, so arrivals that are already runnable reach the queue
+			// first. On an idle machine the yield returns at once; on a
+			// saturated one it is what lets company accumulate at all, since
+			// the workers would otherwise hold every processor while the
+			// requests they could share a dispatch with wait to be queued.
+			runtime.Gosched()
+			sc.mu.Lock()
+			group := w.coalesceLocked(fresh)
+			sc.mu.Unlock()
+			if group != nil {
+				w.runBatch(group)
+				progressed = true
+				if len(w.active) > 0 && !w.sess.poisoned {
+					w.notify()
+				}
+			}
+		}
+		kept := w.active[:0]
+		for i, s := range w.active {
+			if w.sess.poisoned {
+				// Not visited this pass; keep them all so the poison path
+				// below retires every survivor — dropping one would strand
+				// its relay in awaitRetire forever.
+				kept = append(kept, w.active[i:]...)
+				break
+			}
 			switch {
 			case closed:
 				w.retire(s, nil, fmt.Errorf("serve: scheduler: %w", ErrClosed), true)
@@ -514,55 +577,39 @@ func (w *schedWorker) run() {
 			case s.pending.Load():
 				// Last token not consumed yet: stepping would force the
 				// emit into a blocking send and stall the batch.
-				retired = false
-				w.active[n] = s
-				n++
+				kept = append(kept, s)
 				continue
 			default:
-				retired = w.step(s, occupancy)
+				if !w.step(s, len(w.active)) {
+					kept = append(kept, s)
+				}
 			}
 			progressed = true
-			if !retired {
-				w.active[n] = s
-				n++
-			}
-			if w.sess.poisoned {
-				i++
-				break
+			if len(kept)+len(w.active)-i-1 > 0 && !w.sess.poisoned {
+				// The session stays busy with other runs either way.
+				w.notify()
 			}
 		}
-		// On a poison break the streams after i were never visited this
-		// pass; compact them in with the kept ones so the poison path below
-		// retires every survivor — dropping one would strand its relay in
-		// awaitRetire forever.
-		for ; i < len(w.active); i++ {
-			w.active[n] = w.active[i]
-			n++
-		}
-		for j := n; j < len(w.active); j++ {
-			w.active[j] = nil
-		}
-		w.active = w.active[:n]
+		clear(w.active[len(kept):])
+		w.active = kept
 
 		if w.sess.poisoned {
-			// The panic corrupted the whole VM — every co-resident stream's
+			// The panic corrupted the whole VM — every co-resident run's
 			// parked frames live in its storage pool — so they are lost
 			// with it. Release quarantines the session and mints a fresh
 			// one; a successor worker picks up the queue.
 			coErr := fmt.Errorf("serve: scheduler: session poisoned by a batch-mate's fault: %w", ErrInternal)
-			for i, s := range w.active {
+			for _, s := range w.active {
 				w.retire(s, nil, coErr, false)
-				w.active[i] = nil
 			}
-			w.active = w.active[:0]
 			sc.mu.Lock()
 			delete(sc.workers, w)
-			respawn := len(sc.queue) > 0 && !sc.closed
-			if respawn {
+			if len(sc.queue) > 0 && !sc.closed {
 				sc.spawnLocked()
 			}
 			sc.mu.Unlock()
 			sc.pool.Release(w.sess)
+			w.notify()
 			return
 		}
 
@@ -576,30 +623,140 @@ func (w *schedWorker) run() {
 	}
 }
 
-// step advances one stream by one iteration; reports whether it retired.
-func (w *schedWorker) step(s *schedStream, occupancy int) bool {
+// adoptLocked takes the next run off the queue into the active set, to be
+// stepped this pass, and returns it; nil when there is none to take.
+//
+// The scheduler stays work-conserving: a worker that already holds parked
+// runs leaves an arrival to the worker starting up on an idle session for
+// it, so no request shares a session while another session sits unused.
+func (w *schedWorker) adoptLocked() *schedStream {
+	sc := w.sc
+	if len(w.active) >= sc.cfg.Window || (len(w.active) > 0 && len(sc.queue) <= sc.starting) {
+		return nil
+	}
+	s := sc.popLocked()
+	if s == nil {
+		return nil
+	}
+	s.entry.sched.Active++
+	w.active = append(w.active, s)
+	s.entry.sched.PeakOccupancy = max(s.entry.sched.PeakOccupancy, len(w.active))
+	return s
+}
+
+// coalesceLocked is the micro-batching pop policy: s, a coalescible row
+// request this worker just adopted, brings every queued request that can
+// share its dispatch, best first up to MaxBatch. With company, s leaves the
+// active set and the group comes back for runBatch; alone, s stays put.
+func (w *schedWorker) coalesceLocked(s *schedStream) []*schedStream {
+	sc, e := w.sc, s.entry
+	var group []*schedStream
+	for len(group) < sc.cfg.MaxBatch {
+		m := sc.popLikeLocked(s)
+		if m == nil {
+			break
+		}
+		if group == nil {
+			group = append(make([]*schedStream, 0, sc.cfg.MaxBatch), s)
+		}
+		group = append(group, m)
+	}
+	if group == nil {
+		e.batch.Singles++
+		return nil
+	}
+	e.sched.Active += len(group) - 1
+	w.active = w.active[:len(w.active)-1]
+	return group
+}
+
+// advance runs s for one iteration on the worker's session; done reports
+// that the run finished, with its outcome.
+func (w *schedWorker) advance(s *schedStream, occupancy int) (done bool, out vm.Object, err error) {
+	name := s.entry.sched.Entry
 	if s.run == nil {
-		r, err := w.sess.BeginStream(vmSink(s), s.entry, s.args...)
+		var sink func(*tensor.Tensor) error
+		if s.tokens != nil {
+			sink = vmSink(s)
+		}
+		r, err := w.sess.BeginStream(sink, name, s.args...)
 		if err != nil {
-			w.retire(s, nil, err, false)
-			return true
+			return true, nil, err
 		}
 		s.run = r
 	}
 	start := time.Now()
-	done, err := w.sess.StepStream(s.ctx, s.entry, s.run)
-	w.sc.noteStep(time.Since(start), occupancy)
+	done, err = w.sess.StepStream(s.ctx, name, s.run)
+	w.sc.noteStep(s.entry, time.Since(start), occupancy)
 	s.steps++
-	if !done {
-		return false
+	if done && err == nil {
+		out, _ = s.run.Result()
 	}
-	if err != nil {
-		w.retire(s, nil, err, false)
-		return true
+	return done, out, err
+}
+
+// step advances one stream by one iteration; reports whether it retired.
+func (w *schedWorker) step(s *schedStream, occupancy int) bool {
+	done, out, err := w.advance(s, occupancy)
+	if done {
+		w.retire(s, out, err, false)
 	}
-	out, _ := s.run.Result()
-	w.retire(s, out, nil, false)
-	return true
+	return done
+}
+
+// runBatch serves a coalesced group with one VM run: the inputs
+// concatenated along dim 0, the result sliced back apart per request. The
+// merged run detaches from every member's context — one request's
+// cancellation must not fail its batch-mates. If it fails — an error, a
+// panic, or an entry that turns out not to map rows to rows for these
+// inputs — the members go back in the queue to run alone, which preserves
+// semantics and confines a bad request's fault to itself. After a panic
+// that happens on other sessions: this one is poisoned.
+func (w *schedWorker) runBatch(group []*schedStream) {
+	sc, e := w.sc, group[0].entry
+	ins := make([]*tensor.Tensor, len(group))
+	rows := 0
+	for i, s := range group {
+		ins[i] = s.row
+		rows += s.row.Shape()[0]
+	}
+	merged := &schedStream{ctx: context.Background(), entry: e, args: []vm.Object{vm.NewTensorObj(kernels.Concat(ins, 0))}}
+	var out vm.Object
+	var err error
+	for done := false; !done; {
+		done, out, err = w.advance(merged, len(group))
+	}
+	if to, ok := out.(*vm.TensorObj); ok && err == nil && to.T.Rank() >= 1 && to.T.Shape()[0] == rows {
+		sc.mu.Lock()
+		e.batch.Batches++
+		e.batch.Coalesced += int64(len(group))
+		e.batch.LargestBatch = max(e.batch.LargestBatch, len(group))
+		sc.mu.Unlock()
+		lo := 0
+		for _, s := range group {
+			hi := lo + s.row.Shape()[0]
+			w.retire(s, vm.NewTensorObj(kernels.Slice(to.T, 0, lo, hi)), nil, false)
+			lo = hi
+		}
+		return
+	}
+	sc.mu.Lock()
+	e.batch.Fallbacks += int64(len(group))
+	closed := sc.closed
+	if !closed {
+		for _, s := range group {
+			s.row = nil // alone from here on
+		}
+		e.sched.Active -= len(group)
+		sc.queue = append(sc.queue, group...)
+		sc.wakeAllLocked()
+	}
+	sc.mu.Unlock()
+	if closed {
+		for _, s := range group {
+			w.retire(s, nil, fmt.Errorf("serve: scheduler: %w", ErrClosed), false)
+		}
+	}
 }
 
 // vmSink builds the VM-level emit sink for one stream: a non-blocking send
@@ -623,34 +780,49 @@ func vmSink(s *schedStream) func(*tensor.Tensor) error {
 	}
 }
 
-// retire seals a stream's outcome. abortRun releases a parked run's
-// buffers (cancellation paths); a poisoned session skips that — its pool
-// is garbage wholesale and the VM is about to be quarantined.
+// retire seals a stream's outcome; notify tells its caller. abortRun
+// releases a parked run's buffers (cancellation paths); a poisoned session
+// skips that — its pool is garbage wholesale and the VM is about to be
+// quarantined.
 func (w *schedWorker) retire(s *schedStream, out vm.Object, err error, abortRun bool) {
 	if abortRun && s.run != nil && !w.sess.poisoned {
 		s.run.Abort()
 	}
 	s.result, s.err = out, err
-	close(s.done)
+	w.settled = append(w.settled, s)
 	sc := w.sc
 	sc.pool.Note(err)
 	sc.mu.Lock()
-	sc.active--
+	e := &s.entry.sched
+	e.Active--
 	switch {
 	case err == nil:
-		sc.completed++
+		e.Completed++
 		if s.steps > 0 {
 			fs := float64(s.steps)
-			if sc.streamSteps == 0 {
-				sc.streamSteps = fs
+			if e.StepsPerStream == 0 {
+				e.StepsPerStream = fs
 			} else {
-				sc.streamSteps += (fs - sc.streamSteps) / 8
+				e.StepsPerStream += (fs - e.StepsPerStream) / 8
 			}
 		}
 	case errors.Is(err, ErrCanceled):
-		sc.canceledN++
+		e.Canceled++
 	default:
-		sc.failed++
+		e.Failed++
 	}
 	sc.mu.Unlock()
+}
+
+// notify closes the done channels of the runs retired since the last call.
+// The worker calls it once it has either handed its session back or taken
+// on more work, so a caller that sees its request finish — and then reads
+// the pool's in-flight count — never catches a session the scheduler was
+// just about to release.
+func (w *schedWorker) notify() {
+	for i, s := range w.settled {
+		close(s.done)
+		w.settled[i] = nil
+	}
+	w.settled = w.settled[:0]
 }

@@ -47,13 +47,25 @@ func pinnedDecode(t testing.TB, entry string, start int64) []int64 {
 	return toks
 }
 
+// newGenerateScheduler builds a scheduler serving the decoder's one entry.
+func newGenerateScheduler(pool *Pool, cfg SchedConfig) *Scheduler {
+	cfg.Entries = []SchedEntry{{Name: "generate"}}
+	return NewScheduler(pool, cfg)
+}
+
+// generateStats is the run-queue snapshot of a single-entry scheduler.
+func generateStats(sc *Scheduler) SchedStats {
+	st, _ := sc.Stats()
+	return st[0]
+}
+
 func TestSchedulerInterleavesStreamsOnOneSession(t *testing.T) {
 	res := compileDecoder(t)
 	pool, err := NewPool(res.Exe, 1) // ONE session: any concurrency is interleaving
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := NewScheduler(pool, SchedConfig{Entry: "generate", Window: 8})
+	sc := newGenerateScheduler(pool, SchedConfig{Window: 8})
 
 	const streams = 8
 	want := make([][]int64, streams)
@@ -94,7 +106,7 @@ func TestSchedulerInterleavesStreamsOnOneSession(t *testing.T) {
 			t.Errorf("stream %d tokens diverge from pinned-session decode:\n  scheduled %v\n  pinned    %v", i, got[i], want[i])
 		}
 	}
-	st := sc.Stats()
+	st := generateStats(sc)
 	if st.Completed != streams {
 		t.Errorf("Completed = %d, want %d", st.Completed, streams)
 	}
@@ -119,7 +131,7 @@ func TestSchedulerMidFlightJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := NewScheduler(pool, SchedConfig{Entry: "generate", Window: 4})
+	sc := newGenerateScheduler(pool, SchedConfig{Window: 4})
 
 	firstToken := make(chan struct{})
 	var earlyToks, lateToks []int64
@@ -159,7 +171,7 @@ func TestSchedulerQueueOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	base := time.Now()
 	for trial := 0; trial < 200; trial++ {
-		sc := &Scheduler{cfg: SchedConfig{Lanes: 3, Window: 8, MaxSessions: 1}}
+		sc := &Scheduler{cfg: SchedConfig{Lanes: 3, Window: 8}}
 		n := 1 + rng.Intn(12)
 		for i := 0; i < n; i++ {
 			s := &schedStream{lane: rng.Intn(3), seq: uint64(i)}
@@ -199,7 +211,7 @@ func TestSchedulerPriorityOvertake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := NewScheduler(pool, SchedConfig{Entry: "generate", Window: 1, Lanes: 2})
+	sc := newGenerateScheduler(pool, SchedConfig{Window: 1, Lanes: 2})
 
 	var mu sync.Mutex
 	var order []string
@@ -207,15 +219,6 @@ func TestSchedulerPriorityOvertake(t *testing.T) {
 		mu.Lock()
 		order = append(order, name)
 		mu.Unlock()
-	}
-	awaitQueued := func(n int) {
-		deadline := time.Now().Add(5 * time.Second)
-		for sc.Stats().Queued < n {
-			if time.Now().After(deadline) {
-				t.Fatalf("queue never reached depth %d", n)
-			}
-			time.Sleep(time.Millisecond)
-		}
 	}
 
 	var wg sync.WaitGroup
@@ -255,45 +258,61 @@ func TestSchedulerPriorityOvertake(t *testing.T) {
 	}
 	wg.Add(1)
 	go launch("background", 1, 2)
-	awaitQueued(1)
+	awaitQueued(t, sc, 1)
 	wg.Add(1)
 	go launch("urgent", 0, 3)
-	awaitQueued(2)
+	awaitQueued(t, sc, 2)
 	close(release)
 	wg.Wait()
 	if len(order) != 3 || order[1] != "urgent" {
 		t.Errorf("first-token order %v; lane-0 arrival should overtake lane-1", order)
 	}
-}
 
-// TestSchedulerDeadlineShed: once the step EWMA knows a full stream costs
-// ~32ms, an arrival with a 5ms budget is hopeless and must shed on submit
-// with a typed, Retry-After-carrying overload error.
-func TestSchedulerDeadlineShed(t *testing.T) {
-	res := compileDecoder(t)
-	pool, err := NewPool(res.Exe, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := NewScheduler(pool, SchedConfig{Entry: "generate", Window: 8})
-	sc.mu.Lock()
-	sc.stepEWMA = time.Millisecond
-	sc.streamSteps = 32
-	sc.mu.Unlock()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	_, err = sc.Stream(ctx, 0, func(*tensor.Tensor) error { return nil }, "generate", startObj(1))
-	var oe *OverloadError
-	if !errors.As(err, &oe) || !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("err = %v, want *OverloadError", err)
-	}
-	if oe.RetryAfter <= 0 {
-		t.Errorf("shed without a Retry-After hint: %+v", oe)
-	}
-	if st := sc.Stats(); st.ShedDeadline != 1 {
-		t.Errorf("ShedDeadline = %d, want 1", st.ShedDeadline)
-	}
+	// The same holds for coalesced rows: with the single session held,
+	// three lane-1 requests (1, 2 and 4 rows) and then a lane-0 request (8
+	// rows) queue on a row-separable entry. Two fit a dispatch, so the
+	// first must carry the lane-0 request and the oldest lane-1 one.
+	t.Run("rows", func(t *testing.T) {
+		m, res := compileMLP(t)
+		var dispatched []int            // leading dim of each dispatch's input
+		first := res.Exe.KernelNames[1] // [0] is its shape function
+		err := res.Exe.WrapKernels(func(name string, fn vm.PackedFunc) vm.PackedFunc {
+			if name != first {
+				return fn
+			}
+			return func(args []*tensor.Tensor, out *tensor.Tensor) (*tensor.Tensor, error) {
+				dispatched = append(dispatched, args[0].Shape()[0])
+				return fn(args, out)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool, err := NewPool(res.Exe, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := NewScheduler(pool, SchedConfig{Entries: []SchedEntry{{Name: "main", RowSeparable: true}}, Lanes: 2, MaxBatch: 2})
+		release := holdSessions(t, pool)
+		rng := rand.New(rand.NewSource(23))
+		var wg sync.WaitGroup
+		for i, req := range []struct{ lane, rows int }{{1, 1}, {1, 2}, {1, 4}, {0, 8}} {
+			in := vm.NewTensorObj(m.RandomBatch(rng, req.rows))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := sc.Stream(context.Background(), req.lane, nil, "main", in); err != nil {
+					t.Error(err)
+				}
+			}()
+			awaitQueued(t, sc, i+1)
+		}
+		release()
+		wg.Wait()
+		if len(dispatched) != 2 || dispatched[0] != 8+1 || dispatched[1] != 2+4 {
+			t.Errorf("dispatches carried %v rows, want [9 6]: lane 0 first, then arrival order", dispatched)
+		}
+	})
 }
 
 // TestSchedulerCancelMidStream: canceling one stream retires it at the next
@@ -304,7 +323,7 @@ func TestSchedulerCancelMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := NewScheduler(pool, SchedConfig{Entry: "generate", Window: 4})
+	sc := newGenerateScheduler(pool, SchedConfig{Window: 4})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	gotOne := make(chan struct{})
@@ -337,7 +356,7 @@ func TestSchedulerCancelMidStream(t *testing.T) {
 	if want := pinnedDecode(t, "generate", 4); fmt.Sprint(toks) != fmt.Sprint(want) {
 		t.Errorf("surviving stream diverged after a batch-mate's cancel")
 	}
-	if st := sc.Stats(); st.Canceled == 0 {
+	if st := generateStats(sc); st.Canceled == 0 {
 		t.Errorf("cancel not counted: %+v", st)
 	}
 }

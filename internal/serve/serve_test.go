@@ -9,6 +9,7 @@ import (
 	"nimble/internal/compiler"
 	"nimble/internal/models"
 	"nimble/internal/tensor"
+	"nimble/internal/vm"
 )
 
 // compileMLP returns a compiled MLP plus a single reference VM's outputs
@@ -21,6 +22,19 @@ func compileMLP(t testing.TB) (*models.MLP, *compiler.Result) {
 		t.Fatal(err)
 	}
 	return m, res
+}
+
+// invokeTensors serves one single-tensor request on the pool the way
+// production does, through a scheduler — a throwaway one per call, so the
+// pool's own checkout behaviour (LIFO, waits, quarantine) is what the
+// caller observes.
+func invokeTensors(ctx context.Context, p *Pool, name string, in *tensor.Tensor) (*tensor.Tensor, error) {
+	sc := NewScheduler(p, SchedConfig{Entries: []SchedEntry{{Name: name}}})
+	out, err := sc.Stream(ctx, 0, nil, name, vm.NewTensorObj(in))
+	if err != nil {
+		return nil, err
+	}
+	return out.(*vm.TensorObj).T, nil
 }
 
 func TestPoolMatchesSingleSession(t *testing.T) {
@@ -58,7 +72,7 @@ func TestPoolMatchesSingleSession(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out, err := p.InvokeTensors(context.Background(), "main", inputs[i])
+			out, err := invokeTensors(context.Background(), p, "main", inputs[i])
 			if err != nil {
 				errs[i] = err
 				return
@@ -120,7 +134,7 @@ func TestPoolSerialInvocationsStayOnOneSession(t *testing.T) {
 	in := models.NewMLP(models.MLPConfig{In: 16, Hidden: 32, Out: 8, Layers: 2, Seed: 45}).
 		RandomBatch(rand.New(rand.NewSource(3)), 2)
 	for i := 0; i < 10; i++ {
-		if _, err := p.InvokeTensors(context.Background(), "main", in); err != nil {
+		if _, err := invokeTensors(context.Background(), p, "main", in); err != nil {
 			t.Fatal(err)
 		}
 	}

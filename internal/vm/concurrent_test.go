@@ -60,6 +60,7 @@ func TestConcurrentLSTMViaSessionPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sched := serve.NewScheduler(pool, serve.SchedConfig{Entries: []serve.SchedEntry{{Name: "main"}}})
 	var wg sync.WaitGroup
 	for c := 0; c < concurrentClients; c++ {
 		wg.Add(1)
@@ -67,7 +68,7 @@ func TestConcurrentLSTMViaSessionPool(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 8; iter++ {
 				j := jobs[(c+iter)%len(jobs)]
-				out, err := pool.Invoke(context.Background(), "main", j.seq)
+				out, err := sched.Stream(context.Background(), 0, nil, "main", j.seq)
 				if err != nil {
 					t.Errorf("client %d iter %d: %v", c, iter, err)
 					return
@@ -119,6 +120,7 @@ func TestConcurrentBERTLayerViaSessionPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sched := serve.NewScheduler(pool, serve.SchedConfig{Entries: []serve.SchedEntry{{Name: "main"}}})
 	var wg sync.WaitGroup
 	for c := 0; c < concurrentClients; c++ {
 		wg.Add(1)
@@ -126,12 +128,12 @@ func TestConcurrentBERTLayerViaSessionPool(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 4; iter++ {
 				j := jobs[(c*3+iter)%len(jobs)]
-				got, err := pool.InvokeTensors(context.Background(), "main", j.ids)
+				out, err := sched.Stream(context.Background(), 0, nil, "main", vm.NewTensorObj(j.ids))
 				if err != nil {
 					t.Errorf("client %d iter %d: %v", c, iter, err)
 					return
 				}
-				if !got.AllClose(j.want, 1e-6, 1e-7) {
+				if got := out.(*vm.TensorObj).T; !got.AllClose(j.want, 1e-6, 1e-7) {
 					t.Errorf("client %d iter %d: concurrent BERT output diverged", c, iter)
 					return
 				}
@@ -171,7 +173,11 @@ func TestSessionStorageReuseSurvivesPooling(t *testing.T) {
 	}
 	defer pool.Release(s)
 	run := func() {
-		if _, err := s.Invoke(context.Background(), "main", seq); err != nil {
+		r, err := s.BeginStream(nil, "main", seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.StepStream(context.Background(), "main", r); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -29,7 +29,7 @@ type (
 	// BERTConfig sizes it.
 	BERTConfig = imodels.BERTConfig
 	// MLP is a dense feed-forward head over a dynamic batch — the
-	// row-independent entry the serving micro-batcher coalesces.
+	// row-independent entry whose queued requests the Service coalesces.
 	MLP = imodels.MLP
 	// MLPConfig sizes it.
 	MLPConfig = imodels.MLPConfig

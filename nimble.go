@@ -5,8 +5,8 @@
 //
 //	Compile  — lower an IR module (built with nimble/ir) to a frozen Program
 //	Session  — single-goroutine execution: Program.NewSession
-//	Service  — concurrent serving (session pool + micro-batching):
-//	           Program.NewService
+//	Service  — concurrent serving (one run queue over a session pool):
+//	           Program.Serve
 //
 // and one invocation verb everywhere:
 //
@@ -158,7 +158,7 @@ func Compile(mod *ir.Module, opts ...Option) (*Program, error) {
 	}
 
 	// The executable is NOT frozen here but at first adoption (NewSession,
-	// NewService, Save): the window between compile and adoption is where
+	// Serve, Save): the window between compile and adoption is where
 	// construction-phase decoration — fault-injection wrappers
 	// (internal/faults), instrumentation — may rewrap the kernel table.
 	// Once any execution context exists the artifact is sealed for good.

@@ -155,7 +155,7 @@ func TestUnknownEntryAndArity(t *testing.T) {
 		t.Errorf("closed session error = %v, want ErrClosed", err)
 	}
 
-	svc, err := p.NewService(nimble.ServiceConfig{Workers: 1})
+	svc, err := p.Serve(nimble.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestUnknownEntryAndArity(t *testing.T) {
 
 // TestSessionServiceAgree pins the unified verb: the same invocation
 // through a Session, a batching Service, and a pool-only Service produces
-// identical outputs, and the Service routes the MLP through its batcher.
+// identical outputs, and the Service counts the MLP call as coalescible.
 func TestSessionServiceAgree(t *testing.T) {
 	m := models.NewMLP(models.MLPConfig{In: 8, Hidden: 16, Out: 4, Layers: 1, Seed: 2})
 	mkProg := func() *nimble.Program {
@@ -192,7 +192,11 @@ func TestSessionServiceAgree(t *testing.T) {
 	wt, _ := want.Tensor()
 
 	for _, disableBatch := range []bool{false, true} {
-		svc, err := mkProg().NewService(nimble.ServiceConfig{Workers: 2, DisableBatching: disableBatch})
+		opts := []nimble.ServiceOption{nimble.WithWorkers(2)}
+		if disableBatch {
+			opts = append(opts, nimble.WithoutBatching())
+		}
+		svc, err := mkProg().Serve(opts...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,31 +8,31 @@ import (
 
 // ServiceOption configures Program.Serve. The zero configuration (no
 // options) is a sensible production default: GOMAXPROCS sessions,
-// iteration-level stream scheduling with an 8-stream window, micro-batching
-// for row-separable entries, bounded per-entry admission queues with
-// deadline-aware shedding, and a consecutive-failure circuit breaker.
+// iteration-level stream scheduling with an 8-stream window, coalescing of
+// queued requests to row-separable entries, bounded per-entry admission
+// queues with deadline-aware shedding, and a consecutive-failure circuit
+// breaker.
 type ServiceOption func(*serviceConfig)
 
-// serviceConfig is the resolved option set. ServiceConfig (deprecated)
-// lowers onto the same struct, so both construction paths share one
-// builder.
+// serviceConfig is the resolved option set.
 type serviceConfig struct {
 	workers          int
 	disableBatching  bool
 	maxBatch         int
-	maxDelay         time.Duration
 	maxQueue         int
 	requestTimeout   time.Duration
 	breakerThreshold int
 	breakerCooldown  time.Duration
 	lanes            int
 	schedWindow      int
-	pinStreams       bool
-	// sharedStorage attaches every session to a cross-program storage
-	// tier. Set only by the Registry (no public option): sharing buffer
-	// memory across services is a property of co-hosting models, not of
-	// one service.
-	sharedStorage *vm.SharedStoragePool
+	sharedStorage    *vm.SharedStoragePool
+}
+
+// withSharedStorage attaches every session to a cross-program storage
+// tier. Set only by the Registry (no public option): sharing buffer memory
+// across services is a property of co-hosting models, not of one service.
+func withSharedStorage(sp *vm.SharedStoragePool) ServiceOption {
+	return func(c *serviceConfig) { c.sharedStorage = sp }
 }
 
 // WithWorkers sets the session-pool size (default GOMAXPROCS).
@@ -66,29 +66,19 @@ func WithBreaker(threshold int, cooldown time.Duration) ServiceOption {
 func WithPriorityLanes(n int) ServiceOption { return func(c *serviceConfig) { c.lanes = n } }
 
 // WithSchedulerWindow caps how many decode streams one session interleaves
-// under the continuous-batching scheduler — the iteration-level batch size
-// (default 8).
+// — the iteration-level batch size (default 8).
 func WithSchedulerWindow(n int) ServiceOption { return func(c *serviceConfig) { c.schedWindow = n } }
 
-// WithoutBatching turns micro-batching off; every request dispatches
-// individually over the pool.
+// WithoutBatching turns request coalescing off; every request is
+// dispatched on its own.
 func WithoutBatching() ServiceOption { return func(c *serviceConfig) { c.disableBatching = true } }
 
-// WithBatchWindow tunes the micro-batcher: maxBatch bounds how many
-// requests one dispatch coalesces (default 16), maxDelay how long the
-// first request waits for company (default 200µs).
-func WithBatchWindow(maxBatch int, maxDelay time.Duration) ServiceOption {
-	return func(c *serviceConfig) {
-		c.maxBatch = maxBatch
-		c.maxDelay = maxDelay
-	}
-}
-
-// WithPinnedStreams restores the pre-scheduler behavior: each stream
-// checks out a pooled session and holds it for its whole run. Exists for
-// A/B measurement of the continuous-batching scheduler and as an escape
-// hatch; expect worse tail latency under concurrent streams.
-func WithPinnedStreams() ServiceOption { return func(c *serviceConfig) { c.pinStreams = true } }
+// WithMaxBatch bounds how many queued single-tensor requests to a
+// row-separable entry one dispatch coalesces (default 16). There is no
+// collection window to tune: a request never waits for company, it shares
+// a dispatch with whatever compatible requests queued while every session
+// was busy.
+func WithMaxBatch(n int) ServiceOption { return func(c *serviceConfig) { c.maxBatch = n } }
 
 // InvokeOption attaches per-request scheduling hints to Service.InvokeOpts
 // and InvokeStreamOpts.
@@ -107,8 +97,8 @@ func WithPriority(p int) InvokeOption { return func(c *invokeConfig) { c.lane = 
 
 // WithDeadlineBudget gives the request d from its arrival to finish,
 // tightening (never loosening) any deadline the context already carries.
-// The admission gate and scheduler shed the request up front when the
-// current backlog already makes the budget unmeetable.
+// The admission gate sheds the request up front when the current backlog
+// already makes the budget unmeetable.
 func WithDeadlineBudget(d time.Duration) InvokeOption {
 	return func(c *invokeConfig) { c.budget = d }
 }

@@ -12,7 +12,7 @@ import (
 
 // Program is a frozen compiled model: immutable bytecode, constants
 // (weights), kernel table, and the compile-time entry signatures. A
-// Program is safe to share — NewSession and NewService both execute over
+// Program is safe to share — NewSession and Serve both execute over
 // the same frozen artifact — and to serialize (Save/Load round-trips the
 // platform-independent part; kernels relink from an identically compiled
 // Program).

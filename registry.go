@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,8 +27,8 @@ import (
 //     routes to the new version,
 //  4. the old version drains: requests that resolved the old epoch finish
 //     on it (a per-version in-flight count covers the resolve-to-admit
-//     window; the session pool's waiter-handoff queue drains its own
-//     admitted backlog), and only then are its sessions released.
+//     window; the service's run queue drains its own admitted
+//     backlog), and only then are its sessions released.
 //
 // No request ever observes mixed-version state: it runs entirely on the
 // version it resolved, and a version is only released once every such
@@ -196,8 +197,8 @@ func (r *Registry) Deploy(name string, prog *Program, opts ...DeployOption) (str
 
 	// Build the standby Service before touching any routing state: a
 	// failed build must leave the old epoch serving untouched.
-	sc := r.serviceConfig(cfg.serveOpts)
-	svc, err := prog.buildService(sc)
+	svc, err := prog.Serve(slices.Concat(r.serveDefaults, cfg.serveOpts,
+		[]ServiceOption{withSharedStorage(r.shared)})...)
 	if err != nil {
 		return "", fmt.Errorf("nimble: registry: deploy %q: %w", name, err)
 	}
@@ -274,20 +275,6 @@ func (r *Registry) endCanary(name string, promote bool) (string, error) {
 		return ep.stable.version, nil
 	}
 	return drained.version, nil
-}
-
-// serviceConfig folds the registry's serve defaults with per-deploy
-// overrides and attaches the shared storage tier.
-func (r *Registry) serviceConfig(deployOpts []ServiceOption) serviceConfig {
-	var sc serviceConfig
-	for _, o := range r.serveDefaults {
-		o(&sc)
-	}
-	for _, o := range deployOpts {
-		o(&sc)
-	}
-	sc.sharedStorage = r.shared
-	return sc
 }
 
 // drainAsync retires a replaced version in the background: new routes stop

@@ -12,59 +12,20 @@ import (
 	"nimble/internal/vm"
 )
 
-// ServiceConfig parameterizes the deprecated NewService constructor. New
-// code should use Program.Serve with ServiceOption values; each field here
-// corresponds to one option (Workers → WithWorkers, and so on). The zero
-// value remains a sensible production default.
-//
-// Deprecated: use Program.Serve with functional options. ServiceConfig
-// predates the scheduler knobs (WithPriorityLanes, WithSchedulerWindow)
-// and will not grow them; it remains for one release as a shim.
-type ServiceConfig struct {
-	// Workers is the session-pool size (default GOMAXPROCS).
-	Workers int
-	// DisableBatching turns micro-batching off; every request then
-	// dispatches individually over the pool.
-	DisableBatching bool
-	// MaxBatch bounds how many requests one dispatch may coalesce
-	// (default 16).
-	MaxBatch int
-	// MaxDelay bounds how long the first request of a batch waits for
-	// company (default 200µs).
-	MaxDelay time.Duration
-	// MaxQueue bounds each entry's admitted-but-waiting requests; arrivals
-	// beyond it are shed with ErrOverloaded instead of queuing unboundedly
-	// (default 4×Workers). Negative disables admission queue bounds.
-	MaxQueue int
-	// RequestTimeout is a per-request deadline applied inside Invoke when
-	// the caller's context has none (default 0 = none). Requests whose
-	// deadline the current backlog cannot meet are shed on arrival.
-	RequestTimeout time.Duration
-	// BreakerThreshold opens an entry's circuit breaker after this many
-	// consecutive internal faults (panics), shedding its traffic for
-	// BreakerCooldown and flipping Health to degraded (default 8;
-	// negative disables the breaker).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker sheds before probing
-	// again (default 1s).
-	BreakerCooldown time.Duration
-}
-
 // PoolStats re-exports the session-pool counters.
 type PoolStats = serve.Stats
 
-// BatcherStats re-exports the micro-batcher counters.
+// BatcherStats re-exports a row-separable entry's coalescing counters.
 type BatcherStats = serve.BatchStats
 
 // GateStats re-exports the per-entry admission-control counters.
 type GateStats = serve.GateStats
 
-// SchedulerStats re-exports the per-entry continuous-batching scheduler
-// counters: queue depth, batch occupancy, step latency EWMA and p50/p99,
-// and shed counts.
+// SchedulerStats re-exports the per-entry run-queue counters: queue depth,
+// batch occupancy, step latency EWMA and p50/p99.
 type SchedulerStats = serve.SchedStats
 
-// ServiceStats snapshots a service's pool, batcher, admission, and
+// ServiceStats snapshots a service's pool, coalescing, admission, and
 // scheduler counters.
 type ServiceStats struct {
 	Pool       PoolStats        `json:"pool"`
@@ -87,70 +48,47 @@ type Health struct {
 	Entries  []EntryHealth `json:"entries"`
 }
 
-// Service executes one Program for concurrent callers: a pool of VM
-// sessions shares the frozen executable, entries the compiler proved
-// row-separable additionally get a micro-batcher, and every entry is
-// fronted by an admission gate — a bounded queue with deadline-aware load
-// shedding and a consecutive-failure circuit breaker — so overload
-// produces fast typed ErrOverloaded rejections instead of unbounded
-// queueing.
+// Service executes one Program for concurrent callers. Every request takes
+// the same path: validation, then its entry's admission gate — a bounded
+// queue with deadline-aware load shedding and a consecutive-failure circuit
+// breaker, so overload produces fast typed ErrOverloaded rejections instead
+// of unbounded queueing — then the scheduler's run queue, then a pooled VM
+// session over the frozen executable.
 //
-// Streams run under an iteration-level continuous-batching scheduler: a
-// decode stream no longer pins a session for its whole generate loop;
-// instead each loop iteration is a schedulable step, and one session
-// interleaves steps from up to WithSchedulerWindow streams, admitting new
-// arrivals mid-flight and retiring finished ones without draining the
-// rest. WithPriority selects the request's lane; deadlines both order the
-// run queue and shed hopeless arrivals early.
+// The scheduler is the only dispatcher. A request is a run advanced one
+// step at a time: a unary invoke retires in its first step; a decode
+// stream does not pin a session for its whole generate loop — each loop
+// iteration is a schedulable step, and one session interleaves steps from
+// up to WithSchedulerWindow streams, admitting new arrivals mid-flight and
+// retiring finished ones without draining the rest. Single-tensor requests
+// to entries the compiler proved row-separable are coalesced as they are
+// popped: whatever compatible company is queued rides the same dispatch.
+// WithPriority selects the request's lane and deadlines order the queue,
+// for every kind of request.
 //
-// A VM or kernel panic is isolated to its request: the caller gets
-// ErrInternal and the poisoned session is quarantined (replaced by a fresh
-// VM), never reused. All methods are safe for concurrent use.
+// A VM or kernel panic is isolated to its session: the callers running on
+// it get ErrInternal and the poisoned session is quarantined (replaced by a
+// fresh VM), never reused. All methods are safe for concurrent use.
 type Service struct {
-	p          *Program
-	pool       *serve.Pool
-	batchers   map[string]*serve.Batcher
-	gates      map[string]*serve.Gate
-	schedulers map[string]*serve.Scheduler
-	lanes      int
-	timeout    time.Duration
-	closed     atomic.Bool
-	inflight   atomic.Int64
+	p        *Program
+	pool     *serve.Pool
+	sched    *serve.Scheduler
+	gates    map[string]*serve.Gate
+	timeout  time.Duration
+	closed   atomic.Bool
+	inflight atomic.Int64
 }
 
 // Serve builds a concurrent serving runtime over the program. With no
-// options the defaults serve well: GOMAXPROCS sessions, the
-// continuous-batching stream scheduler with an 8-stream window, bounded
-// admission queues, micro-batching for row-separable entries, and per-entry
-// circuit breakers. See ServiceOption for the knobs.
+// options the defaults serve well: GOMAXPROCS sessions, an 8-stream
+// scheduler window, bounded admission queues, coalescing of up to 16
+// requests for row-separable entries, and per-entry circuit breakers. See
+// ServiceOption for the knobs.
 func (p *Program) Serve(opts ...ServiceOption) (*Service, error) {
 	var cfg serviceConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return p.buildService(cfg)
-}
-
-// NewService builds a concurrent serving runtime over the program.
-//
-// Deprecated: use Program.Serve with functional options; NewService
-// remains as a shim for one release. The scheduler-era knobs
-// (WithPriorityLanes, WithSchedulerWindow, WithPinnedStreams) exist only
-// as options.
-func (p *Program) NewService(cfg ServiceConfig) (*Service, error) {
-	return p.buildService(serviceConfig{
-		workers:          cfg.Workers,
-		disableBatching:  cfg.DisableBatching,
-		maxBatch:         cfg.MaxBatch,
-		maxDelay:         cfg.MaxDelay,
-		maxQueue:         cfg.MaxQueue,
-		requestTimeout:   cfg.RequestTimeout,
-		breakerThreshold: cfg.BreakerThreshold,
-		breakerCooldown:  cfg.BreakerCooldown,
-	})
-}
-
-func (p *Program) buildService(cfg serviceConfig) (*Service, error) {
 	if p.unlinked {
 		return nil, fmt.Errorf("nimble: program was loaded without a kernel library; pass the compiled Program to Load")
 	}
@@ -158,21 +96,14 @@ func (p *Program) buildService(cfg serviceConfig) (*Service, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	lanes := cfg.lanes
-	if lanes <= 0 {
-		lanes = 1
-	}
 	pool, err := serve.NewPoolShared(p.exe, workers, cfg.sharedStorage)
 	if err != nil {
 		return nil, err
 	}
-	s := &Service{
-		p:        p,
-		pool:     pool,
-		batchers: map[string]*serve.Batcher{},
-		gates:    map[string]*serve.Gate{},
-		lanes:    lanes,
-		timeout:  cfg.requestTimeout,
+	s := &Service{p: p, pool: pool, gates: map[string]*serve.Gate{}, timeout: cfg.requestTimeout}
+	sched := serve.SchedConfig{Window: cfg.schedWindow, Lanes: cfg.lanes, MaxBatch: cfg.maxBatch}
+	if cfg.disableBatching {
+		sched.MaxBatch = 1
 	}
 	for _, name := range p.names {
 		s.gates[name] = serve.NewGate(serve.GateConfig{
@@ -182,30 +113,9 @@ func (p *Program) buildService(cfg serviceConfig) (*Service, error) {
 			BreakerThreshold: cfg.breakerThreshold,
 			BreakerCooldown:  cfg.breakerCooldown,
 		})
+		sched.Entries = append(sched.Entries, serve.SchedEntry{Name: name, RowSeparable: p.entries[name].RowSeparable})
 	}
-	if !cfg.pinStreams {
-		s.schedulers = map[string]*serve.Scheduler{}
-		for _, name := range p.names {
-			s.schedulers[name] = serve.NewScheduler(pool, serve.SchedConfig{
-				Entry:  name,
-				Window: cfg.schedWindow,
-				Lanes:  lanes,
-			})
-		}
-	}
-	if !cfg.disableBatching {
-		maxBatch := cfg.maxBatch
-		if maxBatch <= 0 {
-			maxBatch = 16
-		}
-		for _, name := range p.names {
-			if p.entries[name].RowSeparable {
-				s.batchers[name] = serve.NewBatcher(pool, serve.BatchConfig{
-					Entry: name, MaxBatch: maxBatch, MaxDelay: cfg.maxDelay,
-				})
-			}
-		}
-	}
+	s.sched = serve.NewScheduler(pool, sched)
 	return s, nil
 }
 
@@ -215,20 +125,13 @@ func (s *Service) Program() *Program { return s.p }
 // Workers returns the session-pool size.
 func (s *Service) Workers() int { return s.pool.Size() }
 
-// resolveInvokeOpts folds the per-request options: the lane is clamped to
-// the service's configured lane count, and a deadline budget tightens the
-// context (the returned cancel is a no-op when nothing changed).
-func (s *Service) resolveInvokeOpts(ctx context.Context, opts []InvokeOption) (context.Context, context.CancelFunc, int) {
+// invokeOpts folds the per-request options: a deadline budget (or, failing
+// a caller deadline, the service's request timeout) tightens the context;
+// the returned cancel is a no-op when nothing changed.
+func (s *Service) invokeOpts(ctx context.Context, opts []InvokeOption) (context.Context, context.CancelFunc, int) {
 	var ic invokeConfig
 	for _, o := range opts {
 		o(&ic)
-	}
-	lane := ic.lane
-	if lane < 0 {
-		lane = 0
-	}
-	if lane >= s.lanes {
-		lane = s.lanes - 1
 	}
 	cancel := context.CancelFunc(func() {})
 	if ic.budget > 0 {
@@ -239,16 +142,80 @@ func (s *Service) resolveInvokeOpts(ctx context.Context, opts []InvokeOption) (c
 			ctx, cancel = context.WithTimeout(ctx, s.timeout)
 		}
 	}
-	return ctx, cancel, lane
+	return ctx, cancel, ic.lane
 }
 
-// Invoke runs the named entry function, routing through the micro-batcher
-// when the entry is row-separable and the call is the single-tensor form,
-// and through the session pool otherwise. Before dispatch the request
-// passes validation (ErrBadInput without consuming a session) and the
-// entry's admission gate (ErrOverloaded with a Retry-After hint when the
-// queue is full, the deadline is unmeetable, or the circuit breaker is
-// open). Waits are abandoned when ctx is canceled: the error wraps
+// admission is one admitted request: what the scheduler needs to run it,
+// and what finishing it must undo.
+type admission struct {
+	svc     *Service
+	entry   string
+	lane    int
+	objs    []vm.Object
+	start   time.Time
+	release func(time.Duration, error)
+	cancel  context.CancelFunc
+}
+
+// run takes the request through the scheduler. Its emissions go to sink;
+// a nil sink makes it a unary invoke — a stream nobody listens to.
+func (a *admission) run(ctx context.Context, sink func(*tensor.Tensor) error) (vm.Object, error) {
+	return a.svc.sched.Stream(ctx, a.lane, sink, a.entry, a.objs...)
+}
+
+// finish gives back the admission slot, the in-flight count and the
+// deadline timer. It must be called exactly once, with the outcome.
+func (a *admission) finish(err error) {
+	a.release(time.Since(a.start), err)
+	a.svc.inflight.Add(-1)
+	a.cancel()
+}
+
+// admit is the front half of every request: validation (ErrBadInput
+// without touching a session), argument lowering, per-request options, and
+// the entry's admission gate (ErrOverloaded with a Retry-After hint when
+// the queue is full, the deadline is unmeetable, or the circuit breaker is
+// open). An admitted request counts as in flight, so Shutdown drains it,
+// until its finish is called.
+func (s *Service) admit(ctx context.Context, entry string, args []Value, opts []InvokeOption) (context.Context, admission, error) {
+	if s.closed.Load() {
+		return nil, admission{}, fmt.Errorf("nimble: service: %w", ErrClosed)
+	}
+	if _, err := s.p.validate(entry, args); err != nil {
+		return nil, admission{}, err
+	}
+	a := admission{svc: s, entry: entry, objs: make([]vm.Object, len(args))}
+	for i, arg := range args {
+		o, err := toObject(arg)
+		if err != nil {
+			return nil, admission{}, fmt.Errorf("nimble: %s arg %d: %w", entry, i, err)
+		}
+		a.objs[i] = o
+	}
+	ctx, a.cancel, a.lane = s.invokeOpts(ctx, opts)
+	release, err := s.gates[entry].Admit(ctx)
+	if err != nil {
+		a.cancel()
+		return nil, admission{}, err
+	}
+	a.release, a.start = release, time.Now()
+	s.inflight.Add(1)
+	// The closed flag is re-checked inside the in-flight window so a request
+	// racing Shutdown either drains or rejects, never hangs.
+	if s.closed.Load() {
+		err := fmt.Errorf("nimble: service: %w", ErrClosed)
+		a.finish(err)
+		return nil, admission{}, err
+	}
+	return ctx, a, nil
+}
+
+// Invoke runs the named entry function. The request passes validation
+// (ErrBadInput without consuming a session) and the entry's admission gate
+// (ErrOverloaded with a Retry-After hint), then waits in the scheduler's
+// run queue for a session; a single-tensor request to a row-separable
+// entry shares its dispatch with whatever compatible requests are queued
+// beside it. Waits are abandoned when ctx is canceled: the error wraps
 // ErrCanceled and ctx.Err(). A panic during execution surfaces as
 // ErrInternal and quarantines the session it poisoned.
 func (s *Service) Invoke(ctx context.Context, entry string, args ...Value) (Value, error) {
@@ -256,44 +223,30 @@ func (s *Service) Invoke(ctx context.Context, entry string, args ...Value) (Valu
 }
 
 // InvokeOpts is Invoke with per-request options: WithPriority selects the
-// pool lane the request waits in under contention, WithDeadlineBudget
-// tightens its deadline from arrival.
+// lane the request queues in, WithDeadlineBudget tightens its deadline from
+// arrival.
 func (s *Service) InvokeOpts(ctx context.Context, entry string, args []Value, opts ...InvokeOption) (Value, error) {
-	if s.closed.Load() {
-		return Value{}, fmt.Errorf("nimble: service: %w", ErrClosed)
-	}
-	if _, err := s.p.validate(entry, args); err != nil {
-		return Value{}, err
-	}
-	ctx, cancel, lane := s.resolveInvokeOpts(ctx, opts)
-	defer cancel()
-	release, err := s.gates[entry].Admit(ctx)
+	ctx, a, err := s.admit(ctx, entry, args, opts)
 	if err != nil {
 		return Value{}, err
 	}
-	// In-flight accounting spans admission to release so Shutdown can
-	// drain admitted requests; the closed flag is re-checked inside the
-	// window so a request racing Shutdown either drains or rejects, never
-	// hangs.
-	s.inflight.Add(1)
-	start := time.Now()
-	out, err := s.dispatch(ctx, entry, lane, args)
-	release(time.Since(start), err)
-	s.inflight.Add(-1)
-	return out, err
+	out, err := a.run(ctx, nil)
+	a.finish(err)
+	if err != nil {
+		return Value{}, canceled(err)
+	}
+	return fromObject(out)
 }
 
 // InvokeStream runs the named entry like Invoke but returns a Stream over
 // the values the program emits through stream.emit while it runs. The open
 // is synchronous and carries Invoke's full admission semantics: validation
-// (ErrBadInput), the entry's gate (ErrOverloaded with a Retry-After hint),
-// and the scheduler's deadline projection all happen before InvokeStream
-// returns, so a server can map an open failure to a proper HTTP status
-// before it commits to a streaming response. Streams bypass the
-// micro-batcher — per-token emission is inherently per-request — and run
-// under the continuous-batching scheduler instead: the stream owns no
-// session; its decode loop is stepped one iteration at a time, interleaved
-// with other streams on whichever session adopts it.
+// (ErrBadInput) and the entry's gate (ErrOverloaded with a Retry-After
+// hint) both happen before InvokeStream returns, so a server can map an
+// open failure to a proper HTTP status before it commits to a streaming
+// response. The stream owns no session; its decode loop is stepped one
+// iteration at a time, interleaved with other streams on whichever session
+// adopts it.
 //
 // The admission slot and the in-flight count are held for the stream's
 // whole life and released when the run finishes or the stream is closed;
@@ -306,108 +259,21 @@ func (s *Service) InvokeStream(ctx context.Context, entry string, args ...Value)
 
 // InvokeStreamOpts is InvokeStream with per-request options: WithPriority
 // selects the scheduler lane, WithDeadlineBudget tightens the deadline the
-// scheduler orders and sheds by.
+// scheduler orders by.
 func (s *Service) InvokeStreamOpts(ctx context.Context, entry string, args []Value, opts ...InvokeOption) (*Stream, error) {
-	if s.closed.Load() {
-		return nil, fmt.Errorf("nimble: service: %w", ErrClosed)
-	}
-	if _, err := s.p.validate(entry, args); err != nil {
+	ctx, a, err := s.admit(ctx, entry, args, opts)
+	if err != nil {
 		return nil, err
 	}
-	objs := make([]vm.Object, len(args))
-	for i, a := range args {
-		o, err := toObject(a)
-		if err != nil {
-			return nil, fmt.Errorf("nimble: %s arg %d: %w", entry, i, err)
-		}
-		objs[i] = o
-	}
-	ctx, cancelT, lane := s.resolveInvokeOpts(ctx, opts)
-	release, err := s.gates[entry].Admit(ctx)
-	if err != nil {
-		cancelT()
-		return nil, err
-	}
-	s.inflight.Add(1)
-	start := time.Now()
-	fail := func(err error) (*Stream, error) {
-		release(time.Since(start), err)
-		s.inflight.Add(-1)
-		cancelT()
-		return nil, err
-	}
-	// Same race rule as Invoke: the closed flag is re-checked inside the
-	// in-flight window so an open racing Shutdown either drains or rejects.
-	if s.closed.Load() {
-		return fail(fmt.Errorf("nimble: service: %w", ErrClosed))
-	}
-	cleanup := func(err error) {
-		release(time.Since(start), err)
-		s.inflight.Add(-1)
-		cancelT()
-	}
-	if sched, ok := s.schedulers[entry]; ok {
-		st := runStream(ctx, func(runCtx context.Context, sink func(*tensor.Tensor) error) (vm.Object, error) {
-			return sched.Stream(runCtx, lane, sink, entry, objs...)
-		}, cleanup)
-		return st, nil
-	}
-	// Pinned mode (WithPinnedStreams): the stream checks out a session and
-	// holds it for its whole run.
-	sess, err := s.pool.AcquireLane(ctx, lane)
-	if err != nil {
-		return fail(err)
-	}
-	st := runStream(ctx, func(runCtx context.Context, sink func(*tensor.Tensor) error) (vm.Object, error) {
-		return sess.InvokeStream(runCtx, sink, entry, objs...)
-	}, func(err error) {
-		s.pool.Release(sess)
-		s.pool.Note(err)
-		cleanup(err)
-	})
-	return st, nil
-}
-
-// dispatch routes one admitted request to the batcher or the pool.
-func (s *Service) dispatch(ctx context.Context, entry string, lane int, args []Value) (Value, error) {
-	if s.closed.Load() {
-		return Value{}, fmt.Errorf("nimble: service: %w", ErrClosed)
-	}
-	if b, ok := s.batchers[entry]; ok && len(args) == 1 {
-		if t, isTensor := args[0].Tensor(); isTensor && t != nil && t.Rank() >= 1 {
-			out, err := b.Invoke(ctx, t)
-			if err != nil {
-				return Value{}, err
-			}
-			return TensorValue(out), nil
-		}
-	}
-	objs := make([]vm.Object, len(args))
-	for i, a := range args {
-		o, err := toObject(a)
-		if err != nil {
-			return Value{}, fmt.Errorf("nimble: %s arg %d: %w", entry, i, err)
-		}
-		objs[i] = o
-	}
-	out, err := s.pool.InvokeLane(ctx, lane, entry, objs...)
-	if err != nil {
-		return Value{}, canceled(err)
-	}
-	return fromObject(out)
+	return runStream(ctx, a.run, a.finish), nil
 }
 
 // Stats snapshots the service counters.
 func (s *Service) Stats() ServiceStats {
 	st := ServiceStats{Pool: s.pool.Stats()}
+	st.Schedulers, st.Batchers = s.sched.Stats()
 	for _, name := range s.p.names {
-		if b, ok := s.batchers[name]; ok {
-			st.Batchers = append(st.Batchers, b.Stats())
-		}
 		st.Gates = append(st.Gates, s.gates[name].Stats())
-		if sc, ok := s.schedulers[name]; ok {
-			st.Schedulers = append(st.Schedulers, sc.Stats())
-		}
 	}
 	return st
 }
@@ -429,51 +295,29 @@ func (s *Service) Health() Health {
 }
 
 // Shutdown closes the service gracefully: new Invokes fail immediately
-// with ErrClosed, the batchers drain every request they already accepted,
-// and in-flight invocations get until ctx is done to finish. When the
-// context fires first the schedulers and pool close out from under the
-// stragglers — streams still queued fail with ErrClosed, active decode
-// loops are retired at their next iteration boundary — and Shutdown
-// reports how many were cut loose. A nil error means every admitted
-// request drained.
+// with ErrClosed and admitted requests — queued, running, or streaming —
+// get until ctx is done to finish. When the context fires first the
+// scheduler and pool close out from under the stragglers — requests still
+// queued fail with ErrClosed, active decode loops are retired at their next
+// iteration boundary — and Shutdown reports how many were cut loose. A nil
+// error means every admitted request drained.
 func (s *Service) Shutdown(ctx context.Context) error {
 	if s.closed.Swap(true) {
 		return nil
 	}
-	// Drain the batchers bounded by the same context: Close answers every
-	// accepted request (the pool is still open), but a wedged dispatch
-	// must not wedge Shutdown.
-	batchersDone := make(chan struct{})
-	go func() {
-		for _, b := range s.batchers {
-			b.Close()
-		}
-		close(batchersDone)
-	}()
-	var cut bool
-	select {
-	case <-batchersDone:
-	case <-ctx.Done():
-		cut = true
-	}
-	if !cut {
-		// Wait for in-flight requests; poll — shutdown is not a hot path.
-		tick := time.NewTicker(200 * time.Microsecond)
-		defer tick.Stop()
-	drain:
-		for s.inflight.Load() > 0 {
-			select {
-			case <-ctx.Done():
-				cut = true
-				break drain
-			case <-tick.C:
-			}
+	// Wait for in-flight requests; poll — shutdown is not a hot path.
+	tick := time.NewTicker(200 * time.Microsecond)
+	defer tick.Stop()
+	cut := false
+	for !cut && s.inflight.Load() > 0 {
+		select {
+		case <-ctx.Done():
+			cut = true
+		case <-tick.C:
 		}
 	}
 	stragglers := s.inflight.Load()
-	for _, sc := range s.schedulers {
-		sc.Close()
-	}
+	s.sched.Close()
 	s.pool.Close()
 	if cut && stragglers > 0 {
 		return fmt.Errorf("nimble: service: drain window expired with %d requests in flight: %w", stragglers, ErrClosed)

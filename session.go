@@ -15,7 +15,7 @@ import (
 // the mutable per-execution state (runtime storage pool, recycled frames,
 // scratch) that makes repeated invocations allocation-free, and is NOT
 // safe for concurrent use — one goroutine at a time. For concurrent
-// traffic use Program.NewService.
+// traffic use Program.Serve.
 type Session struct {
 	p      *Program
 	m      *vm.VM

@@ -71,8 +71,8 @@ type EntrySignature struct {
 	Result TypeInfo   `json:"result"`
 	// RowSeparable records the compiler's proof that the entry maps input
 	// rows to output rows independently — the property that makes
-	// micro-batching a semantics-preserving rewrite. Service routes
-	// single-tensor calls to row-separable entries through the batcher.
+	// micro-batching a semantics-preserving rewrite. Service coalesces
+	// queued single-tensor calls to row-separable entries.
 	RowSeparable bool `json:"row_separable,omitempty"`
 }
 

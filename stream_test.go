@@ -122,7 +122,7 @@ func TestStreamOpenErrors(t *testing.T) {
 	if _, err := sess.InvokeStream(ctx, "generate"); !errors.Is(err, nimble.ErrBadArity) {
 		t.Errorf("bad arity: got %v, want ErrBadArity", err)
 	}
-	svc, err := p.NewService(nimble.ServiceConfig{Workers: 1})
+	svc, err := p.Serve(nimble.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestServiceStreamConcurrent(t *testing.T) {
 		want[id] = tokensOf(t, out)
 	}
 
-	svc, err := p.NewService(nimble.ServiceConfig{Workers: 2, DisableBatching: true})
+	svc, err := p.Serve(nimble.WithWorkers(2), nimble.WithoutBatching())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestServiceStreamConcurrent(t *testing.T) {
 // next request through instead of deadlocking on the checkout.
 func TestServiceStreamCloseReleases(t *testing.T) {
 	p := compileDecoder(t)
-	svc, err := p.NewService(nimble.ServiceConfig{Workers: 1, DisableBatching: true})
+	svc, err := p.Serve(nimble.WithWorkers(1), nimble.WithoutBatching())
 	if err != nil {
 		t.Fatal(err)
 	}
