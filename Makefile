@@ -4,11 +4,12 @@
 #   make chaos      - long fault-injection run (panics/OOM/stalls) under -race
 #   make bench      - quick one-shot pass over every paper benchmark
 #   make bench-full - the full harness via cmd/nimble-bench
+#   make cross      - build + vet the pure-Go kernel fallback for arm64
 #   make ci         - what the GitHub Actions workflow runs
 
 GO ?= go
 
-.PHONY: all build vet test race api-check staticcheck chaos chaos-smoke registry-smoke fuzz-smoke invoke-fuzz-smoke sse-fuzz-smoke verify-smoke bench bench-full benchmark-check ci
+.PHONY: all build vet test cross race api-check staticcheck chaos chaos-smoke registry-smoke fuzz-smoke invoke-fuzz-smoke sse-fuzz-smoke verify-smoke bench bench-full benchmark-check ci
 
 all: build vet test
 
@@ -74,6 +75,11 @@ sse-fuzz-smoke:
 build:
 	$(GO) build ./...
 
+# The dense kernel has an amd64 assembly path; a second GOARCH keeps the
+# pure-Go fallback compiling and vetted.
+cross:
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/kernels/...
+
 # Toolchain vet plus the repo's own analyzer suite (cmd/nimble-vet):
 # panic discipline in request paths, ctx-threaded blocking waits, no
 # retained planner-owned buffers in kernels, no allocating Eval inside
@@ -100,4 +106,4 @@ bench-full:
 benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-ci: all staticcheck race api-check chaos-smoke registry-smoke bench benchmark-check
+ci: all cross staticcheck race api-check chaos-smoke registry-smoke bench benchmark-check

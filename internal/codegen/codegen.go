@@ -1,9 +1,8 @@
 // Package codegen turns IR operators into executable kernels (PackedFuncs).
 // It is the reproduction's stand-in for TVM's per-platform code generator:
 // "generation" here means selecting and specializing Go loop nests per
-// operator, shape class, tiling configuration and residue, which preserves
-// exactly the loop-structure questions §4.5 studies — boundary-check
-// elimination, residue dispatch, and the symbolic tuning strategy.
+// operator, shape class and residue, which preserves the loop-structure
+// questions §4.5 studies — boundary-check elimination and residue dispatch.
 package codegen
 
 import (
@@ -34,13 +33,6 @@ type Options struct {
 	// Dispatch is the number of symbolic kernels per dynamic dense op
 	// (8, 4, 2, or 1). Zero defaults to DispatchFull.
 	Dispatch int
-	// LibraryThreshold is the row count above which the dispatch function
-	// calls the "third-party library" (parallel) kernel instead of the
-	// generated one, mirroring §4.5's generated-vs-library selection; 0
-	// disables the library path.
-	LibraryThreshold int
-	// LibraryWorkers caps the library kernel's parallelism (0 = GOMAXPROCS).
-	LibraryWorkers int
 }
 
 // Normalize fills defaults and validates the dispatch width.
@@ -172,19 +164,11 @@ func copyInto(dst, src *tensor.Tensor) {
 // whose row count is symbolic: k generated kernels, each covering
 // TileFactor/k residues, selected at runtime by the actual shape ("we
 // automatically generate a dispatch function that invokes the corresponding
-// kernel based on the residue"). With a library threshold, large shapes are
-// routed to the parallel library kernel instead, matching the dispatch
-// function's ability to invoke "either compiler generated kernels or third
-// party library whichever is faster".
+// kernel based on the residue").
 func symbolicDense(opts Options) Kernel {
 	k := opts.Dispatch
 	name := fmt.Sprintf("dense_sym_dispatch%d", k)
-	if opts.LibraryThreshold > 0 {
-		name += fmt.Sprintf("_lib%d", opts.LibraryThreshold)
-	}
 	table := BuildDispatchTable(k)
-	lib := opts.LibraryThreshold
-	workers := opts.LibraryWorkers
 	packed := func(args []*tensor.Tensor, out *tensor.Tensor) (*tensor.Tensor, error) {
 		if len(args) != 2 {
 			return nil, fmt.Errorf("codegen: dense expects 2 inputs, got %d", len(args))
@@ -193,11 +177,6 @@ func symbolicDense(opts Options) Kernel {
 		m := a.Shape()[0]
 		if out == nil {
 			out = tensor.New(tensor.Float32, m, b.Shape()[1])
-		}
-		if lib > 0 && m >= lib {
-			// The library kernel writes the planned buffer directly; the
-			// persistent pool shards rows without spawning goroutines.
-			return kernels.MatMulParallelInto(a, b, out, workers), nil
 		}
 		table.Invoke(a, b, out)
 		return out, nil

@@ -186,29 +186,6 @@ func TestSymbolicDenseViaPackedFunc(t *testing.T) {
 	}
 }
 
-func TestSymbolicDenseLibraryPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	op := ir.MustGetOp("dense")
-	k, err := ForOp(op, nil, ir.TT(tensor.Float32, ir.DimAny, 8),
-		Options{Dispatch: 8, LibraryThreshold: 4, LibraryWorkers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(k.Name, "lib4") {
-		t.Errorf("library threshold not in name: %q", k.Name)
-	}
-	a := tensor.Random(rng, 1, 32, 8) // above threshold: library path
-	b := tensor.Random(rng, 1, 8, 6)
-	out := tensor.New(tensor.Float32, 32, 6)
-	res, err := k.Fn([]*tensor.Tensor{a, b}, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.AllClose(kernels.MatMulRef(a, b), 1e-4, 1e-5) {
-		t.Error("library path wrong")
-	}
-}
-
 func TestShapeFuncKernelDataIndependent(t *testing.T) {
 	op := ir.MustGetOp("concat")
 	k, err := ForShapeFunc(op, ir.Attrs{"axis": 0})
@@ -252,66 +229,5 @@ func TestShapeFuncKernelMissing(t *testing.T) {
 	op := &ir.Op{Name: "noshape"}
 	if _, err := ForShapeFunc(op, nil); err == nil {
 		t.Error("missing shape function accepted")
-	}
-}
-
-func TestMatMulWithConfigCorrect(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	a := tensor.Random(rng, 1, 9, 7)
-	b := tensor.Random(rng, 1, 7, 11)
-	want := kernels.MatMulRef(a, b)
-	for _, cfg := range DefaultSearchSpace() {
-		out := tensor.New(tensor.Float32, 9, 11)
-		MatMulWithConfig(a, b, out, cfg)
-		if !out.AllClose(want, 1e-4, 1e-5) {
-			t.Errorf("config %v wrong", cfg)
-		}
-	}
-	// Degenerate configs fall back safely.
-	out := tensor.New(tensor.Float32, 9, 11)
-	MatMulWithConfig(a, b, out, TileConfig{})
-	if !out.AllClose(want, 1e-4, 1e-5) {
-		t.Error("zero config wrong")
-	}
-}
-
-func TestTuneSymbolicDense(t *testing.T) {
-	// Tiny problem so the test stays fast; assert the strategy's structure
-	// rather than exact timings.
-	space := []TileConfig{{1, 16}, {8, 64}, {4, 32}}
-	res := TuneSymbolicDense(16, 16, space, TunerOptions{
-		K: 2, StaticDim: 32, MaxShape: 64, Repeats: 1, Seed: 1,
-	})
-	if len(res.TopK) != 2 {
-		t.Errorf("TopK = %v", res.TopK)
-	}
-	if res.StaticShapeUsed != 32 {
-		t.Errorf("static dim = %d", res.StaticShapeUsed)
-	}
-	// Shapes evaluated: 2,4,...,64 (powers of two, per §4.5).
-	if len(res.ShapesEvaluated) != 6 || res.ShapesEvaluated[0] != 2 || res.ShapesEvaluated[5] != 64 {
-		t.Errorf("shapes = %v", res.ShapesEvaluated)
-	}
-	// Measurement count: one static round over the space, plus topK x shapes
-	// — far fewer than tuning every shape.
-	wantMeasure := len(space) + 2*len(res.ShapesEvaluated)
-	if res.MeasuredConfigs != wantMeasure {
-		t.Errorf("measurements = %d, want %d", res.MeasuredConfigs, wantMeasure)
-	}
-	if naive := NaiveTuningCost(len(space), 256); naive <= res.MeasuredConfigs {
-		t.Errorf("symbolic tuning (%d) not cheaper than naive (%d)", res.MeasuredConfigs, naive)
-	}
-	// Best must be one of the top-k.
-	found := false
-	for _, c := range res.TopK {
-		if c == res.Best {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("best %v not in topK %v", res.Best, res.TopK)
-	}
-	if TileFactorOfBest(res) != res.Best.RowTile {
-		t.Error("TileFactorOfBest broken")
 	}
 }

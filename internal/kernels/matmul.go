@@ -1,18 +1,26 @@
 // Package kernels implements the operator kernel library for the Nimble
-// reproduction: pure-Go compute routines over internal/tensor values.
+// reproduction: compute routines over internal/tensor values.
 //
 // The package plays the role of both TVM's generated kernels and the
 // third-party vendor libraries the paper's baselines rely on. The codegen
 // layer (internal/codegen) "generates" kernels by selecting and specializing
-// the routines here per shape class, tiling configuration, and residue —
-// mirroring the paper's §4.5 symbolic code generation where the loop
-// structure, not the arithmetic, is what differs between variants.
+// the routines here per shape class and residue — mirroring the paper's
+// §4.5 symbolic code generation where the loop structure, not the
+// arithmetic, is what differs between variants.
+//
+// The dense operator's innermost row tile has two implementations. On amd64
+// CPUs whose CPUID reports AVX2 and FMA (and whose OS saves the YMM state,
+// checked with XGETBV) it is Go assembly: 4-row x 16-column FMA tiles for
+// full blocks, 1 x 16 for guarded and remainder rows, and a masked column
+// tail (matmul_amd64.s). Elsewhere the pure-Go micro8/microN* family runs.
+// The choice is made once at start-up; within one process every dense
+// variant accumulates each output in the same order, so static, residue
+// and guarded kernels give bit-identical results.
 package kernels
 
 import (
 	"fmt"
 
-	nrt "nimble/internal/runtime"
 	"nimble/internal/tensor"
 )
 
@@ -49,11 +57,23 @@ func checkMatMul(a, b *tensor.Tensor) (m, k, n int) {
 // layers (§6.3), so the codegen experiments fix the same value.
 const TileFactor = 8
 
-// microBlock computes `rows` output rows (1..8) starting at row i0, using a
+// simdTile computes `rows` output rows from row i0 with the CPU's vector
+// unit. The amd64 build sets it at start-up when the CPU qualifies
+// (matmul_amd64.go); when nil, the pure-Go micro-kernels below run.
+var simdTile func(av, bv, ov []float32, i0, rows, k, n int)
+
+// microBlock computes `rows` output rows (0..8) starting at row i0, using a
 // register-blocked inner loop specialized by an unrolled switch. It is the
 // code a shape-specialized kernel contains when the residue is known at
 // generation time: no bounds check survives into the accumulation loops.
 func microBlock(av, bv, ov []float32, i0, rows, k, n int) {
+	if rows < 0 || rows > TileFactor {
+		panic(fmt.Sprintf("kernels: microBlock rows=%d out of range", rows))
+	}
+	if simdTile != nil {
+		simdTile(av, bv, ov, i0, rows, k, n)
+		return
+	}
 	switch rows {
 	case 8:
 		micro8(av, bv, ov, i0, k, n)
@@ -71,9 +91,6 @@ func microBlock(av, bv, ov []float32, i0, rows, k, n int) {
 		microN2(av, bv, ov, i0, k, n)
 	case 1:
 		microN1(av, bv, ov, i0, k, n)
-	case 0:
-	default:
-		panic(fmt.Sprintf("kernels: microBlock rows=%d out of range", rows))
 	}
 }
 
@@ -209,6 +226,10 @@ func microGuarded(av, bv, ov []float32, i0, m, k, n int) {
 		if i >= m { // unsimplified boundary check
 			continue
 		}
+		if simdTile != nil {
+			simdTile(av, bv, ov, i, 1, k, n)
+			continue
+		}
 		row := av[i*k : i*k+k]
 		for j := 0; j < n; j++ {
 			var acc float32
@@ -222,13 +243,13 @@ func microGuarded(av, bv, ov []float32, i0, m, k, n int) {
 
 // MatMulStatic is the kernel "generated for a static shape": the row count is
 // known at generation time, so the main loop runs an exact number of
-// unguarded micro8 blocks and the epilogue is residue-specialized.
+// unguarded 8-row blocks and the epilogue is residue-specialized.
 func MatMulStatic(a, b, out *tensor.Tensor) {
 	m, k, n := checkMatMul(a, b)
 	av, bv, ov := a.F32(), b.F32(), out.F32()
 	q := m / TileFactor
 	for i := 0; i < q; i++ {
-		micro8(av, bv, ov, i*TileFactor, k, n)
+		microBlock(av, bv, ov, i*TileFactor, TileFactor, k, n)
 	}
 	microBlock(av, bv, ov, q*TileFactor, m%TileFactor, k, n)
 }
@@ -250,7 +271,7 @@ func MatMulSymbolicFull(r int) func(a, b, out *tensor.Tensor) {
 		av, bv, ov := a.F32(), b.F32(), out.F32()
 		q := m / TileFactor
 		for i := 0; i < q; i++ {
-			micro8(av, bv, ov, i*TileFactor, k, n)
+			microBlock(av, bv, ov, i*TileFactor, TileFactor, k, n)
 		}
 		microBlock(av, bv, ov, q*TileFactor, r, k, n)
 	}
@@ -274,7 +295,7 @@ func MatMulSymbolicPartial(rLo, rHi int) func(a, b, out *tensor.Tensor) {
 		av, bv, ov := a.F32(), b.F32(), out.F32()
 		q := m / TileFactor
 		for i := 0; i < q; i++ {
-			micro8(av, bv, ov, i*TileFactor, k, n)
+			microBlock(av, bv, ov, i*TileFactor, TileFactor, k, n)
 		}
 		if q*TileFactor < m {
 			microGuarded(av, bv, ov, q*TileFactor, m, k, n)
@@ -312,49 +333,6 @@ func MatMulInto(a, b, out *tensor.Tensor) *tensor.Tensor {
 		out = tensor.New(tensor.Float32, m, n)
 	}
 	MatMulStatic(a, b, out)
-	return out
-}
-
-// MatMulParallel computes a@b splitting row blocks across the persistent
-// worker pool; workers <= 0 selects the pool's full width. It stands in for
-// the "third-party library" (MKL/cuDNN) kernel provider that Nimble's
-// dispatch function may select when profiling shows it is faster (§4.5).
-func MatMulParallel(a, b *tensor.Tensor, workers int) *tensor.Tensor {
-	return MatMulParallelInto(a, b, nil, workers)
-}
-
-// MatMulParallelInto is MatMulParallel writing into out when it matches.
-// Row blocks are sharded over the resident pool (no goroutine is spawned
-// per call); the worker cap is expressed through the chunk grain.
-func MatMulParallelInto(a, b, out *tensor.Tensor, workers int) *tensor.Tensor {
-	m, k, n := checkMatMul(a, b)
-	if !fits(out, tensor.Float32, m, n) {
-		out = tensor.New(tensor.Float32, m, n)
-	}
-	pool := nrt.Default()
-	if workers <= 0 || workers > pool.Workers() {
-		workers = pool.Workers()
-	}
-	blocks := (m + TileFactor - 1) / TileFactor
-	if workers > blocks {
-		workers = blocks
-	}
-	if workers <= 1 {
-		MatMulStatic(a, b, out)
-		return out
-	}
-	av, bv, ov := a.F32(), b.F32(), out.F32()
-	grain := (blocks + workers - 1) / workers
-	pool.ParallelFor(blocks, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			i0 := i * TileFactor
-			rows := TileFactor
-			if i0+rows > m {
-				rows = m - i0
-			}
-			microBlock(av, bv, ov, i0, rows, k, n)
-		}
-	})
 	return out
 }
 

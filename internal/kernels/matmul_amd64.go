@@ -1,0 +1,59 @@
+package kernels
+
+import "fmt"
+
+func init() {
+	if hasAVX2FMA() {
+		simdTile = tileAVX2
+	}
+}
+
+// gemm4x16 and gemm1x16 (matmul_amd64.s) compute 4 rows and 1 row of c = a@b
+// over all n columns, 16 at a time, masking the last n%16 with mask.
+//
+//go:noescape
+func gemm4x16(a, b, c []float32, k, n int, mask *int32)
+
+//go:noescape
+func gemm1x16(a, b, c []float32, k, n int, mask *int32)
+
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+func xgetbv0() uint32
+
+// hasAVX2FMA reports whether the CPU has AVX2 and FMA and the OS saves the
+// YMM registers across context switches (OSXSAVE plus XCR0 bits 1 and 2).
+func hasAVX2FMA() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
+	if _, _, c, _ := cpuid(1, 0); c&(fma|osxsave|avx) != fma|osxsave|avx {
+		return false
+	}
+	if xgetbv0()&6 != 6 {
+		return false
+	}
+	_, b, _, _ := cpuid(7, 0)
+	return b&(1<<5) != 0
+}
+
+// tailMask is 16 set lanes then 16 clear ones: the 16 lanes starting at
+// index 16-t mask the first t columns of a block.
+var tailMask = [32]int32{-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1}
+
+// tileAVX2 computes rows rows of a@b from row i0 as 4-row tiles and then
+// single rows. Every extent the assembly touches is checked here, once.
+func tileAVX2(av, bv, ov []float32, i0, rows, k, n int) {
+	if i0 < 0 || rows < 0 || k < 0 || n < 0 ||
+		(i0+rows)*k > len(av) || k*n > len(bv) || (i0+rows)*n > len(ov) {
+		panic(fmt.Sprintf("kernels: matmul tile rows [%d,%d) k=%d n=%d outside a=%d b=%d out=%d",
+			i0, i0+rows, k, n, len(av), len(bv), len(ov)))
+	}
+	mask := &tailMask[16-n%16]
+	for ; rows >= 4; rows, i0 = rows-4, i0+4 {
+		gemm4x16(av[i0*k:], bv, ov[i0*n:], k, n, mask)
+	}
+	for ; rows > 0; rows, i0 = rows-1, i0+1 {
+		gemm1x16(av[i0*k:], bv, ov[i0*n:], k, n, mask)
+	}
+}

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -87,21 +88,6 @@ func TestMatMulSymbolicPartialRejectsOutOfClass(t *testing.T) {
 	MatMulSymbolicPartial(4, 7)(a, b, out)
 }
 
-func TestMatMulParallelMatchesRef(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, m := range []int{1, 7, 8, 33, 100} {
-		for _, workers := range []int{0, 1, 2, 4, 32} {
-			a := randMat(rng, m, 24)
-			b := randMat(rng, 24, 18)
-			want := MatMulRef(a, b)
-			got := MatMulParallel(a, b, workers)
-			if !got.AllClose(want, 1e-4, 1e-5) {
-				t.Errorf("m=%d workers=%d: parallel matmul wrong", m, workers)
-			}
-		}
-	}
-}
-
 func TestMatMulShapeChecks(t *testing.T) {
 	a := tensor.New(tensor.Float32, 2, 3)
 	bad := tensor.New(tensor.Float32, 4, 2)
@@ -109,6 +95,87 @@ func TestMatMulShapeChecks(t *testing.T) {
 	assertPanics(t, "rank", func() { MatMul(tensor.New(tensor.Float32, 2), a) })
 	assertPanics(t, "bad residue", func() { MatMulSymbolicFull(8) })
 	assertPanics(t, "bad class", func() { MatMulSymbolicPartial(5, 3) })
+}
+
+// forEachTile runs f once per dense row-tile implementation: the assembly
+// tile when this CPU selected it, then the pure-Go micro-kernels.
+func forEachTile(t *testing.T, f func(t *testing.T)) {
+	saved := simdTile
+	defer func() { simdTile = saved }()
+	if saved != nil {
+		t.Run("simd", f)
+	}
+	simdTile = nil
+	t.Run("go", f)
+}
+
+// TestMatMulTilesMatchRef covers every row residue, every column tail (with
+// and without a full 16-column block before it) and a spread of reduction
+// lengths on both row-tile paths. The static kernel is checked against
+// MatMulRef; every dispatch variant that takes the shape — full (width 8),
+// partial (widths 4 and 2) and naive (width 1) — must equal it bit for bit.
+func TestMatMulTilesMatchRef(t *testing.T) {
+	forEachTile(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(8))
+		for _, k := range []int{0, 1, 7, 64, 300, 1024} {
+			for _, m := range []int{0, 1, 8, 129, 10, 11, 12, 13, 14, 15} {
+				r := m % TileFactor
+				variants := map[string]func(a, b, out *tensor.Tensor){
+					"full":     MatMulSymbolicFull(r),
+					"partial4": MatMulSymbolicPartial(r/2*2, r/2*2+1),
+					"partial2": MatMulSymbolicPartial(r/4*4, r/4*4+3),
+					"naive":    MatMulSymbolicNaive,
+				}
+				for n := 0; n < 32; n++ {
+					a, b := randMat(rng, m, k), randMat(rng, k, n)
+					static := tensor.New(tensor.Float32, m, n)
+					MatMulStatic(a, b, static)
+					if !static.AllClose(MatMulRef(a, b), 1e-4, 1e-5*float64(k+1)) {
+						t.Fatalf("m=%d k=%d n=%d: static kernel disagrees with MatMulRef", m, k, n)
+					}
+					for name, fn := range variants {
+						out := tensor.New(tensor.Float32, m, n)
+						fn(a, b, out)
+						if !out.Equal(static) {
+							t.Fatalf("m=%d k=%d n=%d: %s kernel is not bit-identical to static", m, k, n, name)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+func TestMatMulZeroKWritesZeros(t *testing.T) {
+	forEachTile(t, func(t *testing.T) {
+		a, b := tensor.New(tensor.Float32, 13, 0), tensor.New(tensor.Float32, 0, 21)
+		for name, fn := range map[string]func(a, b, out *tensor.Tensor){
+			"static": MatMulStatic, "naive": MatMulSymbolicNaive,
+		} {
+			out := fill(tensor.New(tensor.Float32, 13, 21), 7)
+			fn(a, b, out)
+			if !out.Equal(tensor.New(tensor.Float32, 13, 21)) {
+				t.Errorf("%s: k=0 left %v, want zeros", name, out.F32()[:4])
+			}
+		}
+	})
+}
+
+// TestMatMulShortOutputPanics hands the kernel an output one row short
+// whose backing array has room for the missing row: the kernel must panic
+// before writing past the tensor.
+func TestMatMulShortOutputPanics(t *testing.T) {
+	forEachTile(t, func(t *testing.T) {
+		a, b := fill(tensor.New(tensor.Float32, 9, 4), 1), fill(tensor.New(tensor.Float32, 4, 20), 1)
+		buf := make([]float32, 9*20)
+		out := tensor.FromF32(buf[:8*20], 8, 20)
+		assertPanics(t, "short output", func() { MatMulStatic(a, b, out) })
+		for _, v := range buf[8*20:] {
+			if v != 0 {
+				t.Fatal("kernel wrote past the output tensor")
+			}
+		}
+	})
 }
 
 func TestDense(t *testing.T) {
@@ -128,7 +195,7 @@ func TestDense(t *testing.T) {
 	assertPanics(t, "bias shape", func() { Dense(x, w, tensor.New(tensor.Float32, 3)) })
 }
 
-// Property: all four kernel classes agree on random shapes.
+// Property: the static and naive symbolic kernels agree on random shapes.
 func TestMatMulVariantsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	f := func(mSeed, kSeed, nSeed uint8) bool {
@@ -143,10 +210,7 @@ func TestMatMulVariantsProperty(t *testing.T) {
 		}
 		outNaive := tensor.New(tensor.Float32, m, n)
 		MatMulSymbolicNaive(a, b, outNaive)
-		if !outNaive.AllClose(want, 1e-4, 1e-5) {
-			return false
-		}
-		return MatMulParallel(a, b, 3).AllClose(want, 1e-4, 1e-5)
+		return outNaive.AllClose(want, 1e-4, 1e-5)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -182,5 +246,34 @@ func BenchmarkMicroKernelNaiveSymbolic(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		MatMulSymbolicNaive(a, w, out)
+	}
+}
+
+// BenchmarkDenseShapes reports the static kernel's GFLOP/s on BERT's dense
+// shapes (m rows of k x n weights) for each row-tile path.
+func BenchmarkDenseShapes(b *testing.B) {
+	saved := simdTile
+	defer func() { simdTile = saved }()
+	rng := rand.New(rand.NewSource(7))
+	for _, path := range []string{"simd", "go"} {
+		if path == "simd" && saved == nil {
+			continue
+		}
+		simdTile = nil
+		if path == "simd" {
+			simdTile = saved
+		}
+		for _, m := range []int{8, 15, 29, 128} {
+			for _, kn := range [][2]int{{256, 256}, {256, 1024}, {1024, 256}} {
+				k, n := kn[0], kn[1]
+				a, w, out := randMat(rng, m, k), randMat(rng, k, n), tensor.New(tensor.Float32, m, n)
+				b.Run(fmt.Sprintf("%s/m=%d/k=%d/n=%d", path, m, k, n), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						MatMulStatic(a, w, out)
+					}
+					b.ReportMetric(2*float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+				})
+			}
+		}
 	}
 }

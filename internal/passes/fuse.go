@@ -3,6 +3,8 @@ package passes
 import (
 	"fmt"
 	"strings"
+	"sync"
+	"unsafe"
 
 	"nimble/internal/ir"
 	"nimble/internal/tensor"
@@ -252,42 +254,89 @@ func composeShapeFuncs(members []fusedMember) func([]tensor.Shape, []*tensor.Ten
 // composeEvals chains the members' kernels into one composite kernel.
 func composeEvals(members []fusedMember) ir.EvalFunc {
 	return func(args []*tensor.Tensor, _ ir.Attrs) (*tensor.Tensor, error) {
-		return runFused(members, args, nil)
+		return runFused(members, args, nil, false)
 	}
 }
 
-// composeEvalInto is the destination-passing form of the composite kernel:
-// intermediates still materialize (they are invisible to the planner), but
-// the last member writes the planned output buffer directly, so a fused
-// chain costs no final allocation or copy.
+// inPlaceOps are the shape-preserving element-wise operators that may read
+// and write a fused group's planned output in place: each output element
+// depends only on the input elements at the same index.
+var inPlaceOps = map[string]bool{
+	"bias_add": true, "add": true, "multiply": true,
+	"gelu": true, "relu": true, "tanh": true, "sigmoid": true,
+}
+
+// composeEvalInto is the destination-passing form of the composite kernel.
+// When every member after the first is in inPlaceOps, every member writes
+// the planned output buffer — the first from the external arguments, each
+// later one over the previous result — so the chain creates no
+// intermediate tensor. That is only sound when the buffer shares no memory
+// with an external argument; otherwise intermediates materialize and only
+// the last member writes the buffer.
 func composeEvalInto(members []fusedMember) ir.EvalIntoFunc {
+	inPlace := members[0].op.EvalInto != nil
+	for _, mem := range members[1:] {
+		inPlace = inPlace && inPlaceOps[mem.op.Name] && mem.op.EvalInto != nil
+	}
 	return func(args []*tensor.Tensor, _ ir.Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
-		return runFused(members, args, out)
+		writable := out != nil && out.DType() == tensor.Float32 && !overlapsAny(out.F32(), args)
+		return runFused(members, args, out, inPlace && writable)
 	}
 }
 
-func runFused(members []fusedMember, args []*tensor.Tensor, out *tensor.Tensor) (*tensor.Tensor, error) {
-	results := make([]*tensor.Tensor, len(members))
+// overlapsAny reports whether the memory of o overlaps any argument's.
+// Tensors carved from one storage share a backing array, so this compares
+// address ranges, not first elements. A tensor of another dtype has its own
+// backing slice and cannot overlap.
+func overlapsAny(o []float32, args []*tensor.Tensor) bool {
+	for _, a := range args {
+		if a.DType() != tensor.Float32 || len(o) == 0 || a.NumElements() == 0 {
+			continue
+		}
+		oLo, aLo := uintptr(unsafe.Pointer(&o[0])), uintptr(unsafe.Pointer(&a.F32()[0]))
+		if oLo < aLo+uintptr(a.NumElements())*4 && aLo < oLo+uintptr(len(o))*4 {
+			return true
+		}
+	}
+	return false
+}
+
+// memberArgs is scratch for one member's argument list. The composite
+// kernel is shared by every session running the executable, so the scratch
+// comes from a pool rather than from the closure.
+type memberArgs [4]*tensor.Tensor
+
+var memberArgsPool = sync.Pool{New: func() any { return new(memberArgs) }}
+
+// runFused runs the members in order. An internal argument always names the
+// previous member (collectGroup admits a member only as the single consumer
+// of its predecessor), so the previous result is the only state carried.
+// With inPlace every member writes out; otherwise only the last one does.
+func runFused(members []fusedMember, args []*tensor.Tensor, out *tensor.Tensor, inPlace bool) (*tensor.Tensor, error) {
+	scratch := memberArgsPool.Get().(*memberArgs)
+	defer func() {
+		*scratch = memberArgs{}
+		memberArgsPool.Put(scratch)
+	}()
+	var prev *tensor.Tensor
 	for m, mem := range members {
-		in := make([]*tensor.Tensor, len(mem.args))
-		for i, r := range mem.args {
+		in := scratch[:0]
+		for _, r := range mem.args {
 			if r.internal {
-				in[i] = results[r.idx]
+				in = append(in, prev)
 			} else {
-				in[i] = args[r.idx]
+				in = append(in, args[r.idx])
 			}
 		}
-		var res *tensor.Tensor
 		var err error
-		if m == len(members)-1 && out != nil && mem.op.EvalInto != nil {
-			res, err = mem.op.EvalInto(in, mem.attrs, out)
+		if out != nil && mem.op.EvalInto != nil && (inPlace || m == len(members)-1) {
+			prev, err = mem.op.EvalInto(in, mem.attrs, out)
 		} else {
-			res, err = mem.op.Eval(in, mem.attrs)
+			prev, err = mem.op.Eval(in, mem.attrs)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("passes: fused member %s: %w", mem.op.Name, err)
 		}
-		results[m] = res
 	}
-	return results[len(members)-1], nil
+	return prev, nil
 }

@@ -1,9 +1,11 @@
 package passes
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
+	"nimble/internal/codegen"
 	"nimble/internal/ir"
 	"nimble/internal/tensor"
 	"nimble/internal/typeinfer"
@@ -207,16 +209,7 @@ func TestFuseDenseEpilogue(t *testing.T) {
 		t.Errorf("fused op missing:\n%s", body)
 	}
 	// Semantics preserved: evaluate fused op directly.
-	bs, _ := splitChain(mainBody(t, m))
-	var fusedOp *ir.Op
-	for _, bd := range bs {
-		if _, op := opCall(bd.value); op != nil && strings.HasPrefix(op.Name, "fused") {
-			fusedOp = op
-		}
-	}
-	if fusedOp == nil {
-		t.Fatal("fused op not found in chain")
-	}
+	fusedOp := fusedOpOf(t, m)
 	xs := tensor.FromF32([]float32{1, 0, 0, 0, 0, 0, 0, 0}, 1, 8)
 	ws := tensor.New(tensor.Float32, 8, 4)
 	ws.F32()[0] = -2 // x@w = [-2,0,0,0]
@@ -236,6 +229,69 @@ func TestFuseDenseEpilogue(t *testing.T) {
 	}
 	if !shapes[0].Equal(tensor.Shape{7, 4}) {
 		t.Errorf("fused shape = %v", shapes[0])
+	}
+}
+
+// fusedOpOf returns the fused operator in main's top-level chain.
+func fusedOpOf(t *testing.T, m *ir.Module) *ir.Op {
+	t.Helper()
+	bs, _ := splitChain(mainBody(t, m))
+	for _, bd := range bs {
+		if _, op := opCall(bd.value); op != nil && strings.HasPrefix(op.Name, "fused") {
+			return op
+		}
+	}
+	t.Fatal("fused op not found in chain")
+	return nil
+}
+
+// TestFusedGroupWritesPlannedBufferInPlace compiles a dense+bias_add+gelu
+// group and hands its kernel a planned output: every member writes that
+// buffer, so the call allocates nothing. An output whose backing range
+// overlaps an argument (at a different first element) must take the
+// materializing path and still give the same values.
+func TestFusedGroupWritesPlannedBufferInPlace(t *testing.T) {
+	x := ir.NewVar("x", ir.TT(tensor.Float32, anyd, 8))
+	w := ir.NewVar("w", ir.TT(tensor.Float32, 8, 16))
+	bias := ir.NewVar("b", ir.TT(tensor.Float32, 16))
+	b := ir.NewBuilder()
+	out := b.Op("gelu", b.Op("bias_add", b.Op("dense", x, w), bias))
+	m := inferred(t, ir.NewFunc([]*ir.Var{x, w, bias}, b.Finish(out), nil))
+	runPass(t, m, ANF())
+	runPass(t, m, FuseOps())
+	k, err := codegen.ForOp(fusedOpOf(t, m), nil, nil, codegen.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rng := rand.New(rand.NewSource(12))
+	xs, ws, bs := tensor.Random(rng, 1, 5, 8), tensor.Random(rng, 1, 8, 16), tensor.Random(rng, 1, 16)
+	args := []*tensor.Tensor{xs, ws, bs}
+	want, err := k.Fn(args, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planned := tensor.New(tensor.Float32, 5, 16)
+	if got, err := k.Fn(args, planned); err != nil || got != planned || !got.Equal(want) {
+		t.Fatalf("planned call: got planned buffer %v, equal %v, err %v", got == planned, got.Equal(want), err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := k.Fn(args, planned); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("fused dense+bias_add+gelu: %v allocs/op with a planned buffer, want 0", n)
+	}
+
+	// x's last row shares memory with the output's first rows: writing the
+	// output in place would clobber it before the dense member reads it.
+	buf := make([]float32, 32+5*16)
+	xo := tensor.FromF32(buf[:40], 5, 8)
+	copy(xo.F32(), xs.F32())
+	overlapping := tensor.FromF32(buf[32:], 5, 16)
+	got, err := k.Fn([]*tensor.Tensor{xo, ws, bs}, overlapping)
+	if err != nil || !got.Equal(want) {
+		t.Errorf("overlapping output: result differs from the separate-buffer run (err %v)", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 // Package runtime provides the persistent execution substrate shared by the
 // kernel library: a process-wide worker pool executing chunked parallel-for
-// loops. The paper's runtime keeps "third-party library" kernels (MKL-style
-// parallel GEMM, §4.5) resident between invocations; spawning goroutines per
+// loops, used by the large element-wise kernels. Spawning goroutines per
 // kernel call would instead pay scheduler and stack-setup cost on every
 // dispatch, which is exactly the per-invocation overhead Nimble's ahead-of-
 // time design eliminates. Workers are started once (GOMAXPROCS of them) and
