@@ -4,12 +4,13 @@
 #   make chaos      - long fault-injection run (panics/OOM/stalls) under -race
 #   make bench      - quick one-shot pass over every paper benchmark
 #   make bench-full - the full harness via cmd/nimble-bench
+#   make bench-kernels - dense-tile GFLOP/s and activation ns/element, both paths
 #   make cross      - build + vet the pure-Go kernel fallback for arm64
 #   make ci         - what the GitHub Actions workflow runs
 
 GO ?= go
 
-.PHONY: all build vet test cross race api-check staticcheck chaos chaos-smoke registry-smoke fuzz-smoke invoke-fuzz-smoke sse-fuzz-smoke verify-smoke bench bench-full benchmark-check ci
+.PHONY: all build vet test cross race api-check staticcheck chaos chaos-smoke registry-smoke fuzz-smoke invoke-fuzz-smoke sse-fuzz-smoke verify-smoke bench bench-full bench-kernels benchmark-check ci
 
 all: build vet test
 
@@ -75,8 +76,8 @@ sse-fuzz-smoke:
 build:
 	$(GO) build ./...
 
-# The dense kernel has an amd64 assembly path; a second GOARCH keeps the
-# pure-Go fallback compiling and vetted.
+# The dense and activation kernels have amd64 assembly paths; a second
+# GOARCH keeps the pure-Go fallback compiling and vetted.
 cross:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/kernels/...
 
@@ -99,6 +100,11 @@ bench:
 # Full-scale numbers for EXPERIMENTS.md.
 bench-full:
 	$(GO) run ./cmd/nimble-bench
+
+# Kernel tables for EXPERIMENTS.md: GFLOP/s per BERT dense shape and ns per
+# element per activation (and bias add), assembly and pure-Go paths.
+bench-kernels:
+	$(GO) test ./internal/kernels -run '^$$' -bench 'DenseShapes|Activations' -benchtime 200ms -count 3 -cpu 1
 
 # The benchmark is its own module (benchmark/go.mod), outside the root
 # `go vet ./...` / `go test ./...`: vet and test it against this tree.

@@ -45,68 +45,103 @@ func fits(out *tensor.Tensor, dt tensor.DType, dims ...int) bool {
 	return true
 }
 
-// binaryOpInto applies f element-wise with NumPy broadcasting over float32
+// binop is a binary element-wise operator. Add and multiply carry a code
+// that selects a direct loop on the fast paths; every other operator calls
+// f per element. A direct loop computes the same float32 operation on the
+// same operands as f would, so the two give bit-identical results.
+type binop struct {
+	name string
+	code byte // '+', '*', or 0 to call f
+	f    func(x, y float32) float32
+}
+
+// binaryLoop is one broadcast-free element-wise pass: o[i] = a[i] op b[i],
+// or a[i] op s when b is nil (s op a[i] when sFirst).
+type binaryLoop struct {
+	op      binop
+	a, b, o []float32
+	s       float32
+	sFirst  bool
+}
+
+func (l binaryLoop) run(lo, hi int) {
+	a, o, f := l.a[lo:hi], l.o[lo:hi], l.op.f
+	if l.b != nil {
+		b := l.b[lo:hi]
+		switch l.op.code {
+		case '+':
+			for i := range o {
+				o[i] = a[i] + b[i]
+			}
+		case '*':
+			for i := range o {
+				o[i] = a[i] * b[i]
+			}
+		default:
+			for i := range o {
+				o[i] = f(a[i], b[i])
+			}
+		}
+		return
+	}
+	s := l.s
+	switch {
+	case l.op.code == '+':
+		for i := range o {
+			o[i] = a[i] + s
+		}
+	case l.op.code == '*':
+		for i := range o {
+			o[i] = a[i] * s
+		}
+	case l.sFirst:
+		for i := range o {
+			o[i] = f(s, a[i])
+		}
+	default:
+		for i := range o {
+			o[i] = f(a[i], s)
+		}
+	}
+}
+
+// do runs the pass over all of o, sharded across the worker pool from
+// parallelThreshold elements on.
+func (l binaryLoop) do() {
+	if len(l.o) >= parallelThreshold {
+		nrt.Default().ParallelFor(len(l.o), parallelGrain, l.run)
+		return
+	}
+	l.run(0, len(l.o))
+}
+
+// binaryOpInto applies op element-wise with NumPy broadcasting over float32
 // tensors, writing into out when it matches the result shape. The fast
 // paths derive the result shape without materializing it, so a
 // destination-passing hit performs no heap allocation at all.
-func binaryOpInto(name string, a, b, out *tensor.Tensor, f func(x, y float32) float32) *tensor.Tensor {
+func binaryOpInto(op binop, a, b, out *tensor.Tensor) *tensor.Tensor {
 	if a.DType() != tensor.Float32 || b.DType() != tensor.Float32 {
-		panic(fmt.Sprintf("kernels: %s requires float32 inputs, got %v and %v", name, a.DType(), b.DType()))
+		panic(fmt.Sprintf("kernels: %s requires float32 inputs, got %v and %v", op.name, a.DType(), b.DType()))
 	}
 	av, bv := a.F32(), b.F32()
 
 	// Fast path: identical shapes, a dominant case in model graphs.
 	if a.Shape().Equal(b.Shape()) {
 		out = intoOrAlloc(out, tensor.Float32, a.Shape())
-		ov := out.F32()
-		if len(ov) >= parallelThreshold {
-			nrt.Default().ParallelFor(len(ov), parallelGrain, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					ov[i] = f(av[i], bv[i])
-				}
-			})
-			return out
-		}
-		for i := range ov {
-			ov[i] = f(av[i], bv[i])
-		}
+		binaryLoop{op: op, a: av, b: bv, o: out.F32()}.do()
 		return out
 	}
 	// Fast path: b is a scalar of rank <= a's — every b dim is 1, so the
 	// broadcast result is exactly a's shape.
 	if b.NumElements() == 1 && b.Rank() <= a.Rank() {
 		out = intoOrAlloc(out, tensor.Float32, a.Shape())
-		ov := out.F32()
-		s := bv[0]
-		if len(ov) >= parallelThreshold {
-			nrt.Default().ParallelFor(len(ov), parallelGrain, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					ov[i] = f(av[i], s)
-				}
-			})
-			return out
-		}
-		for i := range ov {
-			ov[i] = f(av[i], s)
-		}
+		binaryLoop{op: op, a: av, o: out.F32(), s: bv[0]}.do()
 		return out
 	}
 	// Fast path: a is a scalar of rank <= b's.
 	if a.NumElements() == 1 && a.Rank() <= b.Rank() {
 		out = intoOrAlloc(out, tensor.Float32, b.Shape())
-		ov := out.F32()
-		s := av[0]
-		if len(ov) >= parallelThreshold {
-			nrt.Default().ParallelFor(len(ov), parallelGrain, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					ov[i] = f(s, bv[i])
-				}
-			})
-			return out
-		}
-		for i := range ov {
-			ov[i] = f(s, bv[i])
-		}
+		binaryLoop{op: op, a: bv, o: out.F32(), s: av[0], sFirst: true}.do()
 		return out
 	}
 	// Fast path: bias pattern — b is rank-1 matching a's last dimension
@@ -118,13 +153,13 @@ func binaryOpInto(name string, a, b, out *tensor.Tensor, f func(x, y float32) fl
 		ov := out.F32()
 		rows := len(av) / n
 		if len(ov) >= parallelThreshold && rows > 1 {
-			nrt.Default().ParallelFor(rows, maxInt(1, parallelGrain/n), func(lo, hi int) {
-				biasRows(av, bv, ov, n, lo, hi, f)
+			nrt.Default().ParallelFor(rows, max(1, parallelGrain/n), func(lo, hi int) {
+				biasRows(op, av, bv, ov, lo, hi)
 			})
 		} else {
 			// The serial path calls a named function so no escaping closure
 			// is materialized — keeps the hot bias kernel allocation-free.
-			biasRows(av, bv, ov, n, 0, rows, f)
+			biasRows(op, av, bv, ov, 0, rows)
 		}
 		return out
 	}
@@ -133,7 +168,7 @@ func binaryOpInto(name string, a, b, out *tensor.Tensor, f func(x, y float32) fl
 	if err != nil {
 		// This is the runtime type check deferred by the gradual typing of
 		// Any dimensions (§4.1): incompatible concrete shapes surface here.
-		panic(fmt.Sprintf("kernels: %s: %v", name, err))
+		panic(fmt.Sprintf("kernels: %s: %v", op.name, err))
 	}
 	out = intoOrAlloc(out, tensor.Float32, outShape)
 	ov := out.F32()
@@ -147,7 +182,7 @@ func binaryOpInto(name string, a, b, out *tensor.Tensor, f func(x, y float32) fl
 			oa += idx[d] * sa[d]
 			ob += idx[d] * sb[d]
 		}
-		ov[lin] = f(av[oa], bv[ob])
+		ov[lin] = op.f(av[oa], bv[ob])
 		for d := outShape.Rank() - 1; d >= 0; d-- {
 			idx[d]++
 			if idx[d] < outShape[d] {
@@ -159,19 +194,11 @@ func binaryOpInto(name string, a, b, out *tensor.Tensor, f func(x, y float32) fl
 	return out
 }
 
-// binaryOp is the allocating wrapper kept for callers without a planned
-// destination.
-func binaryOp(name string, a, b *tensor.Tensor, f func(x, y float32) float32) *tensor.Tensor {
-	return binaryOpInto(name, a, b, nil, f)
-}
-
-// biasRows applies f(row-element, bias-element) over rows [lo, hi).
-func biasRows(av, bv, ov []float32, n, lo, hi int, f func(x, y float32) float32) {
+// biasRows computes row op bias over rows [lo, hi) of a, bias length n.
+func biasRows(op binop, av, bv, ov []float32, lo, hi int) {
+	n := len(bv)
 	for r := lo; r < hi; r++ {
-		arow, orow := av[r*n:r*n+n], ov[r*n:r*n+n]
-		for j, x := range arow {
-			orow[j] = f(x, bv[j])
-		}
+		binaryLoop{op: op, a: av[r*n : r*n+n], b: bv, o: ov[r*n : r*n+n]}.run(0, n)
 	}
 }
 
@@ -181,24 +208,14 @@ func broadcastStrides(s, out tensor.Shape) []int {
 	st := s.Strides()
 	res := make([]int, out.Rank())
 	offset := out.Rank() - s.Rank()
-	for d := 0; d < out.Rank(); d++ {
-		if d < offset {
-			res[d] = 0
-			continue
-		}
-		if s[d-offset] == 1 && out[d] != 1 {
-			res[d] = 0
-		} else {
+	for d := offset; d < out.Rank(); d++ {
+		if s[d-offset] != 1 || out[d] == 1 {
 			res[d] = st[d-offset]
 		}
 	}
 	return res
 }
 
-func addScalar(x, y float32) float32 { return x + y }
-func subScalar(x, y float32) float32 { return x - y }
-func mulScalar(x, y float32) float32 { return x * y }
-func divScalar(x, y float32) float32 { return x / y }
 func maxScalar(x, y float32) float32 {
 	if x > y {
 		return x
@@ -211,61 +228,62 @@ func minScalar(x, y float32) float32 {
 	}
 	return y
 }
-func powScalar(x, y float32) float32 {
-	return float32(math.Pow(float64(x), float64(y)))
-}
+
+var (
+	opAdd = binop{"add", '+', func(x, y float32) float32 { return x + y }}
+	opSub = binop{"sub", 0, func(x, y float32) float32 { return x - y }}
+	opMul = binop{"mul", '*', func(x, y float32) float32 { return x * y }}
+	opDiv = binop{"div", 0, func(x, y float32) float32 { return x / y }}
+	opMax = binop{"maximum", 0, maxScalar}
+	opMin = binop{"minimum", 0, minScalar}
+	opPow = binop{"power", 0, func(x, y float32) float32 { return float32(math.Pow(float64(x), float64(y))) }}
+)
 
 // Add computes a+b with broadcasting.
-func Add(a, b *tensor.Tensor) *tensor.Tensor { return binaryOp("add", a, b, addScalar) }
+func Add(a, b *tensor.Tensor) *tensor.Tensor { return binaryOpInto(opAdd, a, b, nil) }
 
 // AddInto computes a+b with broadcasting into out.
-func AddInto(a, b, out *tensor.Tensor) *tensor.Tensor { return binaryOpInto("add", a, b, out, addScalar) }
+func AddInto(a, b, out *tensor.Tensor) *tensor.Tensor { return binaryOpInto(opAdd, a, b, out) }
 
 // Sub computes a-b with broadcasting.
-func Sub(a, b *tensor.Tensor) *tensor.Tensor { return binaryOp("sub", a, b, subScalar) }
+func Sub(a, b *tensor.Tensor) *tensor.Tensor { return binaryOpInto(opSub, a, b, nil) }
 
 // SubInto computes a-b with broadcasting into out.
-func SubInto(a, b, out *tensor.Tensor) *tensor.Tensor { return binaryOpInto("sub", a, b, out, subScalar) }
+func SubInto(a, b, out *tensor.Tensor) *tensor.Tensor { return binaryOpInto(opSub, a, b, out) }
 
 // Mul computes a*b (element-wise) with broadcasting.
-func Mul(a, b *tensor.Tensor) *tensor.Tensor { return binaryOp("mul", a, b, mulScalar) }
+func Mul(a, b *tensor.Tensor) *tensor.Tensor { return binaryOpInto(opMul, a, b, nil) }
 
 // MulInto computes a*b into out.
-func MulInto(a, b, out *tensor.Tensor) *tensor.Tensor { return binaryOpInto("mul", a, b, out, mulScalar) }
+func MulInto(a, b, out *tensor.Tensor) *tensor.Tensor { return binaryOpInto(opMul, a, b, out) }
 
 // Div computes a/b with broadcasting.
-func Div(a, b *tensor.Tensor) *tensor.Tensor { return binaryOp("div", a, b, divScalar) }
+func Div(a, b *tensor.Tensor) *tensor.Tensor { return binaryOpInto(opDiv, a, b, nil) }
 
 // DivInto computes a/b into out.
-func DivInto(a, b, out *tensor.Tensor) *tensor.Tensor { return binaryOpInto("div", a, b, out, divScalar) }
+func DivInto(a, b, out *tensor.Tensor) *tensor.Tensor { return binaryOpInto(opDiv, a, b, out) }
 
 // Maximum computes element-wise max(a, b) with broadcasting.
-func Maximum(a, b *tensor.Tensor) *tensor.Tensor { return binaryOp("maximum", a, b, maxScalar) }
+func Maximum(a, b *tensor.Tensor) *tensor.Tensor { return binaryOpInto(opMax, a, b, nil) }
 
 // MaximumInto computes element-wise max(a, b) into out.
-func MaximumInto(a, b, out *tensor.Tensor) *tensor.Tensor {
-	return binaryOpInto("maximum", a, b, out, maxScalar)
-}
+func MaximumInto(a, b, out *tensor.Tensor) *tensor.Tensor { return binaryOpInto(opMax, a, b, out) }
 
 // Minimum computes element-wise min(a, b) with broadcasting.
-func Minimum(a, b *tensor.Tensor) *tensor.Tensor { return binaryOp("minimum", a, b, minScalar) }
+func Minimum(a, b *tensor.Tensor) *tensor.Tensor { return binaryOpInto(opMin, a, b, nil) }
 
 // MinimumInto computes element-wise min(a, b) into out.
-func MinimumInto(a, b, out *tensor.Tensor) *tensor.Tensor {
-	return binaryOpInto("minimum", a, b, out, minScalar)
-}
+func MinimumInto(a, b, out *tensor.Tensor) *tensor.Tensor { return binaryOpInto(opMin, a, b, out) }
 
 // Power computes a^b element-wise with broadcasting.
-func Power(a, b *tensor.Tensor) *tensor.Tensor { return binaryOp("power", a, b, powScalar) }
+func Power(a, b *tensor.Tensor) *tensor.Tensor { return binaryOpInto(opPow, a, b, nil) }
 
 // PowerInto computes a^b into out.
-func PowerInto(a, b, out *tensor.Tensor) *tensor.Tensor {
-	return binaryOpInto("power", a, b, out, powScalar)
-}
+func PowerInto(a, b, out *tensor.Tensor) *tensor.Tensor { return binaryOpInto(opPow, a, b, out) }
 
-// unaryOpInto applies f element-wise to a float32 tensor, writing into out
-// when it matches.
-func unaryOpInto(name string, a, out *tensor.Tensor, f func(x float32) float32) *tensor.Tensor {
+// unaryOpInto runs loop (o[i] = f(x[i]) over a whole slice) on a float32
+// tensor, writing into out when it matches.
+func unaryOpInto(name string, a, out *tensor.Tensor, loop func(x, o []float32)) *tensor.Tensor {
 	if a.DType() != tensor.Float32 {
 		panic(fmt.Sprintf("kernels: %s requires float32 input, got %v", name, a.DType()))
 	}
@@ -273,88 +291,84 @@ func unaryOpInto(name string, a, out *tensor.Tensor, f func(x float32) float32) 
 	av, ov := a.F32(), out.F32()
 	if len(av) >= parallelThreshold {
 		nrt.Default().ParallelFor(len(av), parallelGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				ov[i] = f(av[i])
-			}
+			loop(av[lo:hi], ov[lo:hi])
 		})
 		return out
 	}
-	for i := range av {
-		ov[i] = f(av[i])
-	}
+	loop(av, ov)
 	return out
 }
 
-func unaryOp(name string, a *tensor.Tensor, f func(x float32) float32) *tensor.Tensor {
-	return unaryOpInto(name, a, nil, f)
+// each lifts a scalar function to the slice loop unaryOpInto runs.
+func each(f func(x float32) float32) func(x, o []float32) {
+	return func(x, o []float32) {
+		x = x[:len(o)]
+		for i := range o {
+			o[i] = f(x[i])
+		}
+	}
 }
 
-func negScalar(x float32) float32  { return -x }
-func expScalar(x float32) float32  { return float32(math.Exp(float64(x))) }
-func sqrtScalar(x float32) float32 { return float32(math.Sqrt(float64(x))) }
-func tanhScalar(x float32) float32 { return float32(math.Tanh(float64(x))) }
-func reluScalar(x float32) float32 {
-	if x > 0 {
-		return x
+var (
+	negLoop  = each(func(x float32) float32 { return -x })
+	expLoop  = each(func(x float32) float32 { return float32(math.Exp(float64(x))) })
+	sqrtLoop = each(func(x float32) float32 { return float32(math.Sqrt(float64(x))) })
+)
+
+func reluLoop(x, o []float32) {
+	x = x[:len(o)]
+	for i, v := range x {
+		if v > 0 {
+			o[i] = v
+		} else {
+			o[i] = 0
+		}
 	}
-	return 0
 }
 
 // Neg computes -a.
-func Neg(a *tensor.Tensor) *tensor.Tensor { return unaryOp("neg", a, negScalar) }
+func Neg(a *tensor.Tensor) *tensor.Tensor { return unaryOpInto("neg", a, nil, negLoop) }
 
 // NegInto computes -a into out.
-func NegInto(a, out *tensor.Tensor) *tensor.Tensor { return unaryOpInto("neg", a, out, negScalar) }
+func NegInto(a, out *tensor.Tensor) *tensor.Tensor { return unaryOpInto("neg", a, out, negLoop) }
 
 // Exp computes e^a element-wise.
-func Exp(a *tensor.Tensor) *tensor.Tensor { return unaryOp("exp", a, expScalar) }
+func Exp(a *tensor.Tensor) *tensor.Tensor { return unaryOpInto("exp", a, nil, expLoop) }
 
 // ExpInto computes e^a into out.
-func ExpInto(a, out *tensor.Tensor) *tensor.Tensor { return unaryOpInto("exp", a, out, expScalar) }
+func ExpInto(a, out *tensor.Tensor) *tensor.Tensor { return unaryOpInto("exp", a, out, expLoop) }
 
 // Sqrt computes the element-wise square root.
-func Sqrt(a *tensor.Tensor) *tensor.Tensor { return unaryOp("sqrt", a, sqrtScalar) }
+func Sqrt(a *tensor.Tensor) *tensor.Tensor { return unaryOpInto("sqrt", a, nil, sqrtLoop) }
 
 // SqrtInto computes the element-wise square root into out.
-func SqrtInto(a, out *tensor.Tensor) *tensor.Tensor { return unaryOpInto("sqrt", a, out, sqrtScalar) }
+func SqrtInto(a, out *tensor.Tensor) *tensor.Tensor { return unaryOpInto("sqrt", a, out, sqrtLoop) }
 
 // Sigmoid computes 1/(1+e^-x) element-wise.
-func Sigmoid(a *tensor.Tensor) *tensor.Tensor { return unaryOp("sigmoid", a, sigmoidScalar) }
+func Sigmoid(a *tensor.Tensor) *tensor.Tensor { return unaryOpInto("sigmoid", a, nil, sigmoidLoop) }
 
 // SigmoidInto computes the sigmoid into out.
 func SigmoidInto(a, out *tensor.Tensor) *tensor.Tensor {
-	return unaryOpInto("sigmoid", a, out, sigmoidScalar)
-}
-
-func sigmoidScalar(x float32) float32 {
-	return float32(1 / (1 + math.Exp(-float64(x))))
+	return unaryOpInto("sigmoid", a, out, sigmoidLoop)
 }
 
 // Tanh computes tanh(x) element-wise.
-func Tanh(a *tensor.Tensor) *tensor.Tensor { return unaryOp("tanh", a, tanhScalar) }
+func Tanh(a *tensor.Tensor) *tensor.Tensor { return unaryOpInto("tanh", a, nil, tanhLoop) }
 
 // TanhInto computes tanh(x) into out.
-func TanhInto(a, out *tensor.Tensor) *tensor.Tensor { return unaryOpInto("tanh", a, out, tanhScalar) }
+func TanhInto(a, out *tensor.Tensor) *tensor.Tensor { return unaryOpInto("tanh", a, out, tanhLoop) }
 
 // Relu computes max(0, x) element-wise.
-func Relu(a *tensor.Tensor) *tensor.Tensor { return unaryOp("relu", a, reluScalar) }
+func Relu(a *tensor.Tensor) *tensor.Tensor { return unaryOpInto("relu", a, nil, reluLoop) }
 
 // ReluInto computes max(0, x) into out.
-func ReluInto(a, out *tensor.Tensor) *tensor.Tensor { return unaryOpInto("relu", a, out, reluScalar) }
+func ReluInto(a, out *tensor.Tensor) *tensor.Tensor { return unaryOpInto("relu", a, out, reluLoop) }
 
-// geluScalar is the tanh approximation BERT uses:
-// 0.5x(1+tanh(sqrt(2/pi)(x+0.044715x^3))).
-func geluScalar(x float32) float32 {
-	const c = 0.7978845608028654 // sqrt(2/pi)
-	x64 := float64(x)
-	return float32(0.5 * x64 * (1 + math.Tanh(c*(x64+0.044715*x64*x64*x64))))
-}
-
-// Gelu computes the Gaussian error linear unit.
-func Gelu(a *tensor.Tensor) *tensor.Tensor { return unaryOp("gelu", a, geluScalar) }
+// Gelu computes the Gaussian error linear unit (tanh approximation).
+func Gelu(a *tensor.Tensor) *tensor.Tensor { return unaryOpInto("gelu", a, nil, geluLoop) }
 
 // GeluInto computes the GELU into out.
-func GeluInto(a, out *tensor.Tensor) *tensor.Tensor { return unaryOpInto("gelu", a, out, geluScalar) }
+func GeluInto(a, out *tensor.Tensor) *tensor.Tensor { return unaryOpInto("gelu", a, out, geluLoop) }
 
 // Greater returns a bool tensor of a > b with broadcasting.
 func Greater(a, b *tensor.Tensor) *tensor.Tensor {
@@ -372,12 +386,12 @@ func EqualOp(a, b *tensor.Tensor) *tensor.Tensor {
 }
 
 func compareOp(name string, a, b *tensor.Tensor, f func(x, y float32) bool) *tensor.Tensor {
-	floats := binaryOp(name, a, b, func(x, y float32) float32 {
+	floats := binaryOpInto(binop{name: name, f: func(x, y float32) float32 {
 		if f(x, y) {
 			return 1
 		}
 		return 0
-	})
+	}}, a, b, nil)
 	out := tensor.New(tensor.Bool, floats.Shape()...)
 	fv, bv := floats.F32(), out.Bools()
 	for i := range fv {

@@ -16,6 +16,12 @@
 // The choice is made once at start-up; within one process every dense
 // variant accumulates each output in the same order, so static, residue
 // and guarded kernels give bit-identical results.
+//
+// GELU, sigmoid and tanh are built on one float32 e^z - 1 (activation.go),
+// run 8 lanes at a time by AVX2/FMA assembly on the same CPUs
+// (activation_amd64.s) and in scalar Go elsewhere. Both paths stay within
+// 4e-6 relative error of the float64 formulas (1e-7 absolute where the
+// result is below 1e-6), and NaN propagates.
 package kernels
 
 import (

@@ -5,6 +5,38 @@ import "fmt"
 func init() {
 	if hasAVX2FMA() {
 		simdTile = tileAVX2
+		simdAct = actAVX2
+	}
+}
+
+// act8 (activation_amd64.s) runs activation kind over the len(o)/8 whole
+// 8-lane blocks of x into o.
+//
+//go:noescape
+func act8(kind int, x, o []float32, tab *[18][8]float32)
+
+// actTab holds every constant act8 uses, each repeated over 8 lanes.
+var actTab = func() (t [18][8]float32) {
+	for i, c := range [18]float32{expLo, expHi, geluLo, log2e, ln2Hi, ln2Lo,
+		exp0, exp1, exp2, exp3, exp4, exp5, 1, 2, 127, geluA, geluM, -1} {
+		for j := range t[i] {
+			t[i][j] = c
+		}
+	}
+	return t
+}()
+
+// actAVX2 runs act8 over the whole blocks, then the last len(o)%8 elements
+// through a stack buffer, so the assembly never touches memory past a slice.
+func actAVX2(kind int, x, o []float32) {
+	x = x[:len(o)]
+	n := len(o) &^ 7
+	act8(kind, x[:n], o[:n], &actTab)
+	if n < len(o) {
+		var buf [8]float32
+		copy(buf[:], x[n:])
+		act8(kind, buf[:], buf[:], &actTab)
+		copy(o[n:], buf[:])
 	}
 }
 

@@ -203,7 +203,7 @@ func SoftmaxInto(a, out *tensor.Tensor) *tensor.Tensor {
 	}
 	in := a.Shape()
 	n := in[a.Rank()-1]
-	rows := a.NumElements() / maxInt(n, 1)
+	rows := a.NumElements() / max(n, 1)
 	out = intoOrAlloc(out, tensor.Float32, in)
 	av, ov := a.F32(), out.F32()
 	for r := 0; r < rows; r++ {
@@ -264,11 +264,4 @@ func LayerNormInto(a, gamma, beta, out *tensor.Tensor, eps float32) *tensor.Tens
 		}
 	}
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

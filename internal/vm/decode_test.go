@@ -235,3 +235,26 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 		t.Errorf("no storage reuse recorded across two generations")
 	}
 }
+
+// maxAllocsPerGenerate fences the Go allocations of one warmed greedy
+// generation. LoadConst hands out the object AddConst made and LoadConsti a
+// shared small-integer object, so the ~40 constant loads per token allocate
+// nothing (4,698 allocations before, 3,289 now). The fence leaves room for
+// the race detector's sync.Pool drops (3,390 under -race).
+const maxAllocsPerGenerate = 3500
+
+func TestGenerateAllocs(t *testing.T) {
+	_, res := compileDecoder(t)
+	machine := vm.New(res.Exe)
+	run := func() {
+		if _, err := machine.InvokeTensors("generate", models.StartToken(5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the storage pool and frame recycler
+	n := testing.AllocsPerRun(10, run)
+	t.Logf("warmed generate: %.0f allocs", n)
+	if n > maxAllocsPerGenerate {
+		t.Errorf("generate allocates %.0f objects, above the %d fence", n, maxAllocsPerGenerate)
+	}
+}

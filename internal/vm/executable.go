@@ -59,6 +59,10 @@ type Executable struct {
 	// frozen marks the executable immutable; set by Freeze when the first
 	// serving pool adopts it. Construction-phase mutators panic afterwards.
 	frozen bool
+	// constObjs holds one register object per Consts entry, made by
+	// AddConst, so LoadConst copies a pointer instead of allocating. The
+	// objects are shared read-only by every VM, like the tensors they wrap.
+	constObjs []*TensorObj
 }
 
 // NewExecutable creates an empty executable.
@@ -98,6 +102,7 @@ func (e *Executable) AddFunc(f VMFunc) int {
 func (e *Executable) AddConst(t *tensor.Tensor) int {
 	e.mutCheck("AddConst")
 	e.Consts = append(e.Consts, t)
+	e.constObjs = append(e.constObjs, NewTensorObj(t))
 	return len(e.Consts) - 1
 }
 

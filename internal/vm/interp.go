@@ -490,12 +490,22 @@ func (vm *VM) exec(ctx context.Context, stack []*frame, stepMode bool) (_ []*fra
 				return stack, false, nil, fmt.Errorf("vm: constant index %d out of range", in.Imm)
 			}
 			// Constants are shared by reference; kernels never mutate their
-			// inputs, which is the copy-on-write discipline of §5.2.
-			fr.regs[in.Dst] = &TensorObj{T: vm.exe.Consts[in.Imm], Device: ir.CPU(0)}
+			// inputs, which is the copy-on-write discipline of §5.2. The
+			// register object is shared too, unless Consts grew outside
+			// AddConst.
+			if objs := vm.exe.constObjs; int(in.Imm) < len(objs) {
+				fr.regs[in.Dst] = objs[in.Imm]
+			} else {
+				fr.regs[in.Dst] = &TensorObj{T: vm.exe.Consts[in.Imm], Device: ir.CPU(0)}
+			}
 			fr.pc++
 
 		case OpLoadConsti:
-			fr.regs[in.Dst] = NewTensorObj(tensor.ScalarI64(in.Imm))
+			if uint64(in.Imm) < uint64(len(smallInts)) {
+				fr.regs[in.Dst] = smallInts[in.Imm]
+			} else {
+				fr.regs[in.Dst] = NewTensorObj(tensor.ScalarI64(in.Imm))
+			}
 			fr.pc++
 
 		case OpDeviceCopy:

@@ -38,6 +38,16 @@ func NewTensorObj(t *tensor.Tensor) *TensorObj {
 
 func (o *TensorObj) String() string { return o.T.String() }
 
+// smallInts are the objects LoadConsti hands out for immediates 0-15 (the
+// compiler emits 0 for the unit value and 1 or a constructor tag for match
+// tests). Like constants they are never written, so every VM shares them.
+var smallInts = func() (objs [16]*TensorObj) {
+	for i := range objs {
+		objs[i] = NewTensorObj(tensor.ScalarI64(int64(i)))
+	}
+	return objs
+}()
+
 // Storage is a raw allocation produced by AllocStorage and consumed by
 // AllocTensor/AllocTensorReg. It lazily materializes one typed backing
 // slice per dtype with capacity for SizeBytes, so tensors allocated from

@@ -177,7 +177,7 @@ func ReadExecutable(r io.Reader) (*Executable, error) {
 		if err != nil {
 			return nil, fmt.Errorf("vm: constant %d: %w", i, err)
 		}
-		e.Consts = append(e.Consts, t)
+		e.AddConst(t)
 	}
 	return e, nil
 }
