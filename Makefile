@@ -4,13 +4,14 @@
 #   make chaos      - long fault-injection run (panics/OOM/stalls) under -race
 #   make bench      - quick one-shot pass over every paper benchmark
 #   make bench-full - the full harness via cmd/nimble-bench
+#   make paper-smoke - every paper table and figure once, quick mode
 #   make bench-kernels - dense-tile GFLOP/s and activation ns/element, both paths
 #   make cross      - build + vet the pure-Go kernel fallback for arm64
 #   make ci         - what the GitHub Actions workflow runs
 
 GO ?= go
 
-.PHONY: all build vet test cross race api-check staticcheck chaos chaos-smoke registry-smoke fuzz-smoke invoke-fuzz-smoke sse-fuzz-smoke verify-smoke bench bench-full bench-kernels benchmark-check ci
+.PHONY: all build vet test cross race api-check staticcheck chaos chaos-smoke registry-smoke fuzz-smoke invoke-fuzz-smoke sse-fuzz-smoke verify-smoke bench bench-full paper-smoke bench-kernels benchmark-check ci
 
 all: build vet test
 
@@ -101,6 +102,11 @@ bench:
 bench-full:
 	$(GO) run ./cmd/nimble-bench
 
+# The paper CLI end to end in quick mode (~1 s of measurement), so the one
+# command that regenerates the tables and figures keeps working.
+paper-smoke:
+	$(GO) run ./cmd/nimble-bench -quick
+
 # Kernel tables for EXPERIMENTS.md: GFLOP/s per BERT dense shape and ns per
 # element per activation (and bias add), assembly and pure-Go paths.
 bench-kernels:
@@ -112,4 +118,4 @@ bench-kernels:
 benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-ci: all cross staticcheck race api-check chaos-smoke registry-smoke bench benchmark-check
+ci: all cross staticcheck race api-check chaos-smoke registry-smoke bench paper-smoke benchmark-check

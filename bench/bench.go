@@ -15,15 +15,9 @@ type (
 	Table4Result  = ibench.Table4Result
 	Figure3Result = ibench.Figure3Result
 	MemPlanResult = ibench.MemPlanResult
-	// DecodeResult / CoreResult are the streaming-decode benchmark and the
-	// committed machine-readable perf snapshot.
-	DecodeResult = ibench.DecodeResult
-	DecodeRow    = ibench.DecodeRow
-	CoreResult   = ibench.CoreResult
-	CoreRow      = ibench.CoreRow
 )
 
-// Table1 regenerates Table 1 (LSTM latency across systems).
+// Table1 regenerates Table 1 (LSTM latency across systems, 1 and 2 layers).
 func Table1(c Config) (*Table, error) { return ibench.Table1(c) }
 
 // Table2 regenerates Table 2 (Tree-LSTM latency).
@@ -40,11 +34,3 @@ func Figure3(c Config) (*Figure3Result, error) { return ibench.Figure3(c) }
 
 // MemPlan regenerates the memory-planning ablation.
 func MemPlan(c Config) (*MemPlanResult, error) { return ibench.MemPlan(c) }
-
-// Decode measures the autoregressive decoder: tokens/s and
-// time-to-first-token through the streaming path, per entry.
-func Decode(c Config) (*DecodeResult, error) { return ibench.Decode(c) }
-
-// Core produces the committed machine-readable perf snapshot
-// (BENCH_core.json): Nimble host per-token latency per model, quick config.
-func Core(c Config) (*CoreResult, error) { return ibench.Core(c) }

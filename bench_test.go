@@ -21,9 +21,10 @@ func BenchmarkTable1LSTM(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(t.Speedup("PyTorch", "Nimble", "Intel CPU"), "x-vs-pytorch")
-		b.ReportMetric(t.Speedup("TensorFlow", "Nimble", "Intel CPU"), "x-vs-tf")
-		b.ReportMetric(t.Cells["Nimble"]["Intel CPU"].Value, "nimble-us/token")
+		b.ReportMetric(t.Speedup("PyTorch", "Nimble", "1 layer"), "x-vs-pytorch")
+		b.ReportMetric(t.Speedup("TensorFlow", "Nimble", "1 layer"), "x-vs-tf")
+		b.ReportMetric(t.Speedup("PyTorch", "Nimble", "2 layers"), "x-vs-pytorch-2layer")
+		b.ReportMetric(t.Cells["Nimble"]["1 layer"], "nimble-us/token")
 	}
 }
 
@@ -34,8 +35,8 @@ func BenchmarkTable2TreeLSTM(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(t.Speedup("PyTorch", "Nimble", "Intel CPU"), "x-vs-pytorch")
-		b.ReportMetric(t.Speedup("TF Fold", "Nimble", "Intel CPU"), "x-vs-fold")
+		b.ReportMetric(t.Speedup("PyTorch", "Nimble", bench.Host), "x-vs-pytorch")
+		b.ReportMetric(t.Speedup("TF Fold", "Nimble", bench.Host), "x-vs-fold")
 	}
 }
 
@@ -46,8 +47,8 @@ func BenchmarkTable3BERT(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(t.Speedup("PyTorch", "Nimble", "Intel CPU"), "x-vs-pytorch")
-		b.ReportMetric(t.Cells["Nimble"]["Intel CPU"].Value, "nimble-us/token")
+		b.ReportMetric(t.Speedup("PyTorch", "Nimble", bench.Host), "x-vs-pytorch")
+		b.ReportMetric(t.Cells["Nimble"][bench.Host], "nimble-us/token")
 	}
 }
 

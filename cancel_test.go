@@ -30,7 +30,7 @@ func mlpService(t *testing.T, opts ...ServiceOption) (*models.MLP, *Service) {
 // promptly without consuming a session — the pool's free list and wait
 // counters are untouched.
 func TestCanceledBeforeAcquire(t *testing.T) {
-	m, svc := mlpService(t, WithWorkers(1), WithoutBatching())
+	m, svc := mlpService(t, WithWorkers(1), WithMaxBatch(1))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	in := TensorValue(m.RandomBatch(rand.New(rand.NewSource(1)), 2))
@@ -55,7 +55,7 @@ func TestCanceledBeforeAcquire(t *testing.T) {
 // abandoned when its deadline fires, surfaces context.DeadlineExceeded, and
 // does not leak or consume the session that is eventually released.
 func TestCancelWhileWaitingForSession(t *testing.T) {
-	m, svc := mlpService(t, WithWorkers(1), WithoutBatching())
+	m, svc := mlpService(t, WithWorkers(1), WithMaxBatch(1))
 	in := TensorValue(m.RandomBatch(rand.New(rand.NewSource(2)), 2))
 
 	// Hold the only session so the invoke below must queue.

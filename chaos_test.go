@@ -376,7 +376,7 @@ func TestChaosBreakerDegradesHealth(t *testing.T) {
 	if err := inj.WrapExecutable(p.exe); err != nil {
 		t.Fatal(err)
 	}
-	svc, err := p.Serve(WithWorkers(1), WithoutBatching(), WithBreaker(3, 20*time.Millisecond))
+	svc, err := p.Serve(WithWorkers(1), WithMaxBatch(1), WithBreaker(3, 20*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

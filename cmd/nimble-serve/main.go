@@ -355,8 +355,7 @@ func main() {
 	model := flag.String("model", "mlp", "comma-separated models to serve (each: "+cli.Names()+"); the first is the default target")
 	exe := cli.ExeFlag("")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "session pool size")
-	batch := flag.Bool("batch", true, "coalesce queued requests to row-separable entries")
-	maxBatch := flag.Int("max-batch", 16, "most requests one coalesced dispatch serves")
+	maxBatch := flag.Int("max-batch", 16, "most requests one coalesced dispatch serves (1 = no coalescing)")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request deadline (0 = none)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "drain window for in-flight and queued requests on SIGINT/SIGTERM")
 	maxQueue := flag.Int("max-queue", 0, "per-entry admission queue bound (0 = 4×workers, negative = unbounded)")
@@ -383,9 +382,6 @@ func main() {
 		nimble.WithPriorityLanes(*lanes),
 		nimble.WithSchedulerWindow(*schedWindow),
 	}
-	if !*batch {
-		opts = append(opts, nimble.WithoutBatching())
-	}
 	reg := nimble.NewRegistry(
 		nimble.WithServeDefaults(opts...),
 		nimble.WithDrainTimeout(*shutdownTimeout),
@@ -402,7 +398,7 @@ func main() {
 		log.Printf("serving %s@%s: %s", name, ver, m.Describe)
 		for _, sig := range m.Program.Entrypoints() {
 			mode := "per-request"
-			if sig.RowSeparable && *batch {
+			if sig.RowSeparable && *maxBatch > 1 {
 				mode = "coalesced"
 			}
 			log.Printf("  entry %s  [%s]", sig, mode)
@@ -779,9 +775,9 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	type versionStats struct {
-		Version string             `json:"version"`
-		State   string             `json:"state"`
-		Percent int                `json:"percent,omitempty"`
+		Version string              `json:"version"`
+		State   string              `json:"state"`
+		Percent int                 `json:"percent,omitempty"`
 		Stats   nimble.ServiceStats `json:"stats"`
 	}
 	models := map[string][]versionStats{}
@@ -795,11 +791,7 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			})
 		}
 	}
-	out := map[string]any{"models": models}
-	if st, ok := s.reg.SharedStorageStats(); ok {
-		out["shared_storage"] = st
-	}
-	writeJSON(w, out)
+	writeJSON(w, map[string]any{"models": models, "shared_storage": s.reg.SharedStorageStats()})
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {

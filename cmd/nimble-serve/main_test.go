@@ -86,7 +86,7 @@ func testDecoderServer(t testing.TB) *server {
 			return
 		}
 		reg := nimble.NewRegistry(nimble.WithServeDefaults(
-			nimble.WithWorkers(2), nimble.WithoutBatching(), nimble.WithPriorityLanes(2)))
+			nimble.WithWorkers(2), nimble.WithMaxBatch(1), nimble.WithPriorityLanes(2)))
 		if _, err := reg.Deploy("decoder", p); err != nil {
 			testDecErr = err
 			return

@@ -149,9 +149,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	rows[perServer] = []sample{{srv: srv}}
-	if st, ok := s.reg.SharedStorageStats(); ok {
-		rows[perShared] = []sample{{shared: st}}
-	}
+	rows[perShared] = []sample{{shared: s.reg.SharedStorageStats()}}
 
 	var b strings.Builder
 	for _, f := range families {

@@ -111,37 +111,6 @@ func TestDataflowLSTMTwoLayerAndLengthOne(t *testing.T) {
 	}
 }
 
-func TestStaticLSTMPadding(t *testing.T) {
-	m, machine := lstmFixture(t, 1)
-	rng := rand.New(rand.NewSource(35))
-	steps := m.RandomSteps(rng, 5)
-	s := NewStaticLSTM(m, 16)
-	out := s.Run(steps)
-	// Padding with zero steps changes the final state (the static model
-	// keeps stepping), so only the shape must match; the point is the
-	// wasted work, which PaddedSteps records.
-	if !out.Shape().Equal(tensor.Shape{1, 16}) {
-		t.Errorf("static output shape = %v", out.Shape())
-	}
-	if s.PaddedSteps != 11 {
-		t.Errorf("padded steps = %d, want 11", s.PaddedSteps)
-	}
-	// Full-length input needs no padding and matches Nimble exactly.
-	full := m.RandomSteps(rng, 16)
-	s2 := NewStaticLSTM(m, 16)
-	out2 := s2.Run(full)
-	nimbleOut, err := machine.Invoke("main", models.SequenceToList(m.NilC.Tag, m.ConsC.Tag, full))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.PaddedSteps != 0 {
-		t.Errorf("unexpected padding: %d", s2.PaddedSteps)
-	}
-	if !out2.AllClose(nimbleOut.(*vm.TensorObj).T, 1e-4, 1e-5) {
-		t.Error("unpadded static disagrees with Nimble")
-	}
-}
-
 func TestEagerTreeLSTMRuns(t *testing.T) {
 	cfg := models.TreeLSTMConfig{Input: 8, Hidden: 6, Seed: 36}
 	e := NewEager()

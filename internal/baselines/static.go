@@ -1,91 +1,8 @@
 package baselines
 
-import (
-	"sort"
+import "sort"
 
-	"nimble/internal/kernels"
-	"nimble/internal/models"
-	"nimble/internal/tensor"
-)
-
-// StaticLSTM is the "reduce the dynamic model to a static one" baseline of
-// §2.1: the network is unrolled to a maximal length at build time, inputs
-// are padded, and every invocation executes all MaxLen steps regardless of
-// the true sequence length. It stands in for the static-compiler treatment
-// of RNNs (DeepCPU-style padding), and its wasted steps are why dynamic
-// support matters.
-type StaticLSTM struct {
-	MaxLen int
-	cells  []EagerLSTMCell
-	// steps is the pre-compiled unrolled program: one closure per (step,
-	// layer), fixed at build time like a static graph runtime's op list.
-	program []func(state []*tensor.Tensor, x *tensor.Tensor)
-	// PaddedSteps counts executed padding steps (for reports).
-	PaddedSteps int64
-}
-
-// NewStaticLSTM unrolls the model to maxLen.
-func NewStaticLSTM(m *models.LSTM, maxLen int) *StaticLSTM {
-	e := NewEager()
-	s := &StaticLSTM{MaxLen: maxLen, cells: e.CellsFromModel(m)}
-	for step := 0; step < maxLen; step++ {
-		for li := range s.cells {
-			cell := s.cells[li]
-			layer := li
-			s.program = append(s.program, func(state []*tensor.Tensor, x *tensor.Tensor) {
-				in := x
-				if layer > 0 {
-					in = state[2*(layer-1)]
-				}
-				h, c := staticLSTMStep(cell, in, state[2*layer], state[2*layer+1])
-				state[2*layer], state[2*layer+1] = h, c
-			})
-		}
-	}
-	return s
-}
-
-func staticLSTMStep(cell EagerLSTMCell, x, h, c *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor) {
-	hd := cell.Hidden
-	gates := kernels.Add(kernels.Add(kernels.MatMul(x, cell.Wx.T), kernels.MatMul(h, cell.Wh.T)), cell.Bias.T)
-	i := kernels.Sigmoid(kernels.Slice(gates, 1, 0, hd))
-	f := kernels.Sigmoid(kernels.Slice(gates, 1, hd, 2*hd))
-	g := kernels.Tanh(kernels.Slice(gates, 1, 2*hd, 3*hd))
-	o := kernels.Sigmoid(kernels.Slice(gates, 1, 3*hd, 4*hd))
-	cNew := kernels.Add(kernels.Mul(f, c), kernels.Mul(i, g))
-	return kernels.Mul(o, kernels.Tanh(cNew)), cNew
-}
-
-// Run pads the sequence to MaxLen (zero steps) and executes the full
-// unrolled program.
-func (s *StaticLSTM) Run(steps []*tensor.Tensor) *tensor.Tensor {
-	if len(steps) > s.MaxLen {
-		steps = steps[:s.MaxLen]
-	}
-	inputDim := steps[0].Shape()[1]
-	zeroStep := tensor.New(tensor.Float32, 1, inputDim)
-	state := make([]*tensor.Tensor, 2*len(s.cells))
-	for i := range s.cells {
-		state[2*i] = tensor.New(tensor.Float32, 1, s.cells[i].Hidden)
-		state[2*i+1] = tensor.New(tensor.Float32, 1, s.cells[i].Hidden)
-	}
-	pc := 0
-	for step := 0; step < s.MaxLen; step++ {
-		x := zeroStep
-		if step < len(steps) {
-			x = steps[step]
-		} else {
-			s.PaddedSteps++
-		}
-		for range s.cells {
-			s.program[pc](state, x)
-			pc++
-		}
-	}
-	return state[2*(len(s.cells)-1)]
-}
-
-// --- Static memory planner (the TVM whole-graph baseline of §6.3) ---
+// Static memory planner: the TVM whole-graph baseline of §6.3.
 
 // Interval is one buffer's size and live range in a linearized graph.
 type Interval struct {

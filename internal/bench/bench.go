@@ -1,8 +1,7 @@
 // Package bench is the evaluation harness: one entry point per table and
 // figure of the paper's §6, each returning a structured result that prints
-// in the paper's row/column layout. Host-CPU columns are measured on real
-// executions; ARM-CPU and Nvidia-GPU columns are produced by the
-// internal/platform cost model and labeled "(sim)".
+// in the paper's row layout. Every number is measured on the host CPU; the
+// paper's ARM and Nvidia columns have no counterpart here.
 package bench
 
 import (
@@ -13,9 +12,7 @@ import (
 
 	"nimble/internal/data"
 	"nimble/internal/models"
-	"nimble/internal/platform"
 	"nimble/internal/tensor"
-	"nimble/internal/vm"
 )
 
 // Config bounds the harness's work.
@@ -45,41 +42,24 @@ func measure(runs int, f func()) time.Duration {
 	return time.Since(start)
 }
 
-// Cell is one table entry: a measured or simulated per-token latency.
-type Cell struct {
-	Value     float64 // µs/token
-	Simulated bool
-}
+// Host names the one measured column of Tables 2 and 3.
+const Host = "host CPU"
 
-func (c Cell) String() string {
-	if c.Value == 0 {
-		return "–"
-	}
-	if c.Simulated {
-		return fmt.Sprintf("%.1f (sim)", c.Value)
-	}
-	return fmt.Sprintf("%.1f", c.Value)
-}
-
-// Table is a generic result grid.
+// Table is a generic result grid of measured µs/token, row → column → value.
 type Table struct {
 	Title   string
 	Columns []string
 	Rows    []string
-	Cells   map[string]map[string]Cell
+	Cells   map[string]map[string]float64
 	Notes   []string
 }
 
 func newTable(title string, rows, cols []string) *Table {
-	t := &Table{Title: title, Columns: cols, Rows: rows, Cells: map[string]map[string]Cell{}}
+	t := &Table{Title: title, Columns: cols, Rows: rows, Cells: map[string]map[string]float64{}}
 	for _, r := range rows {
-		t.Cells[r] = map[string]Cell{}
+		t.Cells[r] = map[string]float64{}
 	}
 	return t
-}
-
-func (t *Table) set(row, col string, v float64, simulated bool) {
-	t.Cells[row][col] = Cell{Value: v, Simulated: simulated}
 }
 
 // Format renders the table.
@@ -94,7 +74,7 @@ func (t *Table) Format() string {
 	for _, r := range t.Rows {
 		fmt.Fprintf(&b, "%-14s", r)
 		for _, c := range t.Columns {
-			fmt.Fprintf(&b, "%16s", t.Cells[r][c].String())
+			fmt.Fprintf(&b, "%16.1f", t.Cells[r][c])
 		}
 		b.WriteString("\n")
 	}
@@ -106,35 +86,11 @@ func (t *Table) Format() string {
 
 // Speedup returns row a's value over row b's for a column (who-wins factor).
 func (t *Table) Speedup(slow, fast, col string) float64 {
-	f := t.Cells[fast][col].Value
+	f := t.Cells[fast][col]
 	if f == 0 {
 		return 0
 	}
-	return t.Cells[slow][col].Value / f
-}
-
-// nimbleWorkload converts a profiler run into the platform simulator's
-// workload units.
-func nimbleWorkload(prof *vm.Profiler, flops int64) platform.Workload {
-	kernels := prof.Counts[vm.OpInvokePacked]
-	return platform.Workload{
-		Kernels:     kernels,
-		Flops:       flops,
-		Bytes:       flops / 2, // roofline proxy: one 4-byte access per 2 flops
-		OtherInstrs: prof.TotalInstrs() - prof.Counts[vm.OpInvokePacked],
-		CopyBytes:   prof.CopyBytes,
-	}
-}
-
-// simulateColumns fills the Nvidia/ARM columns for a set of systems from
-// one profiled Nimble workload.
-func simulateColumns(t *Table, w platform.Workload, tokens int, systems map[string]platform.SystemTraits, cols map[string]platform.Platform) {
-	for colName, plat := range cols {
-		for rowName, sys := range systems {
-			lat := platform.Latency(plat, sys, w)
-			t.set(rowName, colName, platform.PerToken(lat, tokens), true)
-		}
-	}
+	return t.Cells[slow][col] / f
 }
 
 // lstmInputs draws MRPC-profile sequences shared by Nimble and the

@@ -1,9 +1,6 @@
 package bench
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func quickCfg() Config { return Config{Quick: true, Seed: 7} }
 
@@ -13,23 +10,17 @@ func TestTable1ShapeHolds(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := tab.Format()
-	for _, want := range []string{"Nimble", "PyTorch", "TensorFlow", "Intel CPU", "(sim)"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table missing %q:\n%s", want, out)
-		}
+	if len(tab.Columns) != 2 {
+		t.Fatalf("want one column per layer count:\n%s", out)
 	}
-	// The headline property: Nimble beats every framework on the measured
-	// host column.
-	for _, rival := range []string{"PyTorch", "TensorFlow"} {
-		if s := tab.Speedup(rival, "Nimble", "Intel CPU"); s <= 1.0 {
-			t.Errorf("Nimble not faster than %s on Intel CPU (speedup %.2f)\n%s", rival, s, out)
+	// The headline property: Nimble beats every framework at both layer
+	// counts (paper: 1.7-6.3x on Intel).
+	for _, col := range tab.Columns {
+		for _, rival := range []string{"PyTorch", "TensorFlow"} {
+			if s := tab.Speedup(rival, "Nimble", col); s <= 1.0 {
+				t.Errorf("%s: Nimble not faster than %s (speedup %.2f)\n%s", col, rival, s, out)
+			}
 		}
-	}
-	// Simulated ARM column: framework gap widens (poor vendor libraries),
-	// matching the paper's 5-20x ARM speedups vs 1.7-6.3x on Intel.
-	armGap := tab.Speedup("PyTorch", "Nimble", "ARM CPU")
-	if armGap < 2 {
-		t.Errorf("simulated ARM speedup %.2f too small\n%s", armGap, out)
 	}
 }
 
@@ -40,14 +31,14 @@ func TestTable2ShapeHolds(t *testing.T) {
 	}
 	out := tab.Format()
 	// Paper: Nimble 17.4x over PyTorch, 5.2x over TF Fold on Intel.
-	if s := tab.Speedup("PyTorch", "Nimble", "Intel CPU"); s <= 1.0 {
+	if s := tab.Speedup("PyTorch", "Nimble", Host); s <= 1.0 {
 		t.Errorf("Nimble not faster than PyTorch on Tree-LSTM (%.2f)\n%s", s, out)
 	}
-	if s := tab.Speedup("TF Fold", "Nimble", "Intel CPU"); s <= 1.0 {
+	if s := tab.Speedup("TF Fold", "Nimble", Host); s <= 1.0 {
 		t.Errorf("Nimble not faster than TF Fold (%.2f)\n%s", s, out)
 	}
 	// Fold sits between eager PyTorch and Nimble, as in the paper.
-	if tab.Cells["TF Fold"]["Intel CPU"].Value >= tab.Cells["PyTorch"]["Intel CPU"].Value {
+	if tab.Cells["TF Fold"][Host] >= tab.Cells["PyTorch"][Host] {
 		t.Logf("note: TF Fold slower than PyTorch in quick mode (small trees amortize batching poorly):\n%s", out)
 	}
 }
@@ -63,11 +54,10 @@ func TestTable3ShapeHolds(t *testing.T) {
 	// shrinks the hidden size far below the paper's, which understates
 	// fusion gains; at the full reduced config Nimble measures ~1.2x (see
 	// EXPERIMENTS.md), so the quick gate only rejects large regressions.
-	if s := tab.Speedup("PyTorch", "Nimble", "Intel CPU"); s <= 0.80 {
-		t.Errorf("Nimble materially slower than PyTorch on BERT (%.2f)\n%s", s, out)
-	}
-	if !strings.Contains(out, "Nvidia GPU") {
-		t.Errorf("missing GPU column:\n%s", out)
+	for _, rival := range []string{"PyTorch", "TensorFlow"} {
+		if s := tab.Speedup(rival, "Nimble", Host); s <= 0.80 {
+			t.Errorf("Nimble materially slower than %s on BERT (%.2f)\n%s", rival, s, out)
+		}
 	}
 }
 
@@ -107,8 +97,7 @@ func TestFigure3ShapeHolds(t *testing.T) {
 		// Full dispatch is near static; no dispatch is substantially
 		// slower. Quick-mode matrices are tiny, so gates are loose enough
 		// to survive scheduler noise when the whole test suite runs in
-		// parallel; the full-scale run (results_full.txt) shows
-		// 100%/~130%/~300%.
+		// parallel; EXPERIMENTS.md records the full-size run.
 		if full > 1.6 {
 			t.Errorf("%s: dispatch/8 at %.0f%% of static, expected near 100%%\n%s", r.Ops[i], full*100, out)
 		}

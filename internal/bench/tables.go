@@ -9,7 +9,6 @@ import (
 	"nimble/internal/compiler"
 	"nimble/internal/data"
 	"nimble/internal/models"
-	"nimble/internal/platform"
 	"nimble/internal/tensor"
 	"nimble/internal/vm"
 )
@@ -28,18 +27,14 @@ const (
 	foldBuild = 150 * time.Microsecond
 )
 
-var simPlatforms = map[string]platform.Platform{
-	"Nvidia GPU": platform.NvidiaGPU,
-	"ARM CPU":    platform.ARMCPU,
-}
-
 // Table1 reproduces the LSTM latency comparison (µs/token): Nimble vs the
-// eager (PyTorch-like) and dataflow (TensorFlow/MXNet-like) executors, one
-// and two layers. Intel CPU is measured; Nvidia/ARM are simulated.
+// eager (PyTorch-like) and dataflow (TensorFlow-like) executors, measured on
+// the host CPU, one column per layer count.
 func Table1(cfg Config) (*Table, error) {
-	rows := []string{"Nimble", "PyTorch", "MXNet", "TensorFlow"}
-	var tables []*Table
-	for _, layers := range []int{1, 2} {
+	t := newTable("Table 1: LSTM inference latency on the host CPU, µs/token",
+		[]string{"Nimble", "PyTorch", "TensorFlow"}, []string{"1 layer", "2 layers"})
+	for li, layers := range []int{1, 2} {
+		col := t.Columns[li]
 		mcfg := models.DefaultLSTMConfig(layers)
 		if cfg.Quick {
 			mcfg.Input, mcfg.Hidden = 64, 96
@@ -51,12 +46,6 @@ func Table1(cfg Config) (*Table, error) {
 		}
 		seqs, tokens := lstmInputs(cfg, m, cfg.samples(12, 3))
 
-		t := newTable(fmt.Sprintf("Table 1 (%d layer(s)): LSTM inference latency, µs/token", layers),
-			rows, []string{"Intel CPU", "Nvidia GPU", "ARM CPU"})
-
-		prof := vm.NewProfiler()
-		prof.Timing = false // counts only: per-instruction timing would tax the measured run
-		machine.SetProfiler(prof)
 		lists := make([]vm.Object, len(seqs))
 		for i, steps := range seqs {
 			lists[i] = models.SequenceToList(m.NilC.Tag, m.ConsC.Tag, steps)
@@ -71,7 +60,7 @@ func Table1(cfg Config) (*Table, error) {
 		reps := cfg.samples(3, 2)
 		runNimble() // warm caches, JIT-free but pool/GC state settles
 		nimbleLat := measure(reps, runNimble) / time.Duration(reps)
-		t.set("Nimble", "Intel CPU", usPerToken(nimbleLat, tokens), false)
+		t.Cells["Nimble"][col] = usPerToken(nimbleLat, tokens)
 
 		e := baselines.NewEager()
 		e.OpOverhead = pyDispatch
@@ -83,7 +72,7 @@ func Table1(cfg Config) (*Table, error) {
 		}
 		runEager()
 		eagerLat := measure(reps, runEager) / time.Duration(reps)
-		t.set("PyTorch", "Intel CPU", usPerToken(eagerLat, tokens), false)
+		t.Cells["PyTorch"][col] = usPerToken(eagerLat, tokens)
 
 		runDF := func() {
 			for _, steps := range seqs {
@@ -96,28 +85,15 @@ func Table1(cfg Config) (*Table, error) {
 		}
 		runDF()
 		dfLat := measure(reps, runDF) / time.Duration(reps)
-		t.set("TensorFlow", "Intel CPU", usPerToken(dfLat, tokens), false)
-		// MXNet shares the dataflow structure with heavier per-op cost;
-		// the measured host column reuses the dataflow run and the
-		// distinction appears in the simulated columns.
-		t.set("MXNet", "Intel CPU", usPerToken(dfLat, tokens), false)
+		t.Cells["TensorFlow"][col] = usPerToken(dfLat, tokens)
 
-		flops := m.StepFlops() * int64(tokens)
-		w := nimbleWorkload(prof, flops)
-		simulateColumns(t, w, tokens, map[string]platform.SystemTraits{
-			"Nimble": platform.Nimble, "PyTorch": platform.PyTorch,
-			"MXNet": platform.MXNet, "TensorFlow": platform.TensorFlow,
-		}, simPlatforms)
 		t.Notes = append(t.Notes,
-			fmt.Sprintf("measured on host CPU over %d MRPC-profile sequences (%d tokens); config in=%d hid=%d",
-				len(seqs), tokens, mcfg.Input, mcfg.Hidden),
-			"PyTorch column = eager executor charging 2µs/op Python dispatch; TensorFlow/MXNet = dataflow executor (measured host values identical by construction)")
-		tables = append(tables, t)
+			fmt.Sprintf("%s: %d MRPC-profile sequences (%d tokens); config in=%d hid=%d",
+				col, len(seqs), tokens, mcfg.Input, mcfg.Hidden))
 	}
-	merged := tables[0]
-	merged.Title = "Table 1: LSTM inference latency, µs/token (1 layer, then 2 layers)"
-	merged.Notes = append(merged.Notes, "--- 2 layers ---\n"+tables[1].Format())
-	return merged, nil
+	t.Notes = append(t.Notes,
+		"PyTorch row = eager executor charging 2µs/op Python dispatch; TensorFlow row = dataflow executor with the same charge")
+	return t, nil
 }
 
 func usPerToken(d time.Duration, tokens int) float64 {
@@ -125,8 +101,7 @@ func usPerToken(d time.Duration, tokens int) float64 {
 }
 
 // Table2 reproduces the Tree-LSTM comparison: Nimble vs PyTorch (eager
-// recursion) vs TF Fold (per-input batched graph). GPU is omitted as in the
-// paper; ARM is simulated.
+// recursion) vs TF Fold (per-input batched graph), measured on the host CPU.
 func Table2(cfg Config) (*Table, error) {
 	mcfg := models.DefaultTreeLSTMConfig()
 	if cfg.Quick {
@@ -152,11 +127,8 @@ func Table2(cfg Config) (*Table, error) {
 	}
 
 	t := newTable("Table 2: Tree-LSTM inference latency, µs/token",
-		[]string{"Nimble", "PyTorch", "TF Fold"}, []string{"Intel CPU", "ARM CPU"})
+		[]string{"Nimble", "PyTorch", "TF Fold"}, []string{Host})
 
-	prof := vm.NewProfiler()
-	prof.Timing = false
-	machine.SetProfiler(prof)
 	objs := make([]vm.Object, len(trees))
 	for i, tr := range trees {
 		objs[i] = m.ToObject(tr)
@@ -171,7 +143,7 @@ func Table2(cfg Config) (*Table, error) {
 	reps := cfg.samples(3, 2)
 	runNimble()
 	nimbleLat := measure(reps, runNimble) / time.Duration(reps)
-	t.set("Nimble", "Intel CPU", usPerToken(nimbleLat, tokens), false)
+	t.Cells["Nimble"][Host] = usPerToken(nimbleLat, tokens)
 
 	e := baselines.NewEager()
 	e.OpOverhead = pyDispatch
@@ -183,7 +155,7 @@ func Table2(cfg Config) (*Table, error) {
 	}
 	runEager()
 	eagerLat := measure(reps, runEager) / time.Duration(reps)
-	t.set("PyTorch", "Intel CPU", usPerToken(eagerLat, tokens), false)
+	t.Cells["PyTorch"][Host] = usPerToken(eagerLat, tokens)
 
 	fold := baselines.NewFold(cell)
 	fold.BuildOverhead = foldBuild
@@ -194,20 +166,16 @@ func Table2(cfg Config) (*Table, error) {
 	}
 	runFold()
 	foldLat := measure(reps, runFold) / time.Duration(reps)
-	t.set("TF Fold", "Intel CPU", usPerToken(foldLat, tokens), false)
+	t.Cells["TF Fold"][Host] = usPerToken(foldLat, tokens)
 
 	nodes := 0
 	for _, tr := range trees {
 		nodes += tr.Nodes()
 	}
-	w := nimbleWorkload(prof, m.NodeFlops()*int64(nodes))
-	simulateColumns(t, w, tokens, map[string]platform.SystemTraits{
-		"Nimble": platform.Nimble, "PyTorch": platform.PyTorch, "TF Fold": platform.TFFold,
-	}, map[string]platform.Platform{"ARM CPU": platform.ARMCPU})
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("measured over %d SST-profile trees (%d tokens, %d nodes); config in=%d hid=%d",
 			count, tokens, nodes, mcfg.Input, mcfg.Hidden),
-		"TF Fold rebuilds its batched graph per input (GraphsBuilt="+fmt.Sprint(fold.GraphsBuilt)+"); Tree-LSTM on GPU omitted as in the paper")
+		"TF Fold rebuilds its batched graph per input (GraphsBuilt="+fmt.Sprint(fold.GraphsBuilt)+")")
 	return t, nil
 }
 
@@ -237,17 +205,11 @@ func Table3(cfg Config) (*Table, error) {
 	}
 
 	t := newTable("Table 3: BERT inference latency, µs/token",
-		[]string{"Nimble", "PyTorch", "MXNet", "TensorFlow"},
-		[]string{"Intel CPU", "Nvidia GPU", "ARM CPU"})
+		[]string{"Nimble", "PyTorch", "TensorFlow"}, []string{Host})
 
-	prof := vm.NewProfiler()
-	prof.Timing = false
-	machine.SetProfiler(prof)
-	var flops int64
 	idsIn := make([]*tensor.Tensor, len(lens))
 	for i, n := range lens {
 		idsIn[i] = m.RandomIDs(rng, n)
-		flops += m.SeqFlops(n)
 	}
 	runNimble := func() {
 		for _, ids := range idsIn {
@@ -259,7 +221,7 @@ func Table3(cfg Config) (*Table, error) {
 	reps := cfg.samples(3, 2)
 	runNimble()
 	nimbleLat := measure(reps, runNimble) / time.Duration(reps)
-	t.set("Nimble", "Intel CPU", usPerToken(nimbleLat, tokens), false)
+	t.Cells["Nimble"][Host] = usPerToken(nimbleLat, tokens)
 
 	e := baselines.NewEager()
 	e.OpOverhead = pyDispatch
@@ -271,7 +233,7 @@ func Table3(cfg Config) (*Table, error) {
 	}
 	runEager()
 	eagerLat := measure(reps, runEager) / time.Duration(reps)
-	t.set("PyTorch", "Intel CPU", usPerToken(eagerLat, tokens), false)
+	t.Cells["PyTorch"][Host] = usPerToken(eagerLat, tokens)
 
 	runDF := func() {
 		for _, ids := range idsIn {
@@ -284,14 +246,8 @@ func Table3(cfg Config) (*Table, error) {
 	}
 	runDF()
 	dfLat := measure(reps, runDF) / time.Duration(reps)
-	t.set("TensorFlow", "Intel CPU", usPerToken(dfLat, tokens), false)
-	t.set("MXNet", "Intel CPU", usPerToken(dfLat, tokens), false)
+	t.Cells["TensorFlow"][Host] = usPerToken(dfLat, tokens)
 
-	w := nimbleWorkload(prof, flops)
-	simulateColumns(t, w, tokens, map[string]platform.SystemTraits{
-		"Nimble": platform.Nimble, "PyTorch": platform.PyTorch,
-		"MXNet": platform.MXNet, "TensorFlow": platform.TensorFlow,
-	}, simPlatforms)
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("config: L=%d H=%d A=%d FFN=%d over %d MRPC-profile lengths (%d tokens)",
 			mcfg.Layers, mcfg.Hidden, mcfg.Heads, mcfg.FFN, count, tokens))

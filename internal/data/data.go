@@ -1,8 +1,8 @@
 // Package data provides seeded synthetic stand-ins for the paper's
 // datasets. The experiments use MRPC only as a source of variable sentence
 // lengths and SST only as a source of parse-tree shapes, so the samplers
-// reproduce those distributions rather than the text itself (the
-// substitution is recorded in DESIGN.md §2).
+// reproduce those distributions rather than the text itself: no corpus
+// ships with the repository.
 package data
 
 import (

@@ -4,8 +4,7 @@ import "fmt"
 
 // DeviceType enumerates execution devices. The reproduction executes all
 // kernels on the host, but the compiler's device-placement analysis (§4.4)
-// and the VM's DeviceCopy instruction operate on these logical devices; the
-// platform simulator (internal/platform) costs them differently.
+// and the VM's DeviceCopy instruction operate on these logical devices.
 type DeviceType uint8
 
 const (

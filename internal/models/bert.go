@@ -124,14 +124,3 @@ func float32sqrt(x float32) float32 {
 func (m *BERT) RandomIDs(rng *rand.Rand, n int) *tensor.Tensor {
 	return tensor.RandomInts(rng, int64(m.Config.Vocab), n)
 }
-
-// SeqFlops estimates the floating-point work of one inference at sequence
-// length s, for the platform cost model.
-func (m *BERT) SeqFlops(s int) int64 {
-	h, f, L := int64(m.Config.Hidden), int64(m.Config.FFN), int64(m.Config.Layers)
-	sl := int64(s)
-	perLayer := 4*2*sl*h*h + // q,k,v,o projections
-		2*2*sl*sl*h + // scores and context
-		2*2*sl*h*f // ffn
-	return L * perLayer
-}

@@ -172,13 +172,3 @@ func StartToken(id int64) *tensor.Tensor { return tensor.FromI64([]int64{id}, 1)
 func (d *Decoder) RandomStart(rng *rand.Rand) *tensor.Tensor {
 	return StartToken(rng.Int63n(int64(d.Config.Vocab)))
 }
-
-// StepFlops estimates the floating-point work of generating one token (for
-// benchmark reporting): the projections and FFN matmuls plus attention over
-// an average prefix of MaxNew/2 cached rows.
-func (d *Decoder) StepFlops() int64 {
-	c := d.Config
-	dense := int64(8*c.Dim*c.Dim + 4*c.Dim*c.FFN)
-	attn := int64(4 * c.Dim * (c.MaxNew / 2))
-	return int64(c.Layers)*(dense+attn) + int64(2*c.Dim*c.Vocab)
-}

@@ -132,15 +132,3 @@ func (m *LSTM) RandomSteps(rng *rand.Rand, n int) []*tensor.Tensor {
 	}
 	return steps
 }
-
-// StepFlops estimates the floating-point work of one LSTM time step across
-// all layers (two dense ops per layer), for the platform cost model.
-func (m *LSTM) StepFlops() int64 {
-	var f int64
-	for _, c := range m.Cells {
-		f += 2 * int64(c.Input) * int64(4*c.Hidden) // x projection
-		f += 2 * int64(c.Hidden) * int64(4*c.Hidden)
-		f += 8 * int64(c.Hidden) // gates / elementwise
-	}
-	return f
-}

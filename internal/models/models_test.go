@@ -93,9 +93,6 @@ func TestLSTMTwoLayer(t *testing.T) {
 	if !out.(*vm.TensorObj).T.Shape().Equal(tensor.Shape{1, 12}) {
 		t.Errorf("2-layer output shape = %v", out.(*vm.TensorObj).T.Shape())
 	}
-	if m.StepFlops() <= 0 {
-		t.Error("StepFlops must be positive")
-	}
 }
 
 func TestTreeLSTMCompilesAndRuns(t *testing.T) {
@@ -127,9 +124,6 @@ func TestTreeLSTMCompilesAndRuns(t *testing.T) {
 				t.Fatal("NaN in tree output")
 			}
 		}
-	}
-	if m.NodeFlops() <= 0 {
-		t.Error("NodeFlops must be positive")
 	}
 }
 
@@ -189,9 +183,6 @@ func TestBERTCompilesAndRunsAcrossLengths(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no symbolic dense kernels in %v", res.Exe.KernelNames)
-	}
-	if m.SeqFlops(16) <= 0 {
-		t.Error("SeqFlops must be positive")
 	}
 }
 

@@ -160,9 +160,3 @@ func (m *TreeLSTM) ToObject(t *Tree) vm.Object {
 	}
 	return &vm.ADT{Tag: m.NodeC.Tag, Fields: []vm.Object{m.ToObject(t.Left), m.ToObject(t.Right)}}
 }
-
-// NodeFlops estimates per-node floating point work for the cost model.
-func (m *TreeLSTM) NodeFlops() int64 {
-	h := int64(m.Config.Hidden)
-	return 2*h*3*h + 2*2*h*h + 10*h
-}

@@ -194,7 +194,7 @@ func TestSessionServiceAgree(t *testing.T) {
 	for _, disableBatch := range []bool{false, true} {
 		opts := []nimble.ServiceOption{nimble.WithWorkers(2)}
 		if disableBatch {
-			opts = append(opts, nimble.WithoutBatching())
+			opts = append(opts, nimble.WithMaxBatch(1))
 		}
 		svc, err := mkProg().Serve(opts...)
 		if err != nil {

@@ -15,7 +15,6 @@ type RegistryOption func(*registryConfig)
 type registryConfig struct {
 	seed          uint64
 	drainBound    time.Duration
-	sharedStorage bool
 	serveDefaults []ServiceOption
 }
 
@@ -31,13 +30,6 @@ func WithRegistrySeed(seed uint64) RegistryOption {
 // are cut with ErrClosed (default 30s).
 func WithDrainTimeout(d time.Duration) RegistryOption {
 	return func(c *registryConfig) { c.drainBound = d }
-}
-
-// WithoutSharedStorage gives every deployed version its own per-session
-// storage pools with no cross-program tier — full memory isolation between
-// models at the cost of a larger resident footprint.
-func WithoutSharedStorage() RegistryOption {
-	return func(c *registryConfig) { c.sharedStorage = false }
 }
 
 // WithServeDefaults sets ServiceOptions applied to every Deploy, before

@@ -17,7 +17,6 @@ type ServiceOption func(*serviceConfig)
 // serviceConfig is the resolved option set.
 type serviceConfig struct {
 	workers          int
-	disableBatching  bool
 	maxBatch         int
 	maxQueue         int
 	requestTimeout   time.Duration
@@ -69,12 +68,9 @@ func WithPriorityLanes(n int) ServiceOption { return func(c *serviceConfig) { c.
 // — the iteration-level batch size (default 8).
 func WithSchedulerWindow(n int) ServiceOption { return func(c *serviceConfig) { c.schedWindow = n } }
 
-// WithoutBatching turns request coalescing off; every request is
-// dispatched on its own.
-func WithoutBatching() ServiceOption { return func(c *serviceConfig) { c.disableBatching = true } }
-
 // WithMaxBatch bounds how many queued single-tensor requests to a
-// row-separable entry one dispatch coalesces (default 16). There is no
+// row-separable entry one dispatch coalesces (default 16; 1 turns
+// coalescing off, so every request is dispatched on its own). There is no
 // collection window to tune: a request never waits for company, it shares
 // a dispatch with whatever compatible requests queued while every session
 // was busy.

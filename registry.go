@@ -41,8 +41,8 @@ import (
 // makes the canary the new stable (draining the old); Rollback drops the
 // canary (draining it) and leaves stable untouched.
 //
-// All deployed services attach to one shared cross-program storage pool
-// (unless WithoutSharedStorage), so resident buffer memory scales with the
+// All deployed services attach to one shared cross-program storage pool,
+// so resident buffer memory scales with the
 // concurrent working set rather than #models × #sessions.
 //
 // All methods are safe for concurrent use.
@@ -64,19 +64,16 @@ type Registry struct {
 // one storage pool across everything it will host, drains replaced
 // versions with a 30s bound, and seeds canary routing deterministically.
 func NewRegistry(opts ...RegistryOption) *Registry {
-	cfg := registryConfig{seed: 1, drainBound: 30 * time.Second, sharedStorage: true}
+	cfg := registryConfig{seed: 1, drainBound: 30 * time.Second}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	r := &Registry{
+	return &Registry{
+		shared:        vm.NewSharedStoragePool(),
 		serveDefaults: cfg.serveDefaults,
 		seed:          cfg.seed,
 		drainBound:    cfg.drainBound,
 	}
-	if cfg.sharedStorage {
-		r.shared = vm.NewSharedStoragePool()
-	}
-	return r
 }
 
 // modelState is one name's mutable routing state. The epoch pointer is the
@@ -558,13 +555,9 @@ func (r *Registry) Models() []ModelStatus {
 	return out
 }
 
-// SharedStorageStats snapshots the cross-program storage pool; ok is false
-// when the registry was built WithoutSharedStorage.
-func (r *Registry) SharedStorageStats() (SharedStorageStats, bool) {
-	if r.shared == nil {
-		return SharedStorageStats{}, false
-	}
-	return r.shared.Stats(), true
+// SharedStorageStats snapshots the cross-program storage pool.
+func (r *Registry) SharedStorageStats() SharedStorageStats {
+	return r.shared.Stats()
 }
 
 // Shutdown closes the registry gracefully: new Deploys and Invokes fail

@@ -198,9 +198,7 @@ func runRegistrySwapChaos(t *testing.T, seed uint64, iters int) {
 			}
 		}
 	}
-	if st, okShared := r.SharedStorageStats(); !okShared {
-		t.Error("shared storage tier missing")
-	} else if st.ResidentBytes < 0 || st.Hits < 0 || st.Donated < 0 || st.Dropped < 0 {
+	if st := r.SharedStorageStats(); st.ResidentBytes < 0 || st.Hits < 0 || st.Donated < 0 || st.Dropped < 0 {
 		t.Errorf("shared tier accounting corrupt after storm: %+v", st)
 	}
 

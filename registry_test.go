@@ -100,16 +100,6 @@ func TestRegistryDeployRoute(t *testing.T) {
 	if p, err := r.Program("mlp"); err != nil || p == nil {
 		t.Fatalf("Program(mlp) = %v, %v", p, err)
 	}
-
-	// The shared storage tier is on by default and absent when opted out.
-	if _, ok := r.SharedStorageStats(); !ok {
-		t.Error("default registry reports no shared storage tier")
-	}
-	iso := NewRegistry(WithoutSharedStorage())
-	if _, ok := iso.SharedStorageStats(); ok {
-		t.Error("WithoutSharedStorage registry reports a shared tier")
-	}
-	iso.Close()
 }
 
 // TestRegistryCanaryLifecycle walks a rollout end to end: deploy a canary

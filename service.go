@@ -102,9 +102,6 @@ func (p *Program) Serve(opts ...ServiceOption) (*Service, error) {
 	}
 	s := &Service{p: p, pool: pool, gates: map[string]*serve.Gate{}, timeout: cfg.requestTimeout}
 	sched := serve.SchedConfig{Window: cfg.schedWindow, Lanes: cfg.lanes, MaxBatch: cfg.maxBatch}
-	if cfg.disableBatching {
-		sched.MaxBatch = 1
-	}
 	for _, name := range p.names {
 		s.gates[name] = serve.NewGate(serve.GateConfig{
 			Entry:            name,

@@ -27,7 +27,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	if err := inj.WrapExecutable(p.exe); err != nil {
 		t.Fatal(err)
 	}
-	svc, err := p.Serve(WithWorkers(2), WithoutBatching(), WithMaxQueue(16))
+	svc, err := p.Serve(WithWorkers(2), WithMaxBatch(1), WithMaxQueue(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestShutdownBoundedDrain(t *testing.T) {
 	if err := inj.WrapExecutable(p.exe); err != nil {
 		t.Fatal(err)
 	}
-	svc, err := p.Serve(WithWorkers(1), WithoutBatching(), WithMaxQueue(4))
+	svc, err := p.Serve(WithWorkers(1), WithMaxBatch(1), WithMaxQueue(4))
 	if err != nil {
 		t.Fatal(err)
 	}

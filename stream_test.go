@@ -150,7 +150,7 @@ func TestServiceStreamConcurrent(t *testing.T) {
 		want[id] = tokensOf(t, out)
 	}
 
-	svc, err := p.Serve(nimble.WithWorkers(2), nimble.WithoutBatching())
+	svc, err := p.Serve(nimble.WithWorkers(2), nimble.WithMaxBatch(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestServiceStreamConcurrent(t *testing.T) {
 // next request through instead of deadlocking on the checkout.
 func TestServiceStreamCloseReleases(t *testing.T) {
 	p := compileDecoder(t)
-	svc, err := p.Serve(nimble.WithWorkers(1), nimble.WithoutBatching())
+	svc, err := p.Serve(nimble.WithWorkers(1), nimble.WithMaxBatch(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // violations are rejected at the Invoke boundary with ErrBadInput — before
 // a session is consumed — while Any dimensions stay free.
 func TestInvokeRejectsBadInput(t *testing.T) {
-	m, svc := mlpService(t, WithWorkers(1), WithoutBatching())
+	m, svc := mlpService(t, WithWorkers(1), WithMaxBatch(1))
 	ctx := context.Background()
 	good := m.RandomBatch(rand.New(rand.NewSource(1)), 3)
 
