@@ -108,9 +108,11 @@ paper-smoke:
 	$(GO) run ./cmd/nimble-bench -quick
 
 # Kernel tables for EXPERIMENTS.md: GFLOP/s per BERT dense shape and ns per
-# element per activation (and bias add), assembly and pure-Go paths.
+# element per activation (and bias add), assembly and pure-Go paths, at one
+# and two Ps side by side (the -2 rows shard the dense calls over the pool;
+# DenseBreakEven shards below the threshold to show where sharding pays).
 bench-kernels:
-	$(GO) test ./internal/kernels -run '^$$' -bench 'DenseShapes|Activations' -benchtime 200ms -count 3 -cpu 1
+	$(GO) test ./internal/kernels -run '^$$' -bench 'DenseShapes|DenseBreakEven|Activations' -benchtime 200ms -count 3 -cpu 1,2
 
 # The benchmark is its own module (benchmark/go.mod), outside the root
 # `go vet ./...` / `go test ./...`: vet and test it against this tree.

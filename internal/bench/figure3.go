@@ -96,21 +96,22 @@ func Figure3(cfg Config) (*Figure3Result, error) {
 		}
 		b := tensor.Random(rng, 1, sh.k, sh.n)
 
-		staticTime := bestOf(trials, func() {
+		sweeps := []func(){func() {
 			for i := range as {
 				kernels.MatMulStatic(as[i], b, outs[i])
 			}
-		})
-		res.Series["static"] = append(res.Series["static"], 1.0)
-
+		}}
 		for _, name := range res.Order[1:] {
 			table := codegen.BuildDispatchTable(widths[name])
-			t := bestOf(trials, func() {
+			sweeps = append(sweeps, func() {
 				for i := range as {
 					table.Invoke(as[i], b, outs[i])
 				}
 			})
-			res.Series[name] = append(res.Series[name], rel(t, staticTime))
+		}
+		best := bestOfEach(trials, sweeps)
+		for c, name := range res.Order {
+			res.Series[name] = append(res.Series[name], rel(best[c], best[0]))
 		}
 	}
 	res.Notes = append(res.Notes,
@@ -120,15 +121,21 @@ func Figure3(cfg Config) (*Figure3Result, error) {
 	return res, nil
 }
 
-// bestOf returns the minimum wall time of n trials of f (after one warmup).
-func bestOf(n int, f func()) time.Duration {
-	f()
-	best := time.Duration(1<<62 - 1)
-	for i := 0; i < n; i++ {
-		start := time.Now()
+// bestOfEach returns the minimum wall time of each f over n rounds (after
+// one warmup round). Every round runs each f once, so a stall of the host
+// lands in one round of every configuration rather than in all rounds of
+// one of them.
+func bestOfEach(n int, fs []func()) []time.Duration {
+	best := make([]time.Duration, len(fs))
+	for c, f := range fs {
 		f()
-		if d := time.Since(start); d < best {
-			best = d
+		best[c] = time.Duration(1<<62 - 1)
+	}
+	for i := 0; i < n; i++ {
+		for c, f := range fs {
+			start := time.Now()
+			f()
+			best[c] = min(best[c], time.Since(start))
 		}
 	}
 	return best

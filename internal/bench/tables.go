@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"nimble/internal/baselines"
@@ -306,31 +308,6 @@ func Table4(cfg Config) (*Table4Result, error) {
 	prof := vm.NewProfiler()
 	dynVM.SetProfiler(prof)
 	ids := dyn.RandomIDs(rng, seq)
-	// Warm up the storage pool, then measure.
-	if _, err := dynVM.InvokeTensors("main", ids); err != nil {
-		return nil, err
-	}
-	runs := cfg.samples(5, 4)
-	// Best-of-N: keep the kernel/other split of the fastest run so the
-	// split always sums to the reported latency.
-	nimbleLat := time.Duration(1<<62 - 1)
-	var kernelLat time.Duration
-	for i := 0; i < runs; i++ {
-		prof.Reset()
-		d := measure(1, func() {
-			if _, err := dynVM.InvokeTensors("main", ids); err != nil {
-				panic(err)
-			}
-		})
-		if d < nimbleLat {
-			nimbleLat = d
-			kernelLat = prof.KernelTime
-		}
-	}
-	otherLat := nimbleLat - kernelLat
-	if otherLat < 0 {
-		otherLat = 0
-	}
 
 	// TVM static: same architecture compiled at a fixed length and executed
 	// as a kernel sequence (the static graph runtime's cost is its kernels).
@@ -341,22 +318,38 @@ func Table4(cfg Config) (*Table4Result, error) {
 	}
 	sprof := vm.NewProfiler()
 	staticVM.SetProfiler(sprof)
-	if _, err := staticVM.InvokeTensors("main", ids); err != nil {
-		return nil, err
-	}
-	sprof.Reset()
-	tvmLat := time.Duration(1<<62 - 1)
-	for i := 0; i < runs; i++ {
-		sprof.Reset()
-		measure(1, func() {
-			if _, err := staticVM.InvokeTensors("main", ids); err != nil {
-				panic(err)
-			}
-		})
-		if sprof.KernelTime < tvmLat {
-			tvmLat = sprof.KernelTime
+
+	// Warm up both storage pools, then measure in rounds of one dynamic and
+	// one static run, and keep each side's median round: a stall of the
+	// host then lands on both sides of one round, not on every run of one
+	// side. The dynamic side keeps the kernel/other split of its median run
+	// so the split sums to the reported latency.
+	for _, m := range []*vm.VM{dynVM, staticVM} {
+		if _, err := m.InvokeTensors("main", ids); err != nil {
+			return nil, err
 		}
 	}
+	invoke := func(m *vm.VM) {
+		if _, err := m.InvokeTensors("main", ids); err != nil {
+			panic(err)
+		}
+	}
+	rounds := cfg.samples(5, 9)
+	type dynRun struct{ total, kernel time.Duration }
+	dynRuns := make([]dynRun, rounds)
+	staticRuns := make([]time.Duration, rounds)
+	for i := range rounds {
+		prof.Reset()
+		dynRuns[i].total = measure(1, func() { invoke(dynVM) })
+		dynRuns[i].kernel = prof.KernelTime
+		sprof.Reset()
+		invoke(staticVM)
+		staticRuns[i] = sprof.KernelTime
+	}
+	slices.SortFunc(dynRuns, func(a, b dynRun) int { return cmp.Compare(a.total, b.total) })
+	slices.Sort(staticRuns)
+	nimbleLat, kernelLat, tvmLat := dynRuns[rounds/2].total, dynRuns[rounds/2].kernel, staticRuns[rounds/2]
+	otherLat := max(nimbleLat-kernelLat, 0)
 
 	return &Table4Result{
 		Device:        "Intel",

@@ -29,6 +29,11 @@ func TestDenseKernelsZeroAlloc(t *testing.T) {
 	out := tensor.New(tensor.Float32, 13, 24)
 	assertZeroAllocs(t, "MatMulInto", func() { MatMulInto(a, b, out) })
 	assertZeroAllocs(t, "MatMulStatic", func() { MatMulStatic(a, b, out) })
+	// 29x256x1024 is above shardFLOPs: its column panels go to the pool.
+	x := fill(tensor.New(tensor.Float32, 29, 256), 0.5)
+	w := fill(tensor.New(tensor.Float32, 256, 1024), 0.25)
+	wide := tensor.New(tensor.Float32, 29, 1024)
+	assertZeroAllocs(t, "MatMulStatic/sharded", func() { MatMulStatic(x, w, wide) })
 }
 
 func TestElementwiseKernelsZeroAlloc(t *testing.T) {

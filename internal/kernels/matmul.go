@@ -13,9 +13,11 @@
 // checked with XGETBV) it is Go assembly: 4-row x 16-column FMA tiles for
 // full blocks, 1 x 16 for guarded and remainder rows, and a masked column
 // tail (matmul_amd64.s). Elsewhere the pure-Go micro8/microN* family runs.
-// The choice is made once at start-up; within one process every dense
-// variant accumulates each output in the same order, so static, residue
-// and guarded kernels give bit-identical results.
+// The choice is made once at start-up. Every dense variant is one row-block
+// loop over a column range, and a call of at least shardFLOPs splits its
+// columns into 128-wide panels over the internal/runtime worker pool. Each
+// output is still accumulated in the same order, so static, residue and
+// guarded kernels, sharded or not, give bit-identical results.
 //
 // GELU, sigmoid and tanh are built on one float32 e^z - 1 (activation.go),
 // run 8 lanes at a time by AVX2/FMA assembly on the same CPUs
@@ -26,7 +28,9 @@ package kernels
 
 import (
 	"fmt"
+	"sync"
 
+	nrt "nimble/internal/runtime"
 	"nimble/internal/tensor"
 )
 
@@ -63,40 +67,46 @@ func checkMatMul(a, b *tensor.Tensor) (m, k, n int) {
 // layers (§6.3), so the codegen experiments fix the same value.
 const TileFactor = 8
 
-// simdTile computes `rows` output rows from row i0 with the CPU's vector
-// unit. The amd64 build sets it at start-up when the CPU qualifies
-// (matmul_amd64.go); when nil, the pure-Go micro-kernels below run.
-var simdTile func(av, bv, ov []float32, i0, rows, k, n int)
+const (
+	// shardFLOPs is the 2·m·k·n from which a dense call is split into
+	// column panels over the worker pool: the break-even of
+	// BenchmarkDenseShapes at -cpu 1 against -cpu 2 (EXPERIMENTS.md).
+	shardFLOPs = 1 << 20
+	// panelCols is the column width of one shard, a multiple of the
+	// 16-column tile so only the last panel has a masked tail.
+	panelCols = 128
+)
 
-// microBlock computes `rows` output rows (0..8) starting at row i0, using a
-// register-blocked inner loop specialized by an unrolled switch. It is the
-// code a shape-specialized kernel contains when the residue is known at
-// generation time: no bounds check survives into the accumulation loops.
-func microBlock(av, bv, ov []float32, i0, rows, k, n int) {
+// simdTile computes `rows` output rows from row i0, columns [j0, j1), with
+// the CPU's vector unit. The amd64 build sets it at start-up when the CPU
+// qualifies (matmul_amd64.go); when nil, the pure-Go micro-kernels below run.
+var simdTile func(av, bv, ov []float32, i0, rows, k, n, j0, j1 int)
+
+// microBlock computes `rows` output rows (0..8) starting at row i0, columns
+// [j0, j1), using a register-blocked inner loop specialized by an unrolled
+// switch. It is the code a shape-specialized kernel contains when the
+// residue is known at generation time: no bounds check survives into the
+// accumulation loops.
+func microBlock(av, bv, ov []float32, i0, rows, k, n, j0, j1 int) {
 	if rows < 0 || rows > TileFactor {
 		panic(fmt.Sprintf("kernels: microBlock rows=%d out of range", rows))
 	}
 	if simdTile != nil {
-		simdTile(av, bv, ov, i0, rows, k, n)
+		simdTile(av, bv, ov, i0, rows, k, n, j0, j1)
 		return
 	}
 	switch rows {
 	case 8:
-		micro8(av, bv, ov, i0, k, n)
-	case 7:
-		microN7(av, bv, ov, i0, k, n)
-	case 6:
-		microN6(av, bv, ov, i0, k, n)
-	case 5:
-		microN5(av, bv, ov, i0, k, n)
-	case 4:
-		microN4(av, bv, ov, i0, k, n)
+		micro8(av, bv, ov, i0, k, n, j0, j1)
+	case 4, 5, 6, 7:
+		microN4(av, bv, ov, i0, k, n, j0, j1)
+		microBlock(av, bv, ov, i0+4, rows-4, k, n, j0, j1)
 	case 3:
-		microN3(av, bv, ov, i0, k, n)
+		microN3(av, bv, ov, i0, k, n, j0, j1)
 	case 2:
-		microN2(av, bv, ov, i0, k, n)
+		microN2(av, bv, ov, i0, k, n, j0, j1)
 	case 1:
-		microN1(av, bv, ov, i0, k, n)
+		microN1(av, bv, ov, i0, k, n, j0, j1)
 	}
 }
 
@@ -104,7 +114,7 @@ func microBlock(av, bv, ov []float32, i0, rows, k, n int) {
 // output column give the scheduler instruction-level parallelism and each
 // element of b is loaded once per 8 rows. This is the payoff the symbolic
 // dispatch mechanism (§4.5) fights to keep.
-func micro8(av, bv, ov []float32, i0, k, n int) {
+func micro8(av, bv, ov []float32, i0, k, n, j0, j1 int) {
 	r0 := av[(i0+0)*k : (i0+0)*k+k]
 	r1 := av[(i0+1)*k : (i0+1)*k+k]
 	r2 := av[(i0+2)*k : (i0+2)*k+k]
@@ -113,7 +123,7 @@ func micro8(av, bv, ov []float32, i0, k, n int) {
 	r5 := av[(i0+5)*k : (i0+5)*k+k]
 	r6 := av[(i0+6)*k : (i0+6)*k+k]
 	r7 := av[(i0+7)*k : (i0+7)*k+k]
-	for j := 0; j < n; j++ {
+	for j := j0; j < j1; j++ {
 		var a0, a1, a2, a3, a4, a5, a6, a7 float32
 		for p := 0; p < k; p++ {
 			bpj := bv[p*n+j]
@@ -138,12 +148,13 @@ func micro8(av, bv, ov []float32, i0, k, n int) {
 }
 
 // The microN* family are the residue-specialized epilogues a full-dispatch
-// symbolic kernel embeds: one per possible remainder, each with the row
-// count baked in so the accumulation loop carries no bound check.
+// symbolic kernel embeds, each with the row count baked in so the
+// accumulation loop carries no bound check; microBlock composes remainders
+// 5-7 as four rows plus 1-3.
 
-func microN1(av, bv, ov []float32, i0, k, n int) {
+func microN1(av, bv, ov []float32, i0, k, n, j0, j1 int) {
 	r0 := av[i0*k : i0*k+k]
-	for j := 0; j < n; j++ {
+	for j := j0; j < j1; j++ {
 		var a0 float32
 		for p := 0; p < k; p++ {
 			a0 += r0[p] * bv[p*n+j]
@@ -152,10 +163,10 @@ func microN1(av, bv, ov []float32, i0, k, n int) {
 	}
 }
 
-func microN2(av, bv, ov []float32, i0, k, n int) {
+func microN2(av, bv, ov []float32, i0, k, n, j0, j1 int) {
 	r0 := av[(i0+0)*k : (i0+0)*k+k]
 	r1 := av[(i0+1)*k : (i0+1)*k+k]
-	for j := 0; j < n; j++ {
+	for j := j0; j < j1; j++ {
 		var a0, a1 float32
 		for p := 0; p < k; p++ {
 			bpj := bv[p*n+j]
@@ -167,11 +178,11 @@ func microN2(av, bv, ov []float32, i0, k, n int) {
 	}
 }
 
-func microN3(av, bv, ov []float32, i0, k, n int) {
+func microN3(av, bv, ov []float32, i0, k, n, j0, j1 int) {
 	r0 := av[(i0+0)*k : (i0+0)*k+k]
 	r1 := av[(i0+1)*k : (i0+1)*k+k]
 	r2 := av[(i0+2)*k : (i0+2)*k+k]
-	for j := 0; j < n; j++ {
+	for j := j0; j < j1; j++ {
 		var a0, a1, a2 float32
 		for p := 0; p < k; p++ {
 			bpj := bv[p*n+j]
@@ -185,12 +196,12 @@ func microN3(av, bv, ov []float32, i0, k, n int) {
 	}
 }
 
-func microN4(av, bv, ov []float32, i0, k, n int) {
+func microN4(av, bv, ov []float32, i0, k, n, j0, j1 int) {
 	r0 := av[(i0+0)*k : (i0+0)*k+k]
 	r1 := av[(i0+1)*k : (i0+1)*k+k]
 	r2 := av[(i0+2)*k : (i0+2)*k+k]
 	r3 := av[(i0+3)*k : (i0+3)*k+k]
-	for j := 0; j < n; j++ {
+	for j := j0; j < j1; j++ {
 		var a0, a1, a2, a3 float32
 		for p := 0; p < k; p++ {
 			bpj := bv[p*n+j]
@@ -206,59 +217,87 @@ func microN4(av, bv, ov []float32, i0, k, n int) {
 	}
 }
 
-func microN5(av, bv, ov []float32, i0, k, n int) {
-	microN4(av, bv, ov, i0, k, n)
-	microN1(av, bv, ov, i0+4, k, n)
-}
-
-func microN6(av, bv, ov []float32, i0, k, n int) {
-	microN4(av, bv, ov, i0, k, n)
-	microN2(av, bv, ov, i0+4, k, n)
-}
-
-func microN7(av, bv, ov []float32, i0, k, n int) {
-	microN4(av, bv, ov, i0, k, n)
-	microN3(av, bv, ov, i0+4, k, n)
-}
-
 // microGuarded is the loop structure naive symbolic codegen produces when
 // residue information is unavailable: every row is processed individually
 // and the row-validity guard sits inside the block, exactly the "boundary
 // condition checks stay" failure mode of §4.5. The arithmetic is identical;
 // only the loop structure (and therefore the achieved ILP) differs.
-func microGuarded(av, bv, ov []float32, i0, m, k, n int) {
-	for r := 0; r < TileFactor; r++ {
-		i := i0 + r
+func microGuarded(av, bv, ov []float32, i0, m, k, n, j0, j1 int) {
+	for i := i0; i < i0+TileFactor; i++ {
 		if i >= m { // unsimplified boundary check
 			continue
 		}
-		if simdTile != nil {
-			simdTile(av, bv, ov, i, 1, k, n)
-			continue
-		}
-		row := av[i*k : i*k+k]
-		for j := 0; j < n; j++ {
-			var acc float32
-			for p := 0; p < k; p++ {
-				acc += row[p] * bv[p*n+j]
-			}
-			ov[i*n+j] = acc
-		}
+		microBlock(av, bv, ov, i, 1, k, n, j0, j1)
 	}
+}
+
+// Row-guard structures of the dense variants: which blocks run microGuarded.
+const (
+	guardNone = iota // static and full dispatch: a residue-specialised epilogue
+	guardTail        // partial dispatch: the epilogue block only
+	guardAll         // no dispatch: every block
+)
+
+// denseJob is one dense call out = a@b. Rows [0, g) run as unguarded 8-row
+// blocks plus a residue-specialised epilogue, rows [g, m) as guarded blocks.
+type denseJob struct {
+	av, bv, ov []float32
+	m, k, n, g int
+	run        func(j0, j1 int) // cols, bound once per pooled job
+}
+
+var denseJobs = sync.Pool{New: func() any { d := new(denseJob); d.run = d.cols; return d }}
+
+// cols runs the row-block loop over columns [j0, j1). Every dense variant,
+// serial or sharded, is this loop: a serial call is the one shard [0, n).
+func (d *denseJob) cols(j0, j1 int) {
+	av, bv, ov, k, n := d.av, d.bv, d.ov, d.k, d.n
+	for i := 0; i < d.g; i += TileFactor {
+		microBlock(av, bv, ov, i, min(TileFactor, d.g-i), k, n, j0, j1)
+	}
+	for i := d.g; i < d.m; i += TileFactor {
+		microGuarded(av, bv, ov, i, d.m, k, n, j0, j1)
+	}
+}
+
+// matmul runs one dense call whose row residue must lie in [rLo, rHi]. It
+// checks every extent the row tiles touch before any shard starts, so a bad
+// shape panics on the caller. From shardFLOPs on, the columns go to the
+// worker pool as panelCols-wide panels; every output element is still
+// accumulated over p in the same order, so results do not depend on the split.
+func matmul(a, b, out *tensor.Tensor, rLo, rHi, guard int) {
+	m, k, n := checkMatMul(a, b)
+	if r := m % TileFactor; r < rLo || r > rHi {
+		panic(fmt.Sprintf("kernels: dense kernel for residues [%d,%d] invoked with m=%d", rLo, rHi, m))
+	}
+	d := denseJob{av: a.F32(), bv: b.F32(), ov: out.F32(), m: m, k: k, n: n,
+		g: [...]int{m, m - m%TileFactor, 0}[guard]}
+	if len(d.av) < m*k || len(d.bv) < k*n || len(d.ov) < m*n {
+		panic(fmt.Sprintf("kernels: matmul [%d,%d]x[%d,%d] outside a=%d b=%d out=%d",
+			m, k, k, n, len(d.av), len(d.bv), len(d.ov)))
+	}
+	if 2*m*k*n < shardFLOPs {
+		d.cols(0, n)
+		return
+	}
+	d.shard()
+}
+
+// shard runs cols over panelCols-wide column panels on the worker pool,
+// from a pooled job whose run is already bound, so it allocates nothing.
+func (d *denseJob) shard() {
+	j := denseJobs.Get().(*denseJob)
+	d.run = j.run
+	*j = *d
+	nrt.Default().ParallelFor(d.n, panelCols, j.run)
+	*j = denseJob{run: j.run}
+	denseJobs.Put(j)
 }
 
 // MatMulStatic is the kernel "generated for a static shape": the row count is
 // known at generation time, so the main loop runs an exact number of
 // unguarded 8-row blocks and the epilogue is residue-specialized.
-func MatMulStatic(a, b, out *tensor.Tensor) {
-	m, k, n := checkMatMul(a, b)
-	av, bv, ov := a.F32(), b.F32(), out.F32()
-	q := m / TileFactor
-	for i := 0; i < q; i++ {
-		microBlock(av, bv, ov, i*TileFactor, TileFactor, k, n)
-	}
-	microBlock(av, bv, ov, q*TileFactor, m%TileFactor, k, n)
-}
+func MatMulStatic(a, b, out *tensor.Tensor) { matmul(a, b, out, 0, TileFactor-1, guardNone) }
 
 // MatMulSymbolicFull is the residue-r symbolic kernel from a full dispatch
 // set (k = TileFactor kernels): the caller guarantees m % TileFactor == r,
@@ -269,18 +308,7 @@ func MatMulSymbolicFull(r int) func(a, b, out *tensor.Tensor) {
 	if r < 0 || r >= TileFactor {
 		panic(fmt.Sprintf("kernels: residue %d out of range", r))
 	}
-	return func(a, b, out *tensor.Tensor) {
-		m, k, n := checkMatMul(a, b)
-		if m%TileFactor != r {
-			panic(fmt.Sprintf("kernels: residue kernel %d invoked with m=%d", r, m))
-		}
-		av, bv, ov := a.F32(), b.F32(), out.F32()
-		q := m / TileFactor
-		for i := 0; i < q; i++ {
-			microBlock(av, bv, ov, i*TileFactor, TileFactor, k, n)
-		}
-		microBlock(av, bv, ov, q*TileFactor, r, k, n)
-	}
+	return func(a, b, out *tensor.Tensor) { matmul(a, b, out, r, r, guardNone) }
 }
 
 // MatMulSymbolicPartial is a symbolic kernel from a partial dispatch set: it
@@ -293,20 +321,7 @@ func MatMulSymbolicPartial(rLo, rHi int) func(a, b, out *tensor.Tensor) {
 	if rLo < 0 || rHi < rLo || rHi >= TileFactor {
 		panic(fmt.Sprintf("kernels: invalid residue class [%d, %d]", rLo, rHi))
 	}
-	return func(a, b, out *tensor.Tensor) {
-		m, k, n := checkMatMul(a, b)
-		if r := m % TileFactor; r < rLo || r > rHi {
-			panic(fmt.Sprintf("kernels: residue-class kernel [%d,%d] invoked with m=%d", rLo, rHi, m))
-		}
-		av, bv, ov := a.F32(), b.F32(), out.F32()
-		q := m / TileFactor
-		for i := 0; i < q; i++ {
-			microBlock(av, bv, ov, i*TileFactor, TileFactor, k, n)
-		}
-		if q*TileFactor < m {
-			microGuarded(av, bv, ov, q*TileFactor, m, k, n)
-		}
-	}
+	return func(a, b, out *tensor.Tensor) { matmul(a, b, out, rLo, rHi, guardTail) }
 }
 
 // MatMulSymbolicNaive is the single symbolic kernel of the "no dispatch"
@@ -315,14 +330,7 @@ func MatMulSymbolicPartial(rLo, rHi int) func(a, b, out *tensor.Tensor) {
 // guarded loop structure. This reproduces the paper's observation that
 // unhandled boundary conditions make symbolic kernels perform badly (§2.2,
 // §4.5).
-func MatMulSymbolicNaive(a, b, out *tensor.Tensor) {
-	m, k, n := checkMatMul(a, b)
-	av, bv, ov := a.F32(), b.F32(), out.F32()
-	blocks := (m + TileFactor - 1) / TileFactor
-	for i := 0; i < blocks; i++ {
-		microGuarded(av, bv, ov, i*TileFactor, m, k, n)
-	}
-}
+func MatMulSymbolicNaive(a, b, out *tensor.Tensor) { matmul(a, b, out, 0, TileFactor-1, guardAll) }
 
 // MatMul computes a@b with the static-shape kernel, allocating the output.
 // It is the default kernel used outside the codegen experiments.
@@ -359,15 +367,8 @@ func DenseInto(x, w, bias, out *tensor.Tensor) *tensor.Tensor {
 }
 
 func addBiasInPlace(out, bias *tensor.Tensor) {
-	m, n := out.Shape()[0], out.Shape()[1]
-	if bias.Rank() != 1 || bias.Shape()[0] != n {
+	if bias.Rank() != 1 || bias.Shape()[0] != out.Shape()[1] {
 		panic(fmt.Sprintf("kernels: bias shape %v does not match output %v", bias.Shape(), out.Shape()))
 	}
-	ov, bv := out.F32(), bias.F32()
-	for i := 0; i < m; i++ {
-		row := ov[i*n : i*n+n]
-		for j := range row {
-			row[j] += bv[j]
-		}
-	}
+	biasRows(opAdd, out.F32(), bias.F32(), out.F32(), 0, out.Shape()[0])
 }

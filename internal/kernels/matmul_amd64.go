@@ -1,7 +1,5 @@
 package kernels
 
-import "fmt"
-
 func init() {
 	if hasAVX2FMA() {
 		simdTile = tileAVX2
@@ -41,13 +39,14 @@ func actAVX2(kind int, x, o []float32) {
 }
 
 // gemm4x16 and gemm1x16 (matmul_amd64.s) compute 4 rows and 1 row of c = a@b
-// over all n columns, 16 at a time, masking the last n%16 with mask.
+// over n columns, 16 at a time, masking the last n%16 with mask; b and c have
+// row stride ld.
 //
 //go:noescape
-func gemm4x16(a, b, c []float32, k, n int, mask *int32)
+func gemm4x16(a, b, c []float32, k, n, ld int, mask *int32)
 
 //go:noescape
-func gemm1x16(a, b, c []float32, k, n int, mask *int32)
+func gemm1x16(a, b, c []float32, k, n, ld int, mask *int32)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() uint32
@@ -73,19 +72,15 @@ func hasAVX2FMA() bool {
 // index 16-t mask the first t columns of a block.
 var tailMask = [32]int32{-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1}
 
-// tileAVX2 computes rows rows of a@b from row i0 as 4-row tiles and then
-// single rows. Every extent the assembly touches is checked here, once.
-func tileAVX2(av, bv, ov []float32, i0, rows, k, n int) {
-	if i0 < 0 || rows < 0 || k < 0 || n < 0 ||
-		(i0+rows)*k > len(av) || k*n > len(bv) || (i0+rows)*n > len(ov) {
-		panic(fmt.Sprintf("kernels: matmul tile rows [%d,%d) k=%d n=%d outside a=%d b=%d out=%d",
-			i0, i0+rows, k, n, len(av), len(bv), len(ov)))
-	}
-	mask := &tailMask[16-n%16]
+// tileAVX2 computes rows rows of a@b from row i0, columns [j0, j1), as 4-row
+// tiles and then single rows. matmul has checked every extent the assembly
+// touches once per call, before the row-block loop reaches here.
+func tileAVX2(av, bv, ov []float32, i0, rows, k, n, j0, j1 int) {
+	mask := &tailMask[16-(j1-j0)%16]
 	for ; rows >= 4; rows, i0 = rows-4, i0+4 {
-		gemm4x16(av[i0*k:], bv, ov[i0*n:], k, n, mask)
+		gemm4x16(av[i0*k:], bv[j0:], ov[i0*n+j0:], k, j1-j0, n, mask)
 	}
 	for ; rows > 0; rows, i0 = rows-1, i0+1 {
-		gemm1x16(av[i0*k:], bv, ov[i0*n:], k, n, mask)
+		gemm1x16(av[i0*k:], bv[j0:], ov[i0*n+j0:], k, j1-j0, n, mask)
 	}
 }

@@ -3,13 +3,13 @@
 // Row tiles of the dense operator: c[r, j] = sum over p of a[r, p]*b[p, j]
 // for j < n, one VFMADD231PS per p in increasing p order, so every tile
 // rounds every output element identically. a has row stride k, b and c
-// row stride n (all float32, row-major, B read in place). Columns go 16 at
+// row stride ld (all float32, row-major, B read in place). Columns go 16 at
 // a time in Y8:Y9; the last n%16 use the lane mask in Y12:Y13 for every
 // load of b and store of c, so no column falls back to scalar code.
 //
 // Registers: SI, R10, R11, R12 = a rows 0-3 advanced by k (AX counts the
 // byte offset up from -4k to 0), BX = b block, DX = b row p, DI/R8 = c rows
-// 0 and 2, R9 = 4n, R13 = 4k, CX = columns left.
+// 0 and 2, R9 = 4ld, R13 = 4k, CX = columns left.
 
 #define LOADB VMOVUPS (DX), Y8; VMOVUPS 32(DX), Y9
 #define LOADBM VMASKMOVPS (DX), Y12, Y8; VMASKMOVPS 32(DX), Y13, Y9
@@ -26,8 +26,8 @@ done:
 
 #define ARGS \
 	MOVQ a_base+0(FP), SI; MOVQ b_base+24(FP), BX; MOVQ c_base+48(FP), DI; \
-	MOVQ k+72(FP), R13; SHLQ $2, R13; MOVQ n+80(FP), CX; MOVQ CX, R9; SHLQ $2, R9; \
-	MOVQ mask+88(FP), AX; VMOVDQU (AX), Y12; VMOVDQU 32(AX), Y13; ADDQ R13, SI
+	MOVQ k+72(FP), R13; SHLQ $2, R13; MOVQ n+80(FP), CX; MOVQ ld+88(FP), R9; SHLQ $2, R9; \
+	MOVQ mask+96(FP), AX; VMOVDQU (AX), Y12; VMOVDQU 32(AX), Y13; ADDQ R13, SI
 
 #define ZERO4 VXORPS Y0, Y0, Y0; VXORPS Y1, Y1, Y1; VXORPS Y2, Y2, Y2; VXORPS Y3, Y3, Y3; \
 	VXORPS Y4, Y4, Y4; VXORPS Y5, Y5, Y5; VXORPS Y6, Y6, Y6; VXORPS Y7, Y7, Y7
@@ -35,8 +35,8 @@ done:
 #define STORE4(ST) ST(Y0, Y12, (DI)); ST(Y1, Y13, 32(DI)); ST(Y2, Y12, (DI)(R9*1)); ST(Y3, Y13, 32(DI)(R9*1)); \
 	ST(Y4, Y12, (R8)); ST(Y5, Y13, 32(R8)); ST(Y6, Y12, (R8)(R9*1)); ST(Y7, Y13, 32(R8)(R9*1))
 
-// func gemm4x16(a, b, c []float32, k, n int, mask *int32)
-TEXT ·gemm4x16(SB), NOSPLIT, $0-96
+// func gemm4x16(a, b, c []float32, k, n, ld int, mask *int32)
+TEXT ·gemm4x16(SB), NOSPLIT, $0-104
 	ARGS
 	LEAQ (SI)(R13*1), R10
 	LEAQ (R10)(R13*1), R11
@@ -66,8 +66,8 @@ done4:
 	VZEROUPPER
 	RET
 
-// func gemm1x16(a, b, c []float32, k, n int, mask *int32)
-TEXT ·gemm1x16(SB), NOSPLIT, $0-96
+// func gemm1x16(a, b, c []float32, k, n, ld int, mask *int32)
+TEXT ·gemm1x16(SB), NOSPLIT, $0-104
 	ARGS
 
 full1:

@@ -1,9 +1,11 @@
 package runtime
 
 import (
+	stdruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestParallelForCoversRangeExactlyOnce(t *testing.T) {
@@ -115,4 +117,88 @@ func TestParallelForPanicSingleShard(t *testing.T) {
 		}
 	}()
 	p.ParallelFor(10, 100, func(lo, hi int) { panic("boom") })
+}
+
+// ParallelFor takes its per-call state from a pool and hands helpers a
+// pointer, so with a body bound once it allocates nothing.
+func TestParallelForZeroAlloc(t *testing.T) {
+	p := NewPool(2)
+	var total atomic.Int64
+	body := func(lo, hi int) { total.Add(int64(hi - lo)) }
+	if n := testing.AllocsPerRun(100, func() { p.ParallelFor(1000, 10, body) }); n != 0 {
+		t.Errorf("ParallelFor: %v allocs/op, want 0", n)
+	}
+	if got := total.Load(); got != 101*1000 {
+		t.Errorf("iterations = %d, want %d", got, 101*1000)
+	}
+}
+
+// After a task a helper spins, and after the spin window every helper is
+// parked again, so an idle pool costs no CPU. A pool of one worker has no
+// helper goroutine at all: it never spins and runs every loop as one
+// inline chunk.
+func TestPoolHelpersPark(t *testing.T) {
+	p := NewPool(4)
+	deadline := time.Now().Add(5 * time.Second)
+	for stdruntime.GOMAXPROCS(0) > 1 && p.spinning.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no helper entered its spin window in 5s of ParallelFor calls")
+		}
+		p.ParallelFor(2, 1, func(lo, hi int) { time.Sleep(50 * time.Microsecond) })
+	}
+	for p.spinning.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d helpers still spinning 5s on (window %v)", p.spinning.Load(), spinWindow)
+		}
+		time.Sleep(spinWindow)
+	}
+
+	before := stdruntime.NumGoroutine()
+	one := NewPool(1)
+	if g := stdruntime.NumGoroutine(); g != before {
+		t.Errorf("NewPool(1) started %d goroutines, want 0", g-before)
+	}
+	calls := 0
+	one.ParallelFor(100, 1, func(lo, hi int) {
+		calls++
+		if lo != 0 || hi != 100 {
+			t.Errorf("one-worker pool ran chunk [%d,%d), want [0,100)", lo, hi)
+		}
+	})
+	if calls != 1 || one.spinning.Load() != 0 {
+		t.Errorf("one-worker pool: %d chunks, %d spinning; want 1 inline chunk, 0 spinning", calls, one.spinning.Load())
+	}
+}
+
+// A caller that has run every chunk itself returns without waiting for a
+// helper that never joined: here the pool's only helper is held inside
+// another caller's loop, and its task for the second caller sits queued.
+func TestParallelForDoesNotWaitForBusyHelper(t *testing.T) {
+	if stdruntime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs two Ps for the first loop to occupy the helper")
+	}
+	p := NewPool(2)
+	entered, release := make(chan struct{}), make(chan struct{})
+	go p.ParallelFor(2, 1, func(lo, hi int) {
+		entered <- struct{}{}
+		<-release
+	})
+	<-entered
+	<-entered // the caller and the helper are both inside the first loop
+	defer close(release)
+
+	done := make(chan int64)
+	go func() {
+		var total atomic.Int64
+		p.ParallelFor(100, 1, func(lo, hi int) { total.Add(int64(hi - lo)) })
+		done <- total.Load()
+	}()
+	select {
+	case got := <-done:
+		if got != 100 {
+			t.Errorf("iterations = %d, want 100", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ParallelFor waited for a helper busy in another loop")
+	}
 }
