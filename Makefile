@@ -16,10 +16,12 @@ GO ?= go
 all: build vet test
 
 # Race-detect the public API (cancellation semantics live in the root
-# package), the serving runtime, and the packages that shard work onto
-# the worker pool (16-goroutine shared-executable tests live in vm/serve).
+# package), the serving runtime and the HTTP server over it, and the
+# packages that shard work onto the worker pool (16-goroutine
+# shared-executable tests live in vm/serve). The CI workflow's race step
+# runs the same list.
 race:
-	$(GO) test -race . ./internal/serve ./internal/vm ./internal/runtime ./internal/kernels ./internal/conformance
+	$(GO) test -race . ./internal/serve ./internal/vm ./internal/runtime ./internal/kernels ./internal/conformance ./cmd/nimble-serve
 
 # The API boundary gates: no nimble/internal/... import outside internal/,
 # and the exported surface matches testdata/api.golden.

@@ -5,25 +5,66 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"nimble/internal/models"
+	"nimble/internal/tensor"
+	"nimble/internal/vm"
 )
 
 func mlpService(t *testing.T, opts ...ServiceOption) (*models.MLP, *Service) {
+	m, svc, _ := stalledMLPService(t, opts...)
+	return m, svc
+}
+
+// stalledMLPService is mlpService plus hold, which starts a request that
+// parks in its first kernel and returns once that request holds a
+// session. The func hold returns lets the request finish and waits for
+// it. Each service holds once, while no other request runs.
+func stalledMLPService(t *testing.T, opts ...ServiceOption) (m *models.MLP, svc *Service, hold func() (release func())) {
 	t.Helper()
-	m := models.NewMLP(models.MLPConfig{In: 8, Hidden: 16, Out: 4, Layers: 1, Seed: 9})
+	m = models.NewMLP(models.MLPConfig{In: 8, Hidden: 16, Out: 4, Layers: 1, Seed: 9})
 	p, err := Compile(m.Module)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := p.Serve(opts...)
+	var armed atomic.Bool
+	parked, gate := make(chan struct{}), make(chan struct{})
+	err = p.exe.WrapKernels(func(_ string, fn vm.PackedFunc) vm.PackedFunc {
+		return func(args []*tensor.Tensor, out *tensor.Tensor) (*tensor.Tensor, error) {
+			if armed.CompareAndSwap(true, false) {
+				parked <- struct{}{}
+				<-gate
+			}
+			return fn(args, out)
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if svc, err = p.Serve(opts...); err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(svc.Close)
-	return m, svc
+	hold = func() func() {
+		in := TensorValue(m.RandomBatch(rand.New(rand.NewSource(99)), 2))
+		armed.Store(true)
+		done := make(chan error, 1)
+		go func() {
+			_, err := svc.Invoke(context.Background(), "main", in)
+			done <- err
+		}()
+		<-parked
+		return func() {
+			close(gate)
+			if err := <-done; err != nil {
+				t.Errorf("held request: %v", err)
+			}
+		}
+	}
+	return m, svc, hold
 }
 
 // TestCanceledBeforeAcquire: a pre-canceled context returns ErrCanceled
@@ -55,18 +96,15 @@ func TestCanceledBeforeAcquire(t *testing.T) {
 // abandoned when its deadline fires, surfaces context.DeadlineExceeded, and
 // does not leak or consume the session that is eventually released.
 func TestCancelWhileWaitingForSession(t *testing.T) {
-	m, svc := mlpService(t, WithWorkers(1), WithMaxBatch(1))
+	m, svc, hold := stalledMLPService(t, WithWorkers(1), WithMaxBatch(1))
 	in := TensorValue(m.RandomBatch(rand.New(rand.NewSource(2)), 2))
 
 	// Hold the only session so the invoke below must queue.
-	held, err := svc.pool.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	release := hold()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = svc.Invoke(ctx, "main", in)
+	_, err := svc.Invoke(ctx, "main", in)
 	waited := time.Since(start)
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued invoke error = %v, want ErrCanceled ∧ DeadlineExceeded", err)
@@ -74,7 +112,7 @@ func TestCancelWhileWaitingForSession(t *testing.T) {
 	if waited > 5*time.Second {
 		t.Fatalf("canceled acquire took %v; should return promptly at the deadline", waited)
 	}
-	svc.pool.Release(held)
+	release()
 	// The released session serves new work; the canceled waiter is gone.
 	if _, err := svc.Invoke(context.Background(), "main", in); err != nil {
 		t.Fatalf("pool wedged after canceled wait: %v", err)
@@ -88,7 +126,7 @@ func TestCancelWhileWaitingForSession(t *testing.T) {
 // run queue is withdrawn from the batch that would have formed; the
 // remaining requests still dispatch, merged, and succeed.
 func TestCancelWhileQueuedInBatch(t *testing.T) {
-	m, svc := mlpService(t, WithWorkers(1), WithMaxBatch(8))
+	m, svc, hold := stalledMLPService(t, WithWorkers(1), WithMaxBatch(8))
 	rng := rand.New(rand.NewSource(3))
 	ctx := context.Background()
 
@@ -101,10 +139,7 @@ func TestCancelWhileQueuedInBatch(t *testing.T) {
 	}
 	// Hold the only session so all three requests queue behind it; request
 	// 0 is canceled while queued.
-	held, err := svc.pool.Acquire(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	release := hold()
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -123,7 +158,7 @@ func TestCancelWhileQueuedInBatch(t *testing.T) {
 	for svc.Stats().Schedulers[0].Queued > 2 {
 		time.Sleep(time.Millisecond)
 	}
-	svc.pool.Release(held)
+	release()
 	wg.Wait()
 
 	if !errors.Is(errs[0], ErrCanceled) || !errors.Is(errs[0], context.Canceled) {
@@ -143,6 +178,39 @@ func TestCancelWhileQueuedInBatch(t *testing.T) {
 	}
 	if bst.Fallbacks != 0 {
 		t.Errorf("batcher fell back %d times", bst.Fallbacks)
+	}
+}
+
+// TestPoolWaitCounters: Waits and WaitTime count the requests that found
+// every session busy when they arrived, and their time in the run queue. A
+// request that finds a session idle counts nothing.
+func TestPoolWaitCounters(t *testing.T) {
+	m, svc, hold := stalledMLPService(t, WithWorkers(1), WithMaxBatch(1))
+	in := TensorValue(m.RandomBatch(rand.New(rand.NewSource(4)), 2))
+	if _, err := svc.Invoke(context.Background(), "main", in); err != nil {
+		t.Fatal(err)
+	}
+	if st := svc.Stats().Pool; st.Waits != 0 || st.WaitTime != 0 {
+		t.Errorf("lone request on an idle session: %+v, want no wait", st)
+	}
+
+	release := hold()
+	done := make(chan error, 1)
+	go func() {
+		_, err := svc.Invoke(context.Background(), "main", in)
+		done <- err
+	}()
+	for svc.Stats().Schedulers[0].Queued < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	const stall = 20 * time.Millisecond
+	time.Sleep(stall)
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if st := svc.Stats().Pool; st.Waits != 1 || st.WaitTime < stall {
+		t.Errorf("request queued behind a %v stall: Waits %d, WaitTime %v; want 1 and at least the stall", stall, st.Waits, st.WaitTime)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Command nimble-serve exposes compiled models over HTTP through the
 // public nimble API: a multi-model Registry of versioned Programs (each
-// serving through one run queue over a session pool, coalescing queued
+// serving through one run queue over its VM sessions, coalescing queued
 // requests to row-separable entries) and handlers built entirely on
 // Program.Entrypoints() — no per-model adapters. Any entry of any model is
 // invocable; argument decoding is driven by the entry's introspected
@@ -354,7 +354,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	model := flag.String("model", "mlp", "comma-separated models to serve (each: "+cli.Names()+"); the first is the default target")
 	exe := cli.ExeFlag("")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "session pool size")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "VM sessions per model version")
 	maxBatch := flag.Int("max-batch", 16, "most requests one coalesced dispatch serves (1 = no coalescing)")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request deadline (0 = none)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "drain window for in-flight and queued requests on SIGINT/SIGTERM")

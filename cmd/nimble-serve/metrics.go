@@ -66,13 +66,13 @@ var families = []struct {
 	{"nimble_version_traffic_percent", "gauge", "Configured unpinned-traffic share (canary only).", perVersion, func(s sample) float64 { return float64(s.v.Percent) }},
 	{"nimble_version_requests_in_flight", "gauge", "Requests and open streams holding this version.", perVersion, func(s sample) float64 { return float64(s.v.InFlight) }},
 
-	{"nimble_pool_workers", "gauge", "Sessions in the pool.", perVersion, func(s sample) float64 { return float64(s.v.Stats.Pool.Workers) }},
+	{"nimble_pool_workers", "gauge", "Sessions the scheduler drives.", perVersion, func(s sample) float64 { return float64(s.v.Stats.Pool.Workers) }},
 	{"nimble_pool_invocations_total", "counter", "Requests served on a session.", perVersion, func(s sample) float64 { return float64(s.v.Stats.Pool.Invocations) }},
 	{"nimble_pool_errors_total", "counter", "Served requests that returned an error.", perVersion, func(s sample) float64 { return float64(s.v.Stats.Pool.Errors) }},
-	{"nimble_pool_in_flight", "gauge", "Sessions checked out right now.", perVersion, func(s sample) float64 { return float64(s.v.Stats.Pool.InFlight) }},
+	{"nimble_pool_in_flight", "gauge", "Sessions busy right now.", perVersion, func(s sample) float64 { return float64(s.v.Stats.Pool.InFlight) }},
 	{"nimble_pool_peak_in_use", "gauge", "Most sessions ever in use at once.", perVersion, func(s sample) float64 { return float64(s.v.Stats.Pool.PeakInUse) }},
-	{"nimble_pool_waits_total", "counter", "Acquisitions that had to queue for a session.", perVersion, func(s sample) float64 { return float64(s.v.Stats.Pool.Waits) }},
-	{"nimble_pool_wait_seconds_total", "counter", "Total time spent queued for sessions.", perVersion, func(s sample) float64 { return s.v.Stats.Pool.WaitTime.Seconds() }},
+	{"nimble_pool_waits_total", "counter", "Requests that queued with every session busy.", perVersion, func(s sample) float64 { return float64(s.v.Stats.Pool.Waits) }},
+	{"nimble_pool_wait_seconds_total", "counter", "Time requests that queued with every session busy spent in the run queue.", perVersion, func(s sample) float64 { return s.v.Stats.Pool.WaitTime.Seconds() }},
 	{"nimble_pool_quarantined_total", "counter", "Poisoned sessions replaced by fresh VMs.", perVersion, func(s sample) float64 { return float64(s.v.Stats.Pool.Quarantined) }},
 
 	{"nimble_gate_admitted_total", "counter", "Requests admitted past the gate.", perGate, func(s sample) float64 { return float64(s.g.Admitted) }},

@@ -28,7 +28,8 @@ var (
 	// ErrBusy reports an Invoke or InvokeStream on a Session that still has
 	// a stream open: sessions are single-threaded, so the open stream owns
 	// the VM until it is drained or closed. Services have no such
-	// restriction — their streams each check out a pooled session.
+	// restriction — their streams are stepped on the scheduler's sessions,
+	// interleaved with other requests.
 	ErrBusy = errors.New("nimble: session busy: a stream is still open")
 	// ErrBadInput reports a request rejected at the Invoke boundary before
 	// reaching the VM: wrong value kind, or a tensor whose dtype, rank, or

@@ -12,7 +12,7 @@ type GateConfig struct {
 	// Entry names the entry function the gate fronts (for error messages
 	// and stats).
 	Entry string
-	// Workers is the session-pool size the entry shares; the expected-wait
+	// Workers is the number of sessions the entry shares; the expected-wait
 	// estimate divides the backlog across it.
 	Workers int
 	// MaxQueue bounds how many admitted requests may be waiting (admitted
@@ -47,8 +47,8 @@ func (c GateConfig) withDefaults() GateConfig {
 
 // Gate is one entry's admission controller: a bounded logical queue with
 // deadline-aware load shedding and a consecutive-failure circuit breaker.
-// It does not queue requests itself — the session pool does — it decides,
-// at arrival, whether a request should be allowed to queue at all:
+// It does not queue requests itself — the scheduler's run queue does — it
+// decides, at arrival, whether a request should be allowed to queue at all:
 //
 //   - breaker open (too many consecutive internal faults): shed;
 //   - logical queue (admitted − running capacity) at MaxQueue: shed;

@@ -13,34 +13,33 @@ import (
 	"nimble/internal/vm"
 )
 
-// newRowScheduler builds a scheduler over a fresh pool serving the MLP's
-// row-separable "main".
-func newRowScheduler(t *testing.T, res *compiler.Result, sessions, maxBatch int) (*Pool, *Scheduler) {
+// newRowScheduler builds a scheduler serving the MLP's row-separable
+// "main".
+func newRowScheduler(t *testing.T, res *compiler.Result, sessions, maxBatch int) *Scheduler {
 	t.Helper()
-	p, err := NewPool(res.Exe, sessions)
+	sc, err := NewScheduler(res.Exe, sessions, nil, SchedConfig{Entries: []SchedEntry{{Name: "main", RowSeparable: true}}, MaxBatch: maxBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := NewScheduler(p, SchedConfig{Entries: []SchedEntry{{Name: "main", RowSeparable: true}}, MaxBatch: maxBatch})
-	return p, sc
+	return sc
 }
 
-// holdSessions checks every session out of the pool, so submitted requests
-// queue instead of running, and returns the func that gives them back.
-func holdSessions(t *testing.T, p *Pool) (release func()) {
-	t.Helper()
-	held := make([]*Session, p.Size())
-	for i := range held {
-		s, err := p.Acquire(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		held[i] = s
-	}
+// holdSessions takes every free session off the scheduler's stack, as busy
+// workers would hold them, so submitted requests queue instead of running.
+// The returned func frees them again and starts a worker on each while
+// work is queued, as workers finishing their runs would adopt it.
+func holdSessions(sc *Scheduler) (release func()) {
+	sc.mu.Lock()
+	held := sc.free
+	sc.free = nil
+	sc.mu.Unlock()
 	return func() {
-		for _, s := range held {
-			p.Release(s)
+		sc.mu.Lock()
+		sc.free = append(sc.free, held...)
+		for i := 0; i < len(sc.queue) && len(sc.free) > 0 && !sc.closed; i++ {
+			sc.spawnLocked()
 		}
+		sc.mu.Unlock()
 	}
 }
 
@@ -79,7 +78,7 @@ func rowRequest(sc *Scheduler, in *tensor.Tensor) (*tensor.Tensor, error) {
 
 func TestCoalescedMatchesPerRequest(t *testing.T) {
 	m, res := compileMLP(t)
-	p, sc := newRowScheduler(t, res, 2, 8)
+	sc := newRowScheduler(t, res, 2, 8)
 	rng := rand.New(rand.NewSource(11))
 	const n = 32
 	inputs := make([]*tensor.Tensor, n)
@@ -87,14 +86,15 @@ func TestCoalescedMatchesPerRequest(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = m.RandomBatch(rng, 1+i%3)
 		var err error
-		want[i], err = invokeTensors(context.Background(), p, "main", inputs[i])
+		// One at a time, so each runs alone.
+		want[i], err = rowRequest(sc, inputs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Every session is busy while the requests arrive, so the queue is
 	// where they meet — no timer involved.
-	release := holdSessions(t, p)
+	release := holdSessions(sc)
 	var wg sync.WaitGroup
 	for i := range inputs {
 		wg.Add(1)
@@ -133,7 +133,7 @@ func TestCoalescedMatchesPerRequest(t *testing.T) {
 // arrival is dispatched at once and alone — there is no collection window.
 func TestLoneRequestIsNotHeldForCompany(t *testing.T) {
 	m, res := compileMLP(t)
-	_, sc := newRowScheduler(t, res, 2, 8)
+	sc := newRowScheduler(t, res, 2, 8)
 	if _, err := rowRequest(sc, m.RandomBatch(rand.New(rand.NewSource(1)), 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestRaggedInputsStayPadFree(t *testing.T) {
 
 func TestScalarIsNeverCoalesced(t *testing.T) {
 	_, res := compileMLP(t)
-	_, sc := newRowScheduler(t, res, 2, 4)
+	sc := newRowScheduler(t, res, 2, 4)
 	if _, err := rowRequest(sc, tensor.Scalar(1)); err == nil {
 		t.Error("scalar input accepted by a row entry")
 	}
@@ -194,7 +194,7 @@ func TestScalarIsNeverCoalesced(t *testing.T) {
 
 func TestStreamAfterCloseFails(t *testing.T) {
 	m, res := compileMLP(t)
-	_, sc := newRowScheduler(t, res, 2, 4)
+	sc := newRowScheduler(t, res, 2, 4)
 	in := m.RandomBatch(rand.New(rand.NewSource(2)), 1)
 	if _, err := rowRequest(sc, in); err != nil {
 		t.Fatal(err)
@@ -223,9 +223,9 @@ func TestKernelPanicUnderBatchIsConfined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, sc := newRowScheduler(t, res, 1, 4)
+	sc := newRowScheduler(t, res, 1, 4)
 	rng := rand.New(rand.NewSource(4))
-	release := holdSessions(t, p)
+	release := holdSessions(sc)
 	const n = 3
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -245,8 +245,8 @@ func TestKernelPanicUnderBatchIsConfined(t *testing.T) {
 			t.Errorf("batch-mate %d failed for the merged dispatch's fault: %v", i, err)
 		}
 	}
-	if st := p.Stats(); st.Quarantined != 1 || st.InFlight != 0 {
-		t.Errorf("after one poisoned batch: %+v, want exactly one quarantine and no checkout", st)
+	if st := sc.SessionStats(); st.Quarantined != 1 || st.InFlight != 0 {
+		t.Errorf("after one poisoned batch: %+v, want exactly one quarantine and no held session", st)
 	}
 	if st := rowStats(sc); st.Fallbacks != n || st.Coalesced != 0 {
 		t.Errorf("poisoned batch: %+v, want all %d members re-run alone", st, n)
@@ -258,11 +258,11 @@ func TestKernelPanicUnderBatchIsConfined(t *testing.T) {
 	if _, err := rowRequest(sc, tensor.New(tensor.Float32, 1, 7)); err == nil {
 		t.Fatal("mis-shaped request did not error")
 	}
-	// The scheduler and pool keep serving afterwards.
+	// The scheduler keeps serving afterwards.
 	if _, err := rowRequest(sc, m.RandomBatch(rng, 2)); err != nil {
 		t.Fatalf("scheduler wedged after panic: %v", err)
 	}
-	if st := p.Stats(); st.InFlight != 0 {
+	if st := sc.SessionStats(); st.InFlight != 0 {
 		t.Errorf("session leaked after panic: %+v", st)
 	}
 }
@@ -272,9 +272,9 @@ func TestCloseAnswersAcceptedRequests(t *testing.T) {
 	// its result if a worker had it, ErrClosed if it was still queued —
 	// never a stranded channel read.
 	m, res := compileMLP(t)
-	p, sc := newRowScheduler(t, res, 1, 8)
+	sc := newRowScheduler(t, res, 1, 8)
 	in := m.RandomBatch(rand.New(rand.NewSource(8)), 1)
-	release := holdSessions(t, p)
+	release := holdSessions(sc)
 	defer release()
 	const n = 6
 	errs := make(chan error, n)

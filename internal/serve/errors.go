@@ -10,7 +10,7 @@ import (
 	"nimble/internal/runtime"
 )
 
-// ErrClosed reports an operation on a closed pool, scheduler, session, or
+// ErrClosed reports an operation on a closed scheduler, session, or
 // service. The public nimble package re-exports this sentinel, so
 // errors.Is(err, ErrClosed) holds across every layer of the stack.
 var ErrClosed = errors.New("nimble: closed")
@@ -44,8 +44,8 @@ func Canceled(cause error) error {
 }
 
 // ErrInternal reports an execution fault — a VM or kernel panic recovered
-// at the session boundary. The session that hit it is quarantined (the pool
-// discards it and mints a fresh one), so poisoned per-session state can
+// at the session boundary. The session that hit it is quarantined (the
+// scheduler discards it and mints a fresh one), so poisoned per-session state can
 // never leak into a later request. Errors in this family are *InternalError
 // values carrying the entry name and a sanitized stack.
 var ErrInternal = errors.New("nimble: internal execution fault")

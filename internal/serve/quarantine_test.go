@@ -61,14 +61,11 @@ func (b *bombControl) armed() bool {
 // process crash.
 func TestSessionPanicBecomesErrInternal(t *testing.T) {
 	m, res, ctl := compileMLPWithBomb(t)
-	p, err := NewPool(res.Exe, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := newScheduler(t, res, 2)
 	in := m.RandomBatch(rand.New(rand.NewSource(1)), 2)
 
 	ctl.arm(true)
-	_, err = invokeTensors(context.Background(), p, "main", in)
+	_, err := invokeTensors(context.Background(), sc, "main", in)
 	if !errors.Is(err, ErrInternal) {
 		t.Fatalf("panicked invoke error = %v, want ErrInternal", err)
 	}
@@ -88,15 +85,12 @@ func TestSessionPanicBecomesErrInternal(t *testing.T) {
 }
 
 // TestPoolQuarantinesPoisonedSession: after a panic the poisoned session
-// is replaced by a fresh VM — pool size conserved, the poisoned machine
-// out of circulation forever — and subsequent requests compute correct
-// results (nothing from the faulted execution resurfaces).
+// is replaced by a fresh VM — session count conserved, the poisoned
+// machine out of circulation forever — and subsequent requests compute
+// correct results (nothing from the faulted execution resurfaces).
 func TestPoolQuarantinesPoisonedSession(t *testing.T) {
 	m, res, ctl := compileMLPWithBomb(t)
-	p, err := NewPool(res.Exe, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := newScheduler(t, res, 2)
 	rng := rand.New(rand.NewSource(2))
 	in := m.RandomBatch(rng, 3)
 
@@ -113,38 +107,41 @@ func TestPoolQuarantinesPoisonedSession(t *testing.T) {
 
 	// Identify the session that will serve (LIFO: top of the free stack),
 	// then poison it.
-	s0, _ := p.Acquire(context.Background())
-	poisonedMachine := s0.machine
-	p.Release(s0)
+	sc.mu.Lock()
+	poisonedMachine := sc.free[len(sc.free)-1].machine
+	sc.mu.Unlock()
 
 	ctl.arm(true)
-	if _, err := invokeTensors(context.Background(), p, "main", in); !errors.Is(err, ErrInternal) {
+	if _, err := invokeTensors(context.Background(), sc, "main", in); !errors.Is(err, ErrInternal) {
 		t.Fatalf("want ErrInternal, got %v", err)
 	}
 	ctl.arm(false)
 
-	if got := p.Size(); got != 2 {
-		t.Fatalf("pool size after quarantine = %d, want 2", got)
+	st := sc.SessionStats()
+	if st.Workers != 2 || len(st.PerSession) != 2 {
+		t.Fatalf("sessions after quarantine = %d (%v), want 2", st.Workers, st.PerSession)
 	}
-	st := p.Stats()
 	if st.Quarantined != 1 {
 		t.Errorf("Quarantined = %d, want 1", st.Quarantined)
 	}
 	if st.InFlight != 0 {
-		t.Errorf("InFlight = %d after quarantine, want 0 (no leaked checkout)", st.InFlight)
+		t.Errorf("InFlight = %d after quarantine, want 0 (no leaked session)", st.InFlight)
 	}
 
-	// The poisoned machine never comes back: drain every session and check
-	// machine identity; then verify results are still correct.
-	a, _ := p.Acquire(context.Background())
-	b, _ := p.Acquire(context.Background())
-	if a.machine == poisonedMachine || b.machine == poisonedMachine {
-		t.Fatal("poisoned VM resurfaced in the pool")
+	// The poisoned machine never comes back: every session is free again
+	// and none runs it; then verify results are still correct.
+	sc.mu.Lock()
+	for _, s := range sc.free {
+		if s.machine == poisonedMachine {
+			t.Error("poisoned VM resurfaced on the free stack")
+		}
 	}
-	p.Release(a)
-	p.Release(b)
+	if len(sc.free) != 2 {
+		t.Errorf("%d sessions free after quarantine, want 2", len(sc.free))
+	}
+	sc.mu.Unlock()
 	for i := 0; i < 8; i++ {
-		got, err := invokeTensors(context.Background(), p, "main", in)
+		got, err := invokeTensors(context.Background(), sc, "main", in)
 		if err != nil {
 			t.Fatalf("post-quarantine invoke %d: %v", i, err)
 		}
@@ -155,13 +152,10 @@ func TestPoolQuarantinesPoisonedSession(t *testing.T) {
 }
 
 // TestQuarantineUnderConcurrency: panics racing real traffic never change
-// the pool's size and never wedge it.
+// the session count and never wedge the scheduler.
 func TestQuarantineUnderConcurrency(t *testing.T) {
 	m, res, ctl := compileMLPWithBomb(t)
-	p, err := NewPool(res.Exe, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := newScheduler(t, res, 4)
 	in := m.RandomBatch(rand.New(rand.NewSource(3)), 2)
 
 	var wg sync.WaitGroup
@@ -171,7 +165,7 @@ func TestQuarantineUnderConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				ctl.arm(i%5 == g%5) // waves of faults interleaved with clean traffic
-				_, err := invokeTensors(context.Background(), p, "main", in)
+				_, err := invokeTensors(context.Background(), sc, "main", in)
 				if err != nil && !errors.Is(err, ErrInternal) {
 					t.Errorf("unexpected error class: %v", err)
 					return
@@ -181,14 +175,11 @@ func TestQuarantineUnderConcurrency(t *testing.T) {
 	}
 	wg.Wait()
 	ctl.arm(false)
-	if p.Size() != 4 {
-		t.Fatalf("pool size = %d, want 4", p.Size())
+	if st := sc.SessionStats(); st.Workers != 4 || len(st.PerSession) != 4 || st.InFlight != 0 {
+		t.Fatalf("after concurrent quarantines: %+v, want 4 sessions, none held", st)
 	}
-	if st := p.Stats(); st.InFlight != 0 {
-		t.Fatalf("InFlight = %d, want 0", st.InFlight)
-	}
-	// Pool still serves.
-	if _, err := invokeTensors(context.Background(), p, "main", in); err != nil {
-		t.Fatalf("pool unusable after concurrent quarantines: %v", err)
+	// The scheduler still serves.
+	if _, err := invokeTensors(context.Background(), sc, "main", in); err != nil {
+		t.Fatalf("scheduler unusable after concurrent quarantines: %v", err)
 	}
 }

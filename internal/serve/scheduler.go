@@ -57,9 +57,14 @@ func (c SchedConfig) withDefaults() SchedConfig {
 	return c
 }
 
-// Scheduler is the serving stack's one dispatcher: every admitted request —
-// unary, coalescible row, or decode stream — waits in its run queue, and
-// its workers are the only code that takes a session from the pool.
+// Scheduler is the serving stack's one dispatcher and the one owner of its
+// sessions: every admitted request — unary, coalescible row, or decode
+// stream — waits in its run queue, and each of its workers holds one
+// session, taken off the free stack when the worker starts and pushed back
+// when it goes idle. The stack is LIFO: under light load a few hot
+// sessions serve everything and their storage pools and frame recyclers
+// stay cache-resident; cold sessions are only touched when concurrency
+// actually demands them.
 //
 // It is the iteration-level continuous-batching architecture production
 // LLM systems converged on, applied to the paper's VM: a request is a run
@@ -80,7 +85,11 @@ func (c SchedConfig) withDefaults() SchedConfig {
 //
 // All methods are safe for concurrent use.
 type Scheduler struct {
-	pool    *Pool
+	exe *vm.Executable
+	// shared is the cross-VM storage tier every session (including the
+	// fresh VMs minted by quarantine) attaches to; nil means each session
+	// keeps a purely private storage pool.
+	shared  *vm.SharedStoragePool
 	cfg     SchedConfig
 	entries map[string]*schedEntry
 	order   []*schedEntry
@@ -88,6 +97,13 @@ type Scheduler struct {
 	mu      sync.Mutex
 	queue   []*schedStream
 	workers map[*schedWorker]struct{}
+	// all lists every session by id; free is the LIFO stack of the
+	// sessions no worker holds.
+	all  []*Session
+	free []*Session
+	// stats keeps the session counters; SessionStats fills in the
+	// instantaneous fields.
+	stats Stats
 	// starting counts workers spawned for an idle session that have not
 	// taken their first look at the queue yet.
 	starting int
@@ -107,19 +123,57 @@ type schedEntry struct {
 	stepHist histogram
 }
 
-// NewScheduler builds a scheduler over the pool. It may drive every
-// session the pool owns, and starts no goroutine until work arrives.
-func NewScheduler(pool *Pool, cfg SchedConfig) *Scheduler {
+// NewScheduler freezes exe and builds the workers sessions the scheduler
+// drives over it. The executable must be fully constructed (compiled, or
+// deserialized and linked) first; Freeze makes any later mutation a panic
+// instead of a data race. A non-nil shared tier is attached to every
+// session — including the fresh VMs quarantine mints over poisoned ones —
+// so local storage misses draw from the common stock and local overflow
+// migrates there instead of dying. Passing one tier to the schedulers of
+// several executables is the point: a multi-model server's resident buffer
+// memory then tracks the concurrent working set, not the model count. No
+// goroutine starts until work arrives.
+func NewScheduler(exe *vm.Executable, workers int, shared *vm.SharedStoragePool, cfg SchedConfig) (*Scheduler, error) {
+	if workers <= 0 {
+		return nil, fmt.Errorf("serve: scheduler needs at least 1 worker, got %d", workers)
+	}
+	if len(exe.KernelNames) > 0 {
+		// Surface unlinked kernels at construction, not first request.
+		if _, err := exe.Kernel(0); err != nil {
+			return nil, fmt.Errorf("serve: %w", err)
+		}
+	}
+	exe.Freeze()
 	cfg = cfg.withDefaults()
-	sc := &Scheduler{pool: pool, cfg: cfg, entries: map[string]*schedEntry{}, workers: map[*schedWorker]struct{}{}}
+	sc := &Scheduler{exe: exe, shared: shared, cfg: cfg, entries: map[string]*schedEntry{}, workers: map[*schedWorker]struct{}{}}
 	for _, e := range cfg.Entries {
 		se := &schedEntry{coalesce: e.RowSeparable && cfg.MaxBatch > 1}
 		se.sched.Entry, se.batch.Entry, se.batch.MaxBatch = e.Name, e.Name, cfg.MaxBatch
 		sc.entries[e.Name] = se
 		sc.order = append(sc.order, se)
 	}
-	return sc
+	for i := range workers {
+		sc.all = append(sc.all, sc.newSession(i))
+	}
+	sc.free = slices.Clone(sc.all)
+	sc.stats.Workers = workers
+	return sc, nil
 }
+
+// newSession mints session i's VM with the scheduler's storage
+// configuration applied; construction and quarantine share it so a fresh
+// VM can never silently lose the shared-tier attachment.
+func (sc *Scheduler) newSession(i int) *Session {
+	m := vm.New(sc.exe)
+	if sc.shared != nil {
+		m.AttachSharedPool(sc.shared)
+	}
+	m.MarkPooled()
+	return &Session{machine: m, id: i}
+}
+
+// Workers returns the number of sessions the scheduler drives.
+func (sc *Scheduler) Workers() int { return len(sc.all) }
 
 // schedStream is one request's life in the scheduler: queued, then adopted
 // by a worker that steps it to completion, one iteration at a time,
@@ -132,6 +186,9 @@ type schedStream struct {
 	lane     int
 	deadline time.Time // zero = none
 	seq      uint64
+	// queued is when the stream was submitted, stamped only if every
+	// session was busy then; zero once a worker takes it.
+	queued time.Time
 
 	// row is the request's input when it may share a dispatch: a unary call
 	// with one rank>=1 tensor to a coalescing entry. Nil otherwise.
@@ -283,11 +340,15 @@ func (sc *Scheduler) submit(s *schedStream) error {
 	sc.nextSeq++
 	sc.queue = append(sc.queue, s)
 	s.entry.sched.Submitted++
-	// Fewer workers than sessions means a session is idle: start a worker
-	// on it rather than let the arrival wait for a busy one. Always wake,
-	// so a sleeping worker with spare window adopts at its next boundary.
-	if len(sc.workers) < sc.pool.Size() {
+	// A free session is an idle one: start a worker on it rather than let
+	// the arrival wait for a busy one. Only an arrival that does wait reads
+	// the clock. Always wake, so a sleeping worker with spare window adopts
+	// at its next boundary.
+	if len(sc.free) > 0 {
 		sc.spawnLocked()
+	} else {
+		sc.stats.Waits++
+		s.queued = time.Now()
 	}
 	sc.wakeAllLocked()
 	return nil
@@ -315,6 +376,10 @@ func (sc *Scheduler) popLikeLocked(like *schedStream) *schedStream {
 	}
 	s := sc.queue[best]
 	sc.queue = slices.Delete(sc.queue, best, best+1)
+	if !s.queued.IsZero() {
+		sc.stats.WaitTime += time.Since(s.queued)
+		s.queued = time.Time{}
+	}
 	return s
 }
 
@@ -353,8 +418,14 @@ func (sc *Scheduler) withdraw(s *schedStream, err error) bool {
 	return true
 }
 
+// spawnLocked starts a worker on the session atop the free stack; the
+// caller checked that one is free.
 func (sc *Scheduler) spawnLocked() {
-	w := &schedWorker{sc: sc, wake: make(chan struct{}, 1)}
+	n := len(sc.free) - 1
+	w := &schedWorker{sc: sc, sess: sc.free[n], wake: make(chan struct{}, 1)}
+	sc.free[n] = nil
+	sc.free = sc.free[:n]
+	sc.stats.PeakInUse = max(sc.stats.PeakInUse, len(sc.all)-n)
 	w.active, w.settled = w.buf[:0:2], w.buf[2:2]
 	sc.workers[w] = struct{}{}
 	sc.starting++
@@ -458,6 +529,19 @@ type BatchStats struct {
 	LargestBatch int    `json:"largest_batch"`
 }
 
+// SessionStats snapshots the session counters.
+func (sc *Scheduler) SessionStats() Stats {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	st := sc.stats
+	st.InFlight = len(sc.all) - len(sc.free)
+	st.PerSession = make([]int64, len(sc.all))
+	for i, s := range sc.all {
+		st.PerSession[i] = s.invocations.Load()
+	}
+	return st
+}
+
 // Stats snapshots every entry's run-queue counters, in config order, and
 // the coalescing counters of the entries that coalesce.
 func (sc *Scheduler) Stats() (sched []SchedStats, batch []BatchStats) {
@@ -481,8 +565,8 @@ func (sc *Scheduler) Stats() (sched []SchedStats, batch []BatchStats) {
 	return sched, batch
 }
 
-// schedWorker drives one pool session: each pass it adopts the next unit
-// of queued work, then advances every run it holds by one step.
+// schedWorker drives one session: each pass it adopts the next unit of
+// queued work, then advances every run it holds by one step.
 type schedWorker struct {
 	sc   *Scheduler
 	sess *Session
@@ -499,17 +583,6 @@ type schedWorker struct {
 
 func (w *schedWorker) run() {
 	sc := w.sc
-	sess, err := sc.pool.Acquire(context.Background())
-	if err != nil {
-		// Pool closed while spawning: deregister; Close (or the relays'
-		// cancellations) settles whatever is queued.
-		sc.mu.Lock()
-		delete(sc.workers, w)
-		sc.starting--
-		sc.mu.Unlock()
-		return
-	}
-	w.sess = sess
 	starting := true
 	for {
 		sc.mu.Lock()
@@ -524,15 +597,16 @@ func (w *schedWorker) run() {
 		starting = false
 		idle := len(w.active) == 0
 		if idle {
-			// Nothing held and nothing queued: retire this worker. Check and
-			// deregistration are atomic under sc.mu, so a racing submit
-			// either queued before the check or spawns afresh.
+			// Nothing held and nothing queued: retire this worker and free
+			// its session. Check, deregistration and push are atomic under
+			// sc.mu, so a racing submit either queued before the check or
+			// finds the session free and spawns afresh.
 			delete(sc.workers, w)
+			sc.free = append(sc.free, w.sess)
 		}
 		closed := sc.closed
 		sc.mu.Unlock()
 		if idle {
-			sc.pool.Release(w.sess)
 			w.notify()
 			return
 		}
@@ -596,19 +670,26 @@ func (w *schedWorker) run() {
 		if w.sess.poisoned {
 			// The panic corrupted the whole VM — every co-resident run's
 			// parked frames live in its storage pool — so they are lost
-			// with it. Release quarantines the session and mints a fresh
-			// one; a successor worker picks up the queue.
+			// with it. The session is quarantined: the poisoned VM is left
+			// to the GC and a fresh one over the same frozen executable
+			// takes its place, so the session count is conserved and no
+			// state the faulting request touched can resurface. A successor
+			// worker picks up the queue.
 			coErr := fmt.Errorf("serve: scheduler: session poisoned by a batch-mate's fault: %w", ErrInternal)
 			for _, s := range w.active {
 				w.retire(s, nil, coErr, false)
 			}
+			fresh := sc.newSession(w.sess.id)
+			fresh.invocations.Store(w.sess.invocations.Load())
 			sc.mu.Lock()
+			sc.all[fresh.id] = fresh
+			sc.stats.Quarantined++
 			delete(sc.workers, w)
+			sc.free = append(sc.free, fresh)
 			if len(sc.queue) > 0 && !sc.closed {
 				sc.spawnLocked()
 			}
 			sc.mu.Unlock()
-			sc.pool.Release(w.sess)
 			w.notify()
 			return
 		}
@@ -791,8 +872,8 @@ func (w *schedWorker) retire(s *schedStream, out vm.Object, err error, abortRun 
 	s.result, s.err = out, err
 	w.settled = append(w.settled, s)
 	sc := w.sc
-	sc.pool.Note(err)
 	sc.mu.Lock()
+	sc.stats.Invocations++
 	e := &s.entry.sched
 	e.Active--
 	switch {
@@ -807,18 +888,21 @@ func (w *schedWorker) retire(s *schedStream, out vm.Object, err error, abortRun 
 			}
 		}
 	case errors.Is(err, ErrCanceled):
+		// Client-initiated cancellations are not execution failures;
+		// counting them would let request deadlines inflate the error rate.
 		e.Canceled++
 	default:
 		e.Failed++
+		sc.stats.Errors++
 	}
 	sc.mu.Unlock()
 }
 
 // notify closes the done channels of the runs retired since the last call.
-// The worker calls it once it has either handed its session back or taken
-// on more work, so a caller that sees its request finish — and then reads
-// the pool's in-flight count — never catches a session the scheduler was
-// just about to release.
+// The worker calls it once it has either freed its session or taken on
+// more work, so a caller that sees its request finish — and then reads the
+// in-flight session count — never catches a session the scheduler was
+// just about to free.
 func (w *schedWorker) notify() {
 	for i, s := range w.settled {
 		close(s.done)

@@ -47,10 +47,16 @@ func pinnedDecode(t testing.TB, entry string, start int64) []int64 {
 	return toks
 }
 
-// newGenerateScheduler builds a scheduler serving the decoder's one entry.
-func newGenerateScheduler(pool *Pool, cfg SchedConfig) *Scheduler {
+// newGenerateScheduler builds a scheduler serving the decoder's one entry
+// on one session: any concurrency is interleaving.
+func newGenerateScheduler(t *testing.T, res *compiler.Result, cfg SchedConfig) *Scheduler {
+	t.Helper()
 	cfg.Entries = []SchedEntry{{Name: "generate"}}
-	return NewScheduler(pool, cfg)
+	sc, err := NewScheduler(res.Exe, 1, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
 }
 
 // generateStats is the run-queue snapshot of a single-entry scheduler.
@@ -61,11 +67,7 @@ func generateStats(sc *Scheduler) SchedStats {
 
 func TestSchedulerInterleavesStreamsOnOneSession(t *testing.T) {
 	res := compileDecoder(t)
-	pool, err := NewPool(res.Exe, 1) // ONE session: any concurrency is interleaving
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := newGenerateScheduler(pool, SchedConfig{Window: 8})
+	sc := newGenerateScheduler(t, res, SchedConfig{Window: 8})
 
 	const streams = 8
 	want := make([][]int64, streams)
@@ -118,8 +120,8 @@ func TestSchedulerInterleavesStreamsOnOneSession(t *testing.T) {
 	if st.Sessions != 0 || st.Active != 0 || st.Queued != 0 {
 		t.Errorf("scheduler did not quiesce: %+v", st)
 	}
-	if ps := pool.Stats(); ps.InFlight != 0 {
-		t.Errorf("pool session leaked: %+v", ps)
+	if ps := sc.SessionStats(); ps.InFlight != 0 {
+		t.Errorf("session leaked: %+v", ps)
 	}
 }
 
@@ -127,11 +129,7 @@ func TestSchedulerInterleavesStreamsOnOneSession(t *testing.T) {
 // already generating: the late stream's output must still be identical.
 func TestSchedulerMidFlightJoin(t *testing.T) {
 	res := compileDecoder(t)
-	pool, err := NewPool(res.Exe, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := newGenerateScheduler(pool, SchedConfig{Window: 4})
+	sc := newGenerateScheduler(t, res, SchedConfig{Window: 4})
 
 	firstToken := make(chan struct{})
 	var earlyToks, lateToks []int64
@@ -207,11 +205,7 @@ func TestSchedulerQueueOrdering(t *testing.T) {
 // lane-0 arrival queued behind lane-1 work must run before it.
 func TestSchedulerPriorityOvertake(t *testing.T) {
 	res := compileDecoder(t)
-	pool, err := NewPool(res.Exe, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := newGenerateScheduler(pool, SchedConfig{Window: 1, Lanes: 2})
+	sc := newGenerateScheduler(t, res, SchedConfig{Window: 1, Lanes: 2})
 
 	var mu sync.Mutex
 	var order []string
@@ -288,12 +282,11 @@ func TestSchedulerPriorityOvertake(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool, err := NewPool(res.Exe, 1)
+		sc, err := NewScheduler(res.Exe, 1, nil, SchedConfig{Entries: []SchedEntry{{Name: "main", RowSeparable: true}}, Lanes: 2, MaxBatch: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc := NewScheduler(pool, SchedConfig{Entries: []SchedEntry{{Name: "main", RowSeparable: true}}, Lanes: 2, MaxBatch: 2})
-		release := holdSessions(t, pool)
+		release := holdSessions(sc)
 		rng := rand.New(rand.NewSource(23))
 		var wg sync.WaitGroup
 		for i, req := range []struct{ lane, rows int }{{1, 1}, {1, 2}, {1, 4}, {0, 8}} {
@@ -319,11 +312,7 @@ func TestSchedulerPriorityOvertake(t *testing.T) {
 // iteration boundary without disturbing its batch-mates.
 func TestSchedulerCancelMidStream(t *testing.T) {
 	res := compileDecoder(t)
-	pool, err := NewPool(res.Exe, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := newGenerateScheduler(pool, SchedConfig{Window: 4})
+	sc := newGenerateScheduler(t, res, SchedConfig{Window: 4})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	gotOne := make(chan struct{})

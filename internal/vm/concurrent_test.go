@@ -56,11 +56,10 @@ func TestConcurrentLSTMViaSessionPool(t *testing.T) {
 		jobs[i] = job{seq: seq, want: out.(*vm.TensorObj).T}
 	}
 
-	pool, err := serve.NewPool(res.Exe, 4)
+	sched, err := serve.NewScheduler(res.Exe, 4, nil, serve.SchedConfig{Entries: []serve.SchedEntry{{Name: "main"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := serve.NewScheduler(pool, serve.SchedConfig{Entries: []serve.SchedEntry{{Name: "main"}}})
 	var wg sync.WaitGroup
 	for c := 0; c < concurrentClients; c++ {
 		wg.Add(1)
@@ -82,8 +81,8 @@ func TestConcurrentLSTMViaSessionPool(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	if st := pool.Stats(); st.Errors != 0 {
-		t.Errorf("pool recorded %d errors", st.Errors)
+	if st := sched.SessionStats(); st.Errors != 0 {
+		t.Errorf("scheduler recorded %d errors", st.Errors)
 	}
 }
 
@@ -116,11 +115,10 @@ func TestConcurrentBERTLayerViaSessionPool(t *testing.T) {
 		jobs[i] = job{ids: ids, want: want}
 	}
 
-	pool, err := serve.NewPool(res.Exe, 4)
+	sched, err := serve.NewScheduler(res.Exe, 4, nil, serve.SchedConfig{Entries: []serve.SchedEntry{{Name: "main"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := serve.NewScheduler(pool, serve.SchedConfig{Entries: []serve.SchedEntry{{Name: "main"}}})
 	var wg sync.WaitGroup
 	for c := 0; c < concurrentClients; c++ {
 		wg.Add(1)
@@ -144,10 +142,11 @@ func TestConcurrentBERTLayerViaSessionPool(t *testing.T) {
 }
 
 // TestSessionStorageReuseSurvivesPooling pins the memory-planning payoff
-// inside a pooled session: two sequential Invokes on one checked-out
-// session must reuse the first invocation's storages via the VM's runtime
-// pool, keeping the per-step allocation count under the same fence the
-// single-VM path honors (see internal/bench's alloc regression test).
+// inside a pooled session: sequential requests through a one-session
+// scheduler must reuse the first invocation's storages via the VM's
+// runtime pool, keeping the per-step allocation count — scheduler work
+// included — under the same fence the single-VM path honors (see
+// internal/bench's alloc regression test).
 func TestSessionStorageReuseSurvivesPooling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc calibration is timing-insensitive but not short")
@@ -159,7 +158,7 @@ func TestSessionStorageReuseSurvivesPooling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := serve.NewPool(res.Exe, 2)
+	sched, err := serve.NewScheduler(res.Exe, 1, nil, serve.SchedConfig{Entries: []serve.SchedEntry{{Name: "main"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,17 +166,8 @@ func TestSessionStorageReuseSurvivesPooling(t *testing.T) {
 	const steps = 8
 	seq := m.RandomSequence(rng, steps)
 
-	s, err := pool.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Release(s)
 	run := func() {
-		r, err := s.BeginStream(nil, "main", seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.StepStream(context.Background(), "main", r); err != nil {
+		if _, err := sched.Stream(context.Background(), 0, nil, "main", seq); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -191,8 +181,8 @@ func TestSessionStorageReuseSurvivesPooling(t *testing.T) {
 	}
 }
 
-// TestPooledVMRejectsConfigMutation pins the satellite fix: SetProfiler and
-// DisablePool must panic once a VM has been checked into a pool.
+// TestPooledVMRejectsConfigMutation: SetProfiler and DisablePool must
+// panic once a VM has been adopted as a serving session.
 func TestPooledVMRejectsConfigMutation(t *testing.T) {
 	e := vm.NewExecutable()
 	e.AddFunc(vm.VMFunc{Name: "main", NumParams: 0, RegCount: 1, Start: 0, Len: 1})

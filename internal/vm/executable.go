@@ -85,7 +85,7 @@ func (e *Executable) Frozen() bool { return e.frozen }
 // (vet:panic-ok — construction-phase misuse guard, never on a request path).
 func (e *Executable) mutCheck(op string) {
 	if e.frozen {
-		panic(fmt.Sprintf("vm: %s on frozen executable (it is shared by a session pool)", op))
+		panic(fmt.Sprintf("vm: %s on frozen executable (it is shared by serving sessions)", op))
 	}
 }
 

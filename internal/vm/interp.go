@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"nimble/internal/ir"
@@ -21,10 +22,10 @@ import (
 // table, and the optional profiler — and is therefore NOT safe for
 // concurrent use. The Executable underneath it is the opposite: once
 // frozen it is immutable, so any number of VMs may share one executable
-// and run in parallel, one VM per goroutine. internal/serve wraps this
-// pattern as a checkout pool (serve.NewPool); a VM handed to a pool is
-// marked pooled and rejects configuration mutators (SetProfiler,
-// DisablePool), which must be called before check-in.
+// and run in parallel, one VM per goroutine. internal/serve's Scheduler
+// serves this way: it builds one VM per session over a shared executable
+// and marks each pooled, after which the VM rejects configuration mutators
+// (SetProfiler, DisablePool, AttachSharedPool).
 type VM struct {
 	exe  *Executable
 	prof *Profiler
@@ -49,50 +50,51 @@ type VM struct {
 	tensorScratch []*tensor.Tensor
 	// keepScratch is releaseFrame's reusable escape set.
 	keepScratch map[*Storage]bool
-	// pooled marks the VM as checked into a session pool; configuration
-	// mutators panic afterwards because another goroutine may hold the
-	// session between the caller's observations.
+	// pooled marks the VM as a serving session; configuration mutators
+	// panic afterwards because another goroutine may hold the session
+	// between the caller's observations.
 	pooled bool
 
 	// sink, when non-nil, receives a deep copy of every tensor flowing
 	// through a stream.emit kernel during the current invocation — the
-	// token-by-token delivery path of streaming decode. sinkKernel caches the
-	// executable's stream.emit kernel index (-1 when absent) so execPacked
-	// pays one integer compare per packed call.
+	// token-by-token delivery path of streaming decode. sinkKernel is the
+	// executable's stream.emit kernel index (-1 when absent), resolved once
+	// in New, so execPacked pays one integer compare per packed call.
 	sink       func(*tensor.Tensor) error
 	sinkKernel int
 }
 
 // New creates a VM over exe with the runtime storage pool enabled.
 func New(exe *Executable) *VM {
-	return &VM{exe: exe, pool: newStoragePool(), maxDepth: 1 << 20, keepScratch: map[*Storage]bool{}, sinkKernel: -1}
+	return &VM{exe: exe, pool: newStoragePool(), maxDepth: 1 << 20, keepScratch: map[*Storage]bool{},
+		sinkKernel: slices.Index(exe.KernelNames, ir.OpStreamEmit)}
 }
 
 // SetProfiler attaches (or detaches, with nil) a profiler. It must be
-// called before the VM is checked into a session pool: afterwards the
-// session may be executing on another goroutine, so the mutation panics
+// called before the VM becomes a serving session: afterwards the session
+// may be executing on another goroutine, so the mutation panics
 // (vet:panic-ok — construction-phase misuse guard, never on a request path).
 func (vm *VM) SetProfiler(p *Profiler) {
 	if vm.pooled {
-		panic("vm: SetProfiler on a pooled VM; attach the profiler before NewPool adopts the session")
+		panic("vm: SetProfiler on a pooled VM; attach the profiler before the serving scheduler adopts the session")
 	}
 	vm.prof = p
 }
 
 // DisablePool turns off runtime storage reuse (for the memory-planning
 // ablation: every AllocStorage then hits the Go allocator). Like
-// SetProfiler it panics once the VM belongs to a session pool
+// SetProfiler it panics once the VM is a serving session
 // (vet:panic-ok — construction-phase misuse guard, never on a request path).
 func (vm *VM) DisablePool() {
 	if vm.pooled {
-		panic("vm: DisablePool on a pooled VM; configure the session before NewPool adopts it")
+		panic("vm: DisablePool on a pooled VM; configure the session before the serving scheduler adopts it")
 	}
 	vm.pool = nil
 }
 
 // MarkPooled transitions the VM into the pooled phase: configuration
-// mutators panic from now on. Called by internal/serve when a session is
-// adopted by a pool; the transition is one-way.
+// mutators panic from now on. Called by internal/serve's Scheduler when it
+// builds a session; the transition is one-way.
 func (vm *VM) MarkPooled() { vm.pooled = true }
 
 // Invoke runs the named function on args and returns its result.
@@ -133,17 +135,7 @@ func (vm *VM) InvokeStreamContext(ctx context.Context, sink func(*tensor.Tensor)
 		return nil, err
 	}
 	vm.sink = sink
-	vm.sinkKernel = -1
-	for i, n := range vm.exe.KernelNames {
-		if n == ir.OpStreamEmit {
-			vm.sinkKernel = i
-			break
-		}
-	}
-	defer func() {
-		vm.sink = nil
-		vm.sinkKernel = -1
-	}()
+	defer func() { vm.sink = nil }()
 	return vm.run(ctx, idx, args)
 }
 

@@ -117,12 +117,12 @@ func (sp *SharedStoragePool) Stats() SharedPoolStats {
 // AttachSharedPool connects this VM's storage pool to a shared cross-VM
 // tier: local misses draw from it, local overflow donates to it. Like
 // SetProfiler it is a configuration mutator and must be called before the
-// VM is checked into a session pool; a VM running with storage reuse
+// VM becomes a serving session; a VM running with storage reuse
 // disabled (DisablePool) ignores the attachment
 // (vet:panic-ok — construction-phase misuse guard, never on a request path).
 func (vm *VM) AttachSharedPool(sp *SharedStoragePool) {
 	if vm.pooled {
-		panic("vm: AttachSharedPool on a pooled VM; attach before NewPool adopts the session")
+		panic("vm: AttachSharedPool on a pooled VM; attach before the serving scheduler adopts the session")
 	}
 	if vm.pool != nil {
 		vm.pool.shared = sp

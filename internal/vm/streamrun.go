@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 
-	"nimble/internal/ir"
 	"nimble/internal/tensor"
 )
 
@@ -29,12 +28,11 @@ type StreamRun struct {
 	vm    *VM
 	stack []*frame
 	// sink receives each stream.emit tensor during Step, exactly like
-	// InvokeStreamContext's sink; sinkKernel caches the kernel index.
-	sink       func(*tensor.Tensor) error
-	sinkKernel int
-	result     Object
-	err        error
-	finished   bool
+	// InvokeStreamContext's sink.
+	sink     func(*tensor.Tensor) error
+	result   Object
+	err      error
+	finished bool
 }
 
 // BeginStream prepares a step-resumable run of the named entry. No
@@ -51,14 +49,7 @@ func (vm *VM) BeginStream(sink func(*tensor.Tensor) error, name string, args ...
 	if err != nil {
 		return nil, err
 	}
-	r := &StreamRun{vm: vm, stack: []*frame{f}, sink: sink, sinkKernel: -1}
-	for i, n := range vm.exe.KernelNames {
-		if n == ir.OpStreamEmit {
-			r.sinkKernel = i
-			break
-		}
-	}
-	return r, nil
+	return &StreamRun{vm: vm, stack: []*frame{f}, sink: sink}, nil
 }
 
 // Step resumes the run until its next compiled-loop back edge, returning
@@ -79,9 +70,9 @@ func (r *StreamRun) Step(ctx context.Context) (done bool, err error) {
 	// Re-arm the per-invocation VM state each step: the session may have
 	// run other invocations (or other StreamRuns) since the last one.
 	m.kernels = m.exe.kernels
-	m.sink, m.sinkKernel = r.sink, r.sinkKernel
+	m.sink = r.sink
 	stack, yielded, out, err := m.exec(ctx, r.stack, true)
-	m.sink, m.sinkKernel = nil, -1
+	m.sink = nil
 	r.stack = stack
 	if yielded {
 		return false, nil

@@ -5,7 +5,7 @@
 //
 //	Compile  — lower an IR module (built with nimble/ir) to a frozen Program
 //	Session  — single-goroutine execution: Program.NewSession
-//	Service  — concurrent serving (one run queue over a session pool):
+//	Service  — concurrent serving (one run queue over N VM sessions):
 //	           Program.Serve
 //
 // and one invocation verb everywhere:

@@ -150,9 +150,10 @@ func isLiftedLambda(name string) bool {
 
 // validate checks entry existence, arity, and argument shape/dtype/kind
 // against the compiled signature — the preconditions shared by every
-// invocation path. A request that fails here (ErrUnknownEntry,
-// ErrBadArity, ErrBadInput) is rejected before it can reach a VM.
-func (p *Program) validate(entry string, args []Value) (*EntrySignature, error) {
+// invocation path — and lowers the arguments into VM objects. A request
+// that fails here (ErrUnknownEntry, ErrBadArity, ErrBadInput) is rejected
+// before it can reach a VM.
+func (p *Program) validate(entry string, args []Value) ([]vm.Object, error) {
 	sig, ok := p.entries[entry]
 	if !ok {
 		return nil, unknownEntry(entry)
@@ -166,5 +167,13 @@ func (p *Program) validate(entry string, args []Value) (*EntrySignature, error) 
 	if err := checkArgs(sig, args); err != nil {
 		return nil, err
 	}
-	return sig, nil
+	objs := make([]vm.Object, len(args))
+	for i, a := range args {
+		o, err := toObject(a)
+		if err != nil {
+			return nil, fmt.Errorf("nimble: %s arg %d: %w", entry, i, err)
+		}
+		objs[i] = o
+	}
+	return objs, nil
 }

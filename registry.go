@@ -446,19 +446,15 @@ func (r *Registry) InvokeStreamOpts(ctx context.Context, model, entry string, ar
 	if err != nil {
 		return nil, err
 	}
-	st, err := v.svc.InvokeStreamOpts(ctx, entry, args, opts...)
+	// The version ref lives as long as the stream: released strictly after
+	// the run finished and its admission was given back, and before Result
+	// returns, so a drain that sees inflight==0 knows the Service holds no
+	// more work for it.
+	st, err := v.svc.invokeStream(ctx, entry, args, opts, release)
 	if err != nil {
 		release()
 		return nil, err
 	}
-	// The version ref lives as long as the stream: released strictly after
-	// the producer unwound (session back in its pool, in-flight counts
-	// decremented), so a drain that sees inflight==0 knows the Service
-	// holds no more work for it.
-	go func() {
-		<-st.done
-		release()
-	}()
 	return st, nil
 }
 

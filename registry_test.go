@@ -102,6 +102,35 @@ func TestRegistryDeployRoute(t *testing.T) {
 	}
 }
 
+// TestRegistryStreamReleasesVersion: a stream's version ref is given back
+// before its Result returns, so a caller that has its result sees the
+// version idle.
+func TestRegistryStreamReleasesVersion(t *testing.T) {
+	r := NewRegistry(WithServeDefaults(WithWorkers(1)))
+	defer r.Close()
+	p, err := Compile(models.NewDecoder(models.DefaultDecoderConfig()).Module)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Deploy("decoder", p); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		st, err := r.InvokeStream(context.Background(), "decoder", "generate", TensorValue(models.StartToken(int64(i+1))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for st.Next() {
+		}
+		if _, err := st.Result(); err != nil {
+			t.Fatal(err)
+		}
+		if v := r.Models()[0].Versions[0]; v.InFlight != 0 {
+			t.Fatalf("stream %d: version %s reports InFlight %d after Result returned", i, v.Version, v.InFlight)
+		}
+	}
+}
+
 // TestRegistryCanaryLifecycle walks a rollout end to end: deploy a canary
 // at an exact split, watch the unkeyed stride deliver exactly that
 // percentage, promote, and confirm the promoted version owns all traffic.

@@ -12,7 +12,7 @@ import (
 	"nimble/internal/vm"
 )
 
-// PoolStats re-exports the session-pool counters.
+// PoolStats re-exports the scheduler's session counters.
 type PoolStats = serve.Stats
 
 // BatcherStats re-exports a row-separable entry's coalescing counters.
@@ -25,7 +25,7 @@ type GateStats = serve.GateStats
 // batch occupancy, step latency EWMA and p50/p99.
 type SchedulerStats = serve.SchedStats
 
-// ServiceStats snapshots a service's pool, coalescing, admission, and
+// ServiceStats snapshots a service's session, coalescing, admission, and
 // scheduler counters.
 type ServiceStats struct {
 	Pool       PoolStats        `json:"pool"`
@@ -52,8 +52,8 @@ type Health struct {
 // the same path: validation, then its entry's admission gate — a bounded
 // queue with deadline-aware load shedding and a consecutive-failure circuit
 // breaker, so overload produces fast typed ErrOverloaded rejections instead
-// of unbounded queueing — then the scheduler's run queue, then a pooled VM
-// session over the frozen executable.
+// of unbounded queueing — then the scheduler's run queue, then one of the
+// scheduler's VM sessions over the frozen executable.
 //
 // The scheduler is the only dispatcher. A request is a run advanced one
 // step at a time: a unary invoke retires in its first step; a decode
@@ -71,7 +71,6 @@ type Health struct {
 // fresh VM), never reused. All methods are safe for concurrent use.
 type Service struct {
 	p        *Program
-	pool     *serve.Pool
 	sched    *serve.Scheduler
 	gates    map[string]*serve.Gate
 	timeout  time.Duration
@@ -96,11 +95,7 @@ func (p *Program) Serve(opts ...ServiceOption) (*Service, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	pool, err := serve.NewPoolShared(p.exe, workers, cfg.sharedStorage)
-	if err != nil {
-		return nil, err
-	}
-	s := &Service{p: p, pool: pool, gates: map[string]*serve.Gate{}, timeout: cfg.requestTimeout}
+	s := &Service{p: p, gates: map[string]*serve.Gate{}, timeout: cfg.requestTimeout}
 	sched := serve.SchedConfig{Window: cfg.schedWindow, Lanes: cfg.lanes, MaxBatch: cfg.maxBatch}
 	for _, name := range p.names {
 		s.gates[name] = serve.NewGate(serve.GateConfig{
@@ -112,15 +107,18 @@ func (p *Program) Serve(opts ...ServiceOption) (*Service, error) {
 		})
 		sched.Entries = append(sched.Entries, serve.SchedEntry{Name: name, RowSeparable: p.entries[name].RowSeparable})
 	}
-	s.sched = serve.NewScheduler(pool, sched)
+	var err error
+	if s.sched, err = serve.NewScheduler(p.exe, workers, cfg.sharedStorage, sched); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
 // Program returns the served program (for introspection endpoints).
 func (s *Service) Program() *Program { return s.p }
 
-// Workers returns the session-pool size.
-func (s *Service) Workers() int { return s.pool.Size() }
+// Workers returns the number of sessions the scheduler drives.
+func (s *Service) Workers() int { return s.sched.Workers() }
 
 // invokeOpts folds the per-request options: a deadline budget (or, failing
 // a caller deadline, the service's request timeout) tightens the context;
@@ -178,17 +176,11 @@ func (s *Service) admit(ctx context.Context, entry string, args []Value, opts []
 	if s.closed.Load() {
 		return nil, admission{}, fmt.Errorf("nimble: service: %w", ErrClosed)
 	}
-	if _, err := s.p.validate(entry, args); err != nil {
+	objs, err := s.p.validate(entry, args)
+	if err != nil {
 		return nil, admission{}, err
 	}
-	a := admission{svc: s, entry: entry, objs: make([]vm.Object, len(args))}
-	for i, arg := range args {
-		o, err := toObject(arg)
-		if err != nil {
-			return nil, admission{}, fmt.Errorf("nimble: %s arg %d: %w", entry, i, err)
-		}
-		a.objs[i] = o
-	}
+	a := admission{svc: s, entry: entry, objs: objs}
 	ctx, a.cancel, a.lane = s.invokeOpts(ctx, opts)
 	release, err := s.gates[entry].Admit(ctx)
 	if err != nil {
@@ -258,16 +250,30 @@ func (s *Service) InvokeStream(ctx context.Context, entry string, args ...Value)
 // selects the scheduler lane, WithDeadlineBudget tightens the deadline the
 // scheduler orders by.
 func (s *Service) InvokeStreamOpts(ctx context.Context, entry string, args []Value, opts ...InvokeOption) (*Stream, error) {
+	return s.invokeStream(ctx, entry, args, opts, nil)
+}
+
+// invokeStream opens a stream; then, when non-nil, runs as the last step
+// of the stream's cleanup, after its admission is finished and before
+// Result returns. It is not called when the open fails.
+func (s *Service) invokeStream(ctx context.Context, entry string, args []Value, opts []InvokeOption, then func()) (*Stream, error) {
 	ctx, a, err := s.admit(ctx, entry, args, opts)
 	if err != nil {
 		return nil, err
 	}
-	return runStream(ctx, a.run, a.finish), nil
+	cleanup := a.finish
+	if then != nil {
+		cleanup = func(err error) {
+			a.finish(err)
+			then()
+		}
+	}
+	return runStream(ctx, a.run, cleanup), nil
 }
 
 // Stats snapshots the service counters.
 func (s *Service) Stats() ServiceStats {
-	st := ServiceStats{Pool: s.pool.Stats()}
+	st := ServiceStats{Pool: s.sched.SessionStats()}
 	st.Schedulers, st.Batchers = s.sched.Stats()
 	for _, name := range s.p.names {
 		st.Gates = append(st.Gates, s.gates[name].Stats())
@@ -294,7 +300,7 @@ func (s *Service) Health() Health {
 // Shutdown closes the service gracefully: new Invokes fail immediately
 // with ErrClosed and admitted requests — queued, running, or streaming —
 // get until ctx is done to finish. When the context fires first the
-// scheduler and pool close out from under the stragglers — requests still
+// scheduler closes out from under the stragglers — requests still
 // queued fail with ErrClosed, active decode loops are retired at their next
 // iteration boundary — and Shutdown reports how many were cut loose. A nil
 // error means every admitted request drained.
@@ -315,7 +321,6 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	}
 	stragglers := s.inflight.Load()
 	s.sched.Close()
-	s.pool.Close()
 	if cut && stragglers > 0 {
 		return fmt.Errorf("nimble: service: drain window expired with %d requests in flight: %w", stragglers, ErrClosed)
 	}

@@ -51,20 +51,13 @@ func (s *Session) Invoke(ctx context.Context, entry string, args ...Value) (v Va
 	if s.closed {
 		return Value{}, fmt.Errorf("nimble: session: %w", ErrClosed)
 	}
-	if _, err := s.p.validate(entry, args); err != nil {
+	objs, err := s.p.validate(entry, args)
+	if err != nil {
 		return Value{}, err
-	}
-	objs := make([]vm.Object, len(args))
-	for i, a := range args {
-		o, err := toObject(a)
-		if err != nil {
-			return Value{}, fmt.Errorf("nimble: %s arg %d: %w", entry, i, err)
-		}
-		objs[i] = o
 	}
 	defer func() {
 		if rec := recover(); rec != nil {
-			// A session has no pool to mint a replacement from: poison it
+			// A session has no scheduler to mint a replacement: poison it
 			// outright. The caller opens a fresh one; the Program is immutable
 			// and unharmed.
 			s.closed = true
@@ -95,16 +88,9 @@ func (s *Session) InvokeStream(ctx context.Context, entry string, args ...Value)
 	if s.closed {
 		return nil, fmt.Errorf("nimble: session: %w", ErrClosed)
 	}
-	if _, err := s.p.validate(entry, args); err != nil {
+	objs, err := s.p.validate(entry, args)
+	if err != nil {
 		return nil, err
-	}
-	objs := make([]vm.Object, len(args))
-	for i, a := range args {
-		o, err := toObject(a)
-		if err != nil {
-			return nil, fmt.Errorf("nimble: %s arg %d: %w", entry, i, err)
-		}
-		objs[i] = o
 	}
 	s.streaming.Store(true)
 	st := runStream(ctx, func(runCtx context.Context, sink func(*tensor.Tensor) error) (out vm.Object, err error) {

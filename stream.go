@@ -44,9 +44,9 @@ type Stream struct {
 
 // runStream launches the producer goroutine: run executes the entry with a
 // sink that hands each emitted tensor to the consumer, and cleanup (which
-// may be nil) releases whatever resources the invocation pinned — pool
-// session, admission slot, in-flight count — strictly after the run has
-// returned. The final error is classified (context errors gain the
+// may be nil) releases whatever resources the invocation pinned —
+// admission slot, in-flight count, registry version — strictly after the
+// run has returned. The final error is classified (context errors gain the
 // ErrCanceled wrap) before it becomes visible through Err/Result.
 func runStream(ctx context.Context, run func(context.Context, func(*tensor.Tensor) error) (vm.Object, error), cleanup func(error)) *Stream {
 	runCtx, cancel := context.WithCancel(ctx)
@@ -130,7 +130,7 @@ func (st *Stream) Result() (Value, error) {
 
 // Close abandons the stream: the run's context is canceled, pending and
 // future emissions are discarded, and Close blocks until the producer has
-// fully unwound (its pooled session released, in-flight accounting
+// fully unwound (its admission slot released, in-flight accounting
 // decremented). It returns the run's final error — ErrCanceled when Close
 // itself stopped an unfinished run, nil or the run's own error when the
 // stream was already drained. Idempotent; safe after Next returned false.
