@@ -36,7 +36,7 @@ func holdSessions(sc *Scheduler) (release func()) {
 	return func() {
 		sc.mu.Lock()
 		sc.free = append(sc.free, held...)
-		for i := 0; i < len(sc.queue) && len(sc.free) > 0 && !sc.closed; i++ {
+		for i := 0; i < len(sc.queue) && len(sc.free) > sc.starting && !sc.closed; i++ {
 			sc.spawnLocked()
 		}
 		sc.mu.Unlock()

@@ -105,7 +105,8 @@ type Scheduler struct {
 	// instantaneous fields.
 	stats Stats
 	// starting counts workers spawned for an idle session that have not
-	// taken their first look at the queue yet.
+	// taken their first look at the queue yet. Each has one session of
+	// free reserved, so len(free) >= starting always holds.
 	starting int
 	nextSeq  uint64
 	closed   bool
@@ -340,11 +341,11 @@ func (sc *Scheduler) submit(s *schedStream) error {
 	sc.nextSeq++
 	sc.queue = append(sc.queue, s)
 	s.entry.sched.Submitted++
-	// A free session is an idle one: start a worker on it rather than let
-	// the arrival wait for a busy one. Only an arrival that does wait reads
-	// the clock. Always wake, so a sleeping worker with spare window adopts
-	// at its next boundary.
-	if len(sc.free) > 0 {
+	// A free session no starting worker has reserved is an idle one: start
+	// a worker on it rather than let the arrival wait for a busy one. Only
+	// an arrival that does wait reads the clock. Always wake, so a sleeping
+	// worker with spare window adopts at its next boundary.
+	if len(sc.free) > sc.starting {
 		sc.spawnLocked()
 	} else {
 		sc.stats.Waits++
@@ -418,14 +419,12 @@ func (sc *Scheduler) withdraw(s *schedStream, err error) bool {
 	return true
 }
 
-// spawnLocked starts a worker on the session atop the free stack; the
-// caller checked that one is free.
+// spawnLocked starts a worker and reserves it a free session; the caller
+// checked that len(free) > starting. The worker pops the session at its
+// first look at the queue, so a worker that finds nothing to do frees it
+// again in the same critical section and is never seen holding it.
 func (sc *Scheduler) spawnLocked() {
-	n := len(sc.free) - 1
-	w := &schedWorker{sc: sc, sess: sc.free[n], wake: make(chan struct{}, 1)}
-	sc.free[n] = nil
-	sc.free = sc.free[:n]
-	sc.stats.PeakInUse = max(sc.stats.PeakInUse, len(sc.all)-n)
+	w := &schedWorker{sc: sc, wake: make(chan struct{}, 1)}
 	w.active, w.settled = w.buf[:0:2], w.buf[2:2]
 	sc.workers[w] = struct{}{}
 	sc.starting++
@@ -587,7 +586,12 @@ func (w *schedWorker) run() {
 	for {
 		sc.mu.Lock()
 		if starting {
+			n := len(sc.free) - 1
+			w.sess = sc.free[n]
+			sc.free[n] = nil
+			sc.free = sc.free[:n]
 			sc.starting--
+			sc.stats.PeakInUse = max(sc.stats.PeakInUse, len(sc.all)-n)
 		}
 		fresh := w.adoptLocked()
 		if starting && len(sc.queue) > 0 {
