@@ -5,13 +5,14 @@
 #   make bench      - quick one-shot pass over every paper benchmark
 #   make bench-full - the full harness via cmd/nimble-bench
 #   make paper-smoke - every paper table and figure once, quick mode
-#   make bench-kernels - dense-tile GFLOP/s and activation ns/element, both paths
+#   make bench-kernels - dense-tile GFLOP/s, weight-pack time and activation ns/element
 #   make cross      - build + vet the pure-Go kernel fallback for arm64
+#   make purego     - the kernels tests with the assembly tiles compiled out
 #   make ci         - what the GitHub Actions workflow runs
 
 GO ?= go
 
-.PHONY: all build vet test cross race api-check staticcheck chaos chaos-smoke registry-smoke fuzz-smoke invoke-fuzz-smoke sse-fuzz-smoke verify-smoke bench bench-full paper-smoke bench-kernels benchmark-check ci
+.PHONY: all build vet test cross purego race api-check staticcheck chaos chaos-smoke registry-smoke fuzz-smoke invoke-fuzz-smoke sse-fuzz-smoke verify-smoke bench bench-full paper-smoke bench-kernels benchmark-check ci
 
 all: build vet test
 
@@ -84,6 +85,11 @@ build:
 cross:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/kernels/...
 
+# The purego build tag leaves out the amd64 assembly, so the pure-Go row
+# tiles (and the scalar activations) run on an amd64 host too.
+purego:
+	$(GO) test -count=1 -tags purego ./internal/kernels
+
 # Toolchain vet plus the repo's own analyzer suite (cmd/nimble-vet):
 # panic discipline in request paths, ctx-threaded blocking waits, no
 # retained planner-owned buffers in kernels, no allocating Eval inside
@@ -109,12 +115,14 @@ bench-full:
 paper-smoke:
 	$(GO) run ./cmd/nimble-bench -quick
 
-# Kernel tables for EXPERIMENTS.md: GFLOP/s per BERT dense shape and ns per
-# element per activation (and bias add), assembly and pure-Go paths, at one
-# and two Ps side by side (the -2 rows shard the dense calls over the pool;
-# DenseBreakEven shards below the threshold to show where sharding pays).
+# Kernel tables for EXPERIMENTS.md: GFLOP/s per BERT dense shape (one hot
+# weight, and BERT-reduced's 24 weights cycled cold), ns per element per
+# activation (and bias add), assembly and pure-Go paths, and the time the
+# pack-dense-weights pass takes over BERT-reduced, at one and two Ps side by
+# side (the -2 rows shard the dense calls over the pool; DenseBreakEven
+# shards below the threshold to show where sharding pays).
 bench-kernels:
-	$(GO) test ./internal/kernels -run '^$$' -bench 'DenseShapes|DenseBreakEven|Activations' -benchtime 200ms -count 3 -cpu 1,2
+	$(GO) test ./internal/kernels ./internal/passes -run '^$$' -bench 'DenseShapes|DenseBreakEven|Activations|PackDenseWeights' -benchtime 200ms -count 3 -cpu 1,2
 
 # The benchmark is its own module (benchmark/go.mod), outside the root
 # `go vet ./...` / `go test ./...`: vet and test it against this tree.
@@ -122,4 +130,4 @@ bench-kernels:
 benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-ci: all cross staticcheck race api-check chaos-smoke registry-smoke bench paper-smoke benchmark-check
+ci: all cross purego staticcheck race api-check chaos-smoke registry-smoke bench paper-smoke benchmark-check

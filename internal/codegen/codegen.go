@@ -63,8 +63,8 @@ func ForOp(op *ir.Op, attrs ir.Attrs, outType *ir.TensorType, opts Options) (Ker
 	if err != nil {
 		return Kernel{}, err
 	}
-	if op.Name == "dense" && outType != nil && outType.Rank() == 2 && outType.Dims[0].IsAny() {
-		return symbolicDense(opts), nil
+	if (op.Name == "dense" || op.Name == "dense_packed") && outType != nil && outType.Rank() == 2 && outType.Dims[0].IsAny() {
+		return symbolicDense(op.Name, attrs, opts), nil
 	}
 	return genericKernel(op, attrs), nil
 }
@@ -164,24 +164,29 @@ func copyInto(dst, src *tensor.Tensor) {
 // whose row count is symbolic: k generated kernels, each covering
 // TileFactor/k residues, selected at runtime by the actual shape ("we
 // automatically generate a dispatch function that invokes the corresponding
-// kernel based on the residue").
-func symbolicDense(opts Options) Kernel {
-	k := opts.Dispatch
-	name := fmt.Sprintf("dense_sym_dispatch%d", k)
-	table := BuildDispatchTable(k)
+// kernel based on the residue"). A dense_packed reads its compile-time
+// panels; a dense packs its run-time B per call.
+func symbolicDense(opName string, attrs ir.Attrs, opts Options) Kernel {
+	table := BuildDispatchTable(opts.Dispatch)
+	units, invoke := attrs.Int("units", -1), table.Invoke
+	if units >= 0 {
+		invoke = table.InvokePacked
+	}
 	packed := func(args []*tensor.Tensor, out *tensor.Tensor) (*tensor.Tensor, error) {
 		if len(args) != 2 {
-			return nil, fmt.Errorf("codegen: dense expects 2 inputs, got %d", len(args))
+			return nil, fmt.Errorf("codegen: %s expects 2 inputs, got %d", opName, len(args))
 		}
-		a, b := args[0], args[1]
-		m := a.Shape()[0]
 		if out == nil {
-			out = tensor.New(tensor.Float32, m, b.Shape()[1])
+			n := args[1].Shape()[1]
+			if units >= 0 {
+				n = units
+			}
+			out = tensor.New(tensor.Float32, args[0].Shape()[0], n)
 		}
-		table.Invoke(a, b, out)
+		invoke(args[0], args[1], out)
 		return out, nil
 	}
-	return Kernel{Name: name, Fn: packed}
+	return Kernel{Name: fmt.Sprintf("%s_sym_dispatch%d%s", opName, opts.Dispatch, attrsSuffix(attrs)), Fn: packed}
 }
 
 // DispatchTable maps residues to generated kernel variants; Figure 3's
@@ -190,7 +195,7 @@ type DispatchTable struct {
 	// Width is the number of generated kernels.
 	Width int
 	// variants[r] handles residue r.
-	variants [kernels.TileFactor]func(a, b, out *tensor.Tensor)
+	variants [kernels.TileFactor]kernels.Variant
 }
 
 // BuildDispatchTable generates width symbolic kernels covering the
@@ -202,31 +207,31 @@ type DispatchTable struct {
 //	width=1: a single kernel with guards throughout (naive symbolic codegen)
 func BuildDispatchTable(width int) *DispatchTable {
 	t := &DispatchTable{Width: width}
-	switch width {
-	case kernels.TileFactor:
-		for r := 0; r < kernels.TileFactor; r++ {
-			t.variants[r] = kernels.MatMulSymbolicFull(r)
-		}
-	case 1:
-		for r := 0; r < kernels.TileFactor; r++ {
-			t.variants[r] = kernels.MatMulSymbolicNaive
-		}
-	default:
-		span := kernels.TileFactor / width
-		for c := 0; c < width; c++ {
-			fn := kernels.MatMulSymbolicPartial(c*span, (c+1)*span-1)
-			for r := c * span; r < (c+1)*span; r++ {
-				t.variants[r] = fn
-			}
+	span := kernels.TileFactor / width
+	for r := range t.variants {
+		lo := r / span * span
+		switch width {
+		case kernels.TileFactor:
+			t.variants[r] = kernels.SymbolicFull(r)
+		case 1:
+			t.variants[r] = kernels.SymbolicNaive
+		default:
+			t.variants[r] = kernels.SymbolicPartial(lo, lo+span-1)
 		}
 	}
 	return t
 }
 
-// Invoke dispatches on the runtime residue of the symbolic dimension.
+// Invoke dispatches on the runtime residue of the symbolic dimension, for a
+// row-major B.
 func (t *DispatchTable) Invoke(a, b, out *tensor.Tensor) {
-	r := a.Shape()[0] % kernels.TileFactor
-	t.variants[r](a, b, out)
+	t.variants[a.Shape()[0]%kernels.TileFactor].MatMul(a, b, out)
+}
+
+// InvokePacked dispatches like Invoke for a B packed by kernels.PackB; n is
+// out's column count.
+func (t *DispatchTable) InvokePacked(a, p, out *tensor.Tensor) {
+	t.variants[a.Shape()[0]%kernels.TileFactor].Packed(a, p, out)
 }
 
 // attrsSuffix renders attrs deterministically into a kernel name so kernels

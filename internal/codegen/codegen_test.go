@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -182,6 +183,34 @@ func TestSymbolicDenseViaPackedFunc(t *testing.T) {
 		}
 		if !res.AllClose(kernels.MatMulRef(a, b), 1e-4, 1e-5) {
 			t.Errorf("dispatch=%d symbolic dense wrong", disp)
+		}
+	}
+}
+
+// TestSymbolicDensePackedViaPackedFunc runs dense_packed's dispatch kernel
+// over a compile-time packed B at every dispatch width, with a planned
+// output and with none: it equals the row-major dense kernel bit for bit.
+func TestSymbolicDensePackedViaPackedFunc(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	op := ir.MustGetOp("dense_packed")
+	a, b := tensor.Random(rng, 1, 13, 8), tensor.Random(rng, 1, 8, 20)
+	want := kernels.MatMul(a, b)
+	for _, disp := range []int{8, 4, 2, 1} {
+		k, err := ForOp(op, ir.Attrs{"units": 20}, ir.TT(tensor.Float32, ir.DimAny, 20), Options{Dispatch: disp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("dense_packed_sym_dispatch%d{units=20}", disp); k.Name != want {
+			t.Errorf("name = %q, want %q", k.Name, want)
+		}
+		for _, out := range []*tensor.Tensor{tensor.New(tensor.Float32, 13, 20), nil} {
+			res, err := k.Fn([]*tensor.Tensor{a, kernels.PackB(b)}, out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Equal(want) {
+				t.Errorf("dispatch=%d planned=%v: packed symbolic dense differs from dense", disp, out != nil)
+			}
 		}
 	}
 }

@@ -71,7 +71,7 @@ func Compile(mod *ir.Module, opts Options) (*Result, error) {
 	}
 
 	var pipeline []passes.Pass
-	pipeline = append(pipeline, passes.ANF(), passes.ConstantFold(), passes.DCE())
+	pipeline = append(pipeline, passes.ANF(), passes.ConstantFold(), passes.DCE(), passes.PackDenseWeights())
 	if !opts.DisableFusion {
 		pipeline = append(pipeline, passes.FuseOpsWithStats(&st.Fusion))
 	}
@@ -174,11 +174,12 @@ func (c *compiler) internKernel(k codegen.Kernel) int {
 	return idx
 }
 
-func (c *compiler) internConst(t *tensor.Tensor) int {
+func (c *compiler) internConst(k *ir.Constant) int {
+	t := k.Value
 	if idx, ok := c.consts[t]; ok {
 		return idx
 	}
-	idx := c.exe.AddConst(t)
+	idx := c.exe.AddPackedConst(t, k.Units)
 	c.consts[t] = idx
 	return idx
 }

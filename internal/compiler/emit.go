@@ -58,7 +58,7 @@ func (fc *funcCompiler) compile(e ir.Expr) (vm.Reg, error) {
 		return r, nil
 
 	case *ir.Constant:
-		idx := fc.c.internConst(n.Value)
+		idx := fc.c.internConst(n)
 		dst := fc.fresh()
 		fc.emit(vm.Instruction{Op: vm.OpLoadConst, Dst: dst, Imm: int64(idx)})
 		return dst, nil

@@ -27,6 +27,7 @@ const (
 	kindBinary
 	kindReduce
 	kindDense
+	kindDenseRuntime
 	kindTranspose
 	kindConcat
 	kindSlice
@@ -85,6 +86,8 @@ func (n node) describe() string {
 		return fmt.Sprintf("%s(n%d, axis=%d, keep=%v) %v", n.op, n.a, n.axis, n.keep, n.shape)
 	case kindDense:
 		return fmt.Sprintf("dense(n%d, w%v) %v", n.a, n.weight.Shape(), n.shape)
+	case kindDenseRuntime:
+		return fmt.Sprintf("dense(n%d, n%d) %v", n.a, n.b, n.shape)
 	case kindTranspose:
 		return fmt.Sprintf("transpose(n%d) %v", n.a, n.shape)
 	case kindConcat:
@@ -197,14 +200,21 @@ func (p *Program) addRandomNode(rng *rand.Rand) {
 					a: a, axis: axis, keep: keep, shape: out}
 				ok = true
 			}
-		case 4: // dense against a fresh constant weight
+		case 4: // dense against a fresh constant weight (packed at compile
+			// time) or, half the time, against a computed B (packed per call)
 			a, found := p.pick(rng, func(m node) bool { return len(m.shape) == 2 })
 			if found {
 				k := p.nodes[a].shape[1]
-				m := 1 + rng.Intn(6)
-				w := tensor.Random(rng, 0.5, k, m)
-				n = node{kind: kindDense, a: a, weight: w,
-					shape: []int{p.nodes[a].shape[0], m}}
+				bIdx, runtimeB := p.pick(rng, func(m node) bool { return len(m.shape) == 2 && m.shape[0] == k })
+				if runtimeB && rng.Intn(2) == 0 {
+					n = node{kind: kindDenseRuntime, a: a, b: bIdx,
+						shape: []int{p.nodes[a].shape[0], p.nodes[bIdx].shape[1]}}
+				} else {
+					m := 1 + rng.Intn(20)
+					w := tensor.Random(rng, 0.5, k, m)
+					n = node{kind: kindDense, a: a, weight: w,
+						shape: []int{p.nodes[a].shape[0], m}}
+				}
 				ok = true
 			}
 		case 5: // transpose rank-2
@@ -297,6 +307,8 @@ func (p *Program) BuildModule() *ir.Module {
 			exprs[i] = b.OpAttrs(n.op, ir.Attrs{"axis": n.axis, "keepdims": n.keep}, exprs[n.a])
 		case kindDense:
 			exprs[i] = b.Op("dense", exprs[n.a], ir.Const(n.weight))
+		case kindDenseRuntime:
+			exprs[i] = b.Op("dense", exprs[n.a], exprs[n.b])
 		case kindTranspose:
 			exprs[i] = b.Op("transpose", exprs[n.a])
 		case kindConcat:
@@ -351,6 +363,8 @@ func (p *Program) EagerEval() (*tensor.Tensor, error) {
 			vals[i], err = evalOp(n.op, ir.Attrs{"axis": n.axis, "keepdims": n.keep}, vals[n.a])
 		case kindDense:
 			vals[i], err = evalOp("dense", nil, vals[n.a], n.weight)
+		case kindDenseRuntime:
+			vals[i], err = evalOp("dense", nil, vals[n.a], vals[n.b])
 		case kindTranspose:
 			vals[i], err = evalOp("transpose", nil, vals[n.a])
 		case kindConcat:

@@ -54,6 +54,11 @@ func (*GlobalVar) isExpr() {}
 type Constant struct {
 	baseExpr
 	Value *tensor.Tensor
+	// Units is non-zero for the B operand of a dense_packed: Value holds a
+	// [k, Units] weight as 16-column panels (kernels.PackB), shape [k,
+	// Units rounded up to 16]. The executable records it, so the panels
+	// of a loaded artifact can be checked before anything runs.
+	Units int
 }
 
 func (*Constant) isExpr() {}

@@ -233,6 +233,24 @@ func TestConcatRel(t *testing.T) {
 	}
 }
 
+// TestDensePackedRel types dense_packed against its panels: the packed B
+// must hold n columns rounded up to whole 16-column panels.
+func TestDensePackedRel(t *testing.T) {
+	f32 := tensor.Float32
+	got, err := densePackedRel([]Type{TT(f32, DimAny, 8), TT(f32, 8, 32)}, Attrs{"units": 20})
+	if err != nil || got.String() != "Tensor[(Any, 20), float32]" {
+		t.Errorf("dense_packed [Any,8] x [8,32]{units=20} = %v, %v", got, err)
+	}
+	for _, bad := range []struct {
+		p     Type
+		units int
+	}{{TT(f32, 8, 16), 20}, {TT(f32, 8, 48), 20}, {TT(f32, 7, 32), 20}, {TT(f32, 8, DimAny), 20}, {TT(f32, 8, 32), -1}} {
+		if _, err := densePackedRel([]Type{TT(f32, DimAny, 8), bad.p}, Attrs{"units": bad.units}); err == nil {
+			t.Errorf("dense_packed accepted panels %s for units %d", bad.p, bad.units)
+		}
+	}
+}
+
 func TestShapeFuncModes(t *testing.T) {
 	// Registered modes match the paper's taxonomy.
 	cases := map[string]ShapeFuncMode{

@@ -22,6 +22,24 @@ func denseRel(args []Type, _ Attrs) (Type, error) {
 	return &TensorType{Dims: []Dim{x.Dims[0], w.Dims[1]}, DType: x.DType}, nil
 }
 
+// densePackedRel types dense_packed(x, P){units=n}: [m, k] x [k, PackedCols(n)]
+// -> [m, n]. P's column count must be n rounded up to whole panels.
+func densePackedRel(args []Type, attrs Attrs) (Type, error) {
+	x, ok1 := args[0].(*TensorType)
+	p, ok2 := args[1].(*TensorType)
+	n := attrs.Int("units", -1)
+	if !ok1 || !ok2 || x.Rank() != 2 || p.Rank() != 2 || n < 0 {
+		return nil, fmt.Errorf("ir: dense_packed requires rank-2 tensors and units >= 0, got %s and %s", args[0], args[1])
+	}
+	if err := unifyDim(x.Dims[1], p.Dims[0]); err != nil {
+		return nil, fmt.Errorf("ir: dense_packed reduction dims: %w", err)
+	}
+	if p.Dims[1].IsAny() || p.Dims[1].Value != kernels.PackedCols(n) {
+		return nil, fmt.Errorf("ir: dense_packed panels %s do not hold %d columns", p.Dims[1], n)
+	}
+	return &TensorType{Dims: []Dim{x.Dims[0], StaticDim(n)}, DType: x.DType}, nil
+}
+
 // unifyDim checks that two dims can denote the same extent; Any unifies with
 // anything (the residual check happens at runtime, per gradual typing).
 func unifyDim(a, b Dim) error {
@@ -54,6 +72,33 @@ func init() {
 		},
 		EvalInto: func(args []*tensor.Tensor, _ Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.MatMulInto(args[0], args[1], out), nil
+		},
+		Pattern:   PatternOutFusable,
+		NumInputs: 2,
+	})
+
+	// dense_packed(x, P){units=n} is dense whose B was packed at compile
+	// time (kernels.PackB): P is [k, PackedCols(n)] in panel order and the
+	// result is [m, n]. The pack-dense-weights pass emits it for every
+	// dense over a constant B.
+	RegisterOp(&Op{
+		Name: "dense_packed",
+		Rel:  densePackedRel,
+		Shape: ShapeFunc{
+			Mode: ShapeDataIndependent,
+			Fn: func(inShapes []tensor.Shape, _ []*tensor.Tensor, attrs Attrs) ([]tensor.Shape, error) {
+				x, p, n := inShapes[0], inShapes[1], attrs.Int("units", -1)
+				if x[1] != p[0] || p[1] != kernels.PackedCols(n) {
+					return nil, fmt.Errorf("ir: dense_packed runtime shape mismatch: %v x %v (units %d)", x, p, n)
+				}
+				return []tensor.Shape{{x[0], n}}, nil
+			},
+		},
+		Eval: func(args []*tensor.Tensor, attrs Attrs) (*tensor.Tensor, error) {
+			return kernels.DensePackedInto(args[0], args[1], attrs.Int("units", -1), nil), nil
+		},
+		EvalInto: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
+			return kernels.DensePackedInto(args[0], args[1], attrs.Int("units", -1), out), nil
 		},
 		Pattern:   PatternOutFusable,
 		NumInputs: 2,

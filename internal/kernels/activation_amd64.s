@@ -1,3 +1,5 @@
+//go:build !purego
+
 #include "textflag.h"
 
 // GELU, sigmoid and tanh 8 lanes at a time, with the formulas of

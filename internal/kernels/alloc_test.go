@@ -26,14 +26,20 @@ func assertZeroAllocs(t *testing.T, name string, f func()) {
 func TestDenseKernelsZeroAlloc(t *testing.T) {
 	a := fill(tensor.New(tensor.Float32, 13, 32), 0.5) // odd rows: exercises the residue epilogue
 	b := fill(tensor.New(tensor.Float32, 32, 24), 0.25)
+	p := PackB(b)
 	out := tensor.New(tensor.Float32, 13, 24)
 	assertZeroAllocs(t, "MatMulInto", func() { MatMulInto(a, b, out) })
-	assertZeroAllocs(t, "MatMulStatic", func() { MatMulStatic(a, b, out) })
-	// 29x256x1024 is above shardFLOPs: its column panels go to the pool.
+	assertZeroAllocs(t, "Static.MatMul", func() { Static.MatMul(a, b, out) })
+	assertZeroAllocs(t, "Static.Packed", func() { Static.Packed(a, p, out) })
+	assertZeroAllocs(t, "DensePackedInto", func() { DensePackedInto(a, p, 24, out) })
+	// 29x256x1024 is above shardFLOPs: its column ranges go to the pool.
+	// The row-major B is packed per call into pooled scratch.
 	x := fill(tensor.New(tensor.Float32, 29, 256), 0.5)
 	w := fill(tensor.New(tensor.Float32, 256, 1024), 0.25)
+	pw := PackB(w)
 	wide := tensor.New(tensor.Float32, 29, 1024)
-	assertZeroAllocs(t, "MatMulStatic/sharded", func() { MatMulStatic(x, w, wide) })
+	assertZeroAllocs(t, "Static.MatMul/sharded", func() { Static.MatMul(x, w, wide) })
+	assertZeroAllocs(t, "Static.Packed/sharded", func() { Static.Packed(x, pw, wide) })
 }
 
 func TestElementwiseKernelsZeroAlloc(t *testing.T) {

@@ -8,16 +8,23 @@
 // §4.5 symbolic code generation where the loop structure, not the
 // arithmetic, is what differs between variants.
 //
-// The dense operator's innermost row tile has two implementations. On amd64
-// CPUs whose CPUID reports AVX2 and FMA (and whose OS saves the YMM state,
-// checked with XGETBV) it is Go assembly: 4-row x 16-column FMA tiles for
-// full blocks, 1 x 16 for guarded and remainder rows, and a masked column
-// tail (matmul_amd64.s). Elsewhere the pure-Go micro8/microN* family runs.
-// The choice is made once at start-up. Every dense variant is one row-block
-// loop over a column range, and a call of at least shardFLOPs splits its
-// columns into 128-wide panels over the internal/runtime worker pool. Each
-// output is still accumulated in the same order, so static, residue and
-// guarded kernels, sharded or not, give bit-identical results.
+// The dense operator reads its B operand in one layout only: ⌈n/16⌉ column
+// panels of k×16 floats, panel after panel, each row of a panel 64
+// contiguous bytes and only the last panel zero-padded (PackB). A constant
+// B is packed once at compile time (the pack-dense-weights pass); a B that
+// is computed at run time is packed per call into pooled scratch. Every
+// dense variant is one loop over a column range that runs 128-column blocks
+// (eight panels) outer and row blocks inner, so a block stays in cache
+// across the row tiles. The row tile has two implementations. On amd64 CPUs
+// whose CPUID reports AVX2 and FMA (and whose OS saves the YMM state,
+// checked with XGETBV) it is Go assembly: 4-row and 1-row x 16-column FMA
+// tiles that walk the panels front to back (matmul_amd64.s). Elsewhere, or
+// built with the purego tag, the pure-Go micro4/micro1 pair runs the same
+// structure. The choice is made once at start-up. A call of at least
+// shardFLOPs splits its blocks over the internal/runtime worker pool. Each
+// output is still accumulated over p in increasing order, so static,
+// residue and guarded kernels, sharded or not, over a packed or a row-major
+// B, give bit-identical results.
 //
 // GELU, sigmoid and tanh are built on one float32 e^z - 1 (activation.go),
 // run 8 lanes at a time by AVX2/FMA assembly on the same CPUs
@@ -28,6 +35,7 @@ package kernels
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	nrt "nimble/internal/runtime"
@@ -69,151 +77,109 @@ const TileFactor = 8
 
 const (
 	// shardFLOPs is the 2·m·k·n from which a dense call is split into
-	// column panels over the worker pool: the break-even of
+	// column ranges over the worker pool: the break-even of
 	// BenchmarkDenseShapes at -cpu 1 against -cpu 2 (EXPERIMENTS.md).
 	shardFLOPs = 1 << 20
-	// panelCols is the column width of one shard, a multiple of the
-	// 16-column tile so only the last panel has a masked tail.
+	// panelCols is the column width of one shard and of one column block
+	// of the row-block loop: eight panels, so every block starts at a panel.
 	panelCols = 128
+	// panelW is the column width of one packed panel: the 16 lanes of a
+	// row tile.
+	panelW = 16
 )
 
-// simdTile computes `rows` output rows from row i0, columns [j0, j1), with
-// the CPU's vector unit. The amd64 build sets it at start-up when the CPU
-// qualifies (matmul_amd64.go); when nil, the pure-Go micro-kernels below run.
-var simdTile func(av, bv, ov []float32, i0, rows, k, n, j0, j1 int)
+// PackedCols is the column count of a packed B: n rounded up to whole panels.
+func PackedCols(n int) int { return (n + panelW - 1) / panelW * panelW }
+
+// PackB returns b [k, n] laid out as panels: a [k, PackedCols(n)] tensor
+// whose data is ⌈n/16⌉ blocks of k rows of 16 floats, panel j holding
+// columns [16j, 16j+16) of b. b is not modified.
+func PackB(b *tensor.Tensor) *tensor.Tensor {
+	if b.Rank() != 2 {
+		panic(fmt.Sprintf("kernels: PackB requires a rank-2 tensor, got %v", b.Shape()))
+	}
+	k, n := b.Shape()[0], b.Shape()[1]
+	p := tensor.New(tensor.Float32, k, PackedCols(n))
+	pack(p.F32(), b.F32(), k, n)
+	return p
+}
+
+// pack writes row-major bv [k, n] into dst as panels, 16 floats per copy
+// in the order b is stored; it zeroes the padding of the last panel, so dst
+// may be reused scratch.
+func pack(dst, bv []float32, k, n int) {
+	for p := 0; p < k; p++ {
+		src := bv[p*n : p*n+n]
+		for j := 0; j < n; j += panelW {
+			row := dst[j*k+p*panelW : j*k+p*panelW+panelW]
+			clear(row[copy(row, src[j:min(j+panelW, n)]):])
+		}
+	}
+}
+
+// simdTile computes `rows` output rows from row i0, columns [j0, j1) of the
+// panels that start at pv, with the CPU's vector unit. The amd64 build sets
+// it at start-up when the CPU qualifies (matmul_amd64.go); when nil, the
+// pure-Go micro-kernels below run.
+var simdTile func(av, pv, ov []float32, i0, rows, k, n, j0, j1 int)
 
 // microBlock computes `rows` output rows (0..8) starting at row i0, columns
-// [j0, j1), using a register-blocked inner loop specialized by an unrolled
-// switch. It is the code a shape-specialized kernel contains when the
-// residue is known at generation time: no bounds check survives into the
-// accumulation loops.
-func microBlock(av, bv, ov []float32, i0, rows, k, n, j0, j1 int) {
+// [j0, j1) of the panels that start at pv, as 4-row tiles and then single
+// rows. It is the code
+// a shape-specialized kernel contains when the residue is known at
+// generation time: no bounds check survives into the accumulation loops.
+func microBlock(av, pv, ov []float32, i0, rows, k, n, j0, j1 int) {
 	if rows < 0 || rows > TileFactor {
 		panic(fmt.Sprintf("kernels: microBlock rows=%d out of range", rows))
 	}
 	if simdTile != nil {
-		simdTile(av, bv, ov, i0, rows, k, n, j0, j1)
+		simdTile(av, pv, ov, i0, rows, k, n, j0, j1)
 		return
 	}
-	switch rows {
-	case 8:
-		micro8(av, bv, ov, i0, k, n, j0, j1)
-	case 4, 5, 6, 7:
-		microN4(av, bv, ov, i0, k, n, j0, j1)
-		microBlock(av, bv, ov, i0+4, rows-4, k, n, j0, j1)
-	case 3:
-		microN3(av, bv, ov, i0, k, n, j0, j1)
-	case 2:
-		microN2(av, bv, ov, i0, k, n, j0, j1)
-	case 1:
-		microN1(av, bv, ov, i0, k, n, j0, j1)
+	for ; rows >= 4; rows, i0 = rows-4, i0+4 {
+		micro4(av, pv, ov, i0, k, n, j0, j1)
+	}
+	for ; rows > 0; rows, i0 = rows-1, i0+1 {
+		micro1(av, pv, ov, i0, k, n, j0, j1)
 	}
 }
 
-// micro8 is the fully unrolled 8-row micro-kernel: eight accumulators per
-// output column give the scheduler instruction-level parallelism and each
-// element of b is loaded once per 8 rows. This is the payoff the symbolic
-// dispatch mechanism (§4.5) fights to keep.
-func micro8(av, bv, ov []float32, i0, k, n, j0, j1 int) {
+// micro4 is the pure-Go 4-row tile: four accumulators per output column
+// give the scheduler instruction-level parallelism and each element of the
+// panel is loaded once per 4 rows. This is the payoff the symbolic dispatch
+// mechanism (§4.5) fights to keep.
+func micro4(av, pv, ov []float32, i0, k, n, j0, j1 int) {
 	r0 := av[(i0+0)*k : (i0+0)*k+k]
 	r1 := av[(i0+1)*k : (i0+1)*k+k]
 	r2 := av[(i0+2)*k : (i0+2)*k+k]
 	r3 := av[(i0+3)*k : (i0+3)*k+k]
-	r4 := av[(i0+4)*k : (i0+4)*k+k]
-	r5 := av[(i0+5)*k : (i0+5)*k+k]
-	r6 := av[(i0+6)*k : (i0+6)*k+k]
-	r7 := av[(i0+7)*k : (i0+7)*k+k]
-	for j := j0; j < j1; j++ {
-		var a0, a1, a2, a3, a4, a5, a6, a7 float32
-		for p := 0; p < k; p++ {
-			bpj := bv[p*n+j]
-			a0 += r0[p] * bpj
-			a1 += r1[p] * bpj
-			a2 += r2[p] * bpj
-			a3 += r3[p] * bpj
-			a4 += r4[p] * bpj
-			a5 += r5[p] * bpj
-			a6 += r6[p] * bpj
-			a7 += r7[p] * bpj
-		}
-		ov[(i0+0)*n+j] = a0
-		ov[(i0+1)*n+j] = a1
-		ov[(i0+2)*n+j] = a2
-		ov[(i0+3)*n+j] = a3
-		ov[(i0+4)*n+j] = a4
-		ov[(i0+5)*n+j] = a5
-		ov[(i0+6)*n+j] = a6
-		ov[(i0+7)*n+j] = a7
-	}
-}
-
-// The microN* family are the residue-specialized epilogues a full-dispatch
-// symbolic kernel embeds, each with the row count baked in so the
-// accumulation loop carries no bound check; microBlock composes remainders
-// 5-7 as four rows plus 1-3.
-
-func microN1(av, bv, ov []float32, i0, k, n, j0, j1 int) {
-	r0 := av[i0*k : i0*k+k]
-	for j := j0; j < j1; j++ {
-		var a0 float32
-		for p := 0; p < k; p++ {
-			a0 += r0[p] * bv[p*n+j]
-		}
-		ov[i0*n+j] = a0
-	}
-}
-
-func microN2(av, bv, ov []float32, i0, k, n, j0, j1 int) {
-	r0 := av[(i0+0)*k : (i0+0)*k+k]
-	r1 := av[(i0+1)*k : (i0+1)*k+k]
-	for j := j0; j < j1; j++ {
-		var a0, a1 float32
-		for p := 0; p < k; p++ {
-			bpj := bv[p*n+j]
-			a0 += r0[p] * bpj
-			a1 += r1[p] * bpj
-		}
-		ov[(i0+0)*n+j] = a0
-		ov[(i0+1)*n+j] = a1
-	}
-}
-
-func microN3(av, bv, ov []float32, i0, k, n, j0, j1 int) {
-	r0 := av[(i0+0)*k : (i0+0)*k+k]
-	r1 := av[(i0+1)*k : (i0+1)*k+k]
-	r2 := av[(i0+2)*k : (i0+2)*k+k]
-	for j := j0; j < j1; j++ {
-		var a0, a1, a2 float32
-		for p := 0; p < k; p++ {
-			bpj := bv[p*n+j]
-			a0 += r0[p] * bpj
-			a1 += r1[p] * bpj
-			a2 += r2[p] * bpj
-		}
-		ov[(i0+0)*n+j] = a0
-		ov[(i0+1)*n+j] = a1
-		ov[(i0+2)*n+j] = a2
-	}
-}
-
-func microN4(av, bv, ov []float32, i0, k, n, j0, j1 int) {
-	r0 := av[(i0+0)*k : (i0+0)*k+k]
-	r1 := av[(i0+1)*k : (i0+1)*k+k]
-	r2 := av[(i0+2)*k : (i0+2)*k+k]
-	r3 := av[(i0+3)*k : (i0+3)*k+k]
-	for j := j0; j < j1; j++ {
+	for c := 0; c < j1-j0; c++ {
+		col := c/panelW*panelW*k + c%panelW
 		var a0, a1, a2, a3 float32
-		for p := 0; p < k; p++ {
-			bpj := bv[p*n+j]
-			a0 += r0[p] * bpj
-			a1 += r1[p] * bpj
-			a2 += r2[p] * bpj
-			a3 += r3[p] * bpj
+		for p := range r0 {
+			b := pv[col+p*panelW]
+			a0 += r0[p] * b
+			a1 += r1[p] * b
+			a2 += r2[p] * b
+			a3 += r3[p] * b
 		}
-		ov[(i0+0)*n+j] = a0
-		ov[(i0+1)*n+j] = a1
-		ov[(i0+2)*n+j] = a2
-		ov[(i0+3)*n+j] = a3
+		ov[(i0+0)*n+j0+c] = a0
+		ov[(i0+1)*n+j0+c] = a1
+		ov[(i0+2)*n+j0+c] = a2
+		ov[(i0+3)*n+j0+c] = a3
+	}
+}
+
+// micro1 is the pure-Go single-row tile.
+func micro1(av, pv, ov []float32, i0, k, n, j0, j1 int) {
+	r0 := av[i0*k : i0*k+k]
+	for c := 0; c < j1-j0; c++ {
+		col := c/panelW*panelW*k + c%panelW
+		var a0 float32
+		for p := range r0 {
+			a0 += r0[p] * pv[col+p*panelW]
+		}
+		ov[i0*n+j0+c] = a0
 	}
 }
 
@@ -222,12 +188,12 @@ func microN4(av, bv, ov []float32, i0, k, n, j0, j1 int) {
 // and the row-validity guard sits inside the block, exactly the "boundary
 // condition checks stay" failure mode of §4.5. The arithmetic is identical;
 // only the loop structure (and therefore the achieved ILP) differs.
-func microGuarded(av, bv, ov []float32, i0, m, k, n, j0, j1 int) {
+func microGuarded(av, pv, ov []float32, i0, m, k, n, j0, j1 int) {
 	for i := i0; i < i0+TileFactor; i++ {
 		if i >= m { // unsimplified boundary check
 			continue
 		}
-		microBlock(av, bv, ov, i, 1, k, n, j0, j1)
+		microBlock(av, pv, ov, i, 1, k, n, j0, j1)
 	}
 }
 
@@ -238,52 +204,36 @@ const (
 	guardAll         // no dispatch: every block
 )
 
-// denseJob is one dense call out = a@b. Rows [0, g) run as unguarded 8-row
-// blocks plus a residue-specialised epilogue, rows [g, m) as guarded blocks.
+// denseJob is one dense call out = a@B over B's panels pv. Rows [0, g) run
+// as unguarded 8-row blocks plus a residue-specialised epilogue, rows
+// [g, m) as guarded blocks.
 type denseJob struct {
-	av, bv, ov []float32
+	av, pv, ov []float32
 	m, k, n, g int
 	run        func(j0, j1 int) // cols, bound once per pooled job
 }
 
 var denseJobs = sync.Pool{New: func() any { d := new(denseJob); d.run = d.cols; return d }}
 
-// cols runs the row-block loop over columns [j0, j1). Every dense variant,
-// serial or sharded, is this loop: a serial call is the one shard [0, n).
+// cols runs columns [j0, j1), j0 at a panel, in blocks of panelCols columns:
+// blocks outer and row tiles inner, so a block's eight panels (8·64k bytes)
+// stay in cache while every row tile reads them, and a one-row call still
+// makes one pass over B. Every dense variant, serial or sharded, is this
+// loop: a serial call is the one shard [0, n).
 func (d *denseJob) cols(j0, j1 int) {
-	av, bv, ov, k, n := d.av, d.bv, d.ov, d.k, d.n
-	for i := 0; i < d.g; i += TileFactor {
-		microBlock(av, bv, ov, i, min(TileFactor, d.g-i), k, n, j0, j1)
-	}
-	for i := d.g; i < d.m; i += TileFactor {
-		microGuarded(av, bv, ov, i, d.m, k, n, j0, j1)
+	av, ov, k, n := d.av, d.ov, d.k, d.n
+	for j := j0; j < j1; j += panelCols {
+		pv, je := d.pv[j*k:], min(j+panelCols, j1)
+		for i := 0; i < d.g; i += TileFactor {
+			microBlock(av, pv, ov, i, min(TileFactor, d.g-i), k, n, j, je)
+		}
+		for i := d.g; i < d.m; i += TileFactor {
+			microGuarded(av, pv, ov, i, d.m, k, n, j, je)
+		}
 	}
 }
 
-// matmul runs one dense call whose row residue must lie in [rLo, rHi]. It
-// checks every extent the row tiles touch before any shard starts, so a bad
-// shape panics on the caller. From shardFLOPs on, the columns go to the
-// worker pool as panelCols-wide panels; every output element is still
-// accumulated over p in the same order, so results do not depend on the split.
-func matmul(a, b, out *tensor.Tensor, rLo, rHi, guard int) {
-	m, k, n := checkMatMul(a, b)
-	if r := m % TileFactor; r < rLo || r > rHi {
-		panic(fmt.Sprintf("kernels: dense kernel for residues [%d,%d] invoked with m=%d", rLo, rHi, m))
-	}
-	d := denseJob{av: a.F32(), bv: b.F32(), ov: out.F32(), m: m, k: k, n: n,
-		g: [...]int{m, m - m%TileFactor, 0}[guard]}
-	if len(d.av) < m*k || len(d.bv) < k*n || len(d.ov) < m*n {
-		panic(fmt.Sprintf("kernels: matmul [%d,%d]x[%d,%d] outside a=%d b=%d out=%d",
-			m, k, k, n, len(d.av), len(d.bv), len(d.ov)))
-	}
-	if 2*m*k*n < shardFLOPs {
-		d.cols(0, n)
-		return
-	}
-	d.shard()
-}
-
-// shard runs cols over panelCols-wide column panels on the worker pool,
+// shard runs cols over panelCols-wide column ranges on the worker pool,
 // from a pooled job whose run is already bound, so it allocates nothing.
 func (d *denseJob) shard() {
 	j := denseJobs.Get().(*denseJob)
@@ -294,43 +244,101 @@ func (d *denseJob) shard() {
 	denseJobs.Put(j)
 }
 
-// MatMulStatic is the kernel "generated for a static shape": the row count is
+// Variant is one generated dense kernel: the residues of m it accepts,
+// [rLo, rHi], and the row-guard structure it runs.
+type Variant struct{ rLo, rHi, guard int }
+
+// Static is the kernel "generated for a static shape": the row count is
 // known at generation time, so the main loop runs an exact number of
 // unguarded 8-row blocks and the epilogue is residue-specialized.
-func MatMulStatic(a, b, out *tensor.Tensor) { matmul(a, b, out, 0, TileFactor-1, guardNone) }
+var Static = Variant{0, TileFactor - 1, guardNone}
 
-// MatMulSymbolicFull is the residue-r symbolic kernel from a full dispatch
-// set (k = TileFactor kernels): the caller guarantees m % TileFactor == r,
-// so the epilogue is specialized and no guard survives. Performance is
-// within noise of MatMulStatic — the property Figure 3's "dispatch/8" bar
-// demonstrates.
-func MatMulSymbolicFull(r int) func(a, b, out *tensor.Tensor) {
+// SymbolicNaive is the single symbolic kernel of the "no dispatch"
+// configuration: with no residue information the simplifier cannot
+// discharge the row guard anywhere, so every block — not just the tail —
+// runs the guarded loop structure. This reproduces the paper's observation
+// that unhandled boundary conditions make symbolic kernels perform badly
+// (§2.2, §4.5).
+var SymbolicNaive = Variant{0, TileFactor - 1, guardAll}
+
+// SymbolicFull is the residue-r symbolic kernel from a full dispatch set
+// (k = TileFactor kernels): the caller guarantees m % TileFactor == r, so
+// the epilogue is specialized and no guard survives. Performance is within
+// noise of Static — the property Figure 3's "dispatch/8" bar demonstrates.
+func SymbolicFull(r int) Variant {
 	if r < 0 || r >= TileFactor {
 		panic(fmt.Sprintf("kernels: residue %d out of range", r))
 	}
-	return func(a, b, out *tensor.Tensor) { matmul(a, b, out, r, r, guardNone) }
+	return Variant{r, r, guardNone}
 }
 
-// MatMulSymbolicPartial is a symbolic kernel from a partial dispatch set: it
-// covers the residue class [rLo, rHi]. Full blocks are provably in range and
-// keep the unguarded micro-kernel, but the epilogue's row count is only known
-// up to the class width, so it retains per-row guards (microGuarded). The
-// wider the class, the more guarded work — the mechanism behind the rising
-// bars of Figure 3.
-func MatMulSymbolicPartial(rLo, rHi int) func(a, b, out *tensor.Tensor) {
+// SymbolicPartial is a symbolic kernel from a partial dispatch set: it
+// covers the residue class [rLo, rHi]. Full blocks are provably in range
+// and keep the unguarded micro-kernel, but the epilogue's row count is only
+// known up to the class width, so it retains per-row guards (microGuarded).
+// The wider the class, the more guarded work — the mechanism behind the
+// rising bars of Figure 3.
+func SymbolicPartial(rLo, rHi int) Variant {
 	if rLo < 0 || rHi < rLo || rHi >= TileFactor {
 		panic(fmt.Sprintf("kernels: invalid residue class [%d, %d]", rLo, rHi))
 	}
-	return func(a, b, out *tensor.Tensor) { matmul(a, b, out, rLo, rHi, guardTail) }
+	return Variant{rLo, rHi, guardTail}
 }
 
-// MatMulSymbolicNaive is the single symbolic kernel of the "no dispatch"
-// configuration: with no residue information the simplifier cannot discharge
-// the row guard anywhere, so every block — not just the tail — runs the
-// guarded loop structure. This reproduces the paper's observation that
-// unhandled boundary conditions make symbolic kernels perform badly (§2.2,
-// §4.5).
-func MatMulSymbolicNaive(a, b, out *tensor.Tensor) { matmul(a, b, out, 0, TileFactor-1, guardAll) }
+// panelScratch holds buffers for row-major Bs packed for one call. It is a
+// bounded free list rather than a sync.Pool, which a GC empties, so a
+// steady stream of calls never allocates.
+var panelScratch = make(chan []float32, 8)
+
+// MatMul computes out = a@b for a row-major b [k, n], packing b per call
+// into pooled scratch.
+func (v Variant) MatMul(a, b, out *tensor.Tensor) {
+	_, k, n := checkMatMul(a, b)
+	var s []float32
+	select {
+	case s = <-panelScratch:
+	default:
+	}
+	s = slices.Grow(s[:0], k*PackedCols(n))[:k*PackedCols(n)]
+	pack(s, b.F32(), k, n)
+	v.run(a, s, out, k, n)
+	select {
+	case panelScratch <- s:
+	default:
+	}
+}
+
+// Packed computes out = a@B where p = PackB(B) and n is out's column count.
+func (v Variant) Packed(a, p, out *tensor.Tensor) {
+	if a.Rank() != 2 || p.Rank() != 2 || out.Rank() != 2 || a.Shape()[1] != p.Shape()[0] ||
+		p.Shape()[1] != PackedCols(out.Shape()[1]) {
+		panic(fmt.Sprintf("kernels: packed dense %v x %v into %v", a.Shape(), p.Shape(), out.Shape()))
+	}
+	v.run(a, p.F32(), out, p.Shape()[0], out.Shape()[1])
+}
+
+// run checks the row residue and every extent the row tiles touch before
+// any shard starts, so a bad shape panics on the caller. From shardFLOPs
+// on, the columns go to the worker pool in panelCols-wide ranges; every
+// output element is still accumulated over p in the same order, so results
+// do not depend on the split.
+func (v Variant) run(a *tensor.Tensor, pv []float32, out *tensor.Tensor, k, n int) {
+	m := a.Shape()[0]
+	if r := m % TileFactor; r < v.rLo || r > v.rHi {
+		panic(fmt.Sprintf("kernels: dense kernel for residues [%d,%d] invoked with m=%d", v.rLo, v.rHi, m))
+	}
+	d := denseJob{av: a.F32(), pv: pv, ov: out.F32(), m: m, k: k, n: n,
+		g: [...]int{m, m - m%TileFactor, 0}[v.guard]}
+	if len(d.av) < m*k || len(d.pv) < k*PackedCols(n) || len(d.ov) < m*n {
+		panic(fmt.Sprintf("kernels: matmul [%d,%d]x[%d,%d] outside a=%d b=%d out=%d",
+			m, k, k, n, len(d.av), len(d.pv), len(d.ov)))
+	}
+	if 2*m*k*n < shardFLOPs {
+		d.cols(0, n)
+		return
+	}
+	d.shard()
+}
 
 // MatMul computes a@b with the static-shape kernel, allocating the output.
 // It is the default kernel used outside the codegen experiments.
@@ -346,29 +354,16 @@ func MatMulInto(a, b, out *tensor.Tensor) *tensor.Tensor {
 	if !fits(out, tensor.Float32, m, n) {
 		out = tensor.New(tensor.Float32, m, n)
 	}
-	MatMulStatic(a, b, out)
+	Static.MatMul(a, b, out)
 	return out
 }
 
-// Dense computes x@w + bias where x is [m,k], w is [k,n] and bias is [n]
-// (bias may be nil). This is the fused dense+bias kernel every model in the
-// evaluation leans on.
-func Dense(x, w, bias *tensor.Tensor) *tensor.Tensor {
-	return DenseInto(x, w, bias, nil)
-}
-
-// DenseInto computes x@w + bias into out when it matches.
-func DenseInto(x, w, bias, out *tensor.Tensor) *tensor.Tensor {
-	out = MatMulInto(x, w, out)
-	if bias != nil {
-		addBiasInPlace(out, bias)
+// DensePackedInto computes x@B for p = PackB(B) of n columns with the
+// static-shape kernel, into out when it matches and allocating otherwise.
+func DensePackedInto(x, p *tensor.Tensor, n int, out *tensor.Tensor) *tensor.Tensor {
+	if !fits(out, tensor.Float32, x.Shape()[0], n) {
+		out = tensor.New(tensor.Float32, x.Shape()[0], n)
 	}
+	Static.Packed(x, p, out)
 	return out
-}
-
-func addBiasInPlace(out, bias *tensor.Tensor) {
-	if bias.Rank() != 1 || bias.Shape()[0] != out.Shape()[1] {
-		panic(fmt.Sprintf("kernels: bias shape %v does not match output %v", bias.Shape(), out.Shape()))
-	}
-	biasRows(opAdd, out.F32(), bias.F32(), out.F32(), 0, out.Shape()[0])
 }

@@ -1,3 +1,5 @@
+//go:build !purego
+
 package kernels
 
 func init() {
@@ -39,8 +41,8 @@ func actAVX2(kind int, x, o []float32) {
 }
 
 // gemm4x16 and gemm1x16 (matmul_amd64.s) compute 4 rows and 1 row of c = a@b
-// over n columns, 16 at a time, masking the last n%16 with mask; b and c have
-// row stride ld.
+// over n columns, reading b as consecutive panels (PackB) and masking the
+// last n%16 columns with mask; c has row stride ld.
 //
 //go:noescape
 func gemm4x16(a, b, c []float32, k, n, ld int, mask *int32)
@@ -69,18 +71,19 @@ func hasAVX2FMA() bool {
 }
 
 // tailMask is 16 set lanes then 16 clear ones: the 16 lanes starting at
-// index 16-t mask the first t columns of a block.
+// index 16-t mask the first t columns of a panel.
 var tailMask = [32]int32{-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1}
 
-// tileAVX2 computes rows rows of a@b from row i0, columns [j0, j1), as 4-row
-// tiles and then single rows. matmul has checked every extent the assembly
-// touches once per call, before the row-block loop reaches here.
-func tileAVX2(av, bv, ov []float32, i0, rows, k, n, j0, j1 int) {
+// tileAVX2 computes rows rows of a@b from row i0, columns [j0, j1) of the
+// panels that start at pv, as 4-row tiles and then single rows. The dense
+// kernel has checked every extent the assembly touches once per call,
+// before the row-block loop reaches here.
+func tileAVX2(av, pv, ov []float32, i0, rows, k, n, j0, j1 int) {
 	mask := &tailMask[16-(j1-j0)%16]
 	for ; rows >= 4; rows, i0 = rows-4, i0+4 {
-		gemm4x16(av[i0*k:], bv[j0:], ov[i0*n+j0:], k, j1-j0, n, mask)
+		gemm4x16(av[i0*k:], pv, ov[i0*n+j0:], k, j1-j0, n, mask)
 	}
 	for ; rows > 0; rows, i0 = rows-1, i0+1 {
-		gemm1x16(av[i0*k:], bv[j0:], ov[i0*n+j0:], k, j1-j0, n, mask)
+		gemm1x16(av[i0*k:], pv, ov[i0*n+j0:], k, j1-j0, n, mask)
 	}
 }

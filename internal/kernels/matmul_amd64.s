@@ -1,31 +1,36 @@
+//go:build !purego
+
 #include "textflag.h"
 
-// Row tiles of the dense operator: c[r, j] = sum over p of a[r, p]*b[p, j]
-// for j < n, one VFMADD231PS per p in increasing p order, so every tile
-// rounds every output element identically. a has row stride k, b and c
-// row stride ld (all float32, row-major, B read in place). Columns go 16 at
-// a time in Y8:Y9; the last n%16 use the lane mask in Y12:Y13 for every
-// load of b and store of c, so no column falls back to scalar code.
+// Row tiles of the dense operator over the panels of B: c[r, j] = sum over
+// p of a[r, p]*b[p, j] for j < n, one VFMADD231PS per p in increasing p
+// order, so every tile rounds every output element identically. a has row
+// stride k and c row stride ld (float32, row-major). b is ⌈n/16⌉ panels of
+// k rows of 16 floats, each row 64 contiguous bytes and the last panel
+// zero-padded, so every load of b is a whole panel row and b is read
+// front to back: after the p loop of one panel, DX is at the next. The 16
+// columns of a panel live in Y8:Y9; the last n%16 are stored through the
+// lane mask in Y12:Y13, so the padding is computed but never written.
 //
 // Registers: SI, R10, R11, R12 = a rows 0-3 advanced by k (AX counts the
-// byte offset up from -4k to 0), BX = b block, DX = b row p, DI/R8 = c rows
-// 0 and 2, R9 = 4ld, R13 = 4k, CX = columns left.
+// byte offset up from -4k to 0), DX = b row p of the current panel, DI/R8
+// = c rows 0 and 2, R9 = 4ld, R13 = 4k, CX = columns left.
 
 #define LOADB VMOVUPS (DX), Y8; VMOVUPS 32(DX), Y9
-#define LOADBM VMASKMOVPS (DX), Y12, Y8; VMASKMOVPS 32(DX), Y13, Y9
 #define STU(y, m, dst) VMOVUPS y, dst
 #define STM(y, m, dst) VMASKMOVPS y, m, dst
 
-// ROW accumulates broadcast(a[row, p]) * b[p, block] into lo:hi.
+// ROW accumulates broadcast(a[row, p]) * b[p, 0:16] into lo:hi.
 #define ROW(row, lo, hi) VBROADCASTSS (row)(AX*1), Y10; VFMADD231PS Y8, Y10, lo; VFMADD231PS Y9, Y10, hi
 
-// PLOOP runs body once per p; skipped when k == 0, leaving the zeros.
-#define PLOOP(loop, done, body) MOVQ BX, DX; MOVQ R13, AX; NEGQ AX; JZ done; \
-loop: body; ADDQ R9, DX; ADDQ $4, AX; JNZ loop; \
+// PLOOP runs body once per p, stepping b by one 64-byte panel row; skipped
+// when k == 0, leaving the zeros.
+#define PLOOP(loop, done, body) MOVQ R13, AX; NEGQ AX; JZ done; \
+loop: body; ADDQ $64, DX; ADDQ $4, AX; JNZ loop; \
 done:
 
 #define ARGS \
-	MOVQ a_base+0(FP), SI; MOVQ b_base+24(FP), BX; MOVQ c_base+48(FP), DI; \
+	MOVQ a_base+0(FP), SI; MOVQ b_base+24(FP), DX; MOVQ c_base+48(FP), DI; \
 	MOVQ k+72(FP), R13; SHLQ $2, R13; MOVQ n+80(FP), CX; MOVQ ld+88(FP), R9; SHLQ $2, R9; \
 	MOVQ mask+96(FP), AX; VMOVDQU (AX), Y12; VMOVDQU 32(AX), Y13; ADDQ R13, SI
 
@@ -49,7 +54,6 @@ full4:
 	ZERO4
 	PLOOP(p4, s4, LOADB; BODY4)
 	STORE4(STU)
-	ADDQ $64, BX
 	ADDQ $64, DI
 	ADDQ $64, R8
 	SUBQ $16, CX
@@ -59,7 +63,7 @@ tail4:
 	TESTQ CX, CX
 	JZ    done4
 	ZERO4
-	PLOOP(pm4, sm4, LOADBM; BODY4)
+	PLOOP(pm4, sm4, LOADB; BODY4)
 	STORE4(STM)
 
 done4:
@@ -73,12 +77,9 @@ TEXT ·gemm1x16(SB), NOSPLIT, $0-104
 full1:
 	CMPQ CX, $16
 	JLT  tail1
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
+	VXORPS Y0, Y0, Y0; VXORPS Y1, Y1, Y1
 	PLOOP(p1, s1, LOADB; ROW(SI, Y0, Y1))
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	ADDQ $64, BX
+	STU(Y0, Y12, (DI)); STU(Y1, Y13, 32(DI))
 	ADDQ $64, DI
 	SUBQ $16, CX
 	JMP  full1
@@ -86,11 +87,9 @@ full1:
 tail1:
 	TESTQ CX, CX
 	JZ    done1
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	PLOOP(pm1, sm1, LOADBM; ROW(SI, Y0, Y1))
-	VMASKMOVPS Y0, Y12, (DI)
-	VMASKMOVPS Y1, Y13, 32(DI)
+	VXORPS Y0, Y0, Y0; VXORPS Y1, Y1, Y1
+	PLOOP(pm1, sm1, LOADB; ROW(SI, Y0, Y1))
+	STM(Y0, Y12, (DI)); STM(Y1, Y13, 32(DI))
 
 done1:
 	VZEROUPPER

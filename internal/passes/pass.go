@@ -6,8 +6,8 @@
 // Passes operate on whole modules. The canonical pipeline, applied by
 // internal/compiler, is:
 //
-//	ANF -> ConstantFold -> DCE -> FuseOps -> ManifestAlloc ->
-//	CoalesceStorage -> PlaceDevices
+//	ANF -> ConstantFold -> DCE -> PackDenseWeights -> FuseOps ->
+//	ManifestAlloc -> CoalesceStorage -> PlaceDevices
 package passes
 
 import (
@@ -48,6 +48,7 @@ func DefaultPipeline(target ir.Device) *Manager {
 		ANF(),
 		ConstantFold(),
 		DCE(),
+		PackDenseWeights(),
 		FuseOps(),
 		ManifestAlloc(target),
 		CoalesceStorage(),

@@ -559,8 +559,8 @@ func TestDefaultPipelineRuns(t *testing.T) {
 	if err := mgr.Run(m); err != nil {
 		t.Fatalf("pipeline: %v", err)
 	}
-	if len(traced) != 7 {
-		t.Errorf("expected 7 passes, traced %v", traced)
+	if len(traced) != 8 {
+		t.Errorf("expected 8 passes, traced %v", traced)
 	}
 	body := ir.Print(mainBody(t, m))
 	// concat is injective with a data-independent shape function, so the

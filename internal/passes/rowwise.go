@@ -133,7 +133,7 @@ func (a *rowAnalysis) evalCall(n *ir.Call) rowFact {
 	}
 	op := opRef.Op
 	switch op.Name {
-	case "dense", "matmul", "bias_add":
+	case "dense", "dense_packed", "matmul", "bias_add":
 		// x @ W / x + b: output row i is a function of input row i alone,
 		// provided the right operand carries no row data AND the left
 		// operand's batch axis is not its trailing axis (a rank-1 [Any]

@@ -389,6 +389,19 @@ func corpus() []struct {
 				return verify.Executable(e, "loaded executable")
 			},
 		},
+		{
+			// Panels of a dense_packed B one panel short of their units:
+			// the row tile would read a panel past the end of the constant.
+			name: "exe_packed_const", invariant: "exe.packed-const",
+			err: func() error {
+				e := buildExe(exeFn{name: "f", nparams: 1, regs: 2, code: []vm.Instruction{
+					{Op: vm.OpLoadConst, Dst: 1, Imm: 0},
+					{Op: vm.OpRet, A: 1},
+				}})
+				e.AddPackedConst(tensor.New(tensor.Float32, 4, 16), 17)
+				return verify.Executable(e, "loaded executable")
+			},
+		},
 	}
 }
 
@@ -436,6 +449,7 @@ func TestCorpusCoversCatalog(t *testing.T) {
 		"mem.loop-carried", "mem.buffer-size",
 		"exe.func-table", "exe.reg-bound", "exe.reg-undef",
 		"exe.cfg", "exe.index", "exe.stream-loop", "exe.storage-size",
+		"exe.packed-const",
 	}
 	have := map[string]bool{}
 	for _, tc := range corpus() {

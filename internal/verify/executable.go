@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nimble/internal/ir"
+	"nimble/internal/kernels"
 	"nimble/internal/tensor"
 	"nimble/internal/vm"
 )
@@ -20,6 +21,7 @@ import (
 // of these invariants is rejected instead of interpreted.
 func Executable(exe *vm.Executable, stage string) error {
 	c := &exeChecker{exe: exe}
+	c.checkPackedConsts()
 	c.checkFuncTable()
 	for i := range exe.Funcs {
 		if c.funcOK[i] {
@@ -48,6 +50,28 @@ func (c *exeChecker) report(invariant string, pc int, format string, args ...int
 		Pos:       pos,
 		Message:   fmt.Sprintf(format, args...),
 	})
+}
+
+// checkPackedConsts enforces exe.packed-const: a constant recorded as the
+// B of a dense_packed of n columns is a float32 [k, 16⌈n/16⌉] tensor, so
+// its length is exactly ⌈n/16⌉ panels of k×16 and the row tile, which
+// reads whole panel rows, never reads past it.
+func (c *exeChecker) checkPackedConsts() {
+	exe := c.exe
+	bad := func(pos, format string, args ...interface{}) {
+		c.violations = append(c.violations, Violation{Invariant: "exe.packed-const", Func: "const-pool",
+			Pos: pos, Message: fmt.Sprintf(format, args...)})
+	}
+	if len(exe.ConstUnits) != len(exe.Consts) {
+		bad("table", "%d layout entries for %d constants", len(exe.ConstUnits), len(exe.Consts))
+		return
+	}
+	for i, units := range exe.ConstUnits {
+		t := exe.Consts[i]
+		if units != 0 && (units < 0 || t.DType() != tensor.Float32 || t.Rank() != 2 || t.Shape()[1] != kernels.PackedCols(units)) {
+			bad(fmt.Sprintf("const %d", i), "%s does not hold the panels of %d columns", t, units)
+		}
+	}
 }
 
 // checkFuncTable enforces exe.func-table: every descriptor covers a real,

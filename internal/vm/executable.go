@@ -52,6 +52,9 @@ type Executable struct {
 	// Consts is the constant pool; weights live here and "can remain
 	// in-memory with no specialized support" (§5.2).
 	Consts []*tensor.Tensor
+	// ConstUnits[i] is non-zero when Consts[i] is the B operand of a
+	// dense_packed: the column count of the weight its panels hold.
+	ConstUnits []int
 	// KernelNames names each kernel slot for serialization and profiling.
 	KernelNames []string
 
@@ -99,9 +102,14 @@ func (e *Executable) AddFunc(f VMFunc) int {
 }
 
 // AddConst appends a tensor to the constant pool and returns its index.
-func (e *Executable) AddConst(t *tensor.Tensor) int {
+func (e *Executable) AddConst(t *tensor.Tensor) int { return e.AddPackedConst(t, 0) }
+
+// AddPackedConst appends a constant with its ConstUnits entry: the column
+// count of the weight a dense_packed B holds as panels, or 0.
+func (e *Executable) AddPackedConst(t *tensor.Tensor, units int) int {
 	e.mutCheck("AddConst")
 	e.Consts = append(e.Consts, t)
+	e.ConstUnits = append(e.ConstUnits, units)
 	e.constObjs = append(e.constObjs, NewTensorObj(t))
 	return len(e.Consts) - 1
 }

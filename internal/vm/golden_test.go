@@ -21,12 +21,16 @@ package vm_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"nimble/internal/compiler"
 	"nimble/internal/models"
+	"nimble/internal/tensor"
 	"nimble/internal/vm"
 )
 
@@ -45,7 +49,7 @@ func goldenModels() []goldenModel {
 	return []goldenModel{
 		{
 			name: "lstm",
-			hash: "8262bc2833556cff67ced2f86afa3b951e8566fc6953053bd3f228f7ee321b79",
+			hash: "5f7789e3338659cae2df7578791aa6a03848917c49d44283927a70be9b2b8ff9",
 			build: func(t *testing.T) (*compiler.Result, []vm.Object) {
 				m := models.NewLSTM(models.LSTMConfig{Input: 16, Hidden: 24, Layers: 2, Seed: 42})
 				res, err := compiler.Compile(m.Module, compiler.Options{})
@@ -58,7 +62,7 @@ func goldenModels() []goldenModel {
 		},
 		{
 			name: "treelstm",
-			hash: "a8c68f32e142c305c060ddf47b84ed69546ae89e9a69859ce9d2c15124658377",
+			hash: "e341d2a2ace4e99be70b6a47a623cc6279340a4e6bcd44d181aa791970cb3fa7",
 			build: func(t *testing.T) (*compiler.Result, []vm.Object) {
 				m := models.NewTreeLSTM(models.TreeLSTMConfig{Input: 12, Hidden: 10, Seed: 43})
 				res, err := compiler.Compile(m.Module, compiler.Options{})
@@ -71,7 +75,7 @@ func goldenModels() []goldenModel {
 		},
 		{
 			name: "bert",
-			hash: "e30de4e3bbc262b07e076adc028052df454b65cc6632c9f01297d07e55dae41c",
+			hash: "a8d52d0bb6c47702cc382b830ce635ba174f38c4c465fe6a877eeaa86af57812",
 			build: func(t *testing.T) (*compiler.Result, []vm.Object) {
 				m := models.NewBERT(models.BERTConfig{Layers: 1, Hidden: 32, Heads: 2, FFN: 64, Vocab: 128, MaxSeq: 32, Seed: 44})
 				res, err := compiler.Compile(m.Module, compiler.Options{})
@@ -84,7 +88,7 @@ func goldenModels() []goldenModel {
 		},
 		{
 			name:  "decoder",
-			hash:  "96b80cfeb834a7483d7f326b9a6bc1939bde42d6b4e3e19dbce64b99c0d91745",
+			hash:  "7e95251a17ddb01c7337492c2effdcd8fd9a73198e9e2d38d26bf3c30352d475",
 			entry: "generate",
 			build: func(t *testing.T) (*compiler.Result, []vm.Object) {
 				m := models.NewDecoder(models.DefaultDecoderConfig())
@@ -162,5 +166,24 @@ func TestSerializeGolden(t *testing.T) {
 				t.Errorf("%s: deserialized executable computes different outputs", gm.name)
 			}
 		})
+	}
+}
+
+// TestReadExecutableRejectsOtherVersion patches a version-2 file to
+// version 1: ReadExecutable must refuse it with a *VersionError naming both
+// versions rather than misread constants that version 2 follows with
+// their units.
+func TestReadExecutableRejectsOtherVersion(t *testing.T) {
+	e := vm.NewExecutable()
+	e.AddConst(tensor.New(tensor.Float32, 2))
+	raw := serializeBytes(t, e)
+	binary.LittleEndian.PutUint32(raw[4:], 1)
+	_, err := vm.ReadExecutable(bytes.NewReader(raw))
+	var ve *vm.VersionError
+	if !errors.As(err, &ve) || ve.Got != 1 || ve.Want != 2 {
+		t.Fatalf("version-1 file: %v, want *VersionError{Got: 1, Want: 2}", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "version 1") || !strings.Contains(msg, "version 2") {
+		t.Errorf("error %q does not name both versions", msg)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"nimble/internal/tensor"
 )
@@ -15,7 +16,11 @@ import (
 //	u32 #funcs { str name, u32 params, u32 regs, u32 start, u32 len }
 //	u32 #kernels { str name }
 //	u32 #instructions { variable-length instruction records }
-//	u32 #consts { tensor records (see internal/tensor serialize) }
+//	u32 #consts { tensor record (see internal/tensor serialize), u32 units }
+//
+// units is non-zero for the B operand of a dense_packed (Executable.ConstUnits).
+// Version 2 added it; a file of another version is rejected with a
+// *VersionError.
 //
 // Instruction records serialize only the fields their opcode uses, giving
 // the "variable-length instruction format due to the inclusion of variable
@@ -23,8 +28,16 @@ import (
 
 const (
 	magic   = "NMBL"
-	version = 1
+	version = 2
 )
+
+// VersionError reports an executable written in a format version this
+// build does not read.
+type VersionError struct{ Got, Want uint32 }
+
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("vm: executable format version %d, this build reads version %d", e.Got, e.Want)
+}
 
 // WriteTo serializes the executable.
 func (e *Executable) WriteTo(w io.Writer) (int64, error) {
@@ -89,8 +102,11 @@ func (e *Executable) write(w io.Writer) error {
 	if err := writeU32(w, uint32(len(e.Consts))); err != nil {
 		return err
 	}
-	for _, c := range e.Consts {
+	for i, c := range e.Consts {
 		if _, err := c.WriteTo(w); err != nil {
+			return err
+		}
+		if err := writeU32(w, uint32(e.ConstUnits[i])); err != nil {
 			return err
 		}
 	}
@@ -113,7 +129,7 @@ func ReadExecutable(r io.Reader) (*Executable, error) {
 		return nil, err
 	}
 	if ver != version {
-		return nil, fmt.Errorf("vm: unsupported executable version %d", ver)
+		return nil, &VersionError{Got: ver, Want: version}
 	}
 	e := NewExecutable()
 	nFuncs, err := readU32(br)
@@ -177,7 +193,14 @@ func ReadExecutable(r io.Reader) (*Executable, error) {
 		if err != nil {
 			return nil, fmt.Errorf("vm: constant %d: %w", i, err)
 		}
-		e.AddConst(t)
+		units, err := readU32(br)
+		if err != nil {
+			return nil, fmt.Errorf("vm: constant %d: %w", i, err)
+		}
+		if units > math.MaxInt32 {
+			return nil, fmt.Errorf("vm: constant %d: implausible units %d", i, units)
+		}
+		e.AddPackedConst(t, int(units))
 	}
 	return e, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nimble"
+	"nimble/internal/tensor"
 	"nimble/internal/vm"
 	"nimble/models"
 )
@@ -74,6 +75,40 @@ func TestLoadRejectsMutatedExecutable(t *testing.T) {
 	}
 	if len(ve.Violations) == 0 || !strings.Contains(ve.Violations[0], "[exe.") {
 		t.Errorf("violations do not carry catalog IDs: %q", ve.Violations)
+	}
+}
+
+// TestLoadRejectsShortPanels pins the packed-weight half of the untrusted
+// path: a saved program whose dense_packed B is rewritten one panel short
+// must fail Load with ErrVerify, so crafted bytes never reach a row tile
+// that reads whole panels.
+func TestLoadRejectsShortPanels(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := compileMLPVerified(t).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	exe, err := vm.ReadExecutable(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := -1
+	for i, units := range exe.ConstUnits {
+		if units > 0 && short < 0 {
+			short = i
+			k := exe.Consts[i].Shape()[0]
+			exe.Consts[i] = tensor.New(tensor.Float32, k, exe.Consts[i].Shape()[1]-16)
+		}
+	}
+	if short < 0 {
+		t.Fatal("the compiled MLP has no packed constant")
+	}
+	buf.Reset()
+	if _, err := exe.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, err = nimble.Load(&buf, nil)
+	if !errors.Is(err, nimble.ErrVerify) || !strings.Contains(err.Error(), "[exe.packed-const]") {
+		t.Fatalf("Load of short panels: %v, want ErrVerify naming exe.packed-const", err)
 	}
 }
 
