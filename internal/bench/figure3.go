@@ -107,7 +107,7 @@ func Figure3(cfg Config) (*Figure3Result, error) {
 			table := codegen.BuildDispatchTable(widths[name])
 			sweeps = append(sweeps, func() {
 				for i := range as {
-					table.InvokePacked(as[i], b, outs[i])
+					table.For(lens[i]).Packed(as[i], b, outs[i])
 				}
 			})
 		}

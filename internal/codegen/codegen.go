@@ -168,9 +168,9 @@ func copyInto(dst, src *tensor.Tensor) {
 // panels; a dense packs its run-time B per call.
 func symbolicDense(opName string, attrs ir.Attrs, opts Options) Kernel {
 	table := BuildDispatchTable(opts.Dispatch)
-	units, invoke := attrs.Int("units", -1), table.Invoke
+	units, run := attrs.Int("units", -1), kernels.Variant.MatMul
 	if units >= 0 {
-		invoke = table.InvokePacked
+		run = kernels.Variant.Packed
 	}
 	packed := func(args []*tensor.Tensor, out *tensor.Tensor) (*tensor.Tensor, error) {
 		if len(args) != 2 {
@@ -183,7 +183,7 @@ func symbolicDense(opName string, attrs ir.Attrs, opts Options) Kernel {
 			}
 			out = tensor.New(tensor.Float32, args[0].Shape()[0], n)
 		}
-		invoke(args[0], args[1], out)
+		run(table.For(args[0].Shape()[0]), args[0], args[1], out)
 		return out, nil
 	}
 	return Kernel{Name: fmt.Sprintf("%s_sym_dispatch%d%s", opName, opts.Dispatch, attrsSuffix(attrs)), Fn: packed}
@@ -222,17 +222,9 @@ func BuildDispatchTable(width int) *DispatchTable {
 	return t
 }
 
-// Invoke dispatches on the runtime residue of the symbolic dimension, for a
-// row-major B.
-func (t *DispatchTable) Invoke(a, b, out *tensor.Tensor) {
-	t.variants[a.Shape()[0]%kernels.TileFactor].MatMul(a, b, out)
-}
-
-// InvokePacked dispatches like Invoke for a B packed by kernels.PackB; n is
-// out's column count.
-func (t *DispatchTable) InvokePacked(a, p, out *tensor.Tensor) {
-	t.variants[a.Shape()[0]%kernels.TileFactor].Packed(a, p, out)
-}
+// For returns the variant that takes m rows: the one for m's residue, the
+// dispatch on the runtime value of the symbolic dimension.
+func (t *DispatchTable) For(m int) kernels.Variant { return t.variants[m%kernels.TileFactor] }
 
 // attrsSuffix renders attrs deterministically into a kernel name so kernels
 // with different static parameters get distinct identities.

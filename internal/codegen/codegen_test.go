@@ -158,7 +158,7 @@ func TestDispatchTableCorrectAcrossWidths(t *testing.T) {
 			b := tensor.Random(rng, 1, kDim, n)
 			want := kernels.MatMulRef(a, b)
 			out := tensor.New(tensor.Float32, m, n)
-			table.Invoke(a, b, out)
+			table.For(m).MatMul(a, b, out)
 			if !out.AllClose(want, 1e-4, 1e-5) {
 				t.Errorf("width=%d m=%d: dispatch result wrong", width, m)
 			}

@@ -75,15 +75,18 @@ func hasAVX2FMA() bool {
 var tailMask = [32]int32{-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1}
 
 // tileAVX2 computes rows rows of a@b from row i0, columns [j0, j1) of the
-// panels that start at pv, as 4-row tiles and then single rows. The dense
-// kernel has checked every extent the assembly touches once per call,
-// before the row-block loop reaches here.
+// panels that start at pv. A one-row tile waits on its FMA chain, so after
+// at least one 4-row tile the last rows%4 run as a 4-row tile that ends at
+// the last row and recomputes up to three rows bit for bit; fewer than four
+// rows run one at a time. The dense kernel has checked every extent the
+// assembly touches once per call, before the row-block loop reaches here.
 func tileAVX2(av, pv, ov []float32, i0, rows, k, n, j0, j1 int) {
-	mask := &tailMask[16-(j1-j0)%16]
-	for ; rows >= 4; rows, i0 = rows-4, i0+4 {
-		gemm4x16(av[i0*k:], pv, ov[i0*n+j0:], k, j1-j0, n, mask)
+	mask, end := &tailMask[16-(j1-j0)%16], i0+rows
+	for i := i0; rows >= 4 && i < end; i += 4 {
+		i = min(i, end-4)
+		gemm4x16(av[i*k:], pv, ov[i*n+j0:], k, j1-j0, n, mask)
 	}
-	for ; rows > 0; rows, i0 = rows-1, i0+1 {
-		gemm1x16(av[i0*k:], pv, ov[i0*n+j0:], k, j1-j0, n, mask)
+	for i := i0; rows < 4 && i < end; i++ {
+		gemm1x16(av[i*k:], pv, ov[i*n+j0:], k, j1-j0, n, mask)
 	}
 }
