@@ -124,10 +124,9 @@ func pack(dst, bv []float32, k, n int) {
 var simdTile func(av, pv, ov []float32, i0, rows, k, n, j0, j1 int)
 
 // microBlock computes `rows` output rows (0..8) starting at row i0, columns
-// [j0, j1) of the panels that start at pv, as 4-row tiles and then single
-// rows. It is the code
-// a shape-specialized kernel contains when the residue is known at
-// generation time: no bounds check survives into the accumulation loops.
+// [j0, j1) of the panels that start at pv. It is the code a shape-specialized
+// kernel contains when the residue is known at generation time: no bounds
+// check survives into the accumulation loops.
 func microBlock(av, pv, ov []float32, i0, rows, k, n, j0, j1 int) {
 	if rows < 0 || rows > TileFactor {
 		panic(fmt.Sprintf("kernels: microBlock rows=%d out of range", rows))
@@ -286,8 +285,9 @@ func SymbolicPartial(rLo, rHi int) Variant {
 }
 
 // panelScratch holds buffers for row-major Bs packed for one call. It is a
-// bounded free list rather than a sync.Pool, which a GC empties, so a
-// steady stream of calls never allocates.
+// free list rather than a sync.Pool, which a GC empties, so a steady stream
+// of calls never allocates. A call takes one buffer (its shards share it),
+// so eight cover eight sessions at once and bound what is kept between calls.
 var panelScratch = make(chan []float32, 8)
 
 // MatMul computes out = a@b for a row-major b [k, n], packing b per call
