@@ -95,13 +95,17 @@ func PackedCols(n int) int { return (n + panelW - 1) / panelW * panelW }
 // whose data is ⌈n/16⌉ blocks of k rows of 16 floats, panel j holding
 // columns [16j, 16j+16) of b. b is not modified.
 func PackB(b *tensor.Tensor) *tensor.Tensor {
-	if b.Rank() != 2 {
-		panic(fmt.Sprintf("kernels: PackB requires a rank-2 tensor, got %v", b.Shape()))
-	}
-	k, n := b.Shape()[0], b.Shape()[1]
-	p := tensor.New(tensor.Float32, k, PackedCols(n))
-	pack(p.F32(), b.F32(), k, n)
+	p := tensor.New(tensor.Float32, b.Shape()[0], PackedCols(b.Shape()[1]))
+	PackInto(p, b)
 	return p
+}
+
+// PackInto writes PackB(b) into p, a [k, PackedCols(n)] float32 tensor.
+func PackInto(p, b *tensor.Tensor) {
+	if b.Rank() != 2 || !fits(p, tensor.Float32, b.Shape()[0], PackedCols(b.Shape()[1])) {
+		panic(fmt.Sprintf("kernels: cannot pack %v into %v", b.Shape(), p.Shape()))
+	}
+	pack(p.F32(), b.F32(), b.Shape()[0], b.Shape()[1])
 }
 
 // pack writes row-major bv [k, n] into dst as panels, 16 floats per copy

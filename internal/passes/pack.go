@@ -1,6 +1,8 @@
 package passes
 
 import (
+	"sync"
+
 	"nimble/internal/ir"
 	"nimble/internal/kernels"
 	"nimble/internal/tensor"
@@ -12,13 +14,20 @@ import (
 // here, at compile time, and the VM only dispatches (§4.5, §5). A constant
 // shared by several dense calls, in one function or across entries, is
 // packed once; the caller's tensors are never modified.
-func PackDenseWeights() Pass {
+func PackDenseWeights() Pass { return PackDenseWeightsAsync(nil) }
+
+// PackDenseWeightsAsync is PackDenseWeights with the panels written on a
+// goroutine registered with fill while the later passes run: none of them
+// reads a constant's data, and the caller waits on fill before anything
+// does. With fill nil the panels are written before the pass returns.
+func PackDenseWeightsAsync(fill *sync.WaitGroup) Pass {
 	return Pass{
 		Name: "pack-dense-weights",
 		Run: func(mod *ir.Module) error {
 			dense, densePacked := ir.MustGetOp("dense"), &ir.OpRef{Op: ir.MustGetOp("dense_packed")}
 			packed := map[*tensor.Tensor]*ir.Constant{}
-			return mapFuncs(mod, func(_ string, fn *ir.Function) (ir.Expr, error) {
+			var weights []*tensor.Tensor
+			err := mapFuncs(mod, func(_ string, fn *ir.Function) (ir.Expr, error) {
 				return ir.Rewrite(fn.Body, func(e ir.Expr) ir.Expr {
 					call, op := opCall(e)
 					if op != dense {
@@ -31,15 +40,31 @@ func PackDenseWeights() Pass {
 					k, n := w.Value.Shape()[0], w.Value.Shape()[1]
 					p := packed[w.Value]
 					if p == nil {
-						p = &ir.Constant{Value: kernels.PackB(w.Value), Units: n}
+						p = &ir.Constant{Value: tensor.New(tensor.Float32, k, kernels.PackedCols(n)), Units: n}
 						p.SetCheckedType(ir.TT(tensor.Float32, k, kernels.PackedCols(n)))
 						packed[w.Value] = p
+						weights = append(weights, w.Value)
 					}
 					out := ir.NewCall(densePacked, []ir.Expr{call.Args[0], p}, ir.Attrs{"units": n})
 					out.SetCheckedType(call.CheckedType())
 					return out
 				}), nil
 			})
+			write := func() {
+				for _, w := range weights {
+					kernels.PackInto(packed[w].Value, w)
+				}
+			}
+			if fill == nil {
+				write()
+				return err
+			}
+			fill.Add(1)
+			go func() {
+				defer fill.Done()
+				write()
+			}()
+			return err
 		},
 	}
 }
