@@ -375,9 +375,9 @@ func BuildDataflowLSTM(m *models.LSTM, steps []*tensor.Tensor) *DFGraph {
 	}
 	x := g.ReadInput()
 	input := x
-	dense := func(a, b int) int {
+	dense := func(a, b, units int) int {
 		return g.Kernel("matmul", func(t []*tensor.Tensor) *tensor.Tensor {
-			return kernels.MatMul(t[0], t[1])
+			return kernels.DensePackedInto(t[0], t[1], units, nil)
 		}, a, b)
 	}
 	add := func(a, b int) int {
@@ -396,7 +396,7 @@ func BuildDataflowLSTM(m *models.LSTM, steps []*tensor.Tensor) *DFGraph {
 	for i, c := range m.Cells {
 		hVar, cVar := vars[2*i], vars[2*i+1]
 		hd := c.Hidden
-		gates := add(add(dense(input, weights[i][0]), dense(hVar.body, weights[i][1])), weights[i][2])
+		gates := add(add(dense(input, weights[i][0], 4*hd), dense(hVar.body, weights[i][1], 4*hd)), weights[i][2])
 		slice := func(idx int) int {
 			lo, hi := idx*hd, (idx+1)*hd
 			return g.Kernel("slice", func(t []*tensor.Tensor) *tensor.Tensor {

@@ -26,12 +26,15 @@ func BuildDataflowBERT(m *EagerBERT, ids *tensor.Tensor) *DFGraph {
 	scale := g.Const(tensor.Scalar(1 / float32(sqrtf(float64(headDim)))))
 
 	for _, l := range m.Layers {
-		dense := func(in, w, b int) int {
-			return k2("add", kernels.Add, k2("matmul", kernels.MatMul, in, w), b)
+		dense := func(in int, w, b *Value) int {
+			mm := g.Kernel("matmul", func(t []*tensor.Tensor) *tensor.Tensor {
+				return kernels.DensePackedInto(t[0], t[1], w.units, nil)
+			}, in, g.Const(w.T))
+			return k2("add", kernels.Add, mm, g.Const(b.T))
 		}
-		q := dense(x, g.Const(l.wq.T), g.Const(l.bq.T))
-		k := dense(x, g.Const(l.wk.T), g.Const(l.bk.T))
-		v := dense(x, g.Const(l.wv.T), g.Const(l.bv.T))
+		q := dense(x, l.wq, l.bq)
+		k := dense(x, l.wk, l.bk)
+		v := dense(x, l.wv, l.bv)
 		heads := make([]int, cfg.Heads)
 		for h := 0; h < cfg.Heads; h++ {
 			lo, hi := h*headDim, (h+1)*headDim
@@ -51,12 +54,12 @@ func BuildDataflowBERT(m *EagerBERT, ids *tensor.Tensor) *DFGraph {
 		ctx := g.Kernel("concat", func(t []*tensor.Tensor) *tensor.Tensor {
 			return kernels.Concat(t, 1)
 		}, heads...)
-		attn := dense(ctx, g.Const(l.wo.T), g.Const(l.bo.T))
+		attn := dense(ctx, l.wo, l.bo)
 		ln1 := g.Kernel("layer_norm", func(t []*tensor.Tensor) *tensor.Tensor {
 			return kernels.LayerNorm(t[0], t[1], t[2], 1e-5)
 		}, k2("add", kernels.Add, x, attn), g.Const(l.g1.T), g.Const(l.b1.T))
-		f1 := dense(ln1, g.Const(l.f1w.T), g.Const(l.f1b.T))
-		f2 := dense(k1("gelu", kernels.Gelu, f1), g.Const(l.f2w.T), g.Const(l.f2b.T))
+		f1 := dense(ln1, l.f1w, l.f1b)
+		f2 := dense(k1("gelu", kernels.Gelu, f1), l.f2w, l.f2b)
 		x = g.Kernel("layer_norm", func(t []*tensor.Tensor) *tensor.Tensor {
 			return kernels.LayerNorm(t[0], t[1], t[2], 1e-5)
 		}, k2("add", kernels.Add, ln1, f2), g.Const(l.g2.T), g.Const(l.b2.T))

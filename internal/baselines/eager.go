@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"time"
 
+	"nimble/internal/ir"
 	"nimble/internal/kernels"
 	"nimble/internal/models"
 	"nimble/internal/tensor"
@@ -36,6 +37,10 @@ type node struct {
 type Value struct {
 	T    *tensor.Tensor
 	node *node
+	// units is non-zero for a weight kept as 16-column panels
+	// (nn.Init.Weight): T is [k, PackedCols(units)], and dense reads it as
+	// it is, the way a framework keeps its weights prepacked for its GEMM.
+	units int
 }
 
 // Eager is a define-by-run session: each op call appends to the tape and
@@ -58,7 +63,7 @@ type Eager struct {
 // NewEager creates a session with the standard operator table.
 func NewEager() *Eager {
 	e := &Eager{dispatch: map[string]func([]*Value) *tensor.Tensor{}}
-	e.dispatch["dense"] = func(a []*Value) *tensor.Tensor { return kernels.MatMul(a[0].T, a[1].T) }
+	e.dispatch["dense"] = func(a []*Value) *tensor.Tensor { return dense(a[0].T, a[1]) }
 	e.dispatch["add"] = func(a []*Value) *tensor.Tensor { return kernels.Add(a[0].T, a[1].T) }
 	e.dispatch["multiply"] = func(a []*Value) *tensor.Tensor { return kernels.Mul(a[0].T, a[1].T) }
 	e.dispatch["sigmoid"] = func(a []*Value) *tensor.Tensor { return kernels.Sigmoid(a[0].T) }
@@ -72,6 +77,18 @@ func NewEager() *Eager {
 
 // Wrap lifts a raw tensor into the session.
 func (e *Eager) Wrap(t *tensor.Tensor) *Value { return &Value{T: t} }
+
+// WrapWeight lifts a weight constant, keeping the panels of a packed one.
+func (e *Eager) WrapWeight(c *ir.Constant) *Value { return &Value{T: c.Value, units: c.Units} }
+
+// dense is x@w over w's panels when w is a packed weight, and over a
+// row-major w (a B computed at run time) packed per call otherwise.
+func dense(x *tensor.Tensor, w *Value) *tensor.Tensor {
+	if w.units > 0 {
+		return kernels.DensePackedInto(x, w.T, w.units, nil)
+	}
+	return kernels.MatMul(x, w.T)
+}
 
 // Reset clears the tape between inferences (frameworks rebuild it per run).
 func (e *Eager) Reset() { e.tape = e.tape[:0] }
@@ -140,7 +157,7 @@ func (e *Eager) CellsFromModel(m *models.LSTM) []EagerLSTMCell {
 			panic(err)
 		}
 		out[i] = EagerLSTMCell{
-			Wx: e.Wrap(c.Wx.Value), Wh: e.Wrap(c.Wh.Value),
+			Wx: e.WrapWeight(c.Wx), Wh: e.WrapWeight(c.Wh),
 			Bias: e.Wrap(bias2d), Hidden: c.Hidden,
 		}
 	}

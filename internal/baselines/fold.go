@@ -101,7 +101,7 @@ func (f *Fold) runLeafBatch(batch []*foldNode) {
 	}
 	x := kernels.Concat(rows, 0)
 	hd := f.Hidden
-	gates := kernels.Add(kernels.MatMul(x, f.Cell.Leaf.Wx.T), f.Cell.Leaf.Bias.T)
+	gates := kernels.Add(dense(x, f.Cell.Leaf.Wx), f.Cell.Leaf.Bias.T)
 	i := kernels.Sigmoid(kernels.Slice(gates, 1, 0, hd))
 	g := kernels.Tanh(kernels.Slice(gates, 1, 2*hd, 3*hd))
 	o := kernels.Sigmoid(kernels.Slice(gates, 1, 3*hd, 4*hd))
@@ -129,12 +129,12 @@ func (f *Fold) runNodeBatch(batch []*foldNode, index map[*models.Tree]*foldNode)
 	cl := kernels.Concat(cls, 0)
 	cr := kernels.Concat(crs, 0)
 	hsum := kernels.Add(hl, hr)
-	iou := kernels.Add(kernels.MatMul(hsum, f.Cell.WIOU.T), f.Cell.BIOU.T)
+	iou := kernels.Add(dense(hsum, f.Cell.WIOU), f.Cell.BIOU.T)
 	iG := kernels.Sigmoid(kernels.Slice(iou, 1, 0, hd))
 	oG := kernels.Sigmoid(kernels.Slice(iou, 1, hd, 2*hd))
 	uV := kernels.Tanh(kernels.Slice(iou, 1, 2*hd, 3*hd))
-	fl := kernels.Sigmoid(kernels.Add(kernels.MatMul(hl, f.Cell.WF.T), f.Cell.BF.T))
-	fr := kernels.Sigmoid(kernels.Add(kernels.MatMul(hr, f.Cell.WF.T), f.Cell.BF.T))
+	fl := kernels.Sigmoid(kernels.Add(dense(hl, f.Cell.WF), f.Cell.BF.T))
+	fr := kernels.Sigmoid(kernels.Add(dense(hr, f.Cell.WF), f.Cell.BF.T))
 	c := kernels.Add(kernels.Mul(iG, uV), kernels.Add(kernels.Mul(fl, cl), kernels.Mul(fr, cr)))
 	h := kernels.Mul(oG, kernels.Tanh(c))
 	for r, n := range batch {

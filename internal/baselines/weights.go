@@ -17,16 +17,16 @@ func NewEagerTreeCell(e *Eager, cfg models.TreeLSTMConfig) EagerTreeCell {
 	init := nn.NewInit(cfg.Seed + 1000)
 	h := cfg.Hidden
 	leaf := EagerLSTMCell{
-		Wx:     e.Wrap(init.Xavier(cfg.Input, 4*h)),
-		Wh:     e.Wrap(init.Xavier(h, 4*h)),
+		Wx:     e.WrapWeight(init.Weight(cfg.Input, 4*h)),
+		Wh:     e.WrapWeight(init.Weight(h, 4*h)),
 		Bias:   e.Wrap(mustRow(init.Vector(4*h).Reshape(1, 4*h))),
 		Hidden: h,
 	}
 	return EagerTreeCell{
 		Leaf:   leaf,
-		WIOU:   e.Wrap(init.Xavier(h, 3*h)),
+		WIOU:   e.WrapWeight(init.Weight(h, 3*h)),
 		BIOU:   e.Wrap(mustRow(init.Vector(3*h).Reshape(1, 3*h))),
-		WF:     e.Wrap(init.Xavier(h, h)),
+		WF:     e.WrapWeight(init.Weight(h, h)),
 		BF:     e.Wrap(mustRow(init.Vector(h).Reshape(1, h))),
 		Hidden: h,
 	}
@@ -39,14 +39,14 @@ func NewEagerBERT(e *Eager, cfg models.BERTConfig) *EagerBERT {
 	h, f := cfg.Hidden, cfg.FFN
 	for i := 0; i < cfg.Layers; i++ {
 		m.Layers = append(m.Layers, eagerBERTLayer{
-			wq: e.Wrap(init.Xavier(h, h)), bq: e.Wrap(mustRow(init.Vector(h).Reshape(1, h))),
-			wk: e.Wrap(init.Xavier(h, h)), bk: e.Wrap(mustRow(init.Vector(h).Reshape(1, h))),
-			wv: e.Wrap(init.Xavier(h, h)), bv: e.Wrap(mustRow(init.Vector(h).Reshape(1, h))),
-			wo: e.Wrap(init.Xavier(h, h)), bo: e.Wrap(mustRow(init.Vector(h).Reshape(1, h))),
+			wq: e.WrapWeight(init.Weight(h, h)), bq: e.Wrap(mustRow(init.Vector(h).Reshape(1, h))),
+			wk: e.WrapWeight(init.Weight(h, h)), bk: e.Wrap(mustRow(init.Vector(h).Reshape(1, h))),
+			wv: e.WrapWeight(init.Weight(h, h)), bv: e.Wrap(mustRow(init.Vector(h).Reshape(1, h))),
+			wo: e.WrapWeight(init.Weight(h, h)), bo: e.Wrap(mustRow(init.Vector(h).Reshape(1, h))),
 			g1: e.Wrap(init.Ones(h)), b1: e.Wrap(init.Zeros(h)),
 			g2: e.Wrap(init.Ones(h)), b2: e.Wrap(init.Zeros(h)),
-			f1w: e.Wrap(init.Xavier(h, f)), f1b: e.Wrap(mustRow(init.Vector(f).Reshape(1, f))),
-			f2w: e.Wrap(init.Xavier(f, h)), f2b: e.Wrap(mustRow(init.Vector(h).Reshape(1, h))),
+			f1w: e.WrapWeight(init.Weight(h, f)), f1b: e.Wrap(mustRow(init.Vector(f).Reshape(1, f))),
+			f2w: e.WrapWeight(init.Weight(f, h)), f2b: e.Wrap(mustRow(init.Vector(h).Reshape(1, h))),
 		})
 	}
 	return m

@@ -7,7 +7,6 @@ package compiler
 
 import (
 	"fmt"
-	"sync"
 
 	"nimble/internal/codegen"
 	"nimble/internal/ir"
@@ -71,12 +70,8 @@ func Compile(mod *ir.Module, opts Options) (*Result, error) {
 		st = &Stats{}
 	}
 
-	// The packed weights are written while the later passes run; every
-	// return waits for them, so no goroutine outlives Compile.
-	var packing sync.WaitGroup
-	defer packing.Wait()
 	var pipeline []passes.Pass
-	pipeline = append(pipeline, passes.ANF(), passes.ConstantFold(), passes.DCE(), passes.PackDenseWeightsAsync(&packing))
+	pipeline = append(pipeline, passes.ANF(), passes.ConstantFold(), passes.DCE(), passes.PackDenseWeights())
 	if !opts.DisableFusion {
 		pipeline = append(pipeline, passes.FuseOpsWithStats(&st.Fusion))
 	}

@@ -109,7 +109,18 @@ var reduceOps = []string{"sum", "mean", "max"}
 // Generate draws a random program: 1-2 rank-2 inputs followed by 3-10
 // operations chosen among elementwise, reduce, matmul, transpose, concat,
 // slice, softmax, and If nodes, each picking shape-compatible operands.
-func Generate(rng *rand.Rand) *Program {
+func Generate(rng *rand.Rand) *Program { return generate(rng, nil) }
+
+// GenerateVaried is Generate with vary re-drawing each dense node: a third
+// keep their constant weight, a third take a computed B where a node with
+// the right row count exists (the B the dense kernel packs per call), and a
+// third get a constant weight of 1-20 columns, so panels past the first
+// are fuzzed too. Every draw Generate makes from rng it makes here too,
+// and vary decides only at dense nodes, so a seed saved against Generate
+// still builds its program there.
+func GenerateVaried(rng, vary *rand.Rand) *Program { return generate(rng, vary) }
+
+func generate(rng, vary *rand.Rand) *Program {
 	p := &Program{anyLead: rng.Intn(2) == 0}
 	nInputs := 1 + rng.Intn(2)
 	rows := 1 + rng.Intn(5)
@@ -120,7 +131,7 @@ func Generate(rng *rand.Rand) *Program {
 	}
 	steps := 3 + rng.Intn(8)
 	for i := 0; i < steps; i++ {
-		p.addRandomNode(rng)
+		p.addRandomNode(rng, vary)
 	}
 	// Return the deepest tensor-valued node to keep the whole chain live
 	// through DCE.
@@ -143,6 +154,21 @@ func (p *Program) pick(rng *rand.Rand, pred func(n node) bool) (int, bool) {
 	return cands[rng.Intn(len(cands))], true
 }
 
+// varyDense re-draws dense node n, whose A has k columns, from vary (see
+// GenerateVaried).
+func (p *Program) varyDense(vary *rand.Rand, n node, k int) node {
+	switch vary.Intn(3) {
+	case 1:
+		if b, ok := p.pick(vary, func(m node) bool { return len(m.shape) == 2 && m.shape[0] == k }); ok {
+			return node{kind: kindDenseRuntime, a: n.a, b: b, shape: []int{n.shape[0], p.nodes[b].shape[1]}}
+		}
+	case 2:
+		cols := 1 + vary.Intn(20)
+		n.weight, n.shape = tensor.Random(vary, 0.5, k, cols), []int{n.shape[0], cols}
+	}
+	return n
+}
+
 func sameShape(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
@@ -155,7 +181,7 @@ func sameShape(a, b []int) bool {
 	return true
 }
 
-func (p *Program) addRandomNode(rng *rand.Rand) {
+func (p *Program) addRandomNode(rng, vary *rand.Rand) {
 	for attempts := 0; attempts < 8; attempts++ {
 		var n node
 		ok := false
@@ -200,20 +226,16 @@ func (p *Program) addRandomNode(rng *rand.Rand) {
 					a: a, axis: axis, keep: keep, shape: out}
 				ok = true
 			}
-		case 4: // dense against a fresh constant weight (packed at compile
-			// time) or, half the time, against a computed B (packed per call)
+		case 4: // dense against a fresh constant weight
 			a, found := p.pick(rng, func(m node) bool { return len(m.shape) == 2 })
 			if found {
 				k := p.nodes[a].shape[1]
-				bIdx, runtimeB := p.pick(rng, func(m node) bool { return len(m.shape) == 2 && m.shape[0] == k })
-				if runtimeB && rng.Intn(2) == 0 {
-					n = node{kind: kindDenseRuntime, a: a, b: bIdx,
-						shape: []int{p.nodes[a].shape[0], p.nodes[bIdx].shape[1]}}
-				} else {
-					m := 1 + rng.Intn(20)
-					w := tensor.Random(rng, 0.5, k, m)
-					n = node{kind: kindDense, a: a, weight: w,
-						shape: []int{p.nodes[a].shape[0], m}}
+				m := 1 + rng.Intn(6)
+				w := tensor.Random(rng, 0.5, k, m)
+				n = node{kind: kindDense, a: a, weight: w,
+					shape: []int{p.nodes[a].shape[0], m}}
+				if vary != nil {
+					n = p.varyDense(vary, n, k)
 				}
 				ok = true
 			}

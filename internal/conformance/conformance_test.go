@@ -1,6 +1,9 @@
 package conformance
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -19,6 +22,60 @@ func TestSeedCorpus(t *testing.T) {
 		if err := Check(p); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
+		if err := Check(generateVaried(seed)); err != nil {
+			t.Errorf("varied seed %d: %v", seed, err)
+		}
+	}
+}
+
+// generateVaried is the GenerateVaried program a seed replays: vary is
+// seeded from the seed's complement.
+func generateVaried(seed int64) *Program {
+	return GenerateVaried(rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(^seed)))
+}
+
+// fingerprint is a program's trace plus a hash of its input and weight
+// bits: two programs with one fingerprint compute the same thing.
+func fingerprint(p *Program) string {
+	h := fnv.New64a()
+	add := func(v []float32) {
+		for _, x := range v {
+			b := math.Float32bits(x)
+			h.Write([]byte{byte(b), byte(b >> 8), byte(b >> 16), byte(b >> 24)})
+		}
+	}
+	for _, in := range p.inputs {
+		add(in.F32())
+	}
+	for _, n := range p.nodes {
+		if n.weight != nil {
+			add(n.weight.F32())
+		}
+	}
+	return fmt.Sprintf("%s%016x", p.Describe(), h.Sum64())
+}
+
+// TestGenerateReplaysSavedSeed pins the program of the saved fuzz seed
+// (testdata/fuzz/FuzzVMConformance), which reproduces the If-alias
+// kill/coalescing miscompile: its two dense nodes feed the If. A generator
+// change that moved Generate's draws would quietly stop replaying it.
+func TestGenerateReplaysSavedSeed(t *testing.T) {
+	const want = `program (anyLead=false, 1 inputs):
+  n0: input#0 [2 5]
+  n1: maximum(n0, n0) [2 5]
+  n2: minimum(n0, n1) [2 5]
+  n3: dense(n2, w(5, 5)) [2 5]
+  n4: dense(n2, w(5, 5)) [2 5]
+  n5: if sum(n4) > 0.94365114 then n4 else n3 [2 5]
+  n6: slice(n1, axis=1, 3:4) [2 1]
+  n7: transpose(n5) [5 2]
+  n8: dense(n7, w(2, 6)) [5 6]
+  n9: transpose(n5) [5 2]
+  n10: concat(n7, n9, axis=0) [10 2]
+  out: n10
+78152f733dde9228`
+	if got := fingerprint(Generate(rand.New(rand.NewSource(-909)))); got != want {
+		t.Errorf("seed -909 builds\n%s\nwant\n%s", got, want)
 	}
 }
 
@@ -27,11 +84,14 @@ func TestSeedCorpus(t *testing.T) {
 // back to tanh): across a fixed seed range every node kind must appear.
 func TestGeneratorCoversAllNodeKinds(t *testing.T) {
 	seen := map[nodeKind]int{}
-	anyLead := 0
+	anyLead, wide := 0, 0
 	for seed := int64(0); seed < 400; seed++ {
 		p := Generate(rand.New(rand.NewSource(seed)))
-		for _, n := range p.nodes {
+		for _, n := range append(p.nodes, generateVaried(seed).nodes...) {
 			seen[n.kind]++
+			if n.kind == kindDense && n.weight.Shape()[1] > 16 {
+				wide++
+			}
 		}
 		if p.anyLead {
 			anyLead++
@@ -44,6 +104,9 @@ func TestGeneratorCoversAllNodeKinds(t *testing.T) {
 	}
 	if anyLead == 0 || anyLead == 400 {
 		t.Errorf("anyLead split degenerate: %d/400", anyLead)
+	}
+	if wide == 0 {
+		t.Error("no dense weight wider than one 16-column panel")
 	}
 }
 
@@ -87,8 +150,8 @@ func TestLoopGeneratorCoverage(t *testing.T) {
 
 // FuzzVMConformance is the native fuzz entry: bytes drive the generator
 // seed, so the fuzzer explores program space while every counterexample
-// minimizes to a single replayable seed. Each seed drives both the
-// straight-line generator and the loop-carried in-place generator.
+// minimizes to a single replayable seed. Each seed drives the straight-line
+// generator, its dense-varied form and the loop-carried in-place generator.
 func FuzzVMConformance(f *testing.F) {
 	for seed := int64(0); seed < 24; seed++ {
 		f.Add(seed)
@@ -97,6 +160,9 @@ func FuzzVMConformance(f *testing.F) {
 		p := Generate(rand.New(rand.NewSource(seed)))
 		if err := Check(p); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if err := Check(generateVaried(seed)); err != nil {
+			t.Fatalf("varied seed %d: %v", seed, err)
 		}
 		lp := GenerateLoop(rand.New(rand.NewSource(seed)))
 		if err := CheckLoop(lp); err != nil {

@@ -54,7 +54,7 @@ func TestLSTMMatchesReferenceStep(t *testing.T) {
 	}
 	got := out.(*vm.TensorObj).T
 
-	// Reference: gates = x@Wx + 0@Wh + b.
+	// Reference: gates = x@Wx + 0@Wh + b, Wx read from its 16-column panels.
 	cell := m.Cells[0]
 	wx, bias := cell.Wx.Value, cell.Bias.Value
 	h := cfg.Hidden
@@ -62,7 +62,7 @@ func TestLSTMMatchesReferenceStep(t *testing.T) {
 	for j := 0; j < 4*h; j++ {
 		acc := float64(bias.F32()[j])
 		for k := 0; k < cfg.Input; k++ {
-			acc += float64(x.F32()[k]) * float64(wx.F32()[k*4*h+j])
+			acc += float64(x.F32()[k]) * float64(wx.F32()[j/16*cfg.Input*16+k*16+j%16])
 		}
 		gates[j] = acc
 	}

@@ -60,9 +60,9 @@ func NewTreeLSTM(cfg TreeLSTMConfig) *TreeLSTM {
 	leafCell := nn.NewLSTMCell(init, cfg.Input, h)
 	// Node (child-sum) parameters: gates from summed child h, with
 	// per-child forget gates.
-	wIOU := ir.Const(init.Xavier(h, 3*h)) // input, output, update from h-sum
+	wIOU := init.Weight(h, 3*h) // input, output, update from h-sum
 	bIOU := ir.Const(init.Vector(3 * h))
-	wF := ir.Const(init.Xavier(h, h)) // forget gate per child
+	wF := init.Weight(h, h) // forget gate per child
 	bF := ir.Const(init.Vector(h))
 
 	tv := ir.NewVar("t", treeDef.Type())
@@ -85,15 +85,15 @@ func NewTreeLSTM(cfg TreeLSTMConfig) *TreeLSTM {
 	hr := nb.Bind("hr", &ir.TupleGet{Tuple: rp, Index: 0})
 	cr := nb.Bind("cr", &ir.TupleGet{Tuple: rp, Index: 1})
 	hsum := nb.Op("add", hl, hr)
-	iou := nb.Op("bias_add", nb.Op("dense", hsum, wIOU), bIOU)
+	iou := nb.Op("bias_add", nn.Dense(nb, hsum, wIOU), bIOU)
 	slice := func(idx int) ir.Expr {
 		return nb.OpAttrs("strided_slice", ir.Attrs{"axis": 1, "begin": idx * h, "end": (idx + 1) * h}, iou)
 	}
 	iGate := nb.Op("sigmoid", slice(0))
 	oGate := nb.Op("sigmoid", slice(1))
 	uVal := nb.Op("tanh", slice(2))
-	fl := nb.Op("sigmoid", nb.Op("bias_add", nb.Op("dense", hl, wF), bF))
-	fr := nb.Op("sigmoid", nb.Op("bias_add", nb.Op("dense", hr, wF), bF))
+	fl := nb.Op("sigmoid", nb.Op("bias_add", nn.Dense(nb, hl, wF), bF))
+	fr := nb.Op("sigmoid", nb.Op("bias_add", nn.Dense(nb, hr, wF), bF))
 	cNew := nb.Op("add",
 		nb.Op("multiply", iGate, uVal),
 		nb.Op("add", nb.Op("multiply", fl, cl), nb.Op("multiply", fr, cr)))

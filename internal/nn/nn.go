@@ -10,6 +10,7 @@ import (
 	"math/rand"
 
 	"nimble/internal/ir"
+	"nimble/internal/kernels"
 	"nimble/internal/tensor"
 )
 
@@ -29,6 +30,33 @@ func (in *Init) Xavier(rows, cols int) *tensor.Tensor {
 	return tensor.Random(in.Rng, scale, rows, cols)
 }
 
+// Weight draws the values Xavier(rows, cols) draws, in the same order,
+// straight into the 16-column panels the dense row tile reads (the layout
+// of kernels.PackB: panel j holds columns [16j, 16j+16) as rows contiguous
+// 16-float rows, and only the last panel is zero-padded). It returns them as
+// the B constant of a dense_packed of cols units. A model built from these
+// holds one copy of each weight; a dense over a row-major constant gets a
+// second, packed, copy when it is compiled (the pack-dense-weights pass).
+func (in *Init) Weight(rows, cols int) *ir.Constant {
+	scale, rng := math.Sqrt(6.0/float64(rows+cols)), in.Rng
+	p := tensor.New(tensor.Float32, rows, kernels.PackedCols(cols))
+	pv, row := p.F32(), make([]float32, cols)
+	for r := 0; r < rows; r++ {
+		for c := range row {
+			row[c] = float32((rng.Float64()*2 - 1) * scale)
+		}
+		for j := 0; j < cols; j += 16 {
+			copy(pv[j*rows+r*16:j*rows+r*16+16], row[j:])
+		}
+	}
+	return &ir.Constant{Value: p, Units: cols}
+}
+
+// Dense emits x@W for a weight from Init.Weight.
+func Dense(b *ir.Builder, x ir.Expr, w *ir.Constant) ir.Expr {
+	return b.OpAttrs("dense_packed", ir.Attrs{"units": w.Units}, x, w)
+}
+
 // Vector draws a length-n vector with small uniform values.
 func (in *Init) Vector(n int) *tensor.Tensor {
 	return tensor.Random(in.Rng, 0.01, n)
@@ -46,7 +74,7 @@ func (in *Init) Zeros(n int) *tensor.Tensor { return tensor.New(tensor.Float32, 
 
 // Linear is a dense layer y = x@W + b.
 type Linear struct {
-	W *ir.Constant
+	W *ir.Constant // [In, Out] as panels (Init.Weight)
 	B *ir.Constant
 	// In and Out record the layer dimensions for cost accounting.
 	In, Out int
@@ -55,7 +83,7 @@ type Linear struct {
 // NewLinear creates a dense layer with fresh weights.
 func NewLinear(init *Init, in, out int) *Linear {
 	return &Linear{
-		W:  ir.Const(init.Xavier(in, out)),
+		W:  init.Weight(in, out),
 		B:  ir.Const(init.Vector(out)),
 		In: in, Out: out,
 	}
@@ -63,13 +91,12 @@ func NewLinear(init *Init, in, out int) *Linear {
 
 // Apply emits dense+bias_add for input x.
 func (l *Linear) Apply(b *ir.Builder, x ir.Expr) ir.Expr {
-	d := b.Op("dense", x, l.W)
-	return b.Op("bias_add", d, l.B)
+	return b.Op("bias_add", Dense(b, x, l.W), l.B)
 }
 
 // ApplyNoBias emits only the dense matmul.
 func (l *Linear) ApplyNoBias(b *ir.Builder, x ir.Expr) ir.Expr {
-	return b.Op("dense", x, l.W)
+	return Dense(b, x, l.W)
 }
 
 // LayerNorm is a layer-normalization layer over the last axis.
@@ -109,7 +136,7 @@ func (e *Embedding) Apply(b *ir.Builder, ids ir.Expr) ir.Expr {
 // hidden projections produce a [1, 4*hidden] pre-activation split into
 // input/forget/cell/output gates.
 type LSTMCell struct {
-	Wx, Wh        *ir.Constant
+	Wx, Wh        *ir.Constant // as panels (Init.Weight)
 	Bias          *ir.Constant
 	Input, Hidden int
 }
@@ -117,8 +144,8 @@ type LSTMCell struct {
 // NewLSTMCell creates a cell with input size in and hidden size h.
 func NewLSTMCell(init *Init, in, h int) *LSTMCell {
 	return &LSTMCell{
-		Wx:    ir.Const(init.Xavier(in, 4*h)),
-		Wh:    ir.Const(init.Xavier(h, 4*h)),
+		Wx:    init.Weight(in, 4*h),
+		Wh:    init.Weight(h, 4*h),
 		Bias:  ir.Const(init.Vector(4 * h)),
 		Input: in, Hidden: h,
 	}
@@ -128,8 +155,8 @@ func NewLSTMCell(init *Init, in, h int) *LSTMCell {
 // returns the new (h, c) expressions.
 func (cell *LSTMCell) Step(b *ir.Builder, x, h, c ir.Expr) (ir.Expr, ir.Expr) {
 	hd := cell.Hidden
-	gx := b.Op("dense", x, cell.Wx)
-	gh := b.Op("dense", h, cell.Wh)
+	gx := Dense(b, x, cell.Wx)
+	gh := Dense(b, h, cell.Wh)
 	sum := b.Op("add", gx, gh)
 	gates := b.Op("bias_add", sum, cell.Bias)
 	slice := func(idx int) ir.Expr {

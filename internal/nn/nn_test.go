@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nimble/internal/ir"
+	"nimble/internal/kernels"
 	"nimble/internal/tensor"
 	"nimble/internal/typeinfer"
 )
@@ -31,6 +32,22 @@ func TestInitShapesAndDeterminism(t *testing.T) {
 	}
 	if NewInit(1).Vector(7).NumElements() != 7 {
 		t.Error("Vector length wrong")
+	}
+}
+
+// TestWeightIsPackedXavier pins Weight to the panels kernels.PackB makes of
+// the Xavier draw, value for value, and to the same number of draws, so a
+// model's later weights do not move.
+func TestWeightIsPackedXavier(t *testing.T) {
+	for _, s := range [][2]int{{1, 1}, {3, 15}, {5, 16}, {7, 17}, {4, 40}, {2, 150}} {
+		a, b := NewInit(9), NewInit(9)
+		w := a.Weight(s[0], s[1])
+		if want := kernels.PackB(b.Xavier(s[0], s[1])); w.Units != s[1] || !w.Value.Equal(want) {
+			t.Errorf("Weight(%d, %d) = %v units %d, want PackB of Xavier", s[0], s[1], w.Value.Shape(), w.Units)
+		}
+		if a.Rng.Int63() != b.Rng.Int63() {
+			t.Errorf("Weight(%d, %d) drew a different number of values than Xavier", s[0], s[1])
+		}
 	}
 }
 

@@ -1,33 +1,26 @@
 package passes
 
 import (
-	"sync"
-
 	"nimble/internal/ir"
 	"nimble/internal/kernels"
 	"nimble/internal/tensor"
 )
 
-// PackDenseWeights rewrites every dense whose B is a constant into
-// dense_packed over that constant laid out as 16-column panels
-// (kernels.PackB), the order the dense row tile reads. The layout is chosen
-// here, at compile time, and the VM only dispatches (§4.5, §5). A constant
-// shared by several dense calls, in one function or across entries, is
-// packed once; the caller's tensors are never modified.
-func PackDenseWeights() Pass { return PackDenseWeightsAsync(nil) }
-
-// PackDenseWeightsAsync is PackDenseWeights with the panels written on a
-// goroutine registered with fill while the later passes run: none of them
-// reads a constant's data, and the caller waits on fill before anything
-// does. With fill nil the panels are written before the pass returns.
-func PackDenseWeightsAsync(fill *sync.WaitGroup) Pass {
+// PackDenseWeights rewrites every dense whose B is a row-major constant
+// into dense_packed over a copy of that constant laid out as 16-column
+// panels (kernels.PackB), the order the dense row tile reads. The layout is
+// chosen here, at compile time, and the VM only dispatches (§4.5, §5). A
+// constant shared by several dense calls, in one function or across
+// entries, is packed once; the caller's tensors are never modified. Models
+// built with nn.Init.Weight already hold their weights as panels, so their
+// dense calls are dense_packed from the start and this pass copies nothing.
+func PackDenseWeights() Pass {
 	return Pass{
 		Name: "pack-dense-weights",
 		Run: func(mod *ir.Module) error {
 			dense, densePacked := ir.MustGetOp("dense"), &ir.OpRef{Op: ir.MustGetOp("dense_packed")}
 			packed := map[*tensor.Tensor]*ir.Constant{}
-			var weights []*tensor.Tensor
-			err := mapFuncs(mod, func(_ string, fn *ir.Function) (ir.Expr, error) {
+			return mapFuncs(mod, func(_ string, fn *ir.Function) (ir.Expr, error) {
 				return ir.Rewrite(fn.Body, func(e ir.Expr) ir.Expr {
 					call, op := opCall(e)
 					if op != dense {
@@ -37,34 +30,18 @@ func PackDenseWeightsAsync(fill *sync.WaitGroup) Pass {
 					if !ok || w.Value.Rank() != 2 || w.Value.DType() != tensor.Float32 {
 						return e
 					}
-					k, n := w.Value.Shape()[0], w.Value.Shape()[1]
+					n := w.Value.Shape()[1]
 					p := packed[w.Value]
 					if p == nil {
-						p = &ir.Constant{Value: tensor.New(tensor.Float32, k, kernels.PackedCols(n)), Units: n}
-						p.SetCheckedType(ir.TT(tensor.Float32, k, kernels.PackedCols(n)))
+						p = &ir.Constant{Value: kernels.PackB(w.Value), Units: n}
+						p.SetCheckedType(ir.TT(tensor.Float32, w.Value.Shape()[0], kernels.PackedCols(n)))
 						packed[w.Value] = p
-						weights = append(weights, w.Value)
 					}
 					out := ir.NewCall(densePacked, []ir.Expr{call.Args[0], p}, ir.Attrs{"units": n})
 					out.SetCheckedType(call.CheckedType())
 					return out
 				}), nil
 			})
-			write := func() {
-				for _, w := range weights {
-					kernels.PackInto(packed[w].Value, w)
-				}
-			}
-			if fill == nil {
-				write()
-				return err
-			}
-			fill.Add(1)
-			go func() {
-				defer fill.Done()
-				write()
-			}()
-			return err
 		},
 	}
 }

@@ -1,6 +1,7 @@
 package passes
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -73,37 +74,84 @@ func TestPackDenseWeightsSharesOnePackedConstant(t *testing.T) {
 	}
 }
 
-// TestPackDenseWeightsModels runs the pass over the evaluation's models:
-// every dense over a constant becomes dense_packed, and each distinct
-// weight tensor (the Tree-LSTM's forget weight serves both children, the
-// decoder's weights all four entries) yields exactly one packed constant.
-func TestPackDenseWeightsModels(t *testing.T) {
-	for name, mod := range map[string]*ir.Module{
-		"treelstm": models.NewTreeLSTM(models.TreeLSTMConfig{Input: 12, Hidden: 10, Seed: 43}).Module,
-		"decoder":  models.NewDecoder(models.DefaultDecoderConfig()).Module,
-		"bert":     models.NewBERT(models.BERTConfig{Layers: 1, Hidden: 32, Heads: 2, FFN: 64, Vocab: 128, MaxSeq: 32, Seed: 44}).Module,
+// TestModelsHoldPackedWeights checks that the evaluation's models are
+// built with their weights already in panels (nn.Init.Weight): no dense
+// reads a row-major constant, so compiling them copies no weight, and the
+// pass leaves them as they are. A weight shared by several calls (the
+// Tree-LSTM's forget weight serves both children, the decoder's weights
+// all four entries) is one constant.
+func TestModelsHoldPackedWeights(t *testing.T) {
+	for name, c := range map[string]struct {
+		mod           *ir.Module
+		calls, consts int
+	}{
+		// Leaf Wx, node wIOU and wF twice; the leaf's Wh multiplies the zero
+		// state and is folded away.
+		"treelstm": {models.NewTreeLSTM(models.TreeLSTMConfig{Input: 12, Hidden: 10, Seed: 43}).Module, 4, 3},
+		"bert":     {models.NewBERT(models.BERTConfig{Layers: 1, Hidden: 32, Heads: 2, FFN: 64, Vocab: 128, MaxSeq: 32, Seed: 44}).Module, 6, 6},
 	} {
-		if err := NewManager(ANF(), ConstantFold(), DCE()).Run(mod); err != nil {
+		if err := NewManager(ANF(), ConstantFold(), DCE()).Run(c.mod); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want, _ := denseWeights(mod)
-		if err := NewManager(PackDenseWeights()).Run(mod); err != nil {
+		plain, packed := denseWeights(c.mod)
+		if calls := densePackedCalls(c.mod); len(plain) != 0 || calls != c.calls || len(packed) != c.consts {
+			t.Errorf("%s: %d dense calls over a row-major constant, %d dense_packed calls over %d constants; want 0, %d and %d",
+				name, len(plain), calls, len(packed), c.calls, c.consts)
+		}
+		if err := NewManager(PackDenseWeights()).Run(c.mod); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		plain, packed := denseWeights(mod)
-		if len(want) == 0 || len(plain) != 0 || len(packed) != len(want) {
-			t.Errorf("%s: %d distinct weights became %d packed constants (%d dense calls left over a constant)",
-				name, len(want), len(packed), len(plain))
+		if _, after := denseWeights(c.mod); !maps.Equal(after, packed) {
+			t.Errorf("%s: the pass changed the packed constants", name)
 		}
+	}
+	dec := models.NewDecoder(models.DefaultDecoderConfig()).Module
+	if err := NewManager(ANF(), ConstantFold(), DCE()).Run(dec); err != nil {
+		t.Fatal(err)
+	}
+	plain, packed := denseWeights(dec)
+	if len(plain) != 0 || len(packed) == 0 || densePackedCalls(dec) <= len(packed) {
+		t.Errorf("decoder: %d row-major, %d packed constants under %d calls; want its entries to share the packed ones",
+			len(plain), len(packed), densePackedCalls(dec))
 	}
 }
 
-// BenchmarkPackDenseWeights times the pass over BERT-reduced, whose 24
-// dense weights hold 12.6 MB; building the module is outside the timer.
+func densePackedCalls(mod *ir.Module) int {
+	calls := 0
+	for _, name := range mod.FuncNames() {
+		ir.Visit(mod.Funcs[name].Body, func(e ir.Expr) bool {
+			if _, op := opCall(e); op != nil && op.Name == "dense_packed" {
+				calls++
+			}
+			return true
+		})
+	}
+	return calls
+}
+
+// BenchmarkPackDenseWeights times the pass over a chain of dense calls with
+// BERT-reduced's 24 weight shapes (12.6 MB) as row-major constants, the
+// module a frontend that does not emit panels hands the compiler; building
+// it is outside the timer.
 func BenchmarkPackDenseWeights(b *testing.B) {
+	cfg := models.BERTReduced()
+	h, f := cfg.Hidden, cfg.FFN
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		mod := models.NewBERT(models.BERTReduced()).Module
+		rng := rand.New(rand.NewSource(cfg.Seed))
+		x := ir.NewVar("x", ir.TT(tensor.Float32, anyd, h))
+		bld := ir.NewBuilder()
+		var y ir.Expr = x
+		for l := 0; l < cfg.Layers; l++ {
+			for _, s := range [][2]int{{h, h}, {h, h}, {h, h}, {h, h}, {h, f}, {f, h}} {
+				y = bld.Op("dense", y, ir.Const(tensor.Random(rng, 0.1, s[0], s[1])))
+			}
+		}
+		mod := ir.NewModule()
+		mod.AddFunc("main", ir.NewFunc([]*ir.Var{x}, bld.Finish(y), nil))
+		if err := NewManager(ANF()).Run(mod); err != nil {
+			b.Fatal(err)
+		}
 		b.StartTimer()
 		if err := PackDenseWeights().Run(mod); err != nil {
 			b.Fatal(err)

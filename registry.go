@@ -343,13 +343,8 @@ func (r *Registry) route(ref string, key string) (*modelVersion, func(), error) 
 		v.inflight.Add(1)
 		if v.retired.Load() {
 			// Lost the race with a swap: this version left the epoch between
-			// our load and the increment. Undo and resolve afresh. Shutdown
-			// retires versions the epoch still lists, so once the registry
-			// is closed a fresh resolve would find the same one forever.
+			// our load and the increment. Undo and resolve afresh.
 			v.inflight.Add(-1)
-			if r.closed.Load() {
-				return nil, nil, fmt.Errorf("nimble: registry: %w", ErrClosed)
-			}
 			continue
 		}
 		return v, func() { v.inflight.Add(-1) }, nil
