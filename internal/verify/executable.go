@@ -53,9 +53,11 @@ func (c *exeChecker) report(invariant string, pc int, format string, args ...int
 }
 
 // checkPackedConsts enforces exe.packed-const: a constant recorded as the
-// B of a dense_packed of n columns is a float32 [k, 16⌈n/16⌉] tensor, so
-// its length is exactly ⌈n/16⌉ panels of k×16 and the row tile, which
-// reads whole panel rows, never reads past it.
+// B of a dense_packed of n columns is a float32 [k, 16⌈n/16⌉] tensor,
+// exactly ⌈n/16⌉ panels of k×16. It catches a layout word that disagrees
+// with its tensor; a constant with no layout word (units 0) is not checked
+// here, and what keeps a row tile inside its panels is the call's own check
+// of P against the kernel's units.
 func (c *exeChecker) checkPackedConsts() {
 	exe := c.exe
 	bad := func(pos, format string, args ...interface{}) {

@@ -2,7 +2,9 @@ package nimble_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -78,13 +80,15 @@ func TestLoadRejectsMutatedExecutable(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsShortPanels pins the packed-weight half of the untrusted
-// path: a saved program whose dense_packed B is rewritten one panel short
-// must fail Load with ErrVerify, so crafted bytes never reach a row tile
-// that reads whole panels.
-func TestLoadRejectsShortPanels(t *testing.T) {
+// shortPanels saves the verified MLP, cuts one panel off its first packed
+// constant, records units(n) as that constant's column count and writes it
+// back. It returns the bytes and the compiled program, whose kernels Load
+// links.
+func shortPanels(t *testing.T, units func(int) int) (*bytes.Buffer, *nimble.Program) {
+	t.Helper()
 	var buf bytes.Buffer
-	if _, err := compileMLPVerified(t).Save(&buf); err != nil {
+	prog := compileMLPVerified(t)
+	if _, err := prog.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	exe, err := vm.ReadExecutable(&buf)
@@ -92,11 +96,12 @@ func TestLoadRejectsShortPanels(t *testing.T) {
 		t.Fatal(err)
 	}
 	short := -1
-	for i, units := range exe.ConstUnits {
-		if units > 0 && short < 0 {
+	for i, n := range exe.ConstUnits {
+		if n > 0 && short < 0 {
 			short = i
 			k := exe.Consts[i].Shape()[0]
 			exe.Consts[i] = tensor.New(tensor.Float32, k, exe.Consts[i].Shape()[1]-16)
+			exe.ConstUnits[i] = units(n)
 		}
 	}
 	if short < 0 {
@@ -106,9 +111,33 @@ func TestLoadRejectsShortPanels(t *testing.T) {
 	if _, err := exe.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	_, err = nimble.Load(&buf, nil)
+	return &buf, prog
+}
+
+// TestLoadRejectsShortPanels pins the packed-weight check of the untrusted
+// path: a saved program whose dense_packed B is one panel short of the
+// column count the file records for it fails Load with ErrVerify.
+func TestLoadRejectsShortPanels(t *testing.T) {
+	_, err := nimble.Load(shortPanels(t, func(n int) int { return n }))
 	if !errors.Is(err, nimble.ErrVerify) || !strings.Contains(err.Error(), "[exe.packed-const]") {
 		t.Fatalf("Load of short panels: %v, want ErrVerify naming exe.packed-const", err)
+	}
+}
+
+// TestShortPanelsWithoutUnitsFailOnCall covers the file that records no
+// column count (units 0) for the same short constant: exe.packed-const has
+// nothing to compare, so it loads. What stops the read past the panels is
+// the call's own check of P against the kernel's units (the dense_packed
+// shape function and, under it, the kernel's extent check), made before
+// any row tile runs: the call returns an error.
+func TestShortPanelsWithoutUnitsFailOnCall(t *testing.T) {
+	p, err := nimble.Load(shortPanels(t, func(int) int { return 0 }))
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	in := nimble.TensorValue(tensor.Random(rand.New(rand.NewSource(1)), 1, 2, 8))
+	if _, err := p.NewSession().Invoke(context.Background(), "main", in); err == nil || !strings.Contains(err.Error(), "dense_packed") {
+		t.Fatalf("Invoke over short panels: %v, want an error from the dense_packed check", err)
 	}
 }
 
