@@ -10,9 +10,9 @@
 //
 // The dense operator reads its B operand in one layout only: ⌈n/16⌉ column
 // panels of k×16 floats, panel after panel, each row of a panel 64
-// contiguous bytes and only the last panel zero-padded (PackB). A constant
-// B is packed once at compile time (the pack-dense-weights pass); a B that
-// is computed at run time is packed per call into pooled scratch. Every
+// contiguous bytes and only the last panel zero-padded (PackB). A weight is
+// drawn in that layout (nn.Init.Weight) or packed once at compile time (the
+// pack-dense-weights pass); a run-time B is packed per call into scratch. Every
 // dense variant is one loop over a column range that runs 128-column blocks
 // (eight panels) outer and row blocks inner, so a block stays in cache
 // across the row tiles. The row tile has two implementations. On amd64 CPUs
@@ -95,29 +95,28 @@ func PackedCols(n int) int { return (n + panelW - 1) / panelW * panelW }
 // whose data is ⌈n/16⌉ blocks of k rows of 16 floats, panel j holding
 // columns [16j, 16j+16) of b. b is not modified.
 func PackB(b *tensor.Tensor) *tensor.Tensor {
+	if b.Rank() != 2 || b.DType() != tensor.Float32 {
+		panic(fmt.Sprintf("kernels: cannot pack %s %v", b.DType(), b.Shape()))
+	}
 	p := tensor.New(tensor.Float32, b.Shape()[0], PackedCols(b.Shape()[1]))
-	PackInto(p, b)
+	pack(p.F32(), b.F32(), b.Shape()[0], b.Shape()[1])
 	return p
 }
 
-// PackInto writes PackB(b) into p, a [k, PackedCols(n)] float32 tensor.
-func PackInto(p, b *tensor.Tensor) {
-	if b.Rank() != 2 || !fits(p, tensor.Float32, b.Shape()[0], PackedCols(b.Shape()[1])) {
-		panic(fmt.Sprintf("kernels: cannot pack %v into %v", b.Shape(), p.Shape()))
-	}
-	pack(p.F32(), b.F32(), b.Shape()[0], b.Shape()[1])
-}
-
-// pack writes row-major bv [k, n] into dst as panels, 16 floats per copy
-// in the order b is stored; it zeroes the padding of the last panel, so dst
-// may be reused scratch.
+// pack writes row-major bv [k, n] into dst as panels.
 func pack(dst, bv []float32, k, n int) {
 	for p := 0; p < k; p++ {
-		src := bv[p*n : p*n+n]
-		for j := 0; j < n; j += panelW {
-			row := dst[j*k+p*panelW : j*k+p*panelW+panelW]
-			clear(row[copy(row, src[j:min(j+panelW, n)]):])
-		}
+		PackRow(dst, bv[p*n:p*n+n], k, p)
+	}
+}
+
+// PackRow writes row p of a [k, len(row)] B into dst, the data of its
+// [k, PackedCols(len(row))] panels, 16 floats per copy. It zeroes the
+// row's padding in the last panel, so dst may be reused scratch.
+func PackRow(dst, row []float32, k, p int) {
+	for j := 0; j < len(row); j += panelW {
+		seg := dst[j*k+p*panelW : j*k+p*panelW+panelW]
+		clear(seg[copy(seg, row[j:]):])
 	}
 }
 

@@ -30,13 +30,12 @@ func (in *Init) Xavier(rows, cols int) *tensor.Tensor {
 	return tensor.Random(in.Rng, scale, rows, cols)
 }
 
-// Weight draws the values Xavier(rows, cols) draws, in the same order,
-// straight into the 16-column panels the dense row tile reads (the layout
-// of kernels.PackB: panel j holds columns [16j, 16j+16) as rows contiguous
-// 16-float rows, and only the last panel is zero-padded). It returns them as
-// the B constant of a dense_packed of cols units. A model built from these
-// holds one copy of each weight; a dense over a row-major constant gets a
-// second, packed, copy when it is compiled (the pack-dense-weights pass).
+// Weight draws the values Xavier(rows, cols) draws, in the same order, and
+// lays each row out in the 16-column panels the dense row tile reads
+// (kernels.PackRow, the layout of kernels.PackB). It returns them as the B
+// constant of a dense_packed of cols units. A model built from
+// these holds one copy of each weight; a dense over a row-major constant
+// gets a second, packed, copy when it is compiled (pack-dense-weights).
 func (in *Init) Weight(rows, cols int) *ir.Constant {
 	scale, rng := math.Sqrt(6.0/float64(rows+cols)), in.Rng
 	p := tensor.New(tensor.Float32, rows, kernels.PackedCols(cols))
@@ -45,9 +44,7 @@ func (in *Init) Weight(rows, cols int) *ir.Constant {
 		for c := range row {
 			row[c] = float32((rng.Float64()*2 - 1) * scale)
 		}
-		for j := 0; j < cols; j += 16 {
-			copy(pv[j*rows+r*16:j*rows+r*16+16], row[j:])
-		}
+		kernels.PackRow(pv, row, rows, r)
 	}
 	return &ir.Constant{Value: p, Units: cols}
 }
