@@ -33,9 +33,9 @@ func (in *Init) Xavier(rows, cols int) *tensor.Tensor {
 // Weight draws the values Xavier(rows, cols) draws, in the same order, and
 // lays each row out in the 16-column panels the dense row tile reads
 // (kernels.PackRow, the layout of kernels.PackB). It returns them as the B
-// constant of a dense_packed of cols units. A model built from
-// these holds one copy of each weight; a dense over a row-major constant
-// gets a second, packed, copy when it is compiled (pack-dense-weights).
+// constant of a dense_packed of cols units. A model built from these holds
+// one copy of each weight; a dense over a row-major constant gets a second,
+// packed, copy when it is compiled (the pack-dense-weights pass).
 func (in *Init) Weight(rows, cols int) *ir.Constant {
 	scale, rng := math.Sqrt(6.0/float64(rows+cols)), in.Rng
 	p := tensor.New(tensor.Float32, rows, kernels.PackedCols(cols))
