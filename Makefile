@@ -55,9 +55,12 @@ registry-smoke:
 	$(GO) test -race -run 'TestRegistry|TestCanary|TestChaosRegistrySwap' -count=1 -timeout 10m .
 
 # 30-second differential fuzz: compiled VM vs eager reference on random
-# IR programs. Counterexamples land in internal/conformance/testdata.
+# IR programs. Counterexamples land in internal/conformance/testdata. Then
+# 30 seconds of arbitrary bytes into nimble.Load: no panic, no hang, and
+# every error is ErrBadInput or ErrVerify.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzVMConformance -fuzztime 30s ./internal/conformance
+	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 30s .
 
 # The static verifier's own gate: the seeded-mutation corpus must all be
 # caught, every registered model must verify clean, and a short

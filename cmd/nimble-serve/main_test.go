@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -355,7 +357,11 @@ func TestAdminLifecycle(t *testing.T) {
 	}
 
 	// Error surface: bad model name, missing model, out-of-range canary,
-	// unknown promote target, malformed body.
+	// corrupt executable, unknown promote target, malformed body.
+	corrupt := filepath.Join(t.TempDir(), "corrupt.nimble")
+	if err := os.WriteFile(corrupt, []byte("NMBL\x02\x00\x00\x00\xff\xff"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		path, body string
 		want       int
@@ -364,6 +370,7 @@ func TestAdminLifecycle(t *testing.T) {
 		{"/admin/deploy", `{}`, http.StatusBadRequest},
 		{"/admin/deploy", `{"model":"mlp","canary":150}`, http.StatusBadRequest},
 		{"/admin/deploy", `{"model":`, http.StatusBadRequest},
+		{"/admin/deploy", fmt.Sprintf(`{"model":"mlp","exe":%q}`, corrupt), http.StatusBadRequest},
 		{"/admin/promote", `{"model":"ghost"}`, http.StatusNotFound},
 		{"/admin/rollback", `{"model":"ghost"}`, http.StatusNotFound},
 		{"/admin/promote", `{}`, http.StatusBadRequest},

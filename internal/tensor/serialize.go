@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Binary layout (little-endian):
@@ -111,14 +112,25 @@ func ReadFrom(r io.Reader) (*Tensor, error) {
 		return nil, fmt.Errorf("tensor: reading element count: %w", err)
 	}
 	count := binary.LittleEndian.Uint64(buf8)
-	if int(count) != shape.NumElements() {
+	n, ok := elementCount(shape)
+	if !ok {
+		return nil, fmt.Errorf("tensor: shape %v has too many elements", shape)
+	}
+	if count != uint64(n) {
 		return nil, fmt.Errorf("tensor: element count %d does not match shape %v", count, shape)
 	}
-	t := New(dt, shape...)
-	payload := make([]byte, int(count)*dt.Size())
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// The payload is read before the tensor is built, and grows only as
+	// bytes arrive: a header claiming more than the stream holds costs at
+	// most what was read.
+	size := n * dt.Size()
+	payload, err := io.ReadAll(io.LimitReader(r, int64(size)))
+	if err == nil && len(payload) < size {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, fmt.Errorf("tensor: reading payload: %w", err)
 	}
+	t := New(dt, shape...)
 	switch dt {
 	case Float32:
 		for i := range t.f32 {
@@ -142,6 +154,23 @@ func ReadFrom(r io.Reader) (*Tensor, error) {
 		}
 	}
 	return t, nil
+}
+
+// elementCount is shape's element count, or false when its payload could
+// not be addressed: past maxElements elements of at most 8 bytes each.
+func elementCount(shape Shape) (int, bool) {
+	const maxElements = math.MaxInt / 8
+	if slices.Contains(shape, 0) {
+		return 0, true
+	}
+	n := 1
+	for _, d := range shape {
+		if n > maxElements/d {
+			return 0, false
+		}
+		n *= d
+	}
+	return n, true
 }
 
 // String renders a compact description such as "Tensor[(2, 3), float32]".

@@ -174,12 +174,14 @@ func ReadExecutable(r io.Reader) (*Executable, error) {
 	if nCode > 1<<24 {
 		return nil, fmt.Errorf("vm: implausible instruction count %d", nCode)
 	}
-	e.Code = make([]Instruction, nCode)
-	for i := range e.Code {
-		e.Code[i], err = readInstruction(br)
+	// Code grows as records arrive, so a count the file does not back
+	// allocates no more than the records actually read.
+	for i := 0; i < int(nCode); i++ {
+		in, err := readInstruction(br)
 		if err != nil {
 			return nil, fmt.Errorf("vm: instruction %d: %w", i, err)
 		}
+		e.Code = append(e.Code, in)
 	}
 	nConsts, err := readU32(br)
 	if err != nil {

@@ -69,16 +69,6 @@ func WithRouteKey(key string) InvokeOption {
 	return func(c *invokeConfig) { c.routeKey = key }
 }
 
-// routeKeyOf extracts the route key from an option list without disturbing
-// the other fields (the resolved Service re-applies the full list).
-func routeKeyOf(opts []InvokeOption) string {
-	var c invokeConfig
-	for _, o := range opts {
-		o(&c)
-	}
-	return c.routeKey
-}
-
 // SharedStorageStats snapshots the registry's cross-program storage tier:
 // bytes parked for reuse, hit/miss traffic, and how many donations were
 // accepted or dropped at the per-class bound.

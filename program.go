@@ -88,11 +88,16 @@ func (p *Program) Save(w io.Writer) (int64, error) {
 // serialized (they are platform-dependent closures), so lib must be a
 // Program compiled from the same model, whose kernel registry and entry
 // signatures are adopted. With lib == nil the program loads unlinked: it
-// can be introspected and disassembled, but invoking it fails.
+// can be introspected and disassembled, but invoking it fails. Every error
+// matches ErrBadInput (the bytes do not parse, or do not link against lib)
+// or ErrVerify (the verifier rejected the executable); memory is allocated
+// in proportion to the bytes read, not to the counts a header claims.
 func Load(r io.Reader, lib *Program) (*Program, error) {
 	exe, err := vm.ReadExecutable(r)
 	if err != nil {
-		return nil, err
+		// ErrBadInput is for the caller's status mapping; the reader's own
+		// error, a *vm.VersionError among them, stays reachable for errors.As.
+		return nil, fmt.Errorf("%w: reading executable: %w", ErrBadInput, err)
 	}
 	// A serialized executable is untrusted input: verify its function table,
 	// register discipline, control flow, and indices before adopting it.
@@ -102,7 +107,7 @@ func Load(r io.Reader, lib *Program) (*Program, error) {
 	p := &Program{exe: exe, entries: map[string]*EntrySignature{}}
 	if lib != nil {
 		if err := exe.LinkKernels(lib.registry); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: %w", ErrBadInput, err)
 		}
 		p.registry = lib.registry
 	} else {

@@ -2,6 +2,7 @@ package nimble
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"slices"
@@ -25,13 +26,14 @@ import (
 //  2. a standby Service is built over it,
 //  3. an atomic epoch pointer flips, so every admission from that instant
 //     routes to the new version,
-//  4. the old version drains: requests that resolved the old epoch finish
-//     on it (a per-version in-flight count covers the resolve-to-admit
-//     window; the service's run queue drains its own admitted
-//     backlog), and only then are its sessions released.
+//  4. the old version drains: its Service shuts down, so every request it
+//     admitted (queued, running or streaming) finishes on it before its
+//     sessions are released. A request that resolved the old epoch but was
+//     not yet admitted is refused by the closed Service and re-routes to
+//     the new epoch.
 //
 // No request ever observes mixed-version state: it runs entirely on the
-// version it resolved, and a version is only released once every such
+// version that admitted it, and a version is only released once every such
 // request has finished.
 //
 // Deploying WithCanary(pct) keeps the current stable and routes pct% of
@@ -100,9 +102,6 @@ type modelEpoch struct {
 
 // live lists the epoch's versions, stable first.
 func (ep *modelEpoch) live() []*modelVersion {
-	if ep == nil {
-		return nil
-	}
 	vs := []*modelVersion{ep.stable}
 	if ep.canary != nil {
 		vs = append(vs, ep.canary)
@@ -110,18 +109,13 @@ func (ep *modelEpoch) live() []*modelVersion {
 	return vs
 }
 
-// modelVersion is one deployed Program with its serving runtime. inflight
-// counts requests between route() and completion — the window in which the
-// request holds the version but may not yet appear in the Service's own
-// accounting; drain waits for it to hit zero before shutting the Service
-// down, which is what makes the pointer flip invisible to callers.
+// modelVersion is one deployed Program with its serving runtime. Its
+// Service's admissions are the version's in-flight requests.
 type modelVersion struct {
 	model    string
 	version  string
 	prog     *Program
 	svc      *Service
-	inflight atomic.Int64
-	retired  atomic.Bool
 	deployed time.Time
 }
 
@@ -275,80 +269,82 @@ func (r *Registry) endCanary(name string, promote bool) (string, error) {
 }
 
 // drainAsync retires a replaced version in the background: new routes stop
-// landing on it (the epoch no longer lists it, and the retired flag closes
-// the resolve race), in-flight requests and open streams finish, then the
-// Service shuts down and the sessions are released. Bounded by the
-// registry's drain timeout; stragglers past the bound are cut with
-// ErrClosed by Service.Shutdown.
+// landing on it (the epoch no longer lists it), its Service shuts down so
+// admitted requests and open streams finish, then the sessions are
+// released. Bounded by the registry's drain timeout; stragglers past the
+// bound are cut with ErrClosed by Service.Shutdown.
 func (r *Registry) drainAsync(v *modelVersion) {
 	r.drains.Add(1)
 	go func() {
 		defer r.drains.Done()
 		ctx, cancel := context.WithTimeout(context.Background(), r.drainBound)
 		defer cancel()
-		r.drainVersion(ctx, v)
+		_ = v.svc.Shutdown(ctx)
 	}()
 }
 
-// drainVersion is the drain protocol shared by hot-swap and Shutdown. The
-// epoch pointer must already have been republished without v (or the
-// registry closed) before calling.
-func (r *Registry) drainVersion(ctx context.Context, v *modelVersion) {
-	if v.retired.Swap(true) {
-		// Already retiring (e.g. Shutdown racing a swap drain); the first
-		// retirer owns the Service shutdown.
-		return
-	}
-	// Wait out the resolve-to-admit window: a request that loaded the old
-	// epoch just before the flip holds an inflight ref until its Invoke (or
-	// its whole stream) finishes. Poll — swaps are not a hot path.
-	tick := time.NewTicker(100 * time.Microsecond)
-	defer tick.Stop()
-	for v.inflight.Load() > 0 {
-		select {
-		case <-ctx.Done():
-			// Bound expired: Service.Shutdown below cuts the stragglers.
-			goto shutdown
-		case <-tick.C:
-		}
-	}
-shutdown:
-	_ = v.svc.Shutdown(ctx)
+// route is one routing decision: the epoch a request read, the version it
+// picked there, and the pin and key it picked by.
+type route struct {
+	ms           *modelState
+	ep           *modelEpoch
+	v            *modelVersion
+	version, key string
 }
 
-// route resolves a model reference to the version one request runs on,
-// returning a release func that must be called when the request (or its
-// stream) finishes. The returned version is guaranteed live: a version
-// starts draining only after it is unreachable from the epoch, so the
-// retired re-check after the inflight increment closes the race with a
-// concurrent swap.
-func (r *Registry) route(ref string, key string) (*modelVersion, func(), error) {
+// resolve routes a model reference within the model's current epoch.
+func (r *Registry) resolve(ref, key string) (route, error) {
 	name, version, err := splitModelRef(ref)
 	if err != nil {
-		return nil, nil, err
+		return route{}, err
 	}
 	ms, err := r.state(name)
 	if err != nil {
-		return nil, nil, err
+		return route{}, err
 	}
+	return ms.pick(version, key)
+}
+
+// pick routes a pin and key within the model's current epoch.
+func (ms *modelState) pick(version, key string) (route, error) {
+	ep := ms.epoch.Load()
+	v := pickVersion(ep, version, key)
+	if v == nil {
+		return route{}, fmt.Errorf("%w: %q has no version %q", ErrUnknownModel, ms.name, version)
+	}
+	return route{ms: ms, ep: ep, v: v, version: version, key: key}, nil
+}
+
+// admit admits one request on the version rt picked; the Service's
+// admission is the request's only in-flight count. A swap may have closed
+// that Service since rt was read: when admit refuses with ErrClosed, the
+// registry is open and the model's epoch has moved on, the request routes
+// afresh in the new epoch. Every other outcome is returned, so each retry
+// needs a newer epoch and the loop ends.
+func (r *Registry) admit(ctx context.Context, rt route, entry string, args []Value, ic invokeConfig) (context.Context, admission, error) {
 	for {
-		ep := ms.epoch.Load()
-		if ep == nil {
-			return nil, nil, fmt.Errorf("%w: %q", ErrUnknownModel, name)
+		actx, a, err := rt.v.svc.admit(ctx, entry, args, ic)
+		if !errors.Is(err, ErrClosed) || r.closed.Load() || rt.ms.epoch.Load() == rt.ep {
+			return actx, a, err
 		}
-		v := pickVersion(ep, version, key)
-		if v == nil {
-			return nil, nil, fmt.Errorf("%w: %q has no version %q", ErrUnknownModel, name, version)
+		if rt, err = rt.ms.pick(rt.version, rt.key); err != nil {
+			return nil, admission{}, err
 		}
-		v.inflight.Add(1)
-		if v.retired.Load() {
-			// Lost the race with a swap: this version left the epoch between
-			// our load and the increment. Undo and resolve afresh.
-			v.inflight.Add(-1)
-			continue
-		}
-		return v, func() { v.inflight.Add(-1) }, nil
 	}
+}
+
+// open is the front half of Registry.InvokeOpts and InvokeStreamOpts:
+// route, then admit.
+func (r *Registry) open(ctx context.Context, model, entry string, args []Value, opts []InvokeOption) (context.Context, admission, error) {
+	if r.closed.Load() {
+		return nil, admission{}, fmt.Errorf("nimble: registry: %w", ErrClosed)
+	}
+	ic := foldInvokeOptions(opts)
+	rt, err := r.resolve(model, ic.routeKey)
+	if err != nil {
+		return nil, admission{}, err
+	}
+	return r.admit(ctx, rt, entry, args, ic)
 }
 
 // pickVersion selects within one epoch: a pinned version by label, @latest
@@ -417,45 +413,29 @@ func (r *Registry) Invoke(ctx context.Context, model, entry string, args ...Valu
 // request's canary-split decision for the epoch's life; priority and
 // deadline options pass through to the resolved Service.
 func (r *Registry) InvokeOpts(ctx context.Context, model, entry string, args []Value, opts ...InvokeOption) (Value, error) {
-	if r.closed.Load() {
-		return Value{}, fmt.Errorf("nimble: registry: %w", ErrClosed)
-	}
-	v, release, err := r.route(model, routeKeyOf(opts))
+	ctx, a, err := r.open(ctx, model, entry, args, opts)
 	if err != nil {
 		return Value{}, err
 	}
-	defer release()
-	return v.svc.InvokeOpts(ctx, entry, args, opts...)
+	return a.invoke(ctx)
 }
 
 // InvokeStream opens a token stream on the resolved model version, with
-// Service.InvokeStream's synchronous-open semantics. The version is held
-// for the stream's whole life: a hot-swap concurrent with an open stream
-// waits for it (within the drain bound) before the old version's sessions
-// are released.
+// Service.InvokeStream's synchronous-open semantics. The stream holds its
+// version's admission for its whole life: a hot-swap concurrent with an
+// open stream waits for it (within the drain bound) before the old
+// version's sessions are released.
 func (r *Registry) InvokeStream(ctx context.Context, model, entry string, args ...Value) (*Stream, error) {
 	return r.InvokeStreamOpts(ctx, model, entry, args)
 }
 
 // InvokeStreamOpts is InvokeStream with per-request options.
 func (r *Registry) InvokeStreamOpts(ctx context.Context, model, entry string, args []Value, opts ...InvokeOption) (*Stream, error) {
-	if r.closed.Load() {
-		return nil, fmt.Errorf("nimble: registry: %w", ErrClosed)
-	}
-	v, release, err := r.route(model, routeKeyOf(opts))
+	ctx, a, err := r.open(ctx, model, entry, args, opts)
 	if err != nil {
 		return nil, err
 	}
-	// The version ref lives as long as the stream: released strictly after
-	// the run finished and its admission was given back, and before Result
-	// returns, so a drain that sees inflight==0 knows the Service holds no
-	// more work for it.
-	st, err := v.svc.invokeStream(ctx, entry, args, opts, release)
-	if err != nil {
-		release()
-		return nil, err
-	}
-	return st, nil
+	return runStream(ctx, a.run, a.finish), nil
 }
 
 // Program resolves a model reference to the deployed Program serving it
@@ -472,9 +452,6 @@ func (r *Registry) Program(model string) (*Program, error) {
 		return nil, err
 	}
 	ep := ms.epoch.Load()
-	if ep == nil {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownModel, name)
-	}
 	// Introspection pins nothing: resolve the mix's stable side for the
 	// unpinned form (canary and stable share the model family's surface).
 	if version == "" {
@@ -502,8 +479,8 @@ type VersionStatus struct {
 	State   VersionState `json:"state"`
 	// Percent is the canary's share of unpinned traffic; 0 for stable.
 	Percent int `json:"percent,omitempty"`
-	// InFlight counts requests and open streams currently holding this
-	// version (the resolve-to-completion window).
+	// InFlight counts the requests and open streams this version's Service
+	// has admitted and not yet finished.
 	InFlight int64     `json:"in_flight"`
 	Deployed time.Time `json:"deployed"`
 	Stats    ServiceStats
@@ -519,8 +496,7 @@ type ModelStatus struct {
 // Models snapshots every deployed model in deploy order.
 func (r *Registry) Models() []ModelStatus {
 	r.mu.Lock()
-	names := make([]string, len(r.names))
-	copy(names, r.names)
+	names := slices.Clone(r.names)
 	r.mu.Unlock()
 	out := make([]ModelStatus, 0, len(names))
 	for _, name := range names {
@@ -535,7 +511,7 @@ func (r *Registry) Models() []ModelStatus {
 			vs := VersionStatus{
 				Version:  mv.version,
 				State:    VersionStable,
-				InFlight: mv.inflight.Load(),
+				InFlight: mv.svc.inflight.Load(),
 				Deployed: mv.deployed,
 				Stats:    mv.svc.Stats(),
 				Health:   mv.svc.Health(),
@@ -574,17 +550,15 @@ func (r *Registry) Shutdown(ctx context.Context) error {
 	})
 	r.mu.Unlock()
 
-	var wg sync.WaitGroup
 	for _, v := range live {
-		wg.Add(1)
-		go func(v *modelVersion) {
-			defer wg.Done()
-			r.drainVersion(ctx, v)
-		}(v)
+		r.drains.Add(1)
+		go func() {
+			defer r.drains.Done()
+			_ = v.svc.Shutdown(ctx)
+		}()
 	}
 	done := make(chan struct{})
 	go func() {
-		wg.Wait()
 		r.drains.Wait()
 		close(done)
 	}()

@@ -636,7 +636,7 @@ func TestRegistryShutdownDeployRace(t *testing.T) {
 }
 
 // BenchmarkRegistryOverhead measures what the registry's routing layer —
-// epoch load, version pick, in-flight refcount — adds to a single-model
+// epoch load, version pick — adds to a single-model
 // invoke over calling the Service directly. The acceptance bar for the
 // registry PR is ≤5% single-model throughput regression; run both and
 // compare ns/op:

@@ -120,24 +120,28 @@ func (s *Service) Program() *Program { return s.p }
 // Workers returns the number of sessions the scheduler drives.
 func (s *Service) Workers() int { return s.sched.Workers() }
 
-// invokeOpts folds the per-request options: a deadline budget (or, failing
-// a caller deadline, the service's request timeout) tightens the context;
-// the returned cancel is a no-op when nothing changed.
-func (s *Service) invokeOpts(ctx context.Context, opts []InvokeOption) (context.Context, context.CancelFunc, int) {
+// foldInvokeOptions applies the per-request options once: routing and
+// admission both read the result.
+func foldInvokeOptions(opts []InvokeOption) invokeConfig {
 	var ic invokeConfig
 	for _, o := range opts {
 		o(&ic)
 	}
-	cancel := context.CancelFunc(func() {})
-	if ic.budget > 0 {
+	return ic
+}
+
+// withDeadline tightens ctx by the request's deadline budget or, failing a
+// caller deadline, by the service's request timeout; the returned cancel is
+// a no-op when nothing changed.
+func (s *Service) withDeadline(ctx context.Context, budget time.Duration) (context.Context, context.CancelFunc) {
+	if budget > 0 {
 		// WithTimeout never loosens: an earlier parent deadline still wins.
-		ctx, cancel = context.WithTimeout(ctx, ic.budget)
-	} else if s.timeout > 0 {
-		if _, has := ctx.Deadline(); !has {
-			ctx, cancel = context.WithTimeout(ctx, s.timeout)
-		}
+		return context.WithTimeout(ctx, budget)
 	}
-	return ctx, cancel, ic.lane
+	if _, has := ctx.Deadline(); !has && s.timeout > 0 {
+		return context.WithTimeout(ctx, s.timeout)
+	}
+	return ctx, func() {}
 }
 
 // admission is one admitted request: what the scheduler needs to run it,
@@ -166,13 +170,24 @@ func (a *admission) finish(err error) {
 	a.cancel()
 }
 
+// invoke is the tail of every unary request: run, finish, convert.
+func (a *admission) invoke(ctx context.Context) (Value, error) {
+	out, err := a.run(ctx, nil)
+	a.finish(err)
+	if err != nil {
+		return Value{}, canceled(err)
+	}
+	return fromObject(out)
+}
+
 // admit is the front half of every request: validation (ErrBadInput
 // without touching a session), argument lowering, per-request options, and
 // the entry's admission gate (ErrOverloaded with a Retry-After hint when
 // the queue is full, the deadline is unmeetable, or the circuit breaker is
 // open). An admitted request counts as in flight, so Shutdown drains it,
-// until its finish is called.
-func (s *Service) admit(ctx context.Context, entry string, args []Value, opts []InvokeOption) (context.Context, admission, error) {
+// until its finish is called. This count is the only one a request holds,
+// Registry requests included; a closed service refuses with ErrClosed.
+func (s *Service) admit(ctx context.Context, entry string, args []Value, ic invokeConfig) (context.Context, admission, error) {
 	if s.closed.Load() {
 		return nil, admission{}, fmt.Errorf("nimble: service: %w", ErrClosed)
 	}
@@ -180,8 +195,8 @@ func (s *Service) admit(ctx context.Context, entry string, args []Value, opts []
 	if err != nil {
 		return nil, admission{}, err
 	}
-	a := admission{svc: s, entry: entry, objs: objs}
-	ctx, a.cancel, a.lane = s.invokeOpts(ctx, opts)
+	a := admission{svc: s, entry: entry, lane: ic.lane, objs: objs}
+	ctx, a.cancel = s.withDeadline(ctx, ic.budget)
 	release, err := s.gates[entry].Admit(ctx)
 	if err != nil {
 		a.cancel()
@@ -215,16 +230,11 @@ func (s *Service) Invoke(ctx context.Context, entry string, args ...Value) (Valu
 // lane the request queues in, WithDeadlineBudget tightens its deadline from
 // arrival.
 func (s *Service) InvokeOpts(ctx context.Context, entry string, args []Value, opts ...InvokeOption) (Value, error) {
-	ctx, a, err := s.admit(ctx, entry, args, opts)
+	ctx, a, err := s.admit(ctx, entry, args, foldInvokeOptions(opts))
 	if err != nil {
 		return Value{}, err
 	}
-	out, err := a.run(ctx, nil)
-	a.finish(err)
-	if err != nil {
-		return Value{}, canceled(err)
-	}
-	return fromObject(out)
+	return a.invoke(ctx)
 }
 
 // InvokeStream runs the named entry like Invoke but returns a Stream over
@@ -250,25 +260,11 @@ func (s *Service) InvokeStream(ctx context.Context, entry string, args ...Value)
 // selects the scheduler lane, WithDeadlineBudget tightens the deadline the
 // scheduler orders by.
 func (s *Service) InvokeStreamOpts(ctx context.Context, entry string, args []Value, opts ...InvokeOption) (*Stream, error) {
-	return s.invokeStream(ctx, entry, args, opts, nil)
-}
-
-// invokeStream opens a stream; then, when non-nil, runs as the last step
-// of the stream's cleanup, after its admission is finished and before
-// Result returns. It is not called when the open fails.
-func (s *Service) invokeStream(ctx context.Context, entry string, args []Value, opts []InvokeOption, then func()) (*Stream, error) {
-	ctx, a, err := s.admit(ctx, entry, args, opts)
+	ctx, a, err := s.admit(ctx, entry, args, foldInvokeOptions(opts))
 	if err != nil {
 		return nil, err
 	}
-	cleanup := a.finish
-	if then != nil {
-		cleanup = func(err error) {
-			a.finish(err)
-			then()
-		}
-	}
-	return runStream(ctx, a.run, cleanup), nil
+	return runStream(ctx, a.run, a.finish), nil
 }
 
 // Stats snapshots the service counters.

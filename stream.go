@@ -45,7 +45,7 @@ type Stream struct {
 // runStream launches the producer goroutine: run executes the entry with a
 // sink that hands each emitted tensor to the consumer, and cleanup (which
 // may be nil) releases whatever resources the invocation pinned —
-// admission slot, in-flight count, registry version — strictly after the
+// admission slot, in-flight count, deadline timer — strictly after the
 // run has returned. The final error is classified (context errors gain the
 // ErrCanceled wrap) before it becomes visible through Err/Result.
 func runStream(ctx context.Context, run func(context.Context, func(*tensor.Tensor) error) (vm.Object, error), cleanup func(error)) *Stream {
