@@ -96,10 +96,11 @@ purego:
 # Toolchain vet plus the repo's own analyzer suite (cmd/nimble-vet):
 # panic discipline in request paths, ctx-threaded blocking waits, no
 # retained planner-owned buffers in kernels, no allocating Eval inside
-# EvalInto. The tree must stay at zero findings.
+# EvalInto. The tree must stay at zero findings, and gofmt must list no file.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/nimble-vet
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l lists:"; gofmt -l .; exit 1; }
 
 test:
 	$(GO) test ./...

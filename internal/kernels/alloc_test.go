@@ -40,6 +40,12 @@ func TestDenseKernelsZeroAlloc(t *testing.T) {
 	wide := tensor.New(tensor.Float32, 29, 1024)
 	assertZeroAllocs(t, "Static.MatMul/sharded", func() { Static.MatMul(x, w, wide) })
 	assertZeroAllocs(t, "Static.Packed/sharded", func() { Static.Packed(x, pw, wide) })
+	// One row over the Tree-LSTM's 300x600 leaf weight: the one-row tile's
+	// four-panel groups, a whole panel and a masked tail.
+	row := fill(tensor.New(tensor.Float32, 1, 300), 0.5)
+	leaf := PackB(fill(tensor.New(tensor.Float32, 300, 600), 0.25))
+	rowOut := tensor.New(tensor.Float32, 1, 600)
+	assertZeroAllocs(t, "Static.Packed/one-row", func() { Static.Packed(row, leaf, rowOut) })
 }
 
 func TestElementwiseKernelsZeroAlloc(t *testing.T) {

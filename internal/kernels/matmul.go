@@ -17,12 +17,14 @@
 // (eight panels) outer and row blocks inner, so a block stays in cache
 // across the row tiles. The row tile has two implementations. On amd64 CPUs
 // whose CPUID reports AVX2 and FMA (and whose OS saves the YMM state,
-// checked with XGETBV) it is Go assembly: 4-row and 1-row x 16-column FMA
-// tiles that walk the panels front to back (matmul_amd64.s). Elsewhere, or
-// built with the purego tag, the pure-Go micro4/micro1 pair runs the same
-// structure. The choice is made once at start-up. A call of at least
-// shardFLOPs splits its blocks over the internal/runtime worker pool. Each
-// output is still accumulated over p in increasing order, so static,
+// checked with XGETBV) it is Go assembly that walks the panels front to
+// back (matmul_amd64.s): a 4-row x 16-column FMA tile, and a one-row tile
+// that runs four panels (64 columns, eight FMA chains) at a time before it
+// finishes panel by panel. Elsewhere, or built with the purego tag, the
+// pure-Go micro4/micro1 pair runs the same structure, micro1 four columns
+// of a panel at a time. The choice is made once at start-up. A call of at
+// least shardFLOPs splits its blocks over the internal/runtime worker pool.
+// Each output is still accumulated over p in increasing order, so static,
 // residue and guarded kernels, sharded or not, over a packed or a row-major
 // B, give bit-identical results.
 //
@@ -121,10 +123,11 @@ func PackRow(dst, row []float32, k, p int) {
 }
 
 // simdTile computes `rows` output rows from row i0, columns [j0, j1) of the
-// panels that start at pv, with the CPU's vector unit. The amd64 build sets
-// it at start-up when the CPU qualifies (matmul_amd64.go); when nil, the
-// pure-Go micro-kernels below run.
-var simdTile func(av, pv, ov []float32, i0, rows, k, n, j0, j1 int)
+// panels that start at pv, with the CPU's vector unit; guarded marks the
+// single rows of a guarded block (microGuarded). The amd64 build sets it at
+// start-up when the CPU qualifies (matmul_amd64.go); when nil, the pure-Go
+// micro-kernels below run.
+var simdTile func(av, pv, ov []float32, i0, rows, k, n, j0, j1 int, guarded bool)
 
 // microBlock computes `rows` output rows (0..8) starting at row i0, columns
 // [j0, j1) of the panels that start at pv. It is the code a shape-specialized
@@ -135,7 +138,7 @@ func microBlock(av, pv, ov []float32, i0, rows, k, n, j0, j1 int) {
 		panic(fmt.Sprintf("kernels: microBlock rows=%d out of range", rows))
 	}
 	if simdTile != nil {
-		simdTile(av, pv, ov, i0, rows, k, n, j0, j1)
+		simdTile(av, pv, ov, i0, rows, k, n, j0, j1, false)
 		return
 	}
 	for ; rows >= 4; rows, i0 = rows-4, i0+4 {
@@ -172,8 +175,31 @@ func micro4(av, pv, ov []float32, i0, k, n, j0, j1 int) {
 	}
 }
 
-// micro1 is the pure-Go single-row tile.
+// micro1 is the pure-Go single-row tile. It carries four columns of one
+// panel at once, each in its own accumulator, so no add waits on the one
+// before it in another column; a group past the last column reads the
+// panel's zero padding and stores only the columns that exist.
 func micro1(av, pv, ov []float32, i0, k, n, j0, j1 int) {
+	r0 := av[i0*k : i0*k+k]
+	o := ov[i0*n+j0 : i0*n+j1]
+	for c := 0; c < len(o); c += 4 {
+		col := c/panelW*panelW*k + c%panelW
+		var a0, a1, a2, a3 float32
+		for p, x := range r0 {
+			b := pv[col+p*panelW : col+p*panelW+4]
+			a0 += x * b[0]
+			a1 += x * b[1]
+			a2 += x * b[2]
+			a3 += x * b[3]
+		}
+		acc := [4]float32{a0, a1, a2, a3}
+		copy(o[c:], acc[:])
+	}
+}
+
+// microRow is the pure-Go row of a guarded block: one column at a time, on
+// one accumulator.
+func microRow(av, pv, ov []float32, i0, k, n, j0, j1 int) {
 	r0 := av[i0*k : i0*k+k]
 	for c := 0; c < j1-j0; c++ {
 		col := c/panelW*panelW*k + c%panelW
@@ -189,13 +215,21 @@ func micro1(av, pv, ov []float32, i0, k, n, j0, j1 int) {
 // residue information is unavailable: every row is processed individually
 // and the row-validity guard sits inside the block, exactly the "boundary
 // condition checks stay" failure mode of §4.5. The arithmetic is identical;
-// only the loop structure (and therefore the achieved ILP) differs.
+// only the loop structure (and therefore the achieved ILP) differs. With
+// the guard inside the block, the row's loop is not unrolled either: where
+// a specialized one-row tile carries four panels (assembly) or four columns
+// (micro1) at a time, a guarded row runs one panel, or one column, on one
+// accumulator chain.
 func microGuarded(av, pv, ov []float32, i0, m, k, n, j0, j1 int) {
 	for i := i0; i < i0+TileFactor; i++ {
 		if i >= m { // unsimplified boundary check
 			continue
 		}
-		microBlock(av, pv, ov, i, 1, k, n, j0, j1)
+		if simdTile != nil {
+			simdTile(av, pv, ov, i, 1, k, n, j0, j1, true)
+		} else {
+			microRow(av, pv, ov, i, k, n, j0, j1)
+		}
 	}
 }
 

@@ -42,13 +42,15 @@ func actAVX2(kind int, x, o []float32) {
 
 // gemm4x16 and gemm1x16 (matmul_amd64.s) compute 4 rows and 1 row of c = a@b
 // over n columns, reading b as consecutive panels (PackB) and masking the
-// last n%16 columns with mask; c has row stride ld.
+// last n%16 columns with mask; c has row stride ld. gemm1x16 runs four
+// panels at a time while 64 columns remain if groups is set, and panel by
+// panel otherwise.
 //
 //go:noescape
 func gemm4x16(a, b, c []float32, k, n, ld int, mask *int32)
 
 //go:noescape
-func gemm1x16(a, b, c []float32, k, n, ld int, mask *int32)
+func gemm1x16(a, b, c []float32, k, n, ld int, mask *int32, groups bool)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() uint32
@@ -75,18 +77,22 @@ func hasAVX2FMA() bool {
 var tailMask = [32]int32{-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1}
 
 // tileAVX2 computes rows rows of a@b from row i0, columns [j0, j1) of the
-// panels that start at pv. A one-row tile waits on its FMA chain, so after
-// at least one 4-row tile the last rows%4 run as a 4-row tile that ends at
-// the last row and recomputes up to three rows bit for bit; fewer than four
-// rows run one at a time. The dense kernel has checked every extent the
-// assembly touches once per call, before the row-block loop reaches here.
-func tileAVX2(av, pv, ov []float32, i0, rows, k, n, j0, j1 int) {
+// panels that start at pv. The 4-row tile reads each row of a panel once
+// for four rows of a; the one-row tile reads it once per row, but runs
+// four panels at a time (eight independent FMA chains) while 64 columns
+// remain, so it is not held to one FMA chain either. A guarded row runs
+// panel by panel instead (microGuarded). After at least one 4-row tile the
+// last rows%4 run as a 4-row tile that ends at the last row and recomputes
+// up to three rows bit for bit; fewer than four rows run one at a time. The
+// dense kernel has checked every extent the assembly touches once per call,
+// before the row-block loop reaches here.
+func tileAVX2(av, pv, ov []float32, i0, rows, k, n, j0, j1 int, guarded bool) {
 	mask, end := &tailMask[16-(j1-j0)%16], i0+rows
 	for i := i0; rows >= 4 && i < end; i += 4 {
 		i = min(i, end-4)
 		gemm4x16(av[i*k:], pv, ov[i*n+j0:], k, j1-j0, n, mask)
 	}
 	for i := i0; rows < 4 && i < end; i++ {
-		gemm1x16(av[i*k:], pv, ov[i*n+j0:], k, j1-j0, n, mask)
+		gemm1x16(av[i*k:], pv, ov[i*n+j0:], k, j1-j0, n, mask, !guarded)
 	}
 }

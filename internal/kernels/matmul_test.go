@@ -207,13 +207,16 @@ func tileRef(a, b *tensor.Tensor) *tensor.Tensor {
 // a packed and a row-major B, on both row-tile paths. The shapes cover
 // column counts inside one panel, on a panel edge and one past it, every
 // row residue the tiles split, an empty reduction, and sharded calls
-// (29x256x1000 and up), which must also equal their one-shard run.
+// (29x256x1000 and up), which must also equal their one-shard run. At
+// m = 1-3 the one-row tile runs alone: n = 64 is one four-panel group,
+// 65 a group and a masked tail, 80 a group and a whole panel, and 600's
+// last 128-column block a group, a whole panel and a masked tail.
 func TestDenseExactAgainstTileRef(t *testing.T) {
 	forEachTile(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(8))
-		for _, n := range []int{1, 15, 16, 17, 40, 1000, 1024} {
+		for _, n := range []int{1, 15, 16, 17, 40, 64, 65, 80, 600, 1000, 1024} {
 			for _, k := range []int{0, 1, 13, 256} {
-				for _, m := range []int{0, 1, 7, 8, 9, 29} {
+				for _, m := range []int{0, 1, 2, 3, 7, 8, 9, 29} {
 					a, b := randMat(rng, m, k), randMat(rng, k, n)
 					p, want := PackB(b), tileRef(a, b)
 					variants := dispatchVariants(m)
@@ -315,7 +318,7 @@ func TestDenseRowStructure(t *testing.T) {
 			hits := make([]int, m*n)
 			rows := map[int][]int{} // block start -> row tiles, in call order
 			var order []int
-			simdTile = func(_, _, _ []float32, i0, rs, _, n, j0, j1 int) {
+			simdTile = func(_, _, _ []float32, i0, rs, _, n, j0, j1 int, _ bool) {
 				if len(order) == 0 || order[len(order)-1] != j0 {
 					order = append(order, j0)
 				}
@@ -481,7 +484,9 @@ func bertReducedWeights() [][2]int {
 // shapes (m rows of k x n weights, packed as the compiler packs constants)
 // for each row-tile path. The hot cases reuse one weight; the cold cases
 // cycle through BERT-reduced's 24 weights, as one inference does, so B
-// comes from memory rather than from cache.
+// comes from memory rather than from cache. The m = 1 and 3 cases are the
+// Tree-LSTM's weights (300x600 leaf, 150x450 and 150x150 cell), which it
+// runs one node, so one row, at a time: the one-row tile's rate.
 func BenchmarkDenseShapes(b *testing.B) {
 	saved := simdTile
 	defer func() { simdTile = saved }()
@@ -498,18 +503,22 @@ func BenchmarkDenseShapes(b *testing.B) {
 		if path == "simd" {
 			simdTile = saved
 		}
-		for _, m := range []int{8, 15, 29, 128} {
-			for _, kn := range [][2]int{{256, 256}, {256, 1024}, {1024, 256}} {
-				k, n := kn[0], kn[1]
-				a, w, out := randMat(rng, m, k), PackB(randMat(rng, k, n)), tensor.New(tensor.Float32, m, n)
-				b.Run(fmt.Sprintf("%s/m=%d/k=%d/n=%d", path, m, k, n), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						Static.Packed(a, w, out)
-					}
-					b.ReportMetric(2*float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-				})
+		hot := func(ms []int, kns [][2]int) {
+			for _, m := range ms {
+				for _, kn := range kns {
+					k, n := kn[0], kn[1]
+					a, w, out := randMat(rng, m, k), PackB(randMat(rng, k, n)), tensor.New(tensor.Float32, m, n)
+					b.Run(fmt.Sprintf("%s/m=%d/k=%d/n=%d", path, m, k, n), func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							Static.Packed(a, w, out)
+						}
+						b.ReportMetric(2*float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+					})
+				}
 			}
 		}
+		hot([]int{8, 15, 29, 128}, [][2]int{{256, 256}, {256, 1024}, {1024, 256}})
+		hot([]int{1, 3}, [][2]int{{300, 600}, {150, 450}, {150, 150}})
 		for _, m := range []int{8, 16, 28, 128} {
 			as := map[int]*tensor.Tensor{256: randMat(rng, m, 256), 1024: randMat(rng, m, 1024)}
 			outs := map[int]*tensor.Tensor{256: tensor.New(tensor.Float32, m, 256), 1024: tensor.New(tensor.Float32, m, 1024)}

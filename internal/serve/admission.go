@@ -249,13 +249,13 @@ type GateStats struct {
 	ServiceEWMAUS float64 `json:"service_ewma_us"`
 	// P50US/P99US are service-time quantiles from a log₂-bucketed
 	// histogram (so ~±41% bucket resolution, zero until the first sample).
-	P50US     float64 `json:"p50_us"`
-	P99US     float64 `json:"p99_us"`
-	ShedQueue int64   `json:"shed_queue"`
-	ShedDeadline  int64   `json:"shed_deadline"`
-	ShedBreaker   int64   `json:"shed_breaker"`
-	BreakerOpen   bool    `json:"breaker_open"`
-	BreakerTrips  int64   `json:"breaker_trips"`
+	P50US        float64 `json:"p50_us"`
+	P99US        float64 `json:"p99_us"`
+	ShedQueue    int64   `json:"shed_queue"`
+	ShedDeadline int64   `json:"shed_deadline"`
+	ShedBreaker  int64   `json:"shed_breaker"`
+	BreakerOpen  bool    `json:"breaker_open"`
+	BreakerTrips int64   `json:"breaker_trips"`
 }
 
 // Stats snapshots the gate.

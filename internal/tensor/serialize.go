@@ -82,36 +82,84 @@ func (t *Tensor) encodePayload() []byte {
 	return out
 }
 
+// Reader reads little-endian fields from R through one scratch array it
+// owns. A buffer handed to an io.Reader escapes to the heap, so a buffer per
+// field is an allocation per field; through a Reader it is one per stream.
+type Reader struct {
+	R   io.Reader
+	buf [8]byte
+}
+
+// Next reads the next n ≤ 8 bytes into the scratch array; they are valid
+// until the following read.
+func (r *Reader) Next(n int) ([]byte, error) {
+	b := r.buf[:n]
+	_, err := io.ReadFull(r.R, b)
+	return b, err
+}
+
+// U8 reads one byte.
+func (r *Reader) U8() (uint8, error) {
+	b, err := r.Next(1)
+	if err != nil {
+		return 0, err
+	}
+	return b[0], nil
+}
+
+// U32 reads a little-endian uint32.
+func (r *Reader) U32() (uint32, error) {
+	b, err := r.Next(4)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint32(b), nil
+}
+
+// U64 reads a little-endian uint64.
+func (r *Reader) U64() (uint64, error) {
+	b, err := r.Next(8)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(b), nil
+}
+
 // ReadFrom deserializes a tensor previously written by WriteTo.
-func ReadFrom(r io.Reader) (*Tensor, error) {
-	hdr := make([]byte, 5)
-	if _, err := io.ReadFull(r, hdr); err != nil {
+func ReadFrom(r io.Reader) (*Tensor, error) { return (&Reader{R: r}).Tensor() }
+
+// Tensor reads a tensor previously written by WriteTo.
+func (r *Reader) Tensor() (*Tensor, error) {
+	dtype, err := r.U8()
+	if err != nil {
 		return nil, fmt.Errorf("tensor: reading header: %w", err)
 	}
-	dt := DType(hdr[0])
-	if dt > Bool {
-		return nil, fmt.Errorf("tensor: corrupt dtype byte %d", hdr[0])
+	rank, err := r.U32()
+	if err != nil {
+		return nil, fmt.Errorf("tensor: reading header: %w", err)
 	}
-	rank := binary.LittleEndian.Uint32(hdr[1:])
+	dt := DType(dtype)
+	if dt > Bool {
+		return nil, fmt.Errorf("tensor: corrupt dtype byte %d", dtype)
+	}
 	if rank > 64 {
 		return nil, fmt.Errorf("tensor: implausible rank %d", rank)
 	}
-	buf8 := make([]byte, 8)
 	shape := make(Shape, rank)
 	for i := range shape {
-		if _, err := io.ReadFull(r, buf8); err != nil {
+		d, err := r.U64()
+		if err != nil {
 			return nil, fmt.Errorf("tensor: reading dim %d: %w", i, err)
 		}
-		d := binary.LittleEndian.Uint64(buf8)
 		if d > math.MaxInt32 {
 			return nil, fmt.Errorf("tensor: implausible dimension %d", d)
 		}
 		shape[i] = int(d)
 	}
-	if _, err := io.ReadFull(r, buf8); err != nil {
+	count, err := r.U64()
+	if err != nil {
 		return nil, fmt.Errorf("tensor: reading element count: %w", err)
 	}
-	count := binary.LittleEndian.Uint64(buf8)
 	n, ok := elementCount(shape)
 	if !ok {
 		return nil, fmt.Errorf("tensor: shape %v has too many elements", shape)
@@ -123,7 +171,7 @@ func ReadFrom(r io.Reader) (*Tensor, error) {
 	// bytes arrive: a header claiming more than the stream holds costs at
 	// most what was read.
 	size := n * dt.Size()
-	payload, err := io.ReadAll(io.LimitReader(r, int64(size)))
+	payload, err := io.ReadAll(io.LimitReader(r.R, int64(size)))
 	if err == nil && len(payload) < size {
 		err = io.ErrUnexpectedEOF
 	}

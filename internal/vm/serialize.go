@@ -116,15 +116,16 @@ func (e *Executable) write(w io.Writer) error {
 // ReadExecutable deserializes an executable. Kernels are unlinked; call
 // LinkKernels with the platform's kernel registry before running.
 func ReadExecutable(r io.Reader) (*Executable, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, 4)
-	if _, err := io.ReadFull(br, head); err != nil {
+	// Every field is read through br's one scratch array.
+	br := &tensor.Reader{R: bufio.NewReader(r)}
+	head, err := br.Next(len(magic))
+	if err != nil {
 		return nil, fmt.Errorf("vm: reading magic: %w", err)
 	}
 	if string(head) != magic {
 		return nil, fmt.Errorf("vm: bad magic %q", head)
 	}
-	ver, err := readU32(br)
+	ver, err := br.U32()
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +133,7 @@ func ReadExecutable(r io.Reader) (*Executable, error) {
 		return nil, &VersionError{Got: ver, Want: version}
 	}
 	e := NewExecutable()
-	nFuncs, err := readU32(br)
+	nFuncs, err := br.U32()
 	if err != nil {
 		return nil, err
 	}
@@ -146,14 +147,14 @@ func ReadExecutable(r io.Reader) (*Executable, error) {
 		}
 		var vals [4]uint32
 		for j := range vals {
-			vals[j], err = readU32(br)
+			vals[j], err = br.U32()
 			if err != nil {
 				return nil, err
 			}
 		}
 		e.AddFunc(VMFunc{Name: name, NumParams: int(vals[0]), RegCount: int(vals[1]), Start: int(vals[2]), Len: int(vals[3])})
 	}
-	nKernels, err := readU32(br)
+	nKernels, err := br.U32()
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +168,7 @@ func ReadExecutable(r io.Reader) (*Executable, error) {
 		}
 		e.KernelNames = append(e.KernelNames, name)
 	}
-	nCode, err := readU32(br)
+	nCode, err := br.U32()
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +184,7 @@ func ReadExecutable(r io.Reader) (*Executable, error) {
 		}
 		e.Code = append(e.Code, in)
 	}
-	nConsts, err := readU32(br)
+	nConsts, err := br.U32()
 	if err != nil {
 		return nil, err
 	}
@@ -191,11 +192,11 @@ func ReadExecutable(r io.Reader) (*Executable, error) {
 		return nil, fmt.Errorf("vm: implausible constant count %d", nConsts)
 	}
 	for i := 0; i < int(nConsts); i++ {
-		t, err := tensor.ReadFrom(br)
+		t, err := br.Tensor()
 		if err != nil {
 			return nil, fmt.Errorf("vm: constant %d: %w", i, err)
 		}
-		units, err := readU32(br)
+		units, err := br.U32()
 		if err != nil {
 			return nil, fmt.Errorf("vm: constant %d: %w", i, err)
 		}
@@ -238,23 +239,23 @@ func writeInstruction(w io.Writer, in Instruction) error {
 	return nil
 }
 
-func readInstruction(r io.Reader) (Instruction, error) {
+func readInstruction(r *tensor.Reader) (Instruction, error) {
 	var in Instruction
-	head := make([]byte, 1)
-	if _, err := io.ReadFull(r, head); err != nil {
+	op, err := r.U8()
+	if err != nil {
 		return in, err
 	}
-	if int(head[0]) >= NumOpcodes {
-		return in, fmt.Errorf("bad opcode %d", head[0])
+	if int(op) >= NumOpcodes {
+		return in, fmt.Errorf("bad opcode %d", op)
 	}
-	in.Op = Opcode(head[0])
-	vals := make([]int64, 9)
+	in.Op = Opcode(op)
+	var vals [9]int64
 	for i := range vals {
-		v, err := readI64(r)
+		v, err := r.U64()
 		if err != nil {
 			return in, err
 		}
-		vals[i] = v
+		vals[i] = int64(v)
 	}
 	in.Dst, in.A, in.B = int(vals[0]), int(vals[1]), int(vals[2])
 	in.Imm = vals[3]
@@ -262,7 +263,7 @@ func readInstruction(r io.Reader) (Instruction, error) {
 	in.DType = uint8(vals[6])
 	in.Device = uint8(vals[7])
 	in.DeviceID = int(vals[8])
-	nArgs, err := readU32(r)
+	nArgs, err := r.U32()
 	if err != nil {
 		return in, err
 	}
@@ -272,14 +273,14 @@ func readInstruction(r io.Reader) (Instruction, error) {
 	if nArgs > 0 {
 		in.Args = make([]Reg, nArgs)
 		for i := range in.Args {
-			v, err := readI64(r)
+			v, err := r.U64()
 			if err != nil {
 				return in, err
 			}
 			in.Args[i] = int(v)
 		}
 	}
-	nShape, err := readU32(r)
+	nShape, err := r.U32()
 	if err != nil {
 		return in, err
 	}
@@ -289,7 +290,7 @@ func readInstruction(r io.Reader) (Instruction, error) {
 	if nShape > 0 {
 		in.Shape = make([]int, nShape)
 		for i := range in.Shape {
-			v, err := readI64(r)
+			v, err := r.U64()
 			if err != nil {
 				return in, err
 			}
@@ -306,27 +307,11 @@ func writeU32(w io.Writer, v uint32) error {
 	return err
 }
 
-func readU32(r io.Reader) (uint32, error) {
-	var buf [4]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(buf[:]), nil
-}
-
 func writeI64(w io.Writer, v int64) error {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], uint64(v))
 	_, err := w.Write(buf[:])
 	return err
-}
-
-func readI64(r io.Reader) (int64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
-	}
-	return int64(binary.LittleEndian.Uint64(buf[:])), nil
 }
 
 func writeString(w io.Writer, s string) error {
@@ -337,8 +322,8 @@ func writeString(w io.Writer, s string) error {
 	return err
 }
 
-func readString(r io.Reader) (string, error) {
-	n, err := readU32(r)
+func readString(r *tensor.Reader) (string, error) {
+	n, err := r.U32()
 	if err != nil {
 		return "", err
 	}
@@ -346,7 +331,7 @@ func readString(r io.Reader) (string, error) {
 		return "", fmt.Errorf("implausible string length %d", n)
 	}
 	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if _, err := io.ReadFull(r.R, buf); err != nil {
 		return "", err
 	}
 	return string(buf), nil

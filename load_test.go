@@ -126,6 +126,28 @@ func TestLoadAllocationBounded(t *testing.T) {
 	}
 }
 
+// TestLoadAllocations bounds the allocations of loading the saved MLP
+// executable. Its 24 instruction records hold at least 12 fixed fields
+// each; the reader reads every field through one scratch array, so the
+// loads allocate for the records, names, constants and linking (141 at this
+// writing), while a buffer per field would add about 300.
+func TestLoadAllocations(t *testing.T) {
+	lib := loadLibs(t)[0]
+	var buf bytes.Buffer
+	if _, err := lib.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := nimble.Load(bytes.NewReader(raw), lib); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 200 {
+		t.Fatalf("Load of the %d-byte MLP executable made %v allocations, want at most 200", len(raw), allocs)
+	}
+}
+
 // TestLoadKeepsVersionError: Load types a file of another format version
 // as ErrBadInput and keeps the reader's *vm.VersionError reachable.
 func TestLoadKeepsVersionError(t *testing.T) {

@@ -63,8 +63,8 @@ func DefaultMLPConfig() MLPConfig { return imodels.DefaultMLPConfig() }
 
 // NewDecoder builds the autoregressive decoder; DefaultDecoderConfig is the
 // evaluation size (128 vocab, 64 wide, 2 layers, 32 generated tokens).
-func NewDecoder(cfg DecoderConfig) *Decoder  { return imodels.NewDecoder(cfg) }
-func DefaultDecoderConfig() DecoderConfig    { return imodels.DefaultDecoderConfig() }
+func NewDecoder(cfg DecoderConfig) *Decoder { return imodels.NewDecoder(cfg) }
+func DefaultDecoderConfig() DecoderConfig   { return imodels.DefaultDecoderConfig() }
 
 // StartTokenValue wraps a start-token id as the [1]int64 Value the
 // decoder's generate entries consume.
