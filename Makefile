@@ -95,8 +95,9 @@ purego:
 
 # Toolchain vet plus the repo's own analyzer suite (cmd/nimble-vet):
 # panic discipline in request paths, ctx-threaded blocking waits, no
-# retained planner-owned buffers in kernels, no allocating Eval inside
-# EvalInto. The tree must stay at zero findings, and gofmt must list no file.
+# retained planner-owned buffers in kernels, no allocating kernel in an
+# operator Eval that names its destination. The tree must stay at zero
+# findings, and gofmt must list no file.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/nimble-vet

@@ -275,15 +275,17 @@ func retainedParam(rhs ast.Expr, params map[string]bool) string {
 	return ""
 }
 
-// ---- evalinto ------------------------------------------------------------
+// ---- evalout -------------------------------------------------------------
 
-// checkEvalInto flags EvalInto implementations in the operator registry
-// that reach for an allocating evaluation path: a call to a "*Eval" helper
-// (the allocating wrappers — the in-place ones end in "*EvalInto") or to a
-// kernels.X entry point without an Into suffix. An EvalInto that allocates
-// defeats the §4.3 memory plan: the planned destination buffer goes unused
-// and every invocation allocates anyway.
-func checkEvalInto(pf *pkgFile) []Finding {
+// checkEvalOut flags Eval function literals in the operator registry that
+// name their destination parameter yet call a kernels.X entry point without
+// an Into suffix. Naming the destination declares a destination form; an
+// Eval that then allocates defeats the §4.3 memory plan: the planned buffer
+// goes unused and every invocation allocates anyway. An operator without a
+// destination form names the parameter _. The registry's helpers
+// (binaryEval, unaryEval, registerReduceOp) accept only destination-passing
+// kernels, so the compiler checks those.
+func checkEvalOut(pf *pkgFile) []Finding {
 	var out []Finding
 	ast.Inspect(pf.file, func(n ast.Node) bool {
 		kv, ok := n.(*ast.KeyValueExpr)
@@ -291,29 +293,25 @@ func checkEvalInto(pf *pkgFile) []Finding {
 			return true
 		}
 		key, ok := kv.Key.(*ast.Ident)
-		if !ok || key.Name != "EvalInto" {
+		if !ok || key.Name != "Eval" {
 			return true
 		}
-		ast.Inspect(kv.Value, func(m ast.Node) bool {
+		lit, ok := kv.Value.(*ast.FuncLit)
+		if !ok || !namesDestination(lit.Type) {
+			return true
+		}
+		ast.Inspect(lit.Body, func(m ast.Node) bool {
 			call, ok := m.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			switch fun := call.Fun.(type) {
-			case *ast.Ident:
-				if allocatingEvalName(fun.Name) {
-					out = append(out, Finding{Pos: pf.fset.Position(call.Pos()), Check: "evalinto",
-						Msg: fmt.Sprintf("EvalInto built from allocating helper %s; use the *Into variant so the planned buffer is written", fun.Name)})
-				}
-			case *ast.SelectorExpr:
-				x, ok := fun.X.(*ast.Ident)
-				if !ok || x.Name != "kernels" {
-					return true
-				}
-				if !strings.Contains(fun.Sel.Name, "Into") {
-					out = append(out, Finding{Pos: pf.fset.Position(call.Pos()), Check: "evalinto",
-						Msg: fmt.Sprintf("EvalInto calls allocating kernel kernels.%s; use the *Into variant so the planned buffer is written", fun.Sel.Name)})
-				}
+			fun, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := fun.X.(*ast.Ident); ok && x.Name == "kernels" && !strings.Contains(fun.Sel.Name, "Into") {
+				out = append(out, Finding{Pos: pf.fset.Position(call.Pos()), Check: "evalout",
+					Msg: fmt.Sprintf("Eval names its destination but calls allocating kernel kernels.%s; use the *Into variant so the planned buffer is written", fun.Sel.Name)})
 			}
 			return true
 		})
@@ -322,9 +320,12 @@ func checkEvalInto(pf *pkgFile) []Finding {
 	return out
 }
 
-// allocatingEvalName matches the registry's allocating helper-constructor
-// convention: names ending in "Eval" allocate, names ending in "EvalInto"
-// write the planned buffer.
-func allocatingEvalName(name string) bool {
-	return strings.HasSuffix(name, "Eval") && !strings.HasSuffix(name, "EvalInto")
+// namesDestination reports whether a function type's last parameter — an
+// Eval's destination — carries a name other than _.
+func namesDestination(ft *ast.FuncType) bool {
+	if ft.Params == nil || len(ft.Params.List) == 0 {
+		return false
+	}
+	names := ft.Params.List[len(ft.Params.List)-1].Names
+	return len(names) > 0 && names[len(names)-1].Name != "_"
 }

@@ -5,7 +5,7 @@
 //	panicpath  internal/serve, internal/vm   no panic on request paths
 //	ctxthread  internal/serve, package root  blocking exports thread ctx
 //	bufretain  internal/kernels              kernels never retain buffers
-//	evalinto   internal/ir                   EvalInto never allocates
+//	evalout    internal/ir                   an Eval naming its out never allocates
 //
 // Usage:
 //
@@ -38,7 +38,7 @@ var scopes = []struct {
 	{"internal/serve", []func(*pkgFile) []Finding{checkPanicPath, checkCtxThread}},
 	{"internal/vm", []func(*pkgFile) []Finding{checkPanicPath}},
 	{"internal/kernels", []func(*pkgFile) []Finding{checkBufRetain}},
-	{"internal/ir", []func(*pkgFile) []Finding{checkEvalInto}},
+	{"internal/ir", []func(*pkgFile) []Finding{checkEvalOut}},
 	{".", []func(*pkgFile) []Finding{checkCtxThread}},
 }
 

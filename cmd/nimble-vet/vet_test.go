@@ -96,35 +96,27 @@ func GoodShadow(in *tensor.Tensor) {
 	}
 }
 
-func TestEvalInto(t *testing.T) {
+func TestEvalOut(t *testing.T) {
 	src := `package p
 func register() {
 	RegisterOp(&Op{
-		Eval:     binaryEval(k),
-		EvalInto: binaryEval(k),
-	})
-	RegisterOp(&Op{
-		EvalInto: binaryEvalInto(kInto),
-	})
-	RegisterOp(&Op{
-		EvalInto: func(args []*tensor.Tensor, out *tensor.Tensor) (*tensor.Tensor, error) {
+		Eval: func(args []*tensor.Tensor, _ Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.MatMul(args[0], args[1]), nil
 		},
 	})
 	RegisterOp(&Op{
-		EvalInto: func(args []*tensor.Tensor, out *tensor.Tensor) (*tensor.Tensor, error) {
+		Eval: func(args []*tensor.Tensor, _ Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.MatMulInto(args[0], args[1], out), nil
+		},
+	})
+	RegisterOp(&Op{
+		Eval: func(args []*tensor.Tensor, _ Attrs, _ *tensor.Tensor) (*tensor.Tensor, error) {
+			return kernels.Take(args[0], args[1]), nil
 		},
 	})
 }
 `
-	fs := run(t, checkEvalInto, src)
-	if len(fs) != 2 {
-		t.Fatalf("got %d findings, want 2: %v", len(fs), fs)
-	}
-	if !strings.Contains(fs[0].String(), "binaryEval") || !strings.Contains(fs[1].String(), "MatMul") {
-		t.Errorf("unexpected findings: %v", fs)
-	}
+	wantFindings(t, run(t, checkEvalOut, src), 1, "kernels.MatMul;")
 }
 
 // TestTreeIsClean runs the full suite over the real repository: the tree

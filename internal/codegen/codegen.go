@@ -115,34 +115,30 @@ func ForShapeFunc(op *ir.Op, attrs ir.Attrs) (Kernel, error) {
 }
 
 // genericKernel wraps an operator in the destination-passing packed
-// convention. Operators providing EvalInto write the planned buffer
-// directly — the fast path that makes §4.3 memory planning pay: no per-op
-// allocation and no result copy. Operators without it fall back to Eval
-// plus a copy into the plan when shapes match; upper-bound operators, whose
-// precise result is smaller than the planned upper bound, return their
-// precisely shaped tensor directly (§4.2: "use the real shape to slice the
-// output tensors into precise output shape").
+// convention. The operator's Eval receives the planned buffer; one with a
+// destination form writes it directly — the fast path that makes §4.3
+// memory planning pay: no per-op allocation and no result copy. A result
+// that is not the planned buffer but has its dtype and shape is copied in:
+// an operator without a destination form allocates, and reshape returns a
+// view of its argument, whose storage coalescing may give to a later
+// buffer while the view is still read. Upper-bound operators, whose precise result is
+// smaller than the planned upper bound, return their precisely shaped
+// tensor directly (§4.2: "use the real shape to slice the output tensors
+// into precise output shape").
 func genericKernel(op *ir.Op, attrs ir.Attrs) Kernel {
-	name := op.Name + attrsSuffix(attrs)
 	eval := op.Eval
-	if evalInto := op.EvalInto; evalInto != nil {
-		packed := func(args []*tensor.Tensor, out *tensor.Tensor) (*tensor.Tensor, error) {
-			return evalInto(args, attrs, out)
-		}
-		return Kernel{Name: name, Fn: packed}
-	}
 	packed := func(args []*tensor.Tensor, out *tensor.Tensor) (*tensor.Tensor, error) {
-		res, err := eval(args, attrs)
+		res, err := eval(args, attrs, out)
 		if err != nil {
 			return nil, err
 		}
-		if out == nil || !res.Shape().Equal(out.Shape()) || res.DType() != out.DType() {
+		if out == nil || res == out || !res.Shape().Equal(out.Shape()) || res.DType() != out.DType() {
 			return res, nil
 		}
 		copyInto(out, res)
 		return out, nil
 	}
-	return Kernel{Name: name, Fn: packed}
+	return Kernel{Name: op.Name + attrsSuffix(attrs), Fn: packed}
 }
 
 func copyInto(dst, src *tensor.Tensor) {

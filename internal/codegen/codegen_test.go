@@ -9,7 +9,6 @@ import (
 	"nimble/internal/ir"
 	"nimble/internal/kernels"
 	"nimble/internal/tensor"
-	"nimble/internal/vm"
 )
 
 func TestOptionsNormalize(t *testing.T) {
@@ -56,38 +55,80 @@ func TestGenericKernelCopiesIntoPlannedBuffer(t *testing.T) {
 	}
 }
 
-// TestPackedKernelZeroAllocWithPlannedBuffer pins the tentpole property at
-// the dispatch-convention level: a generated kernel handed a planned
-// destination of the right shape performs zero heap allocations — no result
-// tensor, no copy. This is what turns §4.3's compile-time memory planning
-// into a runtime win.
+// TestPackedKernelZeroAllocWithPlannedBuffer pins the memory plan's payoff at
+// the dispatch-convention level, for every operator with a destination
+// form: a generated kernel handed a planned destination of the right dtype
+// and shape writes that buffer and returns it, bit-equal to the allocating
+// (nil destination) run, with zero heap allocations — no result tensor, no
+// copy. This is what turns §4.3's compile-time memory planning into a
+// runtime win.
 func TestPackedKernelZeroAllocWithPlannedBuffer(t *testing.T) {
-	mk := func(name string) vm.PackedFunc {
-		k, err := ForOp(ir.MustGetOp(name), nil, nil, Options{})
+	rng := rand.New(rand.NewSource(36))
+	pos := func(shape ...int) *tensor.Tensor { // in [0.5, 1.5): sqrt and power stay finite
+		x := tensor.Random(rng, 0.5, shape...)
+		for i, v := range x.F32() {
+			x.F32()[i] = v + 1
+		}
+		return x
+	}
+	a, b, w := pos(13, 24), pos(13, 24), pos(24, 16)
+	img, filt := pos(1, 2, 6, 6), pos(3, 2, 3, 3)
+	cache, kc, vc := pos(8, 24), pos(8, 24), pos(8, 24)
+	f32 := func(shape ...int) *tensor.Tensor { return tensor.New(tensor.Float32, shape...) }
+	type row struct {
+		name  string
+		attrs ir.Attrs
+		args  []*tensor.Tensor
+		out   *tensor.Tensor
+	}
+	var cases []row
+	for _, name := range []string{"add", "subtract", "multiply", "divide", "maximum", "minimum", "power"} {
+		cases = append(cases, row{name, nil, []*tensor.Tensor{a, b}, f32(13, 24)})
+	}
+	for _, name := range []string{"negative", "exp", "sqrt", "sigmoid", "tanh", "relu", "gelu", "softmax"} {
+		cases = append(cases, row{name, nil, []*tensor.Tensor{a}, f32(13, 24)})
+	}
+	cases = append(cases, []row{
+		{"dense", nil, []*tensor.Tensor{a, w}, f32(13, 16)},
+		{"dense_packed", ir.Attrs{"units": 16}, []*tensor.Tensor{a, kernels.PackB(w)}, f32(13, 16)},
+		{"bias_add", nil, []*tensor.Tensor{a, pos(24)}, f32(13, 24)},
+		{"layer_norm", nil, []*tensor.Tensor{a, pos(24), pos(24)}, f32(13, 24)},
+		{"sum", nil, []*tensor.Tensor{a}, f32(13)},
+		{"mean", ir.Attrs{"axis": 0}, []*tensor.Tensor{a}, f32(24)},
+		{"max", ir.Attrs{"keepdims": true}, []*tensor.Tensor{a}, f32(13, 1)},
+		{"argmax", nil, []*tensor.Tensor{a}, tensor.New(tensor.Int64, 13)},
+		{"conv2d", nil, []*tensor.Tensor{img, filt}, f32(1, 3, 4, 4)},
+		{"max_pool2d", nil, []*tensor.Tensor{img}, f32(1, 2, 3, 3)},
+		{"avg_pool2d", nil, []*tensor.Tensor{img}, f32(1, 2, 3, 3)},
+		{"global_avg_pool2d", nil, []*tensor.Tensor{img}, f32(1, 2)},
+		{"concat", nil, []*tensor.Tensor{a, b}, f32(26, 24)},
+		{"strided_slice", ir.Attrs{"begin": 2, "end": 7}, []*tensor.Tensor{a}, f32(5, 24)},
+		{"state_zeros", ir.Attrs{"shape": []int{4, 8}}, nil, f32(4, 8)},
+		{"cache_append", nil, []*tensor.Tensor{cache, pos(24), tensor.ScalarI64(3)}, f32(8, 24)},
+		{"attn_cached", ir.Attrs{"heads": 2}, []*tensor.Tensor{pos(1, 24), kc, vc, tensor.ScalarI64(5)}, f32(1, 24)},
+	}...)
+	for _, c := range cases {
+		k, err := ForOp(ir.MustGetOp(c.name), c.attrs, nil, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return k.Fn
-	}
-	a := tensor.New(tensor.Float32, 13, 24)
-	b := tensor.New(tensor.Float32, 13, 24)
-	w := tensor.New(tensor.Float32, 24, 16)
-	a.Fill(0.5)
-	b.Fill(0.25)
-	w.Fill(0.1)
-	cases := []struct {
-		name string
-		args []*tensor.Tensor
-		out  *tensor.Tensor
-	}{
-		{"add", []*tensor.Tensor{a, b}, tensor.New(tensor.Float32, 13, 24)},
-		{"sigmoid", []*tensor.Tensor{a}, tensor.New(tensor.Float32, 13, 24)},
-		{"dense", []*tensor.Tensor{a, w}, tensor.New(tensor.Float32, 13, 16)},
-	}
-	for _, c := range cases {
-		fn := mk(c.name)
+		want, err := k.Fn(c.args, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		c.out.Fill(7) // a stale plan: every element must be written
+		got, err := k.Fn(c.args, c.out)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got != c.out {
+			t.Errorf("%s: result is not the planned buffer", c.name)
+		}
+		if !got.Equal(want) {
+			t.Errorf("%s: planned result differs from the allocating run", c.name)
+		}
 		if n := testing.AllocsPerRun(100, func() {
-			if _, err := fn(c.args, c.out); err != nil {
+			if _, err := k.Fn(c.args, c.out); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 0 {

@@ -107,6 +107,39 @@ func TestCompileSymbolicDenseUsesDispatch(t *testing.T) {
 	}
 }
 
+// TestCompileReshapeOfPlannedBuffers pins the copy genericKernel makes when
+// an operator's result is not the planned buffer: reshape returns a view of
+// its argument, and without the copy storage coalescing hands the storage
+// of add's result on to multiply while the view of it is still to be read.
+func TestCompileReshapeOfPlannedBuffers(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	x := ir.NewVar("x", ir.TT(tensor.Float32, 4, 6))
+	shape := ir.Attrs{"shape": []int{6, 4}}
+	b := ir.NewBuilder()
+	r := b.OpAttrs("reshape", shape, b.Op("add", x, x))
+	m := b.OpAttrs("reshape", shape, b.Op("multiply", x, x))
+	out := b.Op("subtract", r, m)
+	mod := singleFuncModule(ir.NewFunc([]*ir.Var{x}, b.Finish(out), nil))
+
+	machine, _ := mustCompile(t, mod, Options{DisableFusion: true})
+	xs := tensor.Random(rng, 1, 4, 6)
+	got, err := machine.InvokeTensors("main", xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := kernels.Add(xs, xs).Reshape(6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prod, err := kernels.Mul(xs, xs).Reshape(6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := kernels.Sub(sum, prod); !got.AllClose(want, 1e-5, 1e-6) {
+		t.Errorf("got %v, want %v", got.F32(), want.F32())
+	}
+}
+
 func TestCompileIf(t *testing.T) {
 	x := ir.NewVar("x", ir.TT(tensor.Float32, 2))
 	c := ir.NewVar("c", ir.BoolType())

@@ -368,7 +368,7 @@ func (p *Program) EagerEval() (*tensor.Tensor, error) {
 	vals := make([]*tensor.Tensor, len(p.nodes))
 	evalOp := func(name string, attrs ir.Attrs, args ...*tensor.Tensor) (*tensor.Tensor, error) {
 		op := ir.MustGetOp(name)
-		return op.Eval(args, attrs)
+		return op.Eval(args, attrs, nil)
 	}
 	for i, n := range p.nodes {
 		var err error

@@ -171,9 +171,9 @@ func (p *LoopProgram) EagerEval() (*tensor.Tensor, error) {
 		for _, ln := range chain {
 			op := ir.MustGetOp(ln.op)
 			if ln.c == nil {
-				x, err = op.Eval([]*tensor.Tensor{x}, nil)
+				x, err = op.Eval([]*tensor.Tensor{x}, nil, nil)
 			} else {
-				x, err = op.Eval([]*tensor.Tensor{x, ln.c}, nil)
+				x, err = op.Eval([]*tensor.Tensor{x, ln.c}, nil, nil)
 			}
 			if err != nil {
 				return nil, err

@@ -152,17 +152,14 @@ type ShapeFunc struct {
 }
 
 // EvalFunc executes an operator's kernel over concrete tensors. It is the
-// semantic ground truth; codegen wraps and specializes these.
-type EvalFunc func(args []*tensor.Tensor, attrs Attrs) (*tensor.Tensor, error)
-
-// EvalIntoFunc is the destination-passing form of EvalFunc: when out is a
-// usable destination (matching dtype and precise result shape — the buffer
-// the §4.3 memory planner allocated ahead of time), the kernel writes its
-// result there and returns out; otherwise (out nil, or an upper-bound plan
-// larger than the precise shape) it allocates like EvalFunc. Codegen prefers
-// this path so planned executions pay neither a per-op allocation nor the
-// result copy genericKernel's fallback needs.
-type EvalIntoFunc func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error)
+// semantic ground truth; codegen wraps and specializes these. It follows
+// the destination-passing convention: a nil out allocates the result; an
+// operator with a destination form writes out and returns it when out has
+// the result's dtype and precise shape — the buffer the §4.3 memory
+// planner allocated ahead of time — and allocates otherwise (an
+// upper-bound plan larger than the precise shape). An operator without a
+// destination form names the parameter _ and always allocates.
+type EvalFunc func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error)
 
 // TypeRel is an operator type relation (§4.1): it computes the output type
 // from input types, propagating Any per the operator's rules, or reports a
@@ -173,15 +170,11 @@ type TypeRel func(args []Type, attrs Attrs) (Type, error)
 
 // Op is a registered primitive operator.
 type Op struct {
-	Name  string
-	Rel   TypeRel
-	Shape ShapeFunc
-	Eval  EvalFunc
-	// EvalInto, when non-nil, is the operator's destination-passing fast
-	// path; hot operator families (element-wise, reductions, dense, conv)
-	// provide it so planned buffers are written directly.
-	EvalInto EvalIntoFunc
-	Pattern  OpPattern
+	Name    string
+	Rel     TypeRel
+	Shape   ShapeFunc
+	Eval    EvalFunc
+	Pattern OpPattern
 	// NumInputs < 0 means variadic.
 	NumInputs int
 	// InPlace marks an operator whose result aliases (and mutates) its

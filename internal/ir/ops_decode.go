@@ -23,48 +23,7 @@ const (
 // `zeros`: constant folding evaluates zeros into a shared ir.Constant, which
 // must never happen to a buffer that cache_append mutates in place.
 func init() {
-	RegisterOp(&Op{
-		Name: "state_zeros",
-		Rel: func(_ []Type, attrs Attrs) (Type, error) {
-			dims := attrs.Ints("shape")
-			dt, err := tensor.ParseDType(attrs.String("dtype", "float32"))
-			if err != nil {
-				return nil, err
-			}
-			outDims := make([]Dim, len(dims))
-			for i, d := range dims {
-				outDims[i] = StaticDim(d)
-			}
-			return &TensorType{Dims: outDims, DType: dt}, nil
-		},
-		Shape: ShapeFunc{
-			Mode: ShapeDataIndependent,
-			Fn: func(_ []tensor.Shape, _ []*tensor.Tensor, attrs Attrs) ([]tensor.Shape, error) {
-				return []tensor.Shape{tensor.Shape(attrs.Ints("shape")).Clone()}, nil
-			},
-		},
-		Eval: func(_ []*tensor.Tensor, attrs Attrs) (*tensor.Tensor, error) {
-			dt, err := tensor.ParseDType(attrs.String("dtype", "float32"))
-			if err != nil {
-				return nil, err
-			}
-			return tensor.New(dt, attrs.Ints("shape")...), nil
-		},
-		EvalInto: func(_ []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
-			dt, err := tensor.ParseDType(attrs.String("dtype", "float32"))
-			if err != nil {
-				return nil, err
-			}
-			shape := tensor.Shape(attrs.Ints("shape"))
-			if out == nil || out.DType() != dt || out.NumElements() != shape.NumElements() {
-				return tensor.New(dt, shape...), nil
-			}
-			out.Fill(0)
-			return out, nil
-		},
-		Pattern:   PatternOpaque,
-		NumInputs: 0,
-	})
+	RegisterOp(zerosOp("state_zeros"))
 
 	RegisterOp(&Op{
 		Name: "cache_append",
@@ -86,16 +45,8 @@ func init() {
 			}
 			return cache, nil
 		},
-		Shape: ShapeFunc{
-			Mode: ShapeDataIndependent,
-			Fn: func(inShapes []tensor.Shape, _ []*tensor.Tensor, _ Attrs) ([]tensor.Shape, error) {
-				return []tensor.Shape{inShapes[0].Clone()}, nil
-			},
-		},
-		Eval: func(args []*tensor.Tensor, _ Attrs) (*tensor.Tensor, error) {
-			return kernels.CacheAppend(args[0], args[1], args[2])
-		},
-		EvalInto: func(args []*tensor.Tensor, _ Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
+		Shape: identityShapeFunc,
+		Eval: func(args []*tensor.Tensor, _ Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.CacheAppendInto(args[0], args[1], args[2], out)
 		},
 		Pattern:   PatternOpaque,
@@ -119,16 +70,8 @@ func init() {
 			}
 			return q, nil
 		},
-		Shape: ShapeFunc{
-			Mode: ShapeDataIndependent,
-			Fn: func(inShapes []tensor.Shape, _ []*tensor.Tensor, _ Attrs) ([]tensor.Shape, error) {
-				return []tensor.Shape{inShapes[0].Clone()}, nil
-			},
-		},
-		Eval: func(args []*tensor.Tensor, attrs Attrs) (*tensor.Tensor, error) {
-			return kernels.AttnCached(args[0], args[1], args[2], args[3], attrs.Int("heads", 1))
-		},
-		EvalInto: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
+		Shape: identityShapeFunc,
+		Eval: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.AttnCachedInto(args[0], args[1], args[2], args[3], attrs.Int("heads", 1), out)
 		},
 		Pattern:   PatternOpaque,
@@ -149,7 +92,7 @@ func init() {
 				return []tensor.Shape{{1}}, nil
 			},
 		},
-		Eval: func(args []*tensor.Tensor, attrs Attrs) (*tensor.Tensor, error) {
+		Eval: func(args []*tensor.Tensor, attrs Attrs, _ *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.SampleToken(args[0], args[1], attrs.Float("temp", 0), int64(attrs.Int("seed", 0)))
 		},
 		Pattern:   PatternOpaque,
@@ -167,13 +110,8 @@ func init() {
 			}
 			return t, nil
 		},
-		Shape: ShapeFunc{
-			Mode: ShapeDataIndependent,
-			Fn: func(inShapes []tensor.Shape, _ []*tensor.Tensor, _ Attrs) ([]tensor.Shape, error) {
-				return []tensor.Shape{inShapes[0].Clone()}, nil
-			},
-		},
-		Eval: func(args []*tensor.Tensor, _ Attrs) (*tensor.Tensor, error) {
+		Shape: identityShapeFunc,
+		Eval: func(args []*tensor.Tensor, _ Attrs, _ *tensor.Tensor) (*tensor.Tensor, error) {
 			out := args[0].Clone()
 			v := out.I64()
 			for i := range v {
@@ -201,7 +139,7 @@ func init() {
 				return []tensor.Shape{{}}, nil
 			},
 		},
-		Eval: func(args []*tensor.Tensor, _ Attrs) (*tensor.Tensor, error) {
+		Eval: func(args []*tensor.Tensor, _ Attrs, _ *tensor.Tensor) (*tensor.Tensor, error) {
 			return tensor.ScalarBool(args[0].I64()[0] < args[1].I64()[0]), nil
 		},
 		Pattern:   PatternOpaque,
@@ -216,13 +154,8 @@ func init() {
 			}
 			return args[0], nil
 		},
-		Shape: ShapeFunc{
-			Mode: ShapeDataIndependent,
-			Fn: func(inShapes []tensor.Shape, _ []*tensor.Tensor, _ Attrs) ([]tensor.Shape, error) {
-				return []tensor.Shape{inShapes[0].Clone()}, nil
-			},
-		},
-		Eval: func(args []*tensor.Tensor, _ Attrs) (*tensor.Tensor, error) {
+		Shape: identityShapeFunc,
+		Eval: func(args []*tensor.Tensor, _ Attrs, _ *tensor.Tensor) (*tensor.Tensor, error) {
 			return args[0].Clone(), nil
 		},
 		Pattern:   PatternOpaque,

@@ -36,7 +36,7 @@ func init() {
 				return []tensor.Shape{{n}}, nil
 			},
 		},
-		Eval: func(args []*tensor.Tensor, _ Attrs) (*tensor.Tensor, error) {
+		Eval: func(args []*tensor.Tensor, _ Attrs, _ *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.Arange(args[0].F32()[0], args[1].F32()[0], args[2].F32()[0]), nil
 		},
 		Pattern:   PatternOpaque, // data-dependent: never fused (§4.2 policy)
@@ -63,7 +63,7 @@ func init() {
 				return []tensor.Shape{u.Shape().Clone()}, nil
 			},
 		},
-		Eval: func(args []*tensor.Tensor, _ Attrs) (*tensor.Tensor, error) {
+		Eval: func(args []*tensor.Tensor, _ Attrs, _ *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.Unique(args[0]), nil
 		},
 		Pattern:   PatternOpaque,
@@ -90,7 +90,7 @@ func init() {
 				return []tensor.Shape{inShapes[0].Clone()}, nil
 			},
 		},
-		Eval: func(args []*tensor.Tensor, attrs Attrs) (*tensor.Tensor, error) {
+		Eval: func(args []*tensor.Tensor, attrs Attrs, _ *tensor.Tensor) (*tensor.Tensor, error) {
 			res := kernels.NMS(args[0], float32(attrs.Float("iou_threshold", 0.5)))
 			return kernels.SliceNMS(res), nil
 		},
@@ -214,7 +214,7 @@ func init() {
 				return []tensor.Shape{{len(inShapes[0])}}, nil
 			},
 		},
-		Eval: func(args []*tensor.Tensor, _ Attrs) (*tensor.Tensor, error) {
+		Eval: func(args []*tensor.Tensor, _ Attrs, _ *tensor.Tensor) (*tensor.Tensor, error) {
 			return tensor.ShapeTensor(args[0].Shape()), nil
 		},
 		Pattern:   PatternOpaque,

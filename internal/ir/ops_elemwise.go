@@ -114,16 +114,7 @@ var identityShapeFunc = ShapeFunc{
 	},
 }
 
-func binaryEval(k func(a, b *tensor.Tensor) *tensor.Tensor) EvalFunc {
-	return func(args []*tensor.Tensor, _ Attrs) (*tensor.Tensor, error) {
-		if len(args) != 2 {
-			return nil, fmt.Errorf("ir: binary op requires 2 args, got %d", len(args))
-		}
-		return k(args[0], args[1]), nil
-	}
-}
-
-func binaryEvalInto(k func(a, b, out *tensor.Tensor) *tensor.Tensor) EvalIntoFunc {
+func binaryEval(k func(a, b, out *tensor.Tensor) *tensor.Tensor) EvalFunc {
 	return func(args []*tensor.Tensor, _ Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 		if len(args) != 2 {
 			return nil, fmt.Errorf("ir: binary op requires 2 args, got %d", len(args))
@@ -132,16 +123,7 @@ func binaryEvalInto(k func(a, b, out *tensor.Tensor) *tensor.Tensor) EvalIntoFun
 	}
 }
 
-func unaryEval(k func(a *tensor.Tensor) *tensor.Tensor) EvalFunc {
-	return func(args []*tensor.Tensor, _ Attrs) (*tensor.Tensor, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("ir: unary op requires 1 arg, got %d", len(args))
-		}
-		return k(args[0]), nil
-	}
-}
-
-func unaryEvalInto(k func(a, out *tensor.Tensor) *tensor.Tensor) EvalIntoFunc {
+func unaryEval(k func(a, out *tensor.Tensor) *tensor.Tensor) EvalFunc {
 	return func(args []*tensor.Tensor, _ Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 		if len(args) != 1 {
 			return nil, fmt.Errorf("ir: unary op requires 1 arg, got %d", len(args))
@@ -160,46 +142,44 @@ func compareRel(args []Type, attrs Attrs) (Type, error) {
 	return &TensorType{Dims: tt.Dims, DType: tensor.Bool}, nil
 }
 
-func registerBroadcastOp(name string, k func(a, b *tensor.Tensor) *tensor.Tensor, kInto func(a, b, out *tensor.Tensor) *tensor.Tensor) {
+func registerBroadcastOp(name string, k func(a, b, out *tensor.Tensor) *tensor.Tensor) {
 	RegisterOp(&Op{
 		Name:      name,
 		Rel:       BroadcastRel,
 		Shape:     broadcastShapeFunc,
 		Eval:      binaryEval(k),
-		EvalInto:  binaryEvalInto(kInto),
 		Pattern:   PatternBroadcast,
 		NumInputs: 2,
 	})
 }
 
-func registerUnaryOp(name string, k func(a *tensor.Tensor) *tensor.Tensor, kInto func(a, out *tensor.Tensor) *tensor.Tensor) {
+func registerUnaryOp(name string, k func(a, out *tensor.Tensor) *tensor.Tensor) {
 	RegisterOp(&Op{
 		Name:      name,
 		Rel:       identityRel,
 		Shape:     identityShapeFunc,
 		Eval:      unaryEval(k),
-		EvalInto:  unaryEvalInto(kInto),
 		Pattern:   PatternElemWise,
 		NumInputs: 1,
 	})
 }
 
 func init() {
-	registerBroadcastOp("add", kernels.Add, kernels.AddInto)
-	registerBroadcastOp("subtract", kernels.Sub, kernels.SubInto)
-	registerBroadcastOp("multiply", kernels.Mul, kernels.MulInto)
-	registerBroadcastOp("divide", kernels.Div, kernels.DivInto)
-	registerBroadcastOp("maximum", kernels.Maximum, kernels.MaximumInto)
-	registerBroadcastOp("minimum", kernels.Minimum, kernels.MinimumInto)
-	registerBroadcastOp("power", kernels.Power, kernels.PowerInto)
+	registerBroadcastOp("add", kernels.AddInto)
+	registerBroadcastOp("subtract", kernels.SubInto)
+	registerBroadcastOp("multiply", kernels.MulInto)
+	registerBroadcastOp("divide", kernels.DivInto)
+	registerBroadcastOp("maximum", kernels.MaximumInto)
+	registerBroadcastOp("minimum", kernels.MinimumInto)
+	registerBroadcastOp("power", kernels.PowerInto)
 
-	registerUnaryOp("negative", kernels.Neg, kernels.NegInto)
-	registerUnaryOp("exp", kernels.Exp, kernels.ExpInto)
-	registerUnaryOp("sqrt", kernels.Sqrt, kernels.SqrtInto)
-	registerUnaryOp("sigmoid", kernels.Sigmoid, kernels.SigmoidInto)
-	registerUnaryOp("tanh", kernels.Tanh, kernels.TanhInto)
-	registerUnaryOp("relu", kernels.Relu, kernels.ReluInto)
-	registerUnaryOp("gelu", kernels.Gelu, kernels.GeluInto)
+	registerUnaryOp("negative", kernels.NegInto)
+	registerUnaryOp("exp", kernels.ExpInto)
+	registerUnaryOp("sqrt", kernels.SqrtInto)
+	registerUnaryOp("sigmoid", kernels.SigmoidInto)
+	registerUnaryOp("tanh", kernels.TanhInto)
+	registerUnaryOp("relu", kernels.ReluInto)
+	registerUnaryOp("gelu", kernels.GeluInto)
 
 	for _, c := range []struct {
 		name string
@@ -213,7 +193,7 @@ func init() {
 			Name:      c.name,
 			Rel:       compareRel,
 			Shape:     broadcastShapeFunc,
-			Eval:      binaryEval(c.k),
+			Eval:      binaryEval(func(a, b, _ *tensor.Tensor) *tensor.Tensor { return c.k(a, b) }),
 			Pattern:   PatternBroadcast,
 			NumInputs: 2,
 		})
@@ -233,7 +213,7 @@ func init() {
 			return &TensorType{Dims: tt.Dims, DType: dt}, nil
 		},
 		Shape: identityShapeFunc,
-		Eval: func(args []*tensor.Tensor, attrs Attrs) (*tensor.Tensor, error) {
+		Eval: func(args []*tensor.Tensor, attrs Attrs, _ *tensor.Tensor) (*tensor.Tensor, error) {
 			dt, err := tensor.ParseDType(attrs.String("dtype", "float32"))
 			if err != nil {
 				return nil, err

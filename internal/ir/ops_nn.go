@@ -67,10 +67,7 @@ func init() {
 				return []tensor.Shape{{x[0], w[1]}}, nil
 			},
 		},
-		Eval: func(args []*tensor.Tensor, _ Attrs) (*tensor.Tensor, error) {
-			return kernels.MatMul(args[0], args[1]), nil
-		},
-		EvalInto: func(args []*tensor.Tensor, _ Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
+		Eval: func(args []*tensor.Tensor, _ Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.MatMulInto(args[0], args[1], out), nil
 		},
 		Pattern:   PatternOutFusable,
@@ -94,10 +91,7 @@ func init() {
 				return []tensor.Shape{{x[0], n}}, nil
 			},
 		},
-		Eval: func(args []*tensor.Tensor, attrs Attrs) (*tensor.Tensor, error) {
-			return kernels.DensePackedInto(args[0], args[1], attrs.Int("units", -1), nil), nil
-		},
-		EvalInto: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
+		Eval: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.DensePackedInto(args[0], args[1], attrs.Int("units", -1), out), nil
 		},
 		Pattern:   PatternOutFusable,
@@ -121,10 +115,7 @@ func init() {
 			return x, nil
 		},
 		Shape: identityShapeFunc,
-		Eval: func(args []*tensor.Tensor, _ Attrs) (*tensor.Tensor, error) {
-			return kernels.Add(args[0], args[1]), nil
-		},
-		EvalInto: func(args []*tensor.Tensor, _ Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
+		Eval: func(args []*tensor.Tensor, _ Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.AddInto(args[0], args[1], out), nil
 		},
 		Pattern:   PatternBroadcast,
@@ -135,8 +126,7 @@ func init() {
 		Name:      "softmax",
 		Rel:       identityRel,
 		Shape:     identityShapeFunc,
-		Eval:      unaryEval(kernels.Softmax),
-		EvalInto:  unaryEvalInto(kernels.SoftmaxInto),
+		Eval:      unaryEval(kernels.SoftmaxInto),
 		Pattern:   PatternOpaque, // row reduction: keep out of element-wise groups
 		NumInputs: 1,
 	})
@@ -150,11 +140,7 @@ func init() {
 			return identityRel(args[:1], nil)
 		},
 		Shape: identityShapeFunc,
-		Eval: func(args []*tensor.Tensor, attrs Attrs) (*tensor.Tensor, error) {
-			eps := float32(attrs.Float("eps", 1e-5))
-			return kernels.LayerNorm(args[0], args[1], args[2], eps), nil
-		},
-		EvalInto: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
+		Eval: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			eps := float32(attrs.Float("eps", 1e-5))
 			return kernels.LayerNormInto(args[0], args[1], args[2], out, eps), nil
 		},
@@ -162,50 +148,15 @@ func init() {
 		NumInputs: 3,
 	})
 
-	registerReduceOp("sum", kernels.Sum, kernels.SumInto)
-	registerReduceOp("mean", kernels.Mean, kernels.MeanInto)
-	registerReduceOp("max", kernels.Max, kernels.MaxInto)
+	registerReduceOp("sum", kernels.SumInto)
+	registerReduceOp("mean", kernels.MeanInto)
+	registerReduceOp("max", kernels.MaxInto)
 
 	RegisterOp(&Op{
-		Name: "argmax",
-		Rel: func(args []Type, attrs Attrs) (Type, error) {
-			tt, ok := args[0].(*TensorType)
-			if !ok {
-				return nil, fmt.Errorf("ir: argmax requires a tensor type")
-			}
-			axis, err := checkAxis(attrs.Int("axis", -1), tt.Rank())
-			if err != nil {
-				return nil, err
-			}
-			dims := make([]Dim, 0, tt.Rank()-1)
-			for i, d := range tt.Dims {
-				if i != axis {
-					dims = append(dims, d)
-				}
-			}
-			return &TensorType{Dims: dims, DType: tensor.Int64}, nil
-		},
-		Shape: ShapeFunc{
-			Mode: ShapeDataIndependent,
-			Fn: func(inShapes []tensor.Shape, _ []*tensor.Tensor, attrs Attrs) ([]tensor.Shape, error) {
-				in := inShapes[0]
-				axis := attrs.Int("axis", -1)
-				if axis < 0 {
-					axis += len(in)
-				}
-				out := make(tensor.Shape, 0, len(in)-1)
-				for i, d := range in {
-					if i != axis {
-						out = append(out, d)
-					}
-				}
-				return []tensor.Shape{out}, nil
-			},
-		},
-		Eval: func(args []*tensor.Tensor, attrs Attrs) (*tensor.Tensor, error) {
-			return kernels.ArgMax(args[0], attrs.Int("axis", -1)), nil
-		},
-		EvalInto: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
+		Name:  "argmax",
+		Rel:   reduceRel("argmax", true),
+		Shape: reduceShape(true),
+		Eval: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.ArgMaxInto(args[0], out, attrs.Int("axis", -1)), nil
 		},
 		Pattern:   PatternOpaque,
@@ -225,62 +176,68 @@ func checkAxis(axis, rank int) (int, error) {
 	return axis, nil
 }
 
-func registerReduceOp(name string, k func(a *tensor.Tensor, axis int, keep bool) *tensor.Tensor, kInto func(a, out *tensor.Tensor, axis int, keep bool) *tensor.Tensor) {
+func registerReduceOp(name string, k func(a, out *tensor.Tensor, axis int, keep bool) *tensor.Tensor) {
 	RegisterOp(&Op{
-		Name: name,
-		Rel: func(args []Type, attrs Attrs) (Type, error) {
-			tt, ok := args[0].(*TensorType)
-			if !ok {
-				return nil, fmt.Errorf("ir: %s requires a tensor type", name)
-			}
-			axis, err := checkAxis(attrs.Int("axis", -1), tt.Rank())
-			if err != nil {
-				return nil, err
-			}
-			keep := attrs.Bool("keepdims", false)
-			dims := make([]Dim, 0, tt.Rank())
-			for i, d := range tt.Dims {
-				if i == axis {
-					if keep {
-						dims = append(dims, StaticDim(1))
-					}
-					continue
-				}
-				dims = append(dims, d)
-			}
-			return &TensorType{Dims: dims, DType: tt.DType}, nil
-		},
-		Shape: ShapeFunc{
-			Mode: ShapeDataIndependent,
-			Fn: func(inShapes []tensor.Shape, _ []*tensor.Tensor, attrs Attrs) ([]tensor.Shape, error) {
-				in := inShapes[0]
-				axis := attrs.Int("axis", -1)
-				if axis < 0 {
-					axis += len(in)
-				}
-				keep := attrs.Bool("keepdims", false)
-				out := make(tensor.Shape, 0, len(in))
-				for i, d := range in {
-					if i == axis {
-						if keep {
-							out = append(out, 1)
-						}
-						continue
-					}
-					out = append(out, d)
-				}
-				return []tensor.Shape{out}, nil
-			},
-		},
-		Eval: func(args []*tensor.Tensor, attrs Attrs) (*tensor.Tensor, error) {
-			return k(args[0], attrs.Int("axis", -1), attrs.Bool("keepdims", false)), nil
-		},
-		EvalInto: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
-			return kInto(args[0], out, attrs.Int("axis", -1), attrs.Bool("keepdims", false)), nil
+		Name:  name,
+		Rel:   reduceRel(name, false),
+		Shape: reduceShape(false),
+		Eval: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
+			return k(args[0], out, attrs.Int("axis", -1), attrs.Bool("keepdims", false)), nil
 		},
 		Pattern:   PatternOpaque,
 		NumInputs: 1,
 	})
+}
+
+// reduceRel types a reduction over attrs' axis. A value reduction keeps
+// its input's dtype and honours keepdims; an index reduction (argmax)
+// yields int64 and drops the axis.
+func reduceRel(name string, index bool) TypeRel {
+	return func(args []Type, attrs Attrs) (Type, error) {
+		tt, ok := args[0].(*TensorType)
+		if !ok {
+			return nil, fmt.Errorf("ir: %s requires a tensor type", name)
+		}
+		axis, err := checkAxis(attrs.Int("axis", -1), tt.Rank())
+		if err != nil {
+			return nil, err
+		}
+		dt := tt.DType
+		if index {
+			dt = tensor.Int64
+		}
+		keep := !index && attrs.Bool("keepdims", false)
+		return &TensorType{Dims: reduceDims(tt.Dims, axis, keep, StaticDim(1)), DType: dt}, nil
+	}
+}
+
+// reduceShape is reduceRel's runtime shape function.
+func reduceShape(index bool) ShapeFunc {
+	return ShapeFunc{
+		Mode: ShapeDataIndependent,
+		Fn: func(inShapes []tensor.Shape, _ []*tensor.Tensor, attrs Attrs) ([]tensor.Shape, error) {
+			in := inShapes[0]
+			axis := attrs.Int("axis", -1)
+			if axis < 0 {
+				axis += len(in)
+			}
+			keep := !index && attrs.Bool("keepdims", false)
+			return []tensor.Shape{reduceDims(in, axis, keep, 1)}, nil
+		},
+	}
+}
+
+// reduceDims drops dims[axis], or replaces it with one under keepdims.
+func reduceDims[S ~[]D, D any](dims S, axis int, keep bool, one D) S {
+	out := make(S, 0, len(dims))
+	for i, d := range dims {
+		if i != axis {
+			out = append(out, d)
+		} else if keep {
+			out = append(out, one)
+		}
+	}
+	return out
 }
 
 func registerConvOps() {
@@ -315,10 +272,7 @@ func registerConvOps() {
 				return []tensor.Shape{{in[0], w[0], oh, ow}}, nil
 			},
 		},
-		Eval: func(args []*tensor.Tensor, attrs Attrs) (*tensor.Tensor, error) {
-			return kernels.Conv2D(args[0], args[1], attrs.Int("stride", 1), attrs.Int("pad", 0)), nil
-		},
-		EvalInto: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
+		Eval: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.Conv2DInto(args[0], args[1], out, attrs.Int("stride", 1), attrs.Int("pad", 0)), nil
 		},
 		Pattern:   PatternOutFusable,
@@ -354,10 +308,7 @@ func registerConvOps() {
 		Name:  "max_pool2d",
 		Rel:   poolRel,
 		Shape: poolShape,
-		Eval: func(args []*tensor.Tensor, attrs Attrs) (*tensor.Tensor, error) {
-			return kernels.MaxPool2D(args[0], attrs.Int("k", 2), attrs.Int("stride", 2)), nil
-		},
-		EvalInto: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
+		Eval: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.MaxPool2DInto(args[0], out, attrs.Int("k", 2), attrs.Int("stride", 2)), nil
 		},
 		Pattern:   PatternOpaque,
@@ -367,10 +318,7 @@ func registerConvOps() {
 		Name:  "avg_pool2d",
 		Rel:   poolRel,
 		Shape: poolShape,
-		Eval: func(args []*tensor.Tensor, attrs Attrs) (*tensor.Tensor, error) {
-			return kernels.AvgPool2D(args[0], attrs.Int("k", 2), attrs.Int("stride", 2)), nil
-		},
-		EvalInto: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
+		Eval: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.AvgPool2DInto(args[0], out, attrs.Int("k", 2), attrs.Int("stride", 2)), nil
 		},
 		Pattern:   PatternOpaque,
@@ -392,10 +340,7 @@ func registerConvOps() {
 				return []tensor.Shape{{in[0], in[1]}}, nil
 			},
 		},
-		Eval: func(args []*tensor.Tensor, _ Attrs) (*tensor.Tensor, error) {
-			return kernels.GlobalAvgPool2D(args[0]), nil
-		},
-		EvalInto: func(args []*tensor.Tensor, _ Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
+		Eval: func(args []*tensor.Tensor, _ Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.GlobalAvgPool2DInto(args[0], out), nil
 		},
 		Pattern:   PatternOpaque,

@@ -77,10 +77,7 @@ func init() {
 				return []tensor.Shape{out}, nil
 			},
 		},
-		Eval: func(args []*tensor.Tensor, attrs Attrs) (*tensor.Tensor, error) {
-			return kernels.Concat(args, attrs.Int("axis", 0)), nil
-		},
-		EvalInto: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
+		Eval: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.ConcatInto(args, out, attrs.Int("axis", 0)), nil
 		},
 		Pattern:   PatternInjective,
@@ -121,10 +118,7 @@ func init() {
 				return []tensor.Shape{out}, nil
 			},
 		},
-		Eval: func(args []*tensor.Tensor, attrs Attrs) (*tensor.Tensor, error) {
-			return kernels.Slice(args[0], attrs.Int("axis", 0), attrs.Int("begin", 0), attrs.Int("end", 0)), nil
-		},
-		EvalInto: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
+		Eval: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.SliceInto(args[0], out, attrs.Int("axis", 0), attrs.Int("begin", 0), attrs.Int("end", 0)), nil
 		},
 		Pattern:   PatternInjective,
@@ -152,7 +146,7 @@ func init() {
 				return []tensor.Shape{out}, nil
 			},
 		},
-		Eval: func(args []*tensor.Tensor, _ Attrs) (*tensor.Tensor, error) {
+		Eval: func(args []*tensor.Tensor, _ Attrs, _ *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.Take(args[0], args[1]), nil
 		},
 		Pattern:   PatternInjective,
@@ -203,7 +197,7 @@ func init() {
 				return []tensor.Shape{out}, nil
 			},
 		},
-		Eval: func(args []*tensor.Tensor, attrs Attrs) (*tensor.Tensor, error) {
+		Eval: func(args []*tensor.Tensor, attrs Attrs, _ *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.Transpose(args[0], attrs.Ints("perm")), nil
 		},
 		Pattern:   PatternInjective,
@@ -271,15 +265,22 @@ func init() {
 				return []tensor.Shape{out}, nil
 			},
 		},
-		Eval: func(args []*tensor.Tensor, attrs Attrs) (*tensor.Tensor, error) {
+		Eval: func(args []*tensor.Tensor, attrs Attrs, _ *tensor.Tensor) (*tensor.Tensor, error) {
 			return args[0].Reshape(attrs.Ints("shape")...)
 		},
 		Pattern:   PatternInjective,
 		NumInputs: 1,
 	})
 
-	RegisterOp(&Op{
-		Name: "zeros",
+	RegisterOp(zerosOp("zeros"))
+}
+
+// zerosOp is a zero-filled tensor of the static shape and dtype in its
+// attrs. Constant folding evaluates zeros into a shared ir.Constant;
+// state_zeros is the same operator under a name folding leaves alone.
+func zerosOp(name string) *Op {
+	return &Op{
+		Name: name,
 		Rel: func(_ []Type, attrs Attrs) (Type, error) {
 			dims := attrs.Ints("shape")
 			dt, err := tensor.ParseDType(attrs.String("dtype", "float32"))
@@ -298,14 +299,19 @@ func init() {
 				return []tensor.Shape{tensor.Shape(attrs.Ints("shape")).Clone()}, nil
 			},
 		},
-		Eval: func(_ []*tensor.Tensor, attrs Attrs) (*tensor.Tensor, error) {
+		Eval: func(_ []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			dt, err := tensor.ParseDType(attrs.String("dtype", "float32"))
 			if err != nil {
 				return nil, err
 			}
-			return tensor.New(dt, attrs.Ints("shape")...), nil
+			shape := tensor.Shape(attrs.Ints("shape"))
+			if out == nil || out.DType() != dt || out.NumElements() != shape.NumElements() {
+				return tensor.New(dt, shape...), nil
+			}
+			out.Fill(0)
+			return out, nil
 		},
 		Pattern:   PatternOpaque,
 		NumInputs: 0,
-	})
+	}
 }

@@ -90,6 +90,10 @@ func AttnCached(q, k, v, length *tensor.Tensor, heads int) (*tensor.Tensor, erro
 	return AttnCachedInto(q, k, v, length, heads, out)
 }
 
+// attnStackScores is how many attention scores AttnCachedInto keeps on the
+// stack; a longer cached prefix allocates its score row.
+const attnStackScores = 256
+
 // AttnCachedInto is the destination-passing form of AttnCached.
 func AttnCachedInto(q, k, v, length *tensor.Tensor, heads int, out *tensor.Tensor) (*tensor.Tensor, error) {
 	if q.DType() != tensor.Float32 {
@@ -113,7 +117,12 @@ func AttnCachedInto(q, k, v, length *tensor.Tensor, heads int, out *tensor.Tenso
 	hd := d / heads
 	scale := 1 / math.Sqrt(float64(hd))
 	qv, kv, vv, ov := q.F32(), k.F32(), v.F32(), out.F32()
-	scores := make([]float64, n)
+	var buf [attnStackScores]float64
+	scores := buf[:]
+	if n > len(buf) {
+		scores = make([]float64, n)
+	}
+	scores = scores[:n]
 	for h := 0; h < heads; h++ {
 		off := h * hd
 		maxS := math.Inf(-1)

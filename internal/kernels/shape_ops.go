@@ -22,7 +22,8 @@ func ConcatInto(ts []*tensor.Tensor, out *tensor.Tensor, axis int) *tensor.Tenso
 	}
 	first := ts[0]
 	axis = normalizeAxis(axis, first.Rank())
-	outShape := first.Shape().Clone()
+	var dims [8]int // a planned destination costs no shape allocation
+	outShape := tensor.Shape(append(dims[:0], first.Shape()...))
 	for _, t := range ts[1:] {
 		if t.DType() != first.DType() || t.Rank() != first.Rank() {
 			panic(fmt.Sprintf("kernels: concat dtype/rank mismatch: %v vs %v", first, t))

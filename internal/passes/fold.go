@@ -78,7 +78,7 @@ func foldCall(call *ir.Call, consts map[*ir.Var]*ir.Constant) ir.Expr {
 		}
 		in[i] = c.Value
 	}
-	out, err := op.Eval(in, call.Attrs)
+	out, err := op.Eval(in, call.Attrs, nil)
 	if err != nil {
 		// A failed fold is not a compile error; leave the call for runtime,
 		// where the shape machinery reports it properly.

@@ -212,8 +212,7 @@ func buildFusedBinding(bs []binding, ops []*ir.Op, id int) binding {
 			Mode: ir.ShapeDataIndependent,
 			Fn:   composeShapeFuncs(members),
 		},
-		Eval:      composeEvals(members),
-		EvalInto:  composeEvalInto(members),
+		Eval:      composeEval(members),
 		Pattern:   ir.PatternOpaque,
 		NumInputs: len(externals),
 	}
@@ -251,13 +250,6 @@ func composeShapeFuncs(members []fusedMember) func([]tensor.Shape, []*tensor.Ten
 	}
 }
 
-// composeEvals chains the members' kernels into one composite kernel.
-func composeEvals(members []fusedMember) ir.EvalFunc {
-	return func(args []*tensor.Tensor, _ ir.Attrs) (*tensor.Tensor, error) {
-		return runFused(members, args, nil, false)
-	}
-}
-
 // inPlaceOps are the shape-preserving element-wise operators that may read
 // and write a fused group's planned output in place: each output element
 // depends only on the input elements at the same index.
@@ -266,17 +258,17 @@ var inPlaceOps = map[string]bool{
 	"gelu": true, "relu": true, "tanh": true, "sigmoid": true,
 }
 
-// composeEvalInto is the destination-passing form of the composite kernel.
+// composeEval chains the members' kernels into one composite kernel.
 // When every member after the first is in inPlaceOps, every member writes
 // the planned output buffer — the first from the external arguments, each
 // later one over the previous result — so the chain creates no
 // intermediate tensor. That is only sound when the buffer shares no memory
 // with an external argument; otherwise intermediates materialize and only
 // the last member writes the buffer.
-func composeEvalInto(members []fusedMember) ir.EvalIntoFunc {
-	inPlace := members[0].op.EvalInto != nil
+func composeEval(members []fusedMember) ir.EvalFunc {
+	inPlace := true
 	for _, mem := range members[1:] {
-		inPlace = inPlace && inPlaceOps[mem.op.Name] && mem.op.EvalInto != nil
+		inPlace = inPlace && inPlaceOps[mem.op.Name]
 	}
 	return func(args []*tensor.Tensor, _ ir.Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 		writable := out != nil && out.DType() == tensor.Float32 && !overlapsAny(out.F32(), args)
@@ -311,7 +303,7 @@ var memberArgsPool = sync.Pool{New: func() any { return new(memberArgs) }}
 // runFused runs the members in order. An internal argument always names the
 // previous member (collectGroup admits a member only as the single consumer
 // of its predecessor), so the previous result is the only state carried.
-// With inPlace every member writes out; otherwise only the last one does.
+// With inPlace every member is handed out; otherwise only the last one is.
 func runFused(members []fusedMember, args []*tensor.Tensor, out *tensor.Tensor, inPlace bool) (*tensor.Tensor, error) {
 	scratch := memberArgsPool.Get().(*memberArgs)
 	defer func() {
@@ -328,13 +320,12 @@ func runFused(members []fusedMember, args []*tensor.Tensor, out *tensor.Tensor, 
 				in = append(in, args[r.idx])
 			}
 		}
-		var err error
-		if out != nil && mem.op.EvalInto != nil && (inPlace || m == len(members)-1) {
-			prev, err = mem.op.EvalInto(in, mem.attrs, out)
-		} else {
-			prev, err = mem.op.Eval(in, mem.attrs)
+		dst := out
+		if !inPlace && m < len(members)-1 {
+			dst = nil
 		}
-		if err != nil {
+		var err error
+		if prev, err = mem.op.Eval(in, mem.attrs, dst); err != nil {
 			return nil, fmt.Errorf("passes: fused member %s: %w", mem.op.Name, err)
 		}
 	}

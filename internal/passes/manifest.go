@@ -159,7 +159,7 @@ func manifestChain(e ir.Expr, target ir.Device, stats *AllocStats) (ir.Expr, err
 				// other rows. Constants are excluded: they are shared by
 				// reference across sessions, so an in-place write would
 				// corrupt every other user; the allocation path below then
-				// gives the operator a fresh buffer its EvalInto copies
+				// gives the operator a fresh buffer its Eval copies
 				// into (pure append semantics).
 				out = append(out, binding{v: b.v, value: invokeMut(op, call, call.Args[0])})
 				if stats != nil {

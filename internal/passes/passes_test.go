@@ -214,7 +214,7 @@ func TestFuseDenseEpilogue(t *testing.T) {
 	ws := tensor.New(tensor.Float32, 8, 4)
 	ws.F32()[0] = -2 // x@w = [-2,0,0,0]
 	bb := tensor.FromF32([]float32{1, 1, 1, 1}, 4)
-	got, err := fusedOp.Eval([]*tensor.Tensor{xs, ws, bb}, nil)
+	got, err := fusedOp.Eval([]*tensor.Tensor{xs, ws, bb}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

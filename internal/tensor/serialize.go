@@ -22,64 +22,32 @@ import (
 
 // WriteTo serializes the tensor to w.
 func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
-	var n int64
-	hdr := make([]byte, 1+4)
-	hdr[0] = byte(t.dtype)
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(t.shape)))
-	k, err := w.Write(hdr)
-	n += int64(k)
-	if err != nil {
-		return n, err
-	}
-	buf8 := make([]byte, 8)
+	b := binary.LittleEndian.AppendUint32([]byte{byte(t.dtype)}, uint32(len(t.shape)))
 	for _, d := range t.shape {
-		binary.LittleEndian.PutUint64(buf8, uint64(d))
-		k, err = w.Write(buf8)
-		n += int64(k)
-		if err != nil {
-			return n, err
-		}
+		b = binary.LittleEndian.AppendUint64(b, uint64(d))
 	}
-	binary.LittleEndian.PutUint64(buf8, uint64(t.NumElements()))
-	k, err = w.Write(buf8)
-	n += int64(k)
+	b = binary.LittleEndian.AppendUint64(b, uint64(t.NumElements()))
+	b, err := binary.Append(b, binary.LittleEndian, t.data())
 	if err != nil {
-		return n, err
+		return 0, err
 	}
-	payload := t.encodePayload()
-	k, err = w.Write(payload)
-	n += int64(k)
-	return n, err
+	n, err := w.Write(b)
+	return int64(n), err
 }
 
-func (t *Tensor) encodePayload() []byte {
-	n := t.NumElements()
-	out := make([]byte, n*t.dtype.Size())
+// data is the tensor's typed backing slice.
+func (t *Tensor) data() any {
 	switch t.dtype {
 	case Float32:
-		for i, v := range t.f32 {
-			binary.LittleEndian.PutUint32(out[i*4:], math.Float32bits(v))
-		}
+		return t.f32
 	case Float64:
-		for i, v := range t.f64 {
-			binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
-		}
+		return t.f64
 	case Int32:
-		for i, v := range t.i32 {
-			binary.LittleEndian.PutUint32(out[i*4:], uint32(v))
-		}
+		return t.i32
 	case Int64:
-		for i, v := range t.i64 {
-			binary.LittleEndian.PutUint64(out[i*8:], uint64(v))
-		}
-	case Bool:
-		for i, v := range t.b {
-			if v {
-				out[i] = 1
-			}
-		}
+		return t.i64
 	}
-	return out
+	return t.b
 }
 
 // Reader reads little-endian fields from R through one scratch array it
@@ -167,41 +135,62 @@ func (r *Reader) Tensor() (*Tensor, error) {
 	if count != uint64(n) {
 		return nil, fmt.Errorf("tensor: element count %d does not match shape %v", count, shape)
 	}
-	// The payload is read before the tensor is built, and grows only as
-	// bytes arrive: a header claiming more than the stream holds costs at
-	// most what was read.
-	size := n * dt.Size()
-	payload, err := io.ReadAll(io.LimitReader(r.R, int64(size)))
-	if err == nil && len(payload) < size {
-		err = io.ErrUnexpectedEOF
+	if n == 0 {
+		return New(dt, shape...), nil
+	}
+	t, size := &Tensor{dtype: dt, shape: shape}, dt.Size()
+	switch dt {
+	case Float32:
+		t.f32, err = readPayload[float32](r.R, n, size)
+	case Float64:
+		t.f64, err = readPayload[float64](r.R, n, size)
+	case Int32:
+		t.i32, err = readPayload[int32](r.R, n, size)
+	case Int64:
+		t.i64, err = readPayload[int64](r.R, n, size)
+	case Bool:
+		t.b, err = readPayload[bool](r.R, n, size)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("tensor: reading payload: %w", err)
 	}
-	t := New(dt, shape...)
-	switch dt {
-	case Float32:
-		for i := range t.f32 {
-			t.f32[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[i*4:]))
+	return t, nil
+}
+
+// payloadChunk is how many payload bytes readPayload reads at a time.
+const payloadChunk = 64 << 10
+
+// readPayload reads n elements of size bytes each from r in chunks of at
+// most payloadChunk bytes, decoding each chunk straight into the result.
+// The result grows only as bytes arrive — doubling, and jumping to n where
+// doubling would pass n/2 — so a header claiming more than the stream holds
+// costs a small multiple of what was read, and a complete read allocates at
+// most twice the payload plus one chunk.
+func readPayload[E bool | int32 | int64 | float32 | float64](r io.Reader, n, size int) ([]E, error) {
+	chunk := make([]byte, min(n*size, payloadChunk))
+	var out []E
+	for len(out) < n {
+		k := min(n-len(out), len(chunk)/size)
+		if _, err := io.ReadFull(r, chunk[:k*size]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
 		}
-	case Float64:
-		for i := range t.f64 {
-			t.f64[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
+		at := len(out)
+		if at+k > cap(out) {
+			c := max(2*cap(out), at+k)
+			if c > n/2 {
+				c = n
+			}
+			out = append(make([]E, 0, c), out...)
 		}
-	case Int32:
-		for i := range t.i32 {
-			t.i32[i] = int32(binary.LittleEndian.Uint32(payload[i*4:]))
-		}
-	case Int64:
-		for i := range t.i64 {
-			t.i64[i] = int64(binary.LittleEndian.Uint64(payload[i*8:]))
-		}
-	case Bool:
-		for i := range t.b {
-			t.b[i] = payload[i] != 0
+		out = out[:at+k]
+		if _, err := binary.Decode(chunk[:k*size], binary.LittleEndian, out[at:]); err != nil {
+			return nil, err
 		}
 	}
-	return t, nil
+	return out, nil
 }
 
 // elementCount is shape's element count, or false when its payload could

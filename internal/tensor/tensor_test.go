@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -358,6 +359,33 @@ func TestDeserializeCorruptInput(t *testing.T) {
 	raw[5+8] = 7 // overwrite element count
 	if _, err := ReadFrom(bytes.NewReader(raw)); err == nil {
 		t.Error("count mismatch accepted")
+	}
+}
+
+// TestReadFromAllocationBounded bounds the bytes one read of a 300×608
+// float32 tensor allocates (730 KB of payload, the Tree-LSTM leaf weight's
+// packed size): the payload is read in chunks and decoded straight into the
+// tensor's storage, so a read costs at most 2.5× the payload. Reading the
+// whole payload into a growing buffer and decoding it into a second one
+// cost 6.7×.
+func TestReadFromAllocationBounded(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := Random(rand.New(rand.NewSource(3)), 1, 300, 608).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	payload := uint64(300 * 608 * 4)
+	const reads = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		if _, err := ReadFrom(bytes.NewReader(raw)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / reads; per*2 > payload*5 {
+		t.Errorf("one read allocated %d bytes, %.2f× the %d-byte payload; want at most 2.5×", per, float64(per)/float64(payload), payload)
 	}
 }
 

@@ -543,7 +543,7 @@ func (vm *VM) exec(ctx context.Context, stack []*frame, stepMode bool) (_ []*fra
 			if err != nil {
 				return stack, false, nil, err
 			}
-			fr.regs[in.Dst] = &TensorObj{T: rt, Device: t.Device}
+			fr.regs[in.Dst] = &TensorObj{T: rt, Device: t.Device, Backing: t.Backing}
 			fr.pc++
 
 		case OpFatal:

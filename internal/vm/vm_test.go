@@ -181,6 +181,50 @@ func TestInvokePackedWithDest(t *testing.T) {
 	}
 }
 
+// TestReshapeTensorKeepsBacking pins that a ReshapeTensor view keeps its
+// source's storage: inner's result escapes its frame only as the view, so
+// a view without the storage would let the frame release it to the pool,
+// and the second call's AllocStorage would overwrite the first result.
+func TestReshapeTensorKeepsBacking(t *testing.T) {
+	addOne := func(args []*tensor.Tensor, out *tensor.Tensor) (*tensor.Tensor, error) {
+		av, ov := args[0].F32(), out.F32()
+		for i := range ov {
+			ov[i] = av[i] + 1
+		}
+		return out, nil
+	}
+	e := NewExecutable()
+	k := e.AddKernel("add_one", addOne)
+	main := []Instruction{
+		{Op: OpInvoke, Dst: 1, Imm: 1, Args: []Reg{0}},
+		{Op: OpInvoke, Dst: 2, Imm: 1, Args: []Reg{1}},
+		{Op: OpAllocADT, Dst: 3, Imm: 0, Args: []Reg{1, 2}},
+		{Op: OpRet, A: 3},
+	}
+	inner := []Instruction{
+		{Op: OpAllocStorage, Dst: 1, A: -1, Imm: 16, Device: uint8(ir.DevCPU)},
+		{Op: OpAllocTensor, Dst: 2, A: 1, Shape: []int{2, 2}, DType: uint8(tensor.Float32)},
+		{Op: OpInvokePacked, Dst: 3, Imm: int64(k), B: 1, Args: []Reg{0, 2}},
+		{Op: OpShapeOf, Dst: 4, A: 3},
+		{Op: OpReshapeTensor, Dst: 5, A: 3, B: 4},
+		{Op: OpRet, A: 5},
+	}
+	e.AddFunc(VMFunc{Name: "main", NumParams: 1, RegCount: 4, Start: 0, Len: len(main)})
+	e.AddFunc(VMFunc{Name: "inner", NumParams: 1, RegCount: 6, Start: len(main), Len: len(inner)})
+	e.Code = append(main, inner...)
+	out, err := New(e).Invoke("main", NewTensorObj(tensor.New(tensor.Float32, 2, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := out.(*ADT).Fields
+	for i, want := range []float32{1, 2} {
+		got := fields[i].(*TensorObj).T
+		if !got.Equal(tensor.FromF32([]float32{want, want, want, want}, 2, 2)) {
+			t.Errorf("call %d = %v, want all %v", i+1, got.F32(), want)
+		}
+	}
+}
+
 func TestAllocTensorRegFromShape(t *testing.T) {
 	e := buildExe("main", 1, 4, []Instruction{
 		{Op: OpShapeOf, Dst: 1, A: 0},
