@@ -19,8 +19,10 @@ func main() {
 	seed := flag.Int64("seed", 7, "sampler seed")
 	flag.Parse()
 
+	// Every result type renders itself with Format.
+	type result = interface{ Format() string }
 	cfg := bench.Config{Quick: *quick, Seed: *seed}
-	run := func(name string, f func(bench.Config) (fmt.Stringer, error)) {
+	run := func(name string, f func(bench.Config) (result, error)) {
 		if *exp != "all" && *exp != name {
 			return
 		}
@@ -28,41 +30,12 @@ func main() {
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)
 		}
-		fmt.Println(r)
+		fmt.Println(r.Format())
 	}
-	run("table1", func(c bench.Config) (fmt.Stringer, error) { return wrap(bench.Table1(c)) })
-	run("table2", func(c bench.Config) (fmt.Stringer, error) { return wrap(bench.Table2(c)) })
-	run("table3", func(c bench.Config) (fmt.Stringer, error) { return wrap(bench.Table3(c)) })
-	run("table4", func(c bench.Config) (fmt.Stringer, error) { return wrapT4(bench.Table4(c)) })
-	run("figure3", func(c bench.Config) (fmt.Stringer, error) { return wrapF3(bench.Figure3(c)) })
-	run("memplan", func(c bench.Config) (fmt.Stringer, error) { return wrapMP(bench.MemPlan(c)) })
-}
-
-type str string
-
-func (s str) String() string { return string(s) }
-
-func wrap(t *bench.Table, err error) (fmt.Stringer, error) {
-	if err != nil {
-		return nil, err
-	}
-	return str(t.Format()), nil
-}
-func wrapT4(t *bench.Table4Result, err error) (fmt.Stringer, error) {
-	if err != nil {
-		return nil, err
-	}
-	return str(t.Format()), nil
-}
-func wrapF3(t *bench.Figure3Result, err error) (fmt.Stringer, error) {
-	if err != nil {
-		return nil, err
-	}
-	return str(t.Format()), nil
-}
-func wrapMP(t *bench.MemPlanResult, err error) (fmt.Stringer, error) {
-	if err != nil {
-		return nil, err
-	}
-	return str(t.Format()), nil
+	run("table1", func(c bench.Config) (result, error) { return bench.Table1(c) })
+	run("table2", func(c bench.Config) (result, error) { return bench.Table2(c) })
+	run("table3", func(c bench.Config) (result, error) { return bench.Table3(c) })
+	run("table4", func(c bench.Config) (result, error) { return bench.Table4(c) })
+	run("figure3", func(c bench.Config) (result, error) { return bench.Figure3(c) })
+	run("memplan", func(c bench.Config) (result, error) { return bench.MemPlan(c) })
 }

@@ -111,7 +111,7 @@ func register() {
 	})
 	RegisterOp(&Op{
 		Eval: func(args []*tensor.Tensor, _ Attrs, _ *tensor.Tensor) (*tensor.Tensor, error) {
-			return kernels.Take(args[0], args[1]), nil
+			return kernels.Transpose(args[0], nil), nil
 		},
 	})
 }

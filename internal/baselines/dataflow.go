@@ -382,16 +382,16 @@ func BuildDataflowLSTM(m *models.LSTM, steps []*tensor.Tensor) *DFGraph {
 	}
 	add := func(a, b int) int {
 		return g.Kernel("add", func(t []*tensor.Tensor) *tensor.Tensor {
-			return kernels.Add(t[0], t[1])
+			return kernels.AddInto(t[0], t[1], nil)
 		}, a, b)
 	}
 	mul := func(a, b int) int {
 		return g.Kernel("mul", func(t []*tensor.Tensor) *tensor.Tensor {
-			return kernels.Mul(t[0], t[1])
+			return kernels.MulInto(t[0], t[1], nil)
 		}, a, b)
 	}
-	act := func(name string, fn func(*tensor.Tensor) *tensor.Tensor, a int) int {
-		return g.Kernel(name, func(t []*tensor.Tensor) *tensor.Tensor { return fn(t[0]) }, a)
+	act := func(name string, fn func(a, out *tensor.Tensor) *tensor.Tensor, a int) int {
+		return g.Kernel(name, func(t []*tensor.Tensor) *tensor.Tensor { return fn(t[0], nil) }, a)
 	}
 	for i, c := range m.Cells {
 		hVar, cVar := vars[2*i], vars[2*i+1]
@@ -400,15 +400,15 @@ func BuildDataflowLSTM(m *models.LSTM, steps []*tensor.Tensor) *DFGraph {
 		slice := func(idx int) int {
 			lo, hi := idx*hd, (idx+1)*hd
 			return g.Kernel("slice", func(t []*tensor.Tensor) *tensor.Tensor {
-				return kernels.Slice(t[0], 1, lo, hi)
+				return kernels.SliceInto(t[0], nil, 1, lo, hi)
 			}, gates)
 		}
-		iG := act("sigmoid", kernels.Sigmoid, slice(0))
-		fG := act("sigmoid", kernels.Sigmoid, slice(1))
-		gG := act("tanh", kernels.Tanh, slice(2))
-		oG := act("sigmoid", kernels.Sigmoid, slice(3))
+		iG := act("sigmoid", kernels.SigmoidInto, slice(0))
+		fG := act("sigmoid", kernels.SigmoidInto, slice(1))
+		gG := act("tanh", kernels.TanhInto, slice(2))
+		oG := act("sigmoid", kernels.SigmoidInto, slice(3))
 		cNew := add(mul(fG, cVar.body), mul(iG, gG))
-		hNew := mul(oG, act("tanh", kernels.Tanh, cNew))
+		hNew := mul(oG, act("tanh", kernels.TanhInto, cNew))
 		g.CloseLoopVar(hVar.body, hNew)
 		g.CloseLoopVar(cVar.body, cNew)
 		input = hNew

@@ -64,14 +64,14 @@ type Eager struct {
 func NewEager() *Eager {
 	e := &Eager{dispatch: map[string]func([]*Value) *tensor.Tensor{}}
 	e.dispatch["dense"] = func(a []*Value) *tensor.Tensor { return dense(a[0].T, a[1]) }
-	e.dispatch["add"] = func(a []*Value) *tensor.Tensor { return kernels.Add(a[0].T, a[1].T) }
-	e.dispatch["multiply"] = func(a []*Value) *tensor.Tensor { return kernels.Mul(a[0].T, a[1].T) }
-	e.dispatch["sigmoid"] = func(a []*Value) *tensor.Tensor { return kernels.Sigmoid(a[0].T) }
-	e.dispatch["tanh"] = func(a []*Value) *tensor.Tensor { return kernels.Tanh(a[0].T) }
-	e.dispatch["gelu"] = func(a []*Value) *tensor.Tensor { return kernels.Gelu(a[0].T) }
-	e.dispatch["softmax"] = func(a []*Value) *tensor.Tensor { return kernels.Softmax(a[0].T) }
+	e.dispatch["add"] = func(a []*Value) *tensor.Tensor { return kernels.AddInto(a[0].T, a[1].T, nil) }
+	e.dispatch["multiply"] = func(a []*Value) *tensor.Tensor { return kernels.MulInto(a[0].T, a[1].T, nil) }
+	e.dispatch["sigmoid"] = func(a []*Value) *tensor.Tensor { return kernels.SigmoidInto(a[0].T, nil) }
+	e.dispatch["tanh"] = func(a []*Value) *tensor.Tensor { return kernels.TanhInto(a[0].T, nil) }
+	e.dispatch["gelu"] = func(a []*Value) *tensor.Tensor { return kernels.GeluInto(a[0].T, nil) }
+	e.dispatch["softmax"] = func(a []*Value) *tensor.Tensor { return kernels.SoftmaxInto(a[0].T, nil) }
 	e.dispatch["transpose"] = func(a []*Value) *tensor.Tensor { return kernels.Transpose(a[0].T, nil) }
-	e.dispatch["take"] = func(a []*Value) *tensor.Tensor { return kernels.Take(a[0].T, a[1].T) }
+	e.dispatch["take"] = func(a []*Value) *tensor.Tensor { return kernels.TakeInto(a[0].T, a[1].T, nil) }
 	return e
 }
 
@@ -87,7 +87,7 @@ func dense(x *tensor.Tensor, w *Value) *tensor.Tensor {
 	if w.units > 0 {
 		return kernels.DensePackedInto(x, w.T, w.units, nil)
 	}
-	return kernels.MatMul(x, w.T)
+	return kernels.MatMulInto(x, w.T, nil)
 }
 
 // Reset clears the tape between inferences (frameworks rebuild it per run).
@@ -117,7 +117,7 @@ func (e *Eager) apply(op string, args ...*Value) *Value {
 func (e *Eager) sliceCols(v *Value, lo, hi int) *Value {
 	n := &node{op: "slice", inputs: []*Value{v}, requires: true}
 	e.chargeOverhead()
-	out := kernels.Slice(v.T, 1, lo, hi)
+	out := kernels.SliceInto(v.T, nil, 1, lo, hi)
 	n.out = out
 	e.tape = append(e.tape, n)
 	e.Ops++
@@ -249,7 +249,7 @@ func (e *Eager) RunBERT(m *EagerBERT, ids *tensor.Tensor) *tensor.Tensor {
 			probs := e.apply("softmax", e.apply("multiply", scores, scale))
 			heads[h] = e.apply("dense", probs, vh).T
 		}
-		ctxT := kernels.Concat(heads, 1)
+		ctxT := kernels.ConcatInto(heads, nil, 1)
 		e.Ops++ // concat counts as a framework op
 		ctx := e.Wrap(ctxT)
 		attn := e.apply("add", e.apply("dense", ctx, l.wo), l.bo)
@@ -264,7 +264,7 @@ func (e *Eager) RunBERT(m *EagerBERT, ids *tensor.Tensor) *tensor.Tensor {
 func (e *Eager) layerNorm(x, gamma, beta *Value) *Value {
 	n := &node{op: "layer_norm", inputs: []*Value{x, gamma, beta}, requires: true}
 	e.chargeOverhead()
-	out := kernels.LayerNorm(x.T, gamma.T, beta.T, 1e-5)
+	out := kernels.LayerNormInto(x.T, gamma.T, beta.T, nil, 1e-5)
 	n.out = out
 	e.tape = append(e.tape, n)
 	e.Ops++

@@ -99,17 +99,17 @@ func (f *Fold) runLeafBatch(batch []*foldNode) {
 	for i, n := range batch {
 		rows[i] = n.tree.Value
 	}
-	x := kernels.Concat(rows, 0)
+	x := kernels.ConcatInto(rows, nil, 0)
 	hd := f.Hidden
-	gates := kernels.Add(dense(x, f.Cell.Leaf.Wx), f.Cell.Leaf.Bias.T)
-	i := kernels.Sigmoid(kernels.Slice(gates, 1, 0, hd))
-	g := kernels.Tanh(kernels.Slice(gates, 1, 2*hd, 3*hd))
-	o := kernels.Sigmoid(kernels.Slice(gates, 1, 3*hd, 4*hd))
-	c := kernels.Mul(i, g)
-	h := kernels.Mul(o, kernels.Tanh(c))
+	gates := kernels.AddInto(dense(x, f.Cell.Leaf.Wx), f.Cell.Leaf.Bias.T, nil)
+	i := kernels.SigmoidInto(kernels.SliceInto(gates, nil, 1, 0, hd), nil)
+	g := kernels.TanhInto(kernels.SliceInto(gates, nil, 1, 2*hd, 3*hd), nil)
+	o := kernels.SigmoidInto(kernels.SliceInto(gates, nil, 1, 3*hd, 4*hd), nil)
+	c := kernels.MulInto(i, g, nil)
+	h := kernels.MulInto(o, kernels.TanhInto(c, nil), nil)
 	for r, n := range batch {
-		n.h = kernels.Slice(h, 0, r, r+1)
-		n.c = kernels.Slice(c, 0, r, r+1)
+		n.h = kernels.SliceInto(h, nil, 0, r, r+1)
+		n.c = kernels.SliceInto(c, nil, 0, r, r+1)
 	}
 }
 
@@ -124,22 +124,22 @@ func (f *Fold) runNodeBatch(batch []*foldNode, index map[*models.Tree]*foldNode)
 		l, r := index[n.tree.Left], index[n.tree.Right]
 		hls[i], hrs[i], cls[i], crs[i] = l.h, r.h, l.c, r.c
 	}
-	hl := kernels.Concat(hls, 0)
-	hr := kernels.Concat(hrs, 0)
-	cl := kernels.Concat(cls, 0)
-	cr := kernels.Concat(crs, 0)
-	hsum := kernels.Add(hl, hr)
-	iou := kernels.Add(dense(hsum, f.Cell.WIOU), f.Cell.BIOU.T)
-	iG := kernels.Sigmoid(kernels.Slice(iou, 1, 0, hd))
-	oG := kernels.Sigmoid(kernels.Slice(iou, 1, hd, 2*hd))
-	uV := kernels.Tanh(kernels.Slice(iou, 1, 2*hd, 3*hd))
-	fl := kernels.Sigmoid(kernels.Add(dense(hl, f.Cell.WF), f.Cell.BF.T))
-	fr := kernels.Sigmoid(kernels.Add(dense(hr, f.Cell.WF), f.Cell.BF.T))
-	c := kernels.Add(kernels.Mul(iG, uV), kernels.Add(kernels.Mul(fl, cl), kernels.Mul(fr, cr)))
-	h := kernels.Mul(oG, kernels.Tanh(c))
+	hl := kernels.ConcatInto(hls, nil, 0)
+	hr := kernels.ConcatInto(hrs, nil, 0)
+	cl := kernels.ConcatInto(cls, nil, 0)
+	cr := kernels.ConcatInto(crs, nil, 0)
+	hsum := kernels.AddInto(hl, hr, nil)
+	iou := kernels.AddInto(dense(hsum, f.Cell.WIOU), f.Cell.BIOU.T, nil)
+	iG := kernels.SigmoidInto(kernels.SliceInto(iou, nil, 1, 0, hd), nil)
+	oG := kernels.SigmoidInto(kernels.SliceInto(iou, nil, 1, hd, 2*hd), nil)
+	uV := kernels.TanhInto(kernels.SliceInto(iou, nil, 1, 2*hd, 3*hd), nil)
+	fl := kernels.SigmoidInto(kernels.AddInto(dense(hl, f.Cell.WF), f.Cell.BF.T, nil), nil)
+	fr := kernels.SigmoidInto(kernels.AddInto(dense(hr, f.Cell.WF), f.Cell.BF.T, nil), nil)
+	c := kernels.AddInto(kernels.MulInto(iG, uV, nil), kernels.AddInto(kernels.MulInto(fl, cl, nil), kernels.MulInto(fr, cr, nil), nil), nil)
+	h := kernels.MulInto(oG, kernels.TanhInto(c, nil), nil)
 	for r, n := range batch {
-		n.h = kernels.Slice(h, 0, r, r+1)
-		n.c = kernels.Slice(c, 0, r, r+1)
+		n.h = kernels.SliceInto(h, nil, 0, r, r+1)
+		n.c = kernels.SliceInto(c, nil, 0, r, r+1)
 	}
 }
 

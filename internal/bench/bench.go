@@ -23,9 +23,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig is the full evaluation configuration.
-func DefaultConfig() Config { return Config{Seed: 7} }
-
 func (c Config) samples(full, quick int) int {
 	if c.Quick {
 		return quick

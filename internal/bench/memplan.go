@@ -144,8 +144,8 @@ func MemPlan(cfg Config) (*MemPlanResult, error) {
 func staticIntervals(mod *ir.Module) ([]baselines.Interval, int, error) {
 	var coalesce passes.CoalesceStats
 	mgr := passes.NewManager(
-		passes.ANF(), passes.ConstantFold(), passes.DCE(), passes.FuseOps(),
-		passes.ManifestAlloc(ir.CPU(0)),
+		passes.ANF(), passes.ConstantFold(), passes.DCE(), passes.FuseOps(nil),
+		passes.ManifestAlloc(ir.CPU(0), nil),
 	)
 	if err := mgr.Run(mod); err != nil {
 		return nil, 0, err
@@ -159,7 +159,7 @@ func staticIntervals(mod *ir.Module) ([]baselines.Interval, int, error) {
 	if err := typeinfer.InferModule(mod); err != nil {
 		return nil, 0, err
 	}
-	if err := passes.CoalesceStorageWithStats(&coalesce).Run(mod); err != nil {
+	if err := passes.CoalesceStorage(&coalesce).Run(mod); err != nil {
 		return nil, 0, err
 	}
 	return ivs, coalesce.BytesAfter, nil

@@ -106,6 +106,9 @@ func TestPackedKernelZeroAllocWithPlannedBuffer(t *testing.T) {
 		{"state_zeros", ir.Attrs{"shape": []int{4, 8}}, nil, f32(4, 8)},
 		{"cache_append", nil, []*tensor.Tensor{cache, pos(24), tensor.ScalarI64(3)}, f32(8, 24)},
 		{"attn_cached", ir.Attrs{"heads": 2}, []*tensor.Tensor{pos(1, 24), kc, vc, tensor.ScalarI64(5)}, f32(1, 24)},
+		{"take", nil, []*tensor.Tensor{a, tensor.FromI64([]int64{3, 0, 12}, 3)}, f32(3, 24)},
+		{ir.OpStreamEmit, nil, []*tensor.Tensor{tensor.FromI64([]int64{5}, 1)}, tensor.New(tensor.Int64, 1)},
+		{"index_inc", nil, []*tensor.Tensor{tensor.FromI64([]int64{3, 9}, 2)}, tensor.New(tensor.Int64, 2)},
 	}...)
 	for _, c := range cases {
 		k, err := ForOp(ir.MustGetOp(c.name), c.attrs, nil, Options{})
@@ -235,7 +238,7 @@ func TestSymbolicDensePackedViaPackedFunc(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	op := ir.MustGetOp("dense_packed")
 	a, b := tensor.Random(rng, 1, 13, 8), tensor.Random(rng, 1, 8, 20)
-	want := kernels.MatMul(a, b)
+	want := kernels.MatMulInto(a, b, nil)
 	for _, disp := range []int{8, 4, 2, 1} {
 		k, err := ForOp(op, ir.Attrs{"units": 20}, ir.TT(tensor.Float32, ir.DimAny, 20), Options{Dispatch: disp})
 		if err != nil {

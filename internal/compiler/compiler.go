@@ -73,15 +73,15 @@ func Compile(mod *ir.Module, opts Options) (*Result, error) {
 	var pipeline []passes.Pass
 	pipeline = append(pipeline, passes.ANF(), passes.ConstantFold(), passes.DCE(), passes.PackDenseWeights())
 	if !opts.DisableFusion {
-		pipeline = append(pipeline, passes.FuseOpsWithStats(&st.Fusion))
+		pipeline = append(pipeline, passes.FuseOps(&st.Fusion))
 	}
 	if !opts.DisableMemoryPlanning {
-		pipeline = append(pipeline, passes.ManifestAllocWithStats(opts.Target, &st.Alloc))
+		pipeline = append(pipeline, passes.ManifestAlloc(opts.Target, &st.Alloc))
 		if !opts.DisableCoalescing {
-			pipeline = append(pipeline, passes.CoalesceStorageWithStats(&st.Coalesce))
+			pipeline = append(pipeline, passes.CoalesceStorage(&st.Coalesce))
 		}
 	}
-	pipeline = append(pipeline, passes.PlaceDevicesWithStats(opts.Target, &st.Placement))
+	pipeline = append(pipeline, passes.PlaceDevices(opts.Target, &st.Placement))
 	mgr := passes.NewManager(pipeline...)
 	if opts.Verify {
 		checks := verify.ModuleChecks{}

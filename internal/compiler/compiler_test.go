@@ -51,7 +51,7 @@ func TestCompileStaticDenseChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := kernels.Relu(kernels.Add(kernels.MatMul(xs, ws), bs))
+	want := kernels.ReluInto(kernels.AddInto(kernels.MatMulInto(xs, ws, nil), bs, nil), nil)
 	if !got.AllClose(want, 1e-4, 1e-5) {
 		t.Error("compiled result differs from reference")
 	}
@@ -72,7 +72,7 @@ func TestCompileDynamicConcatAcrossShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rows=%d: %v", rows, err)
 		}
-		want := kernels.Concat([]*tensor.Tensor{xs, ys}, 0)
+		want := kernels.ConcatInto([]*tensor.Tensor{xs, ys}, nil, 0)
 		if !got.Equal(want) {
 			t.Errorf("rows=%d: concat mismatch", rows)
 		}
@@ -127,15 +127,15 @@ func TestCompileReshapeOfPlannedBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := kernels.Add(xs, xs).Reshape(6, 4)
+	sum, err := kernels.AddInto(xs, xs, nil).Reshape(6, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prod, err := kernels.Mul(xs, xs).Reshape(6, 4)
+	prod, err := kernels.MulInto(xs, xs, nil).Reshape(6, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := kernels.Sub(sum, prod); !got.AllClose(want, 1e-5, 1e-6) {
+	if want := kernels.SubInto(sum, prod, nil); !got.AllClose(want, 1e-5, 1e-6) {
 		t.Errorf("got %v, want %v", got.F32(), want.F32())
 	}
 }

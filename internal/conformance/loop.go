@@ -196,7 +196,7 @@ func (p *LoopProgram) EagerEval() (*tensor.Tensor, error) {
 			if err != nil {
 				return nil, fmt.Errorf("conformance: eager loop append[%d] iter %d: %w", i, it, err)
 			}
-			caches[i], err = kernels.CacheAppend(caches[i], r, pos)
+			caches[i], err = kernels.CacheAppendInto(caches[i], r, pos, nil)
 			if err != nil {
 				return nil, fmt.Errorf("conformance: eager loop append[%d] iter %d: %w", i, it, err)
 			}
@@ -205,7 +205,7 @@ func (p *LoopProgram) EagerEval() (*tensor.Tensor, error) {
 		if p.useAttn {
 			var err error
 			length := tensor.FromI64([]int64{int64(it + 1)}, 1)
-			next, err = kernels.AttnCached(row, caches[0], caches[1], length, 1)
+			next, err = kernels.AttnCachedInto(row, caches[0], caches[1], length, 1, nil)
 			if err != nil {
 				return nil, fmt.Errorf("conformance: eager loop attn iter %d: %w", it, err)
 			}

@@ -111,11 +111,14 @@ func init() {
 			return t, nil
 		},
 		Shape: identityShapeFunc,
-		Eval: func(args []*tensor.Tensor, _ Attrs, _ *tensor.Tensor) (*tensor.Tensor, error) {
-			out := args[0].Clone()
-			v := out.I64()
-			for i := range v {
-				v[i]++
+		Eval: func(args []*tensor.Tensor, _ Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
+			in := args[0]
+			if !sameLayout(in, out) {
+				out = tensor.New(tensor.Int64, in.Shape()...)
+			}
+			ov := out.I64()
+			for i, x := range in.I64() {
+				ov[i] = x + 1
 			}
 			return out, nil
 		},
@@ -155,10 +158,33 @@ func init() {
 			return args[0], nil
 		},
 		Shape: identityShapeFunc,
-		Eval: func(args []*tensor.Tensor, _ Attrs, _ *tensor.Tensor) (*tensor.Tensor, error) {
-			return args[0].Clone(), nil
+		Eval: func(args []*tensor.Tensor, _ Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
+			in := args[0]
+			if !sameLayout(in, out) {
+				return in.Clone(), nil
+			}
+			switch in.DType() {
+			case tensor.Float32:
+				copy(out.F32(), in.F32())
+			case tensor.Float64:
+				copy(out.F64(), in.F64())
+			case tensor.Int32:
+				copy(out.I32(), in.I32())
+			case tensor.Int64:
+				copy(out.I64(), in.I64())
+			case tensor.Bool:
+				copy(out.Bools(), in.Bools())
+			}
+			return out, nil
 		},
 		Pattern:   PatternOpaque,
 		NumInputs: 1,
 	})
+}
+
+// sameLayout reports whether out is a destination of in's dtype and shape.
+// The element-wise writes of index_inc and stream.emit stay correct even
+// when out shares in's storage.
+func sameLayout(in, out *tensor.Tensor) bool {
+	return out != nil && out.DType() == in.DType() && out.Shape().Equal(in.Shape())
 }

@@ -146,8 +146,8 @@ func init() {
 				return []tensor.Shape{out}, nil
 			},
 		},
-		Eval: func(args []*tensor.Tensor, _ Attrs, _ *tensor.Tensor) (*tensor.Tensor, error) {
-			return kernels.Take(args[0], args[1]), nil
+		Eval: func(args []*tensor.Tensor, _ Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
+			return kernels.TakeInto(args[0], args[1], out), nil
 		},
 		Pattern:   PatternInjective,
 		NumInputs: 2,

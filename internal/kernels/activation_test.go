@@ -94,9 +94,9 @@ func TestActivationAccuracy(t *testing.T) {
 func TestActivationInPlace(t *testing.T) {
 	forEachAct(t, func(t *testing.T) {
 		x := tensor.Random(rand.New(rand.NewSource(3)), 4, 3, 37)
-		want := Gelu(x)
+		want := GeluInto(x, nil)
 		if got := GeluInto(x, x); got != x || !x.Equal(want) {
-			t.Fatalf("in-place GeluInto differs from Gelu")
+			t.Fatalf("in-place GeluInto differs from GeluInto(x, nil)")
 		}
 	})
 }

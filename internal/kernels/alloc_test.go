@@ -135,7 +135,7 @@ func TestParallelElementwiseMatchesSerial(t *testing.T) {
 func TestBinaryOpEmptyTensors(t *testing.T) {
 	a := tensor.New(tensor.Float32, 3, 0)
 	b := tensor.New(tensor.Float32, 0)
-	got := Add(a, b)
+	got := AddInto(a, b, nil)
 	if !got.Shape().Equal(tensor.Shape{3, 0}) || got.NumElements() != 0 {
 		t.Errorf("empty add produced %v", got.Shape())
 	}
@@ -174,11 +174,11 @@ func TestIntoKernelsMatchAllocating(t *testing.T) {
 		ref  func() *tensor.Tensor
 		into func(out *tensor.Tensor) *tensor.Tensor
 	}{
-		{"add", func() *tensor.Tensor { return Add(a, b) }, func(o *tensor.Tensor) *tensor.Tensor { return AddInto(a, b, o) }},
-		{"bias", func() *tensor.Tensor { return Add(a, bias) }, func(o *tensor.Tensor) *tensor.Tensor { return AddInto(a, bias, o) }},
-		{"tanh", func() *tensor.Tensor { return Tanh(a) }, func(o *tensor.Tensor) *tensor.Tensor { return TanhInto(a, o) }},
-		{"softmax", func() *tensor.Tensor { return Softmax(a) }, func(o *tensor.Tensor) *tensor.Tensor { return SoftmaxInto(a, o) }},
-		{"sum", func() *tensor.Tensor { return Sum(a, -1, false) }, func(o *tensor.Tensor) *tensor.Tensor { return SumInto(a, o, -1, false) }},
+		{"add", func() *tensor.Tensor { return AddInto(a, b, nil) }, func(o *tensor.Tensor) *tensor.Tensor { return AddInto(a, b, o) }},
+		{"bias", func() *tensor.Tensor { return AddInto(a, bias, nil) }, func(o *tensor.Tensor) *tensor.Tensor { return AddInto(a, bias, o) }},
+		{"tanh", func() *tensor.Tensor { return TanhInto(a, nil) }, func(o *tensor.Tensor) *tensor.Tensor { return TanhInto(a, o) }},
+		{"softmax", func() *tensor.Tensor { return SoftmaxInto(a, nil) }, func(o *tensor.Tensor) *tensor.Tensor { return SoftmaxInto(a, o) }},
+		{"sum", func() *tensor.Tensor { return SumInto(a, nil, -1, false) }, func(o *tensor.Tensor) *tensor.Tensor { return SumInto(a, o, -1, false) }},
 	}
 	for _, c := range cases {
 		want := c.ref()

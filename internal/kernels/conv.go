@@ -6,16 +6,11 @@ import (
 	"nimble/internal/tensor"
 )
 
-// Conv2D computes a 2-D convolution in NCHW layout: input [n, cIn, h, w],
-// weight [cOut, cIn, kh, kw], with symmetric padding and stride. It is the
-// workhorse for the computer-vision graphs of the §6.3 memory-footprint
-// study; the implementation favors clarity since those experiments measure
-// allocation behavior, not conv throughput.
-func Conv2D(in, weight *tensor.Tensor, stride, pad int) *tensor.Tensor {
-	return Conv2DInto(in, weight, nil, stride, pad)
-}
-
-// Conv2DInto is Conv2D writing into out when it matches the NCHW result.
+// Conv2DInto computes a 2-D convolution in NCHW layout into out: input
+// [n, cIn, h, w], weight [cOut, cIn, kh, kw], with symmetric padding and
+// stride. It is the workhorse for the computer-vision graphs of the §6.3
+// memory-footprint study; the implementation favors clarity since those
+// experiments measure allocation behavior, not conv throughput.
 func Conv2DInto(in, weight, out *tensor.Tensor, stride, pad int) *tensor.Tensor {
 	if in.Rank() != 4 || weight.Rank() != 4 {
 		panic(fmt.Sprintf("kernels: conv2d requires rank-4 input/weight, got %v / %v", in.Shape(), weight.Shape()))
@@ -26,9 +21,7 @@ func Conv2DInto(in, weight, out *tensor.Tensor, stride, pad int) *tensor.Tensor 
 		panic(fmt.Sprintf("kernels: conv2d channel mismatch: input %d vs weight %d", cIn, cInW))
 	}
 	oh, ow := Conv2DOutDims(h, w, kh, kw, stride, pad)
-	if !fits(out, tensor.Float32, n, cOut, oh, ow) {
-		out = tensor.New(tensor.Float32, n, cOut, oh, ow)
-	}
+	out = intoOrAlloc(out, tensor.Float32, tensor.Shape{n, cOut, oh, ow})
 	iv, wv, ov := in.F32(), weight.F32(), out.F32()
 	for b := 0; b < n; b++ {
 		for co := 0; co < cOut; co++ {
@@ -74,22 +67,14 @@ func Conv2DOutDims(h, w, kh, kw, stride, pad int) (oh, ow int) {
 	return oh, ow
 }
 
-// MaxPool2D applies kxk max pooling with the given stride in NCHW layout.
-func MaxPool2D(in *tensor.Tensor, k, stride int) *tensor.Tensor {
-	return pool2D(in, nil, k, stride, true)
-}
-
-// MaxPool2DInto is MaxPool2D writing into out when it matches.
+// MaxPool2DInto applies kxk max pooling with the given stride in NCHW
+// layout into out.
 func MaxPool2DInto(in, out *tensor.Tensor, k, stride int) *tensor.Tensor {
 	return pool2D(in, out, k, stride, true)
 }
 
-// AvgPool2D applies kxk average pooling with the given stride in NCHW layout.
-func AvgPool2D(in *tensor.Tensor, k, stride int) *tensor.Tensor {
-	return pool2D(in, nil, k, stride, false)
-}
-
-// AvgPool2DInto is AvgPool2D writing into out when it matches.
+// AvgPool2DInto applies kxk average pooling with the given stride in NCHW
+// layout into out.
 func AvgPool2DInto(in, out *tensor.Tensor, k, stride int) *tensor.Tensor {
 	return pool2D(in, out, k, stride, false)
 }
@@ -100,9 +85,7 @@ func pool2D(in, out *tensor.Tensor, k, stride int, isMax bool) *tensor.Tensor {
 	}
 	n, c, h, w := in.Shape()[0], in.Shape()[1], in.Shape()[2], in.Shape()[3]
 	oh, ow := Conv2DOutDims(h, w, k, k, stride, 0)
-	if !fits(out, tensor.Float32, n, c, oh, ow) {
-		out = tensor.New(tensor.Float32, n, c, oh, ow)
-	}
+	out = intoOrAlloc(out, tensor.Float32, tensor.Shape{n, c, oh, ow})
 	iv, ov := in.F32(), out.F32()
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < c; ch++ {
@@ -136,21 +119,14 @@ func pool2D(in, out *tensor.Tensor, k, stride int, isMax bool) *tensor.Tensor {
 	return out
 }
 
-// GlobalAvgPool2D reduces each channel's spatial plane to its mean, producing
-// [n, c] from [n, c, h, w].
-func GlobalAvgPool2D(in *tensor.Tensor) *tensor.Tensor {
-	return GlobalAvgPool2DInto(in, nil)
-}
-
-// GlobalAvgPool2DInto is GlobalAvgPool2D writing into out when it matches.
+// GlobalAvgPool2DInto reduces each channel's spatial plane to its mean,
+// writing [n, c] from [n, c, h, w] into out.
 func GlobalAvgPool2DInto(in, out *tensor.Tensor) *tensor.Tensor {
 	if in.Rank() != 4 {
 		panic(fmt.Sprintf("kernels: global pool requires rank-4 input, got %v", in.Shape()))
 	}
 	n, c, h, w := in.Shape()[0], in.Shape()[1], in.Shape()[2], in.Shape()[3]
-	if !fits(out, tensor.Float32, n, c) {
-		out = tensor.New(tensor.Float32, n, c)
-	}
+	out = intoOrAlloc(out, tensor.Float32, tensor.Shape{n, c})
 	iv, ov := in.F32(), out.F32()
 	area := float32(h * w)
 	for b := 0; b < n; b++ {

@@ -39,30 +39,18 @@ func cacheRow(cache, row, pos *tensor.Tensor) (rowSize int, at int, err error) {
 	return rowSize, at, nil
 }
 
-// CacheAppend is the pure (eager-reference) form: a copy of the cache with
-// row written at position pos along axis 0.
-func CacheAppend(cache, row, pos *tensor.Tensor) (*tensor.Tensor, error) {
-	out := cache.Clone()
-	if _, err := cacheAppendInto(cache, row, pos, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// CacheAppendInto writes row into out at position pos. When out aliases the
-// cache (the planner's in-place routing), only the target row is written;
-// otherwise the rest of the cache is copied over first.
+// CacheAppendInto writes a copy of the cache with row at position pos along
+// axis 0 into out. When out aliases the cache (the planner's in-place
+// routing), only the target row is written; otherwise the rest of the cache
+// is copied over first. A nil or mismatched out gets a fresh copy, the pure
+// (eager-reference) form.
 func CacheAppendInto(cache, row, pos, out *tensor.Tensor) (*tensor.Tensor, error) {
-	if out == nil || out.DType() != cache.DType() || out.NumElements() != cache.NumElements() {
-		return CacheAppend(cache, row, pos)
-	}
-	return cacheAppendInto(cache, row, pos, out)
-}
-
-func cacheAppendInto(cache, row, pos, out *tensor.Tensor) (*tensor.Tensor, error) {
 	rowSize, at, err := cacheRow(cache, row, pos)
 	if err != nil {
 		return nil, err
+	}
+	if out == nil || out.DType() != cache.DType() || out.NumElements() != cache.NumElements() {
+		out = tensor.New(cache.DType(), cache.Shape()...)
 	}
 	switch cache.DType() {
 	case tensor.Float32:
@@ -83,18 +71,13 @@ func cacheAppendInto(cache, row, pos, out *tensor.Tensor) (*tensor.Tensor, error
 	return out, nil
 }
 
-// AttnCached computes single-query multi-head attention of q over the first
-// `length` rows of the key/value caches: softmax(q·Kᵀ/√d_head)·V per head.
-func AttnCached(q, k, v, length *tensor.Tensor, heads int) (*tensor.Tensor, error) {
-	out := tensor.New(q.DType(), q.Shape()...)
-	return AttnCachedInto(q, k, v, length, heads, out)
-}
-
 // attnStackScores is how many attention scores AttnCachedInto keeps on the
 // stack; a longer cached prefix allocates its score row.
 const attnStackScores = 256
 
-// AttnCachedInto is the destination-passing form of AttnCached.
+// AttnCachedInto computes single-query multi-head attention of q over the
+// first `length` rows of the key/value caches into out:
+// softmax(q·Kᵀ/√d_head)·V per head.
 func AttnCachedInto(q, k, v, length *tensor.Tensor, heads int, out *tensor.Tensor) (*tensor.Tensor, error) {
 	if q.DType() != tensor.Float32 {
 		return nil, fmt.Errorf("kernels: attn_cached requires float32, got %v", q.DType())

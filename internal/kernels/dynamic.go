@@ -115,7 +115,7 @@ func NMS(boxes *tensor.Tensor, iouThreshold float32) NMSResult {
 // SliceNMS converts an upper-bound NMS result into its precisely shaped
 // tensor, the runtime step that follows every upper-bound shape function.
 func SliceNMS(r NMSResult) *tensor.Tensor {
-	return Slice(r.Boxes, 0, 0, r.Count)
+	return SliceInto(r.Boxes, nil, 0, 0, r.Count)
 }
 
 func iou(a, b []float32) float32 {

@@ -17,32 +17,19 @@ const parallelThreshold = 1 << 15
 // parallelGrain is the per-chunk iteration count for pooled loops.
 const parallelGrain = 1 << 12
 
-// intoOrAlloc returns out when it is a usable float32 destination of the
-// given shape, and a fresh tensor otherwise. This is the destination-passing
-// contract every *Into kernel follows: a planned buffer whose shape and
-// dtype match the precise result is written in place; anything else (no
-// buffer, or an upper-bound plan larger than the precise shape) falls back
-// to allocation.
+// intoOrAlloc returns out when it is a usable destination of the given
+// dtype and shape, and a fresh tensor otherwise. This is the
+// destination-passing contract every *Into kernel follows: a planned buffer
+// whose shape and dtype match the precise result is written in place;
+// anything else (no buffer, or an upper-bound plan larger than the precise
+// shape) falls back to allocation. shape never escapes, so a caller that
+// builds it in a literal or a stack array checks a destination without a
+// heap allocation.
 func intoOrAlloc(out *tensor.Tensor, dt tensor.DType, shape tensor.Shape) *tensor.Tensor {
 	if out != nil && out.DType() == dt && out.Shape().Equal(shape) {
 		return out
 	}
 	return tensor.New(dt, shape...)
-}
-
-// fits reports whether out is a usable destination of the given dtype and
-// dims. The variadic dims never escape, so callers can test a destination
-// without materializing a shape slice on the heap.
-func fits(out *tensor.Tensor, dt tensor.DType, dims ...int) bool {
-	if out == nil || out.DType() != dt || out.Rank() != len(dims) {
-		return false
-	}
-	for i, d := range dims {
-		if out.Shape()[i] != d {
-			return false
-		}
-	}
-	return true
 }
 
 // binop is a binary element-wise operator. Add and multiply carry a code
@@ -239,46 +226,25 @@ var (
 	opPow = binop{"power", 0, func(x, y float32) float32 { return float32(math.Pow(float64(x), float64(y))) }}
 )
 
-// Add computes a+b with broadcasting.
-func Add(a, b *tensor.Tensor) *tensor.Tensor { return binaryOpInto(opAdd, a, b, nil) }
-
 // AddInto computes a+b with broadcasting into out.
 func AddInto(a, b, out *tensor.Tensor) *tensor.Tensor { return binaryOpInto(opAdd, a, b, out) }
-
-// Sub computes a-b with broadcasting.
-func Sub(a, b *tensor.Tensor) *tensor.Tensor { return binaryOpInto(opSub, a, b, nil) }
 
 // SubInto computes a-b with broadcasting into out.
 func SubInto(a, b, out *tensor.Tensor) *tensor.Tensor { return binaryOpInto(opSub, a, b, out) }
 
-// Mul computes a*b (element-wise) with broadcasting.
-func Mul(a, b *tensor.Tensor) *tensor.Tensor { return binaryOpInto(opMul, a, b, nil) }
-
-// MulInto computes a*b into out.
+// MulInto computes a*b (element-wise) with broadcasting into out.
 func MulInto(a, b, out *tensor.Tensor) *tensor.Tensor { return binaryOpInto(opMul, a, b, out) }
 
-// Div computes a/b with broadcasting.
-func Div(a, b *tensor.Tensor) *tensor.Tensor { return binaryOpInto(opDiv, a, b, nil) }
-
-// DivInto computes a/b into out.
+// DivInto computes a/b with broadcasting into out.
 func DivInto(a, b, out *tensor.Tensor) *tensor.Tensor { return binaryOpInto(opDiv, a, b, out) }
 
-// Maximum computes element-wise max(a, b) with broadcasting.
-func Maximum(a, b *tensor.Tensor) *tensor.Tensor { return binaryOpInto(opMax, a, b, nil) }
-
-// MaximumInto computes element-wise max(a, b) into out.
+// MaximumInto computes element-wise max(a, b) with broadcasting into out.
 func MaximumInto(a, b, out *tensor.Tensor) *tensor.Tensor { return binaryOpInto(opMax, a, b, out) }
 
-// Minimum computes element-wise min(a, b) with broadcasting.
-func Minimum(a, b *tensor.Tensor) *tensor.Tensor { return binaryOpInto(opMin, a, b, nil) }
-
-// MinimumInto computes element-wise min(a, b) into out.
+// MinimumInto computes element-wise min(a, b) with broadcasting into out.
 func MinimumInto(a, b, out *tensor.Tensor) *tensor.Tensor { return binaryOpInto(opMin, a, b, out) }
 
-// Power computes a^b element-wise with broadcasting.
-func Power(a, b *tensor.Tensor) *tensor.Tensor { return binaryOpInto(opPow, a, b, nil) }
-
-// PowerInto computes a^b into out.
+// PowerInto computes a^b element-wise with broadcasting into out.
 func PowerInto(a, b, out *tensor.Tensor) *tensor.Tensor { return binaryOpInto(opPow, a, b, out) }
 
 // unaryOpInto runs loop (o[i] = f(x[i]) over a whole slice) on a float32
@@ -326,48 +292,28 @@ func reluLoop(x, o []float32) {
 	}
 }
 
-// Neg computes -a.
-func Neg(a *tensor.Tensor) *tensor.Tensor { return unaryOpInto("neg", a, nil, negLoop) }
-
 // NegInto computes -a into out.
 func NegInto(a, out *tensor.Tensor) *tensor.Tensor { return unaryOpInto("neg", a, out, negLoop) }
 
-// Exp computes e^a element-wise.
-func Exp(a *tensor.Tensor) *tensor.Tensor { return unaryOpInto("exp", a, nil, expLoop) }
-
-// ExpInto computes e^a into out.
+// ExpInto computes e^a element-wise into out.
 func ExpInto(a, out *tensor.Tensor) *tensor.Tensor { return unaryOpInto("exp", a, out, expLoop) }
-
-// Sqrt computes the element-wise square root.
-func Sqrt(a *tensor.Tensor) *tensor.Tensor { return unaryOpInto("sqrt", a, nil, sqrtLoop) }
 
 // SqrtInto computes the element-wise square root into out.
 func SqrtInto(a, out *tensor.Tensor) *tensor.Tensor { return unaryOpInto("sqrt", a, out, sqrtLoop) }
 
-// Sigmoid computes 1/(1+e^-x) element-wise.
-func Sigmoid(a *tensor.Tensor) *tensor.Tensor { return unaryOpInto("sigmoid", a, nil, sigmoidLoop) }
-
-// SigmoidInto computes the sigmoid into out.
+// SigmoidInto computes 1/(1+e^-x) element-wise into out.
 func SigmoidInto(a, out *tensor.Tensor) *tensor.Tensor {
 	return unaryOpInto("sigmoid", a, out, sigmoidLoop)
 }
 
-// Tanh computes tanh(x) element-wise.
-func Tanh(a *tensor.Tensor) *tensor.Tensor { return unaryOpInto("tanh", a, nil, tanhLoop) }
-
-// TanhInto computes tanh(x) into out.
+// TanhInto computes tanh(x) element-wise into out.
 func TanhInto(a, out *tensor.Tensor) *tensor.Tensor { return unaryOpInto("tanh", a, out, tanhLoop) }
 
-// Relu computes max(0, x) element-wise.
-func Relu(a *tensor.Tensor) *tensor.Tensor { return unaryOpInto("relu", a, nil, reluLoop) }
-
-// ReluInto computes max(0, x) into out.
+// ReluInto computes max(0, x) element-wise into out.
 func ReluInto(a, out *tensor.Tensor) *tensor.Tensor { return unaryOpInto("relu", a, out, reluLoop) }
 
-// Gelu computes the Gaussian error linear unit (tanh approximation).
-func Gelu(a *tensor.Tensor) *tensor.Tensor { return unaryOpInto("gelu", a, nil, geluLoop) }
-
-// GeluInto computes the GELU into out.
+// GeluInto computes the Gaussian error linear unit (tanh approximation)
+// into out.
 func GeluInto(a, out *tensor.Tensor) *tensor.Tensor { return unaryOpInto("gelu", a, out, geluLoop) }
 
 // Greater returns a bool tensor of a > b with broadcasting.

@@ -12,32 +12,32 @@ import (
 func TestAddBroadcast(t *testing.T) {
 	a := tensor.FromF32([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := tensor.FromF32([]float32{10, 20, 30}, 3)
-	got := Add(a, b)
+	got := AddInto(a, b, nil)
 	want := tensor.FromF32([]float32{11, 22, 33, 14, 25, 36}, 2, 3)
 	if !got.Equal(want) {
 		t.Errorf("Add = %v", got.F32())
 	}
 	// Column broadcast: (2,1) + (2,3)
 	col := tensor.FromF32([]float32{100, 200}, 2, 1)
-	got = Add(col, a)
+	got = AddInto(col, a, nil)
 	want = tensor.FromF32([]float32{101, 102, 103, 204, 205, 206}, 2, 3)
 	if !got.Equal(want) {
 		t.Errorf("Add col = %v", got.F32())
 	}
 	// Scalar broadcast.
-	got = Add(a, tensor.Scalar(1))
+	got = AddInto(a, tensor.Scalar(1), nil)
 	want = tensor.FromF32([]float32{2, 3, 4, 5, 6, 7}, 2, 3)
 	if !got.Equal(want) {
 		t.Errorf("Add scalar = %v", got.F32())
 	}
-	got = Add(tensor.Scalar(1), a)
+	got = AddInto(tensor.Scalar(1), a, nil)
 	if !got.Equal(want) {
 		t.Errorf("scalar Add = %v", got.F32())
 	}
 	// The paper's broadcast_rel example: (Any,) against (5, 1) -> (5, Any).
 	anyT := tensor.FromF32([]float32{1, 2, 3}, 3)
 	fives := tensor.FromF32([]float32{10, 20, 30, 40, 50}, 5, 1)
-	got = Add(fives, anyT)
+	got = AddInto(fives, anyT, nil)
 	if !got.Shape().Equal(tensor.Shape{5, 3}) {
 		t.Errorf("broadcast shape = %v", got.Shape())
 	}
@@ -49,57 +49,57 @@ func TestAddBroadcast(t *testing.T) {
 func TestBinaryOps(t *testing.T) {
 	a := tensor.FromF32([]float32{4, 9}, 2)
 	b := tensor.FromF32([]float32{2, 3}, 2)
-	if got := Sub(a, b); !got.Equal(tensor.FromF32([]float32{2, 6}, 2)) {
+	if got := SubInto(a, b, nil); !got.Equal(tensor.FromF32([]float32{2, 6}, 2)) {
 		t.Errorf("Sub = %v", got.F32())
 	}
-	if got := Mul(a, b); !got.Equal(tensor.FromF32([]float32{8, 27}, 2)) {
+	if got := MulInto(a, b, nil); !got.Equal(tensor.FromF32([]float32{8, 27}, 2)) {
 		t.Errorf("Mul = %v", got.F32())
 	}
-	if got := Div(a, b); !got.Equal(tensor.FromF32([]float32{2, 3}, 2)) {
+	if got := DivInto(a, b, nil); !got.Equal(tensor.FromF32([]float32{2, 3}, 2)) {
 		t.Errorf("Div = %v", got.F32())
 	}
-	if got := Maximum(a, b); !got.Equal(tensor.FromF32([]float32{4, 9}, 2)) {
+	if got := MaximumInto(a, b, nil); !got.Equal(tensor.FromF32([]float32{4, 9}, 2)) {
 		t.Errorf("Maximum = %v", got.F32())
 	}
-	if got := Minimum(a, b); !got.Equal(tensor.FromF32([]float32{2, 3}, 2)) {
+	if got := MinimumInto(a, b, nil); !got.Equal(tensor.FromF32([]float32{2, 3}, 2)) {
 		t.Errorf("Minimum = %v", got.F32())
 	}
-	if got := Power(a, b); !got.Equal(tensor.FromF32([]float32{16, 729}, 2)) {
+	if got := PowerInto(a, b, nil); !got.Equal(tensor.FromF32([]float32{16, 729}, 2)) {
 		t.Errorf("Power = %v", got.F32())
 	}
 	assertPanics(t, "bad broadcast", func() {
-		Add(tensor.New(tensor.Float32, 3), tensor.New(tensor.Float32, 4))
+		AddInto(tensor.New(tensor.Float32, 3), tensor.New(tensor.Float32, 4), nil)
 	})
 	assertPanics(t, "dtype", func() {
-		Add(tensor.New(tensor.Int64, 3), tensor.New(tensor.Float32, 3))
+		AddInto(tensor.New(tensor.Int64, 3), tensor.New(tensor.Float32, 3), nil)
 	})
 }
 
 func TestUnaryOps(t *testing.T) {
 	x := tensor.FromF32([]float32{-1, 0, 1}, 3)
-	if got := Neg(x); !got.Equal(tensor.FromF32([]float32{1, 0, -1}, 3)) {
+	if got := NegInto(x, nil); !got.Equal(tensor.FromF32([]float32{1, 0, -1}, 3)) {
 		t.Errorf("Neg = %v", got.F32())
 	}
-	if got := Relu(x); !got.Equal(tensor.FromF32([]float32{0, 0, 1}, 3)) {
+	if got := ReluInto(x, nil); !got.Equal(tensor.FromF32([]float32{0, 0, 1}, 3)) {
 		t.Errorf("Relu = %v", got.F32())
 	}
-	sig := Sigmoid(x)
+	sig := SigmoidInto(x, nil)
 	if math.Abs(float64(sig.F32()[1])-0.5) > 1e-6 {
 		t.Errorf("Sigmoid(0) = %v", sig.F32()[1])
 	}
-	th := Tanh(x)
+	th := TanhInto(x, nil)
 	if math.Abs(float64(th.F32()[2])-math.Tanh(1)) > 1e-6 {
 		t.Errorf("Tanh(1) = %v", th.F32()[2])
 	}
-	e := Exp(tensor.FromF32([]float32{0, 1}, 2))
+	e := ExpInto(tensor.FromF32([]float32{0, 1}, 2), nil)
 	if math.Abs(float64(e.F32()[1])-math.E) > 1e-5 {
 		t.Errorf("Exp(1) = %v", e.F32()[1])
 	}
-	s := Sqrt(tensor.FromF32([]float32{4, 9}, 2))
+	s := SqrtInto(tensor.FromF32([]float32{4, 9}, 2), nil)
 	if !s.Equal(tensor.FromF32([]float32{2, 3}, 2)) {
 		t.Errorf("Sqrt = %v", s.F32())
 	}
-	g := Gelu(tensor.FromF32([]float32{0, 100}, 2))
+	g := GeluInto(tensor.FromF32([]float32{0, 100}, 2), nil)
 	if g.F32()[0] != 0 {
 		t.Errorf("Gelu(0) = %v", g.F32()[0])
 	}
@@ -128,31 +128,31 @@ func TestCompareAndCast(t *testing.T) {
 
 func TestReduceOps(t *testing.T) {
 	a := tensor.FromF32([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	if got := Sum(a, 1, false); !got.Equal(tensor.FromF32([]float32{6, 15}, 2)) {
+	if got := SumInto(a, nil, 1, false); !got.Equal(tensor.FromF32([]float32{6, 15}, 2)) {
 		t.Errorf("Sum axis=1 = %v", got.F32())
 	}
-	if got := Sum(a, 0, false); !got.Equal(tensor.FromF32([]float32{5, 7, 9}, 3)) {
+	if got := SumInto(a, nil, 0, false); !got.Equal(tensor.FromF32([]float32{5, 7, 9}, 3)) {
 		t.Errorf("Sum axis=0 = %v", got.F32())
 	}
-	if got := Sum(a, -1, true); !got.Shape().Equal(tensor.Shape{2, 1}) {
+	if got := SumInto(a, nil, -1, true); !got.Shape().Equal(tensor.Shape{2, 1}) {
 		t.Errorf("Sum keepdims shape = %v", got.Shape())
 	}
-	if got := Mean(a, 1, false); !got.Equal(tensor.FromF32([]float32{2, 5}, 2)) {
+	if got := MeanInto(a, nil, 1, false); !got.Equal(tensor.FromF32([]float32{2, 5}, 2)) {
 		t.Errorf("Mean = %v", got.F32())
 	}
-	if got := Max(a, 0, false); !got.Equal(tensor.FromF32([]float32{4, 5, 6}, 3)) {
+	if got := MaxInto(a, nil, 0, false); !got.Equal(tensor.FromF32([]float32{4, 5, 6}, 3)) {
 		t.Errorf("Max = %v", got.F32())
 	}
-	am := ArgMax(tensor.FromF32([]float32{1, 9, 2, 8, 3, 7}, 2, 3), 1)
+	am := ArgMaxInto(tensor.FromF32([]float32{1, 9, 2, 8, 3, 7}, 2, 3), nil, 1)
 	if !am.Equal(tensor.FromI64([]int64{1, 0}, 2)) {
 		t.Errorf("ArgMax = %v", am.I64())
 	}
-	assertPanics(t, "axis range", func() { Sum(a, 2, false) })
+	assertPanics(t, "axis range", func() { SumInto(a, nil, 2, false) })
 }
 
 func TestSoftmax(t *testing.T) {
 	a := tensor.FromF32([]float32{1, 2, 3, 1, 1, 1}, 2, 3)
-	s := Softmax(a)
+	s := SoftmaxInto(a, nil)
 	for r := 0; r < 2; r++ {
 		var sum float64
 		for c := 0; c < 3; c++ {
@@ -169,7 +169,7 @@ func TestSoftmax(t *testing.T) {
 		t.Error("softmax not monotone")
 	}
 	// Stability: large values must not overflow.
-	big := Softmax(tensor.FromF32([]float32{1000, 1000}, 2))
+	big := SoftmaxInto(tensor.FromF32([]float32{1000, 1000}, 2), nil)
 	if math.IsNaN(big.At(0)) || math.Abs(big.At(0)-0.5) > 1e-6 {
 		t.Errorf("softmax unstable: %v", big.F32())
 	}
@@ -179,7 +179,7 @@ func TestLayerNorm(t *testing.T) {
 	a := tensor.FromF32([]float32{1, 2, 3, 4}, 2, 2)
 	gamma := tensor.FromF32([]float32{1, 1}, 2)
 	beta := tensor.FromF32([]float32{0, 0}, 2)
-	out := LayerNorm(a, gamma, beta, 1e-5)
+	out := LayerNormInto(a, gamma, beta, nil, 1e-5)
 	// Each row has mean 0 and unit variance after normalization.
 	for r := 0; r < 2; r++ {
 		if math.Abs(out.At(r, 0)+out.At(r, 1)) > 1e-4 {
@@ -187,72 +187,71 @@ func TestLayerNorm(t *testing.T) {
 		}
 	}
 	// Gamma/beta transform.
-	out = LayerNorm(a, tensor.FromF32([]float32{2, 2}, 2), tensor.FromF32([]float32{5, 5}, 2), 1e-5)
+	out = LayerNormInto(a, tensor.FromF32([]float32{2, 2}, 2), tensor.FromF32([]float32{5, 5}, 2), nil, 1e-5)
 	if math.Abs((out.At(0, 0)+out.At(0, 1))/2-5) > 1e-4 {
 		t.Errorf("beta shift broken: %v", out.F32())
 	}
-	assertPanics(t, "param shape", func() { LayerNorm(a, tensor.New(tensor.Float32, 3), beta, 1e-5) })
+	assertPanics(t, "param shape", func() { LayerNormInto(a, tensor.New(tensor.Float32, 3), beta, nil, 1e-5) })
 }
 
 func TestConcat(t *testing.T) {
 	a := tensor.FromF32([]float32{1, 2}, 1, 2)
 	b := tensor.FromF32([]float32{3, 4, 5, 6}, 2, 2)
-	got := Concat([]*tensor.Tensor{a, b}, 0)
+	got := ConcatInto([]*tensor.Tensor{a, b}, nil, 0)
 	want := tensor.FromF32([]float32{1, 2, 3, 4, 5, 6}, 3, 2)
 	if !got.Equal(want) {
 		t.Errorf("Concat axis 0 = %v", got.F32())
 	}
 	// Axis 1.
 	c := tensor.FromF32([]float32{7, 8}, 2, 1)
-	got = Concat([]*tensor.Tensor{b, c}, 1)
+	got = ConcatInto([]*tensor.Tensor{b, c}, nil, 1)
 	want = tensor.FromF32([]float32{3, 4, 7, 5, 6, 8}, 2, 3)
 	if !got.Equal(want) {
 		t.Errorf("Concat axis 1 = %v", got.F32())
 	}
-	assertPanics(t, "empty", func() { Concat(nil, 0) })
+	assertPanics(t, "empty", func() { ConcatInto(nil, nil, 0) })
 	assertPanics(t, "mismatch", func() {
-		Concat([]*tensor.Tensor{a, tensor.New(tensor.Float32, 2, 3)}, 0)
+		ConcatInto([]*tensor.Tensor{a, tensor.New(tensor.Float32, 2, 3)}, nil, 0)
 	})
 }
 
 func TestSplitSliceInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a := tensor.Random(rng, 1, 4, 6)
-	parts := Split(a, 3, 1)
-	if len(parts) != 3 {
-		t.Fatalf("Split count = %d", len(parts))
+	parts := make([]*tensor.Tensor, 3)
+	for p := range parts {
+		parts[p] = SliceInto(a, nil, 1, 2*p, 2*p+2)
 	}
-	back := Concat(parts, 1)
+	back := ConcatInto(parts, nil, 1)
 	if !back.Equal(a) {
-		t.Error("Concat(Split(x)) != x")
+		t.Error("concat of the column slices != x")
 	}
-	s := Slice(a, 0, 1, 3)
+	s := SliceInto(a, nil, 0, 1, 3)
 	if !s.Shape().Equal(tensor.Shape{2, 6}) {
 		t.Errorf("Slice shape = %v", s.Shape())
 	}
 	if s.At(0, 0) != a.At(1, 0) {
 		t.Error("Slice content wrong")
 	}
-	assertPanics(t, "split", func() { Split(a, 5, 1) })
-	assertPanics(t, "slice range", func() { Slice(a, 0, 3, 10) })
+	assertPanics(t, "slice range", func() { SliceInto(a, nil, 0, 3, 10) })
 }
 
 func TestTake(t *testing.T) {
 	table := tensor.FromF32([]float32{0, 0, 1, 1, 2, 2}, 3, 2)
 	idx := tensor.FromI64([]int64{2, 0}, 2)
-	got := Take(table, idx)
+	got := TakeInto(table, idx, nil)
 	want := tensor.FromF32([]float32{2, 2, 0, 0}, 2, 2)
 	if !got.Equal(want) {
 		t.Errorf("Take = %v", got.F32())
 	}
 	// int32 indices and higher-rank index tensors.
 	idx32 := tensor.FromI32([]int32{1, 1, 0, 2}, 2, 2)
-	got = Take(table, idx32)
+	got = TakeInto(table, idx32, nil)
 	if !got.Shape().Equal(tensor.Shape{2, 2, 2}) {
 		t.Errorf("Take rank-2 idx shape = %v", got.Shape())
 	}
-	assertPanics(t, "oob", func() { Take(table, tensor.FromI64([]int64{3}, 1)) })
-	assertPanics(t, "float idx", func() { Take(table, tensor.New(tensor.Float32, 1)) })
+	assertPanics(t, "oob", func() { TakeInto(table, tensor.FromI64([]int64{3}, 1), nil) })
+	assertPanics(t, "float idx", func() { TakeInto(table, tensor.New(tensor.Float32, 1), nil) })
 }
 
 func TestTranspose(t *testing.T) {
@@ -273,33 +272,6 @@ func TestTranspose(t *testing.T) {
 		t.Error("transpose not involutive")
 	}
 	assertPanics(t, "perm", func() { Transpose(a, []int{0, 0}) })
-}
-
-func TestStack(t *testing.T) {
-	a := tensor.FromF32([]float32{1, 2}, 2)
-	b := tensor.FromF32([]float32{3, 4}, 2)
-	got := Stack([]*tensor.Tensor{a, b})
-	want := tensor.FromF32([]float32{1, 2, 3, 4}, 2, 2)
-	if !got.Equal(want) {
-		t.Errorf("Stack = %v", got.F32())
-	}
-	assertPanics(t, "mismatch", func() { Stack([]*tensor.Tensor{a, tensor.New(tensor.Float32, 3)}) })
-	assertPanics(t, "empty", func() { Stack(nil) })
-}
-
-func TestPad(t *testing.T) {
-	a := tensor.FromF32([]float32{1, 2, 3, 4}, 2, 2)
-	got := Pad(a, 4, -1)
-	want := tensor.FromF32([]float32{1, 2, -1, -1, 3, 4, -1, -1}, 2, 4)
-	if !got.Equal(want) {
-		t.Errorf("Pad = %v", got.F32())
-	}
-	got = PadRows(a, 3, 0)
-	want = tensor.FromF32([]float32{1, 2, 3, 4, 0, 0}, 3, 2)
-	if !got.Equal(want) {
-		t.Errorf("PadRows = %v", got.F32())
-	}
-	assertPanics(t, "narrow", func() { Pad(a, 1, 0) })
 }
 
 func TestArange(t *testing.T) {
@@ -389,7 +361,7 @@ func TestConv2D(t *testing.T) {
 	// Identity kernel: 1x1 conv with weight 1 copies input.
 	in := tensor.FromF32([]float32{1, 2, 3, 4}, 1, 1, 2, 2)
 	w := tensor.FromF32([]float32{1}, 1, 1, 1, 1)
-	got := Conv2D(in, w, 1, 0)
+	got := Conv2DInto(in, w, nil, 1, 0)
 	if !got.Shape().Equal(in.Shape()) {
 		t.Errorf("identity conv shape = %v", got.Shape())
 	}
@@ -400,12 +372,12 @@ func TestConv2D(t *testing.T) {
 	}
 	// 2x2 sum kernel, stride 1, no padding -> single output 1+2+3+4.
 	w = tensor.FromF32([]float32{1, 1, 1, 1}, 1, 1, 2, 2)
-	got = Conv2D(in, w, 1, 0)
+	got = Conv2DInto(in, w, nil, 1, 0)
 	if got.NumElements() != 1 || got.F32()[0] != 10 {
 		t.Errorf("sum conv = %v", got.F32())
 	}
 	// Padding grows output.
-	got = Conv2D(in, w, 1, 1)
+	got = Conv2DInto(in, w, nil, 1, 1)
 	if !got.Shape().Equal(tensor.Shape{1, 1, 3, 3}) {
 		t.Errorf("padded conv shape = %v", got.Shape())
 	}
@@ -414,21 +386,21 @@ func TestConv2D(t *testing.T) {
 		t.Errorf("ResNet stem dims = %d, %d", oh, ow)
 	}
 	assertPanics(t, "channels", func() {
-		Conv2D(in, tensor.New(tensor.Float32, 1, 2, 1, 1), 1, 0)
+		Conv2DInto(in, tensor.New(tensor.Float32, 1, 2, 1, 1), nil, 1, 0)
 	})
 }
 
 func TestPooling(t *testing.T) {
 	in := tensor.FromF32([]float32{1, 2, 3, 4}, 1, 1, 2, 2)
-	mp := MaxPool2D(in, 2, 2)
+	mp := MaxPool2DInto(in, nil, 2, 2)
 	if mp.NumElements() != 1 || mp.F32()[0] != 4 {
 		t.Errorf("MaxPool = %v", mp.F32())
 	}
-	ap := AvgPool2D(in, 2, 2)
+	ap := AvgPool2DInto(in, nil, 2, 2)
 	if ap.F32()[0] != 2.5 {
 		t.Errorf("AvgPool = %v", ap.F32())
 	}
-	g := GlobalAvgPool2D(in)
+	g := GlobalAvgPool2DInto(in, nil)
 	if !g.Shape().Equal(tensor.Shape{1, 1}) || g.F32()[0] != 2.5 {
 		t.Errorf("GlobalAvgPool = %v %v", g.Shape(), g.F32())
 	}

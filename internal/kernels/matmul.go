@@ -8,6 +8,11 @@
 // §4.5 symbolic code generation where the loop structure, not the
 // arithmetic, is what differs between variants.
 //
+// Every kernel has one exported entry. A kernel whose name ends in Into
+// takes a destination: it writes out when out has the result's dtype and
+// shape (the planned buffer of §4.3) and allocates the result otherwise, a
+// nil out included. Every other kernel allocates its result.
+//
 // The dense operator reads its B operand in one layout only: ⌈n/16⌉ column
 // panels of k×16 floats, panel after panel, each row of a panel 64
 // contiguous bytes and only the last panel zero-padded (PackB). A weight is
@@ -377,20 +382,12 @@ func (v Variant) run(a *tensor.Tensor, pv []float32, out *tensor.Tensor, k, n in
 	d.shard()
 }
 
-// MatMul computes a@b with the static-shape kernel, allocating the output.
-// It is the default kernel used outside the codegen experiments.
-func MatMul(a, b *tensor.Tensor) *tensor.Tensor {
-	return MatMulInto(a, b, nil)
-}
-
 // MatMulInto computes a@b with the static-shape kernel, writing into out
 // when it matches the [m, n] float32 result (destination-passing; the §4.3
 // planned-buffer contract) and allocating otherwise.
 func MatMulInto(a, b, out *tensor.Tensor) *tensor.Tensor {
 	m, _, n := checkMatMul(a, b)
-	if !fits(out, tensor.Float32, m, n) {
-		out = tensor.New(tensor.Float32, m, n)
-	}
+	out = intoOrAlloc(out, tensor.Float32, tensor.Shape{m, n})
 	Static.MatMul(a, b, out)
 	return out
 }
@@ -398,9 +395,7 @@ func MatMulInto(a, b, out *tensor.Tensor) *tensor.Tensor {
 // DensePackedInto computes x@B for p = PackB(B) of n columns with the
 // static-shape kernel, into out when it matches and allocating otherwise.
 func DensePackedInto(x, p *tensor.Tensor, n int, out *tensor.Tensor) *tensor.Tensor {
-	if !fits(out, tensor.Float32, x.Shape()[0], n) {
-		out = tensor.New(tensor.Float32, x.Shape()[0], n)
-	}
+	out = intoOrAlloc(out, tensor.Float32, tensor.Shape{x.Shape()[0], n})
 	Static.Packed(x, p, out)
 	return out
 }

@@ -30,7 +30,7 @@ func TestMatMulStaticMatchesRef(t *testing.T) {
 		a := randMat(rng, m, 13)
 		b := randMat(rng, 13, 11)
 		want := MatMulRef(a, b)
-		got := MatMul(a, b)
+		got := MatMulInto(a, b, nil)
 		if !got.AllClose(want, 1e-4, 1e-5) {
 			t.Errorf("m=%d: tiled matmul disagrees with reference", m)
 		}
@@ -93,8 +93,8 @@ func TestMatMulSymbolicPartialRejectsOutOfClass(t *testing.T) {
 func TestMatMulShapeChecks(t *testing.T) {
 	a := tensor.New(tensor.Float32, 2, 3)
 	bad := tensor.New(tensor.Float32, 4, 2)
-	assertPanics(t, "inner mismatch", func() { MatMul(a, bad) })
-	assertPanics(t, "rank", func() { MatMul(tensor.New(tensor.Float32, 2), a) })
+	assertPanics(t, "inner mismatch", func() { MatMulInto(a, bad, nil) })
+	assertPanics(t, "rank", func() { MatMulInto(tensor.New(tensor.Float32, 2), a, nil) })
 	assertPanics(t, "bad residue", func() { SymbolicFull(8) })
 	assertPanics(t, "bad class", func() { SymbolicPartial(5, 3) })
 	// A packed B must hold whole panels of the output's column count.
@@ -399,7 +399,7 @@ func TestDense(t *testing.T) {
 	x := tensor.FromF32([]float32{1, 2, 3, 4}, 2, 2)
 	w := tensor.FromF32([]float32{1, 0, 5, 0, 1, 6}, 2, 3)
 	want := tensor.FromF32([]float32{1, 2, 17, 3, 4, 39}, 2, 3)
-	if got := MatMul(x, w); !got.Equal(want) {
+	if got := MatMulInto(x, w, nil); !got.Equal(want) {
 		t.Errorf("MatMul = %v, want %v", got.F32(), want.F32())
 	}
 	out := tensor.New(tensor.Float32, 2, 3)
@@ -423,7 +423,7 @@ func TestMatMulVariantsProperty(t *testing.T) {
 		a := randMat(rng, m, k)
 		b := randMat(rng, k, n)
 		want := MatMulRef(a, b)
-		if !MatMul(a, b).AllClose(want, 1e-4, 1e-5) {
+		if !MatMulInto(a, b, nil).AllClose(want, 1e-4, 1e-5) {
 			return false
 		}
 		outNaive := tensor.New(tensor.Float32, m, n)

@@ -16,19 +16,8 @@ func reduceInto(name string, a, out *tensor.Tensor, axis int, keepDims bool, ini
 	}
 	axis = normalizeAxis(axis, a.Rank())
 	in := a.Shape()
-	if !reducedShapeFits(out, tensor.Float32, in, axis, keepDims) {
-		outShape := make(tensor.Shape, 0, a.Rank())
-		for d, v := range in {
-			if d == axis {
-				if keepDims {
-					outShape = append(outShape, 1)
-				}
-				continue
-			}
-			outShape = append(outShape, v)
-		}
-		out = tensor.New(tensor.Float32, outShape...)
-	}
+	var dims [8]int
+	out = intoOrAlloc(out, tensor.Float32, reducedShape(&dims, in, axis, keepDims))
 	// Collapse to (outer, axis, inner).
 	outer, inner := 1, 1
 	for d := 0; d < axis; d++ {
@@ -51,38 +40,15 @@ func reduceInto(name string, a, out *tensor.Tensor, axis int, keepDims bool, ini
 	return out
 }
 
-// reducedShapeFits reports whether out matches the shape `in` reduced along
-// axis, without materializing that shape — the zero-allocation check behind
-// the destination-passing reductions.
-func reducedShapeFits(out *tensor.Tensor, dt tensor.DType, in tensor.Shape, axis int, keepDims bool) bool {
-	if out == nil || out.DType() != dt {
-		return false
-	}
-	want := len(in) - 1
+// reducedShape returns `in` reduced along axis (kept as 1 with keepDims),
+// built in buf up to rank 8, so checking a destination against it costs no
+// heap allocation.
+func reducedShape(buf *[8]int, in tensor.Shape, axis int, keepDims bool) tensor.Shape {
+	s := append(buf[:0], in[:axis]...)
 	if keepDims {
-		want = len(in)
+		s = append(s, 1)
 	}
-	os := out.Shape()
-	if len(os) != want {
-		return false
-	}
-	j := 0
-	for d, v := range in {
-		if d == axis {
-			if keepDims {
-				if os[j] != 1 {
-					return false
-				}
-				j++
-			}
-			continue
-		}
-		if os[j] != v {
-			return false
-		}
-		j++
-	}
-	return true
+	return append(s, in[axis+1:]...)
 }
 
 func normalizeAxis(axis, rank int) int {
@@ -105,19 +71,9 @@ func maxStep(acc, v float32) float32 {
 func identityFinish(acc float32, _ int) float32 { return acc }
 func meanFinish(acc float32, n int) float32     { return acc / float32(n) }
 
-// Sum reduces along axis by summation.
-func Sum(a *tensor.Tensor, axis int, keepDims bool) *tensor.Tensor {
-	return SumInto(a, nil, axis, keepDims)
-}
-
 // SumInto reduces along axis by summation into out.
 func SumInto(a, out *tensor.Tensor, axis int, keepDims bool) *tensor.Tensor {
 	return reduceInto("sum", a, out, axis, keepDims, 0, sumStep, identityFinish)
-}
-
-// Mean reduces along axis by arithmetic mean.
-func Mean(a *tensor.Tensor, axis int, keepDims bool) *tensor.Tensor {
-	return MeanInto(a, nil, axis, keepDims)
 }
 
 // MeanInto reduces along axis by arithmetic mean into out.
@@ -125,41 +81,21 @@ func MeanInto(a, out *tensor.Tensor, axis int, keepDims bool) *tensor.Tensor {
 	return reduceInto("mean", a, out, axis, keepDims, 0, sumStep, meanFinish)
 }
 
-// Max reduces along axis by maximum.
-func Max(a *tensor.Tensor, axis int, keepDims bool) *tensor.Tensor {
-	return MaxInto(a, nil, axis, keepDims)
-}
-
 // MaxInto reduces along axis by maximum into out.
 func MaxInto(a, out *tensor.Tensor, axis int, keepDims bool) *tensor.Tensor {
 	return reduceInto("max", a, out, axis, keepDims, float32(math.Inf(-1)), maxStep, identityFinish)
 }
 
-// ArgMax returns the int64 indices of the maximum along axis (first winner on
-// ties), dropping the reduced dimension.
-func ArgMax(a *tensor.Tensor, axis int) *tensor.Tensor {
-	return ArgMaxInto(a, nil, axis)
-}
-
-// ArgMaxInto computes ArgMax into out when it matches the int64 result shape.
+// ArgMaxInto writes the int64 indices of the maximum along axis (first
+// winner on ties), dropping the reduced dimension, into out.
 func ArgMaxInto(a, out *tensor.Tensor, axis int) *tensor.Tensor {
 	if a.DType() != tensor.Float32 {
 		panic(fmt.Sprintf("kernels: argmax requires float32, got %v", a.DType()))
 	}
 	axis = normalizeAxis(axis, a.Rank())
 	in := a.Shape()
-	// The argmax result shape is `in` minus the reduced axis — the same
-	// shape a keepdims=false reduction produces, checked without
-	// materializing it so a destination hit stays allocation-free.
-	if !reducedShapeFits(out, tensor.Int64, in, axis, false) {
-		outShape := make(tensor.Shape, 0, a.Rank()-1)
-		for d, v := range in {
-			if d != axis {
-				outShape = append(outShape, v)
-			}
-		}
-		out = tensor.New(tensor.Int64, outShape...)
-	}
+	var dims [8]int
+	out = intoOrAlloc(out, tensor.Int64, reducedShape(&dims, in, axis, false))
 	outer, inner := 1, 1
 	for d := 0; d < axis; d++ {
 		outer *= in[d]
@@ -186,10 +122,8 @@ func ArgMaxInto(a, out *tensor.Tensor, axis int) *tensor.Tensor {
 	return out
 }
 
-// Softmax computes a numerically stable softmax along the last axis.
-func Softmax(a *tensor.Tensor) *tensor.Tensor { return SoftmaxInto(a, nil) }
-
-// SoftmaxInto computes the softmax into out when it matches.
+// SoftmaxInto computes a numerically stable softmax along the last axis
+// into out.
 func SoftmaxInto(a, out *tensor.Tensor) *tensor.Tensor {
 	if a.DType() != tensor.Float32 {
 		panic(fmt.Sprintf("kernels: softmax requires float32, got %v", a.DType()))
@@ -229,13 +163,8 @@ func SoftmaxInto(a, out *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// LayerNorm normalizes over the last axis with learned scale gamma and shift
-// beta (both shaped [lastDim]).
-func LayerNorm(a, gamma, beta *tensor.Tensor, eps float32) *tensor.Tensor {
-	return LayerNormInto(a, gamma, beta, nil, eps)
-}
-
-// LayerNormInto computes LayerNorm into out when it matches.
+// LayerNormInto normalizes over the last axis with learned scale gamma and
+// shift beta (both shaped [lastDim]) into out.
 func LayerNormInto(a, gamma, beta, out *tensor.Tensor, eps float32) *tensor.Tensor {
 	n := a.Shape()[a.Rank()-1]
 	if gamma.Rank() != 1 || gamma.Shape()[0] != n || beta.Rank() != 1 || beta.Shape()[0] != n {

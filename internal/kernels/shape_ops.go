@@ -6,16 +6,11 @@ import (
 	"nimble/internal/tensor"
 )
 
-// Concat concatenates tensors along `axis`. All inputs must share dtype and
-// every dimension except `axis`. This is the canonical dynamic-output-shape
-// operator of the paper's memory-planning example (§4.3): the output row
-// count is the sum of input row counts, known only at runtime when any input
-// has an Any dimension.
-func Concat(ts []*tensor.Tensor, axis int) *tensor.Tensor {
-	return ConcatInto(ts, nil, axis)
-}
-
-// ConcatInto is Concat writing into out when it matches the result shape.
+// ConcatInto concatenates tensors along `axis` into out. All inputs must
+// share dtype and every dimension except `axis`. This is the canonical
+// dynamic-output-shape operator of the paper's memory-planning example
+// (§4.3): the output row count is the sum of input row counts, known only at
+// runtime when any input has an Any dimension.
 func ConcatInto(ts []*tensor.Tensor, out *tensor.Tensor, axis int) *tensor.Tensor {
 	if len(ts) == 0 {
 		panic("kernels: concat of zero tensors")
@@ -77,54 +72,16 @@ func copyRegion(dst *tensor.Tensor, dstOff int, src *tensor.Tensor, srcOff, n in
 	}
 }
 
-// Split divides t into `parts` equal chunks along axis.
-func Split(t *tensor.Tensor, parts, axis int) []*tensor.Tensor {
-	axis = normalizeAxis(axis, t.Rank())
-	if parts <= 0 || t.Shape()[axis]%parts != 0 {
-		panic(fmt.Sprintf("kernels: cannot split axis of size %d into %d parts", t.Shape()[axis], parts))
-	}
-	size := t.Shape()[axis] / parts
-	out := make([]*tensor.Tensor, parts)
-	for p := 0; p < parts; p++ {
-		out[p] = Slice(t, axis, p*size, (p+1)*size)
-	}
-	return out
-}
-
-// Slice extracts t[..., lo:hi, ...] along axis (copying).
-func Slice(t *tensor.Tensor, axis, lo, hi int) *tensor.Tensor {
-	return SliceInto(t, nil, axis, lo, hi)
-}
-
-// slicedShapeFits reports whether out matches t's shape with `axis` replaced
-// by extent, without materializing that shape — keeps a destination hit
-// allocation-free.
-func slicedShapeFits(out, t *tensor.Tensor, axis, extent int) bool {
-	if out == nil || out.DType() != t.DType() || out.Rank() != t.Rank() {
-		return false
-	}
-	for d, v := range t.Shape() {
-		if d == axis {
-			v = extent
-		}
-		if out.Shape()[d] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// SliceInto is Slice writing into out when it matches the result shape.
+// SliceInto copies t[..., lo:hi, ...] along axis into out.
 func SliceInto(t, out *tensor.Tensor, axis, lo, hi int) *tensor.Tensor {
 	axis = normalizeAxis(axis, t.Rank())
 	if lo < 0 || hi > t.Shape()[axis] || lo > hi {
 		panic(fmt.Sprintf("kernels: slice [%d:%d] out of range for axis %d of %v", lo, hi, axis, t.Shape()))
 	}
-	if !slicedShapeFits(out, t, axis, hi-lo) {
-		outShape := t.Shape().Clone()
-		outShape[axis] = hi - lo
-		out = tensor.New(t.DType(), outShape...)
-	}
+	var dims [8]int
+	outShape := tensor.Shape(append(dims[:0], t.Shape()...))
+	outShape[axis] = hi - lo
+	out = intoOrAlloc(out, t.DType(), outShape)
 	outer := 1
 	for d := 0; d < axis; d++ {
 		outer *= t.Shape()[d]
@@ -141,10 +98,10 @@ func SliceInto(t, out *tensor.Tensor, axis, lo, hi int) *tensor.Tensor {
 	return out
 }
 
-// Take gathers rows of `table` (shape [v, d]) by integer `indices` (any
-// shape), producing shape indices.Shape() + [d]. This is the embedding-lookup
-// kernel.
-func Take(table, indices *tensor.Tensor) *tensor.Tensor {
+// TakeInto gathers rows of `table` (shape [v, d]) by integer `indices` (any
+// shape) into out, shaped indices.Shape() + [d]. This is the
+// embedding-lookup kernel.
+func TakeInto(table, indices, out *tensor.Tensor) *tensor.Tensor {
 	if table.Rank() != 2 {
 		panic(fmt.Sprintf("kernels: take requires rank-2 table, got %v", table.Shape()))
 	}
@@ -161,8 +118,8 @@ func Take(table, indices *tensor.Tensor) *tensor.Tensor {
 	default:
 		panic(fmt.Sprintf("kernels: take requires integer indices, got %v", indices.DType()))
 	}
-	outShape := append(indices.Shape().Clone(), d)
-	out := tensor.New(table.DType(), outShape...)
+	var dims [8]int
+	out = intoOrAlloc(out, table.DType(), append(append(dims[:0], indices.Shape()...), d))
 	for i, ix := range idx {
 		if ix < 0 || ix >= int64(v) {
 			panic(fmt.Sprintf("kernels: take index %d out of range [0, %d)", ix, v))
@@ -224,66 +181,6 @@ func Transpose(t *tensor.Tensor, perm []int) *tensor.Tensor {
 			}
 			idx[d] = 0
 		}
-	}
-	return out
-}
-
-// Stack joins tensors of identical shape along a new leading axis.
-func Stack(ts []*tensor.Tensor) *tensor.Tensor {
-	if len(ts) == 0 {
-		panic("kernels: stack of zero tensors")
-	}
-	base := ts[0].Shape()
-	for _, t := range ts[1:] {
-		if !t.Shape().Equal(base) || t.DType() != ts[0].DType() {
-			panic(fmt.Sprintf("kernels: stack mismatch: %v vs %v", ts[0], t))
-		}
-	}
-	outShape := append(tensor.Shape{len(ts)}, base...)
-	out := tensor.New(ts[0].DType(), outShape...)
-	per := base.NumElements()
-	for i, t := range ts {
-		copyRegion(out, i*per, t, 0, per)
-	}
-	return out
-}
-
-// Pad pads the last axis of a rank-2 float32 tensor to `width` with `value`,
-// the transformation frameworks use to reduce a dynamic model to a static one
-// (§2.1). Used by the static-padding baseline.
-func Pad(t *tensor.Tensor, width int, value float32) *tensor.Tensor {
-	if t.Rank() != 2 {
-		panic(fmt.Sprintf("kernels: pad requires rank-2 input, got %v", t.Shape()))
-	}
-	rows, cols := t.Shape()[0], t.Shape()[1]
-	if width < cols {
-		panic(fmt.Sprintf("kernels: pad width %d smaller than input %d", width, cols))
-	}
-	out := tensor.New(tensor.Float32, rows, width)
-	ov, tv := out.F32(), t.F32()
-	for i := 0; i < rows; i++ {
-		copy(ov[i*width:i*width+cols], tv[i*cols:i*cols+cols])
-		for j := cols; j < width; j++ {
-			ov[i*width+j] = value
-		}
-	}
-	return out
-}
-
-// PadRows pads the leading axis of a rank-2 float32 tensor to `rows` rows
-// filled with `value`. Used to pad variable sequence lengths.
-func PadRows(t *tensor.Tensor, rows int, value float32) *tensor.Tensor {
-	if t.Rank() != 2 {
-		panic(fmt.Sprintf("kernels: padRows requires rank-2 input, got %v", t.Shape()))
-	}
-	r, c := t.Shape()[0], t.Shape()[1]
-	if rows < r {
-		panic(fmt.Sprintf("kernels: padRows target %d smaller than input %d", rows, r))
-	}
-	out := tensor.New(tensor.Float32, rows, c)
-	copy(out.F32(), t.F32())
-	for i := r * c; i < rows*c; i++ {
-		out.F32()[i] = value
 	}
 	return out
 }

@@ -2,7 +2,6 @@ package models
 
 import (
 	"fmt"
-	"math/rand"
 
 	"nimble/internal/ir"
 	"nimble/internal/nn"
@@ -167,8 +166,3 @@ func (d *Decoder) addEntry(loopName, entryName string, temp float64,
 
 // StartToken wraps a token id as the [1] int64 tensor the entries expect.
 func StartToken(id int64) *tensor.Tensor { return tensor.FromI64([]int64{id}, 1) }
-
-// RandomStart draws a valid start token.
-func (d *Decoder) RandomStart(rng *rand.Rand) *tensor.Tensor {
-	return StartToken(rng.Int63n(int64(d.Config.Vocab)))
-}

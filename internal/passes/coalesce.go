@@ -23,13 +23,9 @@ func (s *CoalesceStats) Reuses() int { return s.Before - s.After }
 // requested while a previously killed storage of sufficient size (same
 // device) is free, the allocation is elided and the free storage reused.
 // Dynamically sized storage cannot be coalesced statically; the VM's
-// runtime storage pool handles that case.
-func CoalesceStorage() Pass {
-	return CoalesceStorageWithStats(nil)
-}
-
-// CoalesceStorageWithStats is CoalesceStorage recording statistics.
-func CoalesceStorageWithStats(stats *CoalesceStats) Pass {
+// runtime storage pool handles that case. Statistics go into stats when
+// non-nil.
+func CoalesceStorage(stats *CoalesceStats) Pass {
 	return Pass{
 		Name: "coalesce-storage",
 		Run: func(mod *ir.Module) error {

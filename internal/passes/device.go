@@ -22,13 +22,8 @@ type PlacementStats struct {
 // allocations carry their device, invoke_mut arguments share the kernel's
 // domain); unconstrained domains default to the compilation target; and a
 // device_copy is inserted exactly where a value's resolved domain differs
-// from its consumer's requirement.
-func PlaceDevices(target ir.Device) Pass {
-	return PlaceDevicesWithStats(target, nil)
-}
-
-// PlaceDevicesWithStats is PlaceDevices recording statistics.
-func PlaceDevicesWithStats(target ir.Device, stats *PlacementStats) Pass {
+// from its consumer's requirement. Statistics go into stats when non-nil.
+func PlaceDevices(target ir.Device, stats *PlacementStats) Pass {
 	return Pass{
 		Name: "place-devices",
 		Run: func(mod *ir.Module) error {

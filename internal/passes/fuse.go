@@ -25,13 +25,9 @@ type FusionStats struct {
 // fusion policy is enforced structurally: only operators whose shape
 // functions are data independent may join a group, because a data-dependent
 // or upper-bound shape function would need access to the intermediate
-// tensors hidden inside the composite.
-func FuseOps() Pass {
-	return FuseOpsWithStats(nil)
-}
-
-// FuseOpsWithStats is FuseOps recording statistics into stats when non-nil.
-func FuseOpsWithStats(stats *FusionStats) Pass {
+// tensors hidden inside the composite. Statistics go into stats when
+// non-nil.
+func FuseOps(stats *FusionStats) Pass {
 	return Pass{
 		Name:       "fuse-ops",
 		NeedsTypes: true,

@@ -30,12 +30,8 @@ type AllocStats struct {
 // shape-function invocation followed by runtime-sized allocation, exactly
 // the fixed-point the paper describes ("we must now manifest allocations...
 // until we allocate for both the compute and necessary shape functions").
-func ManifestAlloc(target ir.Device) Pass {
-	return ManifestAllocWithStats(target, nil)
-}
-
-// ManifestAllocWithStats is ManifestAlloc recording statistics.
-func ManifestAllocWithStats(target ir.Device, stats *AllocStats) Pass {
+// Statistics go into stats when non-nil.
+func ManifestAlloc(target ir.Device, stats *AllocStats) Pass {
 	return Pass{
 		Name:       "manifest-alloc",
 		NeedsTypes: true,

@@ -49,10 +49,10 @@ func DefaultPipeline(target ir.Device) *Manager {
 		ConstantFold(),
 		DCE(),
 		PackDenseWeights(),
-		FuseOps(),
-		ManifestAlloc(target),
-		CoalesceStorage(),
-		PlaceDevices(target),
+		FuseOps(nil),
+		ManifestAlloc(target, nil),
+		CoalesceStorage(nil),
+		PlaceDevices(target, nil),
 	)
 }
 

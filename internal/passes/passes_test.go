@@ -200,7 +200,7 @@ func TestFuseDenseEpilogue(t *testing.T) {
 	m := inferred(t, ir.NewFunc([]*ir.Var{x, w, bias}, b.Finish(out), nil))
 	runPass(t, m, ANF())
 	var stats FusionStats
-	runPass(t, m, FuseOpsWithStats(&stats))
+	runPass(t, m, FuseOps(&stats))
 	if stats.Groups != 1 || stats.OpsFused != 3 {
 		t.Errorf("stats = %+v, want 1 group of 3", stats)
 	}
@@ -258,7 +258,7 @@ func TestFusedGroupWritesPlannedBufferInPlace(t *testing.T) {
 	out := b.Op("gelu", b.Op("bias_add", b.Op("dense", x, w), bias))
 	m := inferred(t, ir.NewFunc([]*ir.Var{x, w, bias}, b.Finish(out), nil))
 	runPass(t, m, ANF())
-	runPass(t, m, FuseOps())
+	runPass(t, m, FuseOps(nil))
 	k, err := codegen.ForOp(fusedOpOf(t, m), nil, nil, codegen.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +303,7 @@ func TestFusePolicyBlocksDataDependent(t *testing.T) {
 	m := inferred(t, ir.NewFunc(nil, b.Finish(out), nil))
 	runPass(t, m, ANF())
 	var stats FusionStats
-	runPass(t, m, FuseOpsWithStats(&stats))
+	runPass(t, m, FuseOps(&stats))
 	if stats.Groups != 0 {
 		t.Errorf("data-dependent producer fused: %+v", stats)
 	}
@@ -319,7 +319,7 @@ func TestFuseStopsAtMultiUse(t *testing.T) {
 	m := inferred(t, ir.NewFunc([]*ir.Var{x}, b.Finish(out), nil))
 	runPass(t, m, ANF())
 	var stats FusionStats
-	runPass(t, m, FuseOpsWithStats(&stats))
+	runPass(t, m, FuseOps(&stats))
 	for _, g := range []int{stats.Groups} {
 		if g > 1 {
 			t.Errorf("over-fused: %+v", stats)
@@ -342,7 +342,7 @@ func TestFuseTwoOutFusablesDoNotMerge(t *testing.T) {
 	m := inferred(t, ir.NewFunc([]*ir.Var{x, w1, w2}, b.Finish(d2), nil))
 	runPass(t, m, ANF())
 	var stats FusionStats
-	runPass(t, m, FuseOpsWithStats(&stats))
+	runPass(t, m, FuseOps(&stats))
 	if stats.Groups != 0 {
 		t.Errorf("two matmuls fused together: %+v", stats)
 	}
@@ -355,7 +355,7 @@ func TestManifestAllocStatic(t *testing.T) {
 	m := inferred(t, ir.NewFunc([]*ir.Var{x}, ir.CallOp("add", x, x), nil))
 	runPass(t, m, ANF())
 	var stats AllocStats
-	runPass(t, m, ManifestAllocWithStats(ir.CPU(0), &stats))
+	runPass(t, m, ManifestAlloc(ir.CPU(0), &stats))
 	body := ir.Print(mainBody(t, m))
 	// The paper's first transformation example: a single static buffer of
 	// 40 bytes for a Tensor<10> add.
@@ -378,7 +378,7 @@ func TestManifestAllocDynamicConcat(t *testing.T) {
 		ir.CallOpAttrs("concat", ir.Attrs{"axis": 0}, x, y), nil))
 	runPass(t, m, ANF())
 	var stats AllocStats
-	runPass(t, m, ManifestAllocWithStats(ir.CPU(0), &stats))
+	runPass(t, m, ManifestAlloc(ir.CPU(0), &stats))
 	body := ir.Print(mainBody(t, m))
 	for _, want := range []string{"vm.shape_of", "vm.shape_func", "memory.alloc_tensor_reg", "memory.invoke_mut"} {
 		if !strings.Contains(body, want) {
@@ -399,7 +399,7 @@ func TestManifestAllocDataDependentPassesValues(t *testing.T) {
 	out := b.Op("arange", ir.ConstScalar(0), ir.ConstScalar(5), ir.ConstScalar(1))
 	m := inferred(t, ir.NewFunc(nil, b.Finish(out), nil))
 	runPass(t, m, ANF())
-	runPass(t, m, ManifestAlloc(ir.CPU(0)))
+	runPass(t, m, ManifestAlloc(ir.CPU(0), nil))
 	body := ir.Print(mainBody(t, m))
 	// Data-dependent: no shape_of; values flow straight into the shape func.
 	if strings.Contains(body, "vm.shape_of") {
@@ -419,7 +419,7 @@ func TestManifestInsertsKills(t *testing.T) {
 	m := inferred(t, ir.NewFunc([]*ir.Var{x}, b.Finish(out), nil))
 	runPass(t, m, ANF())
 	var stats AllocStats
-	runPass(t, m, ManifestAllocWithStats(ir.CPU(0), &stats))
+	runPass(t, m, ManifestAlloc(ir.CPU(0), &stats))
 	if stats.Kills < 2 {
 		t.Errorf("expected kills for h1 and h2, stats = %+v\n%s", stats, ir.Print(mainBody(t, m)))
 	}
@@ -440,9 +440,9 @@ func TestCoalesceReusesFreedStorage(t *testing.T) {
 	out := b.Op("negative", h3)
 	m := inferred(t, ir.NewFunc([]*ir.Var{x}, b.Finish(out), nil))
 	runPass(t, m, ANF())
-	runPass(t, m, ManifestAlloc(ir.CPU(0)))
+	runPass(t, m, ManifestAlloc(ir.CPU(0), nil))
 	var stats CoalesceStats
-	runPass(t, m, CoalesceStorageWithStats(&stats))
+	runPass(t, m, CoalesceStorage(&stats))
 	if stats.Before != 4 {
 		t.Fatalf("expected 4 allocations before, got %+v", stats)
 	}
@@ -470,9 +470,9 @@ func TestCoalesceRespectsSizes(t *testing.T) {
 	pair := b.Bind("pair", &ir.Tuple{Fields: []ir.Expr{h2, t3}})
 	m := inferred(t, ir.NewFunc([]*ir.Var{x, big}, b.Finish(pair), nil))
 	runPass(t, m, ANF())
-	runPass(t, m, ManifestAlloc(ir.CPU(0)))
+	runPass(t, m, ManifestAlloc(ir.CPU(0), nil))
 	var stats CoalesceStats
-	runPass(t, m, CoalesceStorageWithStats(&stats))
+	runPass(t, m, CoalesceStorage(&stats))
 	if stats.After != stats.Before {
 		t.Errorf("undersized storage was reused: %+v\n%s", stats, ir.Print(mainBody(t, m)))
 	}
@@ -486,9 +486,9 @@ func TestPlaceDevicesPinsShapeFuncsToCPU(t *testing.T) {
 	m := inferred(t, ir.NewFunc([]*ir.Var{x, y},
 		ir.CallOpAttrs("concat", ir.Attrs{"axis": 0}, x, y), nil))
 	runPass(t, m, ANF())
-	runPass(t, m, ManifestAlloc(ir.GPU(0)))
+	runPass(t, m, ManifestAlloc(ir.GPU(0), nil))
 	var stats PlacementStats
-	runPass(t, m, PlaceDevicesWithStats(ir.GPU(0), &stats))
+	runPass(t, m, PlaceDevices(ir.GPU(0), &stats))
 	body := ir.Print(mainBody(t, m))
 	// Kernel inputs x, y default to GPU; shape tensors stay on CPU; no
 	// copies are needed because shape_of reads metadata from any domain.
@@ -514,9 +514,9 @@ func TestPlaceDevicesInsertsMandatoryCopy(t *testing.T) {
 	out := b.Op("arange", ir.ConstScalar(0), stop, ir.ConstScalar(1))
 	m := inferred(t, ir.NewFunc([]*ir.Var{s}, b.Finish(out), nil))
 	runPass(t, m, ANF())
-	runPass(t, m, ManifestAlloc(ir.GPU(0)))
+	runPass(t, m, ManifestAlloc(ir.GPU(0), nil))
 	var stats PlacementStats
-	runPass(t, m, PlaceDevicesWithStats(ir.GPU(0), &stats))
+	runPass(t, m, PlaceDevices(ir.GPU(0), &stats))
 	body := ir.Print(mainBody(t, m))
 	if stats.CopiesInserted == 0 {
 		t.Fatalf("expected a device copy:\n%s", body)
@@ -533,9 +533,9 @@ func TestPlaceDevicesAllCPUNeedsNoCopies(t *testing.T) {
 	out := b.Op("tanh", h)
 	m := inferred(t, ir.NewFunc([]*ir.Var{x}, b.Finish(out), nil))
 	runPass(t, m, ANF())
-	runPass(t, m, ManifestAlloc(ir.CPU(0)))
+	runPass(t, m, ManifestAlloc(ir.CPU(0), nil))
 	var stats PlacementStats
-	runPass(t, m, PlaceDevicesWithStats(ir.CPU(0), &stats))
+	runPass(t, m, PlaceDevices(ir.CPU(0), &stats))
 	if stats.CopiesInserted != 0 {
 		t.Errorf("CPU-only program got copies: %+v", stats)
 	}

@@ -117,7 +117,7 @@ func SanitizeStack(stack []byte, maxFrames int) string {
 			}
 			continue
 		}
-		// "nimble/internal/kernels.MatMul(0xc0000b2000, ...)" -> drop args.
+		// "nimble/internal/kernels.MatMulInto(0xc0000b2000, ...)" -> drop args.
 		fn := l
 		if i := strings.IndexByte(fn, '('); i > 0 {
 			fn = fn[:i]

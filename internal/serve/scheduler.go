@@ -805,7 +805,7 @@ func (w *schedWorker) runBatch(group []*schedStream) {
 		ins[i] = s.row
 		rows += s.row.Shape()[0]
 	}
-	merged := &schedStream{ctx: context.Background(), entry: e, args: []vm.Object{vm.NewTensorObj(kernels.Concat(ins, 0))}}
+	merged := &schedStream{ctx: context.Background(), entry: e, args: []vm.Object{vm.NewTensorObj(kernels.ConcatInto(ins, nil, 0))}}
 	var out vm.Object
 	var err error
 	for done := false; !done; {
@@ -820,7 +820,7 @@ func (w *schedWorker) runBatch(group []*schedStream) {
 		lo := 0
 		for _, s := range group {
 			hi := lo + s.row.Shape()[0]
-			w.retire(s, vm.NewTensorObj(kernels.Slice(to.T, 0, lo, hi)), nil, false)
+			w.retire(s, vm.NewTensorObj(kernels.SliceInto(to.T, nil, 0, lo, hi)), nil, false)
 			lo = hi
 		}
 		return

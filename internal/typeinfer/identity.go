@@ -8,10 +8,10 @@ import (
 
 // IdentityReport summarizes the Any-identity analysis for a function: which
 // symbolic dimension classes exist and how many expression sites reference
-// each. The codegen layer consults it to share one residue-dispatch table
-// across all kernels whose symbolic dimension belongs to the same class
-// (§4.1: "we can use this analysis in the downstream compilation to generate
-// shape-specialized code during codegen").
+// each. No compiler stage consumes it: the tests use it to check that
+// inference preserves symbolic identities, the analysis §4.1 says
+// downstream compilation can use "to generate shape-specialized code during
+// codegen".
 type IdentityReport struct {
 	// Classes maps symbolic id -> number of expression sites whose checked
 	// type mentions that id.

@@ -849,16 +849,3 @@ func (p *storagePool) release(st *Storage) {
 		p.shared.donate(st) // overflow migrates instead of dying
 	}
 }
-
-// ReleaseStorage returns a storage object to the VM's pool. The compiler
-// lowers memory.kill to a Move of the storage into a dead register followed
-// by this runtime hook via a packed call; exposing it directly keeps the
-// instruction count at the paper's 20.
-func (vm *VM) ReleaseStorage(o Object) {
-	if vm.pool == nil {
-		return
-	}
-	if st, ok := o.(*Storage); ok {
-		vm.pool.release(st)
-	}
-}

@@ -85,9 +85,6 @@ func (r *StreamRun) Step(ctx context.Context) (done bool, err error) {
 // reported done (before that both are zero).
 func (r *StreamRun) Result() (Object, error) { return r.result, r.err }
 
-// Finished reports whether the run has completed, failed, or been aborted.
-func (r *StreamRun) Finished() bool { return r.finished }
-
 // Abort abandons a parked run: every storage its frames still hold goes
 // back to the session's pool and further Steps report ErrAborted.
 // Idempotent; a no-op after the run finished on its own.
