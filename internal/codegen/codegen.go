@@ -73,14 +73,37 @@ func ForOp(op *ir.Op, attrs ir.Attrs, outType *ir.TensorType, opts Options) (Ker
 // function at runtime. Shape functions are "realized as fragments of
 // [the] tensor expression language" (§4.3); here they become packed
 // functions like any other kernel, dispatched by InvokePacked and placed on
-// the CPU by §4.4's rules.
+// the CPU by §4.4's rules. A data-independent operator's kernel reads the
+// ShapeOf tensors of its inputs into its dims rule, so its errors are the
+// checks the type relation deferred.
 func ForShapeFunc(op *ir.Op, attrs ir.Attrs) (Kernel, error) {
+	name := "shape:" + op.Name + attrsSuffix(attrs)
+	if rule := op.Shape.Dims; rule != nil {
+		packed := func(args []*tensor.Tensor, _ *tensor.Tensor) (*tensor.Tensor, error) {
+			in, err := staticDims(args)
+			if err != nil {
+				return nil, fmt.Errorf("codegen: shape func %s: %w", op.Name, err)
+			}
+			dims, err := rule(in, attrs)
+			if err != nil {
+				return nil, err
+			}
+			out := make([]int64, len(dims))
+			for i, d := range dims {
+				if d.IsAny() {
+					return nil, fmt.Errorf("codegen: shape func %s left dim %d unknown", op.Name, i)
+				}
+				out[i] = int64(d.Value)
+			}
+			return tensor.FromI64(out, len(out)), nil
+		}
+		return Kernel{Name: name, Fn: packed}, nil
+	}
 	if op.Shape.Fn == nil {
 		return Kernel{}, fmt.Errorf("codegen: operator %s has no shape function", op.Name)
 	}
 	mode := op.Shape.Mode
 	fn := op.Shape.Fn
-	name := "shape:" + op.Name + attrsSuffix(attrs)
 	packed := func(args []*tensor.Tensor, _ *tensor.Tensor) (*tensor.Tensor, error) {
 		var shapes []tensor.Shape
 		var vals []*tensor.Tensor
@@ -114,6 +137,29 @@ func ForShapeFunc(op *ir.Op, attrs ir.Attrs) (Kernel, error) {
 	return Kernel{Name: name, Fn: packed}, nil
 }
 
+// staticDims reads ShapeOf's rank-1 int64 tensors into one dims list per
+// input, all carved from one backing array.
+func staticDims(args []*tensor.Tensor) ([][]ir.Dim, error) {
+	n := 0
+	for i, a := range args {
+		if a.Rank() != 1 || a.DType() != tensor.Int64 {
+			return nil, fmt.Errorf("input %d is not a rank-1 int64 shape tensor", i)
+		}
+		n += a.NumElements()
+	}
+	flat, in := make([]ir.Dim, n), make([][]ir.Dim, len(args))
+	for i, a := range args {
+		in[i], flat = flat[:a.NumElements():a.NumElements()], flat[a.NumElements():]
+		for j, v := range a.I64() {
+			if v < 0 {
+				return nil, fmt.Errorf("input %d has negative extent %d", i, v)
+			}
+			in[i][j] = ir.StaticDim(int(v))
+		}
+	}
+	return in, nil
+}
+
 // genericKernel wraps an operator in the destination-passing packed
 // convention. The operator's Eval receives the planned buffer; one with a
 // destination form writes it directly — the fast path that makes §4.3
@@ -135,25 +181,10 @@ func genericKernel(op *ir.Op, attrs ir.Attrs) Kernel {
 		if out == nil || res == out || !res.Shape().Equal(out.Shape()) || res.DType() != out.DType() {
 			return res, nil
 		}
-		copyInto(out, res)
+		tensor.CopyElems(out, 0, res, 0, out.NumElements())
 		return out, nil
 	}
 	return Kernel{Name: op.Name + attrsSuffix(attrs), Fn: packed}
-}
-
-func copyInto(dst, src *tensor.Tensor) {
-	switch dst.DType() {
-	case tensor.Float32:
-		copy(dst.F32(), src.F32())
-	case tensor.Float64:
-		copy(dst.F64(), src.F64())
-	case tensor.Int32:
-		copy(dst.I32(), src.I32())
-	case tensor.Int64:
-		copy(dst.I64(), src.I64())
-	case tensor.Bool:
-		copy(dst.Bools(), src.Bools())
-	}
 }
 
 // symbolicDense builds the dispatch kernel of §4.5 for a dense operator

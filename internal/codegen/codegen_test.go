@@ -279,6 +279,41 @@ func TestShapeFuncKernelDataIndependent(t *testing.T) {
 	if err != nil || !shape.Equal(tensor.Shape{4, 2}) {
 		t.Errorf("concat shape func = %v, %v", shape, err)
 	}
+	// The non-axis dims must agree at run time too: the residual of the
+	// check the relation defers while a dim is Any.
+	if _, err := k.Fn([]*tensor.Tensor{s1, tensor.ShapeTensor(tensor.Shape{1, 3})}, nil); err == nil {
+		t.Error("concat shape func accepted a non-axis mismatch")
+	}
+}
+
+// TestShapeFuncKernelAllocs holds the per-call allocations of the shape
+// kernels BERT runs most (about 145 calls per request) at or below what
+// they cost when each operator had a hand-written shape function.
+func TestShapeFuncKernelAllocs(t *testing.T) {
+	sh := func(dims ...int) *tensor.Tensor { return tensor.ShapeTensor(dims) }
+	for _, c := range []struct {
+		op    string
+		attrs ir.Attrs
+		args  []*tensor.Tensor
+		limit float64
+	}{
+		{"dense", nil, []*tensor.Tensor{sh(13, 24), sh(24, 16)}, 8},
+		{"concat", ir.Attrs{"axis": 0}, []*tensor.Tensor{sh(13, 24), sh(1, 24)}, 8},
+		{"add", nil, []*tensor.Tensor{sh(13, 24), sh(24)}, 8},
+		{"strided_slice", ir.Attrs{"begin": 1, "end": 13}, []*tensor.Tensor{sh(14, 24)}, 7},
+	} {
+		k, err := ForShapeFunc(ir.MustGetOp(c.op), c.attrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := k.Fn(c.args, nil); err != nil {
+				t.Fatal(err)
+			}
+		}); n > c.limit {
+			t.Errorf("shape:%s: %v allocs/op, want at most %v", c.op, n, c.limit)
+		}
+	}
 }
 
 func TestShapeFuncKernelDataDependent(t *testing.T) {

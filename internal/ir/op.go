@@ -141,13 +141,25 @@ func (m ShapeFuncMode) String() string {
 	return fmt.Sprintf("mode(%d)", int(m))
 }
 
-// ShapeFunc computes concrete output shapes at runtime. For
-// data-independent functions only inShapes is consulted; data-dependent and
-// upper-bound functions may read inVals. The compiler embeds these
-// computations into the program as first-class instructions, so they run on
-// the CPU domain per the §4.4 placement rules.
+// DimsRule states a data-independent operator's output dims as a function
+// of its input dims and attrs: the one shape rule behind both the type
+// relation (§4.1) and the runtime shape function (§4.2). At compile time
+// an input dim may be Any; the rule propagates Any, keeps a symbolic
+// identity where the result is that same unknown extent, and relaxes a
+// check it cannot decide. At run time every dim is static, the same rule
+// computes the output shape, and the checks it relaxed fail there: gradual
+// typing's residual checks. A rule must not write its inputs.
+type DimsRule func(in [][]Dim, attrs Attrs) ([]Dim, error)
+
+// ShapeFunc computes an operator's output shape at runtime. A
+// data-independent operator states it as its Dims rule; a data-dependent
+// or upper-bound one, which reads input values or bounds what its kernel
+// reports, as Fn. The compiler embeds these computations into the program
+// as first-class instructions, so they run on the CPU domain per the §4.4
+// placement rules.
 type ShapeFunc struct {
 	Mode ShapeFuncMode
+	Dims DimsRule
 	Fn   func(inShapes []tensor.Shape, inVals []*tensor.Tensor, attrs Attrs) ([]tensor.Shape, error)
 }
 
@@ -167,6 +179,49 @@ type EvalFunc func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*ten
 // that cannot be decided while a participating dimension is Any; those
 // deferred checks happen at runtime in the shape function / kernel.
 type TypeRel func(args []Type, attrs Attrs) (Type, error)
+
+// ruleRel derives a data-independent operator's type relation from its
+// dims rule. Every argument must be a tensor type; dtype, when set, checks
+// the arguments' dtypes and attrs and names the result's dtype, which is
+// otherwise the first argument's.
+func ruleRel(name string, rule DimsRule, dtype func(ts []*TensorType, attrs Attrs) (tensor.DType, error)) TypeRel {
+	return func(args []Type, attrs Attrs) (Type, error) {
+		ts, in := make([]*TensorType, len(args)), make([][]Dim, len(args))
+		for i, a := range args {
+			t, ok := a.(*TensorType)
+			if !ok {
+				return nil, fmt.Errorf("ir: %s requires tensor arguments, got %s", name, a)
+			}
+			ts[i], in[i] = t, t.Dims
+		}
+		var dt tensor.DType
+		var err error
+		if dtype == nil {
+			dt = ts[0].DType
+		} else if dt, err = dtype(ts, attrs); err != nil {
+			return nil, err
+		}
+		dims, err := rule(in, attrs)
+		if err != nil {
+			return nil, err
+		}
+		return &TensorType{Dims: dims, DType: dt}, nil
+	}
+}
+
+// sameDims is the rule of an operator whose result has its first
+// argument's dims.
+func sameDims(in [][]Dim, _ Attrs) ([]Dim, error) { return in[0], nil }
+
+// attrDType reads the dtype attr, the result dtype of cast and zeros.
+func attrDType(_ []*TensorType, attrs Attrs) (tensor.DType, error) {
+	return tensor.ParseDType(attrs.String("dtype", "float32"))
+}
+
+// fixedDType names a result dtype that does not depend on the arguments'.
+func fixedDType(dt tensor.DType) func([]*TensorType, Attrs) (tensor.DType, error) {
+	return func([]*TensorType, Attrs) (tensor.DType, error) { return dt, nil }
+}
 
 // Op is a registered primitive operator.
 type Op struct {

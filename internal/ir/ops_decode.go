@@ -27,25 +27,16 @@ func init() {
 
 	RegisterOp(&Op{
 		Name: "cache_append",
-		Rel: func(args []Type, _ Attrs) (Type, error) {
-			cache, ok1 := args[0].(*TensorType)
-			row, ok2 := args[1].(*TensorType)
-			idx, ok3 := args[2].(*TensorType)
-			if !ok1 || !ok2 || !ok3 {
-				return nil, fmt.Errorf("ir: cache_append requires tensor args")
+		Rel: ruleRel("cache_append", cacheAppendDims, func(ts []*TensorType, _ Attrs) (tensor.DType, error) {
+			if ts[0].DType != ts[1].DType {
+				return 0, fmt.Errorf("ir: cache_append dtype mismatch: %s vs %s", ts[0], ts[1])
 			}
-			if cache.DType != row.DType {
-				return nil, fmt.Errorf("ir: cache_append dtype mismatch: %s vs %s", cache, row)
+			if ts[2].DType != tensor.Int64 {
+				return 0, fmt.Errorf("ir: cache_append position must be int64, got %s", ts[2])
 			}
-			if idx.DType != tensor.Int64 {
-				return nil, fmt.Errorf("ir: cache_append position must be int64, got %s", idx)
-			}
-			if cache.Rank() == 0 {
-				return nil, fmt.Errorf("ir: cache_append cache must be at least rank 1")
-			}
-			return cache, nil
-		},
-		Shape: identityShapeFunc,
+			return ts[0].DType, nil
+		}),
+		Shape: ShapeFunc{Dims: cacheAppendDims},
 		Eval: func(args []*tensor.Tensor, _ Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.CacheAppendInto(args[0], args[1], args[2], out)
 		},
@@ -56,21 +47,16 @@ func init() {
 
 	RegisterOp(&Op{
 		Name: "attn_cached",
-		Rel: func(args []Type, attrs Attrs) (Type, error) {
-			q, ok := args[0].(*TensorType)
-			if !ok {
-				return nil, fmt.Errorf("ir: attn_cached requires a tensor query")
+		Rel: ruleRel("attn_cached", sameDims, func(ts []*TensorType, attrs Attrs) (tensor.DType, error) {
+			if ts[0].DType != tensor.Float32 {
+				return 0, fmt.Errorf("ir: attn_cached requires float32, got %s", ts[0])
 			}
-			if q.DType != tensor.Float32 {
-				return nil, fmt.Errorf("ir: attn_cached requires float32, got %s", q)
+			if heads := attrs.Int("heads", 1); heads <= 0 {
+				return 0, fmt.Errorf("ir: attn_cached requires positive heads, got %d", heads)
 			}
-			heads := attrs.Int("heads", 1)
-			if heads <= 0 {
-				return nil, fmt.Errorf("ir: attn_cached requires positive heads, got %d", heads)
-			}
-			return q, nil
-		},
-		Shape: identityShapeFunc,
+			return tensor.Float32, nil
+		}),
+		Shape: ShapeFunc{Dims: sameDims},
 		Eval: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.AttnCachedInto(args[0], args[1], args[2], args[3], attrs.Int("heads", 1), out)
 		},
@@ -79,19 +65,9 @@ func init() {
 	})
 
 	RegisterOp(&Op{
-		Name: "sample_token",
-		Rel: func(args []Type, _ Attrs) (Type, error) {
-			if _, ok := args[0].(*TensorType); !ok {
-				return nil, fmt.Errorf("ir: sample_token requires tensor logits")
-			}
-			return TT(tensor.Int64, 1), nil
-		},
-		Shape: ShapeFunc{
-			Mode: ShapeDataIndependent,
-			Fn: func(_ []tensor.Shape, _ []*tensor.Tensor, _ Attrs) ([]tensor.Shape, error) {
-				return []tensor.Shape{{1}}, nil
-			},
-		},
+		Name:  "sample_token",
+		Rel:   ruleRel("sample_token", sampleTokenDims, fixedDType(tensor.Int64)),
+		Shape: ShapeFunc{Dims: sampleTokenDims},
 		Eval: func(args []*tensor.Tensor, attrs Attrs, _ *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.SampleToken(args[0], args[1], attrs.Float("temp", 0), int64(attrs.Int("seed", 0)))
 		},
@@ -102,15 +78,9 @@ func init() {
 	// index_inc / index_lt are the loop-counter primitives of compiled
 	// decode loops; the generic element-wise family is float32-only.
 	RegisterOp(&Op{
-		Name: "index_inc",
-		Rel: func(args []Type, _ Attrs) (Type, error) {
-			t, ok := args[0].(*TensorType)
-			if !ok || t.DType != tensor.Int64 {
-				return nil, fmt.Errorf("ir: index_inc requires an int64 tensor, got %s", args[0])
-			}
-			return t, nil
-		},
-		Shape: identityShapeFunc,
+		Name:  "index_inc",
+		Rel:   ruleRel("index_inc", sameDims, int64Args(tensor.Int64)),
+		Shape: ShapeFunc{Dims: sameDims},
 		Eval: func(args []*tensor.Tensor, _ Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			in := args[0]
 			if !sameLayout(in, out) {
@@ -127,21 +97,9 @@ func init() {
 	})
 
 	RegisterOp(&Op{
-		Name: "index_lt",
-		Rel: func(args []Type, _ Attrs) (Type, error) {
-			a, ok1 := args[0].(*TensorType)
-			b, ok2 := args[1].(*TensorType)
-			if !ok1 || !ok2 || a.DType != tensor.Int64 || b.DType != tensor.Int64 {
-				return nil, fmt.Errorf("ir: index_lt requires int64 tensors")
-			}
-			return TT(tensor.Bool), nil
-		},
-		Shape: ShapeFunc{
-			Mode: ShapeDataIndependent,
-			Fn: func(_ []tensor.Shape, _ []*tensor.Tensor, _ Attrs) ([]tensor.Shape, error) {
-				return []tensor.Shape{{}}, nil
-			},
-		},
+		Name:  "index_lt",
+		Rel:   ruleRel("index_lt", scalarDims, int64Args(tensor.Bool)),
+		Shape: ShapeFunc{Dims: scalarDims},
 		Eval: func(args []*tensor.Tensor, _ Attrs, _ *tensor.Tensor) (*tensor.Tensor, error) {
 			return tensor.ScalarBool(args[0].I64()[0] < args[1].I64()[0]), nil
 		},
@@ -150,36 +108,48 @@ func init() {
 	})
 
 	RegisterOp(&Op{
-		Name: OpStreamEmit,
-		Rel: func(args []Type, _ Attrs) (Type, error) {
-			if _, ok := args[0].(*TensorType); !ok {
-				return nil, fmt.Errorf("ir: stream.emit requires a tensor")
-			}
-			return args[0], nil
-		},
-		Shape: identityShapeFunc,
+		Name:  OpStreamEmit,
+		Rel:   ruleRel(OpStreamEmit, sameDims, nil),
+		Shape: ShapeFunc{Dims: sameDims},
 		Eval: func(args []*tensor.Tensor, _ Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			in := args[0]
 			if !sameLayout(in, out) {
 				return in.Clone(), nil
 			}
-			switch in.DType() {
-			case tensor.Float32:
-				copy(out.F32(), in.F32())
-			case tensor.Float64:
-				copy(out.F64(), in.F64())
-			case tensor.Int32:
-				copy(out.I32(), in.I32())
-			case tensor.Int64:
-				copy(out.I64(), in.I64())
-			case tensor.Bool:
-				copy(out.Bools(), in.Bools())
-			}
+			tensor.CopyElems(out, 0, in, 0, in.NumElements())
 			return out, nil
 		},
 		Pattern:   PatternOpaque,
 		NumInputs: 1,
 	})
+}
+
+// cacheAppendDims is cache_append(cache, row, pos)'s rule: the result is
+// the cache, which has at least one axis.
+func cacheAppendDims(in [][]Dim, _ Attrs) ([]Dim, error) {
+	if len(in[0]) == 0 {
+		return nil, fmt.Errorf("ir: cache_append cache must be at least rank 1")
+	}
+	return in[0], nil
+}
+
+// sampleTokenDims is sample_token's rule: one token id.
+func sampleTokenDims([][]Dim, Attrs) ([]Dim, error) { return []Dim{StaticDim(1)}, nil }
+
+// scalarDims is the rule of an operator with a scalar result.
+func scalarDims([][]Dim, Attrs) ([]Dim, error) { return []Dim{}, nil }
+
+// int64Args checks that every argument is int64 and names the result
+// dtype of the loop-counter helpers.
+func int64Args(result tensor.DType) func([]*TensorType, Attrs) (tensor.DType, error) {
+	return func(ts []*TensorType, _ Attrs) (tensor.DType, error) {
+		for _, t := range ts {
+			if t.DType != tensor.Int64 {
+				return 0, fmt.Errorf("ir: loop-counter operators require int64 tensors, got %s", t)
+			}
+		}
+		return result, nil
+	}
 }
 
 // sameLayout reports whether out is a destination of in's dtype and shape.

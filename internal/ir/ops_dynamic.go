@@ -200,20 +200,9 @@ func init() {
 	})
 	// shape_of(tensor) -> rank-1 int64 shape tensor; always CPU-placed.
 	RegisterOp(&Op{
-		Name: OpShapeOf,
-		Rel: func(args []Type, _ Attrs) (Type, error) {
-			tt, ok := args[0].(*TensorType)
-			if !ok {
-				return nil, fmt.Errorf("ir: shape_of requires a tensor type")
-			}
-			return &TensorType{Dims: []Dim{StaticDim(tt.Rank())}, DType: tensor.Int64}, nil
-		},
-		Shape: ShapeFunc{
-			Mode: ShapeDataIndependent,
-			Fn: func(inShapes []tensor.Shape, _ []*tensor.Tensor, _ Attrs) ([]tensor.Shape, error) {
-				return []tensor.Shape{{len(inShapes[0])}}, nil
-			},
-		},
+		Name:  OpShapeOf,
+		Rel:   ruleRel(OpShapeOf, shapeOfDims, fixedDType(tensor.Int64)),
+		Shape: ShapeFunc{Dims: shapeOfDims},
 		Eval: func(args []*tensor.Tensor, _ Attrs, _ *tensor.Tensor) (*tensor.Tensor, error) {
 			return tensor.ShapeTensor(args[0].Shape()), nil
 		},
@@ -237,7 +226,7 @@ func init() {
 		Rel: func(args []Type, _ Attrs) (Type, error) {
 			return args[0], nil
 		},
-		Shape:     identityShapeFunc,
+		Shape:     ShapeFunc{Dims: sameDims},
 		Pattern:   PatternOpaque,
 		NumInputs: 1,
 	})
@@ -261,3 +250,6 @@ func init() {
 		NumInputs: 2,
 	})
 }
+
+// shapeOfDims is vm.shape_of's rule: one extent per input dim.
+func shapeOfDims(in [][]Dim, _ Attrs) ([]Dim, error) { return []Dim{StaticDim(len(in[0]))}, nil }

@@ -48,31 +48,19 @@ func broadcastDim(a, b Dim) (Dim, error) {
 	}
 }
 
-// BroadcastRel is the broadcast type relation over full tensor types.
-func BroadcastRel(args []Type, _ Attrs) (Type, error) {
-	if len(args) != 2 {
-		return nil, fmt.Errorf("ir: broadcast relation requires 2 args, got %d", len(args))
-	}
-	ta, ok1 := args[0].(*TensorType)
-	tb, ok2 := args[1].(*TensorType)
-	if !ok1 || !ok2 {
-		return nil, fmt.Errorf("ir: broadcast relation requires tensor types, got %s and %s", args[0], args[1])
-	}
-	if ta.DType != tb.DType {
-		return nil, fmt.Errorf("ir: broadcast dtype mismatch: %s vs %s", ta.DType, tb.DType)
-	}
-	rank := len(ta.Dims)
-	if len(tb.Dims) > rank {
-		rank = len(tb.Dims)
-	}
-	out := make([]Dim, rank)
-	for i := 0; i < rank; i++ {
+// broadcastDims is the broadcast rule: the two dim lists align at their
+// trailing dims, a missing leading dim counts as 1, and each pair
+// broadcasts by broadcastDim.
+func broadcastDims(in [][]Dim, _ Attrs) ([]Dim, error) {
+	a, b := in[0], in[1]
+	out := make([]Dim, max(len(a), len(b)))
+	for i := range out {
 		da, db := StaticDim(1), StaticDim(1)
-		if i >= rank-len(ta.Dims) {
-			da = ta.Dims[i-(rank-len(ta.Dims))]
+		if j := i - (len(out) - len(a)); j >= 0 {
+			da = a[j]
 		}
-		if i >= rank-len(tb.Dims) {
-			db = tb.Dims[i-(rank-len(tb.Dims))]
+		if j := i - (len(out) - len(b)); j >= 0 {
+			db = b[j]
 		}
 		d, err := broadcastDim(da, db)
 		if err != nil {
@@ -80,39 +68,28 @@ func BroadcastRel(args []Type, _ Attrs) (Type, error) {
 		}
 		out[i] = d
 	}
-	return &TensorType{Dims: out, DType: ta.DType}, nil
+	return out, nil
 }
 
-// broadcastShapeFunc is the runtime shape function shared by every broadcast
-// operator; it is data independent.
-var broadcastShapeFunc = ShapeFunc{
-	Mode: ShapeDataIndependent,
-	Fn: func(inShapes []tensor.Shape, _ []*tensor.Tensor, _ Attrs) ([]tensor.Shape, error) {
-		out, err := tensor.BroadcastShapes(inShapes[0], inShapes[1])
-		if err != nil {
-			return nil, err
+// broadcastDType checks that both operands share a dtype; a comparison
+// yields bool, any other broadcast operator the operands' dtype.
+func broadcastDType(compare bool) func([]*TensorType, Attrs) (tensor.DType, error) {
+	return func(ts []*TensorType, _ Attrs) (tensor.DType, error) {
+		if len(ts) != 2 {
+			return 0, fmt.Errorf("ir: broadcast relation requires 2 args, got %d", len(ts))
 		}
-		return []tensor.Shape{out}, nil
-	},
+		if ts[0].DType != ts[1].DType {
+			return 0, fmt.Errorf("ir: broadcast dtype mismatch: %s vs %s", ts[0].DType, ts[1].DType)
+		}
+		if compare {
+			return tensor.Bool, nil
+		}
+		return ts[0].DType, nil
+	}
 }
 
-// identityRel types a unary op whose output type equals its input.
-func identityRel(args []Type, _ Attrs) (Type, error) {
-	if len(args) != 1 {
-		return nil, fmt.Errorf("ir: unary relation requires 1 arg, got %d", len(args))
-	}
-	if _, ok := args[0].(*TensorType); !ok {
-		return nil, fmt.Errorf("ir: unary relation requires a tensor type, got %s", args[0])
-	}
-	return args[0], nil
-}
-
-var identityShapeFunc = ShapeFunc{
-	Mode: ShapeDataIndependent,
-	Fn: func(inShapes []tensor.Shape, _ []*tensor.Tensor, _ Attrs) ([]tensor.Shape, error) {
-		return []tensor.Shape{inShapes[0].Clone()}, nil
-	},
-}
+// BroadcastRel is the broadcast type relation over full tensor types.
+var BroadcastRel = ruleRel("broadcast", broadcastDims, broadcastDType(false))
 
 func binaryEval(k func(a, b, out *tensor.Tensor) *tensor.Tensor) EvalFunc {
 	return func(args []*tensor.Tensor, _ Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
@@ -132,21 +109,11 @@ func unaryEval(k func(a, out *tensor.Tensor) *tensor.Tensor) EvalFunc {
 	}
 }
 
-// compareRel is like BroadcastRel but yields a bool tensor.
-func compareRel(args []Type, attrs Attrs) (Type, error) {
-	t, err := BroadcastRel(args, attrs)
-	if err != nil {
-		return nil, err
-	}
-	tt := t.(*TensorType)
-	return &TensorType{Dims: tt.Dims, DType: tensor.Bool}, nil
-}
-
 func registerBroadcastOp(name string, k func(a, b, out *tensor.Tensor) *tensor.Tensor) {
 	RegisterOp(&Op{
 		Name:      name,
 		Rel:       BroadcastRel,
-		Shape:     broadcastShapeFunc,
+		Shape:     ShapeFunc{Dims: broadcastDims},
 		Eval:      binaryEval(k),
 		Pattern:   PatternBroadcast,
 		NumInputs: 2,
@@ -156,8 +123,8 @@ func registerBroadcastOp(name string, k func(a, b, out *tensor.Tensor) *tensor.T
 func registerUnaryOp(name string, k func(a, out *tensor.Tensor) *tensor.Tensor) {
 	RegisterOp(&Op{
 		Name:      name,
-		Rel:       identityRel,
-		Shape:     identityShapeFunc,
+		Rel:       ruleRel(name, sameDims, nil),
+		Shape:     ShapeFunc{Dims: sameDims},
 		Eval:      unaryEval(k),
 		Pattern:   PatternElemWise,
 		NumInputs: 1,
@@ -191,8 +158,8 @@ func init() {
 	} {
 		RegisterOp(&Op{
 			Name:      c.name,
-			Rel:       compareRel,
-			Shape:     broadcastShapeFunc,
+			Rel:       ruleRel(c.name, broadcastDims, broadcastDType(true)),
+			Shape:     ShapeFunc{Dims: broadcastDims},
 			Eval:      binaryEval(func(a, b, _ *tensor.Tensor) *tensor.Tensor { return c.k(a, b) }),
 			Pattern:   PatternBroadcast,
 			NumInputs: 2,
@@ -200,19 +167,9 @@ func init() {
 	}
 
 	RegisterOp(&Op{
-		Name: "cast",
-		Rel: func(args []Type, attrs Attrs) (Type, error) {
-			tt, ok := args[0].(*TensorType)
-			if !ok {
-				return nil, fmt.Errorf("ir: cast requires a tensor type")
-			}
-			dt, err := tensor.ParseDType(attrs.String("dtype", "float32"))
-			if err != nil {
-				return nil, err
-			}
-			return &TensorType{Dims: tt.Dims, DType: dt}, nil
-		},
-		Shape: identityShapeFunc,
+		Name:  "cast",
+		Rel:   ruleRel("cast", sameDims, attrDType),
+		Shape: ShapeFunc{Dims: sameDims},
 		Eval: func(args []*tensor.Tensor, attrs Attrs, _ *tensor.Tensor) (*tensor.Tensor, error) {
 			dt, err := tensor.ParseDType(attrs.String("dtype", "float32"))
 			if err != nil {

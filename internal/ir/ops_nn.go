@@ -7,38 +7,40 @@ import (
 	"nimble/internal/tensor"
 )
 
-// denseRel types dense(x, w): [m, k] x [k, n] -> [m, n]. The m dimension may
-// be Any (the dynamic sequence length in BERT); k must unify; n must be
-// static in this reproduction (weights are constants).
-func denseRel(args []Type, _ Attrs) (Type, error) {
-	x, ok1 := args[0].(*TensorType)
-	w, ok2 := args[1].(*TensorType)
-	if !ok1 || !ok2 || x.Rank() != 2 || w.Rank() != 2 {
-		return nil, fmt.Errorf("ir: dense requires rank-2 tensors, got %s and %s", args[0], args[1])
+// denseDims is dense(x, w)'s rule: [m, k] x [k, n] -> [m, n]. The m
+// dimension may be Any (the dynamic sequence length in BERT); k must unify.
+func denseDims(in [][]Dim, _ Attrs) ([]Dim, error) {
+	x, w := in[0], in[1]
+	if len(x) != 2 || len(w) != 2 {
+		return nil, fmt.Errorf("ir: dense requires rank-2 tensors, got %v and %v", x, w)
 	}
-	if err := unifyDim(x.Dims[1], w.Dims[0]); err != nil {
+	if err := unifyDim(x[1], w[0]); err != nil {
 		return nil, fmt.Errorf("ir: dense reduction dims: %w", err)
 	}
-	return &TensorType{Dims: []Dim{x.Dims[0], w.Dims[1]}, DType: x.DType}, nil
+	return []Dim{x[0], w[1]}, nil
 }
 
-// densePackedRel types dense_packed(x, P){units=n}: [m, k] x [k, PackedCols(n)]
-// -> [m, n]. P's column count must be n rounded up to whole panels.
-func densePackedRel(args []Type, attrs Attrs) (Type, error) {
-	x, ok1 := args[0].(*TensorType)
-	p, ok2 := args[1].(*TensorType)
-	n := attrs.Int("units", -1)
-	if !ok1 || !ok2 || x.Rank() != 2 || p.Rank() != 2 || n < 0 {
-		return nil, fmt.Errorf("ir: dense_packed requires rank-2 tensors and units >= 0, got %s and %s", args[0], args[1])
+// densePackedDims is dense_packed(x, P){units=n}'s rule: [m, k] x
+// [k, PackedCols(n)] -> [m, n]. P's column count must be n rounded up to
+// whole panels.
+func densePackedDims(in [][]Dim, attrs Attrs) ([]Dim, error) {
+	x, p, n := in[0], in[1], attrs.Int("units", -1)
+	if len(x) != 2 || len(p) != 2 || n < 0 {
+		return nil, fmt.Errorf("ir: dense_packed requires rank-2 tensors and units >= 0, got %v and %v", x, p)
 	}
-	if err := unifyDim(x.Dims[1], p.Dims[0]); err != nil {
+	if err := unifyDim(x[1], p[0]); err != nil {
 		return nil, fmt.Errorf("ir: dense_packed reduction dims: %w", err)
 	}
-	if p.Dims[1].IsAny() || p.Dims[1].Value != kernels.PackedCols(n) {
-		return nil, fmt.Errorf("ir: dense_packed panels %s do not hold %d columns", p.Dims[1], n)
+	if p[1].IsAny() || p[1].Value != kernels.PackedCols(n) {
+		return nil, fmt.Errorf("ir: dense_packed panels %s do not hold %d columns", p[1], n)
 	}
-	return &TensorType{Dims: []Dim{x.Dims[0], StaticDim(n)}, DType: x.DType}, nil
+	return []Dim{x[0], StaticDim(n)}, nil
 }
+
+var (
+	denseRel       = ruleRel("dense", denseDims, nil)
+	densePackedRel = ruleRel("dense_packed", densePackedDims, nil)
+)
 
 // unifyDim checks that two dims can denote the same extent; Any unifies with
 // anything (the residual check happens at runtime, per gradual typing).
@@ -54,19 +56,9 @@ func unifyDim(a, b Dim) error {
 
 func init() {
 	RegisterOp(&Op{
-		Name: "dense",
-		Rel:  denseRel,
-		Shape: ShapeFunc{
-			Mode: ShapeDataIndependent,
-			Fn: func(inShapes []tensor.Shape, _ []*tensor.Tensor, _ Attrs) ([]tensor.Shape, error) {
-				x, w := inShapes[0], inShapes[1]
-				if x[1] != w[0] {
-					// Runtime residual of the gradually typed k-dim check.
-					return nil, fmt.Errorf("ir: dense runtime shape mismatch: %v x %v", x, w)
-				}
-				return []tensor.Shape{{x[0], w[1]}}, nil
-			},
-		},
+		Name:  "dense",
+		Rel:   denseRel,
+		Shape: ShapeFunc{Dims: denseDims},
 		Eval: func(args []*tensor.Tensor, _ Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.MatMulInto(args[0], args[1], out), nil
 		},
@@ -79,18 +71,9 @@ func init() {
 	// result is [m, n]. The pack-dense-weights pass emits it for every
 	// dense over a constant B.
 	RegisterOp(&Op{
-		Name: "dense_packed",
-		Rel:  densePackedRel,
-		Shape: ShapeFunc{
-			Mode: ShapeDataIndependent,
-			Fn: func(inShapes []tensor.Shape, _ []*tensor.Tensor, attrs Attrs) ([]tensor.Shape, error) {
-				x, p, n := inShapes[0], inShapes[1], attrs.Int("units", -1)
-				if x[1] != p[0] || p[1] != kernels.PackedCols(n) {
-					return nil, fmt.Errorf("ir: dense_packed runtime shape mismatch: %v x %v (units %d)", x, p, n)
-				}
-				return []tensor.Shape{{x[0], n}}, nil
-			},
-		},
+		Name:  "dense_packed",
+		Rel:   densePackedRel,
+		Shape: ShapeFunc{Dims: densePackedDims},
 		Eval: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.DensePackedInto(args[0], args[1], attrs.Int("units", -1), out), nil
 		},
@@ -99,22 +82,9 @@ func init() {
 	})
 
 	RegisterOp(&Op{
-		Name: "bias_add",
-		Rel: func(args []Type, _ Attrs) (Type, error) {
-			x, ok1 := args[0].(*TensorType)
-			b, ok2 := args[1].(*TensorType)
-			if !ok1 || !ok2 || b.Rank() != 1 {
-				return nil, fmt.Errorf("ir: bias_add requires (tensor, rank-1 bias)")
-			}
-			if x.Rank() < 1 {
-				return nil, fmt.Errorf("ir: bias_add input must have rank >= 1")
-			}
-			if err := unifyDim(x.Dims[x.Rank()-1], b.Dims[0]); err != nil {
-				return nil, fmt.Errorf("ir: bias_add: %w", err)
-			}
-			return x, nil
-		},
-		Shape: identityShapeFunc,
+		Name:  "bias_add",
+		Rel:   ruleRel("bias_add", biasAddDims, nil),
+		Shape: ShapeFunc{Dims: biasAddDims},
 		Eval: func(args []*tensor.Tensor, _ Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.AddInto(args[0], args[1], out), nil
 		},
@@ -124,22 +94,17 @@ func init() {
 
 	RegisterOp(&Op{
 		Name:      "softmax",
-		Rel:       identityRel,
-		Shape:     identityShapeFunc,
+		Rel:       ruleRel("softmax", sameDims, nil),
+		Shape:     ShapeFunc{Dims: sameDims},
 		Eval:      unaryEval(kernels.SoftmaxInto),
 		Pattern:   PatternOpaque, // row reduction: keep out of element-wise groups
 		NumInputs: 1,
 	})
 
 	RegisterOp(&Op{
-		Name: "layer_norm",
-		Rel: func(args []Type, _ Attrs) (Type, error) {
-			if len(args) != 3 {
-				return nil, fmt.Errorf("ir: layer_norm requires (x, gamma, beta)")
-			}
-			return identityRel(args[:1], nil)
-		},
-		Shape: identityShapeFunc,
+		Name:  "layer_norm",
+		Rel:   ruleRel("layer_norm", sameDims, nil),
+		Shape: ShapeFunc{Dims: sameDims},
 		Eval: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			eps := float32(attrs.Float("eps", 1e-5))
 			return kernels.LayerNormInto(args[0], args[1], args[2], out, eps), nil
@@ -154,8 +119,8 @@ func init() {
 
 	RegisterOp(&Op{
 		Name:  "argmax",
-		Rel:   reduceRel("argmax", true),
-		Shape: reduceShape(true),
+		Rel:   ruleRel("argmax", reduceDims(true), fixedDType(tensor.Int64)),
+		Shape: ShapeFunc{Dims: reduceDims(true)},
 		Eval: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.ArgMaxInto(args[0], out, attrs.Int("axis", -1)), nil
 		},
@@ -179,8 +144,8 @@ func checkAxis(axis, rank int) (int, error) {
 func registerReduceOp(name string, k func(a, out *tensor.Tensor, axis int, keep bool) *tensor.Tensor) {
 	RegisterOp(&Op{
 		Name:  name,
-		Rel:   reduceRel(name, false),
-		Shape: reduceShape(false),
+		Rel:   ruleRel(name, reduceDims(false), nil),
+		Shape: ShapeFunc{Dims: reduceDims(false)},
 		Eval: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			return k(args[0], out, attrs.Int("axis", -1), attrs.Bool("keepdims", false)), nil
 		},
@@ -189,89 +154,107 @@ func registerReduceOp(name string, k func(a, out *tensor.Tensor, axis int, keep 
 	})
 }
 
-// reduceRel types a reduction over attrs' axis. A value reduction keeps
-// its input's dtype and honours keepdims; an index reduction (argmax)
-// yields int64 and drops the axis.
-func reduceRel(name string, index bool) TypeRel {
-	return func(args []Type, attrs Attrs) (Type, error) {
-		tt, ok := args[0].(*TensorType)
-		if !ok {
-			return nil, fmt.Errorf("ir: %s requires a tensor type", name)
-		}
-		axis, err := checkAxis(attrs.Int("axis", -1), tt.Rank())
+// biasAddDims is bias_add(x, b)'s rule: b is rank 1 and as long as x's
+// last dim, and the result has x's dims.
+func biasAddDims(in [][]Dim, _ Attrs) ([]Dim, error) {
+	x, b := in[0], in[1]
+	if len(x) < 1 || len(b) != 1 {
+		return nil, fmt.Errorf("ir: bias_add requires (rank >= 1 tensor, rank-1 bias), got %v and %v", x, b)
+	}
+	if err := unifyDim(x[len(x)-1], b[0]); err != nil {
+		return nil, fmt.Errorf("ir: bias_add: %w", err)
+	}
+	return x, nil
+}
+
+// reduceDims is the rule of a reduction over attrs' axis: the axis is
+// dropped, or kept as 1 under keepdims. An index reduction (argmax) always
+// drops it.
+func reduceDims(index bool) DimsRule {
+	return func(in [][]Dim, attrs Attrs) ([]Dim, error) {
+		axis, err := checkAxis(attrs.Int("axis", -1), len(in[0]))
 		if err != nil {
 			return nil, err
 		}
-		dt := tt.DType
-		if index {
-			dt = tensor.Int64
-		}
 		keep := !index && attrs.Bool("keepdims", false)
-		return &TensorType{Dims: reduceDims(tt.Dims, axis, keep, StaticDim(1)), DType: dt}, nil
-	}
-}
-
-// reduceShape is reduceRel's runtime shape function.
-func reduceShape(index bool) ShapeFunc {
-	return ShapeFunc{
-		Mode: ShapeDataIndependent,
-		Fn: func(inShapes []tensor.Shape, _ []*tensor.Tensor, attrs Attrs) ([]tensor.Shape, error) {
-			in := inShapes[0]
-			axis := attrs.Int("axis", -1)
-			if axis < 0 {
-				axis += len(in)
+		out := make([]Dim, 0, len(in[0]))
+		for i, d := range in[0] {
+			if i != axis {
+				out = append(out, d)
+			} else if keep {
+				out = append(out, StaticDim(1))
 			}
-			keep := !index && attrs.Bool("keepdims", false)
-			return []tensor.Shape{reduceDims(in, axis, keep, 1)}, nil
-		},
+		}
+		return out, nil
 	}
 }
 
-// reduceDims drops dims[axis], or replaces it with one under keepdims.
-func reduceDims[S ~[]D, D any](dims S, axis int, keep bool, one D) S {
-	out := make(S, 0, len(dims))
-	for i, d := range dims {
-		if i != axis {
-			out = append(out, d)
-		} else if keep {
-			out = append(out, one)
+// windowDim is the output extent of a k-wide window moved by stride over
+// an extent padded by pad on both sides; Any when the extent is.
+func windowDim(d Dim, k, stride, pad int) (Dim, error) {
+	if d.IsAny() {
+		return AnyDim(), nil
+	}
+	if k < 0 || stride <= 0 || k > d.Value+2*pad {
+		return Dim{}, fmt.Errorf("ir: window %d at stride %d does not fit extent %s padded by %d", k, stride, d, pad)
+	}
+	o, _ := kernels.Conv2DOutDims(d.Value, 1, k, 1, stride, pad)
+	return StaticDim(o), nil
+}
+
+// conv2dDims is conv2d(x, w)'s rule: [n, c, h, w] x [o, c, kh, kw] ->
+// [n, o, h', w'], where a spatial extent is Any when the input's or the
+// window's is.
+func conv2dDims(in [][]Dim, attrs Attrs) ([]Dim, error) {
+	x, w := in[0], in[1]
+	if len(x) != 4 || len(w) != 4 {
+		return nil, fmt.Errorf("ir: conv2d requires rank-4 input and weight, got %v and %v", x, w)
+	}
+	if err := unifyDim(x[1], w[1]); err != nil {
+		return nil, fmt.Errorf("ir: conv2d channels: %w", err)
+	}
+	out := []Dim{x[0], w[0], AnyDim(), AnyDim()}
+	for i := 2; i < 4; i++ {
+		if w[i].IsAny() {
+			continue
+		}
+		var err error
+		if out[i], err = windowDim(x[i], w[i].Value, attrs.Int("stride", 1), attrs.Int("pad", 0)); err != nil {
+			return nil, err
 		}
 	}
-	return out
+	return out, nil
+}
+
+// poolDims is the rule of the k-wide pools: [n, c, h, w] -> [n, c, h', w'].
+func poolDims(in [][]Dim, attrs Attrs) ([]Dim, error) {
+	x := in[0]
+	if len(x) != 4 {
+		return nil, fmt.Errorf("ir: pool requires a rank-4 tensor, got %v", x)
+	}
+	out := []Dim{x[0], x[1], {}, {}}
+	for i := 2; i < 4; i++ {
+		var err error
+		if out[i], err = windowDim(x[i], attrs.Int("k", 2), attrs.Int("stride", 2), 0); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// globalPoolDims is global_avg_pool2d's rule: [n, c, h, w] -> [n, c].
+func globalPoolDims(in [][]Dim, _ Attrs) ([]Dim, error) {
+	if len(in[0]) != 4 {
+		return nil, fmt.Errorf("ir: global_avg_pool2d requires a rank-4 tensor, got %v", in[0])
+	}
+	return []Dim{in[0][0], in[0][1]}, nil
 }
 
 func registerConvOps() {
 	RegisterOp(&Op{
-		Name: "conv2d",
-		Rel: func(args []Type, attrs Attrs) (Type, error) {
-			in, ok1 := args[0].(*TensorType)
-			w, ok2 := args[1].(*TensorType)
-			if !ok1 || !ok2 || in.Rank() != 4 || w.Rank() != 4 {
-				return nil, fmt.Errorf("ir: conv2d requires rank-4 input and weight")
-			}
-			if err := unifyDim(in.Dims[1], w.Dims[1]); err != nil {
-				return nil, fmt.Errorf("ir: conv2d channels: %w", err)
-			}
-			stride, pad := attrs.Int("stride", 1), attrs.Int("pad", 0)
-			outH, outW := AnyDim(), AnyDim()
-			if !in.Dims[2].IsAny() && !w.Dims[2].IsAny() {
-				oh, _ := kernels.Conv2DOutDims(in.Dims[2].Value, 1, w.Dims[2].Value, 1, stride, pad)
-				outH = StaticDim(oh)
-			}
-			if !in.Dims[3].IsAny() && !w.Dims[3].IsAny() {
-				_, ow := kernels.Conv2DOutDims(1, in.Dims[3].Value, 1, w.Dims[3].Value, stride, pad)
-				outW = StaticDim(ow)
-			}
-			return &TensorType{Dims: []Dim{in.Dims[0], w.Dims[0], outH, outW}, DType: in.DType}, nil
-		},
-		Shape: ShapeFunc{
-			Mode: ShapeDataIndependent,
-			Fn: func(inShapes []tensor.Shape, _ []*tensor.Tensor, attrs Attrs) ([]tensor.Shape, error) {
-				in, w := inShapes[0], inShapes[1]
-				oh, ow := kernels.Conv2DOutDims(in[2], in[3], w[2], w[3], attrs.Int("stride", 1), attrs.Int("pad", 0))
-				return []tensor.Shape{{in[0], w[0], oh, ow}}, nil
-			},
-		},
+		Name:  "conv2d",
+		Rel:   ruleRel("conv2d", conv2dDims, nil),
+		Shape: ShapeFunc{Dims: conv2dDims},
 		Eval: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.Conv2DInto(args[0], args[1], out, attrs.Int("stride", 1), attrs.Int("pad", 0)), nil
 		},
@@ -279,35 +262,10 @@ func registerConvOps() {
 		NumInputs: 2,
 	})
 
-	poolRel := func(args []Type, attrs Attrs) (Type, error) {
-		in, ok := args[0].(*TensorType)
-		if !ok || in.Rank() != 4 {
-			return nil, fmt.Errorf("ir: pool requires a rank-4 tensor")
-		}
-		k, stride := attrs.Int("k", 2), attrs.Int("stride", 2)
-		outH, outW := AnyDim(), AnyDim()
-		if !in.Dims[2].IsAny() {
-			oh, _ := kernels.Conv2DOutDims(in.Dims[2].Value, 1, k, 1, stride, 0)
-			outH = StaticDim(oh)
-		}
-		if !in.Dims[3].IsAny() {
-			_, ow := kernels.Conv2DOutDims(1, in.Dims[3].Value, 1, k, stride, 0)
-			outW = StaticDim(ow)
-		}
-		return &TensorType{Dims: []Dim{in.Dims[0], in.Dims[1], outH, outW}, DType: in.DType}, nil
-	}
-	poolShape := ShapeFunc{
-		Mode: ShapeDataIndependent,
-		Fn: func(inShapes []tensor.Shape, _ []*tensor.Tensor, attrs Attrs) ([]tensor.Shape, error) {
-			in := inShapes[0]
-			oh, ow := kernels.Conv2DOutDims(in[2], in[3], attrs.Int("k", 2), attrs.Int("k", 2), attrs.Int("stride", 2), 0)
-			return []tensor.Shape{{in[0], in[1], oh, ow}}, nil
-		},
-	}
 	RegisterOp(&Op{
 		Name:  "max_pool2d",
-		Rel:   poolRel,
-		Shape: poolShape,
+		Rel:   ruleRel("pool", poolDims, nil),
+		Shape: ShapeFunc{Dims: poolDims},
 		Eval: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.MaxPool2DInto(args[0], out, attrs.Int("k", 2), attrs.Int("stride", 2)), nil
 		},
@@ -316,8 +274,8 @@ func registerConvOps() {
 	})
 	RegisterOp(&Op{
 		Name:  "avg_pool2d",
-		Rel:   poolRel,
-		Shape: poolShape,
+		Rel:   ruleRel("pool", poolDims, nil),
+		Shape: ShapeFunc{Dims: poolDims},
 		Eval: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.AvgPool2DInto(args[0], out, attrs.Int("k", 2), attrs.Int("stride", 2)), nil
 		},
@@ -325,21 +283,9 @@ func registerConvOps() {
 		NumInputs: 1,
 	})
 	RegisterOp(&Op{
-		Name: "global_avg_pool2d",
-		Rel: func(args []Type, _ Attrs) (Type, error) {
-			in, ok := args[0].(*TensorType)
-			if !ok || in.Rank() != 4 {
-				return nil, fmt.Errorf("ir: global_avg_pool2d requires a rank-4 tensor")
-			}
-			return &TensorType{Dims: []Dim{in.Dims[0], in.Dims[1]}, DType: in.DType}, nil
-		},
-		Shape: ShapeFunc{
-			Mode: ShapeDataIndependent,
-			Fn: func(inShapes []tensor.Shape, _ []*tensor.Tensor, _ Attrs) ([]tensor.Shape, error) {
-				in := inShapes[0]
-				return []tensor.Shape{{in[0], in[1]}}, nil
-			},
-		},
+		Name:  "global_avg_pool2d",
+		Rel:   ruleRel("global_avg_pool2d", globalPoolDims, nil),
+		Shape: ShapeFunc{Dims: globalPoolDims},
 		Eval: func(args []*tensor.Tensor, _ Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.GlobalAvgPool2DInto(args[0], out), nil
 		},

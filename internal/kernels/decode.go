@@ -52,22 +52,8 @@ func CacheAppendInto(cache, row, pos, out *tensor.Tensor) (*tensor.Tensor, error
 	if out == nil || out.DType() != cache.DType() || out.NumElements() != cache.NumElements() {
 		out = tensor.New(cache.DType(), cache.Shape()...)
 	}
-	switch cache.DType() {
-	case tensor.Float32:
-		cv, ov := cache.F32(), out.F32()
-		if &cv[0] != &ov[0] {
-			copy(ov, cv)
-		}
-		copy(ov[at*rowSize:(at+1)*rowSize], row.F32())
-	case tensor.Int64:
-		cv, ov := cache.I64(), out.I64()
-		if &cv[0] != &ov[0] {
-			copy(ov, cv)
-		}
-		copy(ov[at*rowSize:(at+1)*rowSize], row.I64())
-	default:
-		return nil, fmt.Errorf("kernels: cache_append does not support dtype %v", cache.DType())
-	}
+	tensor.CopyElems(out, 0, cache, 0, cache.NumElements())
+	tensor.CopyElems(out, at*rowSize, row, 0, rowSize)
 	return out, nil
 }
 

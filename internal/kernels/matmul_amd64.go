@@ -81,18 +81,23 @@ var tailMask = [32]int32{-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
 // for four rows of a; the one-row tile reads it once per row, but runs
 // four panels at a time (eight independent FMA chains) while 64 columns
 // remain, so it is not held to one FMA chain either. A guarded row runs
-// panel by panel instead (microGuarded). After at least one 4-row tile the
-// last rows%4 run as a 4-row tile that ends at the last row and recomputes
-// up to three rows bit for bit; fewer than four rows run one at a time. The
-// dense kernel has checked every extent the assembly touches once per call,
-// before the row-block loop reaches here.
+// panel by panel instead (microGuarded). Whole 4-row tiles run first; a
+// remainder of three rows after at least one of them runs as a 4-row tile
+// that ends at the last row and recomputes one row bit for bit, and any
+// other remainder runs one row at a time, where the one-row tile is
+// faster. The dense kernel has checked every extent the assembly touches
+// once per call, before the row-block loop reaches here.
 func tileAVX2(av, pv, ov []float32, i0, rows, k, n, j0, j1 int, guarded bool) {
 	mask, end := &tailMask[16-(j1-j0)%16], i0+rows
-	for i := i0; rows >= 4 && i < end; i += 4 {
-		i = min(i, end-4)
+	i := i0
+	for ; i+4 <= end; i += 4 {
 		gemm4x16(av[i*k:], pv, ov[i*n+j0:], k, j1-j0, n, mask)
 	}
-	for i := i0; rows < 4 && i < end; i++ {
+	if rows > 4 && end-i == 3 {
+		gemm4x16(av[(end-4)*k:], pv, ov[(end-4)*n+j0:], k, j1-j0, n, mask)
+		i = end
+	}
+	for ; i < end; i++ {
 		gemm1x16(av[i*k:], pv, ov[i*n+j0:], k, j1-j0, n, mask, !guarded)
 	}
 }

@@ -210,13 +210,15 @@ func tileRef(a, b *tensor.Tensor) *tensor.Tensor {
 // (29x256x1000 and up), which must also equal their one-shard run. At
 // m = 1-3 the one-row tile runs alone: n = 64 is one four-panel group,
 // 65 a group and a masked tail, 80 a group and a whole panel, and 600's
-// last 128-column block a group, a whole panel and a masked tail.
+// last 128-column block a group, a whole panel and a masked tail. At
+// m = 5, 6, 13 and 14 one or two one-row tiles follow a block's 4-row
+// tile, and at m = 7 an overlapping 4-row tile does.
 func TestDenseExactAgainstTileRef(t *testing.T) {
 	forEachTile(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(8))
 		for _, n := range []int{1, 15, 16, 17, 40, 64, 65, 80, 600, 1000, 1024} {
 			for _, k := range []int{0, 1, 13, 256} {
-				for _, m := range []int{0, 1, 2, 3, 7, 8, 9, 29} {
+				for _, m := range []int{0, 1, 2, 3, 5, 6, 7, 8, 9, 13, 14, 29} {
 					a, b := randMat(rng, m, k), randMat(rng, k, n)
 					p, want := PackB(b), tileRef(a, b)
 					variants := dispatchVariants(m)

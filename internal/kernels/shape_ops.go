@@ -48,28 +48,11 @@ func ConcatInto(ts []*tensor.Tensor, out *tensor.Tensor, axis int) *tensor.Tenso
 	for _, t := range ts {
 		panel := t.Shape()[axis] * inner
 		for o := 0; o < outer; o++ {
-			copyRegion(out, o*outPanel+offset, t, o*panel, panel)
+			tensor.CopyElems(out, o*outPanel+offset, t, o*panel, panel)
 		}
 		offset += panel
 	}
 	return out
-}
-
-// copyRegion copies n elements from src[srcOff:] to dst[dstOff:] respecting
-// dtype. dst and src must share a dtype.
-func copyRegion(dst *tensor.Tensor, dstOff int, src *tensor.Tensor, srcOff, n int) {
-	switch dst.DType() {
-	case tensor.Float32:
-		copy(dst.F32()[dstOff:dstOff+n], src.F32()[srcOff:srcOff+n])
-	case tensor.Float64:
-		copy(dst.F64()[dstOff:dstOff+n], src.F64()[srcOff:srcOff+n])
-	case tensor.Int32:
-		copy(dst.I32()[dstOff:dstOff+n], src.I32()[srcOff:srcOff+n])
-	case tensor.Int64:
-		copy(dst.I64()[dstOff:dstOff+n], src.I64()[srcOff:srcOff+n])
-	case tensor.Bool:
-		copy(dst.Bools()[dstOff:dstOff+n], src.Bools()[srcOff:srcOff+n])
-	}
 }
 
 // SliceInto copies t[..., lo:hi, ...] along axis into out.
@@ -93,7 +76,7 @@ func SliceInto(t, out *tensor.Tensor, axis, lo, hi int) *tensor.Tensor {
 	srcPanel := t.Shape()[axis] * inner
 	dstPanel := (hi - lo) * inner
 	for o := 0; o < outer; o++ {
-		copyRegion(out, o*dstPanel, t, o*srcPanel+lo*inner, dstPanel)
+		tensor.CopyElems(out, o*dstPanel, t, o*srcPanel+lo*inner, dstPanel)
 	}
 	return out
 }
@@ -124,7 +107,7 @@ func TakeInto(table, indices, out *tensor.Tensor) *tensor.Tensor {
 		if ix < 0 || ix >= int64(v) {
 			panic(fmt.Sprintf("kernels: take index %d out of range [0, %d)", ix, v))
 		}
-		copyRegion(out, i*d, table, int(ix)*d, d)
+		tensor.CopyElems(out, i*d, table, int(ix)*d, d)
 	}
 	return out
 }
@@ -173,7 +156,7 @@ func Transpose(t *tensor.Tensor, perm []int) *tensor.Tensor {
 		for d := 0; d < r; d++ {
 			src += idx[d] * inStrides[perm[d]]
 		}
-		copyRegion(out, lin, t, src, 1)
+		tensor.CopyElems(out, lin, t, src, 1)
 		for d := r - 1; d >= 0; d-- {
 			idx[d]++
 			if idx[d] < outShape[d] {

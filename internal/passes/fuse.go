@@ -104,7 +104,7 @@ func fusable(op *ir.Op) bool {
 	switch op.Pattern {
 	case ir.PatternElemWise, ir.PatternBroadcast, ir.PatternInjective, ir.PatternOutFusable:
 		// The §4.2 policy: only data-independent shape functions may fuse.
-		return op.Shape.Fn != nil && op.Shape.Mode == ir.ShapeDataIndependent
+		return op.Shape.Dims != nil
 	}
 	return false
 }
@@ -204,10 +204,7 @@ func buildFusedBinding(bs []binding, ops []*ir.Op, id int) binding {
 			}
 			return outType, nil
 		},
-		Shape: ir.ShapeFunc{
-			Mode: ir.ShapeDataIndependent,
-			Fn:   composeShapeFuncs(members),
-		},
+		Shape:     ir.ShapeFunc{Dims: composeDims(members)},
 		Eval:      composeEval(members),
 		Pattern:   ir.PatternOpaque,
 		NumInputs: len(externals),
@@ -217,32 +214,33 @@ func buildFusedBinding(bs []binding, ops []*ir.Op, id int) binding {
 	return binding{v: bs[n-1].v, value: call}
 }
 
-// composeShapeFuncs chains the members' data-independent shape functions:
-// "the compiler can easily connect the shape functions of basic operators to
-// form the shape function for a composite operator when all shape functions
-// are data independent" (§4.2).
-func composeShapeFuncs(members []fusedMember) func([]tensor.Shape, []*tensor.Tensor, ir.Attrs) ([]tensor.Shape, error) {
-	return func(inShapes []tensor.Shape, _ []*tensor.Tensor, _ ir.Attrs) ([]tensor.Shape, error) {
-		memberShapes := make([]tensor.Shape, len(members))
-		for m, mem := range members {
-			argShapes := make([]tensor.Shape, len(mem.args))
+// composeDims chains the members' dims rules: "the compiler can easily
+// connect the shape functions of basic operators to form the shape
+// function for a composite operator when all shape functions are data
+// independent" (§4.2). An internal argument always names the previous
+// member (see runFused).
+func composeDims(members []fusedMember) ir.DimsRule {
+	return func(in [][]ir.Dim, _ ir.Attrs) ([]ir.Dim, error) {
+		var prev []ir.Dim
+		for _, mem := range members {
+			args := make([][]ir.Dim, len(mem.args))
 			for i, r := range mem.args {
-				if r.internal {
-					argShapes[i] = memberShapes[r.idx]
-				} else {
-					if r.idx >= len(inShapes) {
-						return nil, fmt.Errorf("passes: fused shape func missing input %d", r.idx)
-					}
-					argShapes[i] = inShapes[r.idx]
+				switch {
+				case r.internal:
+					args[i] = prev
+				case r.idx < len(in):
+					args[i] = in[r.idx]
+				default:
+					return nil, fmt.Errorf("passes: fused shape func missing input %d", r.idx)
 				}
 			}
-			out, err := mem.op.Shape.Fn(argShapes, nil, mem.attrs)
+			out, err := mem.op.Shape.Dims(args, mem.attrs)
 			if err != nil {
 				return nil, err
 			}
-			memberShapes[m] = out[0]
+			prev = out
 		}
-		return []tensor.Shape{memberShapes[len(members)-1]}, nil
+		return prev, nil
 	}
 }
 

@@ -186,7 +186,7 @@ func manifestChain(e ir.Expr, target ir.Device, stats *AllocStats) (ir.Expr, err
 
 		// Dynamic path: run the shape function, then allocate by its result.
 		mode := op.Shape.Mode
-		if op.Shape.Fn == nil {
+		if op.Shape.Dims == nil && op.Shape.Fn == nil {
 			return nil, fmt.Errorf("operator %s has a dynamic output type but no shape function", op.Name)
 		}
 		var sfArgs []ir.Expr

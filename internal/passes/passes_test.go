@@ -222,13 +222,20 @@ func TestFuseDenseEpilogue(t *testing.T) {
 	if !got.Equal(want) {
 		t.Errorf("fused eval = %v, want %v", got.F32(), want.F32())
 	}
-	// Composed shape function works.
-	shapes, err := fusedOp.Shape.Fn([]tensor.Shape{{7, 8}, {8, 4}, {4}}, nil, nil)
+	// The composed dims rule works, static and with a symbolic row count.
+	dims, err := fusedOp.Shape.Dims([][]ir.Dim{{ir.StaticDim(7), ir.StaticDim(8)}, {ir.StaticDim(8), ir.StaticDim(4)}, {ir.StaticDim(4)}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !shapes[0].Equal(tensor.Shape{7, 4}) {
-		t.Errorf("fused shape = %v", shapes[0])
+	if got := (&ir.TensorType{Dims: dims}).String(); got != "Tensor[(7, 4), float32]" {
+		t.Errorf("fused shape = %s", got)
+	}
+	dims, err = fusedOp.Shape.Dims([][]ir.Dim{{ir.SymDim(3), ir.StaticDim(8)}, {ir.StaticDim(8), ir.StaticDim(4)}, {ir.StaticDim(4)}}, nil)
+	if err != nil || !dims[0].Equal(ir.SymDim(3)) {
+		t.Errorf("fused shape over Any#3 rows = %v, %v", dims, err)
+	}
+	if _, err := fusedOp.Shape.Dims([][]ir.Dim{{ir.StaticDim(7), ir.StaticDim(8)}, {ir.StaticDim(9), ir.StaticDim(4)}, {ir.StaticDim(4)}}, nil); err == nil {
+		t.Error("fused shape accepted a reduction-dim mismatch")
 	}
 }
 

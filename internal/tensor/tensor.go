@@ -172,19 +172,36 @@ func (t *Tensor) Bools() []bool {
 // Clone returns a deep copy of the tensor.
 func (t *Tensor) Clone() *Tensor {
 	c := New(t.dtype, t.shape...)
-	switch t.dtype {
-	case Float32:
-		copy(c.f32, t.f32)
-	case Float64:
-		copy(c.f64, t.f64)
-	case Int32:
-		copy(c.i32, t.i32)
-	case Int64:
-		copy(c.i64, t.i64)
-	case Bool:
-		copy(c.b, t.b)
-	}
+	CopyElems(c, 0, t, 0, t.NumElements())
 	return c
+}
+
+// CopyElems copies the n elements of src from srcOff to dst from dstOff.
+// dst and src must share a dtype. Copying a range onto itself, as an
+// in-place write through an aliasing destination does, is a no-op.
+func CopyElems(dst *Tensor, dstOff int, src *Tensor, srcOff, n int) {
+	if dst.dtype != src.dtype {
+		panic(fmt.Sprintf("tensor: copy of %v elements into a %v tensor", src.dtype, dst.dtype))
+	}
+	switch dst.dtype {
+	case Float32:
+		copyRange(dst.f32, dstOff, src.f32, srcOff, n)
+	case Float64:
+		copyRange(dst.f64, dstOff, src.f64, srcOff, n)
+	case Int32:
+		copyRange(dst.i32, dstOff, src.i32, srcOff, n)
+	case Int64:
+		copyRange(dst.i64, dstOff, src.i64, srcOff, n)
+	case Bool:
+		copyRange(dst.b, dstOff, src.b, srcOff, n)
+	}
+}
+
+func copyRange[E any](dst []E, dstOff int, src []E, srcOff, n int) {
+	d, s := dst[dstOff:dstOff+n], src[srcOff:srcOff+n]
+	if n > 0 && &d[0] != &s[0] {
+		copy(d, s)
+	}
 }
 
 // Reshape returns a tensor sharing t's storage with a new shape holding the

@@ -65,22 +65,6 @@ func WithDispatchWidth(n int) Option {
 	return func(o *compileOptions) { o.c.Codegen.Dispatch = n }
 }
 
-// WithoutFusion disables operator fusion (ablation).
-func WithoutFusion() Option {
-	return func(o *compileOptions) { o.c.DisableFusion = true }
-}
-
-// WithoutCoalescing disables static storage coalescing (ablation).
-func WithoutCoalescing() Option {
-	return func(o *compileOptions) { o.c.DisableCoalescing = true }
-}
-
-// WithoutMemoryPlanning disables the explicit-allocation transform
-// entirely; kernels then allocate their own outputs (ablation).
-func WithoutMemoryPlanning() Option {
-	return func(o *compileOptions) { o.c.DisableMemoryPlanning = true }
-}
-
 // WithVerify runs the static invariant verifier after every compilation
 // pass and over the emitted bytecode (check mode): SSA/ANF well-formedness,
 // type consistency against the operator relations, control-flow sanity, and

@@ -32,8 +32,7 @@ func WithDrainTimeout(d time.Duration) RegistryOption {
 	return func(c *registryConfig) { c.drainBound = d }
 }
 
-// WithServeDefaults sets ServiceOptions applied to every Deploy, before
-// any per-deploy WithServeOptions (later options win).
+// WithServeDefaults sets ServiceOptions applied to every Deploy.
 func WithServeDefaults(opts ...ServiceOption) RegistryOption {
 	return func(c *registryConfig) { c.serveDefaults = append(c.serveDefaults, opts...) }
 }
@@ -42,8 +41,7 @@ func WithServeDefaults(opts ...ServiceOption) RegistryOption {
 type DeployOption func(*deployConfig)
 
 type deployConfig struct {
-	canary    int
-	serveOpts []ServiceOption
+	canary int
 }
 
 // WithCanary deploys the new version as a canary serving pct percent of the
@@ -53,12 +51,6 @@ type deployConfig struct {
 // stable version to split against.
 func WithCanary(pct int) DeployOption {
 	return func(c *deployConfig) { c.canary = pct }
-}
-
-// WithServeOptions sets ServiceOptions for this version's Service, layered
-// over the registry's WithServeDefaults.
-func WithServeOptions(opts ...ServiceOption) DeployOption {
-	return func(c *deployConfig) { c.serveOpts = append(c.serveOpts, opts...) }
 }
 
 // WithRouteKey pins the request's canary-split decision to key: within one

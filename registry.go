@@ -188,8 +188,7 @@ func (r *Registry) Deploy(name string, prog *Program, opts ...DeployOption) (str
 
 	// Build the standby Service before touching any routing state: a
 	// failed build must leave the old epoch serving untouched.
-	svc, err := prog.Serve(slices.Concat(r.serveDefaults, cfg.serveOpts,
-		[]ServiceOption{withSharedStorage(r.shared)})...)
+	svc, err := prog.Serve(slices.Concat(r.serveDefaults, []ServiceOption{withSharedStorage(r.shared)})...)
 	if err != nil {
 		return "", fmt.Errorf("nimble: registry: deploy %q: %w", name, err)
 	}
