@@ -12,7 +12,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test cross purego race api-check staticcheck chaos chaos-smoke registry-smoke fuzz-smoke invoke-fuzz-smoke sse-fuzz-smoke verify-smoke bench bench-full paper-smoke bench-kernels benchmark-check ci
+.PHONY: all build vet test cross purego race api-check staticcheck chaos chaos-smoke registry-smoke stream-smoke fuzz-smoke invoke-fuzz-smoke sse-fuzz-smoke verify-smoke bench bench-full paper-smoke bench-kernels benchmark-check ci
 
 all: build vet test
 
@@ -53,6 +53,12 @@ chaos:
 # be byte-identical to exactly one version's reference output.
 registry-smoke:
 	$(GO) test -race -run 'TestRegistry|TestCanary|TestChaosRegistrySwap' -count=1 -timeout 10m .
+
+# The stream handoff under -race, ten times over: a stream is read straight
+# from the worker that steps it, so the interleavings of Next, Close and
+# cancellation against the worker are what this repeats.
+stream-smoke:
+	$(GO) test -race -count=10 -run 'Stream|Cancel|Shutdown' . ./internal/serve
 
 # 30-second differential fuzz: compiled VM vs eager reference on random
 # IR programs. Counterexamples land in internal/conformance/testdata. Then
@@ -135,4 +141,4 @@ bench-kernels:
 benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-ci: all cross purego staticcheck race api-check chaos-smoke registry-smoke bench paper-smoke benchmark-check
+ci: all cross purego staticcheck race stream-smoke api-check chaos-smoke registry-smoke bench paper-smoke benchmark-check

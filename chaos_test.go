@@ -211,12 +211,12 @@ func TestChaosSchedulerStreams(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			runStreamChaos(t, seed, iters)
+			streamChaosRun(t, seed, iters)
 		})
 	}
 }
 
-func runStreamChaos(t *testing.T, seed uint64, iters int) {
+func streamChaosRun(t *testing.T, seed uint64, iters int) {
 	const clients = 8
 	// A shrunk decoder: a full-size decode dispatches thousands of kernels,
 	// so even a 0.4% panic rate kills virtually every stream. Eight steps of

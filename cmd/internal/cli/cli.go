@@ -12,7 +12,6 @@ import (
 
 	"nimble"
 	"nimble/models"
-	"nimble/tensor"
 )
 
 // Model couples a built model's module (already compiled into Program)
@@ -145,25 +144,4 @@ func BuildOrLoad(name, exe string, opts ...nimble.Option) (*Model, error) {
 		return Build(name, opts...)
 	}
 	return Load(name, exe, opts...)
-}
-
-// TensorShapeOK loosely validates a request tensor against a signature
-// parameter: dtype must match and every static dimension must agree (Any
-// dims are free). Used by generic servers for fast 400s before dispatch.
-func TensorShapeOK(t *tensor.Tensor, p nimble.TypeInfo) error {
-	if p.Kind != nimble.KindTensorType {
-		return fmt.Errorf("parameter is %s, not a tensor", p.Kind)
-	}
-	if p.DType != "" && p.DType != t.DType().String() {
-		return fmt.Errorf("dtype %s, want %s", t.DType(), p.DType)
-	}
-	if len(p.Shape) != t.Rank() {
-		return fmt.Errorf("rank %d, want %d", t.Rank(), len(p.Shape))
-	}
-	for i, d := range p.Shape {
-		if d != nimble.DimAny && d != t.Shape()[i] {
-			return fmt.Errorf("dim %d is %d, want %d", i, t.Shape()[i], d)
-		}
-	}
-	return nil
 }

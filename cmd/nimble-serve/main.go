@@ -156,17 +156,16 @@ func fromTensor(t *tensor.Tensor) tensorJSON {
 }
 
 // toValue decodes one wire value against its signature parameter type.
+// It checks only what decoding needs; whether the value fits the parameter
+// is the Program's argument check, which answers ErrBadInput (400).
 func toValue(vj valueJSON, p nimble.TypeInfo) (nimble.Value, error) {
 	switch {
 	case vj.ADT != nil:
-		if p.Kind != nimble.KindADTType || p.ADT == nil {
+		if p.ADT == nil {
 			return nimble.Value{}, fmt.Errorf("parameter is %s, not an ADT", p.Kind)
 		}
 		return toADTValue(*vj.ADT, p.ADT)
 	case vj.Tuple != nil:
-		if p.Kind != nimble.KindTupleType {
-			return nimble.Value{}, fmt.Errorf("parameter is %s, not a tuple", p.Kind)
-		}
 		if len(vj.Tuple) != len(p.Fields) {
 			return nimble.Value{}, fmt.Errorf("tuple has %d fields, want %d", len(vj.Tuple), len(p.Fields))
 		}
@@ -180,19 +179,9 @@ func toValue(vj valueJSON, p nimble.TypeInfo) (nimble.Value, error) {
 		}
 		return nimble.TupleValue(fields...), nil
 	default:
-		// A tensor where the signature wants an ADT/tuple is a malformed
-		// request: reject it here (400) instead of letting the VM trip on it.
-		if p.Kind != nimble.KindTensorType && p.Kind != nimble.KindUnknownType {
-			return nimble.Value{}, fmt.Errorf("parameter is %s, not a tensor", p.Kind)
-		}
 		t, err := toTensor(tensorJSON{DType: vj.DType, Shape: vj.Shape, Data: vj.Data})
 		if err != nil {
 			return nimble.Value{}, err
-		}
-		if p.Kind == nimble.KindTensorType {
-			if err := cli.TensorShapeOK(t, p); err != nil {
-				return nimble.Value{}, err
-			}
 		}
 		return nimble.TensorValue(t), nil
 	}

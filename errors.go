@@ -98,11 +98,6 @@ func (errBadArityInput) Is(target error) bool {
 	return target == ErrBadArity || target == ErrBadInput
 }
 
-// badInput wraps a boundary-validation failure in the ErrBadInput family.
-func badInput(entry string, detail string) error {
-	return fmt.Errorf("%w: %s: %s", ErrBadInput, entry, detail)
-}
-
 // canceled wraps err in the ErrCanceled family when it is a context error
 // (possibly buried in a wrap chain); other errors pass through untouched.
 // The classification itself lives in internal/serve so both layers agree.

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -32,7 +33,7 @@ func TestEagerLSTMMatchesNimble(t *testing.T) {
 	cells := e.CellsFromModel(m)
 	eagerOut := e.RunLSTM(cells, steps)
 
-	nimbleOut, err := machine.Invoke("main", models.SequenceToList(m.NilC.Tag, m.ConsC.Tag, steps))
+	nimbleOut, err := machine.InvokeContext(context.Background(), "main", models.SequenceToList(m.NilC.Tag, m.ConsC.Tag, steps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestEagerTwoLayer(t *testing.T) {
 	steps := m.RandomSteps(rng, 4)
 	e := NewEager()
 	out := e.RunLSTM(e.CellsFromModel(m), steps)
-	nimbleOut, err := machine.Invoke("main", models.SequenceToList(m.NilC.Tag, m.ConsC.Tag, steps))
+	nimbleOut, err := machine.InvokeContext(context.Background(), "main", models.SequenceToList(m.NilC.Tag, m.ConsC.Tag, steps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestDataflowLSTMMatchesNimble(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nimbleOut, err := machine.Invoke("main", models.SequenceToList(m.NilC.Tag, m.ConsC.Tag, steps))
+	nimbleOut, err := machine.InvokeContext(context.Background(), "main", models.SequenceToList(m.NilC.Tag, m.ConsC.Tag, steps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestDataflowLSTMTwoLayerAndLengthOne(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		nimbleOut, err := machine.Invoke("main", models.SequenceToList(m.NilC.Tag, m.ConsC.Tag, steps))
+		nimbleOut, err := machine.InvokeContext(context.Background(), "main", models.SequenceToList(m.NilC.Tag, m.ConsC.Tag, steps))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -37,7 +38,7 @@ func TestLSTMStepAllocRegression(t *testing.T) {
 	seq := m.RandomSequence(rng, steps)
 
 	run := func() {
-		if _, err := machine.Invoke("main", seq); err != nil {
+		if _, err := machine.InvokeContext(context.Background(), "main", seq); err != nil {
 			t.Fatal(err)
 		}
 	}

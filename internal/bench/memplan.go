@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -100,7 +101,7 @@ func MemPlan(cfg Config) (*MemPlanResult, error) {
 		machine.SetProfiler(prof)
 		ids := m.RandomIDs(rng, seq)
 		lat := measure(runs, func() {
-			if _, err := machine.InvokeTensors("main", ids); err != nil {
+			if _, err := machine.InvokeTensorsContext(context.Background(), "main", ids); err != nil {
 				panic(err)
 			}
 		}) / time.Duration(runs)

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -54,7 +55,7 @@ func Table1(cfg Config) (*Table, error) {
 		}
 		runNimble := func() {
 			for _, list := range lists {
-				if _, err := machine.Invoke("main", list); err != nil {
+				if _, err := machine.InvokeContext(context.Background(), "main", list); err != nil {
 					panic(err)
 				}
 			}
@@ -137,7 +138,7 @@ func Table2(cfg Config) (*Table, error) {
 	}
 	runNimble := func() {
 		for _, o := range objs {
-			if _, err := machine.Invoke("main", o); err != nil {
+			if _, err := machine.InvokeContext(context.Background(), "main", o); err != nil {
 				panic(err)
 			}
 		}
@@ -215,7 +216,7 @@ func Table3(cfg Config) (*Table, error) {
 	}
 	runNimble := func() {
 		for _, ids := range idsIn {
-			if _, err := machine.InvokeTensors("main", ids); err != nil {
+			if _, err := machine.InvokeTensorsContext(context.Background(), "main", ids); err != nil {
 				panic(err)
 			}
 		}
@@ -325,12 +326,12 @@ func Table4(cfg Config) (*Table4Result, error) {
 	// side. The dynamic side keeps the kernel/other split of its median run
 	// so the split sums to the reported latency.
 	for _, m := range []*vm.VM{dynVM, staticVM} {
-		if _, err := m.InvokeTensors("main", ids); err != nil {
+		if _, err := m.InvokeTensorsContext(context.Background(), "main", ids); err != nil {
 			return nil, err
 		}
 	}
 	invoke := func(m *vm.VM) {
-		if _, err := m.InvokeTensors("main", ids); err != nil {
+		if _, err := m.InvokeTensorsContext(context.Background(), "main", ids); err != nil {
 			panic(err)
 		}
 	}

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -47,7 +48,7 @@ func TestCompileStaticDenseChain(t *testing.T) {
 	xs := tensor.Random(rng, 1, 4, 8)
 	ws := tensor.Random(rng, 1, 8, 6)
 	bs := tensor.Random(rng, 1, 6)
-	got, err := machine.InvokeTensors("main", xs, ws, bs)
+	got, err := machine.InvokeTensorsContext(context.Background(), "main", xs, ws, bs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestCompileDynamicConcatAcrossShapes(t *testing.T) {
 	for _, rows := range []int{1, 5, 17} {
 		xs := tensor.Random(rng, 1, rows, 3)
 		ys := tensor.Random(rng, 1, 1, 3)
-		got, err := machine.InvokeTensors("main", xs, ys)
+		got, err := machine.InvokeTensorsContext(context.Background(), "main", xs, ys)
 		if err != nil {
 			t.Fatalf("rows=%d: %v", rows, err)
 		}
@@ -97,7 +98,7 @@ func TestCompileSymbolicDenseUsesDispatch(t *testing.T) {
 	for _, m := range []int{1, 8, 13, 64} {
 		xs := tensor.Random(rng, 1, m, 8)
 		ws := tensor.Random(rng, 1, 8, 6)
-		got, err := machine.InvokeTensors("main", xs, ws)
+		got, err := machine.InvokeTensorsContext(context.Background(), "main", xs, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +124,7 @@ func TestCompileReshapeOfPlannedBuffers(t *testing.T) {
 
 	machine, _ := mustCompile(t, mod, Options{DisableFusion: true})
 	xs := tensor.Random(rng, 1, 4, 6)
-	got, err := machine.InvokeTensors("main", xs)
+	got, err := machine.InvokeTensorsContext(context.Background(), "main", xs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,14 +148,14 @@ func TestCompileIf(t *testing.T) {
 	mod := singleFuncModule(ir.NewFunc([]*ir.Var{x, c}, body, nil))
 	machine, _ := mustCompile(t, mod, Options{})
 	xs := tensor.FromF32([]float32{-1, 2}, 2)
-	got, err := machine.InvokeTensors("main", xs, tensor.ScalarBool(true))
+	got, err := machine.InvokeTensorsContext(context.Background(), "main", xs, tensor.ScalarBool(true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Equal(tensor.FromF32([]float32{0, 2}, 2)) {
 		t.Errorf("then branch = %v", got.F32())
 	}
-	got, err = machine.InvokeTensors("main", xs, tensor.ScalarBool(false))
+	got, err = machine.InvokeTensorsContext(context.Background(), "main", xs, tensor.ScalarBool(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestCompileRecursionGrowingTensor(t *testing.T) {
 
 	machine, _ := mustCompile(t, mod, Options{})
 	a0 := tensor.FromF32([]float32{1, 2}, 1, 2)
-	got, err := machine.InvokeTensors("main", a0, tensor.ScalarI64(5))
+	got, err := machine.InvokeTensorsContext(context.Background(), "main", a0, tensor.ScalarI64(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestCompileMatchOverTree(t *testing.T) {
 		mkLeaf(1, 2),
 		&vm.ADT{Tag: node.Tag, Fields: []vm.Object{mkLeaf(3, 4), mkLeaf(5, 6)}},
 	}}
-	out, err := machine.Invoke("main", treeObj)
+	out, err := machine.InvokeContext(context.Background(), "main", treeObj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestCompileDataDependentArange(t *testing.T) {
 	out := b.Op("arange", ir.ConstScalar(0), s, ir.ConstScalar(1))
 	mod := singleFuncModule(ir.NewFunc([]*ir.Var{s}, b.Finish(out), nil))
 	machine, _ := mustCompile(t, mod, Options{})
-	got, err := machine.InvokeTensors("main", tensor.Scalar(4))
+	got, err := machine.InvokeTensorsContext(context.Background(), "main", tensor.Scalar(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +268,7 @@ func TestCompileDataDependentArange(t *testing.T) {
 		t.Errorf("arange = %v", got.F32())
 	}
 	// Same executable, different data, different output shape.
-	got, err = machine.InvokeTensors("main", tensor.Scalar(2))
+	got, err = machine.InvokeTensorsContext(context.Background(), "main", tensor.Scalar(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +287,7 @@ func TestCompileUpperBoundNMS(t *testing.T) {
 		0.8, 1, 1, 11, 11,
 		0.7, 50, 50, 60, 60,
 	}, 3, 5)
-	got, err := machine.InvokeTensors("main", in)
+	got, err := machine.InvokeTensorsContext(context.Background(), "main", in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +305,7 @@ func TestCompileClosureValue(t *testing.T) {
 	body := ir.NewLet(f, clos, ir.NewCall(f, []ir.Expr{x}, nil))
 	mod := singleFuncModule(ir.NewFunc([]*ir.Var{x}, body, nil))
 	machine, _ := mustCompile(t, mod, Options{})
-	got, err := machine.InvokeTensors("main", tensor.FromF32([]float32{1, 2}, 2))
+	got, err := machine.InvokeTensorsContext(context.Background(), "main", tensor.FromF32([]float32{1, 2}, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +341,7 @@ func TestAblationsAgree(t *testing.T) {
 		{DisableFusion: true, DisableMemoryPlanning: true},
 	} {
 		machine, _ := mustCompile(t, build(), opts)
-		got, err := machine.InvokeTensors("main", xs, ws)
+		got, err := machine.InvokeTensorsContext(context.Background(), "main", xs, ws)
 		if err != nil {
 			t.Fatalf("config %d: %v", i, err)
 		}
@@ -376,11 +377,11 @@ func TestSerializedExecutableRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	xs := tensor.Random(rng, 1, 3, 4)
-	got, err := vm.New(loaded).InvokeTensors("main", xs)
+	got, err := vm.New(loaded).InvokeTensorsContext(context.Background(), "main", xs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := vm.New(res.Exe).InvokeTensors("main", xs)
+	want, err := vm.New(res.Exe).InvokeTensorsContext(context.Background(), "main", xs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +420,7 @@ func TestCompileGPUPlacementInsertsNoSpuriousCopies(t *testing.T) {
 	}
 	// The compiled program still runs (host executes "GPU" kernels).
 	machine := vm.New(res.Exe)
-	got, err := machine.InvokeTensors("main",
+	got, err := machine.InvokeTensorsContext(context.Background(), "main",
 		tensor.New(tensor.Float32, 2, 4), tensor.New(tensor.Float32, 1, 4))
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"context"
 	"fmt"
 
 	"nimble/internal/compiler"
@@ -47,7 +48,7 @@ func check(p checkable) error {
 	if err != nil {
 		return fmt.Errorf("compile failed: %w\n%s", err, p.Describe())
 	}
-	got, err := machine.InvokeTensors("main", p.Inputs()...)
+	got, err := machine.InvokeTensorsContext(context.Background(), "main", p.Inputs()...)
 	if err != nil {
 		return fmt.Errorf("vm execution failed: %w\n%s", err, p.Describe())
 	}
@@ -57,7 +58,7 @@ func check(p checkable) error {
 	// Second invocation on the same VM: the storage pool and recycled
 	// frames are now warm, so this exercises buffer-reuse paths the first
 	// run cannot.
-	got2, err := machine.InvokeTensors("main", p.Inputs()...)
+	got2, err := machine.InvokeTensorsContext(context.Background(), "main", p.Inputs()...)
 	if err != nil {
 		return fmt.Errorf("second vm execution failed: %w\n%s", err, p.Describe())
 	}

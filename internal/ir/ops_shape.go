@@ -111,6 +111,7 @@ func transposeDims(in [][]Dim, attrs Attrs) ([]Dim, error) {
 
 // reshapeDims is reshape's rule: the target shape in attrs, whose one -1
 // extent is inferred from the element count, or Any while that is unknown.
+// With a static input the element counts must agree.
 func reshapeDims(in [][]Dim, attrs Attrs) ([]Dim, error) {
 	newShape := attrs.Ints("shape")
 	n, static := 1, true
@@ -118,26 +119,26 @@ func reshapeDims(in [][]Dim, attrs Attrs) ([]Dim, error) {
 		n *= d.Value
 		static = static && !d.IsAny()
 	}
-	known := 1
-	for _, d := range newShape {
-		if d > 0 {
-			known *= d
-		}
-	}
+	known, infer := 1, -1
 	out := make([]Dim, len(newShape))
 	for i, d := range newShape {
 		switch {
 		case d >= 0:
-			out[i] = StaticDim(d)
+			out[i], known = StaticDim(d), known*d
 		case d != -1:
 			return nil, fmt.Errorf("ir: reshape dim %d invalid", d)
-		case !static:
-			out[i] = AnyDim()
-		case n%known == 0:
-			out[i] = StaticDim(n / known)
+		case infer >= 0:
+			return nil, fmt.Errorf("ir: reshape %v has more than one -1", newShape)
 		default:
-			return nil, fmt.Errorf("ir: reshape %v incompatible with %v", newShape, in[0])
+			out[i], infer = AnyDim(), i
 		}
+	}
+	switch {
+	case !static:
+	case infer < 0 && known != n, infer >= 0 && (known == 0 || n%known != 0):
+		return nil, fmt.Errorf("ir: reshape %v incompatible with %v", newShape, in[0])
+	case infer >= 0:
+		out[infer] = StaticDim(n / known)
 	}
 	return out, nil
 }

@@ -146,7 +146,7 @@ var ruleGens = map[string]ruleGen{
 		return c
 	},
 	"reshape": func(rng *rand.Rand) ruleCase {
-		shapes := [][]int{{-1}, {2, -1}, {-1, 3}, {1, -1, 1}, {6}, {3, 2}}
+		shapes := [][]int{{-1}, {2, -1}, {-1, 3}, {1, -1, 1}, {6}, {3, 2}, {2, 2}, {-1, -1}}
 		return ruleCase{shapes: []tensor.Shape{extents(rng, 1+rng.Intn(3))}, attrs: ir.Attrs{"shape": shapes[rng.Intn(len(shapes))]}}
 	},
 	"conv2d": func(rng *rand.Rand) ruleCase {
@@ -163,12 +163,18 @@ var residualChecked = []string{
 	"conv2d", "max_pool2d", "reshape", "sum", "argmax", "transpose", "take", "cache_append",
 }
 
+// readsPosition are the operators whose kernel reads a position or length
+// from an input's data, which the zero-filled inputs of the kernel check
+// below do not make valid.
+var readsPosition = map[string]bool{"cache_append": true, "attn_cached": true}
+
 // TestDimsRuleRelationMatchesShapeKernel draws static calls of every
 // operator with a dims rule and checks that the type relation over static
 // TensorTypes and the runtime shape kernel over ShapeOf tensors agree: the
 // same dims, or an error from both. A rejected call is gradual typing's
 // residual check, which must fire at run time exactly where the relation
-// rejects a static program.
+// rejects a static program. Where both accept, the operator's compute
+// kernel must accept the call too and give the same shape.
 func TestDimsRuleRelationMatchesShapeKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	outcomes := map[string][2]int{} // accepted, rejected
@@ -213,6 +219,16 @@ func TestDimsRuleRelationMatchesShapeKernel(t *testing.T) {
 				if gotShape, err := got.ToShape(); !static || err != nil || !gotShape.Equal(want) {
 					t.Errorf("%s %v %v: relation gives %s, shape kernel %v", name, c.shapes, c.attrs, rel, got.I64())
 				}
+				if op.Eval != nil && !readsPosition[name] {
+					// The compute kernel must accept what the rule accepts.
+					args := make([]*tensor.Tensor, len(c.shapes))
+					for j, s := range c.shapes {
+						args[j] = tensor.New(types[j].(*ir.TensorType).DType, s...)
+					}
+					if res, err := op.Eval(args, c.attrs, nil); err != nil || !res.Shape().Equal(want) {
+						t.Errorf("%s %v %v: relation gives %s, kernel gives %v, %v", name, c.shapes, c.attrs, rel, res, err)
+					}
+				}
 				o[0]++
 			}
 			outcomes[name] = o
@@ -224,6 +240,25 @@ func TestDimsRuleRelationMatchesShapeKernel(t *testing.T) {
 	for _, name := range residualChecked {
 		if outcomes[name][1] == 0 {
 			t.Errorf("%s: no generated call was rejected", name)
+		}
+	}
+}
+
+// TestReshapeRelRejects: a static reshape whose element count differs from
+// its input's, or that infers more than one extent, is a type error, not a
+// run-time kernel failure.
+func TestReshapeRelRejects(t *testing.T) {
+	op := ir.MustGetOp("reshape")
+	for _, c := range []struct {
+		in    []int
+		shape []int
+	}{
+		{[]int{2, 2}, []int{6}},
+		{[]int{2, 3}, []int{-1, -1}},
+		{[]int{2, 3}, []int{4, -1}},
+	} {
+		if got, err := op.Rel([]ir.Type{ir.TT(tensor.Float32, c.in...)}, ir.Attrs{"shape": c.shape}); err == nil {
+			t.Errorf("reshape(Tensor%v){shape=%v} typed as %s, want an error", c.in, c.shape, got)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -22,7 +23,7 @@ func TestLSTMCompilesAndRuns(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range []int{1, 3, 9} {
-		out, err := machine.Invoke("main", m.RandomSequence(rng, n))
+		out, err := machine.InvokeContext(context.Background(), "main", m.RandomSequence(rng, n))
 		if err != nil {
 			t.Fatalf("seq len %d: %v", n, err)
 		}
@@ -48,7 +49,7 @@ func TestLSTMMatchesReferenceStep(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(4))
 	x := tensor.Random(rng, 1, 1, cfg.Input)
-	out, err := machine.Invoke("main", SequenceToList(m.NilC.Tag, m.ConsC.Tag, []*tensor.Tensor{x}))
+	out, err := machine.InvokeContext(context.Background(), "main", SequenceToList(m.NilC.Tag, m.ConsC.Tag, []*tensor.Tensor{x}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestLSTMTwoLayer(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(6))
-	out, err := machine.Invoke("main", m.RandomSequence(rng, 5))
+	out, err := machine.InvokeContext(context.Background(), "main", m.RandomSequence(rng, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestTreeLSTMCompilesAndRuns(t *testing.T) {
 		if leaves > 1 && tree.Nodes() != 2*leaves-1 {
 			t.Fatalf("binary tree nodes = %d, want %d", tree.Nodes(), 2*leaves-1)
 		}
-		out, err := machine.Invoke("main", m.ToObject(tree))
+		out, err := machine.InvokeContext(context.Background(), "main", m.ToObject(tree))
 		if err != nil {
 			t.Fatalf("leaves=%d: %v", leaves, err)
 		}
@@ -136,11 +137,11 @@ func TestTreeLSTMDeterministicPerTree(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(10))
 	tree := RandomTree(rng, 5, cfg.Input)
-	a, err := machine.Invoke("main", m.ToObject(tree))
+	a, err := machine.InvokeContext(context.Background(), "main", m.ToObject(tree))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := machine.Invoke("main", m.ToObject(tree))
+	b, err := machine.InvokeContext(context.Background(), "main", m.ToObject(tree))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestBERTCompilesAndRunsAcrossLengths(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, n := range []int{3, 8, 17, 33} {
 		ids := m.RandomIDs(rng, n)
-		out, err := machine.InvokeTensors("main", ids)
+		out, err := machine.InvokeTensorsContext(context.Background(), "main", ids)
 		if err != nil {
 			t.Fatalf("len %d: %v", n, err)
 		}
@@ -214,7 +215,7 @@ func TestCVModelsCompileAndRun(t *testing.T) {
 			t.Errorf("%s: static planning found no reuse", m.Name)
 		}
 		img := tensor.Random(rng, 1, m.InputShape...)
-		out, err := machine.InvokeTensors("main", img)
+		out, err := machine.InvokeTensorsContext(context.Background(), "main", img)
 		if err != nil {
 			t.Fatalf("%s: run: %v", m.Name, err)
 		}
@@ -235,7 +236,7 @@ func TestMLPCompilesAndIsRowIndependent(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(21))
 	batch := m.RandomBatch(rng, 5)
-	out, err := machine.InvokeTensors("main", batch)
+	out, err := machine.InvokeTensorsContext(context.Background(), "main", batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +250,7 @@ func TestMLPCompilesAndIsRowIndependent(t *testing.T) {
 		rowData := make([]float32, m.Config.In)
 		copy(rowData, batch.F32()[r*m.Config.In:(r+1)*m.Config.In])
 		row := tensor.FromF32(rowData, 1, m.Config.In)
-		single, err := machine.InvokeTensors("main", row)
+		single, err := machine.InvokeTensorsContext(context.Background(), "main", row)
 		if err != nil {
 			t.Fatal(err)
 		}

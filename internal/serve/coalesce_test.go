@@ -69,7 +69,7 @@ func rowStats(sc *Scheduler) BatchStats {
 }
 
 func rowRequest(sc *Scheduler, in *tensor.Tensor) (*tensor.Tensor, error) {
-	out, err := sc.Stream(context.Background(), 0, nil, "main", vm.NewTensorObj(in))
+	out, err := submitWait(sc, context.Background(), 0, nil, "main", vm.NewTensorObj(in))
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +147,7 @@ func TestRaggedInputsStayPadFree(t *testing.T) {
 	// would require padding); they form separate dispatches.
 	e := &schedEntry{coalesce: true}
 	sc := &Scheduler{cfg: SchedConfig{Window: 8, MaxBatch: 8}}
-	reqs := []*schedStream{
+	reqs := []*Run{
 		{row: tensor.New(tensor.Float32, 2, 16)},
 		{row: tensor.New(tensor.Float32, 1, 16)},
 		{row: tensor.New(tensor.Float32, 2, 8)},
@@ -168,7 +168,7 @@ func TestRaggedInputsStayPadFree(t *testing.T) {
 		t.Error("group does not preserve arrival order")
 	}
 	// The other two share a dispatch with nobody.
-	for _, want := range []*schedStream{reqs[2], reqs[4]} {
+	for _, want := range []*Run{reqs[2], reqs[4]} {
 		if s := w.adoptLocked(); s != want || w.coalesceLocked(s) != nil {
 			t.Fatalf("ragged request %v was grouped", want.row.Shape())
 		}

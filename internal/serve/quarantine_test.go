@@ -100,7 +100,7 @@ func TestPoolQuarantinesPoisonedSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := refVM.InvokeTensors("main", in)
+	want, err := refVM.InvokeTensorsContext(context.Background(), "main", in)
 	if err != nil {
 		t.Fatal(err)
 	}

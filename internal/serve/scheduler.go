@@ -95,7 +95,7 @@ type Scheduler struct {
 	order   []*schedEntry
 
 	mu      sync.Mutex
-	queue   []*schedStream
+	queue   []*Run
 	workers map[*schedWorker]struct{}
 	// all lists every session by id; free is the LIFO stack of the
 	// sessions no worker holds.
@@ -176,11 +176,16 @@ func (sc *Scheduler) newSession(i int) *Session {
 // Workers returns the number of sessions the scheduler drives.
 func (sc *Scheduler) Workers() int { return len(sc.all) }
 
-// schedStream is one request's life in the scheduler: queued, then adopted
-// by a worker that steps it to completion, one iteration at a time,
-// interleaved with its batch-mates. A unary request is a stream nobody
-// listens to (tokens is nil) that normally retires in its first step.
-type schedStream struct {
+// Run is one request's life in the scheduler: queued, then adopted by a
+// worker that steps it to completion, one iteration at a time, interleaved
+// with its batch-mates. Its caller reads it in place: Next takes each
+// emitted tensor straight from the stepping worker, and Wait takes the
+// outcome. A unary request is a run whose emissions are dropped (tokens is
+// nil); it normally retires in its first step.
+//
+// Next and Wait belong to the one goroutine that submitted the run.
+type Run struct {
+	sc       *Scheduler
 	ctx      context.Context
 	entry    *schedEntry
 	args     []vm.Object
@@ -195,19 +200,21 @@ type schedStream struct {
 	// with one rank>=1 tensor to a coalescing entry. Nil otherwise.
 	row *tensor.Tensor
 
-	// tokens hands each emitted tensor from the stepping worker to the
-	// consumer relay. Capacity 1: the worker only steps a stream whose
-	// previous token has been consumed (pending false), so the send never
-	// blocks for one-emit-per-iteration programs, and a multi-emit
-	// iteration falls back to a context-bounded blocking send.
+	// tokens hands each emitted tensor from the stepping worker to Next.
+	// Capacity 1: the worker only steps a stream whose previous token has
+	// been taken (pending false), so the send never blocks for
+	// one-emit-per-iteration programs, and a multi-emit iteration falls
+	// back to a context-bounded blocking send.
 	tokens chan *tensor.Tensor
-	// pending is set (before the send) when a token sits undelivered and
-	// cleared by the relay after receiving it; the worker skips pending
-	// streams so one slow consumer cannot head-of-line-block the batch.
+	// pending is set (before the send) when a token sits unread and
+	// cleared by Next after receiving it; the worker skips pending
+	// streams so one slow reader cannot head-of-line-block the batch. The
+	// channel's length cannot stand in: a send to a reader already
+	// waiting in Next hands the token over with the buffer still empty.
 	pending atomic.Bool
-	// killErr, once set, makes the worker retire the stream at its next
-	// boundary (consumer sink failed without a context cancellation).
-	killErr atomic.Pointer[error]
+	// abandoned, once set, makes the worker retire the run at its next
+	// boundary: Wait gave up on an unfinished stream.
+	abandoned atomic.Bool
 
 	run   *vm.StreamRun // nil until the worker's first step
 	steps int
@@ -218,47 +225,41 @@ type schedStream struct {
 	err    error
 }
 
-func (s *schedStream) kill(err error) { s.killErr.CompareAndSwap(nil, &err) }
-
-func (s *schedStream) killed() error {
-	if p := s.killErr.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
 // coalesces reports whether q can ride s's dispatch with zero padding:
 // same entry, same dtype, same rank, same trailing extents. Shapes that
 // differ only in the leading dimension concatenate as they are; anything
 // else stays a separate dispatch — the paper's dynamic workloads never pay
 // padding waste.
-func (s *schedStream) coalesces(q *schedStream) bool {
+func (s *Run) coalesces(q *Run) bool {
 	a, b := s.row, q.row
 	return b != nil && q.entry == s.entry && a.DType() == b.DType() &&
 		slices.Equal(a.Shape()[1:], b.Shape()[1:])
 }
 
-// Stream runs one request through the run queue: it blocks until the run
-// finishes (or ctx cancels it) and returns the entry's final result,
-// delivering each emitted tensor to sink along the way. A nil sink makes
-// it a unary invoke: emissions are dropped, and a single-tensor call to a
-// row-separable entry may be coalesced with its neighbours in the queue.
-// Backpressure is per-stream: an unconsumed token parks only its own
-// stream at the next iteration boundary while batch-mates keep stepping.
-// The lane and the deadline, if ctx carries one, order the queue.
-func (sc *Scheduler) Stream(ctx context.Context, lane int, sink func(*tensor.Tensor) error, entry string, args ...vm.Object) (vm.Object, error) {
+// Submit puts one request on the run queue and returns its handle. With
+// stream set, its emissions are kept for Next; without, they are dropped,
+// and a single-tensor call to a row-separable entry may be coalesced with
+// its neighbours in the queue. The lane and the deadline, if ctx carries
+// one, order the queue. Backpressure is per run: an unread token parks
+// only its own run at the next iteration boundary while batch-mates keep
+// stepping.
+func (sc *Scheduler) Submit(ctx context.Context, lane int, stream bool, entry string, args ...vm.Object) (*Run, error) {
 	e := sc.entries[entry]
 	if e == nil {
 		return nil, fmt.Errorf("serve: scheduler: unknown entry %q", entry)
 	}
-	s := &schedStream{
+	if err := ctx.Err(); err != nil {
+		return nil, Canceled(err)
+	}
+	s := &Run{
+		sc:    sc,
 		ctx:   ctx,
 		entry: e,
 		args:  args,
 		lane:  min(max(lane, 0), sc.cfg.Lanes-1),
 		done:  make(chan struct{}),
 	}
-	if sink != nil {
+	if stream {
 		s.tokens = make(chan *tensor.Tensor, 1)
 	} else if e.coalesce && len(args) == 1 {
 		if t, ok := args[0].(*vm.TensorObj); ok && t.T != nil && t.T.Rank() >= 1 {
@@ -268,79 +269,15 @@ func (sc *Scheduler) Stream(ctx context.Context, lane int, sink func(*tensor.Ten
 	if dl, ok := ctx.Deadline(); ok {
 		s.deadline = dl
 	}
-	if err := sc.submit(s); err != nil {
-		return nil, err
-	}
-	for {
-		select {
-		case t := <-s.tokens:
-			s.pending.Store(false)
-			sc.wakeAll()
-			if err := sink(t); err != nil {
-				s.kill(fmt.Errorf("serve: stream sink: %w", err))
-				sc.wakeAll()
-				return sc.awaitRetire(s)
-			}
-		case <-ctx.Done():
-			if sc.withdraw(s, Canceled(ctx.Err())) {
-				// Never adopted: the relay retires it directly — a worker
-				// blocked behind other traffic must not delay a client that
-				// already gave up.
-				return nil, s.err
-			}
-			sc.wakeAll()
-			return sc.awaitRetire(s)
-		case <-s.done:
-			return sc.drainRetired(s, sink)
-		}
-	}
-}
-
-// awaitRetire discards further tokens (so a blocked emit unwinds) until the
-// worker retires the stream at its next iteration boundary.
-//
-// vet:no-ctx — the worker observes the same cancellation/kill that brought
-// us here and retires the stream within one step.
-func (sc *Scheduler) awaitRetire(s *schedStream) (vm.Object, error) {
-	for {
-		select {
-		case <-s.tokens:
-		case <-s.done:
-			return s.result, s.err
-		}
-	}
-}
-
-// drainRetired delivers tokens that were emitted in the stream's final
-// step (the decoder's last iteration emits, then returns — both land in
-// the same Step call), then reports the outcome.
-func (sc *Scheduler) drainRetired(s *schedStream, sink func(*tensor.Tensor) error) (vm.Object, error) {
-	for {
-		select {
-		case t := <-s.tokens:
-			if err := sink(t); err != nil {
-				return s.result, s.err
-			}
-		default:
-			return s.result, s.err
-		}
-	}
-}
-
-// submit queues the stream and makes sure a worker will pick it up.
-func (sc *Scheduler) submit(s *schedStream) error {
-	if err := s.ctx.Err(); err != nil {
-		return Canceled(err)
-	}
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if sc.closed {
-		return fmt.Errorf("serve: scheduler: %w", ErrClosed)
+		return nil, fmt.Errorf("serve: scheduler: %w", ErrClosed)
 	}
 	s.seq = sc.nextSeq
 	sc.nextSeq++
 	sc.queue = append(sc.queue, s)
-	s.entry.sched.Submitted++
+	e.sched.Submitted++
 	// A free session no starting worker has reserved is an idle one: start
 	// a worker on it rather than let the arrival wait for a busy one. Only
 	// an arrival that does wait reads the clock. Always wake, so a sleeping
@@ -352,17 +289,89 @@ func (sc *Scheduler) submit(s *schedStream) error {
 		s.queued = time.Now()
 	}
 	sc.wakeAllLocked()
-	return nil
+	return s, nil
+}
+
+// Next returns the next tensor a stream run emits, blocking until the
+// worker emits one. It returns false once the run has retired and every
+// token was read, or when the run's context ends first; Wait then gives
+// the outcome.
+//
+// vet:no-ctx — bounded by the run's own context, given to Submit.
+func (s *Run) Next() (*tensor.Tensor, bool) {
+	select {
+	case t := <-s.tokens:
+		s.pending.Store(false)
+		s.sc.mu.Lock()
+		s.sc.wakeAllLocked()
+		s.sc.mu.Unlock()
+		return t, true
+	case <-s.done:
+		// The final step may emit and return at once.
+		select {
+		case t := <-s.tokens:
+			return t, true
+		default:
+			return nil, false
+		}
+	case <-s.ctx.Done():
+		return nil, false
+	}
+}
+
+// Wait returns the run's outcome. A unary run is waited for until it
+// finishes or its context ends. A stream run is read by then: if it has
+// not finished, its reader is done with it, so Wait retires it. A run no
+// worker has adopted yet is withdrawn from the queue at once; otherwise
+// the worker retires it at its next iteration boundary, and Wait discards
+// the tokens nobody read until it has.
+//
+// vet:no-ctx — the worker observes the run's cancellation or abandonment
+// within one step.
+func (s *Run) Wait() (vm.Object, error) {
+	select {
+	case <-s.done:
+		return s.result, s.err
+	default:
+	}
+	if s.tokens == nil {
+		select {
+		case <-s.done:
+			return s.result, s.err
+		case <-s.ctx.Done():
+		}
+	}
+	s.abandoned.Store(true)
+	sc := s.sc
+	sc.mu.Lock()
+	if i := slices.Index(sc.queue, s); i >= 0 {
+		sc.queue = slices.Delete(sc.queue, i, i+1)
+		s.entry.sched.Canceled++
+		if s.row != nil {
+			s.entry.batch.Canceled++
+		}
+		s.err = Canceled(s.ctx.Err())
+		close(s.done)
+	}
+	sc.wakeAllLocked()
+	sc.mu.Unlock()
+	for {
+		select {
+		case <-s.tokens:
+		case <-s.done:
+			return s.result, s.err
+		}
+	}
 }
 
 // popLocked removes and returns the best queued stream: lowest lane, then
 // earliest deadline (deadline-less last), then arrival order. Linear scan;
 // the queue is admission-bounded upstream.
-func (sc *Scheduler) popLocked() *schedStream { return sc.popLikeLocked(nil) }
+func (sc *Scheduler) popLocked() *Run { return sc.popLikeLocked(nil) }
 
 // popLikeLocked is popLocked restricted to the streams that can share
 // like's dispatch (every stream when like is nil).
-func (sc *Scheduler) popLikeLocked(like *schedStream) *schedStream {
+func (sc *Scheduler) popLikeLocked(like *Run) *Run {
 	best := -1
 	for i, q := range sc.queue {
 		if like != nil && !like.coalesces(q) {
@@ -384,7 +393,7 @@ func (sc *Scheduler) popLikeLocked(like *schedStream) *schedStream {
 	return s
 }
 
-func streamLess(a, b *schedStream) bool {
+func streamLess(a, b *Run) bool {
 	if a.lane != b.lane {
 		return a.lane < b.lane
 	}
@@ -400,25 +409,6 @@ func streamLess(a, b *schedStream) bool {
 	return a.seq < b.seq
 }
 
-// withdraw retires a stream with err if it is still queued — no worker has
-// adopted it — and reports whether it did.
-func (sc *Scheduler) withdraw(s *schedStream, err error) bool {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	i := slices.Index(sc.queue, s)
-	if i < 0 {
-		return false
-	}
-	sc.queue = slices.Delete(sc.queue, i, i+1)
-	s.entry.sched.Canceled++
-	if s.row != nil {
-		s.entry.batch.Canceled++
-	}
-	s.err = err
-	close(s.done)
-	return true
-}
-
 // spawnLocked starts a worker and reserves it a free session; the caller
 // checked that len(free) > starting. The worker pops the session at its
 // first look at the queue, so a worker that finds nothing to do frees it
@@ -429,12 +419,6 @@ func (sc *Scheduler) spawnLocked() {
 	sc.workers[w] = struct{}{}
 	sc.starting++
 	go w.run()
-}
-
-func (sc *Scheduler) wakeAll() {
-	sc.mu.Lock()
-	sc.wakeAllLocked()
-	sc.mu.Unlock()
 }
 
 // vet:no-ctx — each wake is a non-blocking send into a single-slot buffer.
@@ -466,10 +450,10 @@ func (sc *Scheduler) noteStep(e *schedEntry, d time.Duration, occupancy int) {
 	sc.mu.Unlock()
 }
 
-// Close fails queued streams with ErrClosed and tells workers to retire
-// their active ones at the next iteration boundary. In-flight relays
-// observe the retirement through their done channels; Close does not wait
-// for them.
+// Close fails queued runs with ErrClosed and tells workers to retire
+// their active ones at the next iteration boundary. Callers observe the
+// retirement through their runs' done channels; Close does not wait for
+// them.
 func (sc *Scheduler) Close() {
 	sc.mu.Lock()
 	if sc.closed {
@@ -572,17 +556,17 @@ type schedWorker struct {
 	wake chan struct{}
 	// active holds the runs parked on this session between steps, plus the
 	// one adopted this pass until its first step shows whether it parks.
-	active []*schedStream
+	active []*Run
 	// settled holds retired runs whose callers have not been told yet.
-	settled []*schedStream
+	settled []*Run
 	// buf backs both slices until one outgrows it: a worker started for a
 	// lone unary request then costs one allocation, not three.
-	buf [4]*schedStream
+	buf [4]*Run
 }
 
 func (w *schedWorker) run() {
 	sc := w.sc
-	starting := true
+	starting, yielded := true, false
 	for {
 		sc.mu.Lock()
 		if starting {
@@ -641,24 +625,24 @@ func (w *schedWorker) run() {
 			if w.sess.poisoned {
 				// Not visited this pass; keep them all so the poison path
 				// below retires every survivor — dropping one would strand
-				// its relay in awaitRetire forever.
+				// its caller in Wait forever.
 				kept = append(kept, w.active[i:]...)
 				break
 			}
 			switch {
 			case closed:
 				w.retire(s, nil, fmt.Errorf("serve: scheduler: %w", ErrClosed), true)
-			case s.ctx.Err() != nil:
+			case s.abandoned.Load() || s.ctx.Err() != nil:
 				w.retire(s, nil, Canceled(s.ctx.Err()), true)
-			case s.killed() != nil:
-				w.retire(s, nil, s.killed(), true)
 			case s.pending.Load():
 				// Last token not consumed yet: stepping would force the
 				// emit into a blocking send and stall the batch.
 				kept = append(kept, s)
 				continue
 			default:
-				if !w.step(s, len(w.active)) {
+				if done, out, err := w.advance(s, len(w.active)); done {
+					w.retire(s, out, err, false)
+				} else {
 					kept = append(kept, s)
 				}
 			}
@@ -698,11 +682,23 @@ func (w *schedWorker) run() {
 			return
 		}
 
-		if !progressed {
-			// Every active stream is waiting on its consumer; sleep until a
-			// relay drains a token, a cancellation arrives, or a submit
-			// lands. vet:no-ctx — every path that changes the condition
-			// above sends a wake.
+		switch {
+		case progressed:
+			yielded = false
+		case !yielded:
+			// Every active stream is waiting on its reader. Yield once
+			// before sleeping, so the readers the last pass woke take their
+			// tokens and the next pass steps their streams together. A
+			// worker that slept at once would be woken by one reader and
+			// handed that reader's processor, and the two would pass it
+			// back and forth while the other readers wait.
+			yielded = true
+			runtime.Gosched()
+		default:
+			// Sleep until a reader takes a token, a cancellation arrives,
+			// or a submit lands. vet:no-ctx — every path that changes the
+			// condition above sends a wake.
+			yielded = false
 			<-w.wake
 		}
 	}
@@ -714,7 +710,7 @@ func (w *schedWorker) run() {
 // The scheduler stays work-conserving: a worker that already holds parked
 // runs leaves an arrival to the worker starting up on an idle session for
 // it, so no request shares a session while another session sits unused.
-func (w *schedWorker) adoptLocked() *schedStream {
+func (w *schedWorker) adoptLocked() *Run {
 	sc := w.sc
 	if len(w.active) >= sc.cfg.Window || (len(w.active) > 0 && len(sc.queue) <= sc.starting) {
 		return nil
@@ -733,16 +729,16 @@ func (w *schedWorker) adoptLocked() *schedStream {
 // request this worker just adopted, brings every queued request that can
 // share its dispatch, best first up to MaxBatch. With company, s leaves the
 // active set and the group comes back for runBatch; alone, s stays put.
-func (w *schedWorker) coalesceLocked(s *schedStream) []*schedStream {
+func (w *schedWorker) coalesceLocked(s *Run) []*Run {
 	sc, e := w.sc, s.entry
-	var group []*schedStream
+	var group []*Run
 	for len(group) < sc.cfg.MaxBatch {
 		m := sc.popLikeLocked(s)
 		if m == nil {
 			break
 		}
 		if group == nil {
-			group = append(make([]*schedStream, 0, sc.cfg.MaxBatch), s)
+			group = append(make([]*Run, 0, sc.cfg.MaxBatch), s)
 		}
 		group = append(group, m)
 	}
@@ -757,36 +753,15 @@ func (w *schedWorker) coalesceLocked(s *schedStream) []*schedStream {
 
 // advance runs s for one iteration on the worker's session; done reports
 // that the run finished, with its outcome.
-func (w *schedWorker) advance(s *schedStream, occupancy int) (done bool, out vm.Object, err error) {
-	name := s.entry.sched.Entry
-	if s.run == nil {
-		var sink func(*tensor.Tensor) error
-		if s.tokens != nil {
-			sink = vmSink(s)
-		}
-		r, err := w.sess.BeginStream(sink, name, s.args...)
-		if err != nil {
-			return true, nil, err
-		}
-		s.run = r
-	}
+func (w *schedWorker) advance(s *Run, occupancy int) (done bool, out vm.Object, err error) {
 	start := time.Now()
-	done, err = w.sess.StepStream(s.ctx, name, s.run)
+	done, err = w.sess.step(s)
 	w.sc.noteStep(s.entry, time.Since(start), occupancy)
 	s.steps++
 	if done && err == nil {
 		out, _ = s.run.Result()
 	}
 	return done, out, err
-}
-
-// step advances one stream by one iteration; reports whether it retired.
-func (w *schedWorker) step(s *schedStream, occupancy int) bool {
-	done, out, err := w.advance(s, occupancy)
-	if done {
-		w.retire(s, out, err, false)
-	}
-	return done
 }
 
 // runBatch serves a coalesced group with one VM run: the inputs
@@ -797,7 +772,7 @@ func (w *schedWorker) step(s *schedStream, occupancy int) bool {
 // inputs — the members go back in the queue to run alone, which preserves
 // semantics and confines a bad request's fault to itself. After a panic
 // that happens on other sessions: this one is poisoned.
-func (w *schedWorker) runBatch(group []*schedStream) {
+func (w *schedWorker) runBatch(group []*Run) {
 	sc, e := w.sc, group[0].entry
 	ins := make([]*tensor.Tensor, len(group))
 	rows := 0
@@ -805,7 +780,7 @@ func (w *schedWorker) runBatch(group []*schedStream) {
 		ins[i] = s.row
 		rows += s.row.Shape()[0]
 	}
-	merged := &schedStream{ctx: context.Background(), entry: e, args: []vm.Object{vm.NewTensorObj(kernels.ConcatInto(ins, nil, 0))}}
+	merged := &Run{ctx: context.Background(), entry: e, args: []vm.Object{vm.NewTensorObj(kernels.ConcatInto(ins, nil, 0))}}
 	var out vm.Object
 	var err error
 	for done := false; !done; {
@@ -846,9 +821,9 @@ func (w *schedWorker) runBatch(group []*schedStream) {
 
 // vmSink builds the VM-level emit sink for one stream: a non-blocking send
 // into the stream's single-slot buffer (pending is set first, so the
-// worker's skip check can never miss a buffered token), falling back to a
+// worker's skip check can never miss a token), falling back to a
 // context-bounded blocking send for multi-emit iterations.
-func vmSink(s *schedStream) func(*tensor.Tensor) error {
+func vmSink(s *Run) func(*tensor.Tensor) error {
 	return func(t *tensor.Tensor) error {
 		s.pending.Store(true)
 		select {
@@ -869,7 +844,7 @@ func vmSink(s *schedStream) func(*tensor.Tensor) error {
 // releases a parked run's buffers (cancellation paths); a poisoned session
 // skips that — its pool is garbage wholesale and the VM is about to be
 // quarantined.
-func (w *schedWorker) retire(s *schedStream, out vm.Object, err error, abortRun bool) {
+func (w *schedWorker) retire(s *Run, out vm.Object, err error, abortRun bool) {
 	if abortRun && s.run != nil && !w.sess.poisoned {
 		s.run.Abort()
 	}
@@ -908,9 +883,9 @@ func (w *schedWorker) retire(s *schedStream, out vm.Object, err error, abortRun 
 // in-flight session count — never catches a session the scheduler was
 // just about to free.
 func (w *schedWorker) notify() {
-	for i, s := range w.settled {
+	for _, s := range w.settled {
 		close(s.done)
-		w.settled[i] = nil
 	}
+	clear(w.settled)
 	w.settled = w.settled[:0]
 }

@@ -27,6 +27,23 @@ func compileDecoder(t testing.TB) *compiler.Result {
 	return res
 }
 
+// submitWait submits one request and reads it to the end, handing each
+// emitted token to sink (a nil sink makes it a unary request); a sink error
+// stops the reading and Wait retires the run.
+func submitWait(sc *Scheduler, ctx context.Context, lane int, sink func(*tensor.Tensor) error, entry string, args ...vm.Object) (vm.Object, error) {
+	r, err := sc.Submit(ctx, lane, sink != nil, entry, args...)
+	if err != nil {
+		return nil, err
+	}
+	for sink != nil {
+		t, ok := r.Next()
+		if !ok || sink(t) != nil {
+			break
+		}
+	}
+	return r.Wait()
+}
+
 // pinnedDecode produces the reference token sequence for one start token on
 // a dedicated, freshly compiled VM — the pre-scheduler semantics every
 // scheduled stream must reproduce byte for byte.
@@ -88,7 +105,7 @@ func TestSchedulerInterleavesStreamsOnOneSession(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			first := true
-			_, errs[i] = sc.Stream(context.Background(), 0, func(tt *tensor.Tensor) error {
+			_, errs[i] = submitWait(sc, context.Background(), 0, func(tt *tensor.Tensor) error {
 				if first {
 					first = false
 					barrier.Done()
@@ -138,7 +155,7 @@ func TestSchedulerMidFlightJoin(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		once := sync.Once{}
-		if _, err := sc.Stream(context.Background(), 0, func(tt *tensor.Tensor) error {
+		if _, err := submitWait(sc, context.Background(), 0, func(tt *tensor.Tensor) error {
 			once.Do(func() { close(firstToken) })
 			earlyToks = append(earlyToks, tt.I64()...)
 			return nil
@@ -147,7 +164,7 @@ func TestSchedulerMidFlightJoin(t *testing.T) {
 		}
 	}()
 	<-firstToken // the early stream is mid-generation
-	if _, err := sc.Stream(context.Background(), 0, func(tt *tensor.Tensor) error {
+	if _, err := submitWait(sc, context.Background(), 0, func(tt *tensor.Tensor) error {
 		lateToks = append(lateToks, tt.I64()...)
 		return nil
 	}, "generate", startObj(11)); err != nil {
@@ -172,13 +189,13 @@ func TestSchedulerQueueOrdering(t *testing.T) {
 		sc := &Scheduler{cfg: SchedConfig{Lanes: 3, Window: 8}}
 		n := 1 + rng.Intn(12)
 		for i := 0; i < n; i++ {
-			s := &schedStream{lane: rng.Intn(3), seq: uint64(i)}
+			s := &Run{lane: rng.Intn(3), seq: uint64(i)}
 			if rng.Intn(2) == 0 {
 				s.deadline = base.Add(time.Duration(rng.Intn(1000)) * time.Millisecond)
 			}
 			sc.queue = append(sc.queue, s)
 		}
-		var popped []*schedStream
+		var popped []*Run
 		for {
 			s := sc.popLocked()
 			if s == nil {
@@ -222,7 +239,7 @@ func TestSchedulerPriorityOvertake(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		first := true
-		if _, err := sc.Stream(context.Background(), 0, func(*tensor.Tensor) error {
+		if _, err := submitWait(sc, context.Background(), 0, func(*tensor.Tensor) error {
 			if first {
 				first = false
 				note("running")
@@ -240,7 +257,7 @@ func TestSchedulerPriorityOvertake(t *testing.T) {
 	launch := func(name string, lane int, start int64) {
 		defer wg.Done()
 		first := true
-		if _, err := sc.Stream(context.Background(), lane, func(*tensor.Tensor) error {
+		if _, err := submitWait(sc, context.Background(), lane, func(*tensor.Tensor) error {
 			if first {
 				first = false
 				note(name)
@@ -294,7 +311,7 @@ func TestSchedulerPriorityOvertake(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if _, err := sc.Stream(context.Background(), req.lane, nil, "main", in); err != nil {
+				if _, err := submitWait(sc, context.Background(), req.lane, nil, "main", in); err != nil {
 					t.Error(err)
 				}
 			}()
@@ -322,7 +339,7 @@ func TestSchedulerCancelMidStream(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		once := sync.Once{}
-		_, cancelErr = sc.Stream(ctx, 0, func(*tensor.Tensor) error {
+		_, cancelErr = submitWait(sc, ctx, 0, func(*tensor.Tensor) error {
 			once.Do(func() { close(gotOne) })
 			return nil
 		}, "generate", startObj(9))
@@ -332,7 +349,7 @@ func TestSchedulerCancelMidStream(t *testing.T) {
 
 	// A healthy stream alongside must still produce the full exact output.
 	var toks []int64
-	if _, err := sc.Stream(context.Background(), 0, func(tt *tensor.Tensor) error {
+	if _, err := submitWait(sc, context.Background(), 0, func(tt *tensor.Tensor) error {
 		toks = append(toks, tt.I64()...)
 		return nil
 	}, "generate", startObj(4)); err != nil {

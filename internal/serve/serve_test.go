@@ -40,7 +40,7 @@ func newScheduler(t testing.TB, res *compiler.Result, n int) *Scheduler {
 // invokeTensors serves one single-tensor request through the scheduler,
 // the way production does.
 func invokeTensors(ctx context.Context, sc *Scheduler, name string, in *tensor.Tensor) (*tensor.Tensor, error) {
-	out, err := sc.Stream(ctx, 0, nil, name, vm.NewTensorObj(in))
+	out, err := submitWait(sc, ctx, 0, nil, name, vm.NewTensorObj(in))
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +96,7 @@ func TestPoolMatchesSingleSession(t *testing.T) {
 	}
 	want := make([]*tensor.Tensor, len(inputs))
 	for i, in := range inputs {
-		want[i], err = refVM.InvokeTensors("main", in)
+		want[i], err = refVM.InvokeTensorsContext(context.Background(), "main", in)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,7 +8,9 @@
 // Scheduler's run queue, and onto a session one of the scheduler's workers
 // holds — alone, coalesced with compatible rows, or interleaved with other
 // decode streams. The run queue is the only place a request waits for a
-// session.
+// session. A request is a Run that its caller reads in place: Next takes
+// each emitted tensor straight from the worker that stepped it, and Wait
+// takes the outcome; no goroutine stands between the two.
 //
 // Every blocking path accepts a context.Context: a queued request is
 // withdrawn when its context is canceled, a running one stops at its next
@@ -17,7 +19,6 @@
 package serve
 
 import (
-	"context"
 	"runtime/debug"
 	"sync/atomic"
 	"time"
@@ -46,43 +47,33 @@ type Session struct {
 	poisoned bool
 }
 
-// BeginStream prepares a step-resumable streaming run on this session: the
-// vm.StreamRun executes one compiled-loop iteration per StepStream call
-// instead of pinning the session for the whole decode. Many StreamRuns may
-// be parked on one session at once — that is the point — but their Begin
-// and Step calls must all happen on the goroutine that holds the session.
+// step advances r by one compiled-loop iteration, or to its end, beginning
+// its vm.StreamRun at the first step. Many runs may be parked on one
+// session at once, but every step happens on the goroutine that holds it.
 // A VM or kernel panic is recovered here — the isolation boundary between
-// one request and the process — converted into an *InternalError, and the
-// session is poisoned so the scheduler replaces it instead of reusing its
-// state.
-func (s *Session) BeginStream(sink func(*tensor.Tensor) error, name string, args ...vm.Object) (r *vm.StreamRun, err error) {
-	s.invocations.Add(1)
-	defer func() {
-		if rec := recover(); rec != nil {
-			s.poisoned = true
-			r, err = nil, Internal(name, rec, debug.Stack())
-		}
-	}()
-	return s.machine.BeginStream(sink, name, args...)
-}
-
-// StepStream advances a run begun with BeginStream by one compiled-loop
-// iteration (or to completion for loop-free entries). The context is
-// checked at VM call boundaries, so a deep recursion (an LSTM stepping a
-// long sequence) notices cancellation mid-step. A panic poisons the session
-// and surfaces as *InternalError — also after part of a token stream has
-// been delivered, which is why streaming consumers must treat the run's
-// final error, not the tokens, as the request's outcome. The caller must
-// then treat every other run parked on this session as lost too, since
-// they share the poisoned VM's storage pool.
-func (s *Session) StepStream(ctx context.Context, name string, r *vm.StreamRun) (done bool, err error) {
+// one request and the process — into an *InternalError, and the session is
+// poisoned so the scheduler replaces it. Every run parked on it is lost
+// too, since they share the poisoned VM's storage pool; the tokens a stream
+// already delivered do not make its outcome a success.
+func (s *Session) step(r *Run) (done bool, err error) {
+	name := r.entry.sched.Entry
 	defer func() {
 		if rec := recover(); rec != nil {
 			s.poisoned = true
 			done, err = true, Internal(name, rec, debug.Stack())
 		}
 	}()
-	done, err = r.Step(ctx)
+	if r.run == nil {
+		s.invocations.Add(1)
+		var sink func(*tensor.Tensor) error
+		if r.tokens != nil {
+			sink = vmSink(r)
+		}
+		if r.run, err = s.machine.BeginStream(sink, name, r.args...); err != nil {
+			return true, err
+		}
+	}
+	done, err = r.run.Step(r.ctx)
 	return done, WrapCtxErr(err)
 }
 

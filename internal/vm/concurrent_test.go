@@ -49,7 +49,7 @@ func TestConcurrentLSTMViaSessionPool(t *testing.T) {
 			steps[j] = tensor.Random(rng, 1, 1, cfg.Input)
 		}
 		seq := models.SequenceToList(m.NilC.Tag, m.ConsC.Tag, steps)
-		out, err := refVM.Invoke("main", seq)
+		out, err := refVM.InvokeContext(context.Background(), "main", seq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestConcurrentLSTMViaSessionPool(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 8; iter++ {
 				j := jobs[(c+iter)%len(jobs)]
-				out, err := sched.Stream(context.Background(), 0, nil, "main", j.seq)
+				out, err := invoke(sched, "main", j.seq)
 				if err != nil {
 					t.Errorf("client %d iter %d: %v", c, iter, err)
 					return
@@ -108,7 +108,7 @@ func TestConcurrentBERTLayerViaSessionPool(t *testing.T) {
 	jobs := make([]job, concurrentClients)
 	for i := range jobs {
 		ids := m.RandomIDs(rng, 3+i%7)
-		want, err := refVM.InvokeTensors("main", ids)
+		want, err := refVM.InvokeTensorsContext(context.Background(), "main", ids)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestConcurrentBERTLayerViaSessionPool(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 4; iter++ {
 				j := jobs[(c*3+iter)%len(jobs)]
-				out, err := sched.Stream(context.Background(), 0, nil, "main", vm.NewTensorObj(j.ids))
+				out, err := invoke(sched, "main", vm.NewTensorObj(j.ids))
 				if err != nil {
 					t.Errorf("client %d iter %d: %v", c, iter, err)
 					return
@@ -167,7 +167,7 @@ func TestSessionStorageReuseSurvivesPooling(t *testing.T) {
 	seq := m.RandomSequence(rng, steps)
 
 	run := func() {
-		if _, err := sched.Stream(context.Background(), 0, nil, "main", seq); err != nil {
+		if _, err := invoke(sched, "main", seq); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -200,4 +200,14 @@ func TestPooledVMRejectsConfigMutation(t *testing.T) {
 	}
 	mustPanic("SetProfiler", func() { machine.SetProfiler(nil) })
 	mustPanic("DisablePool", func() { machine.DisablePool() })
+}
+
+// invoke serves one unary request through the scheduler: submit, then wait
+// for the outcome.
+func invoke(sched *serve.Scheduler, entry string, args ...vm.Object) (vm.Object, error) {
+	r, err := sched.Submit(context.Background(), 0, false, entry, args...)
+	if err != nil {
+		return nil, err
+	}
+	return r.Wait()
 }

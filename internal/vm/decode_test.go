@@ -38,7 +38,7 @@ func compileDecoder(t *testing.T) (*models.Decoder, *compiler.Result) {
 
 func runDecode(t *testing.T, machine *vm.VM, entry string, start int64) []int64 {
 	t.Helper()
-	out, err := machine.InvokeTensors(entry, models.StartToken(start))
+	out, err := machine.InvokeTensorsContext(context.Background(), entry, models.StartToken(start))
 	if err != nil {
 		t.Fatalf("%s: %v", entry, err)
 	}
@@ -247,7 +247,7 @@ func TestGenerateAllocs(t *testing.T) {
 	_, res := compileDecoder(t)
 	machine := vm.New(res.Exe)
 	run := func() {
-		if _, err := machine.InvokeTensors("generate", models.StartToken(5)); err != nil {
+		if _, err := machine.InvokeTensorsContext(context.Background(), "generate", models.StartToken(5)); err != nil {
 			t.Fatal(err)
 		}
 	}

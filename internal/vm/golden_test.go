@@ -20,6 +20,7 @@ package vm_test
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -152,11 +153,11 @@ func TestSerializeGolden(t *testing.T) {
 			if entry == "" {
 				entry = "main"
 			}
-			origOut, err := vm.New(res.Exe).Invoke(entry, args...)
+			origOut, err := vm.New(res.Exe).InvokeContext(context.Background(), entry, args...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			backOut, err := vm.New(back).Invoke(entry, args...)
+			backOut, err := vm.New(back).InvokeContext(context.Background(), entry, args...)
 			if err != nil {
 				t.Fatal(err)
 			}

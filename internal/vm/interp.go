@@ -48,6 +48,8 @@ type VM struct {
 	// tensorScratch stages kernel arguments for execPacked; kernels read
 	// their argument slice synchronously and never retain it.
 	tensorScratch []*tensor.Tensor
+	// stack is the frame stack InvokeContext runs on, kept between calls.
+	stack []*frame
 	// keepScratch is releaseFrame's reusable escape set.
 	keepScratch map[*Storage]bool
 	// pooled marks the VM as a serving session; configuration mutators
@@ -97,11 +99,6 @@ func (vm *VM) DisablePool() {
 // builds a session; the transition is one-way.
 func (vm *VM) MarkPooled() { vm.pooled = true }
 
-// Invoke runs the named function on args and returns its result.
-func (vm *VM) Invoke(name string, args ...Object) (Object, error) {
-	return vm.InvokeContext(context.Background(), name, args...)
-}
-
 // InvokeContext runs the named function on args, checking ctx at call
 // boundaries: entry, every function call (OpInvoke/OpInvokeClosure — the
 // IR's loop construct is recursion, so long-running dynamic models cross
@@ -109,14 +106,7 @@ func (vm *VM) Invoke(name string, args ...Object) (Object, error) {
 // adds no per-instruction work: the done channel is captured once and a
 // nil channel skips every check.
 func (vm *VM) InvokeContext(ctx context.Context, name string, args ...Object) (Object, error) {
-	idx, err := vm.exe.EntryFunc(name)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return vm.run(ctx, idx, args)
+	return vm.InvokeStreamContext(ctx, nil, name, args...)
 }
 
 // InvokeStreamContext runs the named function like InvokeContext, but
@@ -124,27 +114,33 @@ func (vm *VM) InvokeContext(ctx context.Context, name string, args ...Object) (O
 // stream.emit operator to sink, in program order, before execution proceeds.
 // A sink error aborts the invocation and is returned (wrapped) to the
 // caller, so a consumer that goes away cancels the producing loop. The final
-// return value is the same Object Invoke would produce: streaming and
-// non-streaming runs of a deterministic program yield identical results.
+// return value is the same Object InvokeContext would produce: streaming
+// and non-streaming runs of a deterministic program yield identical
+// results.
+//
+// The call is a StreamRun that lives on the Go stack and steps to its end
+// on the VM's own frame stack, whose backing array is kept for the next
+// call: a call adds no allocation of its own.
 func (vm *VM) InvokeStreamContext(ctx context.Context, sink func(*tensor.Tensor) error, name string, args ...Object) (Object, error) {
 	idx, err := vm.exe.EntryFunc(name)
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
+	f, err := vm.newFrame(idx, args)
+	if err != nil {
 		return nil, err
 	}
-	vm.sink = sink
-	defer func() { vm.sink = nil }()
-	return vm.run(ctx, idx, args)
+	r := StreamRun{vm: vm, stack: append(vm.stack, f), sink: sink}
+	vm.stack = nil // a call nested in a sink must not share the array
+	for done := false; !done; {
+		done, _ = r.Step(ctx)
+	}
+	vm.stack = r.stack[:0]
+	return r.Result()
 }
 
-// InvokeTensors is a convenience wrapper: tensors in, tensor out.
-func (vm *VM) InvokeTensors(name string, args ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return vm.InvokeTensorsContext(context.Background(), name, args...)
-}
-
-// InvokeTensorsContext is the context-aware form of InvokeTensors.
+// InvokeTensorsContext is a convenience wrapper over InvokeContext:
+// tensors in, tensor out.
 func (vm *VM) InvokeTensorsContext(ctx context.Context, name string, args ...*tensor.Tensor) (*tensor.Tensor, error) {
 	objs := make([]Object, len(args))
 	for i, a := range args {
@@ -201,14 +197,6 @@ func (vm *VM) newFrame(fnIdx int, args []Object) (*frame, error) {
 	return f, nil
 }
 
-// clearObjects nils a staged-argument scratch slice so its backing array
-// does not keep dead Objects reachable between calls.
-func clearObjects(s []Object) {
-	for i := range s {
-		s[i] = nil
-	}
-}
-
 // freeFrame returns a frame (and its register file) to the recycle list.
 const maxFreeFrames = 64
 
@@ -221,44 +209,26 @@ func (vm *VM) freeFrame(f *frame) {
 	// scan must never see objects from a previous activation. Registers
 	// beyond the current length were zeroed when their frame was freed, so
 	// the whole capacity stays nil outside the live window.
-	for i := range f.regs {
-		f.regs[i] = nil
-	}
-	for i := range f.allocs {
-		f.allocs[i] = nil
-	}
+	clear(f.regs)
+	clear(f.allocs)
 	f.allocs = f.allocs[:0]
 	vm.freeFrames = append(vm.freeFrames, f)
 }
 
-// run executes the dispatch loop starting from fnIdx.
-func (vm *VM) run(ctx context.Context, fnIdx int, args []Object) (Object, error) {
-	f, err := vm.newFrame(fnIdx, args)
-	if err != nil {
-		return nil, err
-	}
-	// Pre-resolve the kernel table once per entry; execPacked then skips the
-	// per-call exe.Kernel lookup.
-	vm.kernels = vm.exe.kernels
-	_, _, ret, err := vm.exec(ctx, []*frame{f}, false)
-	return ret, err
-}
-
-// exec is the dispatch loop over an explicit frame stack. With stepMode
-// false it runs to completion, exactly as run always has. With stepMode
-// true it additionally returns yielded=true at every compiled-loop back
-// edge — after the edge's recycle and pc advance, so the parked stack's
-// parameter registers already hold the next iteration's arguments and the
-// loop-carried state (the decode KV-cache) sits in planner-owned buffers
-// tracked by the frames' alloc lists. Re-entering exec with the returned
-// stack runs exactly one more iteration; StreamRun packages this into a
-// step-resumable handle so one session can interleave many streams at
-// iteration granularity.
+// exec is the dispatch loop over an explicit frame stack. It returns
+// parked=true at every compiled-loop back edge — after the edge's recycle
+// and pc advance, so the parked stack's parameter registers already hold
+// the next iteration's arguments and the loop-carried state (the decode
+// KV-cache) sits in planner-owned buffers tracked by the frames' alloc
+// lists. Re-entering exec with the returned stack runs exactly one more
+// iteration. InvokeContext re-enters until the entry returns; StreamRun
+// packages one re-entry per Step, so one session can interleave many runs
+// at iteration granularity.
 //
 // The returned stack is the live remainder: empty after normal completion,
-// the parked frames on yield, and whatever was active at the fault on
+// the parked frames at a back edge, and whatever was active at the fault on
 // error (the caller owns releasing it — see StreamRun.Abort).
-func (vm *VM) exec(ctx context.Context, stack []*frame, stepMode bool) (_ []*frame, yielded bool, _ Object, _ error) {
+func (vm *VM) exec(ctx context.Context, stack []*frame) (_ []*frame, parked bool, _ Object, _ error) {
 	code := vm.exe.Code
 	prof := vm.prof
 	// done is nil for context.Background(), making every cancellation check
@@ -286,6 +256,7 @@ func (vm *VM) exec(ctx context.Context, stack []*frame, stepMode bool) (_ []*fra
 
 		case OpRet:
 			ret := fr.regs[in.A]
+			stack[len(stack)-1] = nil
 			stack = stack[:len(stack)-1]
 			// "Objects are reference counted ... kill(tensor) frees a tensor
 			// before its reference count becomes zero due to exiting the
@@ -323,7 +294,7 @@ func (vm *VM) exec(ctx context.Context, stack []*frame, stepMode bool) (_ []*fra
 			}
 			vm.objScratch = callArgs[:0]
 			nf, err := vm.newFrame(int(in.Imm), callArgs)
-			clearObjects(callArgs) // drop scratch references so staged args don't outlive their frame
+			clear(callArgs) // drop scratch references so staged args don't outlive their frame
 			if err != nil {
 				return stack, false, nil, err
 			}
@@ -353,7 +324,7 @@ func (vm *VM) exec(ctx context.Context, stack []*frame, stepMode bool) (_ []*fra
 			}
 			vm.objScratch = callArgs[:0]
 			nf, err := vm.newFrame(clo.Fn, callArgs)
-			clearObjects(callArgs)
+			clear(callArgs)
 			if err != nil {
 				return stack, false, nil, err
 			}
@@ -467,12 +438,13 @@ func (vm *VM) exec(ctx context.Context, stack []*frame, stepMode bool) (_ []*fra
 					// registers, so everything this frame allocated that they
 					// do not reach is this iteration's garbage.
 					vm.recycleLoopFrame(fr)
-					if stepMode {
-						// Park exactly here: one iteration ran, its garbage is
-						// recycled, and the pc already points at the loop head.
-						fr.pc += in.Off1
-						return stack, true, nil, nil
+					// Park exactly here: one iteration ran, its garbage is
+					// recycled, and the pc already points at the loop head.
+					fr.pc += in.Off1
+					if prof != nil && prof.Timing {
+						prof.OtherTime += time.Since(tStart)
 					}
+					return stack, true, nil, nil
 				}
 			}
 			fr.pc += in.Off1
@@ -560,7 +532,7 @@ func (vm *VM) exec(ctx context.Context, stack []*frame, stepMode bool) (_ []*fra
 }
 
 func (vm *VM) execPacked(fr *frame, in Instruction) error {
-	// Kernel pointers were pre-resolved at run() entry; a slot can still be
+	// Kernel pointers were pre-resolved at entry; a slot can still be
 	// nil after deserialization without LinkKernels, surfaced here.
 	idx := int(in.Imm)
 	if idx < 0 || idx >= len(vm.kernels) {
@@ -615,9 +587,7 @@ func (vm *VM) execPacked(fr *frame, in Instruction) error {
 	res, err := kernel(args, out)
 	// Drop the staged argument references immediately: the scratch backing
 	// array must not pin the previous call's tensors past their frame.
-	for i := range args {
-		args[i] = nil
-	}
+	clear(args)
 	if err != nil {
 		return fmt.Errorf("vm: kernel %s: %w", vm.exe.KernelNames[in.Imm], err)
 	}
@@ -707,14 +677,10 @@ func (vm *VM) recycleLoopFrame(fr *frame) {
 				vm.pool.release(st)
 			}
 		}
-		for i := len(live); i < len(fr.allocs); i++ {
-			fr.allocs[i] = nil
-		}
+		clear(fr.allocs[len(live):])
 		fr.allocs = live
 	}
-	for i := np; i < len(fr.regs); i++ {
-		fr.regs[i] = nil
-	}
+	clear(fr.regs[np:])
 }
 
 // collectStorages walks an object graph recording every storage that backs

@@ -10,16 +10,18 @@ import (
 // ErrAborted reports a StreamRun abandoned by Abort before it finished.
 var ErrAborted = errors.New("vm: stream run aborted")
 
-// StreamRun is a step-resumable streaming invocation: the same execution
-// InvokeStreamContext performs, but parked at every compiled-loop back edge
-// instead of run to completion. Between steps the run holds no VM-global
-// state — only its frame stack, whose parameter registers carry the next
-// iteration's arguments and whose alloc lists track the planner-owned
-// buffers (the decode KV-cache) threaded through the loop — so one session
-// can hold many StreamRuns at once and interleave their Step calls,
-// admitting new runs mid-flight and retiring finished ones without
-// draining the rest. That is iteration-level continuous batching at the
-// VM boundary; internal/serve's Scheduler drives it.
+// StreamRun is the VM's one unit of execution: an invocation that parks
+// at every compiled-loop back edge until the next Step resumes it.
+// InvokeContext steps one to its end; a holder of one steps it at its own
+// pace. Between steps the run holds no VM-global state — only its frame
+// stack, whose parameter registers carry the next iteration's arguments
+// and whose alloc lists track the planner-owned buffers (the decode
+// KV-cache) threaded through the loop — so one session can hold many
+// StreamRuns at once and interleave their Step calls, admitting new runs
+// mid-flight and retiring finished ones without draining the rest. That
+// is iteration-level continuous batching at the VM boundary;
+// internal/serve's Scheduler drives it, and a nimble Session stream is
+// one stepped by its reader.
 //
 // A StreamRun is owned by its VM's goroutine discipline: like every other
 // VM entry point, Step/Abort must not race other invocations on the same
@@ -27,8 +29,7 @@ var ErrAborted = errors.New("vm: stream run aborted")
 type StreamRun struct {
 	vm    *VM
 	stack []*frame
-	// sink receives each stream.emit tensor during Step, exactly like
-	// InvokeStreamContext's sink.
+	// sink receives each stream.emit tensor during Step.
 	sink     func(*tensor.Tensor) error
 	result   Object
 	err      error
@@ -71,10 +72,10 @@ func (r *StreamRun) Step(ctx context.Context) (done bool, err error) {
 	// run other invocations (or other StreamRuns) since the last one.
 	m.kernels = m.exe.kernels
 	m.sink = r.sink
-	stack, yielded, out, err := m.exec(ctx, r.stack, true)
+	stack, parked, out, err := m.exec(ctx, r.stack)
 	m.sink = nil
 	r.stack = stack
-	if yielded {
+	if parked {
 		return false, nil
 	}
 	r.finish(out, err)
@@ -135,5 +136,6 @@ func (r *StreamRun) releaseFrames() {
 	for _, fr := range r.stack {
 		m.freeFrame(fr)
 	}
-	r.stack = nil
+	clear(r.stack)
+	r.stack = r.stack[:0]
 }

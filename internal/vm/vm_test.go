@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -48,7 +49,7 @@ func TestMoveRetLoadConst(t *testing.T) {
 	})
 	c := tensor.FromF32([]float32{1, 2, 3}, 3)
 	e.AddConst(c)
-	out, err := New(e).Invoke("main")
+	out, err := New(e).InvokeContext(context.Background(), "main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestLoadConsti(t *testing.T) {
 		{Op: OpLoadConsti, Dst: 0, Imm: 42},
 		{Op: OpRet, A: 0},
 	})
-	out, err := New(e).Invoke("main")
+	out, err := New(e).InvokeContext(context.Background(), "main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,14 +83,14 @@ func TestIfAndGoto(t *testing.T) {
 		{Op: OpRet, A: 2},
 	})
 	vmi := New(e)
-	out, err := vmi.Invoke("main", NewTensorObj(tensor.ScalarI64(1)))
+	out, err := vmi.InvokeContext(context.Background(), "main", NewTensorObj(tensor.ScalarI64(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.(*TensorObj).T.I64()[0] != 100 {
 		t.Errorf("true branch = %v", out)
 	}
-	out, err = vmi.Invoke("main", NewTensorObj(tensor.ScalarI64(7)))
+	out, err = vmi.InvokeContext(context.Background(), "main", NewTensorObj(tensor.ScalarI64(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestIfAndGoto(t *testing.T) {
 		t.Errorf("false branch = %v", out)
 	}
 	// Bool scalars compare against integer 1.
-	out, err = vmi.Invoke("main", NewTensorObj(tensor.ScalarBool(true)))
+	out, err = vmi.InvokeContext(context.Background(), "main", NewTensorObj(tensor.ScalarBool(true)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestInvokeRecursion(t *testing.T) {
 	}
 	e.AddFunc(VMFunc{Name: "count", NumParams: 1, RegCount: 4, Start: 0, Len: len(code)})
 	e.Code = code
-	out, err := New(e).Invoke("count", NewTensorObj(tensor.ScalarI64(500)))
+	out, err := New(e).InvokeContext(context.Background(), "count", NewTensorObj(tensor.ScalarI64(500)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestStackOverflowGuard(t *testing.T) {
 	})
 	vmi := New(e)
 	vmi.maxDepth = 100
-	if _, err := vmi.Invoke("loop"); err == nil || !strings.Contains(err.Error(), "overflow") {
+	if _, err := vmi.InvokeContext(context.Background(), "loop"); err == nil || !strings.Contains(err.Error(), "overflow") {
 		t.Errorf("expected stack overflow, got %v", err)
 	}
 }
@@ -168,7 +169,7 @@ func TestInvokePackedWithDest(t *testing.T) {
 	}
 	e.AddFunc(VMFunc{Name: "main", NumParams: 0, RegCount: 5, Start: 0, Len: len(code)})
 	e.Code = code
-	out, err := New(e).Invoke("main")
+	out, err := New(e).InvokeContext(context.Background(), "main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestReshapeTensorKeepsBacking(t *testing.T) {
 	e.AddFunc(VMFunc{Name: "main", NumParams: 1, RegCount: 4, Start: 0, Len: len(main)})
 	e.AddFunc(VMFunc{Name: "inner", NumParams: 1, RegCount: 6, Start: len(main), Len: len(inner)})
 	e.Code = append(main, inner...)
-	out, err := New(e).Invoke("main", NewTensorObj(tensor.New(tensor.Float32, 2, 2)))
+	out, err := New(e).InvokeContext(context.Background(), "main", NewTensorObj(tensor.New(tensor.Float32, 2, 2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestAllocTensorRegFromShape(t *testing.T) {
 		{Op: OpRet, A: 3},
 	})
 	in := tensor.New(tensor.Float32, 3, 5)
-	out, err := New(e).Invoke("main", NewTensorObj(in))
+	out, err := New(e).InvokeContext(context.Background(), "main", NewTensorObj(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestStorageTooSmall(t *testing.T) {
 		{Op: OpAllocTensor, Dst: 1, A: 0, Shape: []int{100}, DType: uint8(tensor.Float32)},
 		{Op: OpRet, A: 1},
 	})
-	if _, err := New(e).Invoke("main"); err == nil || !strings.Contains(err.Error(), "exceeds storage") {
+	if _, err := New(e).InvokeContext(context.Background(), "main"); err == nil || !strings.Contains(err.Error(), "exceeds storage") {
 		t.Errorf("oversized tensor accepted: %v", err)
 	}
 }
@@ -263,7 +264,7 @@ func TestADTAndMatchPrimitives(t *testing.T) {
 	})
 	a := NewTensorObj(tensor.Scalar(1))
 	b := NewTensorObj(tensor.Scalar(2))
-	out, err := New(e).Invoke("main", a, b)
+	out, err := New(e).InvokeContext(context.Background(), "main", a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestADTAndMatchPrimitives(t *testing.T) {
 		{Op: OpGetField, Dst: 2, A: 1, Imm: 5},
 		{Op: OpRet, A: 2},
 	})
-	if _, err := New(e2).Invoke("main", a); err == nil {
+	if _, err := New(e2).InvokeContext(context.Background(), "main", a); err == nil {
 		t.Error("out-of-range GetField accepted")
 	}
 }
@@ -296,7 +297,7 @@ func TestClosure(t *testing.T) {
 		{Op: OpRet, A: 2},
 	}, helper...)
 	in := NewTensorObj(tensor.Scalar(7))
-	out, err := New(e).Invoke("main", in)
+	out, err := New(e).InvokeContext(context.Background(), "main", in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +317,7 @@ func TestDeviceCopyAndShapeOps(t *testing.T) {
 	vmi := New(e)
 	prof := NewProfiler()
 	vmi.SetProfiler(prof)
-	out, err := vmi.Invoke("main", NewTensorObj(in))
+	out, err := vmi.InvokeContext(context.Background(), "main", NewTensorObj(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,21 +335,21 @@ func TestDeviceCopyAndShapeOps(t *testing.T) {
 
 func TestFatal(t *testing.T) {
 	e := buildExe("main", 0, 1, []Instruction{{Op: OpFatal}})
-	if _, err := New(e).Invoke("main"); err == nil || !strings.Contains(err.Error(), "Fatal") {
+	if _, err := New(e).InvokeContext(context.Background(), "main"); err == nil || !strings.Contains(err.Error(), "Fatal") {
 		t.Errorf("Fatal not raised: %v", err)
 	}
 }
 
 func TestUnknownFunction(t *testing.T) {
 	e := buildExe("main", 0, 1, []Instruction{{Op: OpFatal}})
-	if _, err := New(e).Invoke("missing"); err == nil {
+	if _, err := New(e).InvokeContext(context.Background(), "missing"); err == nil {
 		t.Error("missing function accepted")
 	}
 }
 
 func TestArityMismatch(t *testing.T) {
 	e := buildExe("main", 2, 3, []Instruction{{Op: OpRet, A: 0}})
-	if _, err := New(e).Invoke("main", NewTensorObj(tensor.Scalar(1))); err == nil {
+	if _, err := New(e).InvokeContext(context.Background(), "main", NewTensorObj(tensor.Scalar(1))); err == nil {
 		t.Error("arity mismatch accepted")
 	}
 }
@@ -374,7 +375,7 @@ func TestStoragePoolReuse(t *testing.T) {
 	prof := NewProfiler()
 	vmi.SetProfiler(prof)
 	for i := 0; i < 10; i++ {
-		if _, err := vmi.Invoke("main"); err != nil {
+		if _, err := vmi.InvokeContext(context.Background(), "main"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -390,7 +391,7 @@ func TestStoragePoolReuse(t *testing.T) {
 	prof2 := NewProfiler()
 	vm2.SetProfiler(prof2)
 	for i := 0; i < 10; i++ {
-		if _, err := vm2.Invoke("main"); err != nil {
+		if _, err := vm2.InvokeContext(context.Background(), "main"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -419,11 +420,11 @@ func TestEscapingStorageNotReused(t *testing.T) {
 	e.AddFunc(VMFunc{Name: "main", NumParams: 1, RegCount: 4, Start: 0, Len: len(code)})
 	e.Code = code
 	vmi := New(e)
-	first, err := vmi.Invoke("main", NewTensorObj(tensor.Scalar(1)))
+	first, err := vmi.InvokeContext(context.Background(), "main", NewTensorObj(tensor.Scalar(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := vmi.Invoke("main", NewTensorObj(tensor.Scalar(2)))
+	second, err := vmi.InvokeContext(context.Background(), "main", NewTensorObj(tensor.Scalar(2)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -320,30 +320,30 @@ func (ms *modelState) pick(version, key string) (route, error) {
 // registry is open and the model's epoch has moved on, the request routes
 // afresh in the new epoch. Every other outcome is returned, so each retry
 // needs a newer epoch and the loop ends.
-func (r *Registry) admit(ctx context.Context, rt route, entry string, args []Value, ic invokeConfig) (context.Context, admission, error) {
+func (r *Registry) admit(ctx context.Context, rt route, entry string, args []Value, ic invokeConfig, stream bool) (*admission, error) {
 	for {
-		actx, a, err := rt.v.svc.admit(ctx, entry, args, ic)
+		a, err := rt.v.svc.admit(ctx, entry, args, ic, stream)
 		if !errors.Is(err, ErrClosed) || r.closed.Load() || rt.ms.epoch.Load() == rt.ep {
-			return actx, a, err
+			return a, err
 		}
 		if rt, err = rt.ms.pick(rt.version, rt.key); err != nil {
-			return nil, admission{}, err
+			return nil, err
 		}
 	}
 }
 
 // open is the front half of Registry.InvokeOpts and InvokeStreamOpts:
 // route, then admit.
-func (r *Registry) open(ctx context.Context, model, entry string, args []Value, opts []InvokeOption) (context.Context, admission, error) {
+func (r *Registry) open(ctx context.Context, model, entry string, args []Value, opts []InvokeOption, stream bool) (*admission, error) {
 	if r.closed.Load() {
-		return nil, admission{}, fmt.Errorf("nimble: registry: %w", ErrClosed)
+		return nil, fmt.Errorf("nimble: registry: %w", ErrClosed)
 	}
 	ic := foldInvokeOptions(opts)
 	rt, err := r.resolve(model, ic.routeKey)
 	if err != nil {
-		return nil, admission{}, err
+		return nil, err
 	}
-	return r.admit(ctx, rt, entry, args, ic)
+	return r.admit(ctx, rt, entry, args, ic, stream)
 }
 
 // pickVersion selects within one epoch: a pinned version by label, @latest
@@ -412,11 +412,11 @@ func (r *Registry) Invoke(ctx context.Context, model, entry string, args ...Valu
 // request's canary-split decision for the epoch's life; priority and
 // deadline options pass through to the resolved Service.
 func (r *Registry) InvokeOpts(ctx context.Context, model, entry string, args []Value, opts ...InvokeOption) (Value, error) {
-	ctx, a, err := r.open(ctx, model, entry, args, opts)
+	a, err := r.open(ctx, model, entry, args, opts, false)
 	if err != nil {
 		return Value{}, err
 	}
-	return a.invoke(ctx)
+	return a.invoke()
 }
 
 // InvokeStream opens a token stream on the resolved model version, with
@@ -430,11 +430,11 @@ func (r *Registry) InvokeStream(ctx context.Context, model, entry string, args .
 
 // InvokeStreamOpts is InvokeStream with per-request options.
 func (r *Registry) InvokeStreamOpts(ctx context.Context, model, entry string, args []Value, opts ...InvokeOption) (*Stream, error) {
-	ctx, a, err := r.open(ctx, model, entry, args, opts)
+	a, err := r.open(ctx, model, entry, args, opts, true)
 	if err != nil {
 		return nil, err
 	}
-	return runStream(ctx, a.run, a.finish), nil
+	return &Stream{src: a}, nil
 }
 
 // Program resolves a model reference to the deployed Program serving it

@@ -62,7 +62,7 @@ func TestRegistryClosedRouteEnds(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := r.admit(context.Background(), rt, "main", []Value{mlpIn()}, invokeConfig{})
+		_, err := r.admit(context.Background(), rt, "main", []Value{mlpIn()}, invokeConfig{}, false)
 		done <- err
 	}()
 	select {
@@ -99,11 +99,11 @@ func TestRegistryStaleRouteReroutes(t *testing.T) {
 	// version served it.
 	admitStale := func(t *testing.T, r *Registry, rt route, want string) {
 		t.Helper()
-		actx, a, err := r.admit(ctx, rt, "main", []Value{in}, invokeConfig{})
+		a, err := r.admit(ctx, rt, "main", []Value{in}, invokeConfig{}, false)
 		if err != nil {
 			t.Fatalf("admit of stale route to %s = %v", rt.v.version, err)
 		}
-		out, err := a.invoke(actx)
+		out, err := a.invoke()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestRegistryStaleRouteReroutes(t *testing.T) {
 		}
 		drained(t, r, stale, pinned)
 		admitStale(t, r, stale, "v2")
-		if _, _, err := r.admit(ctx, pinned, "main", []Value{in}, invokeConfig{}); !errors.Is(err, ErrUnknownModel) {
+		if _, err := r.admit(ctx, pinned, "main", []Value{in}, invokeConfig{}, false); !errors.Is(err, ErrUnknownModel) {
 			t.Errorf("stale route pinned to mlp@v1 = %v, want ErrUnknownModel", err)
 		}
 		if _, err := r.Invoke(ctx, "mlp@v1", "main", in); !errors.Is(err, ErrUnknownModel) {

@@ -144,22 +144,15 @@ func (s *Service) withDeadline(ctx context.Context, budget time.Duration) (conte
 	return ctx, func() {}
 }
 
-// admission is one admitted request: what the scheduler needs to run it,
-// and what finishing it must undo.
+// admission is one admitted request: its run in the scheduler, and what
+// finishing it must undo. It is a Service stream's source; its Wait
+// finishes it with the run's outcome.
 type admission struct {
 	svc     *Service
-	entry   string
-	lane    int
-	objs    []vm.Object
+	run     *serve.Run
 	start   time.Time
 	release func(time.Duration, error)
 	cancel  context.CancelFunc
-}
-
-// run takes the request through the scheduler. Its emissions go to sink;
-// a nil sink makes it a unary invoke — a stream nobody listens to.
-func (a *admission) run(ctx context.Context, sink func(*tensor.Tensor) error) (vm.Object, error) {
-	return a.svc.sched.Stream(ctx, a.lane, sink, a.entry, a.objs...)
 }
 
 // finish gives back the admission slot, the in-flight count and the
@@ -170,10 +163,17 @@ func (a *admission) finish(err error) {
 	a.cancel()
 }
 
-// invoke is the tail of every unary request: run, finish, convert.
-func (a *admission) invoke(ctx context.Context) (Value, error) {
-	out, err := a.run(ctx, nil)
+func (a *admission) Next() (*tensor.Tensor, bool) { return a.run.Next() }
+
+func (a *admission) Wait() (vm.Object, error) {
+	out, err := a.run.Wait()
 	a.finish(err)
+	return out, err
+}
+
+// invoke is the tail of every unary request: wait, then convert.
+func (a *admission) invoke() (Value, error) {
+	out, err := a.Wait()
 	if err != nil {
 		return Value{}, canceled(err)
 	}
@@ -181,37 +181,43 @@ func (a *admission) invoke(ctx context.Context) (Value, error) {
 }
 
 // admit is the front half of every request: validation (ErrBadInput
-// without touching a session), argument lowering, per-request options, and
-// the entry's admission gate (ErrOverloaded with a Retry-After hint when
-// the queue is full, the deadline is unmeetable, or the circuit breaker is
-// open). An admitted request counts as in flight, so Shutdown drains it,
-// until its finish is called. This count is the only one a request holds,
-// Registry requests included; a closed service refuses with ErrClosed.
-func (s *Service) admit(ctx context.Context, entry string, args []Value, ic invokeConfig) (context.Context, admission, error) {
+// without touching a session), argument lowering, per-request options, the
+// entry's admission gate (ErrOverloaded with a Retry-After hint when the
+// queue is full, the deadline is unmeetable, or the circuit breaker is
+// open), and the submit to the scheduler's run queue; stream keeps the
+// run's emissions for Next. An admitted request counts as in flight, so
+// Shutdown drains it, until its finish is called. This count is the only
+// one a request holds, Registry requests included; a closed service or
+// scheduler refuses with ErrClosed.
+func (s *Service) admit(ctx context.Context, entry string, args []Value, ic invokeConfig, stream bool) (*admission, error) {
 	if s.closed.Load() {
-		return nil, admission{}, fmt.Errorf("nimble: service: %w", ErrClosed)
+		return nil, fmt.Errorf("nimble: service: %w", ErrClosed)
 	}
 	objs, err := s.p.validate(entry, args)
 	if err != nil {
-		return nil, admission{}, err
+		return nil, err
 	}
-	a := admission{svc: s, entry: entry, lane: ic.lane, objs: objs}
+	a := &admission{svc: s}
 	ctx, a.cancel = s.withDeadline(ctx, ic.budget)
 	release, err := s.gates[entry].Admit(ctx)
 	if err != nil {
 		a.cancel()
-		return nil, admission{}, err
+		return nil, err
 	}
 	a.release, a.start = release, time.Now()
 	s.inflight.Add(1)
 	// The closed flag is re-checked inside the in-flight window so a request
 	// racing Shutdown either drains or rejects, never hangs.
 	if s.closed.Load() {
-		err := fmt.Errorf("nimble: service: %w", ErrClosed)
-		a.finish(err)
-		return nil, admission{}, err
+		err = fmt.Errorf("nimble: service: %w", ErrClosed)
+	} else {
+		a.run, err = s.sched.Submit(ctx, ic.lane, stream, entry, objs...)
 	}
-	return ctx, a, nil
+	if err != nil {
+		a.finish(err)
+		return nil, err
+	}
+	return a, nil
 }
 
 // Invoke runs the named entry function. The request passes validation
@@ -230,18 +236,19 @@ func (s *Service) Invoke(ctx context.Context, entry string, args ...Value) (Valu
 // lane the request queues in, WithDeadlineBudget tightens its deadline from
 // arrival.
 func (s *Service) InvokeOpts(ctx context.Context, entry string, args []Value, opts ...InvokeOption) (Value, error) {
-	ctx, a, err := s.admit(ctx, entry, args, foldInvokeOptions(opts))
+	a, err := s.admit(ctx, entry, args, foldInvokeOptions(opts), false)
 	if err != nil {
 		return Value{}, err
 	}
-	return a.invoke(ctx)
+	return a.invoke()
 }
 
 // InvokeStream runs the named entry like Invoke but returns a Stream over
 // the values the program emits through stream.emit while it runs. The open
 // is synchronous and carries Invoke's full admission semantics: validation
-// (ErrBadInput) and the entry's gate (ErrOverloaded with a Retry-After
-// hint) both happen before InvokeStream returns, so a server can map an
+// (ErrBadInput), the entry's gate (ErrOverloaded with a Retry-After hint)
+// and the submit to the run queue (ErrClosed once the service is shutting
+// down) all happen before InvokeStream returns, so a server can map an
 // open failure to a proper HTTP status before it commits to a streaming
 // response. The stream owns no session; its decode loop is stepped one
 // iteration at a time, interleaved with other streams on whichever session
@@ -260,11 +267,11 @@ func (s *Service) InvokeStream(ctx context.Context, entry string, args ...Value)
 // selects the scheduler lane, WithDeadlineBudget tightens the deadline the
 // scheduler orders by.
 func (s *Service) InvokeStreamOpts(ctx context.Context, entry string, args []Value, opts ...InvokeOption) (*Stream, error) {
-	ctx, a, err := s.admit(ctx, entry, args, foldInvokeOptions(opts))
+	a, err := s.admit(ctx, entry, args, foldInvokeOptions(opts), true)
 	if err != nil {
 		return nil, err
 	}
-	return runStream(ctx, a.run, a.finish), nil
+	return &Stream{src: a}, nil
 }
 
 // Stats snapshots the service counters.

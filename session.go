@@ -21,10 +21,9 @@ type Session struct {
 	m      *vm.VM
 	prof   *vm.Profiler
 	closed bool
-	// streaming is set while an InvokeStream is open. It is the one field
-	// touched from another goroutine (the stream's producer clears it when
-	// the run unwinds), hence atomic; everything else keeps the session's
-	// single-goroutine discipline.
+	// streaming is set while a run is open. It is atomic because a stream
+	// may be read, and end, on another goroutine than the session's;
+	// everything else keeps the single-goroutine discipline.
 	streaming atomic.Bool
 }
 
@@ -45,43 +44,31 @@ func (p *Program) NewSession() *Session {
 // recovered into ErrInternal, and the session — whose reusable state may
 // be inconsistent — refuses further use with ErrClosed.
 func (s *Session) Invoke(ctx context.Context, entry string, args ...Value) (v Value, err error) {
-	if s.streaming.Load() {
-		return Value{}, fmt.Errorf("nimble: session: %w", ErrBusy)
-	}
-	if s.closed {
-		return Value{}, fmt.Errorf("nimble: session: %w", ErrClosed)
-	}
-	objs, err := s.p.validate(entry, args)
+	st, err := s.open(ctx, entry, args, false)
 	if err != nil {
 		return Value{}, err
 	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			// A session has no scheduler to mint a replacement: poison it
-			// outright. The caller opens a fresh one; the Program is immutable
-			// and unharmed.
-			s.closed = true
-			v, err = Value{}, serve.Internal(entry, rec, debug.Stack())
-		}
-	}()
-	out, err := s.m.InvokeContext(ctx, entry, objs...)
-	if err != nil {
-		return Value{}, canceled(err)
-	}
-	return fromObject(out)
+	return st.Result()
 }
 
-// InvokeStream runs the named entry like Invoke, but returns immediately
-// with a Stream over the values the program emits through the IR's
-// stream.emit operator (a decoder's per-token output) while the run
-// continues on a background goroutine. Validation is synchronous: unknown
-// entries, arity mismatches, and signature violations fail here, before any
-// stream exists. The run itself is still single-threaded on this session's
-// VM — until the stream is drained or closed, further Invoke/InvokeStream
-// calls fail fast with ErrBusy rather than racing the open run. A panic
-// mid-stream poisons the session (ErrClosed thereafter) and surfaces as
-// ErrInternal from the stream's Err.
+// InvokeStream runs the named entry like Invoke, but returns a Stream over
+// the values the program emits through the IR's stream.emit operator (a
+// decoder's per-token output). Validation is synchronous: unknown entries,
+// arity mismatches, and signature violations fail here, before any stream
+// exists. No bytecode runs yet: each Stream.Next steps the run on the
+// reader's goroutine until it emits or ends, so the program never runs
+// ahead of its reader. Until the stream ends or is closed, further
+// Invoke/InvokeStream calls fail fast with ErrBusy rather than racing the
+// open run. A panic mid-stream poisons the session (ErrClosed thereafter)
+// and surfaces as ErrInternal from the stream's Err.
 func (s *Session) InvokeStream(ctx context.Context, entry string, args ...Value) (*Stream, error) {
+	return s.open(ctx, entry, args, true)
+}
+
+// open validates a call and begins its run on the session's VM, to be
+// stepped by the returned Stream's reader. With emit set the stream keeps
+// the tensors the run emits; without, Invoke reads it to its end.
+func (s *Session) open(ctx context.Context, entry string, args []Value, emit bool) (*Stream, error) {
 	if s.streaming.Load() {
 		return nil, fmt.Errorf("nimble: session: %w", ErrBusy)
 	}
@@ -92,22 +79,74 @@ func (s *Session) InvokeStream(ctx context.Context, entry string, args ...Value)
 	if err != nil {
 		return nil, err
 	}
+	sr := &sessionRun{s: s, ctx: ctx, entry: entry}
+	var sink func(*tensor.Tensor) error
+	if emit {
+		sink = func(t *tensor.Tensor) error {
+			sr.emitted = append(sr.emitted, t)
+			return nil
+		}
+	}
+	if sr.r, err = s.m.BeginStream(sink, entry, objs...); err != nil {
+		return nil, err
+	}
 	s.streaming.Store(true)
-	st := runStream(ctx, func(runCtx context.Context, sink func(*tensor.Tensor) error) (out vm.Object, err error) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				s.closed = true
-				out, err = nil, serve.Internal(entry, rec, debug.Stack())
-			}
-		}()
-		return s.m.InvokeStreamContext(runCtx, sink, entry, objs...)
-	}, func(error) {
-		// Clearing the flag is the release point: an Invoke that observes
-		// streaming == false happens-after everything the stream's run did,
-		// including a poisoning panic's closed = true.
-		s.streaming.Store(false)
-	})
-	return st, nil
+	return &Stream{src: sr}, nil
+}
+
+// sessionRun is a Session stream's source: its VM run, stepped on the
+// reader's goroutine whenever every tensor it emitted has been read.
+type sessionRun struct {
+	s       *Session
+	ctx     context.Context
+	entry   string
+	r       *vm.StreamRun
+	emitted []*tensor.Tensor
+	done    bool
+	err     error
+}
+
+// step advances the run one compiled-loop iteration, or to its end. It is
+// the session's one recovery point: a VM or kernel panic becomes
+// ErrInternal, and the session, which has no scheduler to mint a
+// replacement, is poisoned outright. The caller opens a fresh one; the
+// Program is immutable and unharmed.
+func (sr *sessionRun) step() {
+	defer func() {
+		if rec := recover(); rec != nil {
+			sr.s.closed = true
+			sr.done, sr.err = true, serve.Internal(sr.entry, rec, debug.Stack())
+		}
+	}()
+	sr.done, sr.err = sr.r.Step(sr.ctx)
+}
+
+func (sr *sessionRun) Next() (*tensor.Tensor, bool) {
+	for len(sr.emitted) == 0 {
+		if sr.done {
+			return nil, false
+		}
+		sr.step()
+	}
+	t := sr.emitted[0]
+	sr.emitted = append(sr.emitted[:0], sr.emitted[1:]...)
+	return t, true
+}
+
+// Wait ends the run. An unfinished one runs no further step: it is
+// aborted, its buffers back in the session's pool, and reports a
+// cancellation. The busy mark is cleared last, so an Invoke that finds the
+// session free happens after all the run did, a poisoning panic included.
+func (sr *sessionRun) Wait() (out vm.Object, err error) {
+	if sr.done {
+		out, _ = sr.r.Result()
+		err = sr.err
+	} else {
+		sr.r.Abort()
+		err = serve.Canceled(nil)
+	}
+	sr.s.streaming.Store(false)
+	return out, err
 }
 
 // Close marks the session unusable; later Invokes return ErrClosed.

@@ -1,8 +1,6 @@
 package nimble
 
 import (
-	"context"
-
 	"nimble/internal/tensor"
 	"nimble/internal/vm"
 )
@@ -25,65 +23,31 @@ import (
 //	}
 //	out, err := st.Result()       // final result; err is the run's outcome
 //
-// The emitting program does not run ahead of the consumer: each emission
-// blocks until Next receives it (or the context is canceled), so a slow
-// consumer exerts backpressure all the way into the VM loop and an
+// The emitting program does not run ahead of its reader. A Session stream
+// runs one loop iteration inside Next whenever no emitted value is left to
+// return; a Service stream's run parks at its next iteration boundary
+// while its last value is unread, and its batch-mates keep stepping. So a
+// slow reader exerts backpressure all the way into the VM loop, and an
 // abandoned stream stops computing instead of generating into the void.
 //
-// A Stream is single-consumer: Next/Value must stay on one goroutine.
-// Close and the producer side are synchronized internally.
+// Every method runs on the reader's goroutine, and no goroutine runs
+// between the VM and the reader. To stop a stream from elsewhere, cancel
+// the context given to InvokeStream.
 type Stream struct {
-	cancel context.CancelFunc
-	ch     chan Value
-	done   chan struct{}
+	src    streamSource
 	cur    Value
 	result Value
 	err    error
-	closed bool
+	ended  bool // src was waited for; result and err hold the outcome
 }
 
-// runStream launches the producer goroutine: run executes the entry with a
-// sink that hands each emitted tensor to the consumer, and cleanup (which
-// may be nil) releases whatever resources the invocation pinned —
-// admission slot, in-flight count, deadline timer — strictly after the
-// run has returned. The final error is classified (context errors gain the
-// ErrCanceled wrap) before it becomes visible through Err/Result.
-func runStream(ctx context.Context, run func(context.Context, func(*tensor.Tensor) error) (vm.Object, error), cleanup func(error)) *Stream {
-	runCtx, cancel := context.WithCancel(ctx)
-	st := &Stream{cancel: cancel, ch: make(chan Value), done: make(chan struct{})}
-	go func() {
-		out, err := run(runCtx, func(t *tensor.Tensor) error {
-			// Cancellation must win deterministically: Close's drain loop
-			// keeps receiving from ch, so after cancel the select below is a
-			// coin flip between the send and the done channel — a stream
-			// closed before its first Next could keep "winning" the send and
-			// generate its entire sequence into the drain. Checking the
-			// context first bounds a canceled run to at most one more emit.
-			if err := runCtx.Err(); err != nil {
-				return err
-			}
-			select {
-			case st.ch <- TensorValue(t):
-				return nil
-			case <-runCtx.Done():
-				return runCtx.Err()
-			}
-		})
-		var res Value
-		if err == nil {
-			res, err = fromObject(out)
-		}
-		st.result, st.err = res, canceled(err)
-		// Result/err are published before ch closes: a consumer that sees
-		// Next return false may read them without further synchronization.
-		close(st.ch)
-		if cleanup != nil {
-			cleanup(err)
-		}
-		cancel()
-		close(st.done)
-	}()
-	return st
+// streamSource is the run a Stream reads: a Service's scheduler run, or a
+// Session's VM run stepped by the reader. Next returns the next emitted
+// tensor, or false at the end; Wait ends the run, retiring it first if it
+// has not finished, and returns its outcome.
+type streamSource interface {
+	Next() (*tensor.Tensor, bool)
+	Wait() (vm.Object, error)
 }
 
 // Next advances to the next emitted value, blocking until the program emits
@@ -91,60 +55,65 @@ func runStream(ctx context.Context, run func(context.Context, func(*tensor.Tenso
 // error, or by cancellation; Err distinguishes which.
 //
 // vet:no-ctx — the wait is bounded by the context the stream was created
-// with (InvokeStream's ctx): cancellation unwinds the producer, which
-// closes the channel.
+// with (InvokeStream's ctx).
 func (st *Stream) Next() bool {
-	v, ok := <-st.ch
-	if !ok {
+	if st.ended {
 		return false
 	}
-	st.cur = v
-	return true
+	if t, ok := st.src.Next(); ok {
+		st.cur = TensorValue(t)
+		return true
+	}
+	st.end()
+	return false
+}
+
+// end waits for the run and records its outcome; context errors gain the
+// ErrCanceled wrap.
+func (st *Stream) end() {
+	out, err := st.src.Wait()
+	if err == nil {
+		st.result, err = fromObject(out)
+	}
+	st.err, st.ended = canceled(err), true
 }
 
 // Value returns the value Next advanced to.
 func (st *Stream) Value() Value { return st.cur }
 
-// Err returns the invocation's final error, blocking until the run
-// finishes. Nil means the entry returned normally; otherwise the error is
+// Err returns the invocation's final error. A stream not yet read to its
+// end is drained first: the run goes on, and the values it emits are
+// discarded. Nil means the entry returned normally; otherwise the error is
 // from the same families Invoke returns (ErrCanceled, ErrInternal, ...).
-// Tokens received before a mid-stream error are partial output — the
-// stream's outcome is this error, not the token count.
+// Values received before a mid-stream error are partial output — the
+// stream's outcome is this error, not the value count.
 //
 // vet:no-ctx — bounded by the stream's creation context, like Next.
 func (st *Stream) Err() error {
-	<-st.done
+	for st.Next() {
+	}
 	return st.err
 }
 
-// Result returns the entry's final return value, blocking until the run
-// finishes (draining is the caller's job — Result does not consume pending
-// tokens, so call it after Next returns false, or from a goroutine that is
-// not the consumer only if the consumer keeps draining).
+// Result returns the entry's final return value and the run's error,
+// draining the stream first like Err.
 //
 // vet:no-ctx — bounded by the stream's creation context, like Next.
 func (st *Stream) Result() (Value, error) {
-	<-st.done
-	return st.result, st.err
+	err := st.Err()
+	return st.result, err
 }
 
-// Close abandons the stream: the run's context is canceled, pending and
-// future emissions are discarded, and Close blocks until the producer has
-// fully unwound (its admission slot released, in-flight accounting
-// decremented). It returns the run's final error — ErrCanceled when Close
-// itself stopped an unfinished run, nil or the run's own error when the
-// stream was already drained. Idempotent; safe after Next returned false.
+// Close abandons the stream. A run that has not finished runs no further
+// step: its buffers go back to the session's pool, a Service's admission
+// slot and in-flight count are released, and Close returns ErrCanceled.
+// After the run finished, Close returns its outcome, like Err, and drops
+// any values left unread. Idempotent; safe after Next returned false.
 //
-// vet:no-ctx — Close cancels the run's own context first, so the drain and
-// the wait for the producer to unwind are both bounded by that
-// cancellation.
+// vet:no-ctx — a Service run is retired by its worker within one step.
 func (st *Stream) Close() error {
-	if !st.closed {
-		st.closed = true
-		st.cancel()
-		for range st.ch { // discard pending emissions so the producer unblocks
-		}
+	if !st.ended {
+		st.end()
 	}
-	<-st.done
 	return st.err
 }

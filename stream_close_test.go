@@ -3,73 +3,140 @@ package nimble
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
+	"nimble/internal/ir"
+	"nimble/internal/models"
 	"nimble/internal/tensor"
 	"nimble/internal/vm"
 )
 
-// TestStreamCloseBeforeFirstRead is the regression test for the
-// close-before-read race: Close cancels the run's context and then drains
-// the token channel, so from the producer's point of view a send and the
-// cancellation are BOTH always ready. Without the context check before
-// each emit, the select's coin flip let a closed-but-never-read stream keep
-// winning the send and generate its entire sequence into the drain. The
-// producer here parks until Close has committed to canceling, then tries
-// 256 emits: the sink must refuse every one of them.
-func TestStreamCloseBeforeFirstRead(t *testing.T) {
-	for i := 0; i < 50; i++ {
-		var emitted atomic.Int64
-		produced := make(chan struct{})
-		st := runStream(context.Background(), func(runCtx context.Context, sink func(*tensor.Tensor) error) (vm.Object, error) {
-			close(produced)
-			<-runCtx.Done() // park until Close's cancel lands
-			for j := 0; j < 256; j++ {
-				if err := sink(tensor.FromI64([]int64{int64(j)}, 1)); err != nil {
-					return nil, err
-				}
-				emitted.Add(1)
-			}
-			return nil, nil
-		}, nil)
-		<-produced
-		if err := st.Close(); !errors.Is(err, ErrCanceled) {
-			t.Fatalf("iter %d: Close = %v, want ErrCanceled", i, err)
+// emitCountingDecoder compiles the decoder with its stream.emit kernel
+// wrapped to count the calls, so a test can see how far a run got.
+func emitCountingDecoder(t *testing.T) (*Program, *atomic.Int64) {
+	t.Helper()
+	p, err := Compile(models.NewDecoder(models.DefaultDecoderConfig()).Module)
+	if err != nil {
+		t.Fatal(err)
+	}
+	emits := new(atomic.Int64)
+	err = p.exe.WrapKernels(func(name string, fn vm.PackedFunc) vm.PackedFunc {
+		if name != ir.OpStreamEmit {
+			return fn
 		}
-		if n := emitted.Load(); n != 0 {
-			t.Fatalf("iter %d: %d emits won the race against a closed stream; cancellation must be deterministic", i, n)
+		return func(args []*tensor.Tensor, out *tensor.Tensor) (*tensor.Tensor, error) {
+			emits.Add(1)
+			return fn(args, out)
 		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, emits
+}
+
+// decoderStreams opens decoder streams on one Session and on a one-worker
+// Service over the same program.
+func decoderStreams(t *testing.T, p *Program) map[string]func() (*Stream, error) {
+	svc, err := p.Serve(WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	sess := p.NewSession()
+	start := TensorValue(models.StartToken(5))
+	return map[string]func() (*Stream, error){
+		"session": func() (*Stream, error) { return sess.InvokeStream(context.Background(), "generate", start) },
+		"service": func() (*Stream, error) { return svc.InvokeStream(context.Background(), "generate", start) },
 	}
 }
 
-// TestStreamCloseBoundsRunningProducer: a producer that is actively
-// generating (not parked) when Close arrives may legitimately complete the
-// emit already in flight, but no more than that one.
+// TestStreamCloseBeforeFirstRead: a stream closed before its first Next
+// runs no step after Close. A Service run may have emitted its first token
+// already; it then sits unread, so the run is parked and Close retires it
+// where it stands.
+func TestStreamCloseBeforeFirstRead(t *testing.T) {
+	p, emits := emitCountingDecoder(t)
+	for name, open := range decoderStreams(t, p) {
+		t.Run(name, func(t *testing.T) {
+			for i := 0; i < 50; i++ {
+				before := emits.Load()
+				st, err := open()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if name == "service" {
+					for emits.Load() == before { // wait for the worker's first step
+						runtime.Gosched()
+					}
+				}
+				atClose := emits.Load()
+				if err := st.Close(); !errors.Is(err, ErrCanceled) {
+					t.Fatalf("iter %d: Close = %v, want ErrCanceled", i, err)
+				}
+				if n := emits.Load() - atClose; n != 0 {
+					t.Fatalf("iter %d: %d emits after Close of an unread stream", i, n)
+				}
+				if st.Next() {
+					t.Fatalf("iter %d: Next after Close returned a value", i)
+				}
+			}
+		})
+	}
+}
+
+// TestStreamCloseBoundsRunningProducer: Close after one token stops the
+// run within one more emit. A Session stream emits nothing after Close; a
+// Service run may have taken one more step once its first token was read.
 func TestStreamCloseBoundsRunningProducer(t *testing.T) {
-	var emitted atomic.Int64
-	first := make(chan struct{})
-	st := runStream(context.Background(), func(runCtx context.Context, sink func(*tensor.Tensor) error) (vm.Object, error) {
-		for j := 0; j < 1024; j++ {
-			if err := sink(tensor.FromI64([]int64{int64(j)}, 1)); err != nil {
-				return nil, err
+	p, emits := emitCountingDecoder(t)
+	for name, open := range decoderStreams(t, p) {
+		t.Run(name, func(t *testing.T) {
+			for i := 0; i < 50; i++ {
+				st, err := open()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !st.Next() {
+					t.Fatalf("iter %d: no first token: %v", i, st.Err())
+				}
+				atClose := emits.Load()
+				if err := st.Close(); !errors.Is(err, ErrCanceled) {
+					t.Fatalf("iter %d: Close = %v, want ErrCanceled", i, err)
+				}
+				if n := emits.Load() - atClose; n > 1 {
+					t.Fatalf("iter %d: %d emits after Close; cancellation did not bound the run", i, n)
+				}
 			}
-			if emitted.Add(1) == 1 {
-				close(first)
+		})
+	}
+}
+
+// TestStreamStartsNoGoroutine: a stream is read straight from the run that
+// produces it. A Session stream starts no goroutine at all; a one-worker
+// Service stream starts at most its worker.
+func TestStreamStartsNoGoroutine(t *testing.T) {
+	p, _ := emitCountingDecoder(t)
+	for name, open := range decoderStreams(t, p) {
+		t.Run(name, func(t *testing.T) {
+			limit := 0
+			if name == "service" {
+				limit = 1
 			}
-		}
-		return nil, nil
-	}, nil)
-	if !st.Next() {
-		t.Fatal("no first token")
-	}
-	<-first
-	if err := st.Close(); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("Close = %v, want ErrCanceled", err)
-	}
-	// One emit may have been committed concurrently with Close; the context
-	// check bounds the overshoot to exactly that.
-	if n := emitted.Load(); n > 2 {
-		t.Fatalf("producer emitted %d tokens after Close; cancellation did not bound the run", n)
+			before := runtime.NumGoroutine()
+			st, err := open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if !st.Next() {
+				t.Fatalf("no first token: %v", st.Err())
+			}
+			if n := runtime.NumGoroutine() - before; n > limit {
+				t.Errorf("reading the first token started %d goroutines, want at most %d", n, limit)
+			}
+		})
 	}
 }
