@@ -6,13 +6,14 @@
 #   make bench-full - the full harness via cmd/nimble-bench
 #   make paper-smoke - every paper table and figure once, quick mode
 #   make bench-kernels - dense-tile GFLOP/s, weight-pack time and activation ns/element
+#   make bench-vm   - one warmed VM session's ns/op and allocs/op per dynamic model
 #   make cross      - build + vet the pure-Go kernel fallback for arm64
 #   make purego     - the kernels tests with the assembly tiles compiled out
 #   make ci         - what the GitHub Actions workflow runs
 
 GO ?= go
 
-.PHONY: all build vet test cross purego race api-check staticcheck chaos chaos-smoke registry-smoke stream-smoke fuzz-smoke invoke-fuzz-smoke sse-fuzz-smoke verify-smoke bench bench-full paper-smoke bench-kernels benchmark-check ci
+.PHONY: all build vet test cross purego race api-check staticcheck chaos chaos-smoke registry-smoke stream-smoke fuzz-smoke invoke-fuzz-smoke sse-fuzz-smoke verify-smoke bench bench-full paper-smoke bench-kernels bench-vm benchmark-check ci
 
 all: build vet test
 
@@ -134,6 +135,12 @@ paper-smoke:
 # shards below the threshold to show where sharding pays).
 bench-kernels:
 	$(GO) test ./internal/kernels ./internal/passes -run '^$$' -bench 'DenseShapes|DenseBreakEven|Activations|PackDenseWeights' -benchtime 200ms -count 3 -cpu 1,2
+
+# The VM alone, with no serving layer: ns/op, B/op and allocs/op of one
+# warmed session invoking Tree-LSTM (16 trees of 3-52 leaves), an LSTM over
+# 16 steps and a 32-token greedy decode. `make bench` runs it once.
+bench-vm:
+	$(GO) test ./internal/vm -run '^$$' -bench VMInvoke -benchmem -count 3
 
 # The benchmark is its own module (benchmark/go.mod), outside the root
 # `go vet ./...` / `go test ./...`: vet and test it against this tree.

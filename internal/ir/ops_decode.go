@@ -47,7 +47,7 @@ func init() {
 
 	RegisterOp(&Op{
 		Name: "attn_cached",
-		Rel: ruleRel("attn_cached", sameDims, func(ts []*TensorType, attrs Attrs) (tensor.DType, error) {
+		Rel: ruleRel("attn_cached", attnCachedDims, func(ts []*TensorType, attrs Attrs) (tensor.DType, error) {
 			if ts[0].DType != tensor.Float32 {
 				return 0, fmt.Errorf("ir: attn_cached requires float32, got %s", ts[0])
 			}
@@ -56,7 +56,7 @@ func init() {
 			}
 			return tensor.Float32, nil
 		}),
-		Shape: ShapeFunc{Dims: sameDims},
+		Shape: ShapeFunc{Dims: attnCachedDims},
 		Eval: func(args []*tensor.Tensor, attrs Attrs, out *tensor.Tensor) (*tensor.Tensor, error) {
 			return kernels.AttnCachedInto(args[0], args[1], args[2], args[3], attrs.Int("heads", 1), out)
 		},
@@ -125,12 +125,57 @@ func init() {
 }
 
 // cacheAppendDims is cache_append(cache, row, pos)'s rule: the result is
-// the cache, which has at least one axis.
+// the cache, which has a non-empty leading axis, and the row has as many
+// elements as a cache row where both counts are static.
 func cacheAppendDims(in [][]Dim, _ Attrs) ([]Dim, error) {
-	if len(in[0]) == 0 {
-		return nil, fmt.Errorf("ir: cache_append cache must be at least rank 1")
+	cache := in[0]
+	if len(cache) == 0 || (!cache[0].IsAny() && cache[0].Value == 0) {
+		return nil, fmt.Errorf("ir: cache_append cache must have a non-empty leading axis, got %v", cache)
+	}
+	width, wok := staticElems(cache[1:])
+	row, rok := staticElems(in[1])
+	if wok && rok && width != row {
+		return nil, fmt.Errorf("ir: cache_append row has %d elements, cache rows have %d", row, width)
+	}
+	return cache, nil
+}
+
+// attnCachedDims is attn_cached(q, k, v, length)'s rule: the result is the
+// query's shape; both caches are rank 2 with equal row counts, each row as
+// wide as the query has elements, and the heads divide that width, as
+// kernels.AttnCachedInto checks. Any dims are left to the kernel.
+func attnCachedDims(in [][]Dim, attrs Attrs) ([]Dim, error) {
+	k, v := in[1], in[2]
+	if len(k) != 2 || len(v) != 2 {
+		return nil, fmt.Errorf("ir: attn_cached caches must be rank 2, got %v and %v", k, v)
+	}
+	if !k[0].IsAny() && !v[0].IsAny() && k[0].Value != v[0].Value {
+		return nil, fmt.Errorf("ir: attn_cached key cache has %d rows, value cache %d", k[0].Value, v[0].Value)
+	}
+	if d, ok := staticElems(in[0]); ok {
+		for _, w := range []Dim{k[1], v[1]} {
+			if !w.IsAny() && w.Value != d {
+				return nil, fmt.Errorf("ir: attn_cached cache width %d differs from the query's %d elements", w.Value, d)
+			}
+		}
+		if heads := attrs.Int("heads", 1); heads > 0 && d%heads != 0 {
+			return nil, fmt.Errorf("ir: attn_cached width %d not divisible by %d heads", d, heads)
+		}
 	}
 	return in[0], nil
+}
+
+// staticElems is the element count of dims, and whether every dim is
+// static.
+func staticElems(dims []Dim) (int, bool) {
+	n := 1
+	for _, d := range dims {
+		if d.IsAny() {
+			return 0, false
+		}
+		n *= d.Value
+	}
+	return n, true
 }
 
 // sampleTokenDims is sample_token's rule: one token id.

@@ -85,16 +85,27 @@ var ruleGens = map[string]ruleGen{
 		return ruleCase{shapes: []tensor.Shape{x, {x[len(x)-1]}, {x[len(x)-1]}}}
 	},
 	"attn_cached": func(rng *rand.Rand) ruleCase {
+		// The query is 2, 4 or 6 wide; each cache is usually rank 2, 2-6
+		// wide in steps of 2, with 2 or 3 rows, so widths, row counts, ranks
+		// and the heads' divisibility each mismatch in some draws.
+		width := func() int { return 2 * (1 + rng.Intn(3)) }
+		cache := func(rows int) tensor.Shape {
+			if rng.Intn(8) == 0 {
+				return extents(rng, 1+2*rng.Intn(2))
+			}
+			return tensor.Shape{rows, width()}
+		}
+		rows := 2 + rng.Intn(2)
 		return ruleCase{
-			shapes: []tensor.Shape{{1, 4}, {3, 4}, {3, 4}, {}},
+			shapes: []tensor.Shape{{1, width()}, cache(rows), cache(2 + rng.Intn(2)), {}},
 			dtypes: []tensor.DType{tensor.Float32, tensor.Float32, tensor.Float32, tensor.Int64},
-			attrs:  ir.Attrs{"heads": 2},
+			attrs:  ir.Attrs{"heads": 1 + rng.Intn(2)*3},
 		}
 	},
 	"cache_append": func(rng *rand.Rand) ruleCase {
 		cache := extents(rng, rng.Intn(3))
 		return ruleCase{
-			shapes: []tensor.Shape{cache, extents(rng, 1), {}},
+			shapes: []tensor.Shape{cache, extents(rng, 1+rng.Intn(2)), {}},
 			dtypes: []tensor.DType{tensor.Float32, tensor.Float32, tensor.Int64},
 		}
 	},
@@ -161,12 +172,13 @@ var ruleGens = map[string]ruleGen{
 var residualChecked = []string{
 	"add", "greater", "dense", "dense_packed", "bias_add", "concat", "strided_slice",
 	"conv2d", "max_pool2d", "reshape", "sum", "argmax", "transpose", "take", "cache_append",
+	"attn_cached",
 }
 
-// readsPosition are the operators whose kernel reads a position or length
-// from an input's data, which the zero-filled inputs of the kernel check
-// below do not make valid.
-var readsPosition = map[string]bool{"cache_append": true, "attn_cached": true}
+// readsPosition are the operators whose kernel reads a length from an
+// input's data, which the zero-filled inputs of the kernel check below do
+// not make valid (cache_append's zero position is valid).
+var readsPosition = map[string]bool{"attn_cached": true}
 
 // TestDimsRuleRelationMatchesShapeKernel draws static calls of every
 // operator with a dims rule and checks that the type relation over static

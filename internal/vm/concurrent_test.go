@@ -143,15 +143,15 @@ func TestConcurrentBERTLayerViaSessionPool(t *testing.T) {
 
 // TestSessionStorageReuseSurvivesPooling pins the memory-planning payoff
 // inside a pooled session: sequential requests through a one-session
-// scheduler must reuse the first invocation's storages via the VM's
-// runtime pool, keeping the per-step allocation count — scheduler work
-// included — under the same fence the single-VM path honors (see
-// internal/bench's alloc regression test).
+// scheduler must reuse the first invocation's storages, and the views
+// cached on them, via the VM's runtime pool, keeping the per-step
+// allocation count — scheduler work included — near zero. Each step
+// allocates about 2 objects (about 4 under -race).
 func TestSessionStorageReuseSurvivesPooling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc calibration is timing-insensitive but not short")
 	}
-	const maxAllocsPerStep = 128
+	const maxAllocsPerStep = 8
 	cfg := models.LSTMConfig{Input: 32, Hidden: 32, Layers: 1, Seed: 3}
 	m := models.NewLSTM(cfg)
 	res, err := compiler.Compile(m.Module, compiler.Options{})

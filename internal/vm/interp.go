@@ -26,6 +26,13 @@ import (
 // serves this way: it builds one VM per session over a shared executable
 // and marks each pooled, after which the VM rejects configuration mutators
 // (SetProfiler, DisablePool, AttachSharedPool).
+//
+// Every pooled storage a run holds has one owner, a frame: the frame that
+// acquired it, or the caller a callee returned it to. The owner gives it
+// back to the session's pool at its exit or loop back edge once nothing
+// live reaches it, so a warmed session draws its buffers (and, through each
+// storage's view cache, its tensor views) from the pool. Only the storages
+// behind the entry's result leave the session, with the result.
 type VM struct {
 	exe  *Executable
 	prof *Profiler
@@ -163,11 +170,15 @@ type frame struct {
 	pc   int
 	// dst is the caller register receiving this frame's return value.
 	dst Reg
-	// allocs records every storage this frame acquired (when the pool is
-	// on). Tail-call loops re-enter the frame via a backward Goto without
-	// passing OpRet, so frame-exit release alone would leak one iteration's
-	// buffers per token; the loop back edge instead recycles everything not
-	// reachable from the next iteration's parameters.
+	// allocs lists the storages this frame owns (when the pool is on):
+	// those it acquired plus those its callees returned to it. Each pooled
+	// storage in use sits in exactly one frame's list, and its owner
+	// releases it: at frame exit (releaseFrame) unless the return value
+	// reaches it, in which case it passes to the caller's list. Tail-call
+	// loops re-enter the frame via a backward Goto without passing OpRet,
+	// so frame-exit release alone would leak one iteration's buffers per
+	// token; the loop back edge instead recycles everything not reachable
+	// from the next iteration's parameters.
 	allocs []*Storage
 }
 
@@ -258,20 +269,24 @@ func (vm *VM) exec(ctx context.Context, stack []*frame) (_ []*frame, parked bool
 			ret := fr.regs[in.A]
 			stack[len(stack)-1] = nil
 			stack = stack[:len(stack)-1]
+			var caller *frame
+			if len(stack) > 0 {
+				caller = stack[len(stack)-1]
+			}
 			// "Objects are reference counted ... kill(tensor) frees a tensor
 			// before its reference count becomes zero due to exiting the
 			// frame" (§4.3, §5.2): at frame exit, every storage that does
-			// not back the escaping return value goes back to the pool.
-			vm.releaseFrame(fr, ret)
+			// not back the escaping return value goes back to the pool, and
+			// every one that does passes to the caller.
+			vm.releaseFrame(fr, ret, caller)
 			retDst := fr.dst
 			vm.freeFrame(fr)
-			if len(stack) == 0 {
+			if caller == nil {
 				if prof != nil && prof.Timing {
 					prof.OtherTime += time.Since(tStart)
 				}
 				return stack, false, ret, nil
 			}
-			caller := stack[len(stack)-1]
 			caller.regs[retDst] = ret
 			// caller.pc already advanced past its Invoke.
 
@@ -349,11 +364,14 @@ func (vm *VM) exec(ctx context.Context, stack []*frame) (_ []*frame, parked bool
 			if err != nil {
 				return stack, false, nil, err
 			}
-			t, err := st.tensorAt(tensor.DType(in.DType), tensor.Shape(in.Shape), int(in.Imm))
-			if err != nil {
-				return stack, false, nil, err
+			shape := tensor.Shape(in.Shape)
+			o := st.cachedView(tensor.DType(in.DType), int(in.Imm), shape.Equal)
+			if o == nil {
+				if o, err = st.carve(tensor.DType(in.DType), shape, int(in.Imm)); err != nil {
+					return stack, false, nil, err
+				}
 			}
-			fr.regs[in.Dst] = &TensorObj{T: t, Device: st.Device, Backing: st}
+			fr.regs[in.Dst] = o
 			fr.pc++
 
 		case OpAllocTensorReg:
@@ -365,15 +383,17 @@ func (vm *VM) exec(ctx context.Context, stack []*frame) (_ []*frame, parked bool
 			if err != nil {
 				return stack, false, nil, err
 			}
-			shape, err := shObj.T.ToShape()
-			if err != nil {
-				return stack, false, nil, err
+			o := st.cachedView(tensor.DType(in.DType), 0, func(s tensor.Shape) bool { return shapeHolds(shObj.T, s) })
+			if o == nil {
+				shape, err := shObj.T.ToShape()
+				if err != nil {
+					return stack, false, nil, err
+				}
+				if o, err = st.carve(tensor.DType(in.DType), shape, 0); err != nil {
+					return stack, false, nil, err
+				}
 			}
-			t, err := st.tensorAt(tensor.DType(in.DType), shape, 0)
-			if err != nil {
-				return stack, false, nil, err
-			}
-			fr.regs[in.Dst] = &TensorObj{T: t, Device: st.Device, Backing: st}
+			fr.regs[in.Dst] = o
 			fr.pc++
 
 		case OpAllocADT:
@@ -408,7 +428,11 @@ func (vm *VM) exec(ctx context.Context, stack []*frame) (_ []*frame, parked bool
 			if err != nil {
 				return stack, false, nil, err
 			}
-			fr.regs[in.Dst] = NewTensorObj(tensor.ScalarI64(int64(adt.Tag)))
+			if uint(adt.Tag) < uint(len(smallInts)) {
+				fr.regs[in.Dst] = smallInts[adt.Tag]
+			} else {
+				fr.regs[in.Dst] = NewTensorObj(tensor.ScalarI64(int64(adt.Tag)))
+			}
 			fr.pc++
 
 		case OpIf:
@@ -623,35 +647,27 @@ func (vm *VM) execPacked(fr *frame, in Instruction) error {
 	return nil
 }
 
-// releaseFrame returns every storage in the frame's registers to the pool
-// unless it backs (part of) the escaping return value.
-func (vm *VM) releaseFrame(fr *frame, ret Object) {
-	if vm.pool == nil {
+// releaseFrame settles the storages an exiting frame owns: each one the
+// return value reaches passes to the caller's alloc list, and the rest go
+// back to the pool. The escape set is computed from ret alone, before
+// anything is released, so a pooled storage can never also be handed up.
+// The entry frame has no caller: its escaping storages leave the VM with
+// the result. The frame's own list is cleared by freeFrame.
+func (vm *VM) releaseFrame(fr *frame, ret Object, caller *frame) {
+	if vm.pool == nil || len(fr.allocs) == 0 {
 		return
 	}
-	keep := vm.keepScratch
-	clear(keep)
-	collectStorages(ret, keep)
-	for _, o := range fr.regs {
-		switch v := o.(type) {
-		case *Storage:
-			if !keep[v] {
-				vm.pool.release(v)
-				keep[v] = true // avoid double release via aliased registers
-			}
-		}
-	}
-	// Storages acquired by this frame whose registers were since overwritten
-	// (loop-carried buffers threaded through parameters, then replaced) are
-	// reachable only through the alloc list.
-	for i, st := range fr.allocs {
-		if !keep[st] {
+	escapes := vm.keepScratch
+	clear(escapes)
+	collectStorages(ret, escapes)
+	for _, st := range fr.allocs {
+		switch {
+		case !escapes[st]:
 			vm.pool.release(st)
-			keep[st] = true
+		case caller != nil:
+			caller.allocs = append(caller.allocs, st)
 		}
-		fr.allocs[i] = nil
 	}
-	fr.allocs = fr.allocs[:0]
 }
 
 // recycleLoopFrame runs at a compiled loop's back edge: every storage the
@@ -713,11 +729,11 @@ func (vm *VM) execAllocStorage(fr *frame, in Instruction) error {
 		if err != nil {
 			return err
 		}
-		shape, err := shObj.T.ToShape()
+		n, err := numElements(shObj.T)
 		if err != nil {
 			return err
 		}
-		size = shape.NumElements() * tensor.DType(in.DType).Size()
+		size = n * tensor.DType(in.DType).Size()
 	}
 	dev := ir.Device{Type: ir.DeviceType(in.Device), ID: in.DeviceID}
 	if dev.IsUnknown() {

@@ -40,7 +40,8 @@ func (o *TensorObj) String() string { return o.T.String() }
 
 // smallInts are the objects LoadConsti hands out for immediates 0-15 (the
 // compiler emits 0 for the unit value and 1 or a constructor tag for match
-// tests). Like constants they are never written, so every VM shares them.
+// tests) and GetTag for tags 0-15. Like constants they are never written,
+// so every VM shares them.
 var smallInts = func() (objs [16]*TensorObj) {
 	for i := range objs {
 		objs[i] = NewTensorObj(tensor.ScalarI64(int64(i)))
@@ -53,6 +54,14 @@ var smallInts = func() (objs [16]*TensorObj) {
 // slice per dtype with capacity for SizeBytes, so tensors allocated from
 // the same storage across iterations reuse memory instead of hitting the Go
 // allocator — the runtime half of the §4.3 memory-planning story.
+//
+// A storage also keeps the tensor views carved from it: the last viewSlots
+// (offset, dtype, shape) triples, each with its *TensorObj, in an inline
+// array, so a fresh storage costs no extra allocation. AllocTensor and
+// AllocTensorReg hand a cached view back instead of building a new one.
+// This is safe because a view's metadata never changes and the view lives
+// exactly as long as its storage, which frames and the pool already track:
+// once the storage is free, so is every object carved from it.
 type Storage struct {
 	SizeBytes int
 	Device    ir.Device
@@ -62,9 +71,49 @@ type Storage struct {
 	i32 []int32
 	i64 []int64
 	b   []bool
+
+	views    [viewSlots]storageView
+	nextView uint8 // the slot the next miss overwrites, round robin
+}
+
+// viewSlots is how many carved views a storage remembers. The planner
+// carves at most a few shapes out of one storage per function (Tree-LSTM's
+// cell carves two); dynamic shapes that cycle through more just miss.
+const viewSlots = 4
+
+// storageView is one cached view: the byte offset it was carved at and the
+// object, whose tensor holds its dtype and shape.
+type storageView struct {
+	off int
+	obj *TensorObj
 }
 
 func (*Storage) vmObject() {}
+
+// cachedView returns the view carved at offsetBytes with dtype dt and a
+// shape for which sameShape holds, or nil if the storage keeps none.
+func (s *Storage) cachedView(dt tensor.DType, offsetBytes int, sameShape func(tensor.Shape) bool) *TensorObj {
+	for i := range s.views {
+		v := &s.views[i]
+		if v.obj != nil && v.off == offsetBytes && v.obj.T.DType() == dt && sameShape(v.obj.T.Shape()) {
+			return v.obj
+		}
+	}
+	return nil
+}
+
+// carve builds a view of dtype dt and shape at offsetBytes and keeps it,
+// evicting the oldest cached view when every slot is taken.
+func (s *Storage) carve(dt tensor.DType, shape tensor.Shape, offsetBytes int) (*TensorObj, error) {
+	t, err := s.tensorAt(dt, shape, offsetBytes)
+	if err != nil {
+		return nil, err
+	}
+	o := &TensorObj{T: t, Device: s.Device, Backing: s}
+	s.views[s.nextView] = storageView{off: offsetBytes, obj: o}
+	s.nextView = (s.nextView + 1) % viewSlots
+	return o, nil
+}
 
 // tensorAt carves a tensor of the given dtype/shape out of the storage at a
 // byte offset. The backing slice for each dtype is allocated once and
@@ -173,5 +222,57 @@ func scalarEqual(a, b Object) (bool, error) {
 	if ta.T.NumElements() != 1 || tb.T.NumElements() != 1 {
 		return false, fmt.Errorf("vm: If condition requires scalars, got %v and %v", ta.T.Shape(), tb.T.Shape())
 	}
-	return ta.T.AsF64()[0] == tb.T.AsF64()[0], nil
+	return firstF64(ta.T) == firstF64(tb.T), nil
+}
+
+// firstF64 reads a tensor's first element as a float64 (bools as 0/1).
+func firstF64(t *tensor.Tensor) float64 {
+	switch t.DType() {
+	case tensor.Float32:
+		return float64(t.F32()[0])
+	case tensor.Float64:
+		return t.F64()[0]
+	case tensor.Int32:
+		return float64(t.I32()[0])
+	case tensor.Int64:
+		return float64(t.I64()[0])
+	case tensor.Bool:
+		if t.Bools()[0] {
+			return 1
+		}
+	}
+	return 0
+}
+
+// numElements is the element count the shape tensor t names. An int64
+// shape, the kind shape functions emit, is read in place; any other goes
+// through ToShape, which also reports a malformed one.
+func numElements(t *tensor.Tensor) (int, error) {
+	if t.Rank() == 1 && t.DType() == tensor.Int64 {
+		n := 1
+		for _, d := range t.I64() {
+			if d < 0 {
+				return 0, fmt.Errorf("vm: negative dimension %d in shape tensor", d)
+			}
+			n *= int(d)
+		}
+		return n, nil
+	}
+	s, err := t.ToShape()
+	return s.NumElements(), err
+}
+
+// shapeHolds reports whether the int64 shape tensor t holds s, reading it
+// in place where ToShape would build a Shape. Any other shape tensor reads
+// false and takes ToShape's path.
+func shapeHolds(t *tensor.Tensor, s tensor.Shape) bool {
+	if t.Rank() != 1 || t.DType() != tensor.Int64 || t.Shape()[0] != len(s) {
+		return false
+	}
+	for i, d := range t.I64() {
+		if d != int64(s[i]) {
+			return false
+		}
+	}
+	return true
 }

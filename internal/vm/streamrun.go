@@ -108,32 +108,17 @@ func (r *StreamRun) finish(out Object, err error) {
 }
 
 // releaseFrames returns the parked frames' storages to the VM pool and the
-// frames themselves to the recycle list. One seen-set spans the whole
-// stack: a storage can be visible from two frames at once (the caller's
-// alloc list and the callee's parameter registers), and must be released
-// exactly once.
+// frames themselves to the recycle list. Each storage sits in exactly one
+// frame's alloc list (its owner's), so releasing every list releases each
+// storage once.
 func (r *StreamRun) releaseFrames() {
 	m := r.vm
-	if m.pool != nil {
-		seen := m.keepScratch
-		clear(seen)
-		for _, fr := range r.stack {
-			for _, o := range fr.regs {
-				if st, ok := o.(*Storage); ok && !seen[st] {
-					seen[st] = true
-					m.pool.release(st)
-				}
-			}
+	for _, fr := range r.stack {
+		if m.pool != nil {
 			for _, st := range fr.allocs {
-				if !seen[st] {
-					seen[st] = true
-					m.pool.release(st)
-				}
+				m.pool.release(st)
 			}
 		}
-		clear(seen)
-	}
-	for _, fr := range r.stack {
 		m.freeFrame(fr)
 	}
 	clear(r.stack)

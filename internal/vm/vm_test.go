@@ -243,6 +243,39 @@ func TestAllocTensorRegFromShape(t *testing.T) {
 	}
 }
 
+// TestAllocStorageShapeRegister: a dynamic AllocStorage sizes its storage
+// from an int64 or int32 shape tensor and rejects a malformed one.
+func TestAllocStorageShapeRegister(t *testing.T) {
+	e := buildExe("main", 1, 2, []Instruction{
+		{Op: OpAllocStorage, Dst: 1, A: 0, DType: uint8(tensor.Float32), Device: uint8(ir.DevCPU)},
+		{Op: OpLoadConsti, Dst: 1, Imm: 0},
+		{Op: OpRet, A: 1},
+	})
+	for _, c := range []struct {
+		shape *tensor.Tensor
+		bytes int64
+		err   string
+	}{
+		{tensor.FromI64([]int64{3, 5}, 2), 60, ""},
+		{tensor.FromI32([]int32{3, 5}, 2), 60, ""},
+		{tensor.FromI64([]int64{-1, 5}, 2), 0, "negative dimension"},
+		{tensor.FromI64([]int64{3, 5}, 1, 2), 0, "rank 1"},
+	} {
+		m := New(e)
+		prof := NewProfiler()
+		m.SetProfiler(prof)
+		_, err := m.InvokeContext(context.Background(), "main", NewTensorObj(c.shape))
+		switch {
+		case c.err == "" && err != nil:
+			t.Errorf("%v: %v", c.shape, err)
+		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)):
+			t.Errorf("%v: error %v, want one naming %q", c.shape, err, c.err)
+		case c.err == "" && prof.AllocBytes != c.bytes:
+			t.Errorf("%v: allocated %d bytes, want %d", c.shape, prof.AllocBytes, c.bytes)
+		}
+	}
+}
+
 func TestStorageTooSmall(t *testing.T) {
 	e := buildExe("main", 0, 2, []Instruction{
 		{Op: OpAllocStorage, Dst: 0, A: -1, Imm: 4, Device: uint8(ir.DevCPU)},
@@ -432,6 +465,100 @@ func TestEscapingStorageNotReused(t *testing.T) {
 	s := second.(*TensorObj).T.F32()
 	if f[0] != 1 || s[0] != 2 {
 		t.Errorf("escaping storage was clobbered: first=%v second=%v", f, s)
+	}
+}
+
+// TestReturnedStorageMovesToCaller: a callee's storage that backs its
+// return value passes to the caller, which releases it at its own exit, so
+// reruns draw it from the pool.
+func TestReturnedStorageMovesToCaller(t *testing.T) {
+	e := NewExecutable()
+	k := e.AddKernel("id", func(_ []*tensor.Tensor, out *tensor.Tensor) (*tensor.Tensor, error) { return out, nil })
+	e.Code = []Instruction{
+		// main: call make, drop its tensor, return a scalar.
+		{Op: OpInvoke, Dst: 0, Imm: 1},
+		{Op: OpLoadConsti, Dst: 1, Imm: 0},
+		{Op: OpRet, A: 1},
+		// make: allocate a buffer and return the tensor carved from it.
+		{Op: OpAllocStorage, Dst: 0, A: -1, Imm: 64, Device: uint8(ir.DevCPU)},
+		{Op: OpAllocTensor, Dst: 1, A: 0, Shape: []int{16}, DType: uint8(tensor.Float32)},
+		{Op: OpInvokePacked, Dst: 2, Imm: int64(k), B: 1, Args: []Reg{1}},
+		{Op: OpRet, A: 2},
+	}
+	e.AddFunc(VMFunc{Name: "main", NumParams: 0, RegCount: 2, Start: 0, Len: 3})
+	e.AddFunc(VMFunc{Name: "make", NumParams: 0, RegCount: 3, Start: 3, Len: 4})
+	vmi := New(e)
+	prof := NewProfiler()
+	vmi.SetProfiler(prof)
+	for i := 0; i < 5; i++ {
+		if _, err := vmi.InvokeContext(context.Background(), "main"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if prof.AllocFresh != 1 || prof.AllocReuses != 4 {
+		t.Errorf("5 runs: %d fresh, %d reused storages, want 1 and 4", prof.AllocFresh, prof.AllocReuses)
+	}
+}
+
+// TestStorageViewCache: one storage carved at two offsets, two dtypes and
+// two shapes gives each its own view of the right dtype and shape, and
+// carving any of them again hands back the same object.
+func TestStorageViewCache(t *testing.T) {
+	st := &Storage{SizeBytes: 256, Device: ir.CPU(0)}
+	keys := []struct {
+		dt    tensor.DType
+		shape tensor.Shape
+		off   int
+	}{
+		{tensor.Float32, tensor.Shape{2, 4}, 0},
+		{tensor.Float32, tensor.Shape{2, 4}, 64},
+		{tensor.Int64, tensor.Shape{2, 4}, 0},
+		{tensor.Float32, tensor.Shape{8}, 0},
+	}
+	views := make([]*TensorObj, len(keys))
+	for i, k := range keys {
+		if st.cachedView(k.dt, k.off, k.shape.Equal) != nil {
+			t.Fatalf("key %d: cache hit before the view was carved", i)
+		}
+		o, err := st.carve(k.dt, k.shape, k.off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.T.DType() != k.dt || !o.T.Shape().Equal(k.shape) || o.Backing != st {
+			t.Errorf("key %d: carved %s %v backed by %p", i, o.T.DType(), o.T.Shape(), o.Backing)
+		}
+		for j := 0; j < i; j++ {
+			if views[j] == o {
+				t.Errorf("keys %d and %d share a view", j, i)
+			}
+		}
+		views[i] = o
+	}
+	for i, k := range keys {
+		if got := st.cachedView(k.dt, k.off, k.shape.Equal); got != views[i] {
+			t.Errorf("key %d: cache returned %p, want the carved view %p", i, got, views[i])
+		}
+	}
+	// The offset view reads the storage's memory past the first one's.
+	views[1].T.F32()[0] = 7
+	if views[0].T.F32()[0] != 0 || views[3].T.F32()[0] != 0 {
+		t.Error("the view at offset 64 aliases offset 0")
+	}
+	// A fifth shape evicts the oldest view; the others stay.
+	if _, err := st.carve(tensor.Float32, tensor.Shape{4}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if st.cachedView(keys[0].dt, keys[0].off, keys[0].shape.Equal) != nil {
+		t.Error("the oldest view survived a fifth shape")
+	}
+	if st.cachedView(keys[3].dt, keys[3].off, keys[3].shape.Equal) != views[3] {
+		t.Error("a newer view was evicted")
+	}
+	// AllocTensorReg matches a shape register in place.
+	if !shapeHolds(tensor.ShapeTensor(tensor.Shape{2, 4}), tensor.Shape{2, 4}) ||
+		shapeHolds(tensor.ShapeTensor(tensor.Shape{2, 4}), tensor.Shape{4, 2}) ||
+		shapeHolds(tensor.ShapeTensor(tensor.Shape{8}), tensor.Shape{8, 1}) {
+		t.Error("shapeHolds disagrees with ToShape")
 	}
 }
 
