@@ -71,11 +71,11 @@ fuzz-smoke:
 
 # The static verifier's own gate: the seeded-mutation corpus must all be
 # caught, every registered model must verify clean, and a short
-# conformance fuzz runs with NIMBLE_VERIFY=1 so every random program is
-# also checked after every pass (the verifier's false-positive hunt).
+# conformance fuzz checks every random program after every pass (the
+# fuzzer always compiles in check mode: the verifier's false-positive hunt).
 verify-smoke:
 	$(GO) test -count=1 ./internal/verify
-	NIMBLE_VERIFY=1 $(GO) test -run '^$$' -fuzz FuzzVMConformance -fuzztime 30s ./internal/conformance
+	$(GO) test -run '^$$' -fuzz FuzzVMConformance -fuzztime 30s ./internal/conformance
 
 # 30-second fuzz of nimble-serve's JSON decode + invoke path: malformed
 # bodies must answer 4xx JSON, never a 5xx or a crash.

@@ -106,11 +106,11 @@ func canceled(err error) error {
 }
 
 // VerificationError reports invariant violations found by the static
-// verifier (WithVerify, NIMBLE_VERIFY=1, or Load's executable check). It
-// matches ErrVerify with errors.Is. Stage names the pipeline boundary that
-// failed ("after manifest-alloc", "executable", "loaded executable");
-// Violations holds one rendered diagnostic per violated invariant, each
-// prefixed with its catalog ID ("[mem.coalesce-overlap] ...").
+// verifier (WithVerify or Load's executable check). It matches ErrVerify
+// with errors.Is. Stage names the pipeline boundary that failed ("after
+// manifest-alloc", "executable", "loaded executable"); Violations holds one
+// rendered diagnostic per violated invariant, each prefixed with its
+// catalog ID ("[mem.coalesce-overlap] ...").
 type VerificationError struct {
 	Stage      string
 	Violations []string

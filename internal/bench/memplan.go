@@ -12,7 +12,6 @@ import (
 	"nimble/internal/ir"
 	"nimble/internal/models"
 	"nimble/internal/passes"
-	"nimble/internal/typeinfer"
 	"nimble/internal/vm"
 )
 
@@ -139,31 +138,27 @@ func MemPlan(cfg Config) (*MemPlanResult, error) {
 	return res, nil
 }
 
-// staticIntervals lowers a CV module through the planning pipeline and
-// extracts (size, live-range) intervals for its static allocations plus
-// Nimble's coalesced footprint.
+// staticIntervals lowers a CV module through the default pipeline and
+// extracts (size, live-range) intervals for its static allocations, as
+// manifested before coalescing, plus Nimble's coalesced footprint.
 func staticIntervals(mod *ir.Module) ([]baselines.Interval, int, error) {
-	var coalesce passes.CoalesceStats
-	mgr := passes.NewManager(
-		passes.ANF(), passes.ConstantFold(), passes.DCE(), passes.FuseOps(nil),
-		passes.ManifestAlloc(ir.CPU(0), nil),
-	)
+	var ivs []baselines.Interval
+	mgr := passes.DefaultPipeline(ir.CPU(0))
+	mgr.AfterPass = func(name string, m *ir.Module) error {
+		if name != "manifest-alloc" {
+			return nil
+		}
+		fn, err := m.Main()
+		if err != nil {
+			return err
+		}
+		ivs = extractIntervals(fn.Body)
+		return nil
+	}
 	if err := mgr.Run(mod); err != nil {
 		return nil, 0, err
 	}
-	fn, err := mod.Main()
-	if err != nil {
-		return nil, 0, err
-	}
-	ivs := extractIntervals(fn.Body)
-	// Nimble's footprint: apply chain-local coalescing and sum what remains.
-	if err := typeinfer.InferModule(mod); err != nil {
-		return nil, 0, err
-	}
-	if err := passes.CoalesceStorage(&coalesce).Run(mod); err != nil {
-		return nil, 0, err
-	}
-	return ivs, coalesce.BytesAfter, nil
+	return ivs, mgr.Stats.Coalesce.BytesAfter, nil
 }
 
 // extractIntervals reads the manifested chain: each static alloc_storage

@@ -57,12 +57,9 @@ type Kernel struct {
 
 // ForOp generates the kernel for one operator invocation. outType is the
 // checked output type; a dynamic first dimension on a dense op triggers
-// symbolic codegen with residue dispatch.
+// symbolic codegen with residue dispatch over opts.Dispatch kernels, so
+// opts must come from Options.Normalize.
 func ForOp(op *ir.Op, attrs ir.Attrs, outType *ir.TensorType, opts Options) (Kernel, error) {
-	opts, err := opts.Normalize()
-	if err != nil {
-		return Kernel{}, err
-	}
 	if (op.Name == "dense" || op.Name == "dense_packed") && outType != nil && outType.Rank() == 2 && outType.Dims[0].IsAny() {
 		return symbolicDense(op.Name, attrs, opts), nil
 	}

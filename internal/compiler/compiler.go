@@ -21,14 +21,15 @@ import (
 type Options struct {
 	// Target is the device kernels are placed on (default cpu(0)).
 	Target ir.Device
-	// Codegen configures kernel generation (dispatch width, library use).
+	// Codegen configures kernel generation (dispatch width); Compile
+	// validates it before any pass runs.
 	Codegen codegen.Options
-	// DisableFusion turns off operator fusion (ablation).
+	// DisableFusion drops operator fusion from the pipeline (ablation).
 	DisableFusion bool
-	// DisableCoalescing turns off static storage coalescing (ablation).
+	// DisableCoalescing drops static storage coalescing (ablation).
 	DisableCoalescing bool
-	// DisableMemoryPlanning skips the explicit-allocation transform
-	// entirely; kernels then allocate their own outputs (ablation).
+	// DisableMemoryPlanning drops the explicit-allocation transform and
+	// coalescing; kernels then allocate their own outputs (ablation).
 	DisableMemoryPlanning bool
 	// Verify runs the static invariant verifier (internal/verify) after
 	// every pass and over the emitted executable, failing compilation with a
@@ -36,16 +37,11 @@ type Options struct {
 	// by default: it exists for debugging passes, the conformance fuzzer,
 	// and CI — not the serving hot path.
 	Verify bool
-	// Stats receives pass statistics when non-nil.
-	Stats *Stats
 }
 
 // Stats aggregates pass statistics for the evaluation harness.
 type Stats struct {
-	Fusion    passes.FusionStats
-	Alloc     passes.AllocStats
-	Coalesce  passes.CoalesceStats
-	Placement passes.PlacementStats
+	passes.Stats
 	// Kernels is the number of distinct kernels in the executable.
 	Kernels int
 	// Instructions is the total bytecode length.
@@ -60,29 +56,35 @@ type Result struct {
 	Stats    Stats
 }
 
-// Compile lowers a module to an executable.
+// Compile lowers a module to an executable through passes.DefaultPipeline.
+// The caller's module keeps its function bodies, so it may be compiled
+// again; type inference still records checked types on its nodes, so two
+// compiles of one module must not run at once.
 func Compile(mod *ir.Module, opts Options) (*Result, error) {
 	if opts.Target.IsUnknown() {
 		opts.Target = ir.CPU(0)
 	}
-	st := opts.Stats
-	if st == nil {
-		st = &Stats{}
+	var err error
+	if opts.Codegen, err = opts.Codegen.Normalize(); err != nil {
+		return nil, fmt.Errorf("compiler: %w", err)
 	}
 
-	var pipeline []passes.Pass
-	pipeline = append(pipeline, passes.ANF(), passes.ConstantFold(), passes.DCE(), passes.PackDenseWeights())
-	if !opts.DisableFusion {
-		pipeline = append(pipeline, passes.FuseOps(&st.Fusion))
+	// The passes replace function bodies: lower a copy of the function table.
+	work := &ir.Module{Funcs: make(map[string]*ir.Function, len(mod.Funcs)), TypeDefs: mod.TypeDefs}
+	for name, fn := range mod.Funcs {
+		cp := *fn
+		work.Funcs[name] = &cp
 	}
-	if !opts.DisableMemoryPlanning {
-		pipeline = append(pipeline, passes.ManifestAlloc(opts.Target, &st.Alloc))
-		if !opts.DisableCoalescing {
-			pipeline = append(pipeline, passes.CoalesceStorage(&st.Coalesce))
-		}
+	mgr := passes.DefaultPipeline(opts.Target)
+	if opts.DisableFusion {
+		mgr.Drop("fuse-ops")
 	}
-	pipeline = append(pipeline, passes.PlaceDevices(opts.Target, &st.Placement))
-	mgr := passes.NewManager(pipeline...)
+	if opts.DisableMemoryPlanning {
+		mgr.Drop("manifest-alloc", "coalesce-storage")
+	}
+	if opts.DisableCoalescing {
+		mgr.Drop("coalesce-storage")
+	}
 	if opts.Verify {
 		checks := verify.ModuleChecks{}
 		mgr.AfterPass = func(name string, m *ir.Module) error {
@@ -90,12 +92,11 @@ func Compile(mod *ir.Module, opts Options) (*Result, error) {
 			return verify.Module(m, "after "+name, checks)
 		}
 	}
-	if err := mgr.Run(mod); err != nil {
+	if err := mgr.Run(work); err != nil {
 		return nil, err
 	}
 
 	c := &compiler{
-		mod:      mod,
 		opts:     opts,
 		exe:      vm.NewExecutable(),
 		fnIndex:  map[string]int{},
@@ -104,12 +105,12 @@ func Compile(mod *ir.Module, opts Options) (*Result, error) {
 		consts:   map[*tensor.Tensor]int{},
 	}
 	// Pre-assign indices so mutually recursive Invokes resolve.
-	for _, name := range mod.FuncNames() {
+	for _, name := range work.FuncNames() {
 		c.fnIndex[name] = len(c.fns)
 		c.fns = append(c.fns, &compiledFunc{name: name})
 	}
-	for _, name := range mod.FuncNames() {
-		if err := c.compileFunc(c.fnIndex[name], mod.Funcs[name]); err != nil {
+	for _, name := range work.FuncNames() {
+		if err := c.compileFunc(c.fnIndex[name], work.Funcs[name]); err != nil {
 			return nil, fmt.Errorf("compiler: %s: %w", name, err)
 		}
 	}
@@ -119,9 +120,8 @@ func Compile(mod *ir.Module, opts Options) (*Result, error) {
 			return nil, err
 		}
 	}
-	st.Kernels = len(c.exe.KernelNames)
-	st.Instructions = len(c.exe.Code)
-	return &Result{Exe: c.exe, Registry: c.registry, Stats: *st}, nil
+	st := Stats{Stats: mgr.Stats, Kernels: len(c.exe.KernelNames), Instructions: len(c.exe.Code)}
+	return &Result{Exe: c.exe, Registry: c.registry, Stats: st}, nil
 }
 
 // CompileToVM is a convenience wrapper returning a ready VM.
@@ -141,7 +141,6 @@ type compiledFunc struct {
 }
 
 type compiler struct {
-	mod      *ir.Module
 	opts     Options
 	exe      *vm.Executable
 	fns      []*compiledFunc

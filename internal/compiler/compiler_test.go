@@ -7,8 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"nimble/internal/codegen"
 	"nimble/internal/ir"
 	"nimble/internal/kernels"
+	"nimble/internal/passes"
 	"nimble/internal/tensor"
 	"nimble/internal/vm"
 )
@@ -314,21 +316,35 @@ func TestCompileClosureValue(t *testing.T) {
 	}
 }
 
+// TestCompileRejectsDispatchWidth pins that Compile validates the dispatch
+// width before any pass runs: whether or not the module calls an operator
+// whose kernel would read it, and ahead of the type error an ill-typed
+// module would hit in the first pass.
+func TestCompileRejectsDispatchWidth(t *testing.T) {
+	x := ir.NewVar("x", ir.TT(tensor.Float32, 4))
+	y := ir.NewVar("y", ir.TT(tensor.Float32, 5))
+	for name, body := range map[string]ir.Expr{
+		"tanh":      ir.CallOp("tanh", x),
+		"identity":  x,
+		"ill-typed": ir.CallOp("add", x, y),
+	} {
+		mod := singleFuncModule(ir.NewFunc([]*ir.Var{x, y}, body, nil))
+		_, err := Compile(mod, Options{Codegen: codegen.Options{Dispatch: 3}})
+		if err == nil || !strings.Contains(err.Error(), "dispatch width 3") {
+			t.Errorf("%s: err = %v, want the dispatch width rejected", name, err)
+		}
+	}
+}
+
 func TestAblationsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	x := ir.NewVar("x", ir.TT(tensor.Float32, anyd, 8))
 	w := ir.NewVar("w", ir.TT(tensor.Float32, 8, 8))
-	build := func() *ir.Module {
-		x2 := ir.NewVar("x", ir.TT(tensor.Float32, anyd, 8))
-		w2 := ir.NewVar("w", ir.TT(tensor.Float32, 8, 8))
-		b := ir.NewBuilder()
-		d := b.Op("dense", x2, w2)
-		s := b.Op("sigmoid", d)
-		out := b.OpAttrs("concat", ir.Attrs{"axis": 0}, s, x2)
-		return singleFuncModule(ir.NewFunc([]*ir.Var{x2, w2}, b.Finish(out), nil))
-	}
-	_ = x
-	_ = w
+	b := ir.NewBuilder()
+	d := b.Op("dense", x, w)
+	s := b.Op("sigmoid", d)
+	out := b.OpAttrs("concat", ir.Attrs{"axis": 0}, s, x)
+	mod := singleFuncModule(ir.NewFunc([]*ir.Var{x, w}, b.Finish(out), nil))
 	xs := tensor.Random(rng, 1, 5, 8)
 	ws := tensor.Random(rng, 1, 8, 8)
 
@@ -340,7 +356,12 @@ func TestAblationsAgree(t *testing.T) {
 		{DisableMemoryPlanning: true},
 		{DisableFusion: true, DisableMemoryPlanning: true},
 	} {
-		machine, _ := mustCompile(t, build(), opts)
+		machine, res := mustCompile(t, mod, opts)
+		if opts.DisableFusion && res.Stats.Fusion.Groups != 0 ||
+			opts.DisableMemoryPlanning && res.Stats.Alloc != (passes.AllocStats{}) ||
+			(opts.DisableCoalescing || opts.DisableMemoryPlanning) && res.Stats.Coalesce != (passes.CoalesceStats{}) {
+			t.Errorf("config %d: a dropped pass reported %+v", i, res.Stats.Stats)
+		}
 		got, err := machine.InvokeTensorsContext(context.Background(), "main", xs, ws)
 		if err != nil {
 			t.Fatalf("config %d: %v", i, err)

@@ -36,9 +36,9 @@ const (
 )
 
 // node is one step of a generated program in SSA form: operands are indices
-// of earlier nodes. The description is immutable, so it can build a fresh
-// IR module for the compiler (passes mutate modules in place) and still
-// drive the eager reference independently.
+// of earlier nodes. The description is immutable, so it can build an IR
+// module for the compiler and still drive the eager reference
+// independently.
 type node struct {
 	kind nodeKind
 	op   string // unary/binary/reduce operator name
@@ -301,9 +301,7 @@ func (p *Program) addRandomNode(rng, vary *rand.Rand) {
 	p.nodes = append(p.nodes, node{kind: kindUnary, op: "tanh", a: last, shape: p.nodes[last].shape})
 }
 
-// BuildModule lowers the description to a fresh IR module with entry
-// "main". Each call returns a new module: the compiler's passes mutate
-// modules in place, so a module must never be reused across compilations.
+// BuildModule lowers the description to an IR module with entry "main".
 func (p *Program) BuildModule() *ir.Module {
 	mod := ir.NewModule()
 	b := ir.NewBuilder()

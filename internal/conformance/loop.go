@@ -95,8 +95,7 @@ func (p *LoopProgram) Describe() string {
 	return s + fmt.Sprintf("  next: %s\n", desc(p.nextChain))
 }
 
-// BuildModule lowers the loop to an IR module with entry "main". Each call
-// builds fresh (passes mutate modules in place).
+// BuildModule lowers the loop to an IR module with entry "main".
 func (p *LoopProgram) BuildModule() *ir.Module {
 	mod := ir.NewModule()
 	M, W := p.iters, p.width

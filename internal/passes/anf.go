@@ -15,7 +15,7 @@ import (
 func ANF() Pass {
 	return Pass{
 		Name: "anf",
-		Run: func(mod *ir.Module) error {
+		Run: func(mod *ir.Module, _ *Stats) error {
 			return mapFuncs(mod, func(_ string, fn *ir.Function) (ir.Expr, error) {
 				c := &anfConverter{}
 				return c.normalizeTail(fn.Body), nil

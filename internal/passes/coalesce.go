@@ -23,14 +23,13 @@ func (s *CoalesceStats) Reuses() int { return s.Before - s.After }
 // requested while a previously killed storage of sufficient size (same
 // device) is free, the allocation is elided and the free storage reused.
 // Dynamically sized storage cannot be coalesced statically; the VM's
-// runtime storage pool handles that case. Statistics go into stats when
-// non-nil.
-func CoalesceStorage(stats *CoalesceStats) Pass {
+// runtime storage pool handles that case. It reports into Stats.Coalesce.
+func CoalesceStorage() Pass {
 	return Pass{
 		Name: "coalesce-storage",
-		Run: func(mod *ir.Module) error {
+		Run: func(mod *ir.Module, st *Stats) error {
 			return mapFuncs(mod, func(_ string, fn *ir.Function) (ir.Expr, error) {
-				return coalesceExpr(fn.Body, stats), nil
+				return coalesceExpr(fn.Body, &st.Coalesce), nil
 			})
 		},
 	}
@@ -101,10 +100,8 @@ func coalesceChain(e ir.Expr, stats *CoalesceStats) ir.Expr {
 				out = append(out, b)
 				continue
 			}
-			if stats != nil {
-				stats.Before++
-				stats.BytesBefore += size
-			}
+			stats.Before++
+			stats.BytesBefore += size
 			reused := -1
 			for i, f := range free {
 				if f.device == dev && f.size >= size {
@@ -121,10 +118,8 @@ func coalesceChain(e ir.Expr, stats *CoalesceStats) ir.Expr {
 			}
 			sizes[b.v] = size
 			devices[b.v] = dev
-			if stats != nil {
-				stats.After++
-				stats.BytesAfter += size
-			}
+			stats.After++
+			stats.BytesAfter += size
 			out = append(out, b)
 
 		case ir.OpAllocTensor:

@@ -12,7 +12,7 @@ import (
 func DCE() Pass {
 	return Pass{
 		Name: "dce",
-		Run: func(mod *ir.Module) error {
+		Run: func(mod *ir.Module, _ *Stats) error {
 			return mapFuncs(mod, func(_ string, fn *ir.Function) (ir.Expr, error) {
 				body := fn.Body
 				for {

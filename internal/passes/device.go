@@ -22,22 +22,20 @@ type PlacementStats struct {
 // allocations carry their device, invoke_mut arguments share the kernel's
 // domain); unconstrained domains default to the compilation target; and a
 // device_copy is inserted exactly where a value's resolved domain differs
-// from its consumer's requirement. Statistics go into stats when non-nil.
-func PlaceDevices(target ir.Device, stats *PlacementStats) Pass {
+// from its consumer's requirement. It reports into Stats.Placement.
+func PlaceDevices(target ir.Device) Pass {
 	return Pass{
 		Name: "place-devices",
-		Run: func(mod *ir.Module) error {
-			for _, name := range mod.FuncNames() {
-				fn := mod.Funcs[name]
-				p := newPlacer(target, stats)
+		Run: func(mod *ir.Module, st *Stats) error {
+			return mapFuncs(mod, func(name string, fn *ir.Function) (ir.Expr, error) {
+				p := newPlacer(target, &st.Placement)
 				body, err := p.placeExpr(fn.Body)
 				if err != nil {
-					return fmt.Errorf("%s: %w", name, err)
+					return nil, fmt.Errorf("%s: %w", name, err)
 				}
-				fn.Body = body
 				p.tally()
-			}
-			return nil
+				return body, nil
+			})
 		},
 	}
 }
@@ -115,9 +113,6 @@ func (p *placer) resolved(v *ir.Var) ir.Device {
 }
 
 func (p *placer) tally() {
-	if p.stats == nil {
-		return
-	}
 	for v := range p.domains {
 		if p.resolved(v).Type == ir.DevCPU && p.target.Type != ir.DevCPU {
 			p.stats.CPUVars++
@@ -206,9 +201,7 @@ func (p *placer) requireOn(arg ir.Expr, want ir.Device, out *[]binding) ir.Expr 
 	c.SetCheckedType(v.CheckedType())
 	*out = append(*out, binding{v: cv, value: c})
 	p.domainOf(cv).find().dev = want
-	if p.stats != nil {
-		p.stats.CopiesInserted++
-	}
+	p.stats.CopiesInserted++
 	return cv
 }
 

@@ -12,7 +12,7 @@ import (
 func ConstantFold() Pass {
 	return Pass{
 		Name: "constant-fold",
-		Run: func(mod *ir.Module) error {
+		Run: func(mod *ir.Module, _ *Stats) error {
 			return mapFuncs(mod, func(_ string, fn *ir.Function) (ir.Expr, error) {
 				consts := map[*ir.Var]*ir.Constant{}
 				// Pre-order pass records let-bound constants; Rewrite is

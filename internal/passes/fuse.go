@@ -25,19 +25,18 @@ type FusionStats struct {
 // fusion policy is enforced structurally: only operators whose shape
 // functions are data independent may join a group, because a data-dependent
 // or upper-bound shape function would need access to the intermediate
-// tensors hidden inside the composite. Statistics go into stats when
-// non-nil.
-func FuseOps(stats *FusionStats) Pass {
+// tensors hidden inside the composite. It reports into Stats.Fusion.
+func FuseOps() Pass {
 	return Pass{
 		Name:       "fuse-ops",
 		NeedsTypes: true,
-		Run: func(mod *ir.Module) error {
+		Run: func(mod *ir.Module, st *Stats) error {
 			// Group ids make fused operator names unique across the module:
 			// two groups with the same member ops but different attrs or
 			// weights must compile to distinct kernels.
 			var groupID int
 			return mapFuncs(mod, func(_ string, fn *ir.Function) (ir.Expr, error) {
-				return fuseExpr(fn.Body, stats, &groupID), nil
+				return fuseExpr(fn.Body, &st.Fusion, &groupID), nil
 			})
 		},
 	}
@@ -83,10 +82,8 @@ func fuseChainOnly(e ir.Expr, stats *FusionStats, id *int) ir.Expr {
 			*id++
 			fused := buildFusedBinding(bs[i:i+len(group)], group, *id)
 			out = append(out, fused)
-			if stats != nil {
-				stats.Groups++
-				stats.OpsFused += len(group)
-			}
+			stats.Groups++
+			stats.OpsFused += len(group)
 			i += len(group)
 			continue
 		}

@@ -30,21 +30,19 @@ type AllocStats struct {
 // shape-function invocation followed by runtime-sized allocation, exactly
 // the fixed-point the paper describes ("we must now manifest allocations...
 // until we allocate for both the compute and necessary shape functions").
-// Statistics go into stats when non-nil.
-func ManifestAlloc(target ir.Device, stats *AllocStats) Pass {
+// It reports into Stats.Alloc.
+func ManifestAlloc(target ir.Device) Pass {
 	return Pass{
 		Name:       "manifest-alloc",
 		NeedsTypes: true,
-		Run: func(mod *ir.Module) error {
-			for _, name := range mod.FuncNames() {
-				fn := mod.Funcs[name]
-				body, err := manifestExpr(fn.Body, target, stats)
+		Run: func(mod *ir.Module, st *Stats) error {
+			return mapFuncs(mod, func(name string, fn *ir.Function) (ir.Expr, error) {
+				body, err := manifestExpr(fn.Body, target, &st.Alloc)
 				if err != nil {
-					return fmt.Errorf("%s: %w", name, err)
+					return nil, fmt.Errorf("%s: %w", name, err)
 				}
-				fn.Body = body
-			}
-			return nil
+				return body, nil
+			})
 		},
 	}
 }
@@ -158,9 +156,7 @@ func manifestChain(e ir.Expr, target ir.Device, stats *AllocStats) (ir.Expr, err
 				// gives the operator a fresh buffer its Eval copies
 				// into (pure append semantics).
 				out = append(out, binding{v: b.v, value: invokeMut(op, call, call.Args[0])})
-				if stats != nil {
-					stats.InPlace++
-				}
+				stats.InPlace++
 				continue
 			}
 		}
@@ -178,9 +174,7 @@ func manifestChain(e ir.Expr, target ir.Device, stats *AllocStats) (ir.Expr, err
 				"shape": []int(shape), "dtype": outType.DType.String(), "offset": 0,
 			})})
 			out = append(out, binding{v: b.v, value: invokeMut(op, call, tv)})
-			if stats != nil {
-				stats.StaticAllocs++
-			}
+			stats.StaticAllocs++
 			continue
 		}
 
@@ -208,9 +202,7 @@ func manifestChain(e ir.Expr, target ir.Device, stats *AllocStats) (ir.Expr, err
 			sfAttrs[k] = v
 		}
 		out = append(out, binding{v: oshv, value: callDialect(ir.OpInvokeShapeFunc, sfArgs, sfAttrs)})
-		if stats != nil {
-			stats.ShapeFuncs++
-		}
+		stats.ShapeFuncs++
 
 		sv := newVar("storage")
 		out = append(out, binding{v: sv, value: callDialect(ir.OpAllocStorage, []ir.Expr{oshv}, ir.Attrs{
@@ -222,9 +214,7 @@ func manifestChain(e ir.Expr, target ir.Device, stats *AllocStats) (ir.Expr, err
 			"dtype": outType.DType.String(), "rank": outType.Rank(),
 		})})
 		out = append(out, binding{v: b.v, value: invokeMut(op, call, tv)})
-		if stats != nil {
-			stats.DynamicAllocs++
-		}
+		stats.DynamicAllocs++
 	}
 
 	out = insertKills(out, result, stats)
@@ -372,9 +362,7 @@ func insertKills(bs []binding, result ir.Expr, stats *AllocStats) []binding {
 			killCounter++
 			kv := ir.NewVar(fmt.Sprintf("kill%d", killCounter), nil)
 			out = append(out, binding{v: kv, value: callDialect(ir.OpKill, []ir.Expr{v}, nil)})
-			if stats != nil {
-				stats.Kills++
-			}
+			stats.Kills++
 		}
 	}
 	return out

@@ -17,7 +17,7 @@ import (
 func PackDenseWeights() Pass {
 	return Pass{
 		Name: "pack-dense-weights",
-		Run: func(mod *ir.Module) error {
+		Run: func(mod *ir.Module, _ *Stats) error {
 			dense, densePacked := ir.MustGetOp("dense"), &ir.OpRef{Op: ir.MustGetOp("dense_packed")}
 			packed := map[*tensor.Tensor]*ir.Constant{}
 			return mapFuncs(mod, func(_ string, fn *ir.Function) (ir.Expr, error) {

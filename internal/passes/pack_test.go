@@ -153,7 +153,7 @@ func BenchmarkPackDenseWeights(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if err := PackDenseWeights().Run(mod); err != nil {
+		if err := PackDenseWeights().Run(mod, &Stats{}); err != nil {
 			b.Fatal(err)
 		}
 	}

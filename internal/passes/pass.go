@@ -3,34 +3,45 @@
 // fusion policy, the §4.3 explicit-allocation (memory planning) transform
 // with storage coalescing, and the §4.4 union-find device placement.
 //
-// Passes operate on whole modules. The canonical pipeline, applied by
-// internal/compiler, is:
+// Passes operate on whole modules. DefaultPipeline is the one pipeline:
 //
 //	ANF -> ConstantFold -> DCE -> PackDenseWeights -> FuseOps ->
 //	ManifestAlloc -> CoalesceStorage -> PlaceDevices
+//
+// internal/compiler runs it, dropping passes by name for its ablations.
 package passes
 
 import (
 	"fmt"
+	"slices"
 
 	"nimble/internal/ir"
 	"nimble/internal/typeinfer"
 )
 
-// Pass is a named module transformation.
+// Pass is a named module transformation. Run replaces the bodies of the
+// module's functions and adds what it did to st.
 type Pass struct {
 	Name string
-	Run  func(*ir.Module) error
+	Run  func(mod *ir.Module, st *Stats) error
 	// NeedsTypes marks passes that consult checked types; the manager
 	// re-runs inference before them when a prior pass invalidated types.
 	NeedsTypes bool
 }
 
+// Stats is what the pipeline's passes report, for the §6 studies.
+type Stats struct {
+	Fusion    FusionStats
+	Alloc     AllocStats
+	Coalesce  CoalesceStats
+	Placement PlacementStats
+}
+
 // Manager sequences passes with type-inference maintenance.
 type Manager struct {
 	passes []Pass
-	// Trace receives one line per executed pass when non-nil.
-	Trace func(string)
+	// Stats accumulates what the passes of every Run report.
+	Stats Stats
 	// AfterPass, when non-nil, runs after every pass with the pass name and
 	// the transformed module; a non-nil error aborts the pipeline. The
 	// compiler's check mode hangs the static verifier here so a bad pass is
@@ -49,15 +60,22 @@ func DefaultPipeline(target ir.Device) *Manager {
 		ConstantFold(),
 		DCE(),
 		PackDenseWeights(),
-		FuseOps(nil),
-		ManifestAlloc(target, nil),
-		CoalesceStorage(nil),
-		PlaceDevices(target, nil),
+		FuseOps(),
+		ManifestAlloc(target),
+		CoalesceStorage(),
+		PlaceDevices(target),
 	)
 }
 
+// Drop removes the named passes from the pipeline; names it does not run
+// are ignored.
+func (m *Manager) Drop(names ...string) {
+	m.passes = slices.DeleteFunc(m.passes, func(p Pass) bool { return slices.Contains(names, p.Name) })
+}
+
 // Run applies the pipeline to the module, running type inference up front
-// and again before every pass that needs types.
+// and again before every pass that needs types. The passes rewrite the
+// module's functions in place.
 func (m *Manager) Run(mod *ir.Module) error {
 	if err := typeinfer.InferModule(mod); err != nil {
 		return fmt.Errorf("passes: initial type inference: %w", err)
@@ -68,11 +86,8 @@ func (m *Manager) Run(mod *ir.Module) error {
 				return fmt.Errorf("passes: re-inference before %s: %w", p.Name, err)
 			}
 		}
-		if err := p.Run(mod); err != nil {
+		if err := p.Run(mod, &m.Stats); err != nil {
 			return fmt.Errorf("passes: %s: %w", p.Name, err)
-		}
-		if m.Trace != nil {
-			m.Trace(p.Name)
 		}
 		if m.AfterPass != nil {
 			if err := m.AfterPass(p.Name, mod); err != nil {

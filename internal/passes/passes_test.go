@@ -2,6 +2,7 @@ package passes
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,16 +24,18 @@ func inferred(t *testing.T, fn *ir.Function) *ir.Module {
 	return m
 }
 
-func runPass(t *testing.T, m *ir.Module, p Pass) {
+func runPass(t *testing.T, m *ir.Module, p Pass) Stats {
 	t.Helper()
 	if p.NeedsTypes {
 		if err := typeinfer.InferModule(m); err != nil {
 			t.Fatalf("re-infer before %s: %v", p.Name, err)
 		}
 	}
-	if err := p.Run(m); err != nil {
+	var st Stats
+	if err := p.Run(m, &st); err != nil {
 		t.Fatalf("%s: %v", p.Name, err)
 	}
+	return st
 }
 
 func mainBody(t *testing.T, m *ir.Module) ir.Expr {
@@ -199,8 +202,7 @@ func TestFuseDenseEpilogue(t *testing.T) {
 	out := b.Op("relu", ba)
 	m := inferred(t, ir.NewFunc([]*ir.Var{x, w, bias}, b.Finish(out), nil))
 	runPass(t, m, ANF())
-	var stats FusionStats
-	runPass(t, m, FuseOps(&stats))
+	stats := runPass(t, m, FuseOps()).Fusion
 	if stats.Groups != 1 || stats.OpsFused != 3 {
 		t.Errorf("stats = %+v, want 1 group of 3", stats)
 	}
@@ -265,7 +267,7 @@ func TestFusedGroupWritesPlannedBufferInPlace(t *testing.T) {
 	out := b.Op("gelu", b.Op("bias_add", b.Op("dense", x, w), bias))
 	m := inferred(t, ir.NewFunc([]*ir.Var{x, w, bias}, b.Finish(out), nil))
 	runPass(t, m, ANF())
-	runPass(t, m, FuseOps(nil))
+	runPass(t, m, FuseOps())
 	k, err := codegen.ForOp(fusedOpOf(t, m), nil, nil, codegen.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -309,8 +311,7 @@ func TestFusePolicyBlocksDataDependent(t *testing.T) {
 	out := b.Op("sigmoid", r)
 	m := inferred(t, ir.NewFunc(nil, b.Finish(out), nil))
 	runPass(t, m, ANF())
-	var stats FusionStats
-	runPass(t, m, FuseOps(&stats))
+	stats := runPass(t, m, FuseOps()).Fusion
 	if stats.Groups != 0 {
 		t.Errorf("data-dependent producer fused: %+v", stats)
 	}
@@ -325,8 +326,7 @@ func TestFuseStopsAtMultiUse(t *testing.T) {
 	out := b.Op("add", t1, s)
 	m := inferred(t, ir.NewFunc([]*ir.Var{x}, b.Finish(out), nil))
 	runPass(t, m, ANF())
-	var stats FusionStats
-	runPass(t, m, FuseOps(&stats))
+	stats := runPass(t, m, FuseOps()).Fusion
 	for _, g := range []int{stats.Groups} {
 		if g > 1 {
 			t.Errorf("over-fused: %+v", stats)
@@ -348,8 +348,7 @@ func TestFuseTwoOutFusablesDoNotMerge(t *testing.T) {
 	d2 := b.Op("dense", d1, w2)
 	m := inferred(t, ir.NewFunc([]*ir.Var{x, w1, w2}, b.Finish(d2), nil))
 	runPass(t, m, ANF())
-	var stats FusionStats
-	runPass(t, m, FuseOps(&stats))
+	stats := runPass(t, m, FuseOps()).Fusion
 	if stats.Groups != 0 {
 		t.Errorf("two matmuls fused together: %+v", stats)
 	}
@@ -361,8 +360,7 @@ func TestManifestAllocStatic(t *testing.T) {
 	x := ir.NewVar("x", ir.TT(tensor.Float32, 10))
 	m := inferred(t, ir.NewFunc([]*ir.Var{x}, ir.CallOp("add", x, x), nil))
 	runPass(t, m, ANF())
-	var stats AllocStats
-	runPass(t, m, ManifestAlloc(ir.CPU(0), &stats))
+	stats := runPass(t, m, ManifestAlloc(ir.CPU(0))).Alloc
 	body := ir.Print(mainBody(t, m))
 	// The paper's first transformation example: a single static buffer of
 	// 40 bytes for a Tensor<10> add.
@@ -384,8 +382,7 @@ func TestManifestAllocDynamicConcat(t *testing.T) {
 	m := inferred(t, ir.NewFunc([]*ir.Var{x, y},
 		ir.CallOpAttrs("concat", ir.Attrs{"axis": 0}, x, y), nil))
 	runPass(t, m, ANF())
-	var stats AllocStats
-	runPass(t, m, ManifestAlloc(ir.CPU(0), &stats))
+	stats := runPass(t, m, ManifestAlloc(ir.CPU(0))).Alloc
 	body := ir.Print(mainBody(t, m))
 	for _, want := range []string{"vm.shape_of", "vm.shape_func", "memory.alloc_tensor_reg", "memory.invoke_mut"} {
 		if !strings.Contains(body, want) {
@@ -406,7 +403,7 @@ func TestManifestAllocDataDependentPassesValues(t *testing.T) {
 	out := b.Op("arange", ir.ConstScalar(0), ir.ConstScalar(5), ir.ConstScalar(1))
 	m := inferred(t, ir.NewFunc(nil, b.Finish(out), nil))
 	runPass(t, m, ANF())
-	runPass(t, m, ManifestAlloc(ir.CPU(0), nil))
+	runPass(t, m, ManifestAlloc(ir.CPU(0)))
 	body := ir.Print(mainBody(t, m))
 	// Data-dependent: no shape_of; values flow straight into the shape func.
 	if strings.Contains(body, "vm.shape_of") {
@@ -425,8 +422,7 @@ func TestManifestInsertsKills(t *testing.T) {
 	out := b.Op("relu", h2)
 	m := inferred(t, ir.NewFunc([]*ir.Var{x}, b.Finish(out), nil))
 	runPass(t, m, ANF())
-	var stats AllocStats
-	runPass(t, m, ManifestAlloc(ir.CPU(0), &stats))
+	stats := runPass(t, m, ManifestAlloc(ir.CPU(0))).Alloc
 	if stats.Kills < 2 {
 		t.Errorf("expected kills for h1 and h2, stats = %+v\n%s", stats, ir.Print(mainBody(t, m)))
 	}
@@ -447,9 +443,8 @@ func TestCoalesceReusesFreedStorage(t *testing.T) {
 	out := b.Op("negative", h3)
 	m := inferred(t, ir.NewFunc([]*ir.Var{x}, b.Finish(out), nil))
 	runPass(t, m, ANF())
-	runPass(t, m, ManifestAlloc(ir.CPU(0), nil))
-	var stats CoalesceStats
-	runPass(t, m, CoalesceStorage(&stats))
+	runPass(t, m, ManifestAlloc(ir.CPU(0)))
+	stats := runPass(t, m, CoalesceStorage()).Coalesce
 	if stats.Before != 4 {
 		t.Fatalf("expected 4 allocations before, got %+v", stats)
 	}
@@ -477,9 +472,8 @@ func TestCoalesceRespectsSizes(t *testing.T) {
 	pair := b.Bind("pair", &ir.Tuple{Fields: []ir.Expr{h2, t3}})
 	m := inferred(t, ir.NewFunc([]*ir.Var{x, big}, b.Finish(pair), nil))
 	runPass(t, m, ANF())
-	runPass(t, m, ManifestAlloc(ir.CPU(0), nil))
-	var stats CoalesceStats
-	runPass(t, m, CoalesceStorage(&stats))
+	runPass(t, m, ManifestAlloc(ir.CPU(0)))
+	stats := runPass(t, m, CoalesceStorage()).Coalesce
 	if stats.After != stats.Before {
 		t.Errorf("undersized storage was reused: %+v\n%s", stats, ir.Print(mainBody(t, m)))
 	}
@@ -493,9 +487,8 @@ func TestPlaceDevicesPinsShapeFuncsToCPU(t *testing.T) {
 	m := inferred(t, ir.NewFunc([]*ir.Var{x, y},
 		ir.CallOpAttrs("concat", ir.Attrs{"axis": 0}, x, y), nil))
 	runPass(t, m, ANF())
-	runPass(t, m, ManifestAlloc(ir.GPU(0), nil))
-	var stats PlacementStats
-	runPass(t, m, PlaceDevices(ir.GPU(0), &stats))
+	runPass(t, m, ManifestAlloc(ir.GPU(0)))
+	stats := runPass(t, m, PlaceDevices(ir.GPU(0))).Placement
 	body := ir.Print(mainBody(t, m))
 	// Kernel inputs x, y default to GPU; shape tensors stay on CPU; no
 	// copies are needed because shape_of reads metadata from any domain.
@@ -521,9 +514,8 @@ func TestPlaceDevicesInsertsMandatoryCopy(t *testing.T) {
 	out := b.Op("arange", ir.ConstScalar(0), stop, ir.ConstScalar(1))
 	m := inferred(t, ir.NewFunc([]*ir.Var{s}, b.Finish(out), nil))
 	runPass(t, m, ANF())
-	runPass(t, m, ManifestAlloc(ir.GPU(0), nil))
-	var stats PlacementStats
-	runPass(t, m, PlaceDevices(ir.GPU(0), &stats))
+	runPass(t, m, ManifestAlloc(ir.GPU(0)))
+	stats := runPass(t, m, PlaceDevices(ir.GPU(0))).Placement
 	body := ir.Print(mainBody(t, m))
 	if stats.CopiesInserted == 0 {
 		t.Fatalf("expected a device copy:\n%s", body)
@@ -540,9 +532,8 @@ func TestPlaceDevicesAllCPUNeedsNoCopies(t *testing.T) {
 	out := b.Op("tanh", h)
 	m := inferred(t, ir.NewFunc([]*ir.Var{x}, b.Finish(out), nil))
 	runPass(t, m, ANF())
-	runPass(t, m, ManifestAlloc(ir.CPU(0), nil))
-	var stats PlacementStats
-	runPass(t, m, PlaceDevices(ir.CPU(0), &stats))
+	runPass(t, m, ManifestAlloc(ir.CPU(0)))
+	stats := runPass(t, m, PlaceDevices(ir.CPU(0))).Placement
 	if stats.CopiesInserted != 0 {
 		t.Errorf("CPU-only program got copies: %+v", stats)
 	}
@@ -561,13 +552,20 @@ func TestDefaultPipelineRuns(t *testing.T) {
 	out := b.OpAttrs("concat", ir.Attrs{"axis": 0}, act, x)
 	m := inferred(t, ir.NewFunc([]*ir.Var{x, w, bias}, b.Finish(out), nil))
 	mgr := DefaultPipeline(ir.CPU(0))
-	var traced []string
-	mgr.Trace = func(s string) { traced = append(traced, s) }
+	var ran []string
+	mgr.AfterPass = func(name string, _ *ir.Module) error {
+		ran = append(ran, name)
+		return nil
+	}
 	if err := mgr.Run(m); err != nil {
 		t.Fatalf("pipeline: %v", err)
 	}
-	if len(traced) != 8 {
-		t.Errorf("expected 8 passes, traced %v", traced)
+	want := []string{"anf", "constant-fold", "dce", "pack-dense-weights", "fuse-ops", "manifest-alloc", "coalesce-storage", "place-devices"}
+	if !slices.Equal(ran, want) {
+		t.Errorf("passes ran %v, want %v", ran, want)
+	}
+	if mgr.Stats.Fusion.Groups != 1 || mgr.Stats.Alloc.ShapeFuncs == 0 {
+		t.Errorf("manager stats = %+v", mgr.Stats)
 	}
 	body := ir.Print(mainBody(t, m))
 	// concat is injective with a data-independent shape function, so the
@@ -576,6 +574,32 @@ func TestDefaultPipelineRuns(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("pipeline output missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestManagerDrop pins the ablation mechanism: dropped passes do not run,
+// the rest keep their order, and a name the pipeline lacks is ignored.
+func TestManagerDrop(t *testing.T) {
+	x := ir.NewVar("x", ir.TT(tensor.Float32, 4))
+	b := ir.NewBuilder()
+	out := b.Op("relu", b.Op("tanh", b.Op("sigmoid", x)))
+	m := inferred(t, ir.NewFunc([]*ir.Var{x}, b.Finish(out), nil))
+	mgr := DefaultPipeline(ir.CPU(0))
+	mgr.Drop("fuse-ops", "coalesce-storage", "no-such-pass")
+	var ran []string
+	mgr.AfterPass = func(name string, _ *ir.Module) error {
+		ran = append(ran, name)
+		return nil
+	}
+	if err := mgr.Run(m); err != nil {
+		t.Fatalf("pipeline: %v", err)
+	}
+	want := []string{"anf", "constant-fold", "dce", "pack-dense-weights", "manifest-alloc", "place-devices"}
+	if !slices.Equal(ran, want) {
+		t.Errorf("passes ran %v, want %v", ran, want)
+	}
+	if mgr.Stats.Fusion.Groups != 0 || mgr.Stats.Coalesce.Before != 0 || mgr.Stats.Alloc.StaticAllocs != 3 {
+		t.Errorf("manager stats = %+v", mgr.Stats)
 	}
 }
 

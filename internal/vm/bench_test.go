@@ -35,8 +35,6 @@ func BenchmarkVMInvoke(b *testing.B) {
 		{"decoder", "generate", mustCompile(b, dec.Module).Exe, [][]vm.Object{{vm.NewTensorObj(models.StartToken(5))}}},
 	}
 	for _, c := range cases {
-		// b.Run calls this once per round; the modules above are compiled
-		// once, since compiling mutates a module.
 		b.Run(c.name, func(b *testing.B) {
 			machine := vm.New(c.exe)
 			ctx := context.Background()

@@ -40,8 +40,7 @@ type goldenModel struct {
 	hash string
 	// entry is the invoked function; empty means "main".
 	entry string
-	// build compiles a fresh module (compilation mutates modules, so each
-	// call constructs anew) and returns entry arguments for the output
+	// build compiles the model and returns entry arguments for the output
 	// comparison.
 	build func(t *testing.T) (*compiler.Result, []vm.Object)
 }

@@ -10,7 +10,7 @@ package vm_test
 //     and none backs the returned value;
 //   - cached views change nothing: a warmed pooled VM and a VM without the
 //     pool give bit-identical outputs; and
-//   - the warmed Tree-LSTM stays under its Go allocation fence.
+//   - the warmed Tree-LSTM and LSTM stay under their Go allocation fences.
 
 import (
 	"context"
@@ -198,5 +198,32 @@ func TestTreeLSTMAllocs(t *testing.T) {
 	t.Logf("warmed Tree-LSTM over 41 nodes: %.0f allocs", n)
 	if n > maxAllocsPerTree {
 		t.Errorf("Tree-LSTM allocates %.0f objects, above the %d fence", n, maxAllocsPerTree)
+	}
+}
+
+// maxAllocsPerLSTMStep fences the Go allocations of one step of a warmed
+// bare-VM LSTM, with no session or scheduler around it. Kernels write their
+// planned buffers and pooled storages keep their views, so a step allocates
+// about one object (8 over an 8-step run), about 3 under -race, where
+// sync.Pool drops the kernels' scratch. A kernel that stopped writing its
+// planned destination would add at least one object per call.
+const maxAllocsPerLSTMStep = 6
+
+func TestLSTMStepAllocs(t *testing.T) {
+	m := models.NewLSTM(models.LSTMConfig{Input: 32, Hidden: 32, Layers: 1, Seed: 3})
+	res := mustCompile(t, m.Module)
+	const steps = 8
+	seq := m.RandomSequence(rand.New(rand.NewSource(9)), steps)
+	machine := vm.New(res.Exe)
+	run := func() {
+		if _, err := machine.InvokeContext(context.Background(), "main", seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the storage pool and frame recycler
+	perStep := testing.AllocsPerRun(20, run) / steps
+	t.Logf("warmed LSTM: %.1f allocs/step over %d steps", perStep, steps)
+	if perStep > maxAllocsPerLSTMStep {
+		t.Errorf("LSTM allocates %.1f objects a step, above the %d fence", perStep, maxAllocsPerLSTMStep)
 	}
 }

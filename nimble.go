@@ -37,8 +37,6 @@
 package nimble
 
 import (
-	"os"
-
 	"nimble/internal/compiler"
 	"nimble/internal/ir"
 	"nimble/internal/passes"
@@ -71,9 +69,8 @@ func WithDispatchWidth(n int) Option {
 // memory-manifest safety (kill/coalescing/live-range rules). A violated
 // invariant fails Compile with a *VerificationError naming the pass
 // boundary, the invariant, and the offending binding or instruction.
-// Verification is off by default; the debug environment variable
-// NIMBLE_VERIFY=1 turns it on globally. See docs/verifier.md for the
-// invariant catalog.
+// Verification is off by default. See docs/verifier.md for the invariant
+// catalog.
 func WithVerify() Option {
 	return func(o *compileOptions) { o.c.Verify = true }
 }
@@ -100,14 +97,12 @@ type CompileStats struct {
 // Compile lowers an IR module through the full Nimble pipeline — type
 // inference with Any dimensions, fusion, memory planning, storage
 // coalescing, device placement, symbolic codegen — into a frozen Program.
-// The module is consumed: passes rewrite it in place, so build a fresh
-// module per Compile. Entry signatures (Program.Entrypoints) are captured
-// from the module's compile-time types before lowering.
+// The module stays as it was, so it may be compiled again, but not from two
+// goroutines at once: type inference records checked types on its nodes.
+// Entry signatures (Program.Entrypoints) are captured from the module's
+// compile-time types before lowering.
 func Compile(mod *ir.Module, opts ...Option) (*Program, error) {
 	var o compileOptions
-	if os.Getenv("NIMBLE_VERIFY") == "1" {
-		o.c.Verify = true
-	}
 	for _, opt := range opts {
 		opt(&o)
 	}

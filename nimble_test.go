@@ -5,10 +5,13 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"nimble"
+	"nimble/ir"
 	"nimble/models"
+	"nimble/tensor"
 )
 
 // TestEntrypointSignatures pins Program.Entrypoints for the four evaluation
@@ -238,9 +241,17 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lib, err := nimble.Compile(models.NewLSTM(cfg).Module)
+	// The same module compiles again to the same bytes.
+	lib, err := nimble.Compile(m.Module)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if _, err := lib.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Error("a second Compile of the module saves different bytes")
 	}
 	loaded, err := nimble.Load(&buf, lib)
 	if err != nil {
@@ -336,5 +347,18 @@ func TestCompileStats(t *testing.T) {
 	}
 	if st.FusionGroups == 0 {
 		t.Errorf("MLP should fuse: %+v", st)
+	}
+}
+
+// TestDispatchWidthRejected pins that an invalid WithDispatchWidth fails
+// Compile whether or not the module has an operator whose kernel reads it.
+func TestDispatchWidthRejected(t *testing.T) {
+	x := ir.NewVar("x", ir.TT(tensor.Float32, 4))
+	for name, body := range map[string]ir.Expr{"tanh": ir.CallOp("tanh", x), "identity": x} {
+		mod := ir.NewModule()
+		mod.AddFunc("main", ir.NewFunc([]*ir.Var{x}, body, nil))
+		if _, err := nimble.Compile(mod, nimble.WithDispatchWidth(3)); err == nil || !strings.Contains(err.Error(), "dispatch width 3") {
+			t.Errorf("%s: err = %v, want the dispatch width rejected", name, err)
+		}
 	}
 }

@@ -36,13 +36,6 @@ func TestWithVerifyCompiles(t *testing.T) {
 	defer s.Close()
 }
 
-// TestVerifyEnvVar pins that NIMBLE_VERIFY=1 switches check mode on without
-// code changes — the escape hatch for bisecting a miscompile in any harness.
-func TestVerifyEnvVar(t *testing.T) {
-	t.Setenv("NIMBLE_VERIFY", "1")
-	compileMLPVerified(t)
-}
-
 // TestLoadRejectsMutatedExecutable pins the untrusted-input path: a
 // serialized executable whose bytecode was tampered with must come back as
 // a typed ErrVerify, not execute and not panic.
