@@ -55,11 +55,12 @@ chaos:
 registry-smoke:
 	$(GO) test -race -run 'TestRegistry|TestCanary|TestChaosRegistrySwap' -count=1 -timeout 10m .
 
-# The stream handoff under -race, ten times over: a stream is read straight
-# from the worker that steps it, so the interleavings of Next, Close and
-# cancellation against the worker are what this repeats.
+# The stream handoff and admission under -race, ten times over: a stream is
+# read straight from the worker that steps it, and admission is decided and
+# settled under the scheduler's lock by submitters, cancelers, Close and
+# the workers, so those interleavings are what this repeats.
 stream-smoke:
-	$(GO) test -race -count=10 -run 'Stream|Cancel|Shutdown' . ./internal/serve
+	$(GO) test -race -count=10 -run 'Stream|Cancel|Shutdown|Gate|Breaker|Admission' . ./internal/serve
 
 # 30-second differential fuzz: compiled VM vs eager reference on random
 # IR programs. Counterexamples land in internal/conformance/testdata. Then

@@ -315,8 +315,8 @@ type invokeRequest struct {
 	// the default; values past -lanes-1 clamp). Maps to nimble.WithPriority.
 	Priority *int `json:"priority,omitempty"`
 	// DeadlineBudgetMS gives the request this many milliseconds from
-	// arrival to finish, tightening any client-side deadline; the admission
-	// gate and scheduler shed it up front when the backlog already makes
+	// arrival to finish, tightening any client-side deadline; the
+	// scheduler's admission sheds it up front when the backlog already makes
 	// the budget unmeetable. Maps to nimble.WithDeadlineBudget.
 	DeadlineBudgetMS float64 `json:"deadline_budget_ms,omitempty"`
 	// RouteKey pins the request's canary-split decision: within one canary
@@ -347,7 +347,7 @@ func main() {
 	maxBatch := flag.Int("max-batch", 16, "most requests one coalesced dispatch serves (1 = no coalescing)")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request deadline (0 = none)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "drain window for in-flight and queued requests on SIGINT/SIGTERM")
-	maxQueue := flag.Int("max-queue", 0, "per-entry admission queue bound (0 = 4×workers, negative = unbounded)")
+	maxQueue := flag.Int("max-queue", 0, "per-entry bound on requests waiting in the run queue, running ones not counted (0 = 4×workers, negative = unbounded)")
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive internal faults opening an entry's circuit breaker (0 = default 8, negative = disabled)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long an open breaker sheds before probing (0 = default 1s)")
 	lanes := flag.Int("lanes", 1, "priority lanes requests may select with the \"priority\" body field (lane 0 served first)")
@@ -615,7 +615,7 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// Synchronous open: validation, gate admission, and queue submission
+	// Synchronous open: validation, admission, and queue submission
 	// all resolve here, while a plain status response is still possible.
 	st, err := s.reg.InvokeStreamOpts(r.Context(), model, entry, args, opts...)
 	if err != nil {

@@ -16,7 +16,7 @@ const (
 	perServer  scope = iota // one unlabeled sample
 	perShared               // one unlabeled sample, only with a shared storage tier
 	perVersion              // {model, version}
-	perGate                 // {model, version, entry}, from the admission gate
+	perGate                 // {model, version, entry}, from the entry's admission policy
 	perSched                // {model, version, entry}, from the run queue
 	perBatch                // {model, version, entry}, row-separable entries only
 	perHealth               // {model, version, entry}, from the breaker

@@ -14,10 +14,11 @@ import (
 )
 
 // newRowScheduler builds a scheduler serving the MLP's row-separable
-// "main".
+// "main", with an unbounded queue so held sessions let any number of
+// requests wait.
 func newRowScheduler(t *testing.T, res *compiler.Result, sessions, maxBatch int) *Scheduler {
 	t.Helper()
-	sc, err := NewScheduler(res.Exe, sessions, nil, SchedConfig{Entries: []SchedEntry{{Name: "main", RowSeparable: true}}, MaxBatch: maxBatch})
+	sc, err := NewScheduler(res.Exe, sessions, nil, SchedConfig{Entries: []SchedEntry{{Name: "main", RowSeparable: true}}, MaxBatch: maxBatch, MaxQueue: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func awaitQueued(t *testing.T, sc *Scheduler, n int) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		queued := 0
-		st, _ := sc.Stats()
+		st, _, _ := sc.Stats()
 		for _, e := range st {
 			queued += e.Queued
 		}
@@ -64,7 +65,7 @@ func awaitQueued(t *testing.T, sc *Scheduler, n int) {
 }
 
 func rowStats(sc *Scheduler) BatchStats {
-	_, b := sc.Stats()
+	_, b, _ := sc.Stats()
 	return b[0]
 }
 

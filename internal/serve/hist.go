@@ -11,9 +11,9 @@ import (
 // no observation is ever dropped. Quantiles come back as the geometric
 // midpoint of the covering bucket — ~±41% worst-case error, which is the
 // right trade for a lock-striped hot path: two integer ops to record, no
-// allocation, no sorting. Not self-synchronized; callers observe and read
-// under their own mutex (the Gate's or Scheduler's), which both already
-// hold at the call sites.
+// allocation, no sorting. Not self-synchronized; its owners (an entry's
+// step times and its admission policy's service times) observe and read it
+// under Scheduler.mu, which they already hold at the call sites.
 type histogram struct {
 	counts [40]int64
 	total  int64

@@ -42,9 +42,30 @@ type SchedConfig struct {
 	// MaxBatch bounds how many single-tensor requests to a row-separable
 	// entry one dispatch may coalesce (default 16); 1 turns coalescing off.
 	MaxBatch int
+	// MaxQueue bounds how many of an entry's runs may wait in the run
+	// queue before its arrivals are shed with ErrOverloaded (default
+	// 4×workers). Negative disables the bound.
+	MaxQueue int
+	// BreakerThreshold is how many consecutive internal failures
+	// (ErrInternal — panics, not cancellations or bad input) open an
+	// entry's circuit breaker (default 8). Negative disables the breaker.
+	BreakerThreshold int
+	// BreakerCooldown is how long an open breaker sheds before one probe
+	// may pass (default 1s). An internal fault on the probe re-opens it at
+	// once; any other completion closes it.
+	BreakerCooldown time.Duration
 }
 
-func (c SchedConfig) withDefaults() SchedConfig {
+func (c SchedConfig) withDefaults(workers int) SchedConfig {
+	if c.MaxQueue == 0 {
+		c.MaxQueue = 4 * workers
+	}
+	if c.BreakerThreshold == 0 {
+		c.BreakerThreshold = 8
+	}
+	if c.BreakerCooldown <= 0 {
+		c.BreakerCooldown = time.Second
+	}
 	if c.Window <= 0 {
 		c.Window = 8
 	}
@@ -58,10 +79,10 @@ func (c SchedConfig) withDefaults() SchedConfig {
 }
 
 // Scheduler is the serving stack's one dispatcher and the one owner of its
-// sessions: every admitted request — unary, coalescible row, or decode
-// stream — waits in its run queue, and each of its workers holds one
-// session, taken off the free stack when the worker starts and pushed back
-// when it goes idle. The stack is LIFO: under light load a few hot
+// sessions: every request — unary, coalescible row, or decode stream — is
+// admitted by its entry's admission policy as it is queued, then waits in
+// the run queue, and each of its workers holds one session, taken off the
+// free stack when the worker starts and pushed back when it goes idle. The stack is LIFO: under light load a few hot
 // sessions serve everything and their storage pools and frame recyclers
 // stay cache-resident; cold sessions are only touched when concurrency
 // actually demands them.
@@ -113,13 +134,14 @@ type Scheduler struct {
 }
 
 // schedEntry is one entry's state, all under Scheduler.mu. The counters
-// are kept in the snapshot structs themselves; Stats fills in the
-// instantaneous and derived fields.
+// are kept in the snapshot structs themselves (sched.Queued and
+// sched.Active are live counts); Stats fills in the derived fields.
 type schedEntry struct {
 	// coalesce is set for row-separable entries when MaxBatch allows company.
 	coalesce bool
 	sched    SchedStats
 	batch    BatchStats
+	adm      admission
 	stepEWMA time.Duration
 	stepHist histogram
 }
@@ -145,10 +167,10 @@ func NewScheduler(exe *vm.Executable, workers int, shared *vm.SharedStoragePool,
 		}
 	}
 	exe.Freeze()
-	cfg = cfg.withDefaults()
+	cfg = cfg.withDefaults(workers)
 	sc := &Scheduler{exe: exe, shared: shared, cfg: cfg, entries: map[string]*schedEntry{}, workers: map[*schedWorker]struct{}{}}
 	for _, e := range cfg.Entries {
-		se := &schedEntry{coalesce: e.RowSeparable && cfg.MaxBatch > 1}
+		se := &schedEntry{coalesce: e.RowSeparable && cfg.MaxBatch > 1, adm: newAdmission(e.Name, cfg)}
 		se.sched.Entry, se.batch.Entry, se.batch.MaxBatch = e.Name, e.Name, cfg.MaxBatch
 		sc.entries[e.Name] = se
 		sc.order = append(sc.order, se)
@@ -195,6 +217,11 @@ type Run struct {
 	// queued is when the stream was submitted, stamped only if every
 	// session was busy then; zero once a worker takes it.
 	queued time.Time
+	// probe marks the run its entry's half-open breaker admitted to decide
+	// whether to close; busy sums the durations of the steps that ran it.
+	// Both are settled with the outcome when the run ends.
+	probe bool
+	busy  time.Duration
 
 	// row is the request's input when it may share a dispatch: a unary call
 	// with one rank>=1 tensor to a coalescing entry. Nil otherwise.
@@ -236,7 +263,10 @@ func (s *Run) coalesces(q *Run) bool {
 		slices.Equal(a.Shape()[1:], b.Shape()[1:])
 }
 
-// Submit puts one request on the run queue and returns its handle. With
+// Submit puts one request on the run queue and returns its handle, or
+// sheds it with an *OverloadError (ErrOverloaded) when its entry's
+// admission policy says so: breaker open, MaxQueue of the entry's runs
+// already waiting, or a deadline the expected wait cannot meet. With
 // stream set, its emissions are kept for Next; without, they are dropped,
 // and a single-tensor call to a row-separable entry may be coalesced with
 // its neighbours in the queue. The lane and the deadline, if ctx carries
@@ -247,9 +277,6 @@ func (sc *Scheduler) Submit(ctx context.Context, lane int, stream bool, entry st
 	e := sc.entries[entry]
 	if e == nil {
 		return nil, fmt.Errorf("serve: scheduler: unknown entry %q", entry)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, Canceled(err)
 	}
 	s := &Run{
 		sc:    sc,
@@ -274,10 +301,24 @@ func (sc *Scheduler) Submit(ctx context.Context, lane int, stream bool, entry st
 	if sc.closed {
 		return nil, fmt.Errorf("serve: scheduler: %w", ErrClosed)
 	}
+	// Admission comes first: a deadline already past is one the backlog
+	// makes unmeetable, and is shed as such once service times are known.
+	probe, err := e.adm.admit(time.Now, e.sched.Queued, len(sc.all), s.deadline)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		// Given up on before it was queued: a neutral end for admission.
+		err = Canceled(err)
+		e.adm.settle(time.Now, 0, err, probe)
+		return nil, err
+	}
+	s.probe = probe
 	s.seq = sc.nextSeq
 	sc.nextSeq++
 	sc.queue = append(sc.queue, s)
 	e.sched.Submitted++
+	e.sched.Queued++
 	// A free session no starting worker has reserved is an idle one: start
 	// a worker on it rather than let the arrival wait for a busy one. Only
 	// an arrival that does wait reads the clock. Always wake, so a sleeping
@@ -346,11 +387,12 @@ func (s *Run) Wait() (vm.Object, error) {
 	sc.mu.Lock()
 	if i := slices.Index(sc.queue, s); i >= 0 {
 		sc.queue = slices.Delete(sc.queue, i, i+1)
-		s.entry.sched.Canceled++
+		s.entry.sched.Queued--
 		if s.row != nil {
 			s.entry.batch.Canceled++
 		}
 		s.err = Canceled(s.ctx.Err())
+		sc.endLocked(s)
 		close(s.done)
 	}
 	sc.wakeAllLocked()
@@ -366,7 +408,7 @@ func (s *Run) Wait() (vm.Object, error) {
 
 // popLocked removes and returns the best queued stream: lowest lane, then
 // earliest deadline (deadline-less last), then arrival order. Linear scan;
-// the queue is admission-bounded upstream.
+// admission bounds each entry's share of the queue.
 func (sc *Scheduler) popLocked() *Run { return sc.popLikeLocked(nil) }
 
 // popLikeLocked is popLocked restricted to the streams that can share
@@ -386,6 +428,7 @@ func (sc *Scheduler) popLikeLocked(like *Run) *Run {
 	}
 	s := sc.queue[best]
 	sc.queue = slices.Delete(sc.queue, best, best+1)
+	s.entry.sched.Queued--
 	if !s.queued.IsZero() {
 		sc.stats.WaitTime += time.Since(s.queued)
 		s.queued = time.Time{}
@@ -463,13 +506,15 @@ func (sc *Scheduler) Close() {
 	sc.closed = true
 	q := sc.queue
 	sc.queue = nil
+	err := fmt.Errorf("serve: scheduler: %w", ErrClosed)
 	for _, s := range q {
-		s.entry.sched.Failed++
+		s.entry.sched.Queued--
+		s.err = err
+		sc.endLocked(s)
 	}
 	sc.wakeAllLocked()
 	sc.mu.Unlock()
 	for _, s := range q {
-		s.err = fmt.Errorf("serve: scheduler: %w", ErrClosed)
 		close(s.done)
 	}
 }
@@ -481,9 +526,10 @@ type SchedStats struct {
 	Completed int64  `json:"completed"`
 	Canceled  int64  `json:"canceled"`
 	Failed    int64  `json:"failed"`
-	// Queued/Active are instantaneous: this entry's waiting requests and
-	// those adopted by workers. Sessions counts the sessions the scheduler
-	// drives right now, across all entries.
+	// Queued/Active are instantaneous: this entry's runs waiting in the
+	// run queue (the count admission bounds) and those adopted by workers.
+	// Sessions counts the sessions the scheduler drives right now, across
+	// all entries.
 	Queued   int `json:"queued"`
 	Active   int `json:"active"`
 	Sessions int `json:"sessions"`
@@ -525,18 +571,16 @@ func (sc *Scheduler) SessionStats() Stats {
 	return st
 }
 
-// Stats snapshots every entry's run-queue counters, in config order, and
-// the coalescing counters of the entries that coalesce.
-func (sc *Scheduler) Stats() (sched []SchedStats, batch []BatchStats) {
+// Stats snapshots every entry's run-queue and admission counters, in
+// config order, and the coalescing counters of the entries that coalesce.
+func (sc *Scheduler) Stats() (sched []SchedStats, batch []BatchStats, gates []GateStats) {
+	now := time.Now()
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	queued := map[*schedEntry]int{}
-	for _, s := range sc.queue {
-		queued[s.entry]++
-	}
 	for _, e := range sc.order {
+		gates = append(gates, e.adm.snapshot(now, e.sched.Queued, len(sc.all)))
 		st := e.sched
-		st.Queued, st.Sessions = queued[e], len(sc.workers)
+		st.Sessions = len(sc.workers)
 		st.StepEWMAUS = float64(e.stepEWMA.Microseconds())
 		st.StepP50US = float64(e.stepHist.quantile(0.50).Microseconds())
 		st.StepP99US = float64(e.stepHist.quantile(0.99).Microseconds())
@@ -545,7 +589,7 @@ func (sc *Scheduler) Stats() (sched []SchedStats, batch []BatchStats) {
 			batch = append(batch, e.batch)
 		}
 	}
-	return sched, batch
+	return sched, batch, gates
 }
 
 // schedWorker drives one session: each pass it adopts the next unit of
@@ -752,11 +796,14 @@ func (w *schedWorker) coalesceLocked(s *Run) []*Run {
 }
 
 // advance runs s for one iteration on the worker's session; done reports
-// that the run finished, with its outcome.
+// that the run finished, with its outcome. The step's duration adds to the
+// run's busy time.
 func (w *schedWorker) advance(s *Run, occupancy int) (done bool, out vm.Object, err error) {
 	start := time.Now()
 	done, err = w.sess.step(s)
-	w.sc.noteStep(s.entry, time.Since(start), occupancy)
+	d := time.Since(start)
+	s.busy += d
+	w.sc.noteStep(s.entry, d, occupancy)
 	s.steps++
 	if done && err == nil {
 		out, _ = s.run.Result()
@@ -767,11 +814,13 @@ func (w *schedWorker) advance(s *Run, occupancy int) (done bool, out vm.Object, 
 // runBatch serves a coalesced group with one VM run: the inputs
 // concatenated along dim 0, the result sliced back apart per request. The
 // merged run detaches from every member's context — one request's
-// cancellation must not fail its batch-mates. If it fails — an error, a
-// panic, or an entry that turns out not to map rows to rows for these
-// inputs — the members go back in the queue to run alone, which preserves
-// semantics and confines a bad request's fault to itself. After a panic
-// that happens on other sessions: this one is poisoned.
+// cancellation must not fail its batch-mates — and each member it serves
+// is charged its whole busy time. If it fails — an error, a panic, or an
+// entry that turns out not to map rows to rows for these inputs — the
+// members go back in the queue to run alone, which preserves semantics and
+// confines a bad request's fault to itself; they stay admitted, and
+// nothing is settled until each ends. After a panic that happens on other
+// sessions: this one is poisoned.
 func (w *schedWorker) runBatch(group []*Run) {
 	sc, e := w.sc, group[0].entry
 	ins := make([]*tensor.Tensor, len(group))
@@ -795,6 +844,7 @@ func (w *schedWorker) runBatch(group []*Run) {
 		lo := 0
 		for _, s := range group {
 			hi := lo + s.row.Shape()[0]
+			s.busy = merged.busy
 			w.retire(s, vm.NewTensorObj(kernels.SliceInto(to.T, nil, 0, lo, hi)), nil, false)
 			lo = hi
 		}
@@ -808,6 +858,7 @@ func (w *schedWorker) runBatch(group []*Run) {
 			s.row = nil // alone from here on
 		}
 		e.sched.Active -= len(group)
+		e.sched.Queued += len(group)
 		sc.queue = append(sc.queue, group...)
 		sc.wakeAllLocked()
 	}
@@ -840,10 +891,10 @@ func vmSink(s *Run) func(*tensor.Tensor) error {
 	}
 }
 
-// retire seals a stream's outcome; notify tells its caller. abortRun
-// releases a parked run's buffers (cancellation paths); a poisoned session
-// skips that — its pool is garbage wholesale and the VM is about to be
-// quarantined.
+// retire seals a stream's outcome and records it (endLocked); notify
+// tells its caller. abortRun releases a parked
+// run's buffers (cancellation paths); a poisoned session skips that — its
+// pool is garbage wholesale and the VM is about to be quarantined.
 func (w *schedWorker) retire(s *Run, out vm.Object, err error, abortRun bool) {
 	if abortRun && s.run != nil && !w.sess.poisoned {
 		s.run.Abort()
@@ -855,26 +906,41 @@ func (w *schedWorker) retire(s *Run, out vm.Object, err error, abortRun bool) {
 	sc.stats.Invocations++
 	e := &s.entry.sched
 	e.Active--
-	switch {
-	case err == nil:
-		e.Completed++
-		if s.steps > 0 {
-			fs := float64(s.steps)
-			if e.StepsPerStream == 0 {
-				e.StepsPerStream = fs
-			} else {
-				e.StepsPerStream += (fs - e.StepsPerStream) / 8
-			}
+	if err == nil && s.steps > 0 {
+		fs := float64(s.steps)
+		if e.StepsPerStream == 0 {
+			e.StepsPerStream = fs
+		} else {
+			e.StepsPerStream += (fs - e.StepsPerStream) / 8
 		}
-	case errors.Is(err, ErrCanceled):
-		// Client-initiated cancellations are not execution failures;
-		// counting them would let request deadlines inflate the error rate.
-		e.Canceled++
-	default:
-		e.Failed++
+	}
+	if sc.endLocked(s) {
 		sc.stats.Errors++
 	}
 	sc.mu.Unlock()
+}
+
+// endLocked records how run s ended, by its err: the entry's Completed,
+// Canceled or Failed count, and the outcome settled with the entry's
+// admission policy, charged the run's busy time. Every end of a queued run
+// passes here exactly once, under sc.mu: a worker's retire, Wait's
+// withdrawal of a queued run, or Close's flush. It reports whether the run
+// failed.
+func (sc *Scheduler) endLocked(s *Run) (failed bool) {
+	e := s.entry
+	switch {
+	case s.err == nil:
+		e.sched.Completed++
+	case errors.Is(s.err, ErrCanceled):
+		// Client-initiated cancellations are not execution failures;
+		// counting them would let request deadlines inflate the error rate.
+		e.sched.Canceled++
+	default:
+		e.sched.Failed++
+		failed = true
+	}
+	e.adm.settle(time.Now, s.busy, s.err, s.probe)
+	return failed
 }
 
 // notify closes the done channels of the runs retired since the last call.

@@ -65,10 +65,11 @@ func pinnedDecode(t testing.TB, entry string, start int64) []int64 {
 }
 
 // newGenerateScheduler builds a scheduler serving the decoder's one entry
-// on one session: any concurrency is interleaving.
+// on one session: any concurrency is interleaving. Its queue is unbounded,
+// so simultaneous arrivals all wait for the window rather than shed.
 func newGenerateScheduler(t *testing.T, res *compiler.Result, cfg SchedConfig) *Scheduler {
 	t.Helper()
-	cfg.Entries = []SchedEntry{{Name: "generate"}}
+	cfg.Entries, cfg.MaxQueue = []SchedEntry{{Name: "generate"}}, -1
 	sc, err := NewScheduler(res.Exe, 1, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +79,7 @@ func newGenerateScheduler(t *testing.T, res *compiler.Result, cfg SchedConfig) *
 
 // generateStats is the run-queue snapshot of a single-entry scheduler.
 func generateStats(sc *Scheduler) SchedStats {
-	st, _ := sc.Stats()
+	st, _, _ := sc.Stats()
 	return st[0]
 }
 
@@ -187,9 +188,11 @@ func TestSchedulerQueueOrdering(t *testing.T) {
 	base := time.Now()
 	for trial := 0; trial < 200; trial++ {
 		sc := &Scheduler{cfg: SchedConfig{Lanes: 3, Window: 8}}
+		e := &schedEntry{}
 		n := 1 + rng.Intn(12)
+		e.sched.Queued = n
 		for i := 0; i < n; i++ {
-			s := &Run{lane: rng.Intn(3), seq: uint64(i)}
+			s := &Run{entry: e, lane: rng.Intn(3), seq: uint64(i)}
 			if rng.Intn(2) == 0 {
 				s.deadline = base.Add(time.Duration(rng.Intn(1000)) * time.Millisecond)
 			}
@@ -203,8 +206,8 @@ func TestSchedulerQueueOrdering(t *testing.T) {
 			}
 			popped = append(popped, s)
 		}
-		if len(popped) != n {
-			t.Fatalf("trial %d: popped %d of %d", trial, len(popped), n)
+		if len(popped) != n || e.sched.Queued != 0 {
+			t.Fatalf("trial %d: popped %d of %d, %d left counted as queued", trial, len(popped), n, e.sched.Queued)
 		}
 		ok := sort.SliceIsSorted(popped, func(i, j int) bool { return streamLess(popped[i], popped[j]) })
 		for i := 1; i < len(popped); i++ {

@@ -27,10 +27,12 @@ func compileMLP(t testing.TB) (*models.MLP, *compiler.Result) {
 }
 
 // newScheduler builds a scheduler with n sessions over the compiled
-// program's "main", served one request per dispatch.
+// program's "main", served one request per dispatch. Admission is off —
+// no queue bound, no breaker — so concurrency and injected faults exercise
+// the sessions alone.
 func newScheduler(t testing.TB, res *compiler.Result, n int) *Scheduler {
 	t.Helper()
-	sc, err := NewScheduler(res.Exe, n, nil, SchedConfig{Entries: []SchedEntry{{Name: "main"}}})
+	sc, err := NewScheduler(res.Exe, n, nil, SchedConfig{Entries: []SchedEntry{{Name: "main"}}, MaxQueue: -1, BreakerThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,13 @@
 // kernel table — all immutable) is shared by a fixed set of vm.VM
 // sessions, each owning the mutable per-execution state (storage pool,
 // frames, scratch, profiler). The Scheduler builds and owns the sessions.
-// Every request takes one path: past its entry's admission Gate, into the
-// Scheduler's run queue, and onto a session one of the scheduler's workers
+// Every request takes one path: into the Scheduler's run queue, which
+// admits it by its entry's policy — a bound on the entry's runs waiting
+// there, deadline-aware shedding and a circuit breaker, all decided under
+// the queue's own lock — and onto a session one of the scheduler's workers
 // holds — alone, coalesced with compatible rows, or interleaved with other
 // decode streams. The run queue is the only place a request waits for a
-// session. A request is a Run that its caller reads in place: Next takes
+// session, and the only count of waiting requests admission reads. A request is a Run that its caller reads in place: Next takes
 // each emitted tensor straight from the worker that stepped it, and Wait
 // takes the outcome; no goroutine stands between the two.
 //

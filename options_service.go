@@ -37,9 +37,12 @@ func withSharedStorage(sp *vm.SharedStoragePool) ServiceOption {
 // WithWorkers sets the session-pool size (default GOMAXPROCS).
 func WithWorkers(n int) ServiceOption { return func(c *serviceConfig) { c.workers = n } }
 
-// WithMaxQueue bounds each entry's admitted-but-waiting requests; arrivals
-// beyond it are shed with ErrOverloaded instead of queuing unboundedly
-// (default 4×workers). Negative disables the bound.
+// WithMaxQueue bounds how many of each entry's requests may wait in the
+// scheduler's run queue; arrivals beyond it are shed with ErrOverloaded
+// instead of queuing unboundedly (default 4×workers). Requests a session
+// is running do not count: neither a stream adopted into a session's
+// window (WithSchedulerWindow) nor a row riding a coalesced dispatch.
+// Negative disables the bound.
 func WithMaxQueue(n int) ServiceOption { return func(c *serviceConfig) { c.maxQueue = n } }
 
 // WithRequestTimeout applies a per-request deadline inside Invoke and
@@ -93,8 +96,10 @@ func WithPriority(p int) InvokeOption { return func(c *invokeConfig) { c.lane = 
 
 // WithDeadlineBudget gives the request d from its arrival to finish,
 // tightening (never loosening) any deadline the context already carries.
-// The admission gate sheds the request up front when the current backlog
-// already makes the budget unmeetable.
+// The request is shed up front when the expected wait already makes the
+// budget unmeetable: the entry's requests waiting in the run queue,
+// divided across the workers, plus one, times the smoothed service time
+// (the time sessions spent running each recent request).
 func WithDeadlineBudget(d time.Duration) InvokeOption {
 	return func(c *invokeConfig) { c.budget = d }
 }

@@ -49,11 +49,12 @@ type Health struct {
 }
 
 // Service executes one Program for concurrent callers. Every request takes
-// the same path: validation, then its entry's admission gate — a bounded
-// queue with deadline-aware load shedding and a consecutive-failure circuit
-// breaker, so overload produces fast typed ErrOverloaded rejections instead
-// of unbounded queueing — then the scheduler's run queue, then one of the
-// scheduler's VM sessions over the frozen executable.
+// the same path: validation, then the scheduler's run queue, which admits
+// it by its entry's policy — a bound on the entry's runs waiting there,
+// deadline-aware load shedding and a consecutive-failure circuit breaker,
+// so overload produces fast typed ErrOverloaded rejections instead of
+// unbounded queueing — then one of the scheduler's VM sessions over the
+// frozen executable.
 //
 // The scheduler is the only dispatcher. A request is a run advanced one
 // step at a time: a unary invoke retires in its first step; a decode
@@ -72,7 +73,6 @@ type Health struct {
 type Service struct {
 	p        *Program
 	sched    *serve.Scheduler
-	gates    map[string]*serve.Gate
 	timeout  time.Duration
 	closed   atomic.Bool
 	inflight atomic.Int64
@@ -95,16 +95,12 @@ func (p *Program) Serve(opts ...ServiceOption) (*Service, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	s := &Service{p: p, gates: map[string]*serve.Gate{}, timeout: cfg.requestTimeout}
-	sched := serve.SchedConfig{Window: cfg.schedWindow, Lanes: cfg.lanes, MaxBatch: cfg.maxBatch}
+	s := &Service{p: p, timeout: cfg.requestTimeout}
+	sched := serve.SchedConfig{
+		Window: cfg.schedWindow, Lanes: cfg.lanes, MaxBatch: cfg.maxBatch,
+		MaxQueue: cfg.maxQueue, BreakerThreshold: cfg.breakerThreshold, BreakerCooldown: cfg.breakerCooldown,
+	}
 	for _, name := range p.names {
-		s.gates[name] = serve.NewGate(serve.GateConfig{
-			Entry:            name,
-			Workers:          workers,
-			MaxQueue:         cfg.maxQueue,
-			BreakerThreshold: cfg.breakerThreshold,
-			BreakerCooldown:  cfg.breakerCooldown,
-		})
 		sched.Entries = append(sched.Entries, serve.SchedEntry{Name: name, RowSeparable: p.entries[name].RowSeparable})
 	}
 	var err error
@@ -146,19 +142,16 @@ func (s *Service) withDeadline(ctx context.Context, budget time.Duration) (conte
 
 // admission is one admitted request: its run in the scheduler, and what
 // finishing it must undo. It is a Service stream's source; its Wait
-// finishes it with the run's outcome.
+// finishes it.
 type admission struct {
-	svc     *Service
-	run     *serve.Run
-	start   time.Time
-	release func(time.Duration, error)
-	cancel  context.CancelFunc
+	svc    *Service
+	run    *serve.Run
+	cancel context.CancelFunc
 }
 
-// finish gives back the admission slot, the in-flight count and the
-// deadline timer. It must be called exactly once, with the outcome.
-func (a *admission) finish(err error) {
-	a.release(time.Since(a.start), err)
+// finish gives back the in-flight count and the deadline timer. It must be
+// called exactly once.
+func (a *admission) finish() {
 	a.svc.inflight.Add(-1)
 	a.cancel()
 }
@@ -167,7 +160,7 @@ func (a *admission) Next() (*tensor.Tensor, bool) { return a.run.Next() }
 
 func (a *admission) Wait() (vm.Object, error) {
 	out, err := a.run.Wait()
-	a.finish(err)
+	a.finish()
 	return out, err
 }
 
@@ -181,12 +174,12 @@ func (a *admission) invoke() (Value, error) {
 }
 
 // admit is the front half of every request: validation (ErrBadInput
-// without touching a session), argument lowering, per-request options, the
-// entry's admission gate (ErrOverloaded with a Retry-After hint when the
-// queue is full, the deadline is unmeetable, or the circuit breaker is
-// open), and the submit to the scheduler's run queue; stream keeps the
-// run's emissions for Next. An admitted request counts as in flight, so
-// Shutdown drains it, until its finish is called. This count is the only
+// without touching a session), argument lowering, per-request options, and
+// the submit to the scheduler's run queue, which admits the run or sheds
+// it (ErrOverloaded with a Retry-After hint when the entry's queue is
+// full, the deadline is unmeetable, or the circuit breaker is open);
+// stream keeps the run's emissions for Next. An admitted request counts as
+// in flight, so Shutdown drains it, until its finish is called. This count is the only
 // one a request holds, Registry requests included; a closed service or
 // scheduler refuses with ErrClosed.
 func (s *Service) admit(ctx context.Context, entry string, args []Value, ic invokeConfig, stream bool) (*admission, error) {
@@ -199,12 +192,6 @@ func (s *Service) admit(ctx context.Context, entry string, args []Value, ic invo
 	}
 	a := &admission{svc: s}
 	ctx, a.cancel = s.withDeadline(ctx, ic.budget)
-	release, err := s.gates[entry].Admit(ctx)
-	if err != nil {
-		a.cancel()
-		return nil, err
-	}
-	a.release, a.start = release, time.Now()
 	s.inflight.Add(1)
 	// The closed flag is re-checked inside the in-flight window so a request
 	// racing Shutdown either drains or rejects, never hangs.
@@ -214,18 +201,18 @@ func (s *Service) admit(ctx context.Context, entry string, args []Value, ic invo
 		a.run, err = s.sched.Submit(ctx, ic.lane, stream, entry, objs...)
 	}
 	if err != nil {
-		a.finish(err)
+		a.finish()
 		return nil, err
 	}
 	return a, nil
 }
 
 // Invoke runs the named entry function. The request passes validation
-// (ErrBadInput without consuming a session) and the entry's admission gate
-// (ErrOverloaded with a Retry-After hint), then waits in the scheduler's
-// run queue for a session; a single-tensor request to a row-separable
-// entry shares its dispatch with whatever compatible requests are queued
-// beside it. Waits are abandoned when ctx is canceled: the error wraps
+// (ErrBadInput without consuming a session) and its entry's admission
+// policy (ErrOverloaded with a Retry-After hint), then waits in the
+// scheduler's run queue for a session; a single-tensor request to a
+// row-separable entry shares its dispatch with whatever compatible
+// requests are queued beside it. Waits are abandoned when ctx is canceled: the error wraps
 // ErrCanceled and ctx.Err(). A panic during execution surfaces as
 // ErrInternal and quarantines the session it poisoned.
 func (s *Service) Invoke(ctx context.Context, entry string, args ...Value) (Value, error) {
@@ -246,17 +233,18 @@ func (s *Service) InvokeOpts(ctx context.Context, entry string, args []Value, op
 // InvokeStream runs the named entry like Invoke but returns a Stream over
 // the values the program emits through stream.emit while it runs. The open
 // is synchronous and carries Invoke's full admission semantics: validation
-// (ErrBadInput), the entry's gate (ErrOverloaded with a Retry-After hint)
-// and the submit to the run queue (ErrClosed once the service is shutting
-// down) all happen before InvokeStream returns, so a server can map an
-// open failure to a proper HTTP status before it commits to a streaming
-// response. The stream owns no session; its decode loop is stepped one
-// iteration at a time, interleaved with other streams on whichever session
-// adopts it.
+// (ErrBadInput) and the submit to the run queue (ErrOverloaded with a
+// Retry-After hint when the entry sheds it, ErrClosed once the service is
+// shutting down) both happen before InvokeStream returns, so a server can
+// map an open failure to a proper HTTP status before it commits to a
+// streaming response. The stream owns no session; its decode loop is
+// stepped one iteration at a time, interleaved with other streams on
+// whichever session adopts it.
 //
-// The admission slot and the in-flight count are held for the stream's
-// whole life and released when the run finishes or the stream is closed;
-// Shutdown therefore drains open streams exactly like in-flight Invokes.
+// The in-flight count is held for the stream's whole life and released
+// when the stream is read to its end or closed; Shutdown therefore drains
+// open streams exactly like in-flight Invokes. Only while its run waits in
+// the run queue does a stream count against the entry's queue bound.
 // RequestTimeout, when configured, bounds the entire stream, first token
 // to last.
 func (s *Service) InvokeStream(ctx context.Context, entry string, args ...Value) (*Stream, error) {
@@ -277,10 +265,7 @@ func (s *Service) InvokeStreamOpts(ctx context.Context, entry string, args []Val
 // Stats snapshots the service counters.
 func (s *Service) Stats() ServiceStats {
 	st := ServiceStats{Pool: s.sched.SessionStats()}
-	st.Schedulers, st.Batchers = s.sched.Stats()
-	for _, name := range s.p.names {
-		st.Gates = append(st.Gates, s.gates[name].Stats())
-	}
+	st.Schedulers, st.Batchers, st.Gates = s.sched.Stats()
 	return st
 }
 
@@ -290,12 +275,10 @@ func (s *Service) Stats() ServiceStats {
 // routing to a degraded replica before it pages anyone.
 func (s *Service) Health() Health {
 	h := Health{}
-	for _, name := range s.p.names {
-		ok := s.gates[name].Healthy()
-		if !ok {
-			h.Degraded = true
-		}
-		h.Entries = append(h.Entries, EntryHealth{Entry: name, Healthy: ok})
+	_, _, gates := s.sched.Stats()
+	for _, g := range gates {
+		h.Degraded = h.Degraded || g.BreakerOpen
+		h.Entries = append(h.Entries, EntryHealth{Entry: g.Entry, Healthy: !g.BreakerOpen})
 	}
 	return h
 }

@@ -105,8 +105,8 @@ func (st *Stream) Result() (Value, error) {
 }
 
 // Close abandons the stream. A run that has not finished runs no further
-// step: its buffers go back to the session's pool, a Service's admission
-// slot and in-flight count are released, and Close returns ErrCanceled.
+// step: its buffers go back to the session's pool, a Service's in-flight
+// count is released, and Close returns ErrCanceled.
 // After the run finished, Close returns its outcome, like Err, and drops
 // any values left unread. Idempotent; safe after Next returned false.
 //

@@ -222,3 +222,43 @@ func TestServiceStreamCloseReleases(t *testing.T) {
 		t.Fatalf("Invoke after mid-stream Close (session leaked?): %v", err)
 	}
 }
+
+// TestServiceStreamWindowBound pins the bound docs/operations.md states for
+// concurrent streams: workers × scheduler window, not the queue bound. On
+// one worker with the default options, a window's worth of streams, each
+// read to its first token, are all adopted into the session's window. None
+// waits in the run queue, so none is shed, and the admission stats count
+// the same zero waiting runs as the scheduler's.
+func TestServiceStreamWindowBound(t *testing.T) {
+	p := compileDecoder(t)
+	svc, err := p.Serve(nimble.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	const window = 8 // WithSchedulerWindow's default
+	ctx := context.Background()
+	for i := 0; i < window; i++ {
+		st, err := svc.InvokeStream(ctx, "generate", models.StartTokenValue(int64(i)))
+		if err != nil {
+			t.Fatalf("stream %d of %d: %v", i+1, window, err)
+		}
+		defer st.Close()
+		if !st.Next() {
+			t.Fatalf("stream %d: no first token: %v", i+1, st.Err())
+		}
+	}
+	stats := svc.Stats()
+	for i, g := range stats.Gates {
+		s := stats.Schedulers[i]
+		if g.Entry != "generate" {
+			continue
+		}
+		if g.ShedQueue != 0 || g.Queued != 0 || s.Queued != 0 {
+			t.Errorf("%d open streams on one worker: gate %+v, scheduler %+v; want none shed or queued", window, g, s)
+		}
+		if s.Active != window {
+			t.Errorf("Active = %d, want all %d streams in the session's window", s.Active, window)
+		}
+	}
+}
