@@ -55,12 +55,13 @@ chaos:
 registry-smoke:
 	$(GO) test -race -run 'TestRegistry|TestCanary|TestChaosRegistrySwap' -count=1 -timeout 10m .
 
-# The stream handoff and admission under -race, ten times over: a stream is
-# read straight from the worker that steps it, and admission is decided and
-# settled under the scheduler's lock by submitters, cancelers, Close and
-# the workers, so those interleavings are what this repeats.
+# The stream handoff, admission and drain under -race, ten times over: a
+# stream is read straight from the worker that steps it, and admission is
+# decided and settled under the scheduler's lock by submitters, cancelers,
+# Shutdown, Close and the workers, so those interleavings are what this
+# repeats, down to the HTTP server's SSE open path.
 stream-smoke:
-	$(GO) test -race -count=10 -run 'Stream|Cancel|Shutdown|Gate|Breaker|Admission' . ./internal/serve
+	$(GO) test -race -count=10 -run 'Stream|Cancel|Shutdown|Gate|Breaker|Admission' . ./internal/serve ./cmd/nimble-serve
 
 # 30-second differential fuzz: compiled VM vs eager reference on random
 # IR programs. Counterexamples land in internal/conformance/testdata. Then

@@ -654,6 +654,31 @@ func TestStreamSchedulingFields(t *testing.T) {
 	}
 }
 
+// TestStreamExpiredBudgetSheds: a deadline budget that has run out by the
+// time the request is admitted is shed as unmeetable (429 with
+// Retry-After) even as a fresh server's first request, before any service
+// time is known; it must not be admitted and then fail the open as a 504
+// cancellation.
+func TestStreamExpiredBudgetSheds(t *testing.T) {
+	p, err := nimble.Compile(models.NewDecoder(models.DefaultDecoderConfig()).Module)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := nimble.NewRegistry(nimble.WithServeDefaults(nimble.WithWorkers(1)))
+	defer reg.Close()
+	if _, err := reg.Deploy("decoder", p); err != nil {
+		t.Fatal(err)
+	}
+	s := &server{reg: reg, defaultModel: "decoder", maxBody: 1 << 20, start: time.Now()}
+	w := postStream(t, s, []byte(`{"entry":"generate","deadline_budget_ms":0.001,"args":[{"dtype":"int64","shape":[1],"data":[5]}]}`))
+	if w.Code != http.StatusTooManyRequests {
+		t.Fatalf("expired-budget open status = %d, want 429 (body %s)", w.Code, w.Body.String())
+	}
+	if w.Header().Get("Retry-After") == "" {
+		t.Error("expired-budget shed carries no Retry-After")
+	}
+}
+
 // TestMetricsEndpoint: /metrics speaks the Prometheus text format and
 // carries the scheduler series after a stream has run.
 func TestMetricsEndpoint(t *testing.T) {

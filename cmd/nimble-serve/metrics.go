@@ -64,7 +64,7 @@ var families = []struct {
 
 	{"nimble_version_canary", "gauge", "1 while this version is the canary of a rollout.", perVersion, func(s sample) float64 { return flag01(s.v.State == nimble.VersionCanary) }},
 	{"nimble_version_traffic_percent", "gauge", "Configured unpinned-traffic share (canary only).", perVersion, func(s sample) float64 { return float64(s.v.Percent) }},
-	{"nimble_version_requests_in_flight", "gauge", "Requests and open streams this version's Service has admitted and not yet finished.", perVersion, func(s sample) float64 { return float64(s.v.InFlight) }},
+	{"nimble_version_requests_in_flight", "gauge", "Requests and open streams queued or running on the version's scheduler.", perVersion, func(s sample) float64 { return float64(s.v.InFlight) }},
 
 	{"nimble_pool_workers", "gauge", "Sessions the scheduler drives.", perVersion, func(s sample) float64 { return float64(s.v.Stats.Pool.Workers) }},
 	{"nimble_pool_invocations_total", "counter", "Requests served on a session.", perVersion, func(s sample) float64 { return float64(s.v.Stats.Pool.Invocations) }},

@@ -18,10 +18,10 @@ import (
 //   - maxQueue of the entry's runs already wait in the run queue — a
 //     stream adopted into a session's window, or a row riding a coalesced
 //     dispatch, is no longer waiting;
-//   - the request carries a deadline the backlog makes unmeetable
-//     (expected wait, from an EWMA of observed service times, exceeds the
-//     time remaining): shed on arrival instead of timing out after
-//     occupying a queue slot.
+//   - the request carries a deadline already past, or one the backlog
+//     makes unmeetable (expected wait, from an EWMA of observed service
+//     times, exceeds the time remaining): shed on arrival instead of
+//     timing out after occupying a queue slot.
 //
 // Shed requests fail fast with an *OverloadError carrying a Retry-After
 // estimate, so clients back off instead of piling on.
@@ -77,7 +77,7 @@ func (a *admission) shed(reason string, retry time.Duration) *OverloadError {
 // workers sessions. It returns whether the run is the half-open probe,
 // whose end must be settled with probe set, or the *OverloadError it is
 // shed with. now is called only when the breaker is not closed or the
-// run has a deadline (deadline is zero for none) the estimate can miss.
+// run has a deadline (deadline is zero for none).
 func (a *admission) admit(now func() time.Time, queued, workers int, deadline time.Time) (probe bool, err error) {
 	var t time.Time
 	if !a.openUntil.IsZero() {
@@ -99,11 +99,13 @@ func (a *admission) admit(now func() time.Time, queued, workers int, deadline ti
 		a.st.ShedQueue++
 		return false, a.shed("queue full", a.wait(queued, workers))
 	}
-	if wait := a.wait(queued, workers); wait > 0 && !deadline.IsZero() {
+	if !deadline.IsZero() {
 		if t.IsZero() {
 			t = now()
 		}
-		if wait > deadline.Sub(t) {
+		// A deadline already past is unmeetable before any service time
+		// is known, too.
+		if left, wait := deadline.Sub(t), a.wait(queued, workers); left <= 0 || wait > left {
 			a.st.ShedDeadline++
 			return false, a.shed("deadline unmeetable at current load", wait)
 		}

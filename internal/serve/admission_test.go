@@ -112,6 +112,25 @@ func TestGateDeadlineShed(t *testing.T) {
 	}
 }
 
+// TestGateExpiredDeadlineShedUnseeded: a deadline already past is shed on
+// arrival even before the first service time seeds the EWMA, when the
+// expected wait still reads zero.
+func TestGateExpiredDeadlineShedUnseeded(t *testing.T) {
+	p := newPolicySim(t, 1, SchedConfig{})
+	if _, err := p.arrive(p.now.Add(-time.Microsecond)); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("past deadline on an unseeded policy: error = %v, want ErrOverloaded", err)
+	}
+	if _, err := p.arrive(p.now); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("deadline of now on an unseeded policy: error = %v, want ErrOverloaded", err)
+	}
+	if st := p.stats(); st.ShedDeadline != 2 || st.Admitted != 0 {
+		t.Errorf("ShedDeadline = %d, Admitted = %d; want 2, 0", st.ShedDeadline, st.Admitted)
+	}
+	if _, err := p.arrive(p.now.Add(time.Millisecond)); err != nil {
+		t.Fatalf("future deadline on an unseeded policy shed: %v", err)
+	}
+}
+
 // TestGateCancellationNeutral: ErrCanceled outcomes neither feed the EWMA
 // nor count toward the breaker.
 func TestGateCancellationNeutral(t *testing.T) {
@@ -291,7 +310,7 @@ func halfOpenScheduler(t *testing.T, workers int) (*Scheduler, *tensor.Tensor) {
 		}
 	}
 	ctl.arm(false)
-	if _, err := sc.Submit(context.Background(), 0, false, "main", vm.NewTensorObj(in)); !errors.Is(err, ErrOverloaded) {
+	if _, err := sc.Submit(context.Background(), 0, 0, false, "main", vm.NewTensorObj(in)); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("submit to an open breaker: %v, want ErrOverloaded", err)
 	}
 	// End the cooldown as the passing of the hour would.
@@ -342,7 +361,7 @@ func TestGateHalfOpenSingleProbe(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r, err := sc.Submit(context.Background(), 0, false, "main", vm.NewTensorObj(in))
+			r, err := sc.Submit(context.Background(), 0, 0, false, "main", vm.NewTensorObj(in))
 			mu.Lock()
 			defer mu.Unlock()
 			if err == nil {
@@ -386,25 +405,25 @@ func TestGateCanceledProbeFreesTheLatch(t *testing.T) {
 	release := holdSessions(sc)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	probe, err := sc.Submit(ctx, 0, false, "main", vm.NewTensorObj(in))
+	probe, err := sc.Submit(ctx, 0, 0, false, "main", vm.NewTensorObj(in))
 	if err != nil {
 		t.Fatalf("probe: %v", err)
 	}
-	_, err = sc.Submit(context.Background(), 0, false, "main", vm.NewTensorObj(in))
+	_, err = sc.Submit(context.Background(), 0, 0, false, "main", vm.NewTensorObj(in))
 	requireShedProbe(t, err)
 	cancel()
 	if _, err := probe.Wait(); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("canceled probe: %v, want ErrCanceled", err)
 	}
 
-	next, err := sc.Submit(context.Background(), 0, false, "main", vm.NewTensorObj(in))
+	next, err := sc.Submit(context.Background(), 0, 0, false, "main", vm.NewTensorObj(in))
 	if err != nil {
 		t.Fatalf("arrival after the canceled probe: %v, want it admitted as the new probe", err)
 	}
 	if !next.probe {
 		t.Error("arrival after the canceled probe is not the new probe")
 	}
-	_, err = sc.Submit(context.Background(), 0, false, "main", vm.NewTensorObj(in))
+	_, err = sc.Submit(context.Background(), 0, 0, false, "main", vm.NewTensorObj(in))
 	requireShedProbe(t, err)
 	release()
 	if _, err := next.Wait(); err != nil {
@@ -423,11 +442,11 @@ func TestGateClosedProbeSettles(t *testing.T) {
 	release := holdSessions(sc)
 	defer release()
 
-	probe, err := sc.Submit(context.Background(), 0, false, "main", vm.NewTensorObj(in))
+	probe, err := sc.Submit(context.Background(), 0, 0, false, "main", vm.NewTensorObj(in))
 	if err != nil {
 		t.Fatalf("probe: %v", err)
 	}
-	_, err = sc.Submit(context.Background(), 0, false, "main", vm.NewTensorObj(in))
+	_, err = sc.Submit(context.Background(), 0, 0, false, "main", vm.NewTensorObj(in))
 	requireShedProbe(t, err)
 	sc.Close()
 	if _, err := probe.Wait(); !errors.Is(err, ErrClosed) {

@@ -54,6 +54,9 @@ type SchedConfig struct {
 	// may pass (default 1s). An internal fault on the probe re-opens it at
 	// once; any other completion closes it.
 	BreakerCooldown time.Duration
+	// RequestTimeout bounds a run whose caller set no deadline and no
+	// budget, from Submit to its end; zero leaves it unbounded.
+	RequestTimeout time.Duration
 }
 
 func (c SchedConfig) withDefaults(workers int) SchedConfig {
@@ -130,7 +133,11 @@ type Scheduler struct {
 	// free reserved, so len(free) >= starting always holds.
 	starting int
 	nextSeq  uint64
-	closed   bool
+	// closing refuses arrivals (Shutdown or Close began); closed retires
+	// active runs (Close ran). drained, while Shutdown waits, is closed by
+	// the end that leaves no run queued or active.
+	closing, closed bool
+	drained         chan struct{}
 }
 
 // schedEntry is one entry's state, all under Scheduler.mu. The counters
@@ -209,6 +216,7 @@ func (sc *Scheduler) Workers() int { return len(sc.all) }
 type Run struct {
 	sc       *Scheduler
 	ctx      context.Context
+	stop     context.CancelFunc // releases ctx's timer, if Submit set one
 	entry    *schedEntry
 	args     []vm.Object
 	lane     int
@@ -266,14 +274,15 @@ func (s *Run) coalesces(q *Run) bool {
 // Submit puts one request on the run queue and returns its handle, or
 // sheds it with an *OverloadError (ErrOverloaded) when its entry's
 // admission policy says so: breaker open, MaxQueue of the entry's runs
-// already waiting, or a deadline the expected wait cannot meet. With
+// already waiting, or a deadline past or one the expected wait cannot
+// meet; once Shutdown or Close began, it refuses with ErrClosed. With
 // stream set, its emissions are kept for Next; without, they are dropped,
 // and a single-tensor call to a row-separable entry may be coalesced with
-// its neighbours in the queue. The lane and the deadline, if ctx carries
-// one, order the queue. Backpressure is per run: an unread token parks
-// only its own run at the next iteration boundary while batch-mates keep
-// stepping.
-func (sc *Scheduler) Submit(ctx context.Context, lane int, stream bool, entry string, args ...vm.Object) (*Run, error) {
+// its neighbours in the queue. The run's deadline is the caller's,
+// tightened by a positive budget, or RequestTimeout if the caller set
+// neither; it and the lane order the queue. Backpressure is per run: an
+// unread token parks only its own run at the next iteration boundary.
+func (sc *Scheduler) Submit(ctx context.Context, lane int, budget time.Duration, stream bool, entry string, args ...vm.Object) (_ *Run, err error) {
 	e := sc.entries[entry]
 	if e == nil {
 		return nil, fmt.Errorf("serve: scheduler: unknown entry %q", entry)
@@ -293,21 +302,29 @@ func (sc *Scheduler) Submit(ctx context.Context, lane int, stream bool, entry st
 			s.row = t.T
 		}
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		s.deadline = dl
+	if budget > 0 {
+		// WithTimeout never loosens: an earlier caller deadline still wins.
+		s.ctx, s.stop = context.WithTimeout(ctx, budget)
+	} else if _, has := ctx.Deadline(); !has && sc.cfg.RequestTimeout > 0 {
+		s.ctx, s.stop = context.WithTimeout(ctx, sc.cfg.RequestTimeout)
 	}
+	s.deadline, _ = s.ctx.Deadline()
 	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if sc.closed {
+	defer func() {
+		sc.mu.Unlock()
+		if err != nil && s.stop != nil {
+			s.stop()
+		}
+	}()
+	if sc.closing {
 		return nil, fmt.Errorf("serve: scheduler: %w", ErrClosed)
 	}
-	// Admission comes first: a deadline already past is one the backlog
-	// makes unmeetable, and is shed as such once service times are known.
+	// Admission comes first: a deadline already past is unmeetable.
 	probe, err := e.adm.admit(time.Now, e.sched.Queued, len(sc.all), s.deadline)
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
+	if err = s.ctx.Err(); err != nil {
 		// Given up on before it was queued: a neutral end for admission.
 		err = Canceled(err)
 		e.adm.settle(time.Now, 0, err, probe)
@@ -360,16 +377,19 @@ func (s *Run) Next() (*tensor.Tensor, bool) {
 	}
 }
 
-// Wait returns the run's outcome. A unary run is waited for until it
-// finishes or its context ends. A stream run is read by then: if it has
-// not finished, its reader is done with it, so Wait retires it. A run no
-// worker has adopted yet is withdrawn from the queue at once; otherwise
-// the worker retires it at its next iteration boundary, and Wait discards
-// the tokens nobody read until it has.
+// Wait returns the run's outcome and releases its deadline timer. A unary
+// run is waited for until it finishes or its context ends. A stream run is
+// read by then: if it has not finished, its reader is done with it, so
+// Wait retires it. A run no worker has adopted yet is withdrawn from the
+// queue at once; otherwise the worker retires it at its next iteration
+// boundary, and Wait discards the tokens nobody read until it has.
 //
 // vet:no-ctx — the worker observes the run's cancellation or abandonment
 // within one step.
 func (s *Run) Wait() (vm.Object, error) {
+	if s.stop != nil {
+		defer s.stop()
+	}
 	select {
 	case <-s.done:
 		return s.result, s.err
@@ -493,17 +513,63 @@ func (sc *Scheduler) noteStep(e *schedEntry, d time.Duration, occupancy int) {
 	sc.mu.Unlock()
 }
 
+// Closing reports whether Shutdown or Close has begun: Submit refuses
+// every arrival from then on.
+func (sc *Scheduler) Closing() bool {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return sc.closing
+}
+
+// Shutdown stops the scheduler gracefully: Submit refuses with ErrClosed
+// from then on, and the runs already admitted get until ctx is done to end.
+// The end that leaves no run queued or active wakes it (nothing polls).
+// Then it Closes, and reports how many runs that cut, if any, in an error
+// wrapping ErrClosed. Only the first Shutdown or Close acts.
+func (sc *Scheduler) Shutdown(ctx context.Context) error {
+	sc.mu.Lock()
+	if sc.closing {
+		sc.mu.Unlock()
+		return nil
+	}
+	sc.closing = true
+	drained := make(chan struct{})
+	if sc.liveLocked() == 0 {
+		close(drained)
+	} else {
+		sc.drained = drained
+	}
+	sc.mu.Unlock()
+	select {
+	case <-drained:
+	case <-ctx.Done():
+	}
+	if cut := sc.Close(); cut > 0 {
+		return fmt.Errorf("serve: scheduler: drain window expired with %d runs in flight: %w", cut, ErrClosed)
+	}
+	return nil
+}
+
+// liveLocked counts the runs queued or active, across entries.
+func (sc *Scheduler) liveLocked() (n int) {
+	for _, e := range sc.order {
+		n += e.sched.Queued + e.sched.Active
+	}
+	return n
+}
+
 // Close fails queued runs with ErrClosed and tells workers to retire
-// their active ones at the next iteration boundary. Callers observe the
-// retirement through their runs' done channels; Close does not wait for
-// them.
-func (sc *Scheduler) Close() {
+// their active ones at the next iteration boundary, without waiting for
+// them: callers observe the retirement through their runs' done channels.
+// It returns how many runs were queued or active, none after the first call.
+func (sc *Scheduler) Close() (cut int) {
 	sc.mu.Lock()
 	if sc.closed {
 		sc.mu.Unlock()
-		return
+		return 0
 	}
-	sc.closed = true
+	sc.closing, sc.closed = true, true
+	cut = sc.liveLocked()
 	q := sc.queue
 	sc.queue = nil
 	err := fmt.Errorf("serve: scheduler: %w", ErrClosed)
@@ -517,6 +583,7 @@ func (sc *Scheduler) Close() {
 	for _, s := range q {
 		close(s.done)
 	}
+	return cut
 }
 
 // SchedStats is a snapshot of one entry's run-queue counters.
@@ -923,9 +990,10 @@ func (w *schedWorker) retire(s *Run, out vm.Object, err error, abortRun bool) {
 // endLocked records how run s ended, by its err: the entry's Completed,
 // Canceled or Failed count, and the outcome settled with the entry's
 // admission policy, charged the run's busy time. Every end of a queued run
-// passes here exactly once, under sc.mu: a worker's retire, Wait's
-// withdrawal of a queued run, or Close's flush. It reports whether the run
-// failed.
+// passes here exactly once, under sc.mu and after its Queued or Active
+// count is dropped: a worker's retire, Wait's withdrawal of a queued run,
+// or Close's flush. So it is also where a draining Shutdown is woken. It
+// reports whether the run failed.
 func (sc *Scheduler) endLocked(s *Run) (failed bool) {
 	e := s.entry
 	switch {
@@ -940,6 +1008,10 @@ func (sc *Scheduler) endLocked(s *Run) (failed bool) {
 		failed = true
 	}
 	e.adm.settle(time.Now, s.busy, s.err, s.probe)
+	if sc.drained != nil && sc.liveLocked() == 0 {
+		close(sc.drained)
+		sc.drained = nil
+	}
 	return failed
 }
 

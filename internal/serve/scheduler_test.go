@@ -31,7 +31,7 @@ func compileDecoder(t testing.TB) *compiler.Result {
 // emitted token to sink (a nil sink makes it a unary request); a sink error
 // stops the reading and Wait retires the run.
 func submitWait(sc *Scheduler, ctx context.Context, lane int, sink func(*tensor.Tensor) error, entry string, args ...vm.Object) (vm.Object, error) {
-	r, err := sc.Submit(ctx, lane, sink != nil, entry, args...)
+	r, err := sc.Submit(ctx, lane, 0, sink != nil, entry, args...)
 	if err != nil {
 		return nil, err
 	}

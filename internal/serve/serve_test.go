@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -238,6 +240,91 @@ func TestPoolClose(t *testing.T) {
 	}
 	if st := sc.SessionStats(); st.InFlight != 0 {
 		t.Errorf("session not freed after Close: %+v", st)
+	}
+}
+
+// TestSchedulerShutdownIdle: with nothing queued or running, Shutdown
+// returns nil without waiting on its context, a second call returns nil,
+// and arrivals are refused with ErrClosed.
+func TestSchedulerShutdownIdle(t *testing.T) {
+	m, res := compileMLP(t)
+	sc := newScheduler(t, res, 1)
+	in := m.RandomBatch(rand.New(rand.NewSource(1)), 1)
+	if _, err := invokeTensors(context.Background(), sc, "main", in); err != nil {
+		t.Fatal(err)
+	}
+	// A context that never ends: only the drain can let Shutdown return.
+	if err := sc.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown of an idle scheduler = %v, want nil", err)
+	}
+	if err := sc.Shutdown(context.Background()); err != nil {
+		t.Fatalf("second Shutdown = %v, want nil", err)
+	}
+	if _, err := invokeTensors(context.Background(), sc, "main", in); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Submit after Shutdown = %v, want ErrClosed", err)
+	}
+}
+
+// TestSchedulerShutdownDrains: a Submit after Shutdown began is refused
+// with ErrClosed while the run admitted before it keeps going; that run's
+// end wakes Shutdown, which returns nil. Shutdown's context never ends and
+// nothing polls, so only the end of the last run can let it return.
+func TestSchedulerShutdownDrains(t *testing.T) {
+	m, res := compileMLP(t)
+	entered, release := stallRows(t, res.Exe, 5)
+	sc := newScheduler(t, res, 1)
+	rng := rand.New(rand.NewSource(5))
+	running := make(chan error, 1)
+	go func() {
+		_, err := invokeTensors(context.Background(), sc, "main", m.RandomBatch(rng, 5))
+		running <- err
+	}()
+	<-entered
+	shut := make(chan error, 1)
+	go func() { shut <- sc.Shutdown(context.Background()) }()
+	for !sc.Closing() {
+		runtime.Gosched()
+	}
+	if _, err := invokeTensors(context.Background(), sc, "main", m.RandomBatch(rng, 1)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Submit while Shutdown drains = %v, want ErrClosed", err)
+	}
+	select {
+	case err := <-shut:
+		t.Fatalf("Shutdown returned %v while a run was still running", err)
+	default:
+	}
+	release(5)
+	if err := <-running; err != nil {
+		t.Errorf("run admitted before Shutdown = %v, want its result", err)
+	}
+	if err := <-shut; err != nil {
+		t.Errorf("Shutdown after the last run ended = %v, want nil", err)
+	}
+}
+
+// TestSchedulerShutdownCutsStragglers: a run still queued when Shutdown's
+// context ends is cut. Shutdown's error wraps ErrClosed and names how many
+// runs it cut, and the run's Wait returns ErrClosed.
+func TestSchedulerShutdownCutsStragglers(t *testing.T) {
+	m, res := compileMLP(t)
+	sc := newScheduler(t, res, 1)
+	release := holdSessions(sc)
+	defer release()
+	r, err := sc.Submit(context.Background(), 0, 0, false, "main", vm.NewTensorObj(m.RandomBatch(rand.New(rand.NewSource(2)), 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err = sc.Shutdown(ctx)
+	if !errors.Is(err, ErrClosed) || !strings.Contains(err.Error(), "1 runs") {
+		t.Fatalf("Shutdown with an expired context = %v, want an ErrClosed report of 1 run", err)
+	}
+	if _, err := r.Wait(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("straggler's Wait = %v, want ErrClosed", err)
+	}
+	if err := sc.Shutdown(context.Background()); err != nil {
+		t.Errorf("second Shutdown = %v, want nil", err)
 	}
 }
 

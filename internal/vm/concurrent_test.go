@@ -205,7 +205,7 @@ func TestPooledVMRejectsConfigMutation(t *testing.T) {
 // invoke serves one unary request through the scheduler: submit, then wait
 // for the outcome.
 func invoke(sched *serve.Scheduler, entry string, args ...vm.Object) (vm.Object, error) {
-	r, err := sched.Submit(context.Background(), 0, false, entry, args...)
+	r, err := sched.Submit(context.Background(), 0, 0, false, entry, args...)
 	if err != nil {
 		return nil, err
 	}

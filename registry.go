@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nimble/internal/serve"
 	"nimble/internal/vm"
 )
 
@@ -109,8 +110,9 @@ func (ep *modelEpoch) live() []*modelVersion {
 	return vs
 }
 
-// modelVersion is one deployed Program with its serving runtime. Its
-// Service's admissions are the version's in-flight requests.
+// modelVersion is one deployed Program with its serving runtime. The runs
+// queued or running on its Service's scheduler are the version's in-flight
+// requests.
 type modelVersion struct {
 	model    string
 	version  string
@@ -314,17 +316,17 @@ func (ms *modelState) pick(version, key string) (route, error) {
 	return route{ms: ms, ep: ep, v: v, version: version, key: key}, nil
 }
 
-// admit admits one request on the version rt picked; the Service's
-// admission is the request's only in-flight count. A swap may have closed
-// that Service since rt was read: when admit refuses with ErrClosed, the
-// registry is open and the model's epoch has moved on, the request routes
-// afresh in the new epoch. Every other outcome is returned, so each retry
-// needs a newer epoch and the loop ends.
-func (r *Registry) admit(ctx context.Context, rt route, entry string, args []Value, ic invokeConfig, stream bool) (*admission, error) {
+// admit admits one request on the version rt picked; its run on that
+// version's scheduler is the request's only in-flight state. A swap may
+// have closed that Service since rt was read: when admit refuses with
+// ErrClosed, the registry is open and the model's epoch has moved on, the
+// request routes afresh in the new epoch. Every other outcome is returned,
+// so each retry needs a newer epoch and the loop ends.
+func (r *Registry) admit(ctx context.Context, rt route, entry string, args []Value, ic invokeConfig, stream bool) (*serve.Run, error) {
 	for {
-		a, err := rt.v.svc.admit(ctx, entry, args, ic, stream)
+		run, err := rt.v.svc.admit(ctx, entry, args, ic, stream)
 		if !errors.Is(err, ErrClosed) || r.closed.Load() || rt.ms.epoch.Load() == rt.ep {
-			return a, err
+			return run, err
 		}
 		if rt, err = rt.ms.pick(rt.version, rt.key); err != nil {
 			return nil, err
@@ -334,7 +336,7 @@ func (r *Registry) admit(ctx context.Context, rt route, entry string, args []Val
 
 // open is the front half of Registry.InvokeOpts and InvokeStreamOpts:
 // route, then admit.
-func (r *Registry) open(ctx context.Context, model, entry string, args []Value, opts []InvokeOption, stream bool) (*admission, error) {
+func (r *Registry) open(ctx context.Context, model, entry string, args []Value, opts []InvokeOption, stream bool) (*serve.Run, error) {
 	if r.closed.Load() {
 		return nil, fmt.Errorf("nimble: registry: %w", ErrClosed)
 	}
@@ -412,29 +414,25 @@ func (r *Registry) Invoke(ctx context.Context, model, entry string, args ...Valu
 // request's canary-split decision for the epoch's life; priority and
 // deadline options pass through to the resolved Service.
 func (r *Registry) InvokeOpts(ctx context.Context, model, entry string, args []Value, opts ...InvokeOption) (Value, error) {
-	a, err := r.open(ctx, model, entry, args, opts, false)
-	if err != nil {
-		return Value{}, err
-	}
-	return a.invoke()
+	return await(r.open(ctx, model, entry, args, opts, false))
 }
 
 // InvokeStream opens a token stream on the resolved model version, with
-// Service.InvokeStream's synchronous-open semantics. The stream holds its
-// version's admission for its whole life: a hot-swap concurrent with an
-// open stream waits for it (within the drain bound) before the old
-// version's sessions are released.
+// Service.InvokeStream's synchronous-open semantics. The stream's run is in
+// flight on its version until it ends: a hot-swap concurrent with an open
+// stream waits for it (within the drain bound) before the old version's
+// sessions are released.
 func (r *Registry) InvokeStream(ctx context.Context, model, entry string, args ...Value) (*Stream, error) {
 	return r.InvokeStreamOpts(ctx, model, entry, args)
 }
 
 // InvokeStreamOpts is InvokeStream with per-request options.
 func (r *Registry) InvokeStreamOpts(ctx context.Context, model, entry string, args []Value, opts ...InvokeOption) (*Stream, error) {
-	a, err := r.open(ctx, model, entry, args, opts, true)
+	run, err := r.open(ctx, model, entry, args, opts, true)
 	if err != nil {
 		return nil, err
 	}
-	return &Stream{src: a}, nil
+	return &Stream{src: run}, nil
 }
 
 // Program resolves a model reference to the deployed Program serving it
@@ -478,8 +476,8 @@ type VersionStatus struct {
 	State   VersionState `json:"state"`
 	// Percent is the canary's share of unpinned traffic; 0 for stable.
 	Percent int `json:"percent,omitempty"`
-	// InFlight counts the requests and open streams this version's Service
-	// has admitted and not yet finished.
+	// InFlight counts the requests and open streams queued or running on
+	// the version's scheduler.
 	InFlight int64     `json:"in_flight"`
 	Deployed time.Time `json:"deployed"`
 	Stats    ServiceStats
@@ -510,10 +508,12 @@ func (r *Registry) Models() []ModelStatus {
 			vs := VersionStatus{
 				Version:  mv.version,
 				State:    VersionStable,
-				InFlight: mv.svc.inflight.Load(),
 				Deployed: mv.deployed,
 				Stats:    mv.svc.Stats(),
 				Health:   mv.svc.Health(),
+			}
+			for _, e := range vs.Stats.Schedulers {
+				vs.InFlight += int64(e.Queued + e.Active)
 			}
 			if mv == ep.canary {
 				vs.State = VersionCanary

@@ -99,11 +99,11 @@ func TestRegistryStaleRouteReroutes(t *testing.T) {
 	// version served it.
 	admitStale := func(t *testing.T, r *Registry, rt route, want string) {
 		t.Helper()
-		a, err := r.admit(ctx, rt, "main", []Value{in}, invokeConfig{}, false)
+		run, err := r.admit(ctx, rt, "main", []Value{in}, invokeConfig{}, false)
 		if err != nil {
 			t.Fatalf("admit of stale route to %s = %v", rt.v.version, err)
 		}
-		out, err := a.invoke()
+		out, err := await(run, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,8 +115,8 @@ func TestRegistryStaleRouteReroutes(t *testing.T) {
 		t.Helper()
 		r.drains.Wait()
 		for _, rt := range rts {
-			if !rt.v.svc.closed.Load() {
-				t.Fatalf("%s's Service still open after its drain", rt.v.version)
+			if _, err := rt.v.svc.Invoke(ctx, "main", in); !errors.Is(err, ErrClosed) {
+				t.Fatalf("%s's Service still open after its drain: Invoke = %v, want ErrClosed", rt.v.version, err)
 			}
 		}
 	}

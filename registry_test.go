@@ -131,6 +131,37 @@ func TestRegistryStreamReleasesVersion(t *testing.T) {
 	}
 }
 
+// TestRegistryInFlightIsSchedulerRuns: a version's InFlight is its runs
+// queued or running on its scheduler. A stream parked on an unread token
+// counts as one; once the stream is closed the version shows none.
+func TestRegistryInFlightIsSchedulerRuns(t *testing.T) {
+	r := NewRegistry(WithServeDefaults(WithWorkers(1)))
+	defer r.Close()
+	p, err := Compile(models.NewDecoder(models.DefaultDecoderConfig()).Module)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Deploy("decoder", p); err != nil {
+		t.Fatal(err)
+	}
+	st, err := r.InvokeStream(context.Background(), "decoder", "generate", TensorValue(models.StartToken(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Next() {
+		t.Fatalf("no first token: %v", st.Err())
+	}
+	if v := r.Models()[0].Versions[0]; v.InFlight != 1 {
+		t.Fatalf("open stream parked on its next token: InFlight = %d, want 1", v.InFlight)
+	}
+	if err := st.Close(); err != nil && !errors.Is(err, ErrCanceled) {
+		t.Fatalf("Close mid-stream: %v", err)
+	}
+	if v := r.Models()[0].Versions[0]; v.InFlight != 0 {
+		t.Fatalf("after Close: InFlight = %d, want 0", v.InFlight)
+	}
+}
+
 // TestRegistryCanaryLifecycle walks a rollout end to end: deploy a canary
 // at an exact split, watch the unkeyed stride deliver exactly that
 // percentage, promote, and confirm the promoted version owns all traffic.

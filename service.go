@@ -4,12 +4,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"nimble/internal/serve"
-	"nimble/internal/tensor"
-	"nimble/internal/vm"
 )
 
 // PoolStats re-exports the scheduler's session counters.
@@ -54,7 +51,8 @@ type Health struct {
 // deadline-aware load shedding and a consecutive-failure circuit breaker,
 // so overload produces fast typed ErrOverloaded rejections instead of
 // unbounded queueing — then one of the scheduler's VM sessions over the
-// frozen executable.
+// frozen executable. The scheduler owns the request from there on: its
+// deadline, its in-flight state and the drain at Shutdown.
 //
 // The scheduler is the only dispatcher. A request is a run advanced one
 // step at a time: a unary invoke retires in its first step; a decode
@@ -71,11 +69,8 @@ type Health struct {
 // it get ErrInternal and the poisoned session is quarantined (replaced by a
 // fresh VM), never reused. All methods are safe for concurrent use.
 type Service struct {
-	p        *Program
-	sched    *serve.Scheduler
-	timeout  time.Duration
-	closed   atomic.Bool
-	inflight atomic.Int64
+	p     *Program
+	sched *serve.Scheduler
 }
 
 // Serve builds a concurrent serving runtime over the program. With no
@@ -95,10 +90,11 @@ func (p *Program) Serve(opts ...ServiceOption) (*Service, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	s := &Service{p: p, timeout: cfg.requestTimeout}
+	s := &Service{p: p}
 	sched := serve.SchedConfig{
 		Window: cfg.schedWindow, Lanes: cfg.lanes, MaxBatch: cfg.maxBatch,
 		MaxQueue: cfg.maxQueue, BreakerThreshold: cfg.breakerThreshold, BreakerCooldown: cfg.breakerCooldown,
+		RequestTimeout: cfg.requestTimeout,
 	}
 	for _, name := range p.names {
 		sched.Entries = append(sched.Entries, serve.SchedEntry{Name: name, RowSeparable: p.entries[name].RowSeparable})
@@ -126,85 +122,34 @@ func foldInvokeOptions(opts []InvokeOption) invokeConfig {
 	return ic
 }
 
-// withDeadline tightens ctx by the request's deadline budget or, failing a
-// caller deadline, by the service's request timeout; the returned cancel is
-// a no-op when nothing changed.
-func (s *Service) withDeadline(ctx context.Context, budget time.Duration) (context.Context, context.CancelFunc) {
-	if budget > 0 {
-		// WithTimeout never loosens: an earlier parent deadline still wins.
-		return context.WithTimeout(ctx, budget)
+// admit is the front half of every request: validation (ErrBadInput
+// without touching a session), argument lowering, and the submit to the
+// scheduler, which applies the deadline and admits or sheds the run;
+// stream keeps the run's emissions for Next. A closing service refuses
+// with ErrClosed ahead of any validation error: a Registry re-routes only
+// on ErrClosed, and the version it re-routes to may accept the request.
+func (s *Service) admit(ctx context.Context, entry string, args []Value, ic invokeConfig, stream bool) (*serve.Run, error) {
+	objs, err := s.p.validate(entry, args)
+	if err != nil {
+		if s.sched.Closing() {
+			return nil, fmt.Errorf("nimble: service: %w", ErrClosed)
+		}
+		return nil, err
 	}
-	if _, has := ctx.Deadline(); !has && s.timeout > 0 {
-		return context.WithTimeout(ctx, s.timeout)
+	return s.sched.Submit(ctx, ic.lane, ic.budget, stream, entry, objs...)
+}
+
+// await is the tail of every unary request: wait for the admitted run,
+// then convert its result.
+func await(run *serve.Run, err error) (Value, error) {
+	if err != nil {
+		return Value{}, err
 	}
-	return ctx, func() {}
-}
-
-// admission is one admitted request: its run in the scheduler, and what
-// finishing it must undo. It is a Service stream's source; its Wait
-// finishes it.
-type admission struct {
-	svc    *Service
-	run    *serve.Run
-	cancel context.CancelFunc
-}
-
-// finish gives back the in-flight count and the deadline timer. It must be
-// called exactly once.
-func (a *admission) finish() {
-	a.svc.inflight.Add(-1)
-	a.cancel()
-}
-
-func (a *admission) Next() (*tensor.Tensor, bool) { return a.run.Next() }
-
-func (a *admission) Wait() (vm.Object, error) {
-	out, err := a.run.Wait()
-	a.finish()
-	return out, err
-}
-
-// invoke is the tail of every unary request: wait, then convert.
-func (a *admission) invoke() (Value, error) {
-	out, err := a.Wait()
+	out, err := run.Wait()
 	if err != nil {
 		return Value{}, canceled(err)
 	}
 	return fromObject(out)
-}
-
-// admit is the front half of every request: validation (ErrBadInput
-// without touching a session), argument lowering, per-request options, and
-// the submit to the scheduler's run queue, which admits the run or sheds
-// it (ErrOverloaded with a Retry-After hint when the entry's queue is
-// full, the deadline is unmeetable, or the circuit breaker is open);
-// stream keeps the run's emissions for Next. An admitted request counts as
-// in flight, so Shutdown drains it, until its finish is called. This count is the only
-// one a request holds, Registry requests included; a closed service or
-// scheduler refuses with ErrClosed.
-func (s *Service) admit(ctx context.Context, entry string, args []Value, ic invokeConfig, stream bool) (*admission, error) {
-	if s.closed.Load() {
-		return nil, fmt.Errorf("nimble: service: %w", ErrClosed)
-	}
-	objs, err := s.p.validate(entry, args)
-	if err != nil {
-		return nil, err
-	}
-	a := &admission{svc: s}
-	ctx, a.cancel = s.withDeadline(ctx, ic.budget)
-	s.inflight.Add(1)
-	// The closed flag is re-checked inside the in-flight window so a request
-	// racing Shutdown either drains or rejects, never hangs.
-	if s.closed.Load() {
-		err = fmt.Errorf("nimble: service: %w", ErrClosed)
-	} else {
-		a.run, err = s.sched.Submit(ctx, ic.lane, stream, entry, objs...)
-	}
-	if err != nil {
-		a.finish()
-		return nil, err
-	}
-	return a, nil
 }
 
 // Invoke runs the named entry function. The request passes validation
@@ -223,11 +168,7 @@ func (s *Service) Invoke(ctx context.Context, entry string, args ...Value) (Valu
 // lane the request queues in, WithDeadlineBudget tightens its deadline from
 // arrival.
 func (s *Service) InvokeOpts(ctx context.Context, entry string, args []Value, opts ...InvokeOption) (Value, error) {
-	a, err := s.admit(ctx, entry, args, foldInvokeOptions(opts), false)
-	if err != nil {
-		return Value{}, err
-	}
-	return a.invoke()
+	return await(s.admit(ctx, entry, args, foldInvokeOptions(opts), false))
 }
 
 // InvokeStream runs the named entry like Invoke but returns a Stream over
@@ -241,10 +182,11 @@ func (s *Service) InvokeOpts(ctx context.Context, entry string, args []Value, op
 // stepped one iteration at a time, interleaved with other streams on
 // whichever session adopts it.
 //
-// The in-flight count is held for the stream's whole life and released
-// when the stream is read to its end or closed; Shutdown therefore drains
-// open streams exactly like in-flight Invokes. Only while its run waits in
-// the run queue does a stream count against the entry's queue bound.
+// The stream is in flight while its run is queued or running on the
+// scheduler, parked on an unread token included, and Shutdown drains it
+// like an Invoke; an ended run holds nothing, even with its last token
+// unread. Only while its run waits in the run queue does a stream count
+// against the entry's queue bound.
 // RequestTimeout, when configured, bounds the entire stream, first token
 // to last.
 func (s *Service) InvokeStream(ctx context.Context, entry string, args ...Value) (*Stream, error) {
@@ -255,11 +197,11 @@ func (s *Service) InvokeStream(ctx context.Context, entry string, args ...Value)
 // selects the scheduler lane, WithDeadlineBudget tightens the deadline the
 // scheduler orders by.
 func (s *Service) InvokeStreamOpts(ctx context.Context, entry string, args []Value, opts ...InvokeOption) (*Stream, error) {
-	a, err := s.admit(ctx, entry, args, foldInvokeOptions(opts), true)
+	run, err := s.admit(ctx, entry, args, foldInvokeOptions(opts), true)
 	if err != nil {
 		return nil, err
 	}
-	return &Stream{src: a}, nil
+	return &Stream{src: run}, nil
 }
 
 // Stats snapshots the service counters.
@@ -285,33 +227,13 @@ func (s *Service) Health() Health {
 
 // Shutdown closes the service gracefully: new Invokes fail immediately
 // with ErrClosed and admitted requests — queued, running, or streaming —
-// get until ctx is done to finish. When the context fires first the
-// scheduler closes out from under the stragglers — requests still
-// queued fail with ErrClosed, active decode loops are retired at their next
-// iteration boundary — and Shutdown reports how many were cut loose. A nil
-// error means every admitted request drained.
-func (s *Service) Shutdown(ctx context.Context) error {
-	if s.closed.Swap(true) {
-		return nil
-	}
-	// Wait for in-flight requests; poll — shutdown is not a hot path.
-	tick := time.NewTicker(200 * time.Microsecond)
-	defer tick.Stop()
-	cut := false
-	for !cut && s.inflight.Load() > 0 {
-		select {
-		case <-ctx.Done():
-			cut = true
-		case <-tick.C:
-		}
-	}
-	stragglers := s.inflight.Load()
-	s.sched.Close()
-	if cut && stragglers > 0 {
-		return fmt.Errorf("nimble: service: drain window expired with %d requests in flight: %w", stragglers, ErrClosed)
-	}
-	return nil
-}
+// get until ctx is done to finish; the scheduler's drain wakes it when the
+// last one ends. When the context fires first the scheduler closes out
+// from under the stragglers — requests still queued fail with ErrClosed,
+// active decode loops are retired at their next iteration boundary — and
+// Shutdown reports how many were cut loose. A nil error means every
+// admitted request drained; a second Shutdown returns nil.
+func (s *Service) Shutdown(ctx context.Context) error { return s.sched.Shutdown(ctx) }
 
 // Close shuts the service down with a bounded default drain (5s): accepted
 // and in-flight requests get that long to finish, stragglers are rejected

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"nimble/internal/faults"
 	"nimble/internal/models"
+	"nimble/internal/tensor"
 )
 
 // TestShutdownDrainsInFlight: Shutdown with a generous context lets every
@@ -117,5 +119,108 @@ func TestShutdownBoundedDrain(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("in-flight request hung after bounded shutdown")
+	}
+}
+
+// TestShutdownRefusesBeforeValidation pins the refusal order: a Service
+// that is shut down answers ErrClosed even to a request its validation
+// would reject, for Invoke and InvokeStream alike. A Registry re-routes a
+// request only on ErrClosed, so a request valid only for the version it
+// re-routes to must not fail on the drained one with ErrBadInput.
+func TestShutdownRefusesBeforeValidation(t *testing.T) {
+	_, svc := mlpService(t, WithWorkers(1))
+	ctx := context.Background()
+	cases := []struct {
+		name  string
+		entry string
+		args  []Value
+		open  error // the refusal while the service is open
+	}{
+		{"unknown entry", "nope", []Value{TensorValue(tensor.New(tensor.Float32, 1, 8))}, ErrUnknownEntry},
+		{"wrong arity", "main", nil, ErrBadInput},
+		{"wrong shape", "main", []Value{TensorValue(tensor.New(tensor.Float32, 1, 5))}, ErrBadInput},
+	}
+	for _, tc := range cases {
+		if _, err := svc.Invoke(ctx, tc.entry, tc.args...); !errors.Is(err, tc.open) {
+			t.Fatalf("%s on an open service: Invoke = %v, want %v", tc.name, err, tc.open)
+		}
+	}
+	if err := svc.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		if _, err := svc.Invoke(ctx, tc.entry, tc.args...); !errors.Is(err, ErrClosed) {
+			t.Errorf("%s after Shutdown: Invoke = %v, want ErrClosed", tc.name, err)
+		}
+		if _, err := svc.InvokeStream(ctx, tc.entry, tc.args...); !errors.Is(err, ErrClosed) {
+			t.Errorf("%s after Shutdown: InvokeStream = %v, want ErrClosed", tc.name, err)
+		}
+	}
+}
+
+// TestShutdownSkipsEndedStream: a stream whose run has ended, with its last
+// token still unread, is no longer in flight. Shutdown returns nil without
+// waiting for the reader, and the reader then gets the token and a nil Err.
+func TestShutdownSkipsEndedStream(t *testing.T) {
+	p, err := Compile(models.NewDecoder(models.DefaultDecoderConfig()).Module)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := p.Serve(WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ctx := context.Background()
+	start := TensorValue(models.StartToken(5))
+	ref, err := svc.InvokeStream(ctx, "generate", start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for ref.Next() {
+		n++
+	}
+	if err := ref.Err(); err != nil || n < 2 {
+		t.Fatalf("reference stream: %d tokens, %v", n, err)
+	}
+
+	st, err := svc.InvokeStream(ctx, "generate", start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n-1; i++ {
+		if !st.Next() {
+			t.Fatalf("stream ended after %d of %d tokens: %v", i, n, st.Err())
+		}
+	}
+	// The run's last step emits the last token and returns at once: wait
+	// until the run has ended with that token unread.
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		live := 0
+		for _, e := range svc.Stats().Schedulers {
+			live += e.Queued + e.Active
+		}
+		if live == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("run still queued or active after its reader took %d of %d tokens", n-1, n)
+		}
+		runtime.Gosched()
+	}
+	sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := svc.Shutdown(sctx); err != nil {
+		t.Fatalf("Shutdown with only an ended stream open = %v, want nil", err)
+	}
+	if !st.Next() {
+		t.Fatalf("last token lost after Shutdown: %v", st.Err())
+	}
+	if st.Next() {
+		t.Fatal("stream yields more tokens than the reference")
+	}
+	if err := st.Err(); err != nil {
+		t.Fatalf("stream after Shutdown: Err = %v, want nil", err)
 	}
 }

@@ -41,10 +41,11 @@ type Stream struct {
 	ended  bool // src was waited for; result and err hold the outcome
 }
 
-// streamSource is the run a Stream reads: a Service's scheduler run, or a
-// Session's VM run stepped by the reader. Next returns the next emitted
-// tensor, or false at the end; Wait ends the run, retiring it first if it
-// has not finished, and returns its outcome.
+// streamSource is the run a Stream reads: the *serve.Run a Service's
+// scheduler admitted, read in place, or a Session's VM run stepped by the
+// reader. Next returns the next emitted tensor, or false at the end; Wait
+// ends the run, retiring it first if it has not finished, and returns its
+// outcome.
 type streamSource interface {
 	Next() (*tensor.Tensor, bool)
 	Wait() (vm.Object, error)
@@ -105,8 +106,8 @@ func (st *Stream) Result() (Value, error) {
 }
 
 // Close abandons the stream. A run that has not finished runs no further
-// step: its buffers go back to the session's pool, a Service's in-flight
-// count is released, and Close returns ErrCanceled.
+// step: its buffers go back to the session's pool, a Service's run stops
+// being in flight, and Close returns ErrCanceled.
 // After the run finished, Close returns its outcome, like Err, and drops
 // any values left unread. Idempotent; safe after Next returned false.
 //
