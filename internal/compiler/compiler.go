@@ -110,7 +110,8 @@ func Compile(mod *ir.Module, opts Options) (*Result, error) {
 		c.fns = append(c.fns, &compiledFunc{name: name})
 	}
 	for _, name := range work.FuncNames() {
-		if err := c.compileFunc(c.fnIndex[name], work.Funcs[name]); err != nil {
+		idx := c.fnIndex[name]
+		if err := c.compileFunc(idx, idx, nil, work.Funcs[name]); err != nil {
 			return nil, fmt.Errorf("compiler: %s: %w", name, err)
 		}
 	}
@@ -183,24 +184,6 @@ func (c *compiler) internConst(k *ir.Constant) int {
 	return idx
 }
 
-func (c *compiler) compileFunc(idx int, fn *ir.Function) error {
-	fc := &funcCompiler{c: c, out: c.fns[idx], regs: map[*ir.Var]vm.Reg{}, selfIdx: idx}
-	fc.out.numParams = len(fn.Params)
-	for i, p := range fn.Params {
-		fc.regs[p] = i
-	}
-	fc.next = len(fn.Params)
-	r, done, err := fc.compileTail(fn.Body)
-	if err != nil {
-		return err
-	}
-	if !done {
-		fc.emit(vm.Instruction{Op: vm.OpRet, A: r})
-	}
-	fc.out.regCount = fc.next
-	return nil
-}
-
 // liftFunction compiles a function literal into a fresh VM function whose
 // parameters are the captured free variables followed by the declared
 // parameters (closure conversion).
@@ -210,21 +193,29 @@ func (c *compiler) liftFunction(fn *ir.Function, free []*ir.Var) (int, error) {
 	idx := len(c.fns)
 	c.fnIndex[name] = idx
 	c.fns = append(c.fns, &compiledFunc{name: name})
+	return idx, c.compileFunc(idx, -1, free, fn)
+}
 
-	fc := &funcCompiler{c: c, out: c.fns[idx], regs: map[*ir.Var]vm.Reg{}, selfIdx: -1}
-	fc.out.numParams = len(free) + len(fn.Params)
+// compileFunc lowers fn's body, in tail position, into function idx, whose
+// parameter registers hold free followed by fn's parameters. selfIdx is the
+// index a self tail call names; -1, for a lifted lambda, recognizes none.
+func (c *compiler) compileFunc(idx, selfIdx int, free []*ir.Var, fn *ir.Function) error {
+	fc := &funcCompiler{c: c, out: c.fns[idx], regs: map[*ir.Var]vm.Reg{}, selfIdx: selfIdx}
 	for i, v := range free {
 		fc.regs[v] = i
 	}
 	for i, p := range fn.Params {
 		fc.regs[p] = len(free) + i
 	}
+	fc.out.numParams = len(free) + len(fn.Params)
 	fc.next = fc.out.numParams
-	r, err := fc.compile(fn.Body)
+	r, done, err := fc.lower(fn.Body, true)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	fc.emit(vm.Instruction{Op: vm.OpRet, A: r})
+	if !done {
+		fc.emit(vm.Instruction{Op: vm.OpRet, A: r})
+	}
 	fc.out.regCount = fc.next
-	return idx, nil
+	return nil
 }

@@ -47,101 +47,103 @@ func (fc *funcCompiler) unitReg() vm.Reg {
 	return fc.unit
 }
 
-// compile lowers an expression and returns the register holding its value.
+// compile lowers an expression in value position and returns the register
+// holding its value.
 func (fc *funcCompiler) compile(e ir.Expr) (vm.Reg, error) {
+	r, _, err := fc.lower(e, false)
+	return r, err
+}
+
+// lower lowers an expression and returns the register holding its value.
+// In tail position (tail set) a self-recursive call becomes register moves
+// plus a backward Goto instead of an OpInvoke, so compiled loops (the
+// autoregressive decoders, the recurrent models) run in one frame with O(1)
+// stack instead of one frame per iteration. done reports that every path
+// through the expression ended in such a back edge, so the caller must not
+// emit a Ret for it.
+func (fc *funcCompiler) lower(e ir.Expr, tail bool) (vm.Reg, bool, error) {
 	switch n := e.(type) {
 	case *ir.Var:
 		r, ok := fc.regs[n]
 		if !ok {
-			return 0, fmt.Errorf("unbound variable %%%s at codegen", n.Name)
+			return 0, false, fmt.Errorf("unbound variable %%%s at codegen", n.Name)
 		}
-		return r, nil
+		return r, false, nil
 
 	case *ir.Constant:
 		idx := fc.c.internConst(n)
 		dst := fc.fresh()
 		fc.emit(vm.Instruction{Op: vm.OpLoadConst, Dst: dst, Imm: int64(idx)})
-		return dst, nil
+		return dst, false, nil
 
 	case *ir.GlobalVar:
 		// A first-class reference to a global becomes a capture-free
 		// closure.
 		idx, ok := fc.c.fnIndex[n.Name]
 		if !ok {
-			return 0, fmt.Errorf("unknown global @%s", n.Name)
+			return 0, false, fmt.Errorf("unknown global @%s", n.Name)
 		}
 		dst := fc.fresh()
 		fc.emit(vm.Instruction{Op: vm.OpAllocClosure, Dst: dst, Imm: int64(idx)})
-		return dst, nil
+		return dst, false, nil
 
 	case *ir.Let:
-		r, err := fc.compileBinding(n.Bound, n.Value)
+		// The ANF shape of a tail self-call is Let(v = @self(args), Var v);
+		// recognize it before compiling the call as a real invoke.
+		if call, ok := n.Value.(*ir.Call); ok && tail && fc.isSelfCall(call) {
+			if body, ok := n.Body.(*ir.Var); ok && body == n.Bound {
+				return fc.emitSelfTail(call.Args)
+			}
+		}
+		r, err := fc.compile(n.Value)
 		if err != nil {
-			return 0, err
+			return 0, false, err
 		}
 		fc.regs[n.Bound] = r
-		return fc.compile(n.Body)
+		return fc.lower(n.Body, tail)
 
 	case *ir.Call:
-		return fc.compileCall(n)
+		if tail && fc.isSelfCall(n) {
+			return fc.emitSelfTail(n.Args)
+		}
+		r, err := fc.compileCall(n)
+		return r, false, err
 
 	case *ir.Tuple:
 		args := make([]vm.Reg, len(n.Fields))
 		for i, f := range n.Fields {
 			r, err := fc.compile(f)
 			if err != nil {
-				return 0, err
+				return 0, false, err
 			}
 			args[i] = r
 		}
 		dst := fc.fresh()
 		fc.emit(vm.Instruction{Op: vm.OpAllocADT, Dst: dst, Imm: int64(vm.TupleTag), Args: args})
-		return dst, nil
+		return dst, false, nil
 
 	case *ir.TupleGet:
 		src, err := fc.compile(n.Tuple)
 		if err != nil {
-			return 0, err
+			return 0, false, err
 		}
 		dst := fc.fresh()
 		fc.emit(vm.Instruction{Op: vm.OpGetField, Dst: dst, A: src, Imm: int64(n.Index)})
-		return dst, nil
+		return dst, false, nil
 
 	case *ir.If:
-		return fc.compileIf(n)
+		return fc.compileIf(n, tail)
 
 	case *ir.Match:
-		return fc.compileMatch(n)
+		return fc.compileMatch(n, tail)
 
 	case *ir.Function:
-		return fc.compileClosure(n)
+		r, err := fc.compileClosure(n)
+		return r, false, err
 
 	default:
-		return 0, fmt.Errorf("cannot compile %s in value position", ir.ExprKind(e))
+		return 0, false, fmt.Errorf("cannot compile %s in value position", ir.ExprKind(e))
 	}
-}
-
-// compileBinding lowers a let-bound value, special-casing effect-only
-// dialect operations.
-func (fc *funcCompiler) compileBinding(v *ir.Var, value ir.Expr) (vm.Reg, error) {
-	if call, op := opCall(value); op != nil && op.Name == ir.OpKill {
-		// kill is metadata for the static planner; at runtime, frame-exit
-		// release (plus static coalescing) already reclaims the buffer.
-		_ = call
-		return fc.unitReg(), nil
-	}
-	return fc.compile(value)
-}
-
-func opCall(e ir.Expr) (*ir.Call, *ir.Op) {
-	c, ok := e.(*ir.Call)
-	if !ok {
-		return nil, nil
-	}
-	if ref, ok := c.Callee.(*ir.OpRef); ok {
-		return c, ref.Op
-	}
-	return c, nil
 }
 
 func (fc *funcCompiler) compileCall(n *ir.Call) (vm.Reg, error) {
@@ -353,6 +355,8 @@ func (fc *funcCompiler) compileOpCall(n *ir.Call, op *ir.Op) (vm.Reg, error) {
 		return dst, nil
 
 	case ir.OpKill:
+		// kill is metadata for the static planner; at runtime, frame-exit
+		// release (plus static coalescing) already reclaims the buffer.
 		return fc.unitReg(), nil
 
 	default:
@@ -375,128 +379,6 @@ func (fc *funcCompiler) compileOpCall(n *ir.Call, op *ir.Op) (vm.Reg, error) {
 		fc.emit(vm.Instruction{Op: vm.OpInvokePacked, Dst: dst, Imm: int64(kIdx), B: 0, Args: regs})
 		return dst, nil
 	}
-}
-
-func (fc *funcCompiler) compileIf(n *ir.If) (vm.Reg, error) {
-	cond, err := fc.compile(n.Cond)
-	if err != nil {
-		return 0, err
-	}
-	trueReg := fc.fresh()
-	fc.emit(vm.Instruction{Op: vm.OpLoadConsti, Dst: trueReg, Imm: 1})
-	ifIdx := fc.emit(vm.Instruction{Op: vm.OpIf, A: cond, B: trueReg, Off1: 1})
-	join := fc.fresh()
-
-	thenReg, err := fc.compile(n.Then)
-	if err != nil {
-		return 0, err
-	}
-	fc.emit(vm.Instruction{Op: vm.OpMove, Dst: join, A: thenReg})
-	gotoIdx := fc.emit(vm.Instruction{Op: vm.OpGoto})
-
-	elseStart := fc.pc()
-	fc.out.code[ifIdx].Off2 = elseStart - ifIdx
-	elseReg, err := fc.compile(n.Else)
-	if err != nil {
-		return 0, err
-	}
-	fc.emit(vm.Instruction{Op: vm.OpMove, Dst: join, A: elseReg})
-	fc.out.code[gotoIdx].Off1 = fc.pc() - gotoIdx
-	return join, nil
-}
-
-func (fc *funcCompiler) compileMatch(n *ir.Match) (vm.Reg, error) {
-	data, err := fc.compile(n.Data)
-	if err != nil {
-		return 0, err
-	}
-	tag := fc.fresh()
-	fc.emit(vm.Instruction{Op: vm.OpGetTag, Dst: tag, A: data})
-	join := fc.fresh()
-
-	var exits []int
-	for _, clause := range n.Clauses {
-		var failIdx = -1
-		switch clause.Pattern.Kind {
-		case ir.PatCtor:
-			want := fc.fresh()
-			fc.emit(vm.Instruction{Op: vm.OpLoadConsti, Dst: want, Imm: int64(clause.Pattern.Ctor.Tag)})
-			failIdx = fc.emit(vm.Instruction{Op: vm.OpIf, A: tag, B: want, Off1: 1})
-			for i, sub := range clause.Pattern.Sub {
-				switch sub.Kind {
-				case ir.PatVar:
-					fieldReg := fc.fresh()
-					fc.emit(vm.Instruction{Op: vm.OpGetField, Dst: fieldReg, A: data, Imm: int64(i)})
-					fc.regs[sub.Var] = fieldReg
-				case ir.PatWildcard:
-					// bind nothing
-				default:
-					return 0, fmt.Errorf("nested constructor patterns are not supported by codegen; flatten the match")
-				}
-			}
-		case ir.PatVar:
-			fc.regs[clause.Pattern.Var] = data
-		case ir.PatWildcard:
-			// always matches
-		}
-		body, err := fc.compile(clause.Body)
-		if err != nil {
-			return 0, err
-		}
-		fc.emit(vm.Instruction{Op: vm.OpMove, Dst: join, A: body})
-		exits = append(exits, fc.emit(vm.Instruction{Op: vm.OpGoto}))
-		if failIdx >= 0 {
-			fc.out.code[failIdx].Off2 = fc.pc() - failIdx
-		} else {
-			// Irrefutable pattern: later clauses are unreachable.
-			break
-		}
-	}
-	// Fall-through: no clause matched.
-	fc.emit(vm.Instruction{Op: vm.OpFatal})
-	end := fc.pc()
-	for _, g := range exits {
-		fc.out.code[g].Off1 = end - g
-	}
-	return join, nil
-}
-
-// compileTail lowers an expression in tail position. Self-recursive tail
-// calls become register moves plus a backward Goto instead of an OpInvoke, so
-// compiled loops (the autoregressive decoders, the recurrent models) run in
-// one frame with O(1) stack instead of one frame per iteration. The bool
-// result reports "done": every path through the expression ended in a back
-// edge, so the caller must not emit a Ret for it.
-func (fc *funcCompiler) compileTail(e ir.Expr) (vm.Reg, bool, error) {
-	switch n := e.(type) {
-	case *ir.Let:
-		// The ANF shape of a tail self-call is Let(v = @self(args), Var v);
-		// recognize it before compiling the call as a real invoke.
-		if call, ok := n.Value.(*ir.Call); ok && fc.isSelfCall(call) {
-			if body, ok := n.Body.(*ir.Var); ok && body == n.Bound {
-				return fc.emitSelfTail(call.Args)
-			}
-		}
-		r, err := fc.compileBinding(n.Bound, n.Value)
-		if err != nil {
-			return 0, false, err
-		}
-		fc.regs[n.Bound] = r
-		return fc.compileTail(n.Body)
-
-	case *ir.Call:
-		if fc.isSelfCall(n) {
-			return fc.emitSelfTail(n.Args)
-		}
-
-	case *ir.If:
-		return fc.compileIfTail(n)
-
-	case *ir.Match:
-		return fc.compileMatchTail(n)
-	}
-	r, err := fc.compile(e)
-	return r, false, err
 }
 
 func (fc *funcCompiler) isSelfCall(n *ir.Call) bool {
@@ -541,9 +423,9 @@ func (fc *funcCompiler) emitSelfTail(args []ir.Expr) (vm.Reg, bool, error) {
 	return 0, true, nil
 }
 
-// compileIfTail is compileIf with both branches in tail position: a branch
+// compileIf lowers both branches in the If's own position: a tail branch
 // that ends in a back edge skips the join move and exit jump entirely.
-func (fc *funcCompiler) compileIfTail(n *ir.If) (vm.Reg, bool, error) {
+func (fc *funcCompiler) compileIf(n *ir.If, tail bool) (vm.Reg, bool, error) {
 	cond, err := fc.compile(n.Cond)
 	if err != nil {
 		return 0, false, err
@@ -553,7 +435,7 @@ func (fc *funcCompiler) compileIfTail(n *ir.If) (vm.Reg, bool, error) {
 	ifIdx := fc.emit(vm.Instruction{Op: vm.OpIf, A: cond, B: trueReg, Off1: 1})
 	join := fc.fresh()
 
-	thenReg, thenDone, err := fc.compileTail(n.Then)
+	thenReg, thenDone, err := fc.lower(n.Then, tail)
 	if err != nil {
 		return 0, false, err
 	}
@@ -565,7 +447,7 @@ func (fc *funcCompiler) compileIfTail(n *ir.If) (vm.Reg, bool, error) {
 
 	elseStart := fc.pc()
 	fc.out.code[ifIdx].Off2 = elseStart - ifIdx
-	elseReg, elseDone, err := fc.compileTail(n.Else)
+	elseReg, elseDone, err := fc.lower(n.Else, tail)
 	if err != nil {
 		return 0, false, err
 	}
@@ -578,8 +460,8 @@ func (fc *funcCompiler) compileIfTail(n *ir.If) (vm.Reg, bool, error) {
 	return join, thenDone && elseDone, nil
 }
 
-// compileMatchTail is compileMatch with clause bodies in tail position.
-func (fc *funcCompiler) compileMatchTail(n *ir.Match) (vm.Reg, bool, error) {
+// compileMatch lowers the clause bodies in the Match's own position.
+func (fc *funcCompiler) compileMatch(n *ir.Match, tail bool) (vm.Reg, bool, error) {
 	data, err := fc.compile(n.Data)
 	if err != nil {
 		return 0, false, err
@@ -614,7 +496,7 @@ func (fc *funcCompiler) compileMatchTail(n *ir.Match) (vm.Reg, bool, error) {
 		case ir.PatWildcard:
 			// always matches
 		}
-		body, done, err := fc.compileTail(clause.Body)
+		body, done, err := fc.lower(clause.Body, tail)
 		if err != nil {
 			return 0, false, err
 		}

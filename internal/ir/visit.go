@@ -146,6 +146,57 @@ func Rewrite(e Expr, f func(Expr) Expr) Expr {
 	return f(out)
 }
 
+// Binding is one link of a let-chain.
+type Binding struct {
+	Var   *Var
+	Value Expr
+}
+
+// SplitChain decomposes a let-chain into its bindings and final result.
+func SplitChain(e Expr) ([]Binding, Expr) {
+	var out []Binding
+	for {
+		l, ok := e.(*Let)
+		if !ok {
+			return out, e
+		}
+		out = append(out, Binding{Var: l.Bound, Value: l.Value})
+		e = l.Body
+	}
+}
+
+// BuildChain reassembles a let-chain.
+func BuildChain(bs []Binding, result Expr) Expr {
+	out := result
+	for i := len(bs) - 1; i >= 0; i-- {
+		out = NewLet(bs[i].Var, bs[i].Value, out)
+	}
+	return out
+}
+
+// IsAtomic reports whether an expression may appear as an operand in
+// A-normal form.
+func IsAtomic(e Expr) bool {
+	switch e.(type) {
+	case *Var, *GlobalVar, *Constant, *OpRef, *CtorRef:
+		return true
+	}
+	return false
+}
+
+// OpCall returns e as a call and, when its callee is an OpRef, the
+// operator; the call is nil when e is not a call.
+func OpCall(e Expr) (*Call, *Op) {
+	c, ok := e.(*Call)
+	if !ok {
+		return nil, nil
+	}
+	if ref, ok := c.Callee.(*OpRef); ok {
+		return c, ref.Op
+	}
+	return c, nil
+}
+
 // FreeVars returns the free variables of e in first-use order.
 func FreeVars(e Expr) []*Var {
 	bound := map[*Var]bool{}

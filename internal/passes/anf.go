@@ -36,39 +36,39 @@ func (c *anfConverter) fresh() *ir.Var {
 // normalizeTail normalizes an expression in tail position: the result may be
 // any (normalized) expression, not necessarily atomic.
 func (c *anfConverter) normalizeTail(e ir.Expr) ir.Expr {
-	var bs []binding
+	var bs []ir.Binding
 	res := c.normalizeInto(e, &bs, true)
-	return buildChain(bs, res)
+	return ir.BuildChain(bs, res)
 }
 
 // normalizeAtom normalizes e and guarantees an atomic result, emitting
 // bindings into bs.
-func (c *anfConverter) normalizeAtom(e ir.Expr, bs *[]binding) ir.Expr {
+func (c *anfConverter) normalizeAtom(e ir.Expr, bs *[]ir.Binding) ir.Expr {
 	res := c.normalizeInto(e, bs, false)
-	if isAtomic(res) {
+	if ir.IsAtomic(res) {
 		return res
 	}
 	v := c.fresh()
-	*bs = append(*bs, binding{v: v, value: res})
+	*bs = append(*bs, ir.Binding{Var: v, Value: res})
 	return v
 }
 
 // normalizeInto normalizes e, emitting helper bindings into bs. When tail is
 // true the result may be compound (If/Match stay in tail position so
 // branches remain expressions rather than being flattened into values).
-func (c *anfConverter) normalizeInto(e ir.Expr, bs *[]binding, tail bool) ir.Expr {
+func (c *anfConverter) normalizeInto(e ir.Expr, bs *[]ir.Binding, tail bool) ir.Expr {
 	switch n := e.(type) {
 	case *ir.Var, *ir.GlobalVar, *ir.Constant, *ir.OpRef, *ir.CtorRef:
 		return n
 
 	case *ir.Let:
 		val := c.normalizeInto(n.Value, bs, false)
-		*bs = append(*bs, binding{v: n.Bound, value: val})
+		*bs = append(*bs, ir.Binding{Var: n.Bound, Value: val})
 		return c.normalizeInto(n.Body, bs, tail)
 
 	case *ir.Call:
 		callee := n.Callee
-		if !isAtomic(callee) {
+		if !ir.IsAtomic(callee) {
 			callee = c.normalizeAtom(callee, bs)
 		}
 		args := make([]ir.Expr, len(n.Args))

@@ -29,29 +29,12 @@ func CoalesceStorage() Pass {
 		Name: "coalesce-storage",
 		Run: func(mod *ir.Module, st *Stats) error {
 			return mapFuncs(mod, func(_ string, fn *ir.Function) (ir.Expr, error) {
-				return coalesceExpr(fn.Body, &st.Coalesce), nil
+				return rewriteChains(fn.Body, func(e ir.Expr) (ir.Expr, error) {
+					return coalesceChain(e, &st.Coalesce), nil
+				})
 			})
 		},
 	}
-}
-
-func coalesceExpr(e ir.Expr, stats *CoalesceStats) ir.Expr {
-	e = ir.Rewrite(e, func(x ir.Expr) ir.Expr {
-		switch n := x.(type) {
-		case *ir.If:
-			return &ir.If{Cond: n.Cond, Then: coalesceChain(n.Then, stats), Else: coalesceChain(n.Else, stats)}
-		case *ir.Match:
-			clauses := make([]*ir.Clause, len(n.Clauses))
-			for i, c := range n.Clauses {
-				clauses[i] = &ir.Clause{Pattern: c.Pattern, Body: coalesceChain(c.Body, stats)}
-			}
-			return &ir.Match{Data: n.Data, Clauses: clauses}
-		case *ir.Function:
-			return ir.NewFunc(n.Params, coalesceChain(n.Body, stats), n.RetAnn)
-		}
-		return x
-	})
-	return coalesceChain(e, stats)
 }
 
 type freeStorage struct {
@@ -61,7 +44,7 @@ type freeStorage struct {
 }
 
 func coalesceChain(e ir.Expr, stats *CoalesceStats) ir.Expr {
-	bs, result := splitChain(e)
+	bs, result := ir.SplitChain(e)
 
 	// storageOf maps a buffer (alloc_tensor result) to its storage var;
 	// sizes maps storage vars to their byte size.
@@ -84,9 +67,9 @@ func coalesceChain(e ir.Expr, stats *CoalesceStats) ir.Expr {
 		}
 	}
 
-	var out []binding
+	var out []ir.Binding
 	for _, b := range bs {
-		call, op := opCall(b.value)
+		call, op := ir.OpCall(b.Value)
 		if op == nil {
 			out = append(out, b)
 			continue
@@ -110,14 +93,14 @@ func coalesceChain(e ir.Expr, stats *CoalesceStats) ir.Expr {
 				}
 			}
 			if reused >= 0 {
-				subst[b.v] = free[reused].v
+				subst[b.Var] = free[reused].v
 				free = append(free[:reused], free[reused+1:]...)
 				// Binding dropped: downstream alloc_tensor uses the freed
 				// storage through subst.
 				continue
 			}
-			sizes[b.v] = size
-			devices[b.v] = dev
+			sizes[b.Var] = size
+			devices[b.Var] = dev
 			stats.After++
 			stats.BytesAfter += size
 			out = append(out, b)
@@ -126,11 +109,11 @@ func coalesceChain(e ir.Expr, stats *CoalesceStats) ir.Expr {
 			if len(call.Args) == 1 {
 				if sv, ok := call.Args[0].(*ir.Var); ok {
 					target := resolve(sv)
-					storageOf[b.v] = target
+					storageOf[b.Var] = target
 					if target != sv {
 						nc := ir.CallOpAttrs(ir.OpAllocTensor, call.Attrs, target)
 						nc.SetCheckedType(call.CheckedType())
-						out = append(out, binding{v: b.v, value: nc})
+						out = append(out, ir.Binding{Var: b.Var, Value: nc})
 						continue
 					}
 				}
@@ -140,7 +123,7 @@ func coalesceChain(e ir.Expr, stats *CoalesceStats) ir.Expr {
 		case ir.OpInvokeMut:
 			if len(call.Args) >= 2 {
 				if bufVar, ok := call.Args[len(call.Args)-1].(*ir.Var); ok {
-					bufferOf[b.v] = bufVar
+					bufferOf[b.Var] = bufVar
 				}
 			}
 			out = append(out, b)
@@ -165,5 +148,5 @@ func coalesceChain(e ir.Expr, stats *CoalesceStats) ir.Expr {
 			out = append(out, b)
 		}
 	}
-	return buildChain(out, result)
+	return ir.BuildChain(out, result)
 }

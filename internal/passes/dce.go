@@ -30,7 +30,7 @@ func DCE() Pass {
 // sideEffecting reports whether a bound expression must be kept even if its
 // result is dead.
 func sideEffecting(e ir.Expr) bool {
-	_, op := opCall(e)
+	_, op := ir.OpCall(e)
 	if op == nil {
 		// Calls to globals/closures may recurse or allocate; keep them.
 		if _, isCall := e.(*ir.Call); isCall {

@@ -29,7 +29,7 @@ func PlaceDevices(target ir.Device) Pass {
 		Run: func(mod *ir.Module, st *Stats) error {
 			return mapFuncs(mod, func(name string, fn *ir.Function) (ir.Expr, error) {
 				p := newPlacer(target, &st.Placement)
-				body, err := p.placeExpr(fn.Body)
+				body, err := rewriteChains(fn.Body, p.placeChain)
 				if err != nil {
 					return nil, fmt.Errorf("%s: %w", name, err)
 				}
@@ -122,63 +122,11 @@ func (p *placer) tally() {
 	}
 }
 
-func (p *placer) placeExpr(e ir.Expr) (ir.Expr, error) {
-	var rerr error
-	e = ir.Rewrite(e, func(x ir.Expr) ir.Expr {
-		if rerr != nil {
-			return x
-		}
-		switch n := x.(type) {
-		case *ir.If:
-			thenB, err := p.placeChain(n.Then)
-			if err != nil {
-				rerr = err
-				return x
-			}
-			elseB, err := p.placeChain(n.Else)
-			if err != nil {
-				rerr = err
-				return x
-			}
-			out := &ir.If{Cond: n.Cond, Then: thenB, Else: elseB}
-			out.SetCheckedType(n.CheckedType())
-			return out
-		case *ir.Match:
-			clauses := make([]*ir.Clause, len(n.Clauses))
-			for i, c := range n.Clauses {
-				b, err := p.placeChain(c.Body)
-				if err != nil {
-					rerr = err
-					return x
-				}
-				clauses[i] = &ir.Clause{Pattern: c.Pattern, Body: b}
-			}
-			out := &ir.Match{Data: n.Data, Clauses: clauses}
-			out.SetCheckedType(n.CheckedType())
-			return out
-		case *ir.Function:
-			b, err := p.placeChain(n.Body)
-			if err != nil {
-				rerr = err
-				return x
-			}
-			out := ir.NewFunc(n.Params, b, n.RetAnn)
-			out.SetCheckedType(n.CheckedType())
-			return out
-		}
-		return x
-	})
-	if rerr != nil {
-		return nil, rerr
-	}
-	return p.placeChain(e)
-}
-
 // requireOn returns an expression for `arg` living on device want, inserting
 // a device_copy binding into out when the resolved domain conflicts. An
 // unconstrained variable is pinned to want instead (bidirectional
 // propagation without a copy).
-func (p *placer) requireOn(arg ir.Expr, want ir.Device, out *[]binding) ir.Expr {
+func (p *placer) requireOn(arg ir.Expr, want ir.Device, out *[]ir.Binding) ir.Expr {
 	v, ok := arg.(*ir.Var)
 	if !ok {
 		return arg // constants/globals materialize on the consumer's device
@@ -199,24 +147,24 @@ func (p *placer) requireOn(arg ir.Expr, want ir.Device, out *[]binding) ir.Expr 
 		"dst_device": int(want.Type), "dst_id": want.ID,
 	}, v)
 	c.SetCheckedType(v.CheckedType())
-	*out = append(*out, binding{v: cv, value: c})
+	*out = append(*out, ir.Binding{Var: cv, Value: c})
 	p.domainOf(cv).find().dev = want
 	p.stats.CopiesInserted++
 	return cv
 }
 
 func (p *placer) placeChain(e ir.Expr) (ir.Expr, error) {
-	bs, result := splitChain(e)
+	bs, result := ir.SplitChain(e)
 	cpu := ir.CPU(0)
-	var out []binding
+	var out []ir.Binding
 	for _, b := range bs {
-		call, op := opCall(b.value)
+		call, op := ir.OpCall(b.Value)
 		if op == nil {
 			// Non-op values: unify the bound var with a used var when the
 			// value is itself a var (aliasing); otherwise leave free.
 			if call == nil {
-				if v, ok := b.value.(*ir.Var); ok {
-					if err := union(p.domainOf(b.v), p.domainOf(v)); err != nil {
+				if v, ok := b.Value.(*ir.Var); ok {
+					if err := union(p.domainOf(b.Var), p.domainOf(v)); err != nil {
 						return nil, err
 					}
 				}
@@ -229,7 +177,7 @@ func (p *placer) placeChain(e ir.Expr) (ir.Expr, error) {
 			// "Defaults to the CPU domain because we can access a Tensor's
 			// shape regardless of which device it is placed on" — the input
 			// is unconstrained, the output lives on CPU.
-			p.domainOf(b.v).find().dev = cpu
+			p.domainOf(b.Var).find().dev = cpu
 			out = append(out, b)
 
 		case ir.OpInvokeShapeFunc:
@@ -241,25 +189,25 @@ func (p *placer) placeChain(e ir.Expr) (ir.Expr, error) {
 				args[i] = p.requireOn(call.Args[i], cpu, &out)
 				changed = changed || args[i] != call.Args[i]
 			}
-			p.domainOf(b.v).find().dev = cpu
+			p.domainOf(b.Var).find().dev = cpu
 			if changed {
 				nc := ir.NewCall(call.Callee, args, call.Attrs)
 				nc.SetCheckedType(call.CheckedType())
-				out = append(out, binding{v: b.v, value: nc})
+				out = append(out, ir.Binding{Var: b.Var, Value: nc})
 			} else {
 				out = append(out, b)
 			}
 
 		case ir.OpAllocStorage:
 			dev := ir.Device{Type: ir.DeviceType(call.Attrs.Int("device", int(p.target.Type))), ID: call.Attrs.Int("device_id", 0)}
-			p.domainOf(b.v).find().dev = dev
+			p.domainOf(b.Var).find().dev = dev
 			// A dynamic size argument is a CPU shape tensor.
 			if len(call.Args) == 1 {
 				args := []ir.Expr{p.requireOn(call.Args[0], cpu, &out)}
 				if args[0] != call.Args[0] {
 					nc := ir.NewCall(call.Callee, args, call.Attrs)
 					nc.SetCheckedType(call.CheckedType())
-					out = append(out, binding{v: b.v, value: nc})
+					out = append(out, ir.Binding{Var: b.Var, Value: nc})
 					continue
 				}
 			}
@@ -268,7 +216,7 @@ func (p *placer) placeChain(e ir.Expr) (ir.Expr, error) {
 		case ir.OpAllocTensor, ir.OpAllocTensorReg:
 			// The tensor lives where its storage lives.
 			if sv, ok := call.Args[0].(*ir.Var); ok {
-				if err := union(p.domainOf(b.v), p.domainOf(sv)); err != nil {
+				if err := union(p.domainOf(b.Var), p.domainOf(sv)); err != nil {
 					return nil, err
 				}
 			}
@@ -294,16 +242,16 @@ func (p *placer) placeChain(e ir.Expr) (ir.Expr, error) {
 				args[i] = p.requireOn(call.Args[i], dev, &out)
 				changed = changed || args[i] != call.Args[i]
 			}
-			p.domainOf(b.v).find().dev = dev
+			p.domainOf(b.Var).find().dev = dev
 			attrs := mergeAttrs(call.Attrs, ir.Attrs{"device": int(dev.Type), "device_id": dev.ID})
 			nc := ir.NewCall(call.Callee, args, attrs)
 			nc.SetCheckedType(call.CheckedType())
 			_ = changed
-			out = append(out, binding{v: b.v, value: nc})
+			out = append(out, ir.Binding{Var: b.Var, Value: nc})
 
 		case ir.OpDeviceCopy:
 			dst := ir.Device{Type: ir.DeviceType(call.Attrs.Int("dst_device", int(p.target.Type))), ID: call.Attrs.Int("dst_id", 0)}
-			p.domainOf(b.v).find().dev = dst
+			p.domainOf(b.Var).find().dev = dst
 			out = append(out, b)
 
 		case ir.OpKill:
@@ -316,14 +264,14 @@ func (p *placer) placeChain(e ir.Expr) (ir.Expr, error) {
 			for i, a := range call.Args {
 				args[i] = p.requireOn(a, p.target, &out)
 			}
-			p.domainOf(b.v).find().dev = p.target
+			p.domainOf(b.Var).find().dev = p.target
 			nc := ir.NewCall(call.Callee, args, call.Attrs)
 			nc.SetCheckedType(call.CheckedType())
-			out = append(out, binding{v: b.v, value: nc})
+			out = append(out, ir.Binding{Var: b.Var, Value: nc})
 		}
 	}
 
 	// Branch conditions are read by the interpreter on the host; tail Ifs
-	// were already processed by placeExpr's rewrite.
-	return buildChain(out, result), nil
+	// were already processed by rewriteChains.
+	return ir.BuildChain(out, result), nil
 }

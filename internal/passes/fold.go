@@ -63,7 +63,7 @@ func lookupConst(e ir.Expr, consts map[*ir.Var]*ir.Constant) (*ir.Constant, bool
 }
 
 func foldCall(call *ir.Call, consts map[*ir.Var]*ir.Constant) ir.Expr {
-	_, op := opCall(call)
+	_, op := ir.OpCall(call)
 	if op == nil || op.Eval == nil {
 		return call
 	}

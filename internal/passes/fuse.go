@@ -36,45 +36,24 @@ func FuseOps() Pass {
 			// weights must compile to distinct kernels.
 			var groupID int
 			return mapFuncs(mod, func(_ string, fn *ir.Function) (ir.Expr, error) {
-				return fuseExpr(fn.Body, &st.Fusion, &groupID), nil
+				return rewriteChains(fn.Body, func(e ir.Expr) (ir.Expr, error) {
+					return fuseChain(e, &st.Fusion, &groupID), nil
+				})
 			})
 		},
 	}
 }
 
-// fuseExpr fuses the top-level let-chain of e and recurses into branch
-// bodies and nested functions.
-func fuseExpr(e ir.Expr, stats *FusionStats, id *int) ir.Expr {
-	// Recurse into non-chain sub-structure first.
-	e = ir.Rewrite(e, func(x ir.Expr) ir.Expr {
-		switch n := x.(type) {
-		case *ir.If:
-			return &ir.If{Cond: n.Cond, Then: fuseChainOnly(n.Then, stats, id), Else: fuseChainOnly(n.Else, stats, id)}
-		case *ir.Match:
-			clauses := make([]*ir.Clause, len(n.Clauses))
-			for i, c := range n.Clauses {
-				clauses[i] = &ir.Clause{Pattern: c.Pattern, Body: fuseChainOnly(c.Body, stats, id)}
-			}
-			return &ir.Match{Data: n.Data, Clauses: clauses}
-		case *ir.Function:
-			return ir.NewFunc(n.Params, fuseChainOnly(n.Body, stats, id), n.RetAnn)
-		}
-		return x
-	})
-	return fuseChainOnly(e, stats, id)
-}
-
-// fuseChainOnly fuses one let-chain (no recursion; branches were already
-// handled by fuseExpr's rewrite).
-func fuseChainOnly(e ir.Expr, stats *FusionStats, id *int) ir.Expr {
-	bs, result := splitChain(e)
+// fuseChain fuses one let-chain; rewriteChains reaches the nested ones.
+func fuseChain(e ir.Expr, stats *FusionStats, id *int) ir.Expr {
+	bs, result := ir.SplitChain(e)
 	if len(bs) < 2 {
 		return e
 	}
 	uses := map[*ir.Var]int{}
 	countUses(e, uses)
 
-	var out []binding
+	var out []ir.Binding
 	i := 0
 	for i < len(bs) {
 		group := collectGroup(bs, i, uses)
@@ -90,7 +69,7 @@ func fuseChainOnly(e ir.Expr, stats *FusionStats, id *int) ir.Expr {
 		out = append(out, bs[i])
 		i++
 	}
-	return buildChain(out, result)
+	return ir.BuildChain(out, result)
 }
 
 // fusable reports whether an op may participate in fusion at all.
@@ -111,8 +90,8 @@ func fusable(op *ir.Op) bool {
 // A binding joins when it consumes the previous member's result, that result
 // has no other consumer, and the op is fusable. Only the first member may be
 // out-fusable.
-func collectGroup(bs []binding, i int, uses map[*ir.Var]int) []*ir.Op {
-	_, op := opCall(bs[i].value)
+func collectGroup(bs []ir.Binding, i int, uses map[*ir.Var]int) []*ir.Op {
+	_, op := ir.OpCall(bs[i].Value)
 	if !fusable(op) {
 		return nil
 	}
@@ -120,17 +99,17 @@ func collectGroup(bs []binding, i int, uses map[*ir.Var]int) []*ir.Op {
 	for j := i + 1; j < len(bs); j++ {
 		prev := bs[j-1]
 		// The intermediate result must be consumed only once.
-		if uses[prev.v] != 1 {
+		if uses[prev.Var] != 1 {
 			break
 		}
-		call, next := opCall(bs[j].value)
+		call, next := ir.OpCall(bs[j].Value)
 		if !fusable(next) || next.Pattern == ir.PatternOutFusable {
 			break
 		}
 		// Must consume the previous member's output.
 		consumes := false
 		for _, a := range call.Args {
-			if v, ok := a.(*ir.Var); ok && v == prev.v {
+			if v, ok := a.(*ir.Var); ok && v == prev.Var {
 				consumes = true
 				break
 			}
@@ -161,7 +140,7 @@ type fusedMember struct {
 
 // buildFusedBinding replaces the bindings of a group with a single binding
 // of a synthesized composite operator.
-func buildFusedBinding(bs []binding, ops []*ir.Op, id int) binding {
+func buildFusedBinding(bs []ir.Binding, ops []*ir.Op, id int) ir.Binding {
 	n := len(ops)
 	memberOf := map[*ir.Var]int{}
 	var externals []ir.Expr
@@ -170,7 +149,7 @@ func buildFusedBinding(bs []binding, ops []*ir.Op, id int) binding {
 	members := make([]fusedMember, n)
 	names := make([]string, n)
 	for m := 0; m < n; m++ {
-		call, op := opCall(bs[m].value)
+		call, op := ir.OpCall(bs[m].Value)
 		names[m] = op.Name
 		refs := make([]argRef, len(call.Args))
 		for ai, a := range call.Args {
@@ -189,10 +168,10 @@ func buildFusedBinding(bs []binding, ops []*ir.Op, id int) binding {
 			refs[ai] = argRef{idx: idx}
 		}
 		members[m] = fusedMember{op: op, attrs: call.Attrs, args: refs}
-		memberOf[bs[m].v] = m
+		memberOf[bs[m].Var] = m
 	}
 
-	outType := bs[n-1].value.CheckedType()
+	outType := bs[n-1].Value.CheckedType()
 	fused := &ir.Op{
 		Name: fmt.Sprintf("fused%d(%s)", id, strings.Join(names, "+")),
 		Rel: func(_ []ir.Type, _ ir.Attrs) (ir.Type, error) {
@@ -208,7 +187,7 @@ func buildFusedBinding(bs []binding, ops []*ir.Op, id int) binding {
 	}
 	call := ir.NewCall(&ir.OpRef{Op: fused}, externals, nil)
 	call.SetCheckedType(outType)
-	return binding{v: bs[n-1].v, value: call}
+	return ir.Binding{Var: bs[n-1].Var, Value: call}
 }
 
 // composeDims chains the members' dims rules: "the compiler can easily

@@ -37,7 +37,9 @@ func ManifestAlloc(target ir.Device) Pass {
 		NeedsTypes: true,
 		Run: func(mod *ir.Module, st *Stats) error {
 			return mapFuncs(mod, func(name string, fn *ir.Function) (ir.Expr, error) {
-				body, err := manifestExpr(fn.Body, target, &st.Alloc)
+				body, err := rewriteChains(fn.Body, func(e ir.Expr) (ir.Expr, error) {
+					return manifestChain(e, target, &st.Alloc)
+				})
 				if err != nil {
 					return nil, fmt.Errorf("%s: %w", name, err)
 				}
@@ -45,59 +47,6 @@ func ManifestAlloc(target ir.Device) Pass {
 			})
 		},
 	}
-}
-
-func manifestExpr(e ir.Expr, target ir.Device, stats *AllocStats) (ir.Expr, error) {
-	// Recurse into branch bodies and nested functions first.
-	var rerr error
-	e = ir.Rewrite(e, func(x ir.Expr) ir.Expr {
-		if rerr != nil {
-			return x
-		}
-		switch n := x.(type) {
-		case *ir.If:
-			thenB, err := manifestChain(n.Then, target, stats)
-			if err != nil {
-				rerr = err
-				return x
-			}
-			elseB, err := manifestChain(n.Else, target, stats)
-			if err != nil {
-				rerr = err
-				return x
-			}
-			out := &ir.If{Cond: n.Cond, Then: thenB, Else: elseB}
-			out.SetCheckedType(n.CheckedType())
-			return out
-		case *ir.Match:
-			clauses := make([]*ir.Clause, len(n.Clauses))
-			for i, c := range n.Clauses {
-				b, err := manifestChain(c.Body, target, stats)
-				if err != nil {
-					rerr = err
-					return x
-				}
-				clauses[i] = &ir.Clause{Pattern: c.Pattern, Body: b}
-			}
-			out := &ir.Match{Data: n.Data, Clauses: clauses}
-			out.SetCheckedType(n.CheckedType())
-			return out
-		case *ir.Function:
-			b, err := manifestChain(n.Body, target, stats)
-			if err != nil {
-				rerr = err
-				return x
-			}
-			out := ir.NewFunc(n.Params, b, n.RetAnn)
-			out.SetCheckedType(n.CheckedType())
-			return out
-		}
-		return x
-	})
-	if rerr != nil {
-		return nil, rerr
-	}
-	return manifestChain(e, target, stats)
 }
 
 // alreadyDialect reports whether the binding is already part of the
@@ -116,7 +65,7 @@ func alreadyDialect(op *ir.Op) bool {
 }
 
 func manifestChain(e ir.Expr, target ir.Device, stats *AllocStats) (ir.Expr, error) {
-	bs, result := splitChain(e)
+	bs, result := ir.SplitChain(e)
 	fresh := 0
 	newVar := func(prefix string) *ir.Var {
 		fresh++
@@ -124,21 +73,21 @@ func manifestChain(e ir.Expr, target ir.Device, stats *AllocStats) (ir.Expr, err
 	}
 	// A primitive call in tail position is bound first so it is allocated
 	// like any other operation.
-	if _, op := opCall(result); op != nil && op.Eval != nil && !alreadyDialect(op) {
+	if _, op := ir.OpCall(result); op != nil && op.Eval != nil && !alreadyDialect(op) {
 		rv := newVar("ret")
 		rv.SetCheckedType(result.CheckedType())
-		bs = append(bs, binding{v: rv, value: result})
+		bs = append(bs, ir.Binding{Var: rv, Value: result})
 		result = rv
 	}
 
-	var out []binding
+	var out []ir.Binding
 	for _, b := range bs {
-		call, op := opCall(b.value)
+		call, op := ir.OpCall(b.Value)
 		if op == nil || op.Eval == nil || alreadyDialect(op) {
 			out = append(out, b)
 			continue
 		}
-		outType, ok := b.value.CheckedType().(*ir.TensorType)
+		outType, ok := b.Value.CheckedType().(*ir.TensorType)
 		if !ok {
 			// Non-tensor results (rare) stay implicit.
 			out = append(out, b)
@@ -155,7 +104,7 @@ func manifestChain(e ir.Expr, target ir.Device, stats *AllocStats) (ir.Expr, err
 				// corrupt every other user; the allocation path below then
 				// gives the operator a fresh buffer its Eval copies
 				// into (pure append semantics).
-				out = append(out, binding{v: b.v, value: invokeMut(op, call, call.Args[0])})
+				out = append(out, ir.Binding{Var: b.Var, Value: invokeMut(op, call, call.Args[0])})
 				stats.InPlace++
 				continue
 			}
@@ -165,15 +114,15 @@ func manifestChain(e ir.Expr, target ir.Device, stats *AllocStats) (ir.Expr, err
 			// Static path: compile-time-sized storage.
 			sizeBytes := shape.NumElements() * outType.DType.Size()
 			sv := newVar("storage")
-			out = append(out, binding{v: sv, value: callDialect(ir.OpAllocStorage, nil, ir.Attrs{
+			out = append(out, ir.Binding{Var: sv, Value: callDialect(ir.OpAllocStorage, nil, ir.Attrs{
 				"size": sizeBytes, "align": 64,
 				"device": int(target.Type), "device_id": target.ID,
 			})})
 			tv := newVar("buf")
-			out = append(out, binding{v: tv, value: callDialect(ir.OpAllocTensor, []ir.Expr{sv}, ir.Attrs{
+			out = append(out, ir.Binding{Var: tv, Value: callDialect(ir.OpAllocTensor, []ir.Expr{sv}, ir.Attrs{
 				"shape": []int(shape), "dtype": outType.DType.String(), "offset": 0,
 			})})
-			out = append(out, binding{v: b.v, value: invokeMut(op, call, tv)})
+			out = append(out, ir.Binding{Var: b.Var, Value: invokeMut(op, call, tv)})
 			stats.StaticAllocs++
 			continue
 		}
@@ -192,7 +141,7 @@ func manifestChain(e ir.Expr, target ir.Device, stats *AllocStats) (ir.Expr, err
 			// Data-independent / upper-bound: shapes suffice.
 			for _, a := range call.Args {
 				shv := newVar("sh")
-				out = append(out, binding{v: shv, value: callDialect(ir.OpShapeOf, []ir.Expr{a}, nil)})
+				out = append(out, ir.Binding{Var: shv, Value: callDialect(ir.OpShapeOf, []ir.Expr{a}, nil)})
 				sfArgs = append(sfArgs, shv)
 			}
 		}
@@ -201,24 +150,24 @@ func manifestChain(e ir.Expr, target ir.Device, stats *AllocStats) (ir.Expr, err
 		for k, v := range call.Attrs {
 			sfAttrs[k] = v
 		}
-		out = append(out, binding{v: oshv, value: callDialect(ir.OpInvokeShapeFunc, sfArgs, sfAttrs)})
+		out = append(out, ir.Binding{Var: oshv, Value: callDialect(ir.OpInvokeShapeFunc, sfArgs, sfAttrs)})
 		stats.ShapeFuncs++
 
 		sv := newVar("storage")
-		out = append(out, binding{v: sv, value: callDialect(ir.OpAllocStorage, []ir.Expr{oshv}, ir.Attrs{
+		out = append(out, ir.Binding{Var: sv, Value: callDialect(ir.OpAllocStorage, []ir.Expr{oshv}, ir.Attrs{
 			"align": 64, "dtype": outType.DType.String(),
 			"device": int(target.Type), "device_id": target.ID,
 		})})
 		tv := newVar("buf")
-		out = append(out, binding{v: tv, value: callDialect(ir.OpAllocTensorReg, []ir.Expr{sv, oshv}, ir.Attrs{
+		out = append(out, ir.Binding{Var: tv, Value: callDialect(ir.OpAllocTensorReg, []ir.Expr{sv, oshv}, ir.Attrs{
 			"dtype": outType.DType.String(), "rank": outType.Rank(),
 		})})
-		out = append(out, binding{v: b.v, value: invokeMut(op, call, tv)})
+		out = append(out, ir.Binding{Var: b.Var, Value: invokeMut(op, call, tv)})
 		stats.DynamicAllocs++
 	}
 
 	out = insertKills(out, result, stats)
-	return buildChain(out, result), nil
+	return ir.BuildChain(out, result), nil
 }
 
 func callDialect(name string, args []ir.Expr, attrs ir.Attrs) ir.Expr {
@@ -259,7 +208,7 @@ func mergeAttrs(a, b ir.Attrs) ir.Attrs {
 // call may return its own argument — so a use there keeps the buffer
 // alive indefinitely.
 func consumingUse(value ir.Expr) bool {
-	call, op := opCall(value)
+	call, op := ir.OpCall(value)
 	if op == nil {
 		return false
 	}
@@ -278,7 +227,7 @@ func consumingUse(value ir.Expr) bool {
 // inPlaceAliasArg returns the variable an in-place invoke_mut both reads and
 // overwrites (its routed destination), or nil for every other binding.
 func inPlaceAliasArg(value ir.Expr) *ir.Var {
-	call, op := opCall(value)
+	call, op := ir.OpCall(value)
 	if op == nil || op.Name != ir.OpInvokeMut || len(call.Args) < 2 {
 		return nil
 	}
@@ -302,20 +251,20 @@ func inPlaceAliasArg(value ir.Expr) *ir.Var {
 // dense output was recycled as the destination of a later transpose).
 // Kills are inserted in binding order so compilation is deterministic —
 // serialized executables are byte-stable run over run.
-func insertKills(bs []binding, result ir.Expr, stats *AllocStats) []binding {
+func insertKills(bs []ir.Binding, result ir.Expr, stats *AllocStats) []ir.Binding {
 	produced := map[*ir.Var]bool{}
 	escapes := map[*ir.Var]bool{}
 	var producedOrder []*ir.Var
 	for _, b := range bs {
-		if call, op := opCall(b.value); op != nil && op.Name == ir.OpInvokeMut {
-			produced[b.v] = true
-			producedOrder = append(producedOrder, b.v)
+		if call, op := ir.OpCall(b.Value); op != nil && op.Name == ir.OpInvokeMut {
+			produced[b.Var] = true
+			producedOrder = append(producedOrder, b.Var)
 			// An in-place product aliases its input buffer; killing either
 			// name while the other is still read would recycle live memory,
 			// so both sides of the alias are pinned (the input below, the
 			// product here).
 			if target, ok := call.Args[0].(*ir.OpRef); ok && target.Op.InPlace {
-				escapes[b.v] = true
+				escapes[b.Var] = true
 			}
 		}
 	}
@@ -326,9 +275,9 @@ func insertKills(bs []binding, result ir.Expr, stats *AllocStats) []binding {
 	// vars with any non-consuming use as escaping.
 	lastUse := map[*ir.Var]int{}
 	for i, b := range bs {
-		consuming := consumingUse(b.value)
-		aliased := inPlaceAliasArg(b.value)
-		for _, v := range ir.FreeVars(b.value) {
+		consuming := consumingUse(b.Value)
+		aliased := inPlaceAliasArg(b.Value)
+		for _, v := range ir.FreeVars(b.Value) {
 			if produced[v] {
 				lastUse[v] = i
 				if !consuming || v == aliased {
@@ -351,17 +300,17 @@ func insertKills(bs []binding, result ir.Expr, stats *AllocStats) []binding {
 		}
 		killsAt[i] = append(killsAt[i], v)
 	}
-	var out []binding
+	var out []ir.Binding
 	killCounter := 0
 	for i, b := range bs {
 		out = append(out, b)
 		for _, v := range killsAt[i] {
-			if v == b.v {
+			if v == b.Var {
 				continue
 			}
 			killCounter++
 			kv := ir.NewVar(fmt.Sprintf("kill%d", killCounter), nil)
-			out = append(out, binding{v: kv, value: callDialect(ir.OpKill, []ir.Expr{v}, nil)})
+			out = append(out, ir.Binding{Var: kv, Value: callDialect(ir.OpKill, []ir.Expr{v}, nil)})
 			stats.Kills++
 		}
 	}

@@ -22,7 +22,7 @@ func PackDenseWeights() Pass {
 			packed := map[*tensor.Tensor]*ir.Constant{}
 			return mapFuncs(mod, func(_ string, fn *ir.Function) (ir.Expr, error) {
 				return ir.Rewrite(fn.Body, func(e ir.Expr) ir.Expr {
-					call, op := opCall(e)
+					call, op := ir.OpCall(e)
 					if op != dense {
 						return e
 					}

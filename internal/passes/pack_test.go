@@ -18,7 +18,7 @@ func denseWeights(mod *ir.Module) (plain, packed map[*tensor.Tensor]*ir.Constant
 	plain, packed = map[*tensor.Tensor]*ir.Constant{}, map[*tensor.Tensor]*ir.Constant{}
 	for _, name := range mod.FuncNames() {
 		ir.Visit(mod.Funcs[name].Body, func(e ir.Expr) bool {
-			if call, op := opCall(e); op != nil && len(call.Args) == 2 {
+			if call, op := ir.OpCall(e); op != nil && len(call.Args) == 2 {
 				if c, ok := call.Args[1].(*ir.Constant); ok && op.Name == "dense" {
 					plain[c.Value] = c
 				} else if ok && op.Name == "dense_packed" {
@@ -63,7 +63,7 @@ func TestPackDenseWeightsSharesOnePackedConstant(t *testing.T) {
 	calls := 0
 	for _, name := range mod.FuncNames() {
 		ir.Visit(mod.Funcs[name].Body, func(e ir.Expr) bool {
-			if _, op := opCall(e); op != nil && op.Name == "dense" {
+			if _, op := ir.OpCall(e); op != nil && op.Name == "dense" {
 				calls++
 			}
 			return true
@@ -120,7 +120,7 @@ func densePackedCalls(mod *ir.Module) int {
 	calls := 0
 	for _, name := range mod.FuncNames() {
 		ir.Visit(mod.Funcs[name].Body, func(e ir.Expr) bool {
-			if _, op := opCall(e); op != nil && op.Name == "dense_packed" {
+			if _, op := ir.OpCall(e); op != nil && op.Name == "dense_packed" {
 				calls++
 			}
 			return true

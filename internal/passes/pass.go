@@ -9,6 +9,9 @@
 //	ManifestAlloc -> CoalesceStorage -> PlaceDevices
 //
 // internal/compiler runs it, dropping passes by name for its ablations.
+// Fusion, memory planning, coalescing and placement each rewrite one
+// let-chain at a time and reach the chains nested in If branches, Match
+// clauses and function literals through rewriteChains.
 package passes
 
 import (
@@ -111,53 +114,45 @@ func mapFuncs(mod *ir.Module, f func(name string, fn *ir.Function) (ir.Expr, err
 	return nil
 }
 
-// binding is one link of a let-chain.
-type binding struct {
-	v     *ir.Var
-	value ir.Expr
-}
-
-// splitChain decomposes a let-chain into its bindings and final result.
-func splitChain(e ir.Expr) ([]binding, ir.Expr) {
-	var out []binding
-	for {
-		l, ok := e.(*ir.Let)
-		if !ok {
-			return out, e
+// rewriteChains applies f to every let-chain of e: each If branch, Match
+// clause and nested Function body in ir.Rewrite's post-order, then e's own
+// chain. Rebuilt nodes keep their checked types, and the first error f
+// returns stops the walk.
+func rewriteChains(e ir.Expr, f func(ir.Expr) (ir.Expr, error)) (ir.Expr, error) {
+	var err error
+	chain := func(c ir.Expr) ir.Expr {
+		if err != nil {
+			return c
 		}
-		out = append(out, binding{v: l.Bound, value: l.Value})
-		e = l.Body
+		out, ferr := f(c)
+		if ferr != nil {
+			err = ferr
+			return c
+		}
+		return out
 	}
-}
-
-// buildChain reassembles a let-chain.
-func buildChain(bs []binding, result ir.Expr) ir.Expr {
-	out := result
-	for i := len(bs) - 1; i >= 0; i-- {
-		out = ir.NewLet(bs[i].v, bs[i].value, out)
+	e = ir.Rewrite(e, func(x ir.Expr) ir.Expr {
+		var out ir.Expr
+		switch n := x.(type) {
+		case *ir.If:
+			out = &ir.If{Cond: n.Cond, Then: chain(n.Then), Else: chain(n.Else)}
+		case *ir.Match:
+			clauses := make([]*ir.Clause, len(n.Clauses))
+			for i, c := range n.Clauses {
+				clauses[i] = &ir.Clause{Pattern: c.Pattern, Body: chain(c.Body)}
+			}
+			out = &ir.Match{Data: n.Data, Clauses: clauses}
+		case *ir.Function:
+			out = ir.NewFunc(n.Params, chain(n.Body), n.RetAnn)
+		default:
+			return x
+		}
+		out.SetCheckedType(x.CheckedType())
+		return out
+	})
+	e = chain(e)
+	if err != nil {
+		return nil, err
 	}
-	return out
-}
-
-// isAtomic reports whether an expression may appear as an operand in
-// A-normal form.
-func isAtomic(e ir.Expr) bool {
-	switch e.(type) {
-	case *ir.Var, *ir.GlobalVar, *ir.Constant, *ir.OpRef, *ir.CtorRef:
-		return true
-	}
-	return false
-}
-
-// opCall returns the operator of a call whose callee is an OpRef, or nil.
-func opCall(e ir.Expr) (*ir.Call, *ir.Op) {
-	c, ok := e.(*ir.Call)
-	if !ok {
-		return nil, nil
-	}
-	ref, ok := c.Callee.(*ir.OpRef)
-	if !ok {
-		return c, nil
-	}
-	return c, ref.Op
+	return e, nil
 }

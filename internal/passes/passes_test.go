@@ -8,6 +8,7 @@ import (
 
 	"nimble/internal/codegen"
 	"nimble/internal/ir"
+	"nimble/internal/models"
 	"nimble/internal/tensor"
 	"nimble/internal/typeinfer"
 )
@@ -56,7 +57,7 @@ func TestANFFlattensNestedCalls(t *testing.T) {
 	m := inferred(t, ir.NewFunc([]*ir.Var{x}, e, nil))
 	runPass(t, m, ANF())
 	body := mainBody(t, m)
-	bs, result := splitChain(body)
+	bs, result := ir.SplitChain(body)
 	if len(bs) != 2 {
 		t.Fatalf("expected 2 bindings, got %d:\n%s", len(bs), ir.Print(body))
 	}
@@ -64,7 +65,7 @@ func TestANFFlattensNestedCalls(t *testing.T) {
 	ir.Visit(body, func(e ir.Expr) bool {
 		if c, ok := e.(*ir.Call); ok {
 			for _, a := range c.Args {
-				if !isAtomic(a) {
+				if !ir.IsAtomic(a) {
 					t.Errorf("non-atomic arg %s", ir.ExprKind(a))
 				}
 			}
@@ -85,12 +86,12 @@ func TestANFKeepsBranchesInTailPosition(t *testing.T) {
 	body := mainBody(t, m)
 	// The If must be let-bound (it is an operand), and its branches must be
 	// normalized chains.
-	bs, _ := splitChain(body)
+	bs, _ := ir.SplitChain(body)
 	foundIf := false
 	for _, b := range bs {
-		if iff, ok := b.value.(*ir.If); ok {
+		if iff, ok := b.Value.(*ir.If); ok {
 			foundIf = true
-			if !isAtomic(iff.Cond) {
+			if !ir.IsAtomic(iff.Cond) {
 				t.Error("if condition not atomic")
 			}
 		}
@@ -244,9 +245,9 @@ func TestFuseDenseEpilogue(t *testing.T) {
 // fusedOpOf returns the fused operator in main's top-level chain.
 func fusedOpOf(t *testing.T, m *ir.Module) *ir.Op {
 	t.Helper()
-	bs, _ := splitChain(mainBody(t, m))
+	bs, _ := ir.SplitChain(mainBody(t, m))
 	for _, bd := range bs {
-		if _, op := opCall(bd.value); op != nil && strings.HasPrefix(op.Name, "fused") {
+		if _, op := ir.OpCall(bd.Value); op != nil && strings.HasPrefix(op.Name, "fused") {
 			return op
 		}
 	}
@@ -621,5 +622,42 @@ func TestUnionFind(t *testing.T) {
 	// Union is idempotent on same class.
 	if err := union(a, b); err != nil {
 		t.Errorf("re-union failed: %v", err)
+	}
+}
+
+// TestPassesKeepCheckedTypes pins that the chain passes keep the checked
+// type of every If, Match and nested Function they rebuild around a
+// rewritten chain: coalesce-storage, place-devices and the compiler after
+// them run without re-inference and see only what the previous pass left.
+func TestPassesKeepCheckedTypes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mod  *ir.Module
+	}{
+		{"treelstm", models.NewTreeLSTM(models.TreeLSTMConfig{Input: 12, Hidden: 10, Seed: 43}).Module},
+		{"lstm", models.NewLSTM(models.LSTMConfig{Input: 16, Hidden: 24, Layers: 2, Seed: 42}).Module},
+		{"decoder", models.NewDecoder(models.DefaultDecoderConfig()).Module},
+	} {
+		mgr := DefaultPipeline(ir.CPU(0))
+		mgr.AfterPass = func(pass string, m *ir.Module) error {
+			if !slices.Contains([]string{"fuse-ops", "manifest-alloc", "coalesce-storage", "place-devices"}, pass) {
+				return nil
+			}
+			for _, fname := range m.FuncNames() {
+				ir.Visit(m.Funcs[fname].Body, func(e ir.Expr) bool {
+					switch e.(type) {
+					case *ir.If, *ir.Match, *ir.Function:
+						if e.CheckedType() == nil {
+							t.Errorf("%s: after %s: untyped %s in @%s", tc.name, pass, ir.ExprKind(e), fname)
+						}
+					}
+					return true
+				})
+			}
+			return nil
+		}
+		if err := mgr.Run(tc.mod); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
 	}
 }

@@ -107,11 +107,11 @@ type tenantEvent struct {
 // the enclosing allocation facts visible.
 func (c *moduleChecker) checkChain(e ir.Expr, fnName string, parent *chainScope) {
 	s := newChainScope(parent)
-	bs, result := splitChain(e)
+	bs, result := ir.SplitChain(e)
 
 	uses := make([][]*ir.Var, len(bs))
 	for i, b := range bs {
-		uses[i] = ir.FreeVars(b.value)
+		uses[i] = ir.FreeVars(b.Value)
 	}
 	resultUses := ir.FreeVars(result)
 
@@ -122,32 +122,32 @@ func (c *moduleChecker) checkChain(e ir.Expr, fnName string, parent *chainScope)
 	kills := map[*ir.Var][]int{} // allocation root -> kill binding indexes
 	killVarAt := map[int]*ir.Var{}
 	for i, b := range bs {
-		call, op := opCall(b.value)
+		call, op := ir.OpCall(b.Value)
 		if op == nil {
 			// If/Match/Tuple/projection/bare-var values and calls to global
 			// functions or closures may all alias their operands; a global
 			// call can even return its own argument.
-			c.recurseNested(b.value, fnName, s)
-			s.roots[b.v] = s.rootsOfAll(uses[i])
+			c.recurseNested(b.Value, fnName, s)
+			s.roots[b.Var] = s.rootsOfAll(uses[i])
 			continue
 		}
-		pos := "let %" + b.v.Name
+		pos := "let %" + b.Var.Name
 		switch op.Name {
 		case ir.OpAllocStorage:
 			size := call.Attrs.Int("size", -1)
 			if size < 0 || len(call.Args) > 0 {
 				size = sizeDynamic
 			}
-			s.storageSize[b.v] = size
-			s.roots[b.v] = []*ir.Var{b.v}
+			s.storageSize[b.Var] = size
+			s.roots[b.Var] = []*ir.Var{b.Var}
 
 		case ir.OpAllocTensor, ir.OpAllocTensorReg:
-			s.roots[b.v] = []*ir.Var{b.v}
-			s.bufBytes[b.v] = sizeDynamic
+			s.roots[b.Var] = []*ir.Var{b.Var}
+			s.bufBytes[b.Var] = sizeDynamic
 			sv, _ := call.Args[0].(*ir.Var)
 			if sv != nil {
-				s.bufStorage[b.v] = sv
-				tenants = append(tenants, tenantEvent{idx: i, storage: sv, buf: b.v})
+				s.bufStorage[b.Var] = sv
+				tenants = append(tenants, tenantEvent{idx: i, storage: sv, buf: b.Var})
 			}
 			if op.Name == ir.OpAllocTensor {
 				shape := tensor.Shape(call.Attrs.Ints("shape"))
@@ -157,7 +157,7 @@ func (c *moduleChecker) checkChain(e ir.Expr, fnName string, parent *chainScope)
 				}
 				bytes := shape.NumElements() * dt.Size()
 				offset := call.Attrs.Int("offset", 0)
-				s.bufBytes[b.v] = bytes
+				s.bufBytes[b.Var] = bytes
 				if sv != nil {
 					if sz, ok := s.lookupStorageSize(sv); ok && sz != sizeDynamic && offset+bytes > sz {
 						c.report("mem.buffer-size", pos,
@@ -171,9 +171,9 @@ func (c *moduleChecker) checkChain(e ir.Expr, fnName string, parent *chainScope)
 			c.checkInvokeMut(call, pos, s)
 			nOut := call.Attrs.Int("num_outputs", 1)
 			if nOut >= 1 && nOut < len(call.Args) {
-				s.roots[b.v] = s.rootsOfAll(varsOf(call.Args[len(call.Args)-nOut:]))
+				s.roots[b.Var] = s.rootsOfAll(varsOf(call.Args[len(call.Args)-nOut:]))
 			} else {
-				s.roots[b.v] = []*ir.Var{b.v}
+				s.roots[b.Var] = []*ir.Var{b.Var}
 			}
 
 		case ir.OpKill:
@@ -185,24 +185,24 @@ func (c *moduleChecker) checkChain(e ir.Expr, fnName string, parent *chainScope)
 					}
 				}
 			}
-			s.roots[b.v] = nil
+			s.roots[b.Var] = nil
 
 		case ir.OpReshapeTensor:
 			// Shares the source's storage without moving data.
 			if len(call.Args) > 0 {
-				s.roots[b.v] = s.rootsOfAll(varsOf(call.Args[:1]))
+				s.roots[b.Var] = s.rootsOfAll(varsOf(call.Args[:1]))
 			}
 
 		case ir.OpDeviceCopy, ir.OpShapeOf, ir.OpInvokeShapeFunc:
 			// Clones / derives fresh data; no aliasing.
-			s.roots[b.v] = []*ir.Var{b.v}
+			s.roots[b.Var] = []*ir.Var{b.Var}
 
 		default:
 			if op.Eval != nil {
 				// An ordinary kernel call allocates its own output.
-				s.roots[b.v] = []*ir.Var{b.v}
+				s.roots[b.Var] = []*ir.Var{b.Var}
 			} else {
-				s.roots[b.v] = s.rootsOfAll(uses[i])
+				s.roots[b.Var] = s.rootsOfAll(uses[i])
 			}
 		}
 	}
@@ -215,8 +215,8 @@ func (c *moduleChecker) checkChain(e ir.Expr, fnName string, parent *chainScope)
 		if killVarAt[i] != nil {
 			continue
 		}
-		consuming := consumingUse(b.value)
-		aliased := inPlaceAliasArg(b.value)
+		consuming := consumingUse(b.Value)
+		aliased := inPlaceAliasArg(b.Value)
 		for _, v := range uses[i] {
 			for _, r := range s.rootsOf(v) {
 				rootLastUse[r] = i
@@ -239,7 +239,7 @@ func (c *moduleChecker) checkChain(e ir.Expr, fnName string, parent *chainScope)
 		if kv == nil {
 			continue
 		}
-		pos := "let %" + bs[i].v.Name
+		pos := "let %" + bs[i].Var.Name
 		for _, r := range s.rootsOf(kv) {
 			switch {
 			case loop && resultRoots[r]:
@@ -397,7 +397,7 @@ func selfTailCall(result ir.Expr, fnName string) bool {
 // when every use is consuming. Re-stated here independently so the verifier
 // checks the planner rather than trusting it.
 func consumingUse(value ir.Expr) bool {
-	_, op := opCall(value)
+	_, op := ir.OpCall(value)
 	if op == nil {
 		return false
 	}
@@ -413,7 +413,7 @@ func consumingUse(value ir.Expr) bool {
 // inPlaceAliasArg returns the input an in-place invoke_mut both reads and
 // overwrites, or nil.
 func inPlaceAliasArg(value ir.Expr) *ir.Var {
-	call, op := opCall(value)
+	call, op := ir.OpCall(value)
 	if op == nil || op.Name != ir.OpInvokeMut || len(call.Args) < 2 {
 		return nil
 	}

@@ -461,3 +461,18 @@ func TestCorpusCoversCatalog(t *testing.T) {
 		}
 	}
 }
+
+// TestRegBoundWrittenNegative pins that a register an instruction writes is
+// bounds-checked even when it is negative: -1 is also instrDef's "writes
+// nothing", so the check must not read the written register through it.
+func TestRegBoundWrittenNegative(t *testing.T) {
+	e := buildExe(exeFn{name: "f", nparams: 1, regs: 2, code: []vm.Instruction{
+		{Op: vm.OpMove, Dst: -1, A: 0},
+		{Op: vm.OpRet, A: 0},
+	}})
+	var ve *verify.Error
+	if err := verify.Executable(e, "loaded executable"); !errors.As(err, &ve) ||
+		len(ve.Violations) == 0 || ve.Violations[0].Invariant != "exe.reg-bound" {
+		t.Fatalf("Move into register -1: %v, want an exe.reg-bound violation", err)
+	}
+}

@@ -146,41 +146,10 @@ func (c *exeChecker) checkFunc(idx int) {
 	c.checkStorageSizes(code)
 }
 
-// regs returns every register an instruction reads or writes.
-func instrRegs(in vm.Instruction) []vm.Reg {
-	rs := make([]vm.Reg, 0, 4+len(in.Args))
-	switch in.Op {
-	case vm.OpRet:
-		rs = append(rs, in.A)
-	case vm.OpIf:
-		rs = append(rs, in.A, in.B)
-	case vm.OpGoto, vm.OpFatal:
-	case vm.OpMove, vm.OpGetField, vm.OpGetTag, vm.OpDeviceCopy, vm.OpShapeOf:
-		rs = append(rs, in.Dst, in.A)
-	case vm.OpAllocTensorReg, vm.OpReshapeTensor:
-		rs = append(rs, in.Dst, in.A, in.B)
-	case vm.OpInvokeClosure:
-		rs = append(rs, in.Dst, in.A)
-	case vm.OpAllocStorage:
-		rs = append(rs, in.Dst)
-		if in.A >= 0 {
-			rs = append(rs, in.A)
-		}
-	case vm.OpAllocTensor:
-		rs = append(rs, in.Dst, in.A)
-	default:
-		rs = append(rs, in.Dst)
-	}
-	switch in.Op {
-	case vm.OpInvoke, vm.OpInvokeClosure, vm.OpInvokePacked, vm.OpAllocADT, vm.OpAllocClosure:
-		rs = append(rs, in.Args...)
-	}
-	return rs
-}
-
 // instrUses returns the registers an instruction reads, and instrDef the
-// register it writes (-1 for none); together with instrRegs they are the
-// verifier's ground-truth model of the interpreter's dispatch loop.
+// register it writes (-1 for none, which writesDst tells apart from a
+// written Dst of -1); together they are the verifier's ground-truth model of
+// the interpreter's dispatch loop.
 func instrUses(in vm.Instruction) []vm.Reg {
 	switch in.Op {
 	case vm.OpMove, vm.OpGetField, vm.OpGetTag, vm.OpDeviceCopy, vm.OpShapeOf:
@@ -207,17 +176,29 @@ func instrUses(in vm.Instruction) []vm.Reg {
 }
 
 func instrDef(in vm.Instruction) vm.Reg {
-	switch in.Op {
-	case vm.OpRet, vm.OpIf, vm.OpGoto, vm.OpFatal:
+	if !writesDst(in.Op) {
 		return -1
 	}
 	return in.Dst
 }
 
+// writesDst reports whether an instruction writes its Dst register.
+func writesDst(op vm.Opcode) bool {
+	switch op {
+	case vm.OpRet, vm.OpIf, vm.OpGoto, vm.OpFatal:
+		return false
+	}
+	return true
+}
+
 // checkOperands enforces exe.reg-bound and exe.index on one instruction.
 func (c *exeChecker) checkOperands(local int, in vm.Instruction, f vm.VMFunc) {
 	exe := c.exe
-	for _, r := range instrRegs(in) {
+	regs := instrUses(in)
+	if writesDst(in.Op) {
+		regs = append([]vm.Reg{in.Dst}, regs...)
+	}
+	for _, r := range regs {
 		if r < 0 || r >= f.RegCount {
 			c.report("exe.reg-bound", local,
 				"%s references register %d outside the %d-register frame", in.Op, r, f.RegCount)

@@ -216,9 +216,9 @@ func typeCompatible(a, b ir.Type) bool {
 // scrutinees) holds an atomic expression, and compound expressions appear
 // only as binding values or chain results.
 func (c *moduleChecker) checkANFChain(e ir.Expr, fnName string) {
-	bs, result := splitChain(e)
+	bs, result := ir.SplitChain(e)
 	for _, b := range bs {
-		c.checkANFValue(b.value, "let %"+b.v.Name, fnName)
+		c.checkANFValue(b.Value, "let %"+b.Var.Name, fnName)
 	}
 	c.checkANFValue(result, "result", fnName)
 }
@@ -227,24 +227,24 @@ func (c *moduleChecker) checkANFValue(e ir.Expr, pos, fnName string) {
 	switch n := e.(type) {
 	case *ir.Var, *ir.GlobalVar, *ir.Constant, *ir.OpRef, *ir.CtorRef:
 	case *ir.Call:
-		if !isAtomic(n.Callee) {
+		if !ir.IsAtomic(n.Callee) {
 			if _, isFn := n.Callee.(*ir.Function); !isFn {
 				c.report("anf.atomic", pos, "call callee is a compound %s", ir.ExprKind(n.Callee))
 			}
 		}
 		for i, a := range n.Args {
-			if !isAtomic(a) {
+			if !ir.IsAtomic(a) {
 				c.report("anf.atomic", pos, "call argument %d is a compound %s", i, ir.ExprKind(a))
 			}
 		}
 	case *ir.If:
-		if !isAtomic(n.Cond) {
+		if !ir.IsAtomic(n.Cond) {
 			c.report("anf.atomic", pos, "if condition is a compound %s", ir.ExprKind(n.Cond))
 		}
 		c.checkANFChain(n.Then, fnName)
 		c.checkANFChain(n.Else, fnName)
 	case *ir.Match:
-		if !isAtomic(n.Data) {
+		if !ir.IsAtomic(n.Data) {
 			c.report("anf.atomic", pos, "match scrutinee is a compound %s", ir.ExprKind(n.Data))
 		}
 		for _, cl := range n.Clauses {
@@ -252,54 +252,15 @@ func (c *moduleChecker) checkANFValue(e ir.Expr, pos, fnName string) {
 		}
 	case *ir.Tuple:
 		for i, f := range n.Fields {
-			if !isAtomic(f) {
+			if !ir.IsAtomic(f) {
 				c.report("anf.atomic", pos, "tuple field %d is a compound %s", i, ir.ExprKind(f))
 			}
 		}
 	case *ir.TupleGet:
-		if !isAtomic(n.Tuple) {
+		if !ir.IsAtomic(n.Tuple) {
 			c.report("anf.atomic", pos, "projection base is a compound %s", ir.ExprKind(n.Tuple))
 		}
 	case *ir.Function:
 		c.checkANFChain(n.Body, fnName)
 	}
-}
-
-// ---- shared helpers ------------------------------------------------------
-
-// binding is one link of a let-chain.
-type binding struct {
-	v     *ir.Var
-	value ir.Expr
-}
-
-func splitChain(e ir.Expr) ([]binding, ir.Expr) {
-	var out []binding
-	for {
-		l, ok := e.(*ir.Let)
-		if !ok {
-			return out, e
-		}
-		out = append(out, binding{v: l.Bound, value: l.Value})
-		e = l.Body
-	}
-}
-
-func isAtomic(e ir.Expr) bool {
-	switch e.(type) {
-	case *ir.Var, *ir.GlobalVar, *ir.Constant, *ir.OpRef, *ir.CtorRef:
-		return true
-	}
-	return false
-}
-
-func opCall(e ir.Expr) (*ir.Call, *ir.Op) {
-	c, ok := e.(*ir.Call)
-	if !ok {
-		return nil, nil
-	}
-	if ref, ok := c.Callee.(*ir.OpRef); ok {
-		return c, ref.Op
-	}
-	return c, nil
 }

@@ -1,7 +1,9 @@
 package vm_test
 
-// Serialization conformance over the paper's three dynamic models. Two
-// properties are pinned:
+// Serialization conformance over the built-in models (the three dynamic
+// ones, BERT and the MLP on the CPU, the decoder on a GPU target) and two
+// generated conformance programs (an If in value position, a self tail
+// call lowered to a loop). Two properties are pinned:
 //
 //  1. Round-trip fidelity: serialize → deserialize → re-serialize is
 //     byte-identical, and the relinked executable computes the same
@@ -30,6 +32,8 @@ import (
 	"testing"
 
 	"nimble/internal/compiler"
+	"nimble/internal/conformance"
+	"nimble/internal/ir"
 	"nimble/internal/models"
 	"nimble/internal/tensor"
 	"nimble/internal/vm"
@@ -87,6 +91,18 @@ func goldenModels() []goldenModel {
 			},
 		},
 		{
+			name: "mlp",
+			hash: "db460e6a0cccbfce13075150e01696819efd7e411e06d35d3d4bb34001bc995d",
+			build: func(t *testing.T) (*compiler.Result, []vm.Object) {
+				m := models.NewMLP(models.MLPConfig{In: 8, Hidden: 16, Out: 4, Layers: 2, Seed: 45})
+				res, err := compiler.Compile(m.Module, compiler.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, []vm.Object{vm.NewTensorObj(m.RandomBatch(rand.New(rand.NewSource(4)), 5))}
+			},
+		},
+		{
 			name:  "decoder",
 			hash:  "7e95251a17ddb01c7337492c2effdcd8fd9a73198e9e2d38d26bf3c30352d475",
 			entry: "generate",
@@ -99,7 +115,56 @@ func goldenModels() []goldenModel {
 				return res, []vm.Object{vm.NewTensorObj(models.StartToken(9))}
 			},
 		},
+		{
+			// The table's only compile whose allocations manifest-alloc
+			// and place-devices put on a non-CPU device.
+			name:  "decoder-gpu",
+			hash:  "d955841b69138705bf0b9b0c337a96943a3522c000fe662da3455bdc2d0df217",
+			entry: "generate",
+			build: func(t *testing.T) (*compiler.Result, []vm.Object) {
+				m := models.NewDecoder(models.DefaultDecoderConfig())
+				res, err := compiler.Compile(m.Module, compiler.Options{Target: ir.GPU(0)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, []vm.Object{vm.NewTensorObj(models.StartToken(9))}
+			},
+		},
+		{
+			// Seed 6 binds an If in value position and feeds it to a dense
+			// over an Any leading dimension.
+			name: "conformance-if",
+			hash: "ddb1972ba0a008c03c00587507ee8177a8975f3ac3ea3cc216e87cee3e3f5903",
+			build: func(t *testing.T) (*compiler.Result, []vm.Object) {
+				return conformanceBuild(t, conformance.Generate(rand.New(rand.NewSource(6))))
+			},
+		},
+		{
+			// A self tail call lowered to a loop back edge.
+			name: "conformance-loop",
+			hash: "b663263fbd8ee6877e146e9db72943743d4522998d75c888ca58f41e859d1981",
+			build: func(t *testing.T) (*compiler.Result, []vm.Object) {
+				return conformanceBuild(t, conformance.GenerateLoop(rand.New(rand.NewSource(1))))
+			},
+		},
 	}
+}
+
+// conformanceBuild compiles a generated conformance program and returns its
+// inputs as entry arguments.
+func conformanceBuild(t *testing.T, p interface {
+	BuildModule() *ir.Module
+	Inputs() []*tensor.Tensor
+}) (*compiler.Result, []vm.Object) {
+	res, err := compiler.Compile(p.BuildModule(), compiler.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var args []vm.Object
+	for _, in := range p.Inputs() {
+		args = append(args, vm.NewTensorObj(in))
+	}
+	return res, args
 }
 
 func serializeBytes(t *testing.T, e *vm.Executable) []byte {

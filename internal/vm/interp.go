@@ -503,8 +503,7 @@ func (vm *VM) exec(ctx context.Context, stack []*frame) (_ []*frame, parked bool
 			}
 			dst := ir.Device{Type: ir.DeviceType(in.Device), ID: in.DeviceID}
 			// On the host substrate a cross-device copy is a clone into the
-			// destination domain; the platform simulator charges transfer
-			// cost by CopyBytes.
+			// destination domain.
 			fr.regs[in.Dst] = &TensorObj{T: src.T.Clone(), Device: dst}
 			if prof != nil {
 				prof.CopyBytes += int64(src.T.NumBytes())
