@@ -89,11 +89,11 @@ func (c *anfConverter) normalizeInto(e ir.Expr, bs *[]ir.Binding, tail bool) ir.
 
 	case *ir.If:
 		cond := c.normalizeAtom(n.Cond, bs)
-		return &ir.If{
+		return keepType(&ir.If{
 			Cond: cond,
 			Then: c.normalizeTail(n.Then),
 			Else: c.normalizeTail(n.Else),
-		}
+		}, n)
 
 	case *ir.Match:
 		data := c.normalizeAtom(n.Data, bs)
@@ -101,10 +101,10 @@ func (c *anfConverter) normalizeInto(e ir.Expr, bs *[]ir.Binding, tail bool) ir.
 		for i, cl := range n.Clauses {
 			clauses[i] = &ir.Clause{Pattern: cl.Pattern, Body: c.normalizeTail(cl.Body)}
 		}
-		return &ir.Match{Data: data, Clauses: clauses}
+		return keepType(&ir.Match{Data: data, Clauses: clauses}, n)
 
 	case *ir.Function:
-		return ir.NewFunc(n.Params, c.normalizeTail(n.Body), n.RetAnn)
+		return keepType(ir.NewFunc(n.Params, c.normalizeTail(n.Body), n.RetAnn), n)
 
 	default:
 		return e

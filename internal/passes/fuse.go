@@ -2,6 +2,7 @@ package passes
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"unsafe"
@@ -26,18 +27,19 @@ type FusionStats struct {
 // functions are data independent may join a group, because a data-dependent
 // or upper-bound shape function would need access to the intermediate
 // tensors hidden inside the composite. It reports into Stats.Fusion.
+// A fused operator is named fused<N>(<members>) by what it computes, N
+// numbering the module's distinct computations in first-seen order: groups
+// that differ only in the tensors they read, such as layers over their own
+// weights, share one kernel and one shape function.
 func FuseOps() Pass {
 	return Pass{
 		Name:       "fuse-ops",
 		NeedsTypes: true,
 		Run: func(mod *ir.Module, st *Stats) error {
-			// Group ids make fused operator names unique across the module:
-			// two groups with the same member ops but different attrs or
-			// weights must compile to distinct kernels.
-			var groupID int
+			ids := map[string]int{}
 			return mapFuncs(mod, func(_ string, fn *ir.Function) (ir.Expr, error) {
 				return rewriteChains(fn.Body, func(e ir.Expr) (ir.Expr, error) {
-					return fuseChain(e, &st.Fusion, &groupID), nil
+					return fuseChain(e, &st.Fusion, ids), nil
 				})
 			})
 		},
@@ -45,7 +47,8 @@ func FuseOps() Pass {
 }
 
 // fuseChain fuses one let-chain; rewriteChains reaches the nested ones.
-func fuseChain(e ir.Expr, stats *FusionStats, id *int) ir.Expr {
+// ids numbers the module's fused computations (see buildFusedBinding).
+func fuseChain(e ir.Expr, stats *FusionStats, ids map[string]int) ir.Expr {
 	bs, result := ir.SplitChain(e)
 	if len(bs) < 2 {
 		return e
@@ -58,8 +61,7 @@ func fuseChain(e ir.Expr, stats *FusionStats, id *int) ir.Expr {
 	for i < len(bs) {
 		group := collectGroup(bs, i, uses)
 		if len(group) >= 2 {
-			*id++
-			fused := buildFusedBinding(bs[i:i+len(group)], group, *id)
+			fused := buildFusedBinding(bs[i:i+len(group)], group, ids)
 			out = append(out, fused)
 			stats.Groups++
 			stats.OpsFused += len(group)
@@ -139,23 +141,32 @@ type fusedMember struct {
 }
 
 // buildFusedBinding replaces the bindings of a group with a single binding
-// of a synthesized composite operator.
-func buildFusedBinding(bs []ir.Binding, ops []*ir.Op, id int) ir.Binding {
+// of a synthesized composite operator, numbered in ids by a key of each
+// member's op, attrs and argument wiring and the external count: the
+// composite kernel (composeEval) and shape function (composeDims) depend on
+// nothing else, and each group's own operator carries its checked type.
+func buildFusedBinding(bs []ir.Binding, ops []*ir.Op, ids map[string]int) ir.Binding {
 	n := len(ops)
 	memberOf := map[*ir.Var]int{}
 	var externals []ir.Expr
 	extIdx := map[ir.Expr]int{}
+	var key []byte
 
 	members := make([]fusedMember, n)
 	names := make([]string, n)
 	for m := 0; m < n; m++ {
 		call, op := ir.OpCall(bs[m].Value)
 		names[m] = op.Name
+		key = append(key, op.Name...)
+		for _, k := range call.Attrs.Keys() {
+			key = fmt.Appendf(key, " %s=%#v", k, call.Attrs[k])
+		}
 		refs := make([]argRef, len(call.Args))
 		for ai, a := range call.Args {
 			if v, ok := a.(*ir.Var); ok {
 				if mi, internal := memberOf[v]; internal {
 					refs[ai] = argRef{internal: true, idx: mi}
+					key = strconv.AppendInt(append(key, " m"...), int64(mi), 10)
 					continue
 				}
 			}
@@ -166,14 +177,20 @@ func buildFusedBinding(bs []ir.Binding, ops []*ir.Op, id int) ir.Binding {
 				externals = append(externals, a)
 			}
 			refs[ai] = argRef{idx: idx}
+			key = strconv.AppendInt(append(key, " x"...), int64(idx), 10)
 		}
+		key = append(key, ';')
 		members[m] = fusedMember{op: op, attrs: call.Attrs, args: refs}
 		memberOf[bs[m].Var] = m
 	}
 
+	key = strconv.AppendInt(key, int64(len(externals)), 10)
+	if _, seen := ids[string(key)]; !seen {
+		ids[string(key)] = len(ids) + 1
+	}
 	outType := bs[n-1].Value.CheckedType()
 	fused := &ir.Op{
-		Name: fmt.Sprintf("fused%d(%s)", id, strings.Join(names, "+")),
+		Name: fmt.Sprintf("fused%d(%s)", ids[string(key)], strings.Join(names, "+")),
 		Rel: func(_ []ir.Type, _ ir.Attrs) (ir.Type, error) {
 			if outType == nil {
 				return nil, fmt.Errorf("passes: fused op lost its output type")

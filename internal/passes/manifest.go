@@ -64,8 +64,14 @@ func alreadyDialect(op *ir.Op) bool {
 	return false
 }
 
+// manifestChain makes one let-chain's allocations explicit; rewriteChains
+// reaches the nested ones. Each argument (a variable or constant, by ANF)
+// has its shape read once per chain: it cannot change shape, and the chain
+// is straight-line, so the first shape_of dominates every later use. A
+// buffer may thus be killed before a later allocation reads its shape.
 func manifestChain(e ir.Expr, target ir.Device, stats *AllocStats) (ir.Expr, error) {
 	bs, result := ir.SplitChain(e)
+	shapes := map[ir.Expr]*ir.Var{}
 	fresh := 0
 	newVar := func(prefix string) *ir.Var {
 		fresh++
@@ -140,8 +146,12 @@ func manifestChain(e ir.Expr, target ir.Device, stats *AllocStats) (ir.Expr, err
 		} else {
 			// Data-independent / upper-bound: shapes suffice.
 			for _, a := range call.Args {
-				shv := newVar("sh")
-				out = append(out, ir.Binding{Var: shv, Value: callDialect(ir.OpShapeOf, []ir.Expr{a}, nil)})
+				shv := shapes[a]
+				if shv == nil {
+					shv = newVar("sh")
+					out = append(out, ir.Binding{Var: shv, Value: callDialect(ir.OpShapeOf, []ir.Expr{a}, nil)})
+					shapes[a] = shv
+				}
 				sfArgs = append(sfArgs, shv)
 			}
 		}

@@ -147,12 +147,17 @@ func rewriteChains(e ir.Expr, f func(ir.Expr) (ir.Expr, error)) (ir.Expr, error)
 		default:
 			return x
 		}
-		out.SetCheckedType(x.CheckedType())
-		return out
+		return keepType(out, x)
 	})
 	e = chain(e)
 	if err != nil {
 		return nil, err
 	}
 	return e, nil
+}
+
+// keepType gives out, a rebuilt copy of from, from's checked type.
+func keepType(out, from ir.Expr) ir.Expr {
+	out.SetCheckedType(from.CheckedType())
+	return out
 }

@@ -355,6 +355,58 @@ func TestFuseTwoOutFusablesDoNotMerge(t *testing.T) {
 	}
 }
 
+// TestFuseNamesGroupsByComputation pins that a fused operator is named by
+// what it computes. Two groups, one over x and one over y, share a name
+// when they differ only in the tensors they read, and get their own names
+// when a member's attrs, its operand order, or the reuse of an external
+// argument differs.
+func TestFuseNamesGroupsByComputation(t *testing.T) {
+	type group func(b *ir.Builder, in, w, bias *ir.Var) *ir.Var
+	slice := func(begin int) group {
+		return func(b *ir.Builder, in, _, _ *ir.Var) *ir.Var {
+			return b.OpAttrs("strided_slice", ir.Attrs{"axis": 1, "begin": begin, "end": begin + 4}, b.Op("tanh", in))
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		same   bool
+		g1, g2 group
+	}{
+		{"weights", true,
+			func(b *ir.Builder, in, w, bias *ir.Var) *ir.Var { return b.Op("bias_add", b.Op("dense", in, w), bias) },
+			func(b *ir.Builder, in, w, bias *ir.Var) *ir.Var { return b.Op("bias_add", b.Op("dense", in, w), bias) }},
+		{"attrs", false, slice(0), slice(4)},
+		{"operand order", false,
+			func(b *ir.Builder, in, _, bias *ir.Var) *ir.Var { return b.Op("subtract", b.Op("tanh", in), bias) },
+			func(b *ir.Builder, in, _, bias *ir.Var) *ir.Var { return b.Op("subtract", bias, b.Op("tanh", in)) }},
+		{"reused external", false,
+			func(b *ir.Builder, in, _, _ *ir.Var) *ir.Var { return b.Op("add", b.Op("tanh", in), in) },
+			func(b *ir.Builder, in, _, bias *ir.Var) *ir.Var { return b.Op("add", b.Op("tanh", in), bias) }},
+	} {
+		x := ir.NewVar("x", ir.TT(tensor.Float32, anyd, 8))
+		y := ir.NewVar("y", ir.TT(tensor.Float32, anyd, 8))
+		w1, w2 := ir.NewVar("w1", ir.TT(tensor.Float32, 8, 8)), ir.NewVar("w2", ir.TT(tensor.Float32, 8, 8))
+		b1, b2 := ir.NewVar("b1", ir.TT(tensor.Float32, 8)), ir.NewVar("b2", ir.TT(tensor.Float32, 8))
+		b := ir.NewBuilder()
+		out := &ir.Tuple{Fields: []ir.Expr{tc.g1(b, x, w1, b1), tc.g2(b, y, w2, b2)}}
+		m := inferred(t, ir.NewFunc([]*ir.Var{x, y, w1, w2, b1, b2}, b.Finish(out), nil))
+		runPass(t, m, ANF())
+		if st := runPass(t, m, FuseOps()).Fusion; st.Groups != 2 {
+			t.Fatalf("%s: %d groups, want 2", tc.name, st.Groups)
+		}
+		var names []string
+		bs, _ := ir.SplitChain(mainBody(t, m))
+		for _, bd := range bs {
+			if _, op := ir.OpCall(bd.Value); op != nil && strings.HasPrefix(op.Name, "fused") {
+				names = append(names, op.Name)
+			}
+		}
+		if len(names) != 2 || (names[0] == names[1]) != tc.same {
+			t.Errorf("%s: fused names %q, want same name %v", tc.name, names, tc.same)
+		}
+	}
+}
+
 // --- Memory planning ---
 
 func TestManifestAllocStatic(t *testing.T) {
@@ -625,10 +677,11 @@ func TestUnionFind(t *testing.T) {
 	}
 }
 
-// TestPassesKeepCheckedTypes pins that the chain passes keep the checked
-// type of every If, Match and nested Function they rebuild around a
-// rewritten chain: coalesce-storage, place-devices and the compiler after
-// them run without re-inference and see only what the previous pass left.
+// TestPassesKeepCheckedTypes pins that every pass keeps the checked type of
+// every If, Match and nested Function it rebuilds: a pass that does not
+// need types runs without re-inference, as do the compiler and the
+// verifier after the pipeline, and each sees only what the previous pass
+// left.
 func TestPassesKeepCheckedTypes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -640,9 +693,6 @@ func TestPassesKeepCheckedTypes(t *testing.T) {
 	} {
 		mgr := DefaultPipeline(ir.CPU(0))
 		mgr.AfterPass = func(pass string, m *ir.Module) error {
-			if !slices.Contains([]string{"fuse-ops", "manifest-alloc", "coalesce-storage", "place-devices"}, pass) {
-				return nil
-			}
 			for _, fname := range m.FuncNames() {
 				ir.Visit(m.Funcs[fname].Body, func(e ir.Expr) bool {
 					switch e.(type) {

@@ -288,6 +288,8 @@ func TestSchedulerPriorityOvertake(t *testing.T) {
 	// first must carry the lane-0 request and the oldest lane-1 one.
 	t.Run("rows", func(t *testing.T) {
 		m, res := compileMLP(t)
+		// The hidden layers share one fused kernel, so the probe records
+		// only the first layer's call: the one whose input is the model's.
 		var dispatched []int            // leading dim of each dispatch's input
 		first := res.Exe.KernelNames[1] // [0] is its shape function
 		err := res.Exe.WrapKernels(func(name string, fn vm.PackedFunc) vm.PackedFunc {
@@ -295,7 +297,9 @@ func TestSchedulerPriorityOvertake(t *testing.T) {
 				return fn
 			}
 			return func(args []*tensor.Tensor, out *tensor.Tensor) (*tensor.Tensor, error) {
-				dispatched = append(dispatched, args[0].Shape()[0])
+				if args[0].Shape()[1] == m.Config.In {
+					dispatched = append(dispatched, args[0].Shape()[0])
+				}
 				return fn(args, out)
 			}
 		})
@@ -344,6 +348,10 @@ func TestSchedulerCancelMidStream(t *testing.T) {
 		once := sync.Once{}
 		_, cancelErr = submitWait(sc, ctx, 0, func(*tensor.Tensor) error {
 			once.Do(func() { close(gotOne) })
+			// Hold the first token unread until the cancel lands: the worker
+			// steps no stream whose token is unread, so the stream cannot
+			// finish all its tokens before cancel runs.
+			<-ctx.Done()
 			return nil
 		}, "generate", startObj(9))
 	}()

@@ -53,7 +53,7 @@ func goldenModels() []goldenModel {
 	return []goldenModel{
 		{
 			name: "lstm",
-			hash: "5f7789e3338659cae2df7578791aa6a03848917c49d44283927a70be9b2b8ff9",
+			hash: "2bf90d285715cfad25c87f7ede23e982abf8bdf1745356c262849ca5fe81f0cf",
 			build: func(t *testing.T) (*compiler.Result, []vm.Object) {
 				m := models.NewLSTM(models.LSTMConfig{Input: 16, Hidden: 24, Layers: 2, Seed: 42})
 				res, err := compiler.Compile(m.Module, compiler.Options{})
@@ -66,7 +66,7 @@ func goldenModels() []goldenModel {
 		},
 		{
 			name: "treelstm",
-			hash: "e341d2a2ace4e99be70b6a47a623cc6279340a4e6bcd44d181aa791970cb3fa7",
+			hash: "f77e5c6ff892e1b10d18922436d38c390d892f278b3cbe921c5439b2180da71e",
 			build: func(t *testing.T) (*compiler.Result, []vm.Object) {
 				m := models.NewTreeLSTM(models.TreeLSTMConfig{Input: 12, Hidden: 10, Seed: 43})
 				res, err := compiler.Compile(m.Module, compiler.Options{})
@@ -79,7 +79,7 @@ func goldenModels() []goldenModel {
 		},
 		{
 			name: "bert",
-			hash: "a8d52d0bb6c47702cc382b830ce635ba174f38c4c465fe6a877eeaa86af57812",
+			hash: "33116c6511df588d75f3aff204548135a85708bd1f173eebaa77d88f8f545ae0",
 			build: func(t *testing.T) (*compiler.Result, []vm.Object) {
 				m := models.NewBERT(models.BERTConfig{Layers: 1, Hidden: 32, Heads: 2, FFN: 64, Vocab: 128, MaxSeq: 32, Seed: 44})
 				res, err := compiler.Compile(m.Module, compiler.Options{})
@@ -92,7 +92,7 @@ func goldenModels() []goldenModel {
 		},
 		{
 			name: "mlp",
-			hash: "db460e6a0cccbfce13075150e01696819efd7e411e06d35d3d4bb34001bc995d",
+			hash: "ff2b06285b9f94a6db0be83103d4c8e078003263fbcad6261335f1ace96f179d",
 			build: func(t *testing.T) (*compiler.Result, []vm.Object) {
 				m := models.NewMLP(models.MLPConfig{In: 8, Hidden: 16, Out: 4, Layers: 2, Seed: 45})
 				res, err := compiler.Compile(m.Module, compiler.Options{})
@@ -104,7 +104,7 @@ func goldenModels() []goldenModel {
 		},
 		{
 			name:  "decoder",
-			hash:  "7e95251a17ddb01c7337492c2effdcd8fd9a73198e9e2d38d26bf3c30352d475",
+			hash:  "30177de042dfc48adaa1fbce0a1203300a72f2027d947a1aefecb82700385012",
 			entry: "generate",
 			build: func(t *testing.T) (*compiler.Result, []vm.Object) {
 				m := models.NewDecoder(models.DefaultDecoderConfig())
@@ -119,7 +119,7 @@ func goldenModels() []goldenModel {
 			// The table's only compile whose allocations manifest-alloc
 			// and place-devices put on a non-CPU device.
 			name:  "decoder-gpu",
-			hash:  "d955841b69138705bf0b9b0c337a96943a3522c000fe662da3455bdc2d0df217",
+			hash:  "17bf8d7b2f48c98d530deeb758daf9326870f894b2b450d341717bd7f116117e",
 			entry: "generate",
 			build: func(t *testing.T) (*compiler.Result, []vm.Object) {
 				m := models.NewDecoder(models.DefaultDecoderConfig())

@@ -10,7 +10,8 @@ package vm_test
 //     and none backs the returned value;
 //   - cached views change nothing: a warmed pooled VM and a VM without the
 //     pool give bit-identical outputs; and
-//   - the warmed Tree-LSTM and LSTM stay under their Go allocation fences.
+//   - the warmed Tree-LSTM, LSTM and BERT stay under their Go allocation
+//     fences.
 
 import (
 	"context"
@@ -225,5 +226,39 @@ func TestLSTMStepAllocs(t *testing.T) {
 	t.Logf("warmed LSTM: %.1f allocs/step over %d steps", perStep, steps)
 	if perStep > maxAllocsPerLSTMStep {
 		t.Errorf("LSTM allocates %.1f objects a step, above the %d fence", perStep, maxAllocsPerLSTMStep)
+	}
+}
+
+// maxAllocsPerBERTRequest fences the Go allocations of a warmed bare-VM
+// BERT-reduced request, averaged over sequence lengths 8, 128 and 8: the
+// switch to the long sequence and back must find its storages in the pool.
+// A request allocates about 2,180 objects, about 2,200 under -race, most of
+// them shape-function results and kernel-allocated tensors, a few per
+// operator. Reading each value's shape once per chain took it from about
+// 2,430.
+const maxAllocsPerBERTRequest = 2300
+
+func TestBERTAllocs(t *testing.T) {
+	m := models.NewBERT(models.BERTReduced())
+	res := mustCompile(t, m.Module)
+	rng := rand.New(rand.NewSource(5))
+	lengths := []int{8, 128, 8}
+	ids := make([]vm.Object, len(lengths))
+	for i, n := range lengths {
+		ids[i] = vm.NewTensorObj(m.RandomIDs(rng, n))
+	}
+	machine := vm.New(res.Exe)
+	run := func() {
+		for _, x := range ids {
+			if _, err := machine.InvokeContext(context.Background(), "main", x); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run() // warm the storage pool and frame recycler at every length
+	perRequest := testing.AllocsPerRun(5, run) / float64(len(lengths))
+	t.Logf("warmed BERT over lengths %v: %.0f allocs/request", lengths, perRequest)
+	if perRequest > maxAllocsPerBERTRequest {
+		t.Errorf("BERT allocates %.0f objects a request, above the %d fence", perRequest, maxAllocsPerBERTRequest)
 	}
 }

@@ -348,6 +348,11 @@ func TestCompileStats(t *testing.T) {
 	if st.FusionGroups == 0 {
 		t.Errorf("MLP should fuse: %+v", st)
 	}
+	// The two hidden layers share their fused kernel, and the disassembly
+	// says so.
+	if d := p.Disassemble(); !strings.Contains(d, "sites=2   fused1(dense_packed+bias_add+relu)\n") {
+		t.Errorf("disassembly does not show the hidden layers' shared kernel:\n%s", d)
+	}
 }
 
 // TestDispatchWidthRejected pins that an invalid WithDispatchWidth fails

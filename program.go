@@ -62,13 +62,20 @@ func (p *Program) Verify() error {
 }
 
 // Disassemble renders the program's bytecode, kernel table, and constant
-// pool metadata.
+// pool metadata. Each kernel shows how many InvokePacked instructions call
+// it, so a kernel that several sites share stands out.
 func (p *Program) Disassemble() string {
+	sites := make([]int, len(p.exe.KernelNames))
+	for _, in := range p.exe.Code {
+		if in.Op == vm.OpInvokePacked {
+			sites[in.Imm]++
+		}
+	}
 	var b strings.Builder
 	b.WriteString(p.exe.Disassemble())
 	fmt.Fprintf(&b, "kernels (%d):\n", len(p.exe.KernelNames))
 	for i, k := range p.exe.KernelNames {
-		fmt.Fprintf(&b, "  #%-3d %s\n", i, k)
+		fmt.Fprintf(&b, "  #%-3d sites=%-3d %s\n", i, sites[i], k)
 	}
 	fmt.Fprintf(&b, "constants: %d\n", len(p.exe.Consts))
 	return b.String()
