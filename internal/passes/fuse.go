@@ -142,9 +142,9 @@ type fusedMember struct {
 
 // buildFusedBinding replaces the bindings of a group with a single binding
 // of a synthesized composite operator, numbered in ids by a key of each
-// member's op, attrs and argument wiring and the external count: the
-// composite kernel (composeEval) and shape function (composeDims) depend on
-// nothing else, and each group's own operator carries its checked type.
+// member's op, attrs and argument wiring: the composite kernel
+// (composeEval) and shape function (composeDims) depend on nothing else,
+// and each group's own operator carries its checked type.
 func buildFusedBinding(bs []ir.Binding, ops []*ir.Op, ids map[string]int) ir.Binding {
 	n := len(ops)
 	memberOf := map[*ir.Var]int{}
@@ -184,7 +184,6 @@ func buildFusedBinding(bs []ir.Binding, ops []*ir.Op, ids map[string]int) ir.Bin
 		memberOf[bs[m].Var] = m
 	}
 
-	key = strconv.AppendInt(key, int64(len(externals)), 10)
 	if _, seen := ids[string(key)]; !seen {
 		ids[string(key)] = len(ids) + 1
 	}

@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -53,7 +54,7 @@ func goldenModels() []goldenModel {
 	return []goldenModel{
 		{
 			name: "lstm",
-			hash: "2bf90d285715cfad25c87f7ede23e982abf8bdf1745356c262849ca5fe81f0cf",
+			hash: "1c957add4bd23745f13a94e8abf2cad9ae896c665540f245fccdd908d276f3ba",
 			build: func(t *testing.T) (*compiler.Result, []vm.Object) {
 				m := models.NewLSTM(models.LSTMConfig{Input: 16, Hidden: 24, Layers: 2, Seed: 42})
 				res, err := compiler.Compile(m.Module, compiler.Options{})
@@ -66,7 +67,7 @@ func goldenModels() []goldenModel {
 		},
 		{
 			name: "treelstm",
-			hash: "f77e5c6ff892e1b10d18922436d38c390d892f278b3cbe921c5439b2180da71e",
+			hash: "b3db6a4944bc627b65a49084bacaee94af2a90b2d7b352ed35a6a0d63940720e",
 			build: func(t *testing.T) (*compiler.Result, []vm.Object) {
 				m := models.NewTreeLSTM(models.TreeLSTMConfig{Input: 12, Hidden: 10, Seed: 43})
 				res, err := compiler.Compile(m.Module, compiler.Options{})
@@ -79,7 +80,7 @@ func goldenModels() []goldenModel {
 		},
 		{
 			name: "bert",
-			hash: "33116c6511df588d75f3aff204548135a85708bd1f173eebaa77d88f8f545ae0",
+			hash: "1dd8898b344a87cc0fa341fa1965ca5508ba4a80f3bf04e321a284fe45accffa",
 			build: func(t *testing.T) (*compiler.Result, []vm.Object) {
 				m := models.NewBERT(models.BERTConfig{Layers: 1, Hidden: 32, Heads: 2, FFN: 64, Vocab: 128, MaxSeq: 32, Seed: 44})
 				res, err := compiler.Compile(m.Module, compiler.Options{})
@@ -92,7 +93,7 @@ func goldenModels() []goldenModel {
 		},
 		{
 			name: "mlp",
-			hash: "ff2b06285b9f94a6db0be83103d4c8e078003263fbcad6261335f1ace96f179d",
+			hash: "2993048afeffd6b26597ccb2cccc10fa3c88e6f61b58bd1331a603c9ed62f4ac",
 			build: func(t *testing.T) (*compiler.Result, []vm.Object) {
 				m := models.NewMLP(models.MLPConfig{In: 8, Hidden: 16, Out: 4, Layers: 2, Seed: 45})
 				res, err := compiler.Compile(m.Module, compiler.Options{})
@@ -104,7 +105,7 @@ func goldenModels() []goldenModel {
 		},
 		{
 			name:  "decoder",
-			hash:  "30177de042dfc48adaa1fbce0a1203300a72f2027d947a1aefecb82700385012",
+			hash:  "1b02bb6c3fcc2bc707ad4ff560a8908253fc3797c54a6b1f438435ac6c1273f4",
 			entry: "generate",
 			build: func(t *testing.T) (*compiler.Result, []vm.Object) {
 				m := models.NewDecoder(models.DefaultDecoderConfig())
@@ -119,7 +120,7 @@ func goldenModels() []goldenModel {
 			// The table's only compile whose allocations manifest-alloc
 			// and place-devices put on a non-CPU device.
 			name:  "decoder-gpu",
-			hash:  "17bf8d7b2f48c98d530deeb758daf9326870f894b2b450d341717bd7f116117e",
+			hash:  "c7009bb897a65364052546283da5257ea44dd01e7d5b13a1b0e07fe6d478566b",
 			entry: "generate",
 			build: func(t *testing.T) (*compiler.Result, []vm.Object) {
 				m := models.NewDecoder(models.DefaultDecoderConfig())
@@ -134,7 +135,7 @@ func goldenModels() []goldenModel {
 			// Seed 6 binds an If in value position and feeds it to a dense
 			// over an Any leading dimension.
 			name: "conformance-if",
-			hash: "ddb1972ba0a008c03c00587507ee8177a8975f3ac3ea3cc216e87cee3e3f5903",
+			hash: "47b9a71a1e5c44969e468f33843623c161a1d40843c1e49ae0ee9aba4e425724",
 			build: func(t *testing.T) (*compiler.Result, []vm.Object) {
 				return conformanceBuild(t, conformance.Generate(rand.New(rand.NewSource(6))))
 			},
@@ -142,7 +143,7 @@ func goldenModels() []goldenModel {
 		{
 			// A self tail call lowered to a loop back edge.
 			name: "conformance-loop",
-			hash: "b663263fbd8ee6877e146e9db72943743d4522998d75c888ca58f41e859d1981",
+			hash: "693940c173198e91bdd93c937191fbaeb3750920fc02b711347a7d66d38bb5cf",
 			build: func(t *testing.T) (*compiler.Result, []vm.Object) {
 				return conformanceBuild(t, conformance.GenerateLoop(rand.New(rand.NewSource(1))))
 			},
@@ -234,21 +235,24 @@ func TestSerializeGolden(t *testing.T) {
 	}
 }
 
-// TestReadExecutableRejectsOtherVersion patches a version-2 file to
-// version 1: ReadExecutable must refuse it with a *VersionError naming both
-// versions rather than misread constants that version 2 follows with
-// their units.
+// TestReadExecutableRejectsOtherVersion patches a current file to each
+// older version: ReadExecutable must refuse it with a *VersionError naming
+// both versions. A version-1 file lacks the units word after each constant;
+// a version-2 file numbers fused kernels by site, so linking it by name
+// could bind a fused<N> to a different computation.
 func TestReadExecutableRejectsOtherVersion(t *testing.T) {
 	e := vm.NewExecutable()
 	e.AddConst(tensor.New(tensor.Float32, 2))
-	raw := serializeBytes(t, e)
-	binary.LittleEndian.PutUint32(raw[4:], 1)
-	_, err := vm.ReadExecutable(bytes.NewReader(raw))
-	var ve *vm.VersionError
-	if !errors.As(err, &ve) || ve.Got != 1 || ve.Want != 2 {
-		t.Fatalf("version-1 file: %v, want *VersionError{Got: 1, Want: 2}", err)
-	}
-	if msg := err.Error(); !strings.Contains(msg, "version 1") || !strings.Contains(msg, "version 2") {
-		t.Errorf("error %q does not name both versions", msg)
+	for _, v := range []uint32{1, 2} {
+		raw := serializeBytes(t, e)
+		binary.LittleEndian.PutUint32(raw[4:], v)
+		_, err := vm.ReadExecutable(bytes.NewReader(raw))
+		var ve *vm.VersionError
+		if !errors.As(err, &ve) || ve.Got != v || ve.Want != 3 {
+			t.Fatalf("version-%d file: %v, want *VersionError{Got: %d, Want: 3}", v, err, v)
+		}
+		if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", v)) || !strings.Contains(msg, "version 3") {
+			t.Errorf("error %q does not name both versions", msg)
+		}
 	}
 }

@@ -19,8 +19,9 @@ import (
 //	u32 #consts { tensor record (see internal/tensor serialize), u32 units }
 //
 // units is non-zero for the B operand of a dense_packed (Executable.ConstUnits).
-// Version 2 added it; a file of another version is rejected with a
-// *VersionError.
+// Version 2 added it; version 3 numbers fused kernels by computation, so an
+// older fused<N> may name another kernel. A file of another version is
+// rejected with a *VersionError, never linked by name.
 //
 // Instruction records serialize only the fields their opcode uses, giving
 // the "variable-length instruction format due to the inclusion of variable
@@ -28,7 +29,7 @@ import (
 
 const (
 	magic   = "NMBL"
-	version = 2
+	version = 3
 )
 
 // VersionError reports an executable written in a format version this

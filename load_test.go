@@ -149,17 +149,19 @@ func TestLoadAllocations(t *testing.T) {
 }
 
 // TestLoadKeepsVersionError: Load types a file of another format version
-// as ErrBadInput and keeps the reader's *vm.VersionError reachable.
+// as ErrBadInput and keeps the reader's *vm.VersionError reachable. Version
+// 2 is the format of the previous build, whose fused kernel names are
+// numbered by site and must never be linked by name.
 func TestLoadKeepsVersionError(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := loadLibs(t)[0].Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	binary.LittleEndian.PutUint32(raw[4:], 1)
+	binary.LittleEndian.PutUint32(raw[4:], 2)
 	_, err := nimble.Load(bytes.NewReader(raw), nil)
 	var ve *vm.VersionError
-	if !errors.Is(err, nimble.ErrBadInput) || !errors.As(err, &ve) || ve.Got != 1 {
-		t.Fatalf("Load of a version-1 file = %v, want ErrBadInput wrapping *vm.VersionError{Got: 1}", err)
+	if !errors.Is(err, nimble.ErrBadInput) || !errors.As(err, &ve) || ve.Got != 2 {
+		t.Fatalf("Load of a version-2 file = %v, want ErrBadInput wrapping *vm.VersionError{Got: 2}", err)
 	}
 }
