@@ -3,7 +3,7 @@
 #   make            - build + vet + test (the tier-1 gate)
 #   make chaos      - long fault-injection run (panics/OOM/stalls) under -race
 #   make bench      - quick one-shot pass over every paper benchmark
-#   make bench-full - the full harness via cmd/nimble-bench
+#   make bench-full - the full paper harness via `nimble paper`
 #   make paper-smoke - every paper table and figure once, quick mode
 #   make bench-kernels - dense-tile GFLOP/s, weight-pack time and activation ns/element
 #   make bench-vm   - one warmed VM session's ns/op and allocs/op per dynamic model
@@ -102,14 +102,14 @@ cross:
 purego:
 	$(GO) test -count=1 -tags purego ./internal/kernels
 
-# Toolchain vet plus the repo's own analyzer suite (cmd/nimble-vet):
+# Toolchain vet plus the repo's own analyzer suite (nimble vet):
 # panic discipline in request paths, ctx-threaded blocking waits, no
 # retained planner-owned buffers in kernels, no allocating kernel in an
 # operator Eval that names its destination. The tree must stay at zero
 # findings, and gofmt must list no file.
 vet:
 	$(GO) vet ./...
-	$(GO) run ./cmd/nimble-vet
+	$(GO) run ./cmd/nimble vet
 	@test -z "$$(gofmt -l .)" || { echo "gofmt -l lists:"; gofmt -l .; exit 1; }
 
 test:
@@ -122,12 +122,12 @@ bench:
 
 # Full-scale numbers for EXPERIMENTS.md.
 bench-full:
-	$(GO) run ./cmd/nimble-bench
+	$(GO) run ./cmd/nimble paper
 
 # The paper CLI end to end in quick mode (~1 s of measurement), so the one
 # command that regenerates the tables and figures keeps working.
 paper-smoke:
-	$(GO) run ./cmd/nimble-bench -quick
+	$(GO) run ./cmd/nimble paper -quick
 
 # Kernel tables for EXPERIMENTS.md: GFLOP/s per BERT dense shape (one hot
 # weight, and BERT-reduced's 24 weights cycled cold), ns per element per

@@ -1,5 +1,5 @@
 // Package bench re-exports Nimble's evaluation harness — one entry point
-// per table/figure of the paper's §6 — so cmd/nimble-bench (and any
+// per table/figure of the paper's §6 — so `nimble paper` (and any
 // external harness) runs it without reaching into internal packages.
 // Serving load is measured by the separate benchmark module
 // (go run -C benchmark .).

@@ -1,7 +1,7 @@
 // This file exposes one testing.B benchmark per table and figure of the
 // paper's evaluation (§6), wrapping the internal/bench harness. Benchmarks
 // run the harness in quick mode so `go test -bench=.` finishes in minutes;
-// the full-scale numbers are produced by `go run ./cmd/nimble-bench` and
+// the full-scale numbers are produced by `go run ./cmd/nimble paper` and
 // recorded in EXPERIMENTS.md. Key quantities (speedups, overheads) are
 // attached as custom benchmark metrics.
 package nimble_test

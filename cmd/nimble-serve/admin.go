@@ -13,7 +13,7 @@ import (
 // model name (the same set -model accepts); the build is deterministic, so
 // a deploy without "exe" reproduces the model with fresh weights exactly
 // as -model does at startup. "exe" loads a serialized executable written
-// by nimble-compile instead — the production path, where new weights
+// by nimble compile instead — the production path, where new weights
 // arrive as artifacts.
 type deployRequest struct {
 	Model string `json:"model"`

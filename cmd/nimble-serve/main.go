@@ -342,7 +342,7 @@ type server struct {
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	model := flag.String("model", "mlp", "comma-separated models to serve (each: "+cli.Names()+"); the first is the default target")
-	exe := cli.ExeFlag("")
+	exe := cli.ExeFlag(flag.CommandLine, "")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "VM sessions per model version")
 	maxBatch := flag.Int("max-batch", 16, "most requests one coalesced dispatch serves (1 = no coalescing)")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request deadline (0 = none)")

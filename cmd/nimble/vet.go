@@ -1,23 +1,7 @@
-// Command nimble-vet is the repo's own static lint suite: a small analyzer
-// pack enforcing the Go-level invariants the Nimble runtime depends on but
-// the compiler cannot express in types.
-//
-//	panicpath  internal/serve, internal/vm   no panic on request paths
-//	ctxthread  internal/serve, package root  blocking exports thread ctx
-//	bufretain  internal/kernels              kernels never retain buffers
-//	evalout    internal/ir                   an Eval naming its out never allocates
-//
-// Usage:
-//
-//	nimble-vet [-root dir]
-//
-// Findings print one per line as file:line: [check] message; the exit code
-// is 1 when anything is flagged, so CI can gate on it. The tool is built on
-// go/parser alone (no go/analysis driver — the build environment is
-// offline), which is why it runs directly rather than via go vet -vettool.
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"go/ast"
@@ -25,9 +9,40 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 )
+
+// vetCmd is the repo's own static lint suite: analyzers for the Go-level
+// invariants the Nimble runtime depends on but the compiler cannot express
+// in types (scopes lists where each applies; checks.go documents them).
+// Findings print one per line as file:line: [check] message, and any
+// finding fails the command, so CI can gate on it. It is built on
+// go/parser alone (no go/analysis driver, which the standard library lacks),
+// so it runs directly rather than via go vet -vettool.
+func vetCmd(fs *flag.FlagSet) func() error {
+	root := fs.String("root", ".", "module root to analyze")
+	return func() error {
+		var all []Finding
+		for _, sc := range scopes {
+			found, err := vetDir(filepath.Join(*root, sc.dir), sc.checks)
+			if err != nil {
+				return err
+			}
+			all = append(all, found...)
+		}
+		slices.SortFunc(all, func(a, b Finding) int {
+			return cmp.Or(strings.Compare(a.Pos.Filename, b.Pos.Filename), cmp.Compare(a.Pos.Line, b.Pos.Line))
+		})
+		for _, f := range all {
+			fmt.Println(f)
+		}
+		if len(all) > 0 {
+			return fmt.Errorf("%d finding(s)", len(all))
+		}
+		return nil
+	}
+}
 
 // scope maps a directory (relative to the module root) to the checks that
 // apply there.
@@ -40,34 +55,6 @@ var scopes = []struct {
 	{"internal/kernels", []func(*pkgFile) []Finding{checkBufRetain}},
 	{"internal/ir", []func(*pkgFile) []Finding{checkEvalOut}},
 	{".", []func(*pkgFile) []Finding{checkCtxThread}},
-}
-
-func main() {
-	root := flag.String("root", ".", "module root to analyze")
-	flag.Parse()
-
-	var all []Finding
-	for _, sc := range scopes {
-		fs, err := vetDir(filepath.Join(*root, sc.dir), sc.checks)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "nimble-vet: %v\n", err)
-			os.Exit(2)
-		}
-		all = append(all, fs...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Pos.Filename != all[j].Pos.Filename {
-			return all[i].Pos.Filename < all[j].Pos.Filename
-		}
-		return all[i].Pos.Line < all[j].Pos.Line
-	})
-	for _, f := range all {
-		fmt.Println(f)
-	}
-	if len(all) > 0 {
-		fmt.Fprintf(os.Stderr, "nimble-vet: %d finding(s)\n", len(all))
-		os.Exit(1)
-	}
 }
 
 // vetDir parses every non-test .go file directly in dir (no recursion) and

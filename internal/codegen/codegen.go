@@ -16,17 +16,10 @@ import (
 	"nimble/internal/vm"
 )
 
-// DispatchPolicy chooses how many symbolic kernels a dynamic dense operator
-// compiles into (Figure 3's dispatch/k axis).
-type DispatchPolicy int
-
-const (
-	// DispatchFull generates one kernel per residue (k = tile factor): the
-	// best-performing configuration, matching static codegen.
-	DispatchFull DispatchPolicy = kernels.TileFactor
-	// DispatchNone generates a single guarded symbolic kernel.
-	DispatchNone DispatchPolicy = 1
-)
+// DispatchFull is the dispatch width every compile uses: one symbolic dense
+// kernel per residue of the tile factor, the best-performing configuration,
+// matching static codegen (Figure 3's dispatch/k axis sweeps the others).
+const DispatchFull = kernels.TileFactor
 
 // Options configures kernel generation.
 type Options struct {
@@ -38,7 +31,7 @@ type Options struct {
 // Normalize fills defaults and validates the dispatch width.
 func (o Options) Normalize() (Options, error) {
 	if o.Dispatch == 0 {
-		o.Dispatch = int(DispatchFull)
+		o.Dispatch = DispatchFull
 	}
 	switch o.Dispatch {
 	case 1, 2, 4, 8:

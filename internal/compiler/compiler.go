@@ -21,9 +21,6 @@ import (
 type Options struct {
 	// Target is the device kernels are placed on (default cpu(0)).
 	Target ir.Device
-	// Codegen configures kernel generation (dispatch width); Compile
-	// validates it before any pass runs.
-	Codegen codegen.Options
 	// DisableFusion drops operator fusion from the pipeline (ablation).
 	DisableFusion bool
 	// DisableCoalescing drops static storage coalescing (ablation).
@@ -63,10 +60,6 @@ type Result struct {
 func Compile(mod *ir.Module, opts Options) (*Result, error) {
 	if opts.Target.IsUnknown() {
 		opts.Target = ir.CPU(0)
-	}
-	var err error
-	if opts.Codegen, err = opts.Codegen.Normalize(); err != nil {
-		return nil, fmt.Errorf("compiler: %w", err)
 	}
 
 	// The passes replace function bodies: lower a copy of the function table.

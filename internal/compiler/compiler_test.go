@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"nimble/internal/codegen"
 	"nimble/internal/ir"
 	"nimble/internal/kernels"
 	"nimble/internal/passes"
@@ -313,26 +312,6 @@ func TestCompileClosureValue(t *testing.T) {
 	}
 	if !got.Equal(tensor.FromF32([]float32{2, 4}, 2)) {
 		t.Errorf("closure = %v", got.F32())
-	}
-}
-
-// TestCompileRejectsDispatchWidth pins that Compile validates the dispatch
-// width before any pass runs: whether or not the module calls an operator
-// whose kernel would read it, and ahead of the type error an ill-typed
-// module would hit in the first pass.
-func TestCompileRejectsDispatchWidth(t *testing.T) {
-	x := ir.NewVar("x", ir.TT(tensor.Float32, 4))
-	y := ir.NewVar("y", ir.TT(tensor.Float32, 5))
-	for name, body := range map[string]ir.Expr{
-		"tanh":      ir.CallOp("tanh", x),
-		"identity":  x,
-		"ill-typed": ir.CallOp("add", x, y),
-	} {
-		mod := singleFuncModule(ir.NewFunc([]*ir.Var{x, y}, body, nil))
-		_, err := Compile(mod, Options{Codegen: codegen.Options{Dispatch: 3}})
-		if err == nil || !strings.Contains(err.Error(), "dispatch width 3") {
-			t.Errorf("%s: err = %v, want the dispatch width rejected", name, err)
-		}
 	}
 }
 

@@ -287,7 +287,7 @@ func (fc *funcCompiler) compileOpCall(n *ir.Call, op *ir.Op) (vm.Reg, error) {
 			return 0, fmt.Errorf("invoke_mut requires an operator reference, got %s", ir.ExprKind(n.Args[0]))
 		}
 		outType, _ := n.CheckedType().(*ir.TensorType)
-		kern, err := codegen.ForOp(target.Op, userAttrs(n.Attrs), outType, fc.c.opts.Codegen)
+		kern, err := codegen.ForOp(target.Op, userAttrs(n.Attrs), outType, codegen.Options{Dispatch: codegen.DispatchFull})
 		if err != nil {
 			return 0, err
 		}
@@ -366,7 +366,7 @@ func (fc *funcCompiler) compileOpCall(n *ir.Call, op *ir.Op) (vm.Reg, error) {
 			return 0, fmt.Errorf("operator %s is not executable", op.Name)
 		}
 		outType, _ := n.CheckedType().(*ir.TensorType)
-		kern, err := codegen.ForOp(op, userAttrs(n.Attrs), outType, fc.c.opts.Codegen)
+		kern, err := codegen.ForOp(op, userAttrs(n.Attrs), outType, codegen.Options{Dispatch: codegen.DispatchFull})
 		if err != nil {
 			return 0, err
 		}

@@ -9,7 +9,7 @@ import (
 )
 
 // TestCompiledModelSizes fences the built-in models' executables, at the
-// sizes nimble-compile builds them, with ceilings on their kernel and
+// sizes nimble compile builds them, with ceilings on their kernel and
 // instruction counts. A fused kernel is named by what it computes, so
 // layers that differ only in their weights share one kernel (the MLP's
 // hidden layers, BERT's and the decoder's blocks), and a chain reads each

@@ -57,12 +57,6 @@ func WithTarget(d ir.Device) Option {
 	return func(o *compileOptions) { o.c.Target = d }
 }
 
-// WithDispatchWidth sets the symbolic dense-dispatch width (1, 2, 4, or 8)
-// used by residue-dispatched kernels over Any dimensions.
-func WithDispatchWidth(n int) Option {
-	return func(o *compileOptions) { o.c.Codegen.Dispatch = n }
-}
-
 // WithVerify runs the static invariant verifier after every compilation
 // pass and over the emitted bytecode (check mode): SSA/ANF well-formedness,
 // type consistency against the operator relations, control-flow sanity, and

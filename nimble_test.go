@@ -9,9 +9,7 @@ import (
 	"testing"
 
 	"nimble"
-	"nimble/ir"
 	"nimble/models"
-	"nimble/tensor"
 )
 
 // TestEntrypointSignatures pins Program.Entrypoints for the four evaluation
@@ -352,18 +350,5 @@ func TestCompileStats(t *testing.T) {
 	// says so.
 	if d := p.Disassemble(); !strings.Contains(d, "sites=2   fused1(dense_packed+bias_add+relu)\n") {
 		t.Errorf("disassembly does not show the hidden layers' shared kernel:\n%s", d)
-	}
-}
-
-// TestDispatchWidthRejected pins that an invalid WithDispatchWidth fails
-// Compile whether or not the module has an operator whose kernel reads it.
-func TestDispatchWidthRejected(t *testing.T) {
-	x := ir.NewVar("x", ir.TT(tensor.Float32, 4))
-	for name, body := range map[string]ir.Expr{"tanh": ir.CallOp("tanh", x), "identity": x} {
-		mod := ir.NewModule()
-		mod.AddFunc("main", ir.NewFunc([]*ir.Var{x}, body, nil))
-		if _, err := nimble.Compile(mod, nimble.WithDispatchWidth(3)); err == nil || !strings.Contains(err.Error(), "dispatch width 3") {
-			t.Errorf("%s: err = %v, want the dispatch width rejected", name, err)
-		}
 	}
 }
